@@ -20,7 +20,6 @@ from .extension import (
     ExtensionError,
     ExtensionOperator,
     ExtensionResult,
-    covering_index,
     extend_body,
     extend_function,
 )
@@ -74,7 +73,7 @@ __all__ = [
     "lipschitz_estimate", "mcshane_extend", "modulus_estimate",
     "quasiconvex_check", "ramp_qc", "staircase_qc",
     "CoveringError", "ExtendedBody", "ExtensionError", "ExtensionOperator",
-    "ExtensionResult", "covering_index", "extend_body", "extend_function",
+    "ExtensionResult", "extend_body", "extend_function",
     "Classification", "ConstructionError", "ForcingCertificate",
     "NoLipCertificate", "NoUCCertificate", "ProjectionMap", "characterize",
     "gen_no_lip", "gen_no_qc", "gen_no_uc", "gen_non_rotund",

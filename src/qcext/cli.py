@@ -61,6 +61,21 @@ def _load_body(path: str) -> Body2:
     return ser.body_from_json(_read_json(path))
 
 
+def _load_family(path: str, ambient: Body2) -> LevelFamily:
+    """The staircase level family in a function file, on the --body ambient;
+    LevelSetError if the file holds none."""
+    data = _read_json(path)
+    if data.get("kind") != "staircase":
+        raise LevelSetError(f"{path}: expected a staircase family function, "
+                            f"got kind {data.get('kind')!r}")
+    try:
+        levels, bodies = data["levels"], data["bodies"]
+    except KeyError as e:
+        raise LevelSetError(f"{path}: staircase family without {e}") from None
+    return LevelFamily(levels=np.asarray(levels, dtype=float),
+                       bodies=[ser.body_from_json(b) for b in bodies], ambient=ambient)
+
+
 def _parse_window(text, default=(-8.0, 8.0, -8.0, 8.0)):
     if not text:
         return default
@@ -113,27 +128,14 @@ def cmd_body(args, conf) -> int:
 
 
 def cmd_extend(args, conf) -> int:
-    body = _load_body(args.body)
-    fdata = _read_json(args.function)
-    if fdata.get("kind") != "staircase":
-        print("extension needs a staircase family function", file=sys.stderr)
-        return 2
-    try:
-        fam = LevelFamily(levels=np.asarray(fdata["levels"], dtype=float),
-                          bodies=[ser.body_from_json(b) for b in fdata["bodies"]],
-                          ambient=body)
-        res = ext.extend_function(fam, resolution=conf.resolution,
-                                  tol=max(conf.tol, 1e-9))
-    except (LevelSetError, ext.ExtensionError, GeometryError) as e:
-        print(f"extension failed: {e}", file=sys.stderr)
-        return 2
-    window = _parse_window(args.window_box)
+    fam = _load_family(args.function, _load_body(args.body))
+    res = ext.extend_function(fam, resolution=conf.resolution, tol=max(conf.tol, 1e-9))
     meta = {"family": ser.family_hash(fam), "regularity": res.regularity}
-    csv = ser.grid_csv(res, window, conf.grid, meta)
+    csv = ser.grid_csv(res, args.window_box, conf.grid, meta)
     _emit(csv, conf.out or "extension.csv")
     if args.svg:
         with open(args.svg, "w") as fh:
-            fh.write(plots.svg_extension(res, window))
+            fh.write(plots.svg_extension(res, args.window_box))
     return 0
 
 
@@ -192,7 +194,6 @@ def cmd_verify(args, conf) -> int:
 
 
 def cmd_plot(args, conf) -> int:
-    window = _parse_window(args.window_box)
     if args.certificate:
         cert = ser.certificate_from_json(_read_json(args.certificate))
         try:
@@ -204,14 +205,11 @@ def cmd_plot(args, conf) -> int:
         return 0
     body = _load_body(args.body)
     if args.function:
-        fdata = _read_json(args.function)
-        fam = LevelFamily(levels=np.asarray(fdata["levels"], dtype=float),
-                          bodies=[ser.body_from_json(b) for b in fdata["bodies"]],
-                          ambient=body)
-        res = ext.extend_function(fam, resolution=conf.resolution)
-        svg = plots.svg_extension(res, window)
+        res = ext.extend_function(_load_family(args.function, body),
+                                  resolution=conf.resolution)
+        svg = plots.svg_extension(res, args.window_box)
     else:
-        svg = plots.svg_body(body, window)
+        svg = plots.svg_body(body, args.window_box)
     _emit(svg, conf.out or "plot.svg")
     return 0
 
@@ -220,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None)
     common.add_argument("--resolution", type=int, default=None)
-    common.add_argument("--window", dest="window", type=float, default=None)
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--kmax", type=int, default=None)
     common.add_argument("--grid", type=int, default=None)
@@ -239,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("extend", parents=[common], help="extend a level family")
     pe.add_argument("--body", required=True)
     pe.add_argument("--function", required=True)
-    pe.add_argument("--window-box", default="")
+    pe.add_argument("--window-box", type=_parse_window, default="")
     pe.add_argument("--svg", default="")
     pe.set_defaults(fn=cmd_extend)
 
@@ -265,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--body", default="")
     pp.add_argument("--function", default="")
     pp.add_argument("--certificate", default="")
-    pp.add_argument("--window-box", default="")
+    pp.add_argument("--window-box", type=_parse_window, default="")
     pp.set_defaults(fn=cmd_plot)
     return p
 
@@ -284,6 +281,9 @@ def main(argv=None) -> int:
         return args.fn(args, conf)
     except FileNotFoundError as e:
         print(str(e), file=sys.stderr)
+        return 2
+    except (LevelSetError, ext.ExtensionError, GeometryError) as e:
+        print(f"invalid input: {e}", file=sys.stderr)
         return 2
 
 

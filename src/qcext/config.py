@@ -15,7 +15,6 @@ from .geometry import RESOLUTION, TOL
 class RunConfig:
     tol: float = TOL
     resolution: int = RESOLUTION
-    window: float = 16.0       # plotting/sampling window half-size multiplier
     seed: int = 0
     kmax: int = 24
     grid: int = 256
@@ -37,7 +36,6 @@ def from_flags(args) -> RunConfig:
     return RunConfig(
         tol=tol,
         resolution=args.resolution if args.resolution is not None else RESOLUTION,
-        window=args.window if args.window is not None else 16.0,
         seed=seed,
         kmax=args.kmax if args.kmax is not None else 24,
         grid=args.grid if args.grid is not None else 256,

@@ -687,13 +687,6 @@ def gen_usc_counterexample():
 # ---------------------------------------------------------------------------
 # classification
 
-CLASS_ORDER = ["TRIVIAL", "UC_EXTENDABLE", "C_EXTENDABLE", "QC_EXTENDABLE",
-               "NOT_QC_EXTENDABLE"]
-
-#: extension grades, strongest first
-GRADES = ["lipschitz", "uniformly_continuous", "continuous", "qc"]
-
-
 @dataclass
 class Classification:
     predicates: dict
@@ -707,17 +700,11 @@ class Classification:
 
 
 def characterize(C: Body2) -> Classification:
-    """Classify a body by which quasiconvex extension grades it admits.
-
-    Valid bodies always have nonempty interior and full dimension, so the
-    affine and low-dimension trivial cases are recorded but never fire.
-    """
+    """Classify a body by which quasiconvex extension grades it admits."""
     asym = find_asymptotic_direction(C)
     rotund = is_rotund(C)
     bounded = C.bounded
     preds = {
-        "affine": False,
-        "dim_le_1": False,
         "bounded": bounded,
         "rotund": rotund,
         "has_asymptotic_direction": asym is not None,

@@ -164,9 +164,12 @@ class ExtensionOperator:
     def covering_index_many(self, pts: np.ndarray) -> np.ndarray:
         """Smallest k with the point in e(B_k), by shared binary search.
 
-        Monotonicity of the extended bodies makes per-point bisection valid;
-        a geometric ladder pre-pass keeps the number of distinct levels that
-        get built logarithmic even for huge families.
+        Monotonicity of the extended bodies makes per-point bisection valid.
+        A ladder pre-pass probes levels 0, 1, 3, 7, ... for all points, then
+        each point bisects its own bracket.  Every level any point probes
+        is built and cached, so points spread over many levels build most
+        levels up to the largest index: all 100 of a 100-level chord family
+        over 2,000 box points, 8,733 of 10,201 for 10,000 points.
         """
         pts = as_points(pts)
         K = len(self.family) - 1
@@ -210,19 +213,8 @@ class ExtensionOperator:
         return hi
 
     def covering_index(self, x) -> int:
+        """Smallest level index k with x in e(B_k); CoveringError if none."""
         return int(self.covering_index_many(as_point(x)[None, :])[0])
-
-
-def covering_index(C: Body2, fam: LevelFamily, x,
-                   operator: Optional[ExtensionOperator] = None) -> int:
-    """Smallest level index k with x in e(B_k); CoveringError if none.
-
-    The family's own ambient governs the operator; C is accepted for call
-    symmetry with the other module operations.
-    """
-    del C
-    op = operator if operator is not None else ExtensionOperator(fam)
-    return op.covering_index(x)
 
 
 @dataclass

@@ -214,7 +214,6 @@ def staircase_qc(ambient: Body2, bodies: Sequence[Body2], levels: Sequence[float
         pts = as_points(pts)
         out = np.empty(pts.shape[0])
         unset = np.ones(pts.shape[0], dtype=bool)
-        inside_prev = np.zeros(pts.shape[0], dtype=bool)
         for k, body in enumerate(bodies):
             inside = body.contains_many(pts)
             zone = unset & inside
@@ -225,11 +224,9 @@ def staircase_qc(ambient: Body2, bodies: Sequence[Body2], levels: Sequence[float
                     d = distance_many(bodies[k - 1], pts[zone])
                     out[zone] = levels[k - 1] + np.minimum(d, gaps[k - 1])
                 unset &= ~zone
-            inside_prev = inside
         if unset.any():
             d = distance_many(bodies[-1], pts[unset])
             out[unset] = levels[-1] + np.minimum(d, gaps[-1])
-        del inside_prev
         return out
 
     fam = LevelFamily(levels, bodies, ambient)

@@ -86,12 +86,6 @@ def family_to_json(fam: LevelFamily) -> dict:
             "bodies": [body_to_json(b) for b in fam.bodies]}
 
 
-def family_from_json(data: dict) -> LevelFamily:
-    return LevelFamily(levels=np.asarray(data["levels"], dtype=float),
-                       bodies=[body_from_json(b) for b in data["bodies"]],
-                       ambient=body_from_json(data["ambient"]))
-
-
 def function_to_json(f: QCFunction) -> dict:
     kind = f.meta.get("kind")
     if kind == "staircase":

@@ -2,7 +2,11 @@
 
 Each suite executes the invariants of one module on sampled instances and
 reports failures with (minimized) witnesses; identical seed and budget
-give an identical report hash.
+give an identical report hash.  The check_* functions are the single
+implementation of the paper's contract checks: the acceptance criteria
+(qcext.acceptance, the authority) call them with pinned seeds and sizes,
+and the extension and counterexamples suites call them at budget size.
+Each returns (checked, failures, detail).
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from . import counterexamples as cx
 from . import extension as ext
@@ -127,8 +132,6 @@ def fuzz_bodies(seed: int, n: int) -> list:
 
 
 def _fuzz_polygon(rng) -> Body2:
-    from scipy.spatial import ConvexHull
-
     m = int(rng.integers(5, 24))
     pts = rng.normal(0.0, 2.0, (m, 2)) + rng.normal(0.0, 3.0, 2)
     hull = ConvexHull(pts)
@@ -378,8 +381,6 @@ def _case_supporting_cone_membership(rng, budget):
 
 
 def _in_hull(p, pts, tol):
-    from scipy.spatial import ConvexHull, QhullError
-
     try:
         hull = ConvexHull(pts)
     except QhullError:
@@ -575,24 +576,39 @@ def _case_planted_xy(rng, budget):
 # ---------------------------------------------------------------------------
 # extension cases
 
-def _case_extension_identity(rng, budget):
-    failures, checked = [], 0
-    par = Body2.epigraph("parabola")
-    levels = np.linspace(0.0, 22.0, 12)
+def check_parabola_extension(rng, n_points: int, n_triples: int, grid: int,
+                             qc_seed: int):
+    """Extension identity, exact quasiconvexity and bounded grid jumps of the
+    extension of a 12-level chord family on the parabola body."""
+    par = Body2.epigraph("parabola", name="parabola")
+    levels = _acceptance_levels(grid_n=grid)
     fam = _nested_chord_family(par, levels)
     res = ext.extend_function(fam)
-    pts = ls.sample_domain(par, budget["geometric_cases"], rng, window=(-20, 20, -20, 20))
-    diff = np.abs(res.eval_many(pts) - fam.eval_many(pts))
-    checked += len(pts)
-    if float(np.max(diff)) > 0:
+    window = (-20, 20, -20, 20)
+    pts = ls.sample_domain(par, n_points, rng, window=window)
+    max_diff = float(np.max(np.abs(res.eval_many(pts) - fam.eval_many(pts))))
+    rep = ls.quasiconvex_check(res.eval_many, window, n_triples, tol=1e-9,
+                               seed=qc_seed)
+    jump = _max_grid_jump(res, window, grid)
+    failures = []
+    if max_diff != 0.0:
         failures.append({"issue": "extension does not restrict exactly",
-                         "max_diff": float(np.max(diff))})
-    return checked, failures
+                         "max_diff": max_diff})
+    if not rep.passed:
+        failures.append({"violations": rep.violations, "worst": rep.worst,
+                         "witness": minimize_qc_witness(res.eval_many, rep.witness)})
+    if not jump <= fam.max_gap() + 1e-12:
+        failures.append({"issue": "grid jump above the maximum level gap",
+                         "jump": jump, "max_gap": fam.max_gap()})
+    detail = {"levels": len(levels), "top_level": float(levels[-1]),
+              "max_restriction_diff": max_diff,
+              "qc_violations": rep.violations, "qc_worst": rep.worst,
+              "max_grid_jump": jump, "max_level_gap": fam.max_gap(),
+              "regularity": res.regularity}
+    return len(pts) + rep.checked + grid * grid, failures, detail
 
 
 def _random_polygon_pair(rng):
-    from scipy.spatial import ConvexHull
-
     outer_pts = rng.normal(0, 3.0, (14, 2))
     outer = Body2.from_polychain(outer_pts[ConvexHull(outer_pts).vertices],
                             collinear_ok=True)
@@ -603,54 +619,68 @@ def _random_polygon_pair(rng):
     return inner, outer
 
 
-def _case_operator_hausdorff(rng, budget):
-    failures, checked = [], 0
-    for _ in range(budget["pairs"]):
+def check_polygon_operator(rng, n_instances: int):
+    """Operator contracts on random polygon pairs B in C: e(B) restricted to
+    C within five boundary steps of B, monotonicity against a shrunken source,
+    and the segment property of a chord body touching the boundary of C."""
+    failures = []
+    worst_ratio = 0.0
+    mono_bad = seg_bad = seg_checked = 0
+    n = tries = 0
+    while n < n_instances and tries < 4 * n_instances:
+        tries += 1
         try:
             B, C = _random_polygon_pair(rng)
-        except GeometryError:
+        except Exception:
             continue
         e = ext.extend_body(B, C, resolution=256)
         if e.special is not None:
             continue
+        n += 1
         step = _perimeter(B) / 256
         h = ext.restriction_hausdorff(e)
-        checked += 1
-        if h > 5 * step:
+        ratio = h / (5 * step)
+        worst_ratio = max(worst_ratio, ratio)
+        if ratio > 1.0:
             failures.append({"hausdorff": h, "step": step})
-    return checked, failures
+        # monotonicity probe: a shrunken inner body
+        pts1 = B.witness + (B.boundary_samples(16) - B.witness) * 0.5
+        try:
+            B1 = Body2.from_polychain(pts1[ConvexHull(pts1).vertices],
+                                      collinear_ok=True)
+        except Exception:
+            continue
+        e1 = ext.extend_body(B1, C, resolution=128)
+        probe = C.witness + rng.normal(0, 8.0, (32, 2))
+        inside1 = e1.contains_many(probe, -1e-9)
+        if np.any(inside1 & ~e.contains_many(probe, 1e-7)):
+            mono_bad += 1
+            failures.append({"issue": "monotonicity of the operator failed"})
+        # segment property: probe via a chord body touching the ambient boundary,
+        # so the extension has a part outside the ambient
+        th = rng.uniform(0, 2 * math.pi)
+        nvec = np.array([math.cos(th), math.sin(th)])
+        chord = C.clip([(nvec, float(nvec @ C.witness) + 0.2 * C.clearance)])
+        e_ch = ext.extend_body(chord, C, resolution=128)
+        off = probe[e_ch.contains_many(probe, -1e-9) & ~C.contains_many(probe, 1e-9)]
+        ys = ls.sample_domain(C, 16, rng)
+        ys = ys[~chord.contains_many(ys, 1e-9)]
+        for x in off[:3]:
+            for y in ys[:3]:
+                seg_checked += 1
+                if not ext.segment_meets_body(x, y, chord):
+                    seg_bad += 1
+                    failures.append({"x": x.tolist(), "y": y.tolist(),
+                                     "issue": "segment misses the source body"})
+    detail = {"instances": n, "worst_hausdorff_ratio": worst_ratio,
+              "monotonicity_failures": mono_bad, "segment_failures": seg_bad,
+              "segment_probes": seg_checked}
+    return n, failures, detail
 
 
 def _perimeter(B: Body2) -> float:
     pts = B.boundary_samples(256)
     return float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
-
-
-def _case_monotonicity(rng, budget):
-    failures, checked = [], 0
-    for _ in range(max(4, budget["pairs"] // 3)):
-        try:
-            B2_, C = _random_polygon_pair(rng)
-            B1, _ = _random_polygon_pair(rng)
-        except GeometryError:
-            continue
-        # force a properly nested chain B1 <= B2 <= C by shrinking B2
-        w = B2_.witness
-        from scipy.spatial import ConvexHull
-
-        pts1 = w + (B2_.boundary_samples(24) - w) * 0.5
-        B1 = Body2.from_polychain(pts1[ConvexHull(pts1).vertices],
-                                      collinear_ok=True)
-        e1 = ext.extend_body(B1, C, resolution=128)
-        e2 = ext.extend_body(B2_, C, resolution=128)
-        if e1.special or e2.special:
-            continue
-        probe = ls.sample_domain(C, 64, rng) + rng.normal(0, 6.0, (64, 2))
-        in1 = e1.contains_many(probe, -1e-9)
-        checked += int(in1.sum())
-        if np.any(in1 & ~e2.contains_many(probe, 1e-7)):
-            failures.append({"issue": "monotonicity of the operator failed"})
-    return checked, failures
 
 
 def _case_strict_monotonicity(rng, budget):
@@ -670,78 +700,20 @@ def _case_strict_monotonicity(rng, budget):
     return checked, failures
 
 
-def _case_empty_intersection(rng, budget):
-    failures, checked = [], 0
-    par = Body2.epigraph("parabola")
-    ks = np.arange(0.0, 39.0, 3.0)
-    bodies = [par.clip([((0.0, -1.0), -float(k))], name=f"up{k}") for k in ks]
-    exts = [ext.extend_body(b, par, resolution=128) for b in bodies]
-    pts = ls.sample_domain((-30, 30, -30, 30), 2000, rng)
-    excluded = np.zeros(len(pts), dtype=bool)
-    for e in exts:
-        excluded |= ~e.contains_many(pts, 1e-9)
-    checked += len(pts)
-    if not excluded.all():
-        failures.append({"issue": "downward family: some point never excluded",
-                         "count": int((~excluded).sum())})
-    return checked, failures
-
-
-def _case_segment_property(rng, budget):
-    # bodies must touch the ambient boundary so the extension sticks out
-    failures, checked = [], 0
-    for _ in range(max(4, budget["pairs"] // 2)):
-        try:
-            _, C = _random_polygon_pair(rng)
-        except GeometryError:
-            continue
-        th = rng.uniform(0, 2 * math.pi)
-        n = np.array([math.cos(th), math.sin(th)])
-        B = C.clip([geo.HalfPlane(n, float(n @ C.witness) + 0.2 * C.clearance)])
-        e = ext.extend_body(B, C, resolution=192)
-        if e.special is not None:
-            continue
-        outer = ls.sample_domain((-12, 12, -12, 12), 400, rng)
-        in_e = e.contains_many(outer, -1e-9) & ~C.contains_many(outer, 1e-9)
-        ys = ls.sample_domain(C, 40, rng)
-        ys = ys[~B.contains_many(ys, 1e-9)]
-        for x in outer[in_e][:6]:
-            for y in ys[:6]:
-                checked += 1
-                if not ext.segment_meets_body(x, y, B):
-                    failures.append({"x": x.tolist(), "y": y.tolist(),
-                                     "issue": "segment misses the source body"})
-    return checked, failures
-
-
-def _case_extension_qc(rng, budget):
-    failures, checked = [], 0
-    par = Body2.epigraph("parabola")
-    fam = _nested_chord_family(par, np.linspace(0.0, 22.0, 12))
-    res = ext.extend_function(fam)
-    rep = ls.quasiconvex_check(res.eval_many, (-20, 20, -20, 20),
-                               budget["qc_triples"], tol=1e-9,
-                               seed=int(rng.integers(1 << 31)))
-    checked += rep.checked
-    if not rep.passed:
-        failures.append({"violations": rep.violations, "worst": rep.worst,
-                         "witness": minimize_qc_witness(res.eval_many, rep.witness)})
-    return checked, failures
-
-
-def _case_continuity_trend(rng, budget):
-    failures, checked = [], 0
-    par = Body2.epigraph("parabola")
-    n = budget["grid"]
-    levels = _acceptance_levels(grid_n=n)
-    fam = _nested_chord_family(par, levels)
-    res = ext.extend_function(fam)
-    jump = _max_grid_jump(res, (-20, 20, -20, 20), n)
-    checked += n * n
-    if jump > fam.max_gap() + 1e-9:
-        failures.append({"issue": "grid jump above the maximum level gap",
-                         "jump": jump, "max_gap": fam.max_gap()})
-    return checked, failures
+def check_downward_exclusion(pts, levels):
+    """Every point eventually leaves e(B_k) for the parabola caps
+    B_k = {y >= k}: the downward family's extensions meet in the empty set."""
+    par = Body2.epigraph("parabola", name="parabola")
+    excl = np.zeros(len(pts), dtype=bool)
+    for k in levels:
+        e = ext.extend_body(par.clip([((0.0, -1.0), -float(k))]), par, resolution=128)
+        excl |= ~e.contains_many(pts, 1e-9)
+        if excl.all():
+            break
+    failures = [] if excl.all() else [
+        {"issue": "downward family: some point never excluded",
+         "count": int((~excl).sum())}]
+    return len(pts), failures, {"all_excluded": bool(excl.all())}
 
 
 def _max_grid_jump(res, window, n) -> float:
@@ -785,38 +757,46 @@ def _acceptance_levels(n_levels: int = 12, window_top: float = 20.0,
 # ---------------------------------------------------------------------------
 # counterexample cases
 
-def _case_no_lip_trend(rng, budget):
-    failures, checked = [], 0
-    disk = Body2.ball((0.0, 0.0), 1.0)
+def check_no_lip_trend():
+    """No-Lipschitz certificate on the unit disk: the Lipschitz lower bounds
+    increase and double in the tail, and the products vanish."""
+    disk = Body2.ball((0.0, 0.0), 1.0, name="disk")
     _, cert = cx.gen_no_lip(disk, k_max=20)
     ratios = cert.lip_lower_bounds[1:] / cert.lip_lower_bounds[:-1]
-    checked += len(ratios)
-    if not np.all(np.diff(cert.lip_lower_bounds[2:21]) > 0):
+    detail = {"increasing": bool(np.all(np.diff(cert.lip_lower_bounds[2:21]) > 0)),
+              "ratio_in_band": bool(np.all((ratios[12:] >= 1.8) & (ratios[12:] <= 2.2))),
+              "product_monotone": bool(np.all(np.diff(cert.products) < 0)),
+              "product_20": float(cert.products[20]), "eps": cert.eps}
+    failures = []
+    if not detail["increasing"]:
         failures.append({"issue": "K table not strictly increasing"})
-    if not np.all((ratios[12:] >= 1.8) & (ratios[12:] <= 2.2)):
+    if not detail["ratio_in_band"]:
         failures.append({"issue": "K ratio off the doubling trend",
                          "ratios": ratios[12:].tolist()})
-    if not (np.all(np.diff(cert.products) < 0) and cert.products[20] < 1e-4):
+    if not (detail["product_monotone"] and detail["product_20"] < 1e-4):
         failures.append({"issue": "vanishing product trend failed"})
-    return checked, failures
+    return len(ratios), failures, detail
 
 
-def _case_no_uc_trend(rng, budget):
-    failures, checked = [], 0
-    par = Body2.epigraph("parabola")
+def check_no_uc_trend():
+    """No-uniform-continuity certificate on the parabola body: the separation
+    gaps collapse and the level gaps stay above the bi-Lipschitz constant."""
+    par = Body2.epigraph("parabola", name="parabola")
     _, cert = cx.gen_no_uc(par, k_max=64)
-    checked += len(cert.gaps)
-    if cert.gaps[63] >= 0.05:
-        failures.append({"issue": "gap_64 too large", "gap": float(cert.gaps[63])})
-    k0 = cert.tail_monotone_from()
-    if k0 > len(cert.gaps) // 2:
-        failures.append({"issue": "gap table not eventually decreasing", "k0": k0})
-    if float(np.min(np.diff(cert.levels))) < cert.bilip * (1 - 1e-6):
+    detail = {"gap_64": float(cert.gaps[63]), "tail_monotone_from": cert.tail_monotone_from(),
+              "bilip": cert.bilip, "min_level_gap": float(np.min(np.diff(cert.levels)))}
+    failures = []
+    if not detail["gap_64"] < 0.05:
+        failures.append({"issue": "gap_64 too large", "gap": detail["gap_64"]})
+    if detail["tail_monotone_from"] > 32:
+        failures.append({"issue": "gap table not eventually decreasing",
+                         "k0": detail["tail_monotone_from"]})
+    if not detail["min_level_gap"] >= cert.bilip * (1 - 1e-6):
         failures.append({"issue": "level gaps below the bi-Lipschitz constant"})
-    if cert.bilip < 0.5:
+    if not cert.bilip >= 0.5:
         failures.append({"issue": "bi-Lipschitz estimate below 0.5",
                          "bilip": cert.bilip})
-    return checked, failures
+    return len(cert.gaps), failures, detail
 
 
 def _case_forcing_arcs(rng, budget):
@@ -853,46 +833,44 @@ QUARTET_CLASSES = {
     "hypograph": "NOT_QC_EXTENDABLE",
 }
 
-_GENERATORS = {
-    "gen_no_qc": cx.gen_no_qc,
-    "gen_non_rotund": cx.gen_non_rotund,
-    "gen_no_uc": cx.gen_no_uc,
-    "gen_no_lip": cx.gen_no_lip,
-}
+def check_classifier_consistency(n_triples: int, seed: int):
+    """The classifier agrees with QUARTET_CLASSES, every denied grade's
+    generator runs, and a granted grade's extension passes the QC check.
 
-
-def _case_classifier_consistency(rng, budget):
-    failures, checked = [], 0
+    Returns the class per body and a message per failed generator or
+    extension as its detail."""
+    failures, results = [], {}
     for name, body in _quartet().items():
         cls = cx.characterize(body)
-        checked += 1
+        results[name] = cls.extendability_class
         if cls.extendability_class != QUARTET_CLASSES[name]:
             failures.append({"body": name, "got": cls.extendability_class,
                              "want": QUARTET_CLASSES[name]})
             continue
         for grade, gen_name in cls.denied.items():
-            gen = _GENERATORS[gen_name]
+            kw = {"k_max": 8, "scan": 16} if gen_name == "gen_no_lip" else {"k_max": 8}
             try:
-                kw = {"k_max": 8} if gen_name != "gen_no_lip" else {"k_max": 8, "scan": 16}
-                gen(body, **kw)
+                getattr(cx, gen_name)(body, **kw)
             except Exception as e:  # noqa: BLE001  (any failure is a finding)
+                results[f"{name}:{grade}"] = f"generator failed: {e}"
                 failures.append({"body": name, "grade": grade,
                                  "generator": gen_name, "error": str(e)})
         if cls.granted:
+            # the family must exhaust the body over the check window, else
+            # the clamped top level is genuinely non-quasiconvex
             if body.bounded:
                 levels = np.linspace(-0.5, geo.support(body, (0.0, 1.0)), 4)
             else:
                 levels = np.linspace(0.0, 4.5, 4)
-            fam = _nested_chord_family(body, levels)
-            res = ext.extend_function(fam)
-            rep = ls.quasiconvex_check(res.eval_many, (-4, 4, -4, 4),
-                                       budget["qc_triples"] // 4,
-                                       seed=int(rng.integers(1 << 31)))
+            res = ext.extend_function(_nested_chord_family(body, levels))
+            rep = ls.quasiconvex_check(res.eval_many, (-4, 4, -4, 4), n_triples,
+                                       tol=1e-9, seed=seed)
             if not rep.passed:
+                results[f"{name}:extension"] = f"{rep.violations} violations"
                 failures.append({"body": name, "issue": "granted-grade extension "
                                                         "fails the QC suite",
                                  "violations": rep.violations})
-    return checked, failures
+    return len(QUARTET_CLASSES), failures, results
 
 
 def _case_quotient_bound(rng, budget):
@@ -963,20 +941,23 @@ _CASES = {
         ("modulus_below_lipschitz", _case_modulus_bound),
     ],
     "extension": [
-        ("extension_identity", _case_extension_identity),
-        ("operator_restriction_hausdorff", _case_operator_hausdorff),
-        ("operator_monotonicity", _case_monotonicity),
+        ("parabola_extension", lambda rng, b: check_parabola_extension(
+            rng, b["geometric_cases"], b["qc_triples"], b["grid"],
+            int(rng.integers(1 << 31)))),
+        ("polygon_operator_contracts",
+         lambda rng, b: check_polygon_operator(rng, b["pairs"])),
         ("operator_strict_monotonicity", _case_strict_monotonicity),
-        ("downward_family_exclusion", _case_empty_intersection),
-        ("segment_property", _case_segment_property),
-        ("extension_quasiconvex", _case_extension_qc),
-        ("continuity_trend", _case_continuity_trend),
+        ("downward_family_exclusion", lambda rng, b: check_downward_exclusion(
+            ls.sample_domain((-30, 30, -30, 30), b["geometric_cases"] // 5, rng),
+            np.arange(0.0, 39.0, 3.0))),
     ],
     "counterexamples": [
-        ("no_lip_blowup_trend", _case_no_lip_trend),
-        ("no_uc_gap_trend", _case_no_uc_trend),
+        ("no_lip_blowup_trend", lambda rng, b: check_no_lip_trend()),
+        ("no_uc_gap_trend", lambda rng, b: check_no_uc_trend()),
         ("forcing_arcs_positive", _case_forcing_arcs),
-        ("classifier_generator_consistency", _case_classifier_consistency),
+        ("classifier_generator_consistency",
+         lambda rng, b: check_classifier_consistency(b["qc_triples"] // 4,
+                                                     int(rng.integers(1 << 31)))),
         ("quotient_modulus_bound", _case_quotient_bound),
     ],
 }
@@ -1006,7 +987,7 @@ def run_suite(name: str, seed: int = 0, budget=None,
             checked = 1
             failures = [] if ok else [detail]
         else:
-            checked, failures = fn(_rng(seed, idx), budget)
+            checked, failures, *_ = fn(_rng(seed, idx), budget)
         report.cases.append(CaseResult(name=case_name, checked=checked,
                                        failures=failures,
                                        seconds=time.time() - t0))

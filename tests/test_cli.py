@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from qcext import serialize as ser
 from qcext.cli import main
@@ -101,6 +102,24 @@ def test_extend_usc_tag(tmp_path, capsys):
     assert "# regularity: usc-only" in out_csv.read_text()
 
 
+@pytest.mark.parametrize("command", ["extend", "plot"])
+def test_bad_family_file_exits_2(tmp_path, capsys, command):
+    par = Body2.epigraph("parabola")
+    body_path = write_body(tmp_path, "par", par)
+    nested = write_staircase(tmp_path, par, np.array([0.0, 1.0]))
+    bad = json.loads(open(nested).read())
+    bad["bodies"].reverse()
+    files = {"no_bodies": {"kind": "staircase", "levels": [0.0, 1.0]},
+             "wrong_kind": {"kind": "tilde_f"}, "not_nested": bad}
+    for name, data in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run([command, "--body", body_path, "--function", str(path),
+                            "--grid", "8", "--out", str(tmp_path / "out")], capsys)
+        assert code == 2, name
+        assert "invalid input" in err, name
+
+
 def test_certify_no_lip(tmp_path, capsys):
     disk_path = write_body(tmp_path, "disk", Body2.ball((0, 0), 1.0))
     prefix = tmp_path / "nolip"
@@ -163,6 +182,13 @@ def test_env_seed_precedence(tmp_path, capsys, monkeypatch):
     code, out, _ = run(["verify", "--suite", "levelset", "--budget", "small",
                         "--seed", "3"], capsys)
     assert "seed 3" in out
+
+
+def test_bad_window_box_exits_2(tmp_path):
+    disk_path = write_body(tmp_path, "disk", Body2.ball((0, 0), 1.0))
+    with pytest.raises(SystemExit) as exc:
+        main(["plot", "--body", disk_path, "--window-box=1,2"])
+    assert exc.value.code == 2
 
 
 def test_plot_body_and_certificate(tmp_path, capsys):

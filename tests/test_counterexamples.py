@@ -249,7 +249,6 @@ def test_characterize_predicates(quartet):
     assert cls.predicates["has_asymptotic_direction"]
     assert cls.predicates["rotund"]  # strictly convex yet not QC-extendable
     assert not cls.predicates["bounded"]
-    assert not cls.predicates["affine"] and not cls.predicates["dim_le_1"]
 
 
 def test_no_lip_staircase_recovers_shelves(quartet):

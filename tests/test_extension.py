@@ -7,7 +7,6 @@ from qcext.extension import (
     CoveringError,
     ExtensionError,
     ExtensionOperator,
-    covering_index,
     extend_body,
     extend_function,
     restriction_hausdorff,
@@ -206,14 +205,14 @@ def test_extend_function_rejects_non_nested(parabola):
 
 def test_covering_index_base(parabola):
     fam = chord_family(parabola, np.arange(0.0, 8.0))
-    assert covering_index(parabola, fam, (0.0, 0.0)) == 0
+    assert ExtensionOperator(fam).covering_index((0.0, 0.0)) == 0
 
 
 def test_covering_index_below_apex(parabola):
     fam = chord_family(parabola, np.arange(0.0, 12.0))
-    k = covering_index(parabola, fam, (0.0, -5.0))
-    assert 0 < k < 12
     op = ExtensionOperator(fam)
+    k = op.covering_index((0.0, -5.0))
+    assert 0 < k < 12
     assert op.extended(k).contains_many(np.array([[0.0, -5.0]]))[0]
     assert not op.extended(k - 1).contains_many(np.array([[0.0, -5.0]]))[0]
 
@@ -224,7 +223,7 @@ def test_covering_error_above_asymptote():
     bodies = [hyp.clip([((1.0, 0.0), float(k))]) for k in ks]
     fam = LevelFamily(ks, bodies, hyp)
     with pytest.raises(CoveringError) as exc:
-        covering_index(hyp, fam, (5.0, 2.0))
+        ExtensionOperator(fam).covering_index((5.0, 2.0))
     assert exc.value.last_level == pytest.approx(19.0)
 
 
