@@ -115,7 +115,7 @@ def cmd_body(args, conf) -> int:
     data = _read_json(args.file)
     try:
         body = ser.body_from_json(data)
-    except (GeometryError, KeyError, ValueError) as e:
+    except (GeometryError, ValueError) as e:
         print(f"invalid body: {e}", file=sys.stderr)
         return 2
     if args.action == "validate":

@@ -23,22 +23,27 @@ from .geometry import (
     HalfPlane,
     PlaneBase,
     Segment,
+    along,
     as_point,
     as_points,
     bisect_leq,
     boundary_crossing,
     cross2,
+    feasible_ends,
     find_asymptotic_direction,
     find_boundary_segment,
+    golden_min,
     is_rotund,
     locate_on_boundary,
     norm,
     perp,
     support,
+    support_point,
     supporting_normals,
     unit,
     vec,
     walk_to_chord,
+    walk_until,
 )
 from .levelset import QCFunction, ramp_qc, staircase_qc
 
@@ -237,8 +242,9 @@ def _line_body_arc_length(C: Body2, hp: HalfPlane, t_grid: np.ndarray,
 
     Pure membership arithmetic, so it stays valid far outside the working
     window of the boundary pieces.  The meet of a line with a convex body is
-    one interval, bracketed from within by the first and last inside sample;
-    a geometric grid around the focus point resolves pinched slivers.
+    one interval around the deepest sample; its ends are bisected from the
+    nearest outside samples on either side.  A geometric grid around the
+    focus point resolves pinched slivers.
     """
     d = perp(hp.normal)
     anchor = hp.normal * hp.offset
@@ -247,35 +253,22 @@ def _line_body_arc_length(C: Body2, hp: HalfPlane, t_grid: np.ndarray,
         fine = np.geomspace(1e-12, max(np.abs(t_grid).max(), 1.0), 240)
         t_grid = np.sort(np.concatenate([t_grid, tau + fine, tau - fine, [tau]]))
 
-    def m(t):
-        q = frame.invert((anchor + t * d)[None, :])
-        return float(C.margin_many(q)[0])
-
-    pts = frame.invert(anchor[None, :] + t_grid[:, None] * d[None, :])
-    vals = C.margin_many(pts)
+    m = along(C.margin_many, lambda t: frame.invert(anchor + np.multiply.outer(t, d)))
+    vals = m(t_grid)
     j = int(np.argmin(vals))
-    t_star, m_star = float(t_grid[j]), float(vals[j])
+    t_star, m_star = t_grid[j], vals[j]
     if m_star >= 0:
-        from .geometry import golden_min
         lo = t_grid[max(j - 1, 0)]
         hi = t_grid[min(j + 1, len(t_grid) - 1)]
-        t_star, m_star = golden_min(m, float(lo), float(hi), iters=90)
+        t_star, m_star = golden_min(m, lo, hi, iters=90)
         if m_star >= 0:
             return 0.0
-    left = t_grid[t_grid < t_star]
-    right = t_grid[t_grid > t_star]
-    t_lo = float(left[0]) if len(left) else t_star - 1.0
-    for t in left[::-1]:
-        if m(float(t)) > 0:
-            t_lo = float(t)
-            break
-    t_hi = float(right[-1]) if len(right) else t_star + 1.0
-    for t in right:
-        if m(float(t)) > 0:
-            t_hi = float(t)
-            break
-    a = bisect_leq(m, t_lo, t_star) if m(t_lo) > 0 else t_lo
-    b = bisect_leq(m, t_hi, t_star) if m(t_hi) > 0 else t_hi
+    # the nearest outside samples on either side of t_star bracket the ends
+    out_lo = t_grid[(t_grid < t_star) & (vals > 0)]
+    out_hi = t_grid[(t_grid > t_star) & (vals > 0)]
+    t_lo = out_lo[-1] if len(out_lo) else (t_grid[0] if t_grid[0] < t_star else t_star - 1.0)
+    t_hi = out_hi[0] if len(out_hi) else (t_grid[-1] if t_grid[-1] > t_star else t_star + 1.0)
+    a, b = feasible_ends(m, (t_lo, t_hi), t_star)
     return float(max(b - a, 0.0)) / frame.lam
 
 
@@ -428,8 +421,11 @@ def gen_no_uc(C: Body2, k_max: int = 64, branch_samples: int = 6):
         raise ConstructionError("support geometry failed: witness not above "
                                 "the minimal level")
     # first chain point: walk forward from c0 to the h = 0 crossing
-    start = locate_on_boundary(C, c0)
-    y1 = _walk_to_level(C, start, +1.0, 0.0, h, h_off)
+    hit = walk_until(C, locate_on_boundary(C, c0), +1.0, max(C.clearance / 8.0, 1e-3),
+                     lambda p: p @ h - h_off >= 0.0, 80)
+    if hit is None:
+        raise ConstructionError("level crossing not found along the boundary")
+    y1 = hit[1]
     points = [y1]
     params = [locate_on_boundary(C, y1)]
     for _ in range(2 * k_max + 2):
@@ -456,9 +452,8 @@ def gen_no_uc(C: Body2, k_max: int = 64, branch_samples: int = 6):
     mask = dd > 1e-9
     bilip = float(np.min(dh[mask] / dd[mask]))
     # the infimum lives at short chords near the flat start of the branch
-    start_prm = locate_on_boundary(C, y1)
     for chord in 0.5 ** np.arange(1, 10):
-        res = walk_to_chord(C, start_prm, +1.0, float(chord), y1)
+        res = walk_to_chord(C, params[0], +1.0, float(chord), y1)
         if res is not None:
             ratio = float(h_val(res[1][None, :])[0]) / float(chord)
             if 0 < ratio < bilip:
@@ -485,55 +480,35 @@ def gen_no_uc(C: Body2, k_max: int = 64, branch_samples: int = 6):
     return f, cert
 
 
-def _walk_to_level(C: Body2, start, direction: float, level: float, h, h_off):
-    """March along the boundary until h crosses the level, then bisect."""
-    from .geometry import _advance  # chain-walk helper
-
-    pieces = C.pieces()
-    closed = C.closed_chain
-    step = max(C.clearance / 8.0, 1e-3)
-    cur = start
-    for _ in range(200000):
-        cur2, hit_end = _advance(pieces, cur, direction * step, closed)
-        p = np.asarray(pieces[cur2[0]].point(cur2[1]))
-        if float(p @ h) - h_off >= level:
-            lo = cur
-            gap = step
-            hi = cur2
-            for _ in range(80):
-                gap *= 0.5
-                mid, _ = _advance(pieces, lo, direction * gap, closed)
-                pm = np.asarray(pieces[mid[0]].point(mid[1]))
-                if float(pm @ h) - h_off >= level:
-                    hi = mid
-                else:
-                    lo = mid
-            return np.asarray(pieces[hi[0]].point(hi[1]))
-        cur = cur2
-        if hit_end:
-            break
-    raise ConstructionError("level crossing not found along the boundary")
-
-
 # ---------------------------------------------------------------------------
 # no body admits Lipschitz quasiconvex extensions
 
-def _lower_profile(C: Body2, z: float, v_max: float = 4.0, iters: int = 100) -> float:
-    """Smallest v with (z, v) in C, by bisection on the membership margin.
+#: z values per batch of lower-profile solves; bounds the (batch, 257) grid
+_Z_BATCH = 16
+
+
+def _lower_profile(C: Body2, zs, v_max: float = 4.0, iters: int = 100) -> np.ndarray:
+    """Smallest v with (z, v) in C for each z, by bisection on the membership
+    margin, _Z_BATCH values of z at a time; NaN where no body point lies
+    above z below v_max.
 
     Assumes the framed body sits in {v >= 0}; only profile heights below
     v_max are of interest (the construction needs g <= 1).
     """
+    zs = np.atleast_1d(np.asarray(zs, dtype=float))
     vs = np.linspace(0.0, v_max, 257)
-    m = C.margin_many(np.column_stack([np.full_like(vs, z), vs]))
-    j = int(np.argmin(m))
-    if m[j] >= 0:
-        raise ConstructionError(f"no body point above the profile at u = {z}")
-
-    def f(v):
-        return float(C.margin_many(vec(z, v)[None, :])[0])
-
-    return bisect_leq(f, -0.5, float(vs[j]), iters)
+    out = np.full(len(zs), np.nan)
+    for s in range(0, len(zs), _Z_BATCH):
+        z = zs[s:s + _Z_BATCH]
+        m = C.margin_many(np.column_stack([np.repeat(z, len(vs)), np.tile(vs, len(z))]))
+        m = m.reshape(len(z), len(vs))
+        j = np.argmin(m, axis=1)
+        ok = m.min(axis=1) < 0
+        if ok.any():
+            z_in = z[ok]
+            f = along(C.margin_many, lambda v: np.column_stack([z_in, v]))
+            out[s:s + len(z)][ok] = bisect_leq(f, -0.5, vs[j[ok]], iters)
+    return out
 
 
 def gen_no_lip(E: Body2, k_max: int = 24, scan: int = 64):
@@ -553,11 +528,11 @@ def gen_no_lip(E: Body2, k_max: int = 24, scan: int = 64):
         if frame is None:
             continue
         C = transform_body(E, frame, name="framed")
-        try:
-            z0 = 0.25 * min(frame.lam * E.clearance, 1.0)
-            gap = 0.5 * _lower_profile(C, z0) - _lower_profile(C, z0 / 2.0)
-        except ConstructionError:
+        z0 = 0.25 * min(frame.lam * E.clearance, 1.0)
+        g = _lower_profile(C, [z0, z0 / 2.0])
+        if np.isnan(g).any():
             continue
+        gap = 0.5 * g[0] - g[1]
         if best is None or gap > best[0] + 1e-15:
             best = (gap, theta, frame, C)
     if best is None:
@@ -566,19 +541,24 @@ def gen_no_lip(E: Body2, k_max: int = 24, scan: int = 64):
     lam = frame.lam
     # horizontal reach of the profile fixes the working eps
     z_ok = []
-    for z in np.geomspace(1e-4, 8.0, 257):
-        try:
-            gz = _lower_profile(C, z)
-        except ConstructionError:
+    z_scan = np.geomspace(1e-4, 8.0, 257)
+    for s in range(0, len(z_scan), _Z_BATCH):
+        z = z_scan[s:s + _Z_BATCH]
+        g = _lower_profile(C, z)
+        # the scan stops at the first z without a body point or with g > 1
+        stop = ~(g <= 1.0)
+        n = int(np.argmax(stop)) if stop.any() else len(z)
+        z_ok.extend(zip(z[:n], g[:n]))
+        if n < len(z):
             break
-        if gz > 1.0:
-            break
-        z_ok.append((z, gz))
     if not z_ok:
         raise ConstructionError("boundary profile has no horizontal extent")
     eps = min(z_ok[-1][0] / 2.0, 0.95)
     zs = eps / 2.0 ** np.arange(0, k_max + 2)
-    g_at = np.array([_lower_profile(C, z) for z in zs])
+    g_at = _lower_profile(C, zs)
+    if np.isnan(g_at).any():
+        raise ConstructionError("no body point above the profile at u = "
+                                f"{zs[np.isnan(g_at)][0]}")
     secant = 0.5 * g_at[:-1] - g_at[1:]          # delta(eps/2^k), k = 0..k_max
     secant = np.maximum(secant, 0.0)             # convexity up to roundoff
     alphas = 4.0 ** -np.arange(0.0, k_max + 2)   # side condition 2^k a_k -> 0
@@ -621,8 +601,6 @@ def _no_lip_frame(E: Body2, d: np.ndarray) -> Optional[Frame]:
     """Frame rotating the supporting direction onto -v, the support point to
     the origin, scaled so (0, 1) is interior; None if the direction is
     unusable (infinite support or no interior along the inward normal)."""
-    from .geometry import support_point
-
     val, pt = support_point(E, d)
     if pt is None:
         return None
@@ -630,16 +608,14 @@ def _no_lip_frame(E: Body2, d: np.ndarray) -> Optional[Frame]:
     probe = Frame(R=R, anchor=pt.copy(), shift=np.zeros(2), lam=1.0)
     C0 = transform_body(E, probe)
 
-    def mg(t):
-        return float(C0.margin_many(vec(0.0, t)[None, :])[0])
-
+    mg = along(C0.margin_many, lambda t: np.multiply.outer(t, vec(0.0, 1.0)))
     t_hi = 2.0
     if mg(t_hi) <= 0:
         t0 = 1.0
     else:
         ts = np.geomspace(1e-6, t_hi, 64)
-        inside = [t for t in ts if mg(t) < 0]
-        if not inside:
+        inside = ts[mg(ts) < 0]
+        if not len(inside):
             return None  # corner support: the inward normal leaves at once
         t_in = inside[len(inside) // 2]
         t_exit = bisect_leq(mg, t_hi, t_in, 80)

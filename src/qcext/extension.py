@@ -18,10 +18,12 @@ from .geometry import (
     GeometryError,
     HalfPlane,
     Segment,
+    along,
     as_point,
     as_points,
     distance_many,
     find_asymptotic_direction,
+    golden_min,
     is_rotund,
     norm,
     prune_halfplanes,
@@ -311,18 +313,12 @@ def restriction_hausdorff(ext: ExtendedBody, n: int = 256) -> float:
 def segment_meets_body(x, y, B: Body2, samples: int = 512) -> bool:
     """Whether the closed segment [x, y] intersects B (sampled + refined)."""
     x, y = as_point(x), as_point(y)
+    f = along(B.margin_many, lambda t: x + np.multiply.outer(t, y - x))
     ts = np.linspace(0.0, 1.0, samples)
-    pts = x[None, :] + ts[:, None] * (y - x)[None, :]
-    m = B.margin_many(pts)
+    m = f(ts)
     if (m <= 1e-9).any():
         return True
     j = int(np.argmin(m))
     lo, hi = max(j - 1, 0), min(j + 1, samples - 1)
-    from .geometry import golden_min
-
-    def f(t):
-        p = x + t * (y - x)
-        return float(B.margin_many(p[None, :])[0])
-
     _, v = golden_min(f, ts[lo], ts[hi], iters=60)
-    return v <= 1e-9
+    return bool(v <= 1e-9)

@@ -5,6 +5,11 @@ interior, stored as an analytic base (none, ball, or the epigraph of a
 convex profile under a scaled isometry) intersected with a list of
 half-planes.  All predicates are tolerance-based; evaluation paths accept
 (N, 2) point arrays.
+
+The root finders (`bisect_leq`, `golden_min`, `coarse_golden_min`) take
+numpy-broadcasting closures: `f(t)` returns an array shaped like `t`
+(`along` builds one from a point path).  `bisect_leq` solves an array of
+brackets in one loop; `coarse_golden_min` evaluates each grid in one call.
 """
 
 from __future__ import annotations
@@ -91,7 +96,7 @@ def ccw_span(a: float, b: float) -> float:
 
 
 def golden_min(f, a: float, b: float, iters: int = 80):
-    """Scalar golden-section minimum of f on [a, b]."""
+    """Scalar golden-section minimum of f on [a, b]; one f call per step."""
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
@@ -113,12 +118,13 @@ def coarse_golden_min(f, a: float, b: float, samples: int = 257, iters: int = 90
     """Golden-section minimum seeded by staged coarse-grid argmins.
 
     Re-grids the bracket while its samples show a flat plateau, so narrow
-    basins inside wide clipped-profile plateaus are not lost.
+    basins inside wide clipped-profile plateaus are not lost.  Each grid is
+    one f call.
     """
     lo, hi = float(a), float(b)
     for _ in range(stages):
         us = np.linspace(lo, hi, samples)
-        vals = np.array([f(u) for u in us])
+        vals = f(us)
         j = int(np.argmin(vals))
         lo = float(us[max(j - 1, 0)])
         hi = float(us[min(j + 1, samples - 1)])
@@ -131,15 +137,37 @@ def coarse_golden_min(f, a: float, b: float, samples: int = 257, iters: int = 90
     return golden_min(f, lo, hi, iters=iters)
 
 
-def bisect_leq(f, bad: float, good: float, iters: int = 80) -> float:
-    """Crossing point between f(bad) > 0 and f(good) <= 0."""
+def bisect_leq(f, bad, good, iters: int = 80):
+    """Crossing points between f(bad) > 0 and f(good) <= 0.
+
+    bad and good broadcast to an array of brackets that are bisected
+    together, one f call per step; returns the good sides, a scalar for a
+    scalar bracket.
+    """
+    bad, good = np.broadcast_arrays(np.asarray(bad, dtype=float),
+                                    np.asarray(good, dtype=float))
     for _ in range(iters):
         mid = 0.5 * (bad + good)
-        if f(mid) <= 0:
-            good = mid
-        else:
-            bad = mid
-    return good
+        ok = f(mid) <= 0
+        good = np.where(ok, mid, good)
+        bad = np.where(ok, bad, mid)
+    return good[()]
+
+
+def along(fn, path):
+    """Broadcasting closure t -> fn(path(t)) shaped like t, for an fn that
+    maps (N, 2) points to N values (a margin, an offset)."""
+    return lambda t: fn(as_points(path(t))).reshape(np.shape(t))
+
+
+def feasible_ends(f, ends, inner, iters: int = 80):
+    """The ends where f > 0 moved onto the f <= 0 crossing toward inner, all
+    in one bisection; ends where f <= 0 stay."""
+    ends = np.array(ends, dtype=float)
+    out = f(ends) > 0
+    if out.any():
+        ends[out] = bisect_leq(f, ends[out], inner, iters)
+    return ends
 
 
 # ---------------------------------------------------------------------------
@@ -759,10 +787,8 @@ class GraphPiece:
                 for t in (self.t0, self.t1)]
         if w[1] < 0:
             # direction . point(u) is concave in u
-            def negf(u):
-                return -float(self.base.graph_point(float(u)) @ direction)
-
-            u, nf = golden_min(negf, self.u0, self.u1, iters=200)
+            u, nf = golden_min(lambda u: -(self.base.graph_point(u) @ direction),
+                               self.u0, self.u1, iters=200)
             t = (self.u0 + self.u1) - u if self.flipped else u
             vals.append((-nf, t))
         return max(vals)
@@ -1204,14 +1230,11 @@ class Body2:
         bound = float(ucv[1]) + 4.0 * uw
 
         def over(u):
-            return float(base.profile.g(u)) - bound
+            return base.profile.g(u) - bound
 
-        a, b = intervals[0]
-        u_min, g_min = coarse_golden_min(over, a, b)
+        u_min, g_min = coarse_golden_min(over, *intervals[0])
         if g_min <= 0:
-            lo = a if over(a) <= 0 else bisect_leq(over, a, u_min)
-            hi = b if over(b) <= 0 else bisect_leq(over, b, u_min)
-            intervals = [(lo, hi)]
+            intervals = [tuple(feasible_ends(over, intervals[0], u_min))]
         for hp in self.cuts:
             intervals = _graph_feasible(intervals, base, hp)
             if not intervals:
@@ -1261,7 +1284,7 @@ def _graph_feasible(intervals: list, base: EpigraphBase, hp: HalfPlane) -> list:
     const = float(hp.normal @ base.shift) - hp.offset
 
     def phi1(u):
-        return float(w[0] * u + w[1] * base.profile.g(u) + const)
+        return w[0] * u + w[1] * base.profile.g(u) + const
 
     coef = w[1]
     out = []
@@ -1281,9 +1304,7 @@ def _graph_feasible(intervals: list, base: EpigraphBase, hp: HalfPlane) -> list:
             u_min, f_min = coarse_golden_min(phi1, a, b)
             if f_min > 0:
                 continue
-            lo = a if fa <= 0 else bisect_leq(phi1, a, u_min)
-            hi = b if fb <= 0 else bisect_leq(phi1, b, u_min)
-            out.append((lo, hi))
+            out.append(tuple(feasible_ends(phi1, (a, b), u_min)))
         else:
             # concave: infeasible set is one interval around the maximum
             u_max, neg = coarse_golden_min(lambda u: -phi1(u), a, b)
@@ -1291,10 +1312,11 @@ def _graph_feasible(intervals: list, base: EpigraphBase, hp: HalfPlane) -> list:
             if f_max <= 0:
                 out.append((a, b))
                 continue
-            if fa <= 0:
-                out.append((a, bisect_leq(phi1, u_max, a)))
-            if fb <= 0:
-                out.append((bisect_leq(phi1, u_max, b), b))
+            # each feasible end keeps the stretch up to its crossing
+            ends = np.array([a, b])[np.array([fa, fb]) <= 0]
+            if len(ends):
+                cross = bisect_leq(phi1, u_max, ends)
+                out.extend((min(e, c), max(e, c)) for e, c in zip(ends, cross))
     return [(lo, hi) for (lo, hi) in out if hi - lo > 1e-12]
 
 
@@ -1303,19 +1325,16 @@ def _segment_in_epigraph(seg: Segment, base: EpigraphBase):
     a_uv = base.to_profile(seg.a[None, :])[0]
     b_uv = base.to_profile(seg.b[None, :])[0]
 
-    def psi(t):
+    def over(t):
         frac = t / seg.length
         u = a_uv[0] + frac * (b_uv[0] - a_uv[0])
         v = a_uv[1] + frac * (b_uv[1] - a_uv[1])
-        return float(v - base.profile.g(u))
+        return base.profile.g(u) - v
 
-    fa, fb = psi(0.0), psi(seg.length)
-    t_max, neg = coarse_golden_min(lambda t: -psi(t), 0.0, seg.length)
-    f_max = -neg
-    if f_max < 0:
+    t_max, f_min = coarse_golden_min(over, 0.0, seg.length)
+    if f_min > 0:
         return None
-    lo = 0.0 if fa >= 0 else bisect_leq(lambda t: -psi(t), 0.0, t_max)
-    hi = seg.length if fb >= 0 else bisect_leq(lambda t: -psi(t), seg.length, t_max)
+    lo, hi = feasible_ends(over, (0.0, seg.length), t_max)
     if hi - lo <= 1e-12:
         return None
     return Segment(seg.point(lo), seg.point(hi))
@@ -1442,10 +1461,7 @@ def boundary_crossing(C: Body2, inside_pt, outside_pt, iters: int = 90):
     """Point of the boundary on the segment from an interior to an exterior point."""
     a = as_point(inside_pt)
     b = as_point(outside_pt)
-
-    def f(t):
-        return float(C.margin_many((a + t * (b - a))[None, :])[0])
-
+    f = along(C.margin_many, lambda t: a + np.multiply.outer(t, b - a))
     if f(0.0) >= 0 or f(1.0) <= 0:
         raise GeometryError("crossing needs one interior and one exterior endpoint")
     t = bisect_leq(lambda t: -f(t), 0.0, 1.0, iters)
@@ -1459,31 +1475,39 @@ def walk_to_chord(C: Body2, start, direction: float, chord: float, anchor,
     distance from anchor reaches the target; returns ((idx, t), point) or None.
     """
     anchor = as_point(anchor)
+    return walk_until(C, start, direction, chord / 8.0,
+                      lambda p: norm(p - anchor) >= chord, iters,
+                      max_walk=1e4 * chord + 100.0 * (1.0 + C.clearance),
+                      max_steps=max_steps)
+
+
+def walk_until(C: Body2, start, direction: float, step: float, reached,
+               iters: int, max_walk: float = math.inf, max_steps: int = 200000):
+    """March the boundary chain from a (piece, param) start in steps of
+    step until reached(point) holds, then bisect the last step iters times.
+
+    Returns ((idx, t), point) of the reached side, or None when the chain
+    ends, max_steps pass or the walk exceeds max_walk first.
+    """
     pieces = C.pieces()
     closed = C.closed_chain
-    step = chord / 8.0
     cur = start
-    found = None
     walked = 0.0
     for _ in range(max_steps):
-        cur2, hit_end = _advance(pieces, cur, direction * step, closed)
-        p = np.asarray(pieces[cur2[0]].point(cur2[1]))
-        if norm(p - anchor) >= chord:
-            found = (cur, cur2)
+        nxt, hit_end = _advance(pieces, cur, direction * step, closed)
+        if reached(np.asarray(pieces[nxt[0]].point(nxt[1]))):
             break
-        cur = cur2
+        cur = nxt
         walked += step
-        if hit_end or walked > 1e4 * chord + 100.0 * (1.0 + C.clearance):
-            break
-    if found is None:
+        if hit_end or walked > max_walk:
+            return None
+    else:
         return None
-    lo, hi = found
-    gap = step
+    lo, hi, gap = cur, nxt, step
     for _ in range(iters):
         gap *= 0.5
         mid, _ = _advance(pieces, lo, direction * gap, closed)
-        p = np.asarray(pieces[mid[0]].point(mid[1]))
-        if norm(p - anchor) >= chord:
+        if reached(np.asarray(pieces[mid[0]].point(mid[1]))):
             hi = mid
         else:
             lo = mid
@@ -1592,7 +1616,10 @@ def rotundity_modulus(C: Body2, x, eps: float, refine_iters: int = 60) -> float:
         raise GeometryError("eps outside [0, 2r) for the witness ball radius r")
     if eps == 0:
         return 0.0
-    ys = _chord_points(C, x, eps, refine_iters)
+    start = _locate_on_boundary(C, x)
+    hits = [walk_to_chord(C, start, direction, eps, x, refine_iters)
+            for direction in (+1.0, -1.0)]
+    ys = [hit[1] for hit in hits if hit is not None]
     if not ys:
         raise GeometryError("no boundary point at the requested chord distance")
     mids = np.array([0.5 * (x + y) for y in ys])
@@ -1640,45 +1667,6 @@ def _advance(pieces, cur, dt, closed):
             idx, t = nxt, pieces[nxt].t1
 
 
-def _chord_points(C: Body2, x, eps, iters):
-    """Boundary points at chord distance eps from x, one per walking direction."""
-    start = _locate_on_boundary(C, x)
-    pieces = C.pieces()
-    closed = C.closed_chain
-    out = []
-    for direction in (+1.0, -1.0):
-        step = eps / 8.0
-        cur = start
-        inner = cur
-        found = None
-        walked = 0.0
-        for _ in range(200000):
-            cur2, hit_end = _advance(pieces, cur, direction * step, closed)
-            p = np.asarray(pieces[cur2[0]].point(cur2[1]))
-            if norm(p - x) >= eps:
-                found = (inner, cur2)
-                break
-            inner, cur = cur2, cur2
-            walked += step
-            if hit_end or walked > 1e4 * eps + 100.0 * (1.0 + C.clearance):
-                break
-        if found is None:
-            continue
-        lo, hi = found
-        # bisect the walking distance between lo (chord < eps) and hi (>= eps)
-        gap = step
-        for _ in range(iters):
-            gap *= 0.5
-            mid, _ = _advance(pieces, lo, direction * gap, closed)
-            p = np.asarray(pieces[mid[0]].point(mid[1]))
-            if norm(p - x) >= eps:
-                hi = mid
-            else:
-                lo = mid
-        out.append(np.asarray(pieces[hi[0]].point(hi[1])))
-    return out
-
-
 def cone_from(z, E: Body2, refine_iters: int = 90) -> Cone2:
     """Closure of the cone with vertex z generated by the body E.
 
@@ -1710,11 +1698,8 @@ def cone_from(z, E: Body2, refine_iters: int = 90) -> Cone2:
             t_lo = ts[max(j - 1, 0)]
             t_hi = ts[min(j + 1, len(ts) - 1)]
             sign = -1.0 if maximize else 1.0
-
-            def f(t):
-                return sign * float(offsets_of(np.asarray(pc.point(t))[None, :])[0])
-
-            t_best, f_best = golden_min(f, t_lo, t_hi, iters=refine_iters)
+            t_best, f_best = golden_min(along(lambda p: sign * offsets_of(p), pc.point),
+                                        t_lo, t_hi, iters=refine_iters)
             val = sign * f_best
             lo_val = min(lo_val, val)
             hi_val = max(hi_val, val)
@@ -1826,12 +1811,8 @@ def _ray_boundary_contacts(C: Body2, z, d, tol: float = 1e-6):
         j = int(np.argmin(offs))
         t_lo = ts[max(j - 1, 0)]
         t_hi = ts[min(j + 1, len(ts) - 1)]
-
-        def f(t):
-            relp = np.asarray(pc.point(t)) - z
-            return abs(float(cross2(d, relp)))
-
-        t_best, f_best = golden_min(f, t_lo, t_hi)
+        t_best, f_best = golden_min(lambda t: np.abs(cross2(d, pc.point(t) - z)),
+                                    t_lo, t_hi)
         p_best = np.asarray(pc.point(t_best))
         if f_best <= tol * max(1.0, norm(p_best - z)) and float((p_best - z) @ d) > tol:
             out.append((idx, t_best, t_best))
@@ -1850,20 +1831,10 @@ def supporting_cone(x, C: Body2) -> Body2:
     return Body2(PlaneBase(), hps, name="supporting_cone", witness=None)
 
 
-def _mask_runs(mask: np.ndarray) -> list:
-    """Index ranges (first, last) of the True runs of a boolean mask."""
-    runs = []
-    i, n = 0, len(mask)
-    while i < n:
-        if mask[i]:
-            j = i
-            while j + 1 < n and mask[j + 1]:
-                j += 1
-            runs.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-    return runs
+def _mask_runs(mask: np.ndarray) -> np.ndarray:
+    """(first, last) index rows of the True runs of a boolean mask."""
+    edges = np.diff(np.concatenate([[0], mask.astype(int), [0]]))
+    return np.column_stack([np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1])
 
 
 def relative_boundary(B: Body2, C: Body2, samples_per_piece: int = 129,
@@ -1881,24 +1852,21 @@ def relative_boundary(B: Body2, C: Body2, samples_per_piece: int = 129,
         if not C.contains_many(probe, 1e-6 * big).all():
             raise GeometryError("the inner body is not contained in the ambient")
 
-    def margin(pc, t):
-        return float(C.margin_many(np.asarray(pc.point(t))[None, :])[0])
-
     intervals = []
     for idx, pc in enumerate(B.pieces()):
         ts = pc.sample_params(samples_per_piece)
-        inside = C.margin_many(pc.point(ts)) < -tol
-        if not inside.any():
+        runs = _mask_runs(C.margin_many(pc.point(ts)) < -tol)
+        if not len(runs):
             continue
-        for (i, j) in _mask_runs(inside):
-            # closure endpoints: walk from the inside run to the margin-0 frontier
-            t_lo = ts[i]
-            if i > 0:
-                t_lo = bisect_leq(lambda t: margin(pc, t), ts[i - 1], ts[i], 52)
-            t_hi = ts[j]
-            if j < len(ts) - 1:
-                t_hi = bisect_leq(lambda t: margin(pc, t), ts[j + 1], ts[j], 52)
-            intervals.append((idx, float(t_lo), float(t_hi)))
+        # closure endpoints: each run end strictly inside the piece moves
+        # from its outside neighbour to the margin-0 frontier, in one batch
+        t_ends = ts[runs]
+        outer = runs + [-1, 1]
+        cut = (outer >= 0) & (outer < len(ts))
+        if cut.any():
+            t_ends[cut] = bisect_leq(along(C.margin_many, pc.point),
+                                     ts[outer[cut]], t_ends[cut], 52)
+        intervals.extend((idx, float(lo), float(hi)) for lo, hi in t_ends)
     return BoundaryArc(B, intervals)
 
 

@@ -16,13 +16,18 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .geometry import (
+    BallBase,
     Body2,
+    EpigraphBase,
     GeometryError,
     HalfPlane,
+    PlaneBase,
     as_point,
     as_points,
     distance_many,
+    golden_min,
     norm,
+    relative_boundary,
     unit,
 )
 
@@ -64,9 +69,8 @@ class LevelFamily:
     def __len__(self):
         return len(self.bodies)
 
-    def validate_nesting(self, n: int = 128, tol: float = 1e-7, rng=None):
+    def validate_nesting(self, n: int = 128, tol: float = 1e-7):
         """Sampled nestedness check; strict margin when the flag is set."""
-        rng = np.random.default_rng(0) if rng is None else rng
         for k in range(len(self.bodies) - 1):
             pts = self.bodies[k].boundary_samples(n)
             inner = self.bodies[k + 1].contains_many(pts, tol)
@@ -195,8 +199,6 @@ def staircase_qc(ambient: Body2, bodies: Sequence[Body2], levels: Sequence[float
     if len(levels) > 1 and not np.allclose(np.diff(levels), gaps[:-1], rtol=0, atol=1e-9):
         raise LevelSetError("levels must increase exactly by the gaps")
     if check_gaps:
-        from .geometry import relative_boundary
-
         for k in range(len(bodies) - 1):
             # d(C \ D_{k+1}, D_k) is approached on the relative boundary
             arc = relative_boundary(bodies[k + 1], ambient,
@@ -346,8 +348,6 @@ def _pullback_body(body: Body2, P: np.ndarray) -> Optional[Body2]:
         return None
     if abs(PtP[0, 1]) > 1e-9 * lam2 or abs(PtP[0, 0] - PtP[1, 1]) > 1e-9 * lam2:
         return None
-    from .geometry import BallBase, EpigraphBase, PlaneBase
-
     Pinv = np.linalg.inv(P)
     cuts = [HalfPlane.from_any(P.T @ hp.normal, hp.offset) for hp in body.cuts]
     if isinstance(body.base, PlaneBase):
@@ -412,15 +412,15 @@ def mcshane_extend(f: QCFunction, L: Optional[float] = None,
                 sub[:, None, :] - anchors[None, :, :], axis=-1)
             best = vals.min(axis=1)
             # refine along each boundary piece around the coarse winner
-            from .geometry import golden_min
             for i, p in enumerate(sub):
                 for pc in pieces:
                     def cost(t):
-                        q = np.asarray(pc.point(t))
-                        return float(f.eval_many(q[None, :])[0]) + L * norm(p - q)
+                        q = pc.point(t)
+                        return (f.eval_many(as_points(q)).reshape(np.shape(t))
+                                + L * np.linalg.norm(p - q, axis=-1))
 
                     ts = np.linspace(pc.t0, pc.t1, 33)
-                    vals_t = [cost(t) for t in ts]
+                    vals_t = cost(ts)
                     j = int(np.argmin(vals_t))
                     lo, hi = ts[max(j - 1, 0)], ts[min(j + 1, len(ts) - 1)]
                     _, v = golden_min(cost, lo, hi, iters=refine_iters)

@@ -36,8 +36,16 @@ def _hp_item(hp: HalfPlane) -> dict:
             "offset": float(hp.offset)}
 
 
+def _required(data: dict, key: str, what: str):
+    """data[key]; GeometryError naming the key when it is missing."""
+    if key not in data:
+        raise GeometryError(f"{what} is missing required key {key!r}")
+    return data[key]
+
+
 def _hp_parse(item: dict) -> HalfPlane:
-    return HalfPlane.from_any(item["normal"], item["offset"])
+    return HalfPlane.from_any(_required(item, "normal", "half-plane item"),
+                              _required(item, "offset", "half-plane item"))
 
 
 def body_to_json(body: Body2) -> dict:
@@ -63,14 +71,15 @@ def body_to_json(body: Body2) -> dict:
 
 def body_from_json(data: dict) -> Body2:
     kind = data.get("kind")
+    what = f"{kind} body"
     if kind == "halfplanes":
-        return Body2.from_halfplanes([_hp_parse(i) for i in data["items"]])
+        return Body2.from_halfplanes([_hp_parse(i) for i in _required(data, "items", what)])
     if kind == "polychain":
-        return Body2.from_polychain(data["vertices"], data.get("rays"))
+        return Body2.from_polychain(_required(data, "vertices", what), data.get("rays"))
     if kind == "ball":
-        body = Body2.ball(data["center"], data["radius"])
+        body = Body2.ball(_required(data, "center", what), _required(data, "radius", what))
     elif kind == "epigraph":
-        body = Body2.epigraph(data["profile"], data.get("params") or {},
+        body = Body2.epigraph(_required(data, "profile", what), data.get("params") or {},
                               data.get("transform"))
     else:
         raise GeometryError(f"unknown body kind {kind!r}")

@@ -120,6 +120,20 @@ def test_bad_family_file_exits_2(tmp_path, capsys, command):
         assert "invalid input" in err, name
 
 
+@pytest.mark.parametrize("command", [["characterize"], ["certify", "--kind", "no-lip"],
+                                     ["extend", "--function", "missing.json"]])
+def test_body_missing_key_exits_2(tmp_path, capsys, command):
+    bodies = {"center": {"kind": "ball", "radius": 1.0},
+              "offset": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0,
+                         "cuts": [{"normal": [0.0, 1.0]}]}}
+    for key, data in bodies.items():
+        path = tmp_path / f"no_{key}.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(command + ["--body", str(path)], capsys)
+        assert code == 2, key
+        assert "invalid input" in err and repr(key) in err, key
+
+
 def test_certify_no_lip(tmp_path, capsys):
     disk_path = write_body(tmp_path, "disk", Body2.ball((0, 0), 1.0))
     prefix = tmp_path / "nolip"

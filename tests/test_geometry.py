@@ -10,6 +10,7 @@ from qcext.geometry import (
     Body2,
     GeometryError,
     asymptotic_slope,
+    bisect_leq,
     cone_from,
     contains,
     rotundity_modulus,
@@ -326,6 +327,28 @@ def test_supporting_cone_matches_cone_closure(disk, square):
         for d in cone.directions():
             probe = x + np.outer([0.25, 1.0, 4.0], d)
             assert kc.contains_many(probe, 1e-6).all()
+
+
+# -- root finders -------------------------------------------------------------
+
+@pytest.mark.parametrize("which", ["sine", "disk_margin"])
+def test_bisect_leq_batched_brackets_match_single(disk, which):
+    """An array of brackets bisects to exactly the per-bracket crossings."""
+    if which == "sine":
+        def f(t):
+            return np.sin(t) - 0.25
+        bad, good = np.array([1.0, 2.5, 7.0]), np.array([0.0, 3.0, 6.5])
+    else:
+        def f(t):
+            pts = np.multiply.outer(np.atleast_1d(t), [1.0, 0.5])
+            return disk.margin_many(pts).reshape(np.shape(t))
+        bad, good = np.array([2.0, -3.0, 0.9]), np.array([0.0, -0.1, 0.8])
+    batched = bisect_leq(f, bad, good, 60)
+    single = [bisect_leq(f, b, g, 60) for b, g in zip(bad, good)]
+    assert batched.shape == bad.shape
+    assert all(np.ndim(x) == 0 for x in single)
+    assert np.array_equal(batched, single)
+    assert np.all(f(batched) <= 0)
 
 
 # -- relative boundary --------------------------------------------------------
