@@ -19,10 +19,8 @@ from .geometry import (
     BallBase,
     Body2,
     EpigraphBase,
-    GeometryError,
     HalfPlane,
     PlaneBase,
-    Segment,
     along,
     as_point,
     as_points,
@@ -540,20 +538,15 @@ def gen_no_lip(E: Body2, k_max: int = 24, scan: int = 64):
     _, theta, frame, C = best
     lam = frame.lam
     # horizontal reach of the profile fixes the working eps
-    z_ok = []
     z_scan = np.geomspace(1e-4, 8.0, 257)
-    for s in range(0, len(z_scan), _Z_BATCH):
-        z = z_scan[s:s + _Z_BATCH]
-        g = _lower_profile(C, z)
-        # the scan stops at the first z without a body point or with g > 1
-        stop = ~(g <= 1.0)
-        n = int(np.argmax(stop)) if stop.any() else len(z)
-        z_ok.extend(zip(z[:n], g[:n]))
-        if n < len(z):
-            break
-    if not z_ok:
+    g = _lower_profile(C, z_scan)
+    # the scan stops at the first z without a body point or with g > 1
+    stop = ~(g <= 1.0)
+    n = int(np.argmax(stop)) if stop.any() else len(z_scan)
+    if n == 0:
         raise ConstructionError("boundary profile has no horizontal extent")
-    eps = min(z_ok[-1][0] / 2.0, 0.95)
+    z_ok = np.column_stack([z_scan[:n], g[:n]])
+    eps = min(z_ok[-1, 0] / 2.0, 0.95)
     zs = eps / 2.0 ** np.arange(0, k_max + 2)
     g_at = _lower_profile(C, zs)
     if np.isnan(g_at).any():
@@ -588,7 +581,7 @@ def gen_no_lip(E: Body2, k_max: int = 24, scan: int = 64):
                             * (2.0 * secant + alphas[1: k_max + 2]))
     cert = NoLipCertificate(
         eps=eps, gauge=lam,
-        profile_samples=np.array(z_ok), secant_gaps=secant, alphas=alphas,
+        profile_samples=z_ok, secant_gaps=secant, alphas=alphas,
         levels=betas, body_cuts=cuts, lines=lines,
         p_points=p_pts, q_points=q_pts,
         lip_lower_bounds=k_bounds, products=products, frame=frame,

@@ -160,13 +160,13 @@ def along(fn, path):
     return lambda t: fn(as_points(path(t))).reshape(np.shape(t))
 
 
-def feasible_ends(f, ends, inner, iters: int = 80):
+def feasible_ends(f, ends, inner):
     """The ends where f > 0 moved onto the f <= 0 crossing toward inner, all
     in one bisection; ends where f <= 0 stay."""
     ends = np.array(ends, dtype=float)
     out = f(ends) > 0
     if out.any():
-        ends[out] = bisect_leq(f, ends[out], inner, iters)
+        ends[out] = bisect_leq(f, ends[out], inner)
     return ends
 
 
@@ -1470,30 +1470,29 @@ def boundary_crossing(C: Body2, inside_pt, outside_pt, iters: int = 90):
 
 
 def walk_to_chord(C: Body2, start, direction: float, chord: float, anchor,
-                  iters: int = 70, max_steps: int = 200000):
+                  iters: int = 70):
     """Walk the boundary chain from a (piece, param) start until the chord
     distance from anchor reaches the target; returns ((idx, t), point) or None.
     """
     anchor = as_point(anchor)
     return walk_until(C, start, direction, chord / 8.0,
                       lambda p: norm(p - anchor) >= chord, iters,
-                      max_walk=1e4 * chord + 100.0 * (1.0 + C.clearance),
-                      max_steps=max_steps)
+                      max_walk=1e4 * chord + 100.0 * (1.0 + C.clearance))
 
 
 def walk_until(C: Body2, start, direction: float, step: float, reached,
-               iters: int, max_walk: float = math.inf, max_steps: int = 200000):
+               iters: int, max_walk: float = math.inf):
     """March the boundary chain from a (piece, param) start in steps of
     step until reached(point) holds, then bisect the last step iters times.
 
     Returns ((idx, t), point) of the reached side, or None when the chain
-    ends, max_steps pass or the walk exceeds max_walk first.
+    ends, 200000 steps pass or the walk exceeds max_walk first.
     """
     pieces = C.pieces()
     closed = C.closed_chain
     cur = start
     walked = 0.0
-    for _ in range(max_steps):
+    for _ in range(200000):
         nxt, hit_end = _advance(pieces, cur, direction * step, closed)
         if reached(np.asarray(pieces[nxt[0]].point(nxt[1]))):
             break

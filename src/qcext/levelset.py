@@ -19,9 +19,9 @@ from .geometry import (
     BallBase,
     Body2,
     EpigraphBase,
-    GeometryError,
     HalfPlane,
     PlaneBase,
+    along,
     as_point,
     as_points,
     distance_many,
@@ -414,11 +414,8 @@ def mcshane_extend(f: QCFunction, L: Optional[float] = None,
             # refine along each boundary piece around the coarse winner
             for i, p in enumerate(sub):
                 for pc in pieces:
-                    def cost(t):
-                        q = pc.point(t)
-                        return (f.eval_many(as_points(q)).reshape(np.shape(t))
-                                + L * np.linalg.norm(p - q, axis=-1))
-
+                    cost = along(lambda q: f.eval_many(q)
+                                 + L * np.linalg.norm(p - q, axis=-1), pc.point)
                     ts = np.linspace(pc.t0, pc.t1, 33)
                     vals_t = cost(ts)
                     j = int(np.argmin(vals_t))
