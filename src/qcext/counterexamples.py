@@ -85,7 +85,8 @@ def _rotation_to(d_from, d_to) -> np.ndarray:
 
 
 def transform_body(E: Body2, frame: Frame, name: str = "") -> Body2:
-    """Image of a body under a frame (scaled isometry)."""
+    """Image of a body under a frame (scaled isometry); the frame maps E's
+    witness onto an interior point of the image, which is passed on."""
     M = frame.lam * frame.R
 
     def fwd_hp(hp: HalfPlane) -> HalfPlane:
@@ -95,16 +96,19 @@ def transform_body(E: Body2, frame: Frame, name: str = "") -> Body2:
         return HalfPlane(n_new, c_new)
 
     cuts = [fwd_hp(hp) for hp in E.cuts]
+    witness = frame.apply(E.witness[None, :])[0]
     if isinstance(E.base, PlaneBase):
-        return Body2(PlaneBase(), cuts, name=name)
+        return Body2(PlaneBase(), cuts, name=name, witness=witness)
     if isinstance(E.base, BallBase):
         c_new = frame.apply(E.base.center[None, :])[0]
-        return Body2(BallBase(c_new, frame.lam * E.base.radius), cuts, name=name)
+        return Body2(BallBase(c_new, frame.lam * E.base.radius), cuts, name=name,
+                     witness=witness)
     if isinstance(E.base, EpigraphBase):
         eb = E.base
         M_new = M @ eb.M
         shift_new = frame.apply(eb.shift[None, :])[0]
-        return Body2(EpigraphBase(eb.profile, M_new, shift_new), cuts, name=name)
+        return Body2(EpigraphBase(eb.profile, M_new, shift_new), cuts, name=name,
+                     witness=witness)
     raise ConstructionError("unknown base representation")
 
 
@@ -384,7 +388,7 @@ def gen_non_rotund(C: Body2, k_max: int = 24, min_segment: float = 1e-6):
 # ---------------------------------------------------------------------------
 # unbounded rotund bodies kill uniformly continuous extensions
 
-def gen_no_uc(C: Body2, k_max: int = 64, branch_samples: int = 6):
+def gen_no_uc(C: Body2, k_max: int = 64):
     """Lipschitz QC function on an unbounded rotund asymptote-free body
     with no uniformly continuous QC extension.
 

@@ -3,7 +3,10 @@
 extend_body realizes e(B) as a pruned list of supporting half-planes
 collected along the relative boundary of B in the ambient body;
 extend_function turns a nested level family on the ambient into a
-quasiconvex function on the whole plane.
+quasiconvex function on the whole plane.  A family whose bodies are each
+the ambient clipped by one more half-plane is extended in one batch from
+its chord ends (extend_chords); the smallest-level searches bisect one
+padded table of every level's half-planes.
 """
 
 from __future__ import annotations
@@ -18,9 +21,12 @@ from .geometry import (
     GeometryError,
     HalfPlane,
     Segment,
+    active_normals,
     along,
     as_point,
     as_points,
+    chord_ends,
+    clip_extra_cuts,
     distance_many,
     find_asymptotic_direction,
     golden_min,
@@ -37,6 +43,9 @@ EXT_RESOLUTION = 512
 
 #: strict-interior margin for extended-body membership
 INT_MARGIN = 1e-9
+
+#: margin tolerance of extended-body containment
+CONTAIN_TOL = 1e-9
 
 
 class ExtensionError(ValueError):
@@ -78,7 +87,7 @@ class ExtendedBody:
             m = np.maximum(m, hp.value(pts))
         return m
 
-    def contains_many(self, pts, tol: float = 1e-9) -> np.ndarray:
+    def contains_many(self, pts, tol: float = CONTAIN_TOL) -> np.ndarray:
         return self.margin_many(pts) <= tol
 
     def interior_many(self, pts, margin: float = INT_MARGIN) -> np.ndarray:
@@ -146,73 +155,136 @@ def extend_body(B: Optional[Body2], C: Body2, resolution: int = EXT_RESOLUTION) 
     return ExtendedBody(B, C, tuple(pruned), special=None)
 
 
+def extend_chords(bodies: list, cuts: list, C: Body2) -> list:
+    """e(B_k) for bodies B_k = C clipped by the one half-plane cuts[k], all
+    in one batch.
+
+    The relative boundary of such a B_k is the chord that the cut line
+    cuts from C, so e(B_k) is the cut plus the supporting half-planes of C
+    at the chord's ends on the boundary of C, one per constraint of C
+    active there, pruned.  Each line is searched B_k.window_half to either
+    side of the foot of B_k's witness; an end on that window adds nothing,
+    and a line that misses the interior of C there gives the whole plane.
+    extend_body samples B_k's boundary in a window box about the witness
+    instead, which cuts short a chord that leaves the box, so on far
+    chords of unbounded ambients it can miss an end (or the whole chord,
+    giving the plane) that this search finds.
+    """
+    ends, on_c, meets = chord_ends(C, cuts, [B.witness for B in bodies],
+                                   [B.window_half for B in bodies])
+    fans = iter(active_normals(C, ends[on_c]))
+    out = []
+    for B, hp, y, on, hit in zip(bodies, cuts, ends, on_c, meets):
+        if not hit:
+            out.append(ExtendedBody(B, C, (), special="plane"))
+            continue
+        raw = [hp]
+        for yk in y[on]:
+            raw.extend(HalfPlane(nrm, float(nrm @ yk)) for nrm in next(fans))
+        out.append(ExtendedBody(B, C, tuple(prune_halfplanes(raw, B.witness))))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # function extension
 
+def _single_cuts(fam: LevelFamily):
+    """The one extra cut of each body when every body is the ambient
+    clipped by one half-plane, else None."""
+    cuts = []
+    for B in fam.bodies:
+        extra = None if B is None else clip_extra_cuts(B, fam.ambient)
+        if extra is None or len(extra) != 1:
+            return None
+        cuts.append(extra[0])
+    return cuts
+
+
 @dataclass
 class ExtensionOperator:
-    """Lazy per-level extension of a nested family."""
+    """Per-level extension of a nested family.
+
+    When every body is the ambient clipped by one half-plane, the first
+    extended(k) builds all levels in one batch (extend_chords); any other
+    family builds extend_body(B_k) per requested level.  The searches
+    (covering_index_many, first_level) build every level up front and
+    bisect one padded (K, m, 3) table of the levels' half-planes.
+    """
 
     family: LevelFamily
     resolution: int = EXT_RESOLUTION
     _cache: dict = field(default_factory=dict)
+    _table: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def extended(self, k: int) -> ExtendedBody:
         if k not in self._cache:
-            body = self.family.bodies[k]
-            self._cache[k] = extend_body(body, self.family.ambient, self.resolution)
+            fam = self.family
+            cuts = _single_cuts(fam)
+            if cuts is None:
+                self._cache[k] = extend_body(fam.bodies[k], fam.ambient, self.resolution)
+            else:
+                self._cache.update(enumerate(extend_chords(fam.bodies, cuts, fam.ambient)))
         return self._cache[k]
 
-    def covering_index_many(self, pts: np.ndarray) -> np.ndarray:
-        """Smallest k with the point in e(B_k), by shared binary search.
+    def level_table(self) -> np.ndarray:
+        """(K, m, 3) rows (nx, ny, offset) of every level's half-planes,
+        padded with rows no point violates; an empty level holds one row
+        every point violates."""
+        if self._table is None:
+            exts = [self.extended(k) for k in range(len(self.family))]
+            table = np.zeros((len(exts), max([1] + [len(e.halfplanes) for e in exts]), 3))
+            table[..., 2] = np.inf
+            for k, e in enumerate(exts):
+                if e.special == "empty":
+                    table[k, 0, 2] = -np.inf
+                for j, hp in enumerate(e.halfplanes):
+                    table[k, j] = (hp.normal[0], hp.normal[1], hp.offset)
+            self._table = table
+        return self._table
 
-        Monotonicity of the extended bodies makes per-point bisection valid.
-        A ladder pre-pass probes levels 0, 1, 3, 7, ... for all points, then
-        each point bisects its own bracket.  Every level any point probes
-        is built and cached, so points spread over many levels build most
-        levels up to the largest index: all 100 of a 100-level chord family
-        over 2,000 box points, 8,733 of 10,201 for 10,000 points.
+    def first_level(self, pts: np.ndarray, inside) -> np.ndarray:
+        """Per point, the smallest k with inside(margin in e(B_k)) true, or
+        len(family) where no level passes.
+
+        One per-point bisection over level_table(); valid because the
+        extended bodies grow with k, so inside is monotone in k.
         """
         pts = as_points(pts)
-        K = len(self.family) - 1
-        top = self.extended(K)
-        ok = top.contains_many(pts)
-        if not ok.all():
-            i = int(np.argmin(ok))
+        cols = self.level_table().transpose(1, 2, 0).copy()  # (m, 3, K)
+        x, y = pts[:, 0].copy(), pts[:, 1].copy()
+        lo = np.zeros(len(pts), dtype=int)
+        hi = np.full(len(pts), cols.shape[2])
+        act = np.arange(len(pts))
+        while act.size:
+            mid = (lo[act] + hi[act]) // 2
+            xa, ya = x[act], y[act]
+            margin = np.full(act.size, -np.inf)
+            for nx, ny, off in cols:
+                margin = np.maximum(margin, nx.take(mid) * xa + ny.take(mid) * ya - off.take(mid))
+            ok = inside(margin)
+            hi[act] = np.where(ok, mid, hi[act])
+            lo[act] = np.where(ok, lo[act], mid + 1)
+            act = act[lo[act] < hi[act]]
+        return lo
+
+    def covering_index_many(self, pts: np.ndarray) -> np.ndarray:
+        """Smallest k with the point in e(B_k) (margin <= CONTAIN_TOL).
+
+        Every level is built up front (in one batch for a family of
+        single-cut clips of the ambient), then first_level bisects each
+        point's index over the level table.  CoveringError names the first
+        point that no level contains.
+        """
+        pts = as_points(pts)
+        idx = self.first_level(pts, lambda m: m <= CONTAIN_TOL)
+        K = len(self.family)
+        missed = idx == K
+        if missed.any():
+            i = int(np.argmax(missed))
             raise CoveringError(
                 f"point {pts[i]} not covered by any extended body up to level "
-                f"{self.family.levels[K]}", last_level=float(self.family.levels[K]))
-        lo = np.zeros(pts.shape[0], dtype=int)   # smallest candidate
-        hi = np.full(pts.shape[0], K, dtype=int)  # known member
-        in_b0 = self.extended(0).contains_many(pts)
-        hi[in_b0] = 0
-        ladder = [0]
-        step = 1
-        while ladder[-1] < K:
-            ladder.append(min(ladder[-1] + step, K))
-            step *= 2
-        for k in ladder[1:]:
-            unresolved = lo < hi
-            if not unresolved.any():
-                break
-            member = self.extended(int(k)).contains_many(pts)
-            hi = np.where(unresolved & member & (hi > k), k, hi)
-            lo = np.where(unresolved & ~member & (lo <= k), k + 1, lo)
-        while True:
-            active = lo < hi
-            if not active.any():
-                break
-            mid = (lo + hi) // 2
-            for k in np.unique(mid[active]):
-                sel = active & (mid == k)
-                member = self.extended(int(k)).contains_many(pts[sel])
-                hi_sel = hi[sel]
-                lo_sel = lo[sel]
-                hi_sel[member] = k
-                lo_sel[~member] = k + 1
-                hi[sel] = hi_sel
-                lo[sel] = lo_sel
-        return hi
+                f"{self.family.levels[K - 1]}", last_level=float(self.family.levels[K - 1]))
+        return idx
 
     def covering_index(self, x) -> int:
         """Smallest level index k with x in e(B_k); CoveringError if none."""
@@ -238,6 +310,11 @@ class ExtensionResult:
         return [self.operator.extended(k) for k in range(len(self.family))]
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
+        """Family value on the ambient; off it, the smallest level whose
+        extended body holds the point with margin < -INT_MARGIN (the top
+        level where none does), from the operator's first_level bisection.
+        The first off-body point builds every level up front, in one batch
+        for a family of single-cut clips of the ambient."""
         pts = as_points(pts)
         out = np.empty(pts.shape[0])
         amb = self.family.ambient
@@ -246,16 +323,8 @@ class ExtensionResult:
             out[inside] = self.family.eval_many(pts[inside])
         rest = ~inside
         if rest.any():
-            sub = pts[rest]
-            vals = np.full(sub.shape[0], self.family.levels[-1])
-            unset = np.ones(sub.shape[0], dtype=bool)
-            for k in range(len(self.family)):
-                if not unset.any():
-                    break
-                hit = unset & self.operator.extended(k).interior_many(sub)
-                vals[hit] = self.family.levels[k]
-                unset &= ~hit
-            out[rest] = vals
+            k = self.operator.first_level(pts[rest], lambda m: m < -INT_MARGIN)
+            out[rest] = self.family.levels[np.minimum(k, len(self.family) - 1)]
         return out
 
     def eval_one(self, p) -> float:

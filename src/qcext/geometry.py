@@ -8,8 +8,9 @@ half-planes.  All predicates are tolerance-based; evaluation paths accept
 
 The root finders (`bisect_leq`, `golden_min`, `coarse_golden_min`) take
 numpy-broadcasting closures: `f(t)` returns an array shaped like `t`
-(`along` builds one from a point path).  `bisect_leq` solves an array of
-brackets in one loop; `coarse_golden_min` evaluates each grid in one call.
+(`along` builds one from a point path).  Each solves an array of brackets
+in one loop with the same step rule as for a single bracket;
+`coarse_golden_min` evaluates each stage's grids in one call.
 """
 
 from __future__ import annotations
@@ -95,45 +96,63 @@ def ccw_span(a: float, b: float) -> float:
     return (b - a) % TWO_PI
 
 
-def golden_min(f, a: float, b: float, iters: int = 80):
-    """Scalar golden-section minimum of f on [a, b]; one f call per step."""
+def _select(ok, x, y):
+    return x if ok else y
+
+
+def golden_min(f, a, b, iters: int = 80):
+    """Golden-section minimum of f on [a, b], one f call per step.
+
+    a and b broadcast to an array of brackets that are narrowed together
+    (np.where picks each bracket's side); scalar brackets keep plain
+    floats.  Returns the bracket midpoints and f there.
+    """
+    pick = np.where if np.ndim(a) or np.ndim(b) else _select
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
+        left = fc < fd
+        a, b = pick(left, a, c), pick(left, d, b)
+        x = pick(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        fx = f(x)
+        c, d = pick(left, x, d), pick(left, c, x)
+        fc, fd = pick(left, fx, fd), pick(left, fc, fx)
     t = 0.5 * (a + b)
     return t, f(t)
 
 
-def coarse_golden_min(f, a: float, b: float, samples: int = 257, iters: int = 90,
+def coarse_golden_min(f, a, b, samples: int = 257, iters: int = 90,
                       stages: int = 6):
     """Golden-section minimum seeded by staged coarse-grid argmins.
 
-    Re-grids the bracket while its samples show a flat plateau, so narrow
-    basins inside wide clipped-profile plateaus are not lost.  Each grid is
-    one f call.
+    Re-grids a bracket while its samples show a flat plateau, so narrow
+    basins inside wide clipped-profile plateaus are not lost.  a and b
+    broadcast to an array of brackets: each stage's grids, shaped
+    a.shape + (samples,), are one f call, and only brackets still on a
+    plateau take the next stage's grid.
     """
-    lo, hi = float(a), float(b)
+    lo, hi = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    regrid = np.ones(lo.shape, dtype=bool)
     for _ in range(stages):
-        us = np.linspace(lo, hi, samples)
+        us = np.linspace(lo, hi, samples, axis=-1)
         vals = f(us)
-        j = int(np.argmin(vals))
-        lo = float(us[max(j - 1, 0)])
-        hi = float(us[min(j + 1, samples - 1)])
+        j = np.argmin(vals, axis=-1)
+        # samples j-2, j-1, j+1, j+2, clamped to the grid
+        near = np.clip(j[..., None] + np.array([-2, -1, 1, 2]), 0, samples - 1)
+        u_near = np.take_along_axis(us, near, -1)
+        v_near = np.take_along_axis(vals, near, -1)
+        lo = np.where(regrid, u_near[..., 1], lo)
+        hi = np.where(regrid, u_near[..., 2], hi)
         # exactly equal neighbor samples signal a clipped plateau inside the
         # bracket; golden section would wander off it, so re-grid instead
-        plateau = ((j >= 2 and vals[j - 1] == vals[j - 2])
-                   or (j + 2 < samples and vals[j + 1] == vals[j + 2]))
-        if not plateau or hi - lo <= 1e-12 * (abs(hi) + abs(lo) + 1.0):
+        plateau = (((j >= 2) & (v_near[..., 0] == v_near[..., 1]))
+                   | ((j + 2 < samples) & (v_near[..., 2] == v_near[..., 3])))
+        regrid &= plateau & (hi - lo > 1e-12 * (np.abs(hi) + np.abs(lo) + 1.0))
+        if not regrid.any():
             break
+    if lo.ndim == 0:
+        lo, hi = float(lo), float(hi)
     return golden_min(f, lo, hi, iters=iters)
 
 
@@ -1391,13 +1410,18 @@ def project(p, C: Body2):
 
 def support(C: Body2, direction, tol: float = TOL) -> float:
     """Support value sup {d . p : p in C}; +inf along recession growth."""
-    d = unit(np.asarray(direction, dtype=float))
+    return _support(C, unit(np.asarray(direction, dtype=float)), tol)[0]
+
+
+def _support(C: Body2, d: np.ndarray, tol: float = TOL):
+    """Support value along the unit direction d and an attaining boundary
+    point (None where the value is +inf), from one pass over the pieces."""
     recc = C.recession_cone()
     for r in recc.directions():
         if float(d @ r) > 1e-12:
-            return math.inf
+            return math.inf, None
     if recc.kind in ("wedge", "halfplane", "plane") and recc.contains_dir(d):
-        return math.inf
+        return math.inf, None
     chain = C.pieces()
     if not chain:
         raise GeometryError("empty boundary; cannot evaluate support")
@@ -1418,8 +1442,8 @@ def support(C: Body2, direction, tol: float = TOL) -> float:
             step1 = v_q - v_mid
             step2 = best - v_q
             if step2 > max(tol, 1e-9 * abs(best)) and step2 > 0.5 * step1:
-                return math.inf
-    return float(best)
+                return math.inf, None
+    return float(best), np.asarray(best_pc.point(best_t))
 
 
 class NormalFan:
@@ -1445,16 +1469,7 @@ class NormalFan:
 
 def support_point(C: Body2, direction):
     """Support value and an attaining boundary point (value may be +inf)."""
-    d = unit(np.asarray(direction, dtype=float))
-    val = support(C, d)
-    if not math.isfinite(val):
-        return val, None
-    best, best_pt = -np.inf, None
-    for pc in C.pieces():
-        v, t = pc.support_max(d)
-        if v > best:
-            best, best_pt = v, np.asarray(pc.point(t))
-    return val, best_pt
+    return _support(C, unit(np.asarray(direction, dtype=float)))
 
 
 def boundary_crossing(C: Body2, inside_pt, outside_pt, iters: int = 90):
@@ -1836,6 +1851,79 @@ def _mask_runs(mask: np.ndarray) -> np.ndarray:
     return np.column_stack([np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1])
 
 
+def clip_extra_cuts(B: Body2, C: Body2):
+    """B's cuts beyond C's when B is C clipped by more half-planes (B shares
+    C's base object and holds each of C's cut objects), else None."""
+    if B.base is not C.base or not all(any(c is d for d in B.cuts) for c in C.cuts):
+        return None
+    return [c for c in B.cuts if not any(c is d for d in C.cuts)]
+
+
+#: lines per chord_ends batch; bounds its (batch, 257) search grids
+_LINE_BATCH = 1024
+
+
+def chord_ends(C: Body2, hps: Sequence[HalfPlane], centers, halves):
+    """Ends of the chords that the boundary lines of hps cut from C, in
+    batches of _LINE_BATCH lines.
+
+    Line k is searched over parameters |t| <= halves[k] from the foot of
+    centers[k] on it: a staged coarse grid and golden section find its
+    lowest C margin, and one bisection over the (K, 2) brackets moves each
+    window end with positive margin onto the boundary of C.  Returns the
+    (K, 2, 2) end points, the (K, 2) mask of ends on the boundary of C (the
+    others lie on the window) and the (K,) mask of lines that meet the
+    interior of C (lowest margin below -1e-9, the interior test of
+    relative_boundary).
+    """
+    if len(hps) > _LINE_BATCH:
+        parts = [chord_ends(C, hps[s:s + _LINE_BATCH], centers[s:s + _LINE_BATCH],
+                            halves[s:s + _LINE_BATCH])
+                 for s in range(0, len(hps), _LINE_BATCH)]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    n = np.array([hp.normal for hp in hps]).reshape(-1, 2)
+    c = np.array([hp.offset for hp in hps])
+    w = as_points(centers)
+    half = np.asarray(halves, dtype=float)
+    foot = w + (c - np.einsum("ij,ij->i", n, w))[:, None] * n
+    d = np.column_stack([-n[:, 1], n[:, 0]])
+
+    def line(t):
+        t = np.asarray(t)
+        rows = (slice(None),) + (None,) * (t.ndim - 1)
+        return (foot[rows] + t[..., None] * d[rows]).reshape(-1, 2)
+
+    f = along(C.margin_many, line)
+    t_in, m_in = coarse_golden_min(f, -half, half)
+    meets = m_in < -1e-9
+    t_end = np.column_stack([-half, half])
+    on_c = (f(t_end) > 0) & meets[:, None]
+    t_end = np.where(on_c, bisect_leq(f, t_end, t_in[:, None]), t_end)
+    return line(t_end).reshape(-1, 2, 2), on_c, meets
+
+
+def active_normals(C: Body2, pts) -> list:
+    """Per point of the boundary of C, the outward unit normals of the
+    constraints active there (the ball or graph base, each cut) within
+    1e-7 * max(1, distance to the witness), the reach of supporting_normals."""
+    pts = as_points(pts)
+    near = 1e-7 * np.maximum(1.0, np.linalg.norm(pts - C.witness, axis=-1))
+    normals, active = [], []
+    base = C.base
+    if isinstance(base, BallBase):
+        rel = pts - base.center
+        normals.append(rel / np.linalg.norm(rel, axis=-1, keepdims=True))
+    elif isinstance(base, EpigraphBase):
+        normals.append(base.graph_normal(base.to_profile(pts)[:, 0]))
+    if normals:
+        active.append(np.abs(base.margin(pts)) <= near)
+    for hp in C.cuts:
+        normals.append(np.broadcast_to(hp.normal, pts.shape))
+        active.append(np.abs(hp.value(pts)) <= near)
+    return [[nrm[i] for nrm, act in zip(normals, active) if act[i]]
+            for i in range(len(pts))]
+
+
 def relative_boundary(B: Body2, C: Body2, samples_per_piece: int = 129,
                       tol: float = 1e-9, check_containment: bool = True) -> BoundaryArc:
     """Closure of the part of the boundary of B lying in the interior of C.
@@ -1843,9 +1931,7 @@ def relative_boundary(B: Body2, C: Body2, samples_per_piece: int = 129,
     Returns parameter intervals over B's boundary pieces; endpoints refined
     onto the boundary of C.
     """
-    clip_derived = B.base is C.base and all(
-        any(c is d for d in B.cuts) for c in C.cuts)
-    if check_containment and not clip_derived:
+    if check_containment and clip_extra_cuts(B, C) is None:
         probe = B.boundary_samples(96)
         big = max(1.0, float(np.abs(probe).max()))
         if not C.contains_many(probe, 1e-6 * big).all():

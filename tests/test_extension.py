@@ -8,11 +8,12 @@ from qcext.extension import (
     ExtensionError,
     ExtensionOperator,
     extend_body,
+    extend_chords,
     extend_function,
     restriction_hausdorff,
     segment_meets_body,
 )
-from qcext.geometry import Body2
+from qcext.geometry import Body2, HalfPlane, clip_polygon
 from qcext.levelset import LevelFamily, quasiconvex_check, sample_domain
 
 
@@ -271,3 +272,116 @@ def test_extend_function_usc_forced_violation():
     corner = np.array([[0.0, 0.0]])
     mismatch = abs(float(res.eval_many(corner)[0]) - f.eval_one((0.0, 0.0)))
     assert mismatch >= 0.5
+
+
+# -- batched chord families against the per-level operator ---------------------------
+
+def _chord_cases():
+    th = 0.7
+    rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    return {
+        "disk": (Body2.ball((0.5, -0.2), 1.3), (0.6, 0.8), np.linspace(-1.1, 1.5, 12)),
+        "parabola": (Body2.epigraph("parabola", transform=np.column_stack([1.7 * rot, [0.3, -1.2]])),
+                     (0.2, 1.0), np.linspace(-1.5, 20.0, 12)),
+        "cosh": (Body2.epigraph("cosh"), (0.3, 1.0), np.linspace(-0.9, 6.0, 12)),
+        "square": (Body2.from_polychain([(-1, -1), (1, -1), (1, 1), (-1, 1)]), (0.3, 1.0),
+                   np.linspace(-1.0, 1.4, 12)),
+    }
+
+
+def _chord_family(name):
+    C, normal, offsets = _chord_cases()[name]
+    bodies = [C.clip([(normal, float(c))]) for c in offsets]
+    return LevelFamily(np.arange(len(offsets), dtype=float), bodies, C)
+
+
+def _reference_levels(exts, pts, inside):
+    """Smallest level whose extended body passes inside, by a linear scan."""
+    out = np.full(len(pts), len(exts))
+    for k in reversed(range(len(exts))):
+        out[inside(exts[k], pts)] = k
+    return out
+
+
+@pytest.mark.parametrize("name", ["disk", "parabola", "cosh", "square"])
+def test_chord_batch_matches_extend_body(name):
+    fam = _chord_family(name)
+    cuts = [B.cuts[-1] for B in fam.bodies]
+    batched = extend_chords(fam.bodies, cuts, fam.ambient)
+    for B, got in zip(fam.bodies, batched):
+        want = extend_body(B, fam.ambient)
+        assert got.special == want.special
+        # every half-plane of either side has a partner on the other
+        for xs, ys in ((got.halfplanes, want.halfplanes), (want.halfplanes, got.halfplanes)):
+            for h in xs:
+                assert min(max(np.abs(h.normal - g.normal).max(), abs(h.offset - g.offset))
+                           for g in ys) <= 1e-10 * (1 + abs(h.offset))
+
+
+@pytest.mark.parametrize("name", ["disk", "parabola", "cosh", "square"])
+def test_chord_batch_searches_match_reference_scan(name):
+    fam = _chord_family(name)
+    exts = [extend_body(B, fam.ambient) for B in fam.bodies]
+    rng = np.random.default_rng(11)
+    pts = fam.bodies[0].witness + rng.uniform(-10.0, 10.0, (3000, 2))
+    top = exts[-1].contains_many(pts)
+    want = _reference_levels(exts, pts[top], lambda e, p: e.contains_many(p))
+    assert np.array_equal(ExtensionOperator(fam).covering_index_many(pts[top]), want)
+    off = pts[~fam.ambient.contains_many(pts)]
+    assert top.sum() > 100 and len(off) > 100
+    k = _reference_levels(exts, off, lambda e, p: e.interior_many(p))
+    res = extend_function(fam)
+    assert np.array_equal(res.eval_many(off), fam.levels[np.minimum(k, len(fam) - 1)])
+    assert len(res.operator._cache) == len(fam)
+
+
+def test_chord_batch_disk_closed_form():
+    # tangent half-planes at the chord ends (c + s n +- h perp(n))
+    disk = Body2.ball((0.5, -0.2), 1.3)
+    n = np.array([0.6, 0.8])
+    offsets = np.linspace(-1.1, 1.25, 9)
+    bodies = [disk.clip([(n, float(o))]) for o in offsets]
+    for o, e in zip(offsets, extend_chords(bodies, [B.cuts[-1] for B in bodies], disk)):
+        s = o - n @ disk.base.center
+        h = np.sqrt(1.3 ** 2 - s * s)
+        ends = disk.base.center + s * n + h * np.array([[-n[1], n[0]], [n[1], -n[0]]])
+        want = [(n, o)] + [((y - disk.base.center) / 1.3, (y - disk.base.center) @ y / 1.3)
+                           for y in ends]
+        assert len(e.halfplanes) == 3
+        for nw, ow in want:
+            assert min(max(np.abs(hp.normal - nw).max(), abs(hp.offset - ow))
+                       for hp in e.halfplanes) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["shelves", "polychain"])
+def test_non_clip_families_keep_per_level_operator(kind):
+    """Two-cut shelves and polygon families are built by extend_body per
+    level; their indices and values are the per-level reference scan's."""
+    if kind == "shelves":
+        C = Body2.ball((0.0, 0.0), 1.0)
+        levels = np.arange(5.0)
+        bodies = [C.clip([((0.0, 1.0), -0.6 + 0.35 * k), ((1.0, 0.0), 0.2 + 0.15 * k)])
+                  for k in levels]
+    else:
+        # chord polygons of a 24-gon, built from vertices, not by clipping
+        ang = 2 * np.pi * np.arange(24) / 24
+        verts = np.column_stack([2.0 * np.cos(ang), 1.5 * np.sin(ang)])
+        C = Body2.from_polychain(verts)
+        levels = np.array([-1.2, -0.7, -0.2, 0.3, 0.8, 1.3])
+        bodies = [Body2.from_polychain(clip_polygon(list(verts), HalfPlane(np.array([0.0, 1.0]), t)))
+                  for t in levels]
+    fam = LevelFamily(levels, bodies, C)
+    exts = [extend_body(B, C) for B in bodies]
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(-6.0, 6.0, (2000, 2))
+    top = exts[-1].contains_many(pts)
+    op = ExtensionOperator(fam)
+    want = _reference_levels(exts, pts[top], lambda e, p: e.contains_many(p))
+    assert np.array_equal(op.covering_index_many(pts[top]), want)
+    off = pts[~C.contains_many(pts)]
+    k = _reference_levels(exts, off, lambda e, p: e.interior_many(p))
+    res = extend_function(fam)
+    assert np.array_equal(res.eval_many(off), levels[np.minimum(k, len(fam) - 1)])
+    for j, e in enumerate(exts):
+        assert [(*h.normal, h.offset) for h in op.extended(j).halfplanes] == \
+            [(*h.normal, h.offset) for h in e.halfplanes]

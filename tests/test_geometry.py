@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from qcext.geometry import (
     Body2,
+    golden_min,
     GeometryError,
     asymptotic_slope,
     bisect_leq,
+    coarse_golden_min,
     cone_from,
     contains,
     rotundity_modulus,
@@ -23,6 +25,7 @@ from qcext.geometry import (
     recession_cone,
     relative_boundary,
     support,
+    support_point,
     supporting_normals,
 )
 
@@ -349,6 +352,34 @@ def test_bisect_leq_batched_brackets_match_single(disk, which):
     assert all(np.ndim(x) == 0 for x in single)
     assert np.array_equal(batched, single)
     assert np.all(f(batched) <= 0)
+
+
+@pytest.mark.parametrize("solver", ["golden", "coarse_golden"])
+def test_golden_batched_brackets_match_single(solver):
+    """An array of brackets narrows to exactly the per-bracket minima."""
+    def f(t):
+        # clipped plateau on the second bracket exercises the re-gridding
+        return np.maximum(np.cos(t) + 0.1 * t, -0.5)
+    a, b = np.array([2.0, -4.0, 3.5]), np.array([5.0, 6.0, 4.0])
+    run = golden_min if solver == "golden" else coarse_golden_min
+    t_b, f_b = run(f, a, b)
+    single = [run(f, lo, hi) for lo, hi in zip(a, b)]
+    assert t_b.shape == a.shape
+    assert all(isinstance(t, float) for t, _ in single)
+    assert np.array_equal(t_b, [t for t, _ in single])
+    assert np.array_equal(f_b, [v for _, v in single])
+
+
+def test_support_point_matches_support(parabola, square):
+    for body in (parabola, square):
+        for th in np.linspace(0.0, 2 * math.pi, 9)[:-1]:
+            d = np.array([math.cos(th), math.sin(th)])
+            val, pt = support_point(body, d)
+            assert val == support(body, d)
+            if math.isfinite(val):
+                assert float(pt @ d) == pytest.approx(val, abs=1e-9)
+            else:
+                assert pt is None
 
 
 # -- relative boundary --------------------------------------------------------
