@@ -485,32 +485,48 @@ def gen_no_uc(C: Body2, k_max: int = 64):
 # ---------------------------------------------------------------------------
 # no body admits Lipschitz quasiconvex extensions
 
-#: z values per batch of lower-profile solves; bounds the (batch, 257) grid
+#: vertical lines per batch of the lower-profile seed grid; bounds the
+#: (batch, 257) grid of margins
 _Z_BATCH = 16
 
 
-def _lower_profile(C: Body2, zs, v_max: float = 4.0, iters: int = 100) -> np.ndarray:
-    """Smallest v with (z, v) in C for each z, by bisection on the membership
-    margin, _Z_BATCH values of z at a time; NaN where no body point lies
-    above z below v_max.
+def _lower_profile(E: Body2, zs, frames=None, v_max: float = 4.0,
+                   iters: int = 100) -> np.ndarray:
+    """Smallest v with (z, v) in the framed body for each z, NaN where no
+    body point lies above z below v_max.
+
+    zs is (n,) in E's own coordinates (frames None), or (J, n) with row j
+    in the coordinates of frames[j].  Membership is frame-invariant,
+    (z, v) in frame(E) iff frame.invert((z, v)) in E, and the bisection
+    reads only the sign of the margin, so every vertical line is solved in
+    E's coordinates as o + v e.  A 257-point grid in v seeds each line,
+    _Z_BATCH lines per margin call (the batch bounds only this grid); one
+    bisection then runs over every line whose grid found a body point.
 
     Assumes the framed body sits in {v >= 0}; only profile heights below
     v_max are of interest (the construction needs g <= 1).
     """
-    zs = np.atleast_1d(np.asarray(zs, dtype=float))
+    zs = np.asarray(zs, dtype=float)
+    if frames is None:
+        o = np.column_stack([zs, np.zeros_like(zs)])
+        e = np.broadcast_to(vec(0.0, 1.0), o.shape)
+    else:
+        o = np.concatenate([f.invert(np.column_stack([z, np.zeros_like(z)]))
+                            for f, z in zip(frames, zs)])
+        e = np.repeat([f.R[1] / f.lam for f in frames], zs.shape[1], axis=0)
     vs = np.linspace(0.0, v_max, 257)
-    out = np.full(len(zs), np.nan)
-    for s in range(0, len(zs), _Z_BATCH):
-        z = zs[s:s + _Z_BATCH]
-        m = C.margin_many(np.column_stack([np.repeat(z, len(vs)), np.tile(vs, len(z))]))
-        m = m.reshape(len(z), len(vs))
-        j = np.argmin(m, axis=1)
-        ok = m.min(axis=1) < 0
-        if ok.any():
-            z_in = z[ok]
-            f = along(C.margin_many, lambda v: np.column_stack([z_in, v]))
-            out[s:s + len(z)][ok] = bisect_leq(f, -0.5, vs[j[ok]], iters)
-    return out
+    good = np.full(len(o), np.nan)
+    for s in range(0, len(o), _Z_BATCH):
+        line = slice(s, s + _Z_BATCH)
+        grid = o[line, None] + vs[:, None] * e[line, None]
+        m = E.margin_many(grid.reshape(-1, 2)).reshape(-1, len(vs))
+        good[line] = np.where(m.min(axis=1) < 0, vs[np.argmin(m, axis=1)], np.nan)
+    ok = ~np.isnan(good)
+    if ok.any():
+        o_in, e_in = o[ok], e[ok]
+        f = along(E.margin_many, lambda v: o_in + v[:, None] * e_in)
+        good[ok] = bisect_leq(f, -0.5, good[ok], iters)
+    return good.reshape(zs.shape)
 
 
 def gen_no_lip(E: Body2, k_max: int = 24, scan: int = 64):
@@ -520,26 +536,33 @@ def gen_no_lip(E: Body2, k_max: int = 24, scan: int = 64):
     The supporting direction maximizing the boundary secant gap is chosen
     (ties broken toward the lowest angle); the body is framed so the
     support point is the origin, the body sits in {v >= 0} and (0, 1) is
-    interior.
+    interior.  The usable frames of the scan's directions come first; the
+    lower profiles at (z0, z0/2) of all of them are then one
+    _lower_profile solve in E's coordinates, and only the chosen frame's
+    body is built (transform_body).
     """
-    best = None
+    usable = []
     for j in range(scan):
         theta = 2.0 * math.pi * j / scan
-        d = vec(math.cos(theta), math.sin(theta))
-        frame = _no_lip_frame(E, d)
-        if frame is None:
-            continue
-        C = transform_body(E, frame, name="framed")
-        z0 = 0.25 * min(frame.lam * E.clearance, 1.0)
-        g = _lower_profile(C, [z0, z0 / 2.0])
+        frame = _no_lip_frame(E, vec(math.cos(theta), math.sin(theta)))
+        if frame is not None:
+            usable.append((theta, frame))
+    if not usable:
+        raise ConstructionError("no usable supporting direction found")
+    frames = [frame for _, frame in usable]
+    z0 = 0.25 * np.minimum([frame.lam * E.clearance for frame in frames], 1.0)
+    g_scan = _lower_profile(E, np.column_stack([z0, z0 / 2.0]), frames)
+    best = None
+    for (theta, frame), g in zip(usable, g_scan):
         if np.isnan(g).any():
             continue
         gap = 0.5 * g[0] - g[1]
         if best is None or gap > best[0] + 1e-15:
-            best = (gap, theta, frame, C)
+            best = (gap, theta, frame)
     if best is None:
         raise ConstructionError("no usable supporting direction found")
-    _, theta, frame, C = best
+    _, theta, frame = best
+    C = transform_body(E, frame, name="framed")
     lam = frame.lam
     # horizontal reach of the profile fixes the working eps
     z_scan = np.geomspace(1e-4, 8.0, 257)

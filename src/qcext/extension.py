@@ -12,12 +12,14 @@ padded table of every level's half-planes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .geometry import (
     Body2,
+    CutTable,
     GeometryError,
     HalfPlane,
     Segment,
@@ -76,16 +78,15 @@ class ExtendedBody:
     halfplanes: tuple = ()
     special: Optional[str] = None
 
+    @cached_property
+    def _cut_table(self) -> CutTable:
+        return CutTable(self.halfplanes)
+
     def margin_many(self, pts: np.ndarray) -> np.ndarray:
         pts = as_points(pts)
         if self.special == "empty":
             return np.full(pts.shape[0], np.inf)
-        if self.special == "plane":
-            return np.full(pts.shape[0], -np.inf)
-        m = np.full(pts.shape[0], -np.inf)
-        for hp in self.halfplanes:
-            m = np.maximum(m, hp.value(pts))
-        return m
+        return self._cut_table.margin(pts)
 
     def contains_many(self, pts, tol: float = CONTAIN_TOL) -> np.ndarray:
         return self.margin_many(pts) <= tol

@@ -5,14 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from qcext import counterexamples as cx
 from qcext.counterexamples import (
     ConstructionError,
+    _lower_profile,
+    _no_lip_frame,
     characterize,
     gen_no_lip,
     gen_no_qc,
     gen_no_uc,
     gen_non_rotund,
     gen_usc_counterexample,
+    transform_body,
 )
 from qcext.geometry import BallProfile, Body2
 from qcext.levelset import quasiconvex_check
@@ -194,6 +198,74 @@ def test_no_lip_function_is_qc(quartet):
     vals = f.eval_many(pts)
     assert np.all(vals >= -1e-12)
     assert np.all(vals <= cert.eps / 2.0 + 1e-9)
+
+
+def _ellipse24():
+    t = 2.0 * np.pi * np.arange(24) / 24
+    return Body2.from_polychain(np.column_stack([2.0 * np.cos(t), np.sin(t)]),
+                                name="ellipse24")
+
+
+def test_lower_profile_batched_matches_per_z(monkeypatch):
+    """One bisection over every z gives each z's own solve, whatever the
+    grid batch; z beyond the profile's reach stays NaN."""
+    C = Body2.ball((0.0, 1.0), 1.0)
+    zs = np.concatenate([np.geomspace(1e-4, 0.999, 37), [1.5]])
+    batched = _lower_profile(C, zs)
+    assert np.isnan(batched[-1]) and not np.isnan(batched[:-1]).any()
+    np.testing.assert_allclose(batched[:-1], 1.0 - np.sqrt(1.0 - zs[:-1] ** 2), atol=1e-12)
+    single = np.array([_lower_profile(C, [z])[0] for z in zs])
+    np.testing.assert_array_equal(batched, single)
+    for batch in (1, 5, 1000):
+        monkeypatch.setattr(cx, "_Z_BATCH", batch)
+        np.testing.assert_array_equal(_lower_profile(C, zs), batched)
+
+
+def _scan_reference(E, scan):
+    """The direction scan one direction at a time: the framed body built by
+    transform_body and its own lower-profile solve."""
+    best, rows = None, []
+    for j in range(scan):
+        theta = 2.0 * math.pi * j / scan
+        frame = _no_lip_frame(E, np.array([math.cos(theta), math.sin(theta)]))
+        if frame is None:
+            continue
+        C = transform_body(E, frame)
+        z0 = 0.25 * min(frame.lam * E.clearance, 1.0)
+        g = _lower_profile(C, [z0, z0 / 2.0])
+        rows.append((frame, [z0, z0 / 2.0], g))
+        if np.isnan(g).any():
+            continue
+        gap = 0.5 * g[0] - g[1]
+        if best is None or gap > best[0] + 1e-15:
+            best = (gap, theta)
+    return best[1], rows
+
+
+@pytest.mark.parametrize("name", ["disk", "parabola", "square", "hypograph", "ellipse24"])
+def test_no_lip_scan_matches_per_direction(quartet, name):
+    E = _ellipse24() if name == "ellipse24" else quartet[name]
+    theta, rows = _scan_reference(E, 16)
+    frames = [frame for frame, _, _ in rows]
+    g = _lower_profile(E, [zs for _, zs, _ in rows], frames)
+    want = np.array([g_ref for _, _, g_ref in rows])
+    np.testing.assert_array_equal(np.isnan(g), np.isnan(want))
+    ok = ~np.isnan(want)
+    assert np.max(np.abs(g[ok] - want[ok])) <= 1e-12
+    _, cert = gen_no_lip(E, k_max=4, scan=16)
+    assert cert.params["theta"] == theta
+
+
+def test_no_lip_margin_call_budget(quartet, monkeypatch):
+    """The scan's lower profiles are one solve for all directions, so the
+    membership calls stay far below one 100-step bisection per direction
+    (1,600 calls at scan=16)."""
+    calls = []
+    margin_many = Body2.margin_many
+    monkeypatch.setattr(Body2, "margin_many",
+                        lambda self, pts: calls.append(1) or margin_many(self, pts))
+    gen_no_lip(quartet["disk"], k_max=8, scan=16)
+    assert len(calls) <= 450
 
 
 # -- the fixed usc counterexample ---------------------------------------------------

@@ -353,6 +353,27 @@ def test_chord_batch_disk_closed_form():
                        for hp in e.halfplanes) < 1e-12
 
 
+def test_ball_chord_ends_on_circle():
+    """The cut segment of a clipped ball ends on the circle, so extend_body's
+    tangent half-planes there are the closed form's."""
+    disk = Body2.ball((0.5, -0.2), 1.3)
+    n = np.array([0.6, 0.8])
+    for o in np.linspace(-1.1, 1.25, 9):
+        B = disk.clip([(n, float(o))])
+        seg = [pc for pc in B.pieces() if pc.kind == "segment"]
+        assert len(seg) == 1
+        ends = np.array([seg[0].a, seg[0].b])
+        assert np.abs(np.linalg.norm(ends - disk.base.center, axis=1) - 1.3).max() <= 1e-14 * 1.3
+        s = o - n @ disk.base.center
+        h = np.sqrt(1.3 ** 2 - s * s)
+        want = disk.base.center + s * n + h * np.array([[-n[1], n[0]], [n[1], -n[0]]])
+        e = extend_body(B, disk)
+        for y in want:
+            nw = (y - disk.base.center) / 1.3
+            assert min(max(np.abs(hp.normal - nw).max(), abs(hp.offset - nw @ y))
+                       for hp in e.halfplanes) < 1e-12
+
+
 @pytest.mark.parametrize("kind", ["shelves", "polychain"])
 def test_non_clip_families_keep_per_level_operator(kind):
     """Two-cut shelves and polygon families are built by extend_body per

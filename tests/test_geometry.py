@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qcext.geometry import (
     Body2,
+    CutTable,
     golden_min,
     GeometryError,
     asymptotic_slope,
@@ -380,6 +381,41 @@ def test_support_point_matches_support(parabola, square):
                 assert float(pt @ d) == pytest.approx(val, abs=1e-9)
             else:
                 assert pt is None
+
+
+# -- cut table ----------------------------------------------------------------
+
+def _polygon(kind: str, shift: float) -> Body2:
+    if kind == "24-gon":
+        t = 2 * math.pi * np.arange(24) / 24
+        verts = np.column_stack([2.0 * np.cos(t), 1.5 * np.sin(t)])
+    else:
+        from scipy.spatial import ConvexHull
+
+        pts = np.random.default_rng(5).normal(0.0, 2.0, (12, 2))
+        verts = pts[ConvexHull(pts).vertices]
+    move = shift * np.array([0.6, -0.8])
+    return Body2.from_halfplanes([(hp.normal, hp.offset + hp.normal @ move)
+                                  for hp in Body2.from_polychain(verts).cuts])
+
+
+@pytest.mark.parametrize("n_pts", [1, 2, 5000])
+@pytest.mark.parametrize("shift", [0.0, 1e3, 1e6])
+@pytest.mark.parametrize("kind", ["24-gon", "random"])
+def test_cut_table_margin_matches_halfplane_max(kind, shift, n_pts):
+    """The stacked margin is the max of the per-cut HalfPlane.value within
+    4 ulp of the largest term, and a point's value does not depend on the
+    other points of the call."""
+    body = _polygon(kind, shift)
+    pts = body.witness + np.random.default_rng(6).normal(0.0, 3.0, (n_pts, 2))
+    got = body.margin_many(pts)
+    want = np.max([hp.value(pts) for hp in body.cuts], axis=0)
+    table = body.cut_table
+    largest = np.maximum(np.abs(table.normals[:, None, :] * pts).max(axis=-1),
+                         np.abs(table.offsets)[:, None]).max(axis=0)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(largest))
+    alone = np.concatenate([CutTable(body.cuts).margin(p[None]) for p in pts[:64]])
+    assert np.array_equal(alone, got[:64])
 
 
 # -- relative boundary --------------------------------------------------------
