@@ -68,8 +68,8 @@ def _halfplane_set_distance(halfplanes, want) -> float:
 def criterion_3():
     """Covering indices are finite upward and exclusion holds downward.
 
-    levels_built counts the operator's cached levels: the chord family is
-    a family of single-cut clips, built in one batch, so all 10,201.
+    levels_built counts the operator's cached levels: one batch builds all
+    10,201.
     """
     par = Body2.epigraph("parabola", name="parabola")
     K = 10_200

@@ -129,7 +129,7 @@ def cmd_body(args, conf) -> int:
 
 def cmd_extend(args, conf) -> int:
     fam = _load_family(args.function, _load_body(args.body))
-    res = ext.extend_function(fam, resolution=conf.resolution, tol=max(conf.tol, 1e-9))
+    res = ext.extend_function(fam, tol=max(conf.tol, 1e-9))
     meta = {"family": ser.family_hash(fam), "regularity": res.regularity}
     csv = ser.grid_csv(res, args.window_box, conf.grid, meta)
     _emit(csv, conf.out or "extension.csv")
@@ -205,8 +205,7 @@ def cmd_plot(args, conf) -> int:
         return 0
     body = _load_body(args.body)
     if args.function:
-        res = ext.extend_function(_load_family(args.function, body),
-                                  resolution=conf.resolution)
+        res = ext.extend_function(_load_family(args.function, body))
         svg = plots.svg_extension(res, args.window_box)
     else:
         svg = plots.svg_body(body, args.window_box)
@@ -217,7 +216,6 @@ def cmd_plot(args, conf) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None)
-    common.add_argument("--resolution", type=int, default=None)
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--kmax", type=int, default=None)
     common.add_argument("--grid", type=int, default=None)

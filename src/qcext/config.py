@@ -8,20 +8,19 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .geometry import RESOLUTION, TOL
+from .geometry import TOL
 
 
 @dataclass
 class RunConfig:
     tol: float = TOL
-    resolution: int = RESOLUTION
     seed: int = 0
     kmax: int = 24
     grid: int = 256
     out: str = ""
 
     def __post_init__(self):
-        if self.tol <= 0 or self.resolution <= 0 or self.grid <= 0:
+        if self.tol <= 0 or self.grid <= 0:
             raise ValueError("numeric configuration fields must be positive")
 
 
@@ -35,7 +34,6 @@ def from_flags(args) -> RunConfig:
         int(env_seed) if env_seed else 0)
     return RunConfig(
         tol=tol,
-        resolution=args.resolution if args.resolution is not None else RESOLUTION,
         seed=seed,
         kmax=args.kmax if args.kmax is not None else 24,
         grid=args.grid if args.grid is not None else 256,

@@ -1,12 +1,10 @@
 """The cone-hull extension operator and the full quasiconvex extension.
 
-extend_body realizes e(B) as a pruned list of supporting half-planes
-collected along the relative boundary of B in the ambient body;
-extend_function turns a nested level family on the ambient into a
-quasiconvex function on the whole plane.  A family whose bodies are each
-the ambient clipped by one more half-plane is extended in one batch from
-its chord ends (extend_chords); the smallest-level searches bisect one
-padded table of every level's half-planes.
+extend_bodies realizes e(B), the pruned supporting half-planes along the
+relative boundary of B in the ambient C: exactly, in one batch, for bodies
+cut from C by half-planes, else from sampled boundary points.
+extend_function turns a nested level family on C into a quasiconvex
+function on the whole plane.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from .geometry import (
     as_point,
     as_points,
     chord_ends,
-    clip_extra_cuts,
+    cuts_beyond,
     distance_many,
     find_asymptotic_direction,
     golden_min,
@@ -38,9 +36,9 @@ from .geometry import (
     relative_boundary,
     supporting_normals,
 )
-from .levelset import LevelFamily, QCFunction
+from .levelset import LevelFamily
 
-#: default boundary sampling resolution for the operator
+#: boundary sampling resolution of the sampled fallback
 EXT_RESOLUTION = 512
 
 #: strict-interior margin for extended-body membership
@@ -95,22 +93,13 @@ class ExtendedBody:
         """Strict membership with a safety margin on every half-plane."""
         return self.margin_many(pts) < -margin
 
-    def to_body(self) -> Body2:
-        if self.special is not None:
-            raise ExtensionError(f"special extension ({self.special}) is not a body")
-        return Body2.from_halfplanes(self.halfplanes, name="extended")
 
-
-def extend_body(B: Optional[Body2], C: Body2, resolution: int = EXT_RESOLUTION) -> ExtendedBody:
-    """The extension operator: intersect the supporting half-planes of B
-    taken at sampled points of its relative boundary in C.
-
-    Straight stretches contribute a single half-plane; interval endpoints
-    (where the relative boundary reaches the ambient boundary, and corner
-    points) always enter with their full normal fan.
-    """
-    if B is None:
-        return ExtendedBody(None, C, (), special="empty")
+def _extend_sampled(B: Body2, C: Body2, resolution: int = EXT_RESOLUTION) -> ExtendedBody:
+    """e(B) from supporting half-planes of B at sampled points of its
+    relative boundary in C: the fallback for a body not cut from C, and the
+    exact construction's test oracle.  Straight stretches give one
+    half-plane; interval ends (on the boundary of C, and corners) give their
+    full normal fan.  A chord that leaves B's window box is cut short there."""
     rel = relative_boundary(B, C)
     if rel.is_empty():
         return ExtendedBody(B, C, (), special="plane")
@@ -120,22 +109,16 @@ def extend_body(B: Optional[Body2], C: Body2, resolution: int = EXT_RESOLUTION) 
     def add(normal: np.ndarray, y: np.ndarray):
         raw.append(HalfPlane(normal, float(np.asarray(normal) @ y)))
 
-    lengths = []
-    for (idx, t0, t1) in rel.intervals:
-        pc = pieces[idx]
-        if t1 - t0 <= 1e-12:
-            lengths.append(0.0)
-        else:
-            lengths.append(max(norm(np.asarray(pc.point(t1)) - np.asarray(pc.point(t0))), 1e-12))
+    lengths = [0.0 if t1 - t0 <= 1e-12 else
+               max(norm(np.asarray(pieces[i].point(t1)) - np.asarray(pieces[i].point(t0))), 1e-12)
+               for i, t0, t1 in rel.intervals]
     total = sum(lengths) or 1.0
-    for (iv, ln) in zip(rel.intervals, lengths):
-        idx, t0, t1 = iv
+    for (idx, t0, t1), ln in zip(rel.intervals, lengths):
         pc = pieces[idx]
         for t_end in {t0, t1}:
             y = np.asarray(pc.point(t_end))
             try:
-                fan = supporting_normals(B, y)
-                for n in fan.extremes():
+                for n in supporting_normals(B, y).extremes():
                     add(n, y)
             except GeometryError:
                 add(np.asarray(pc.normal(t_end)), y)
@@ -147,84 +130,88 @@ def extend_body(B: Optional[Body2], C: Body2, resolution: int = EXT_RESOLUTION) 
             continue
         k = max(2, int(round(resolution * ln / total)))
         ts = np.linspace(t0, t1, k + 2)[1:-1]
-        pts = pc.point(ts)
-        nrm = pc.normal(ts)
-        offs = np.einsum("ij,ij->i", np.atleast_2d(nrm), np.atleast_2d(pts))
-        for n, o in zip(np.atleast_2d(nrm), offs):
-            raw.append(HalfPlane(n, float(o)))
-    pruned = prune_halfplanes(raw, B.witness)
-    return ExtendedBody(B, C, tuple(pruned), special=None)
+        nrm = np.atleast_2d(pc.normal(ts))
+        offs = np.einsum("ij,ij->i", nrm, np.atleast_2d(pc.point(ts)))
+        raw.extend(HalfPlane(n, float(o)) for n, o in zip(nrm, offs))
+    return ExtendedBody(B, C, tuple(prune_halfplanes(raw, B.witness)))
 
 
-def extend_chords(bodies: list, cuts: list, C: Body2) -> list:
-    """e(B_k) for bodies B_k = C clipped by the one half-plane cuts[k], all
-    in one batch.
+def _chord_parts(ends: np.ndarray, table: CutTable):
+    """(lo, hi) in [0, 1] along each chord ends[j, 0] -> ends[j, 1]: the part that
+    every cut keeps (lo > hi: none); a cut keeps an end within 1e-9 * max(1, |end|)."""
+    v = np.stack([table.values(ends[:, 0]), table.values(ends[:, 1])], axis=-1)
+    out = v > 1e-9 * np.maximum(1.0, np.linalg.norm(ends, axis=-1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.clip(v[..., 0] / (v[..., 0] - v[..., 1]), 0.0, 1.0)
+    lo = np.where(out[..., 0], np.where(out[..., 1], np.inf, s), 0.0).max(axis=0)
+    hi = np.where(out[..., 1], np.where(out[..., 0], -np.inf, s), 1.0).min(axis=0)
+    return lo, hi
 
-    The relative boundary of such a B_k is the chord that the cut line
-    cuts from C, so e(B_k) is the cut plus the supporting half-planes of C
-    at the chord's ends on the boundary of C, one per constraint of C
-    active there, pruned.  Each line is searched B_k.window_half to either
-    side of the foot of B_k's witness; an end on that window adds nothing,
-    and a line that misses the interior of C there gives the whole plane.
-    extend_body samples B_k's boundary in a window box about the witness
-    instead, which cuts short a chord that leaves the box, so on far
-    chords of unbounded ambients it can miss an end (or the whole chord,
-    giving the plane) that this search finds.
-    """
-    ends, on_c, meets = chord_ends(C, cuts, [B.witness for B in bodies],
-                                   [B.window_half for B in bodies])
-    fans = iter(active_normals(C, ends[on_c]))
-    out = []
-    for B, hp, y, on, hit in zip(bodies, cuts, ends, on_c, meets):
-        if not hit:
-            out.append(ExtendedBody(B, C, (), special="plane"))
+
+def extend_bodies(bodies, C: Body2, resolution: int = EXT_RESOLUTION) -> list:
+    """e(B) for each body of a list (None: the empty set); exact, in one
+    batch, for every B = C cut by H_1, ..., H_m (cuts_beyond).
+
+    The relative boundary of B in C is the chords of C on the lines of the
+    H_j (chord_ends, searched B.window_half about the foot of B's witness),
+    each clipped by B's other cuts.  e(B) is the cuts with a non-empty part
+    plus, at each part end on the boundary of C, the half-planes of C's
+    constraints active there (any other cut of B active there has a part or
+    is implied by C's), pruned.  An end on the window adds nothing; no part
+    at all gives the whole plane.  Other bodies go to _extend_sampled."""
+    out, rows, lines, centers, halves = [], {}, [], [], []
+    for k, B in enumerate(bodies):
+        extra = None if B is None else cuts_beyond(B, C)
+        if extra is None:
+            out.append(ExtendedBody(None, C, (), special="empty") if B is None
+                       else _extend_sampled(B, C, resolution))
             continue
-        raw = [hp]
-        for yk in y[on]:
-            raw.extend(HalfPlane(nrm, float(nrm @ yk)) for nrm in next(fans))
-        out.append(ExtendedBody(B, C, tuple(prune_halfplanes(raw, B.witness))))
+        out.append(None)
+        rows[k] = slice(len(lines), len(lines) + len(extra))
+        lines += extra
+        centers += [B.witness] * len(extra)
+        halves += [B.window_half] * len(extra)
+    ends, on_c, meets = chord_ends(C, lines, centers, halves)
+    lo, hi = np.zeros(len(lines)), np.ones(len(lines))
+    for k, r in rows.items():
+        if r.stop - r.start > 1:
+            lo[r], hi[r] = _chord_parts(ends[r], bodies[k].cut_table)
+    part = meets & (lo <= hi)
+    on_c &= part[:, None] & np.column_stack([lo == 0.0, hi == 1.0])
+    fans = iter(active_normals(C, ends[on_c]))
+    for k, r in rows.items():
+        B = bodies[k]
+        raw = [h for h, ok in zip(lines[r], part[r]) if ok]
+        raw += [HalfPlane(nrm, float(nrm @ y)) for y in ends[r][on_c[r]] for nrm in next(fans)]
+        out[k] = (ExtendedBody(B, C, tuple(prune_halfplanes(raw, B.witness))) if raw
+                  else ExtendedBody(B, C, (), special="plane"))
     return out
+
+
+def extend_body(B: Optional[Body2], C: Body2, resolution: int = EXT_RESOLUTION) -> ExtendedBody:
+    """e(B) by extend_bodies; resolution reaches only the sampled fallback."""
+    return extend_bodies([B], C, resolution)[0]
 
 
 # ---------------------------------------------------------------------------
 # function extension
 
-def _single_cuts(fam: LevelFamily):
-    """The one extra cut of each body when every body is the ambient
-    clipped by one half-plane, else None."""
-    cuts = []
-    for B in fam.bodies:
-        extra = None if B is None else clip_extra_cuts(B, fam.ambient)
-        if extra is None or len(extra) != 1:
-            return None
-        cuts.append(extra[0])
-    return cuts
-
-
 @dataclass
 class ExtensionOperator:
     """Per-level extension of a nested family.
 
-    When every body is the ambient clipped by one half-plane, the first
-    extended(k) builds all levels in one batch (extend_chords); any other
-    family builds extend_body(B_k) per requested level.  The searches
-    (covering_index_many, first_level) build every level up front and
-    bisect one padded (K, m, 3) table of the levels' half-planes.
+    The first extended(k) builds every level in one extend_bodies call.
+    The searches (covering_index_many, first_level) bisect one padded
+    (K, m, 3) table of the levels' half-planes.
     """
 
     family: LevelFamily
-    resolution: int = EXT_RESOLUTION
     _cache: dict = field(default_factory=dict)
     _table: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def extended(self, k: int) -> ExtendedBody:
         if k not in self._cache:
-            fam = self.family
-            cuts = _single_cuts(fam)
-            if cuts is None:
-                self._cache[k] = extend_body(fam.bodies[k], fam.ambient, self.resolution)
-            else:
-                self._cache.update(enumerate(extend_chords(fam.bodies, cuts, fam.ambient)))
+            self._cache.update(enumerate(extend_bodies(self.family.bodies, self.family.ambient)))
         return self._cache[k]
 
     def level_table(self) -> np.ndarray:
@@ -271,8 +258,7 @@ class ExtensionOperator:
     def covering_index_many(self, pts: np.ndarray) -> np.ndarray:
         """Smallest k with the point in e(B_k) (margin <= CONTAIN_TOL).
 
-        Every level is built up front (in one batch for a family of
-        single-cut clips of the ambient), then first_level bisects each
+        Every level is built up front, then first_level bisects each
         point's index over the level table.  CoveringError names the first
         point that no level contains.
         """
@@ -306,16 +292,11 @@ class ExtensionResult:
     operator: ExtensionOperator
     regularity: str
 
-    @property
-    def extended(self) -> list:
-        return [self.operator.extended(k) for k in range(len(self.family))]
-
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         """Family value on the ambient; off it, the smallest level whose
         extended body holds the point with margin < -INT_MARGIN (the top
         level where none does), from the operator's first_level bisection.
-        The first off-body point builds every level up front, in one batch
-        for a family of single-cut clips of the ambient."""
+        The first off-body point builds every level up front."""
         pts = as_points(pts)
         out = np.empty(pts.shape[0])
         amb = self.family.ambient
@@ -327,13 +308,6 @@ class ExtensionResult:
             k = self.operator.first_level(pts[rest], lambda m: m < -INT_MARGIN)
             out[rest] = self.family.levels[np.minimum(k, len(self.family) - 1)]
         return out
-
-    def eval_one(self, p) -> float:
-        return float(self.eval_many(as_point(p)[None, :])[0])
-
-    def as_qcfunction(self) -> QCFunction:
-        return QCFunction(domain=None, eval_many=self.eval_many,
-                          meta={"kind": "extension", "regularity": self.regularity})
 
 
 def ambient_regularity(C: Body2) -> str:
@@ -348,8 +322,8 @@ def ambient_regularity(C: Body2) -> str:
     return "continuous" if is_rotund(C) else "usc-only"
 
 
-def extend_function(fam: LevelFamily, resolution: int = EXT_RESOLUTION,
-                    validate: bool = True, tol: float = 1e-7) -> ExtensionResult:
+def extend_function(fam: LevelFamily, validate: bool = True,
+                    tol: float = 1e-7) -> ExtensionResult:
     """Extend a nested level family on its ambient body to the plane.
 
     The off-body rule rounds up to the smallest level whose extended body
@@ -360,7 +334,7 @@ def extend_function(fam: LevelFamily, resolution: int = EXT_RESOLUTION,
     if validate:
         fam.validate_nesting(tol=tol)
     reg = ambient_regularity(fam.ambient)
-    op = ExtensionOperator(fam, resolution=resolution)
+    op = ExtensionOperator(fam)
     return ExtensionResult(family=fam, operator=op, regularity=reg)
 
 

@@ -24,7 +24,6 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 TOL = 1e-9            # absolute tolerance for geometric predicates
-RESOLUTION = 2048     # default boundary sampling resolution
 WINDOW_MULT = 1024.0  # working window half-size = WINDOW_MULT * witness clearance
 
 TWO_PI = 2.0 * math.pi
@@ -1027,12 +1026,11 @@ class Body2:
     """Closed convex proper subset of the plane with nonempty interior."""
 
     def __init__(self, base, cuts: Sequence[HalfPlane] = (), name: str = "",
-                 witness=None, resolution: int = RESOLUTION):
+                 witness=None):
         self.base = base
         self.cuts = tuple(cuts)
         self.cut_table = CutTable(self.cuts)
         self.name = name
-        self.resolution = int(resolution)
         if isinstance(base, PlaneBase) and not self.cuts:
             raise GeometryError("a body must be a proper subset of the plane")
         if witness is not None:
@@ -1126,7 +1124,7 @@ class Body2:
         hps = [hp if isinstance(hp, HalfPlane) else HalfPlane.from_any(*hp)
                for hp in halfplanes]
         return Body2(self.base, self.cuts + tuple(hps),
-                     name=name or self.name, resolution=self.resolution, **kw)
+                     name=name or self.name, **kw)
 
     # -- witness ------------------------------------------------------------
 
@@ -1335,8 +1333,7 @@ class Body2:
     def interior_many(self, pts, margin: float = TOL) -> np.ndarray:
         return self.margin_many(pts) < -margin
 
-    def boundary_samples(self, n: Optional[int] = None) -> np.ndarray:
-        n = n or self.resolution
+    def boundary_samples(self, n: int) -> np.ndarray:
         pieces = self.pieces()
         if not pieces:
             return np.zeros((0, 2))
@@ -1911,12 +1908,36 @@ def _mask_runs(mask: np.ndarray) -> np.ndarray:
     return np.column_stack([np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1])
 
 
-def clip_extra_cuts(B: Body2, C: Body2):
-    """B's cuts beyond C's when B is C clipped by more half-planes (B shares
-    C's base object and holds each of C's cut objects), else None."""
-    if B.base is not C.base or not all(any(c is d for d in B.cuts) for c in C.cuts):
-        return None
-    return [c for c in B.cuts if not any(c is d for d in C.cuts)]
+def _same_base(a, b) -> bool:
+    """Whether two analytic bases are equal by value."""
+    if isinstance(a, EpigraphBase) and isinstance(b, EpigraphBase):
+        return (type(a.profile) is type(b.profile) and a.profile.params == b.profile.params
+                and np.array_equal(a.M, b.M) and np.array_equal(a.shift, b.shift))
+    if isinstance(a, BallBase) and isinstance(b, BallBase):
+        return a.radius == b.radius and np.array_equal(a.center, b.center)
+    return isinstance(a, PlaneBase) and isinstance(b, PlaneBase)
+
+
+def _check_inside(B: Body2, C: Body2):
+    """GeometryError unless 96 boundary samples of B lie in C, up to 1e-6."""
+    probe = B.boundary_samples(96)
+    big = max(1.0, float(np.abs(probe).max()))
+    if not C.contains_many(probe, 1e-6 * big).all():
+        raise GeometryError("the inner body is not contained in the ambient")
+
+
+def cuts_beyond(B: Body2, C: Body2):
+    """B's cuts that are not C's (by value) when B is C cut by half-planes,
+    else None.  B is when it has C's base and holds C's cuts, both by value
+    (no probe), or when it is a half-plane body inside C by _check_inside,
+    which raises GeometryError for one outside."""
+    key = {(*h.normal.tolist(), h.offset) for h in C.cuts}
+    mine = [(*h.normal.tolist(), h.offset) for h in B.cuts]
+    if not ((B.base is C.base or _same_base(B.base, C.base)) and key.issubset(mine)):
+        if not isinstance(B.base, PlaneBase):
+            return None
+        _check_inside(B, C)
+    return [h for h, k in zip(B.cuts, mine) if k not in key]
 
 
 #: lines per chord_ends batch; bounds its (batch, 257) search grids
@@ -1930,12 +1951,14 @@ def chord_ends(C: Body2, hps: Sequence[HalfPlane], centers, halves):
     Line k is searched over parameters |t| <= halves[k] from the foot of
     centers[k] on it: a staged coarse grid and golden section find its
     lowest C margin, and one bisection over the (K, 2) brackets moves each
-    window end with positive margin onto the boundary of C.  Returns the
-    (K, 2, 2) end points, the (K, 2) mask of ends on the boundary of C (the
-    others lie on the window) and the (K,) mask of lines that meet the
-    interior of C (lowest margin below -1e-9, the interior test of
-    relative_boundary).
+    window end with positive margin onto the boundary of C (on a half-plane
+    body, each cut bounds t in closed form and the chord's midpoint is
+    tested).  Returns the (K, 2, 2) end points, the (K, 2) mask of ends on
+    the boundary of C (the others lie on the window) and the (K,) mask of
+    lines that meet the interior of C (margin below -1e-9).
     """
+    if not len(hps):
+        return np.zeros((0, 2, 2)), np.zeros((0, 2), dtype=bool), np.zeros(0, dtype=bool)
     if len(hps) > _LINE_BATCH:
         parts = [chord_ends(C, hps[s:s + _LINE_BATCH], centers[s:s + _LINE_BATCH],
                             halves[s:s + _LINE_BATCH])
@@ -1954,11 +1977,21 @@ def chord_ends(C: Body2, hps: Sequence[HalfPlane], centers, halves):
         return (foot[rows] + t[..., None] * d[rows]).reshape(-1, 2)
 
     f = along(C.margin_many, line)
+    window = np.column_stack([-half, half])
+    if isinstance(C.base, PlaneBase):
+        # along line k each cut j of C keeps a[j, k] + t * b[j, k] <= 0
+        a, b = C.cut_table.values(foot), C.cut_table.normals @ d.T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = -a / b
+        t_end = np.clip(np.column_stack([np.where(b < 0, t, -np.inf).max(axis=0),
+                                         np.where(b > 0, t, np.inf).min(axis=0)]),
+                        window[:, :1], window[:, 1:])
+        meets = (t_end[:, 0] < t_end[:, 1]) & (f(t_end.mean(axis=1)) < -1e-9)
+        return line(t_end).reshape(-1, 2, 2), (t_end != window) & meets[:, None], meets
     t_in, m_in = coarse_golden_min(f, -half, half)
     meets = m_in < -1e-9
-    t_end = np.column_stack([-half, half])
-    on_c = (f(t_end) > 0) & meets[:, None]
-    t_end = np.where(on_c, bisect_leq(f, t_end, t_in[:, None]), t_end)
+    on_c = (f(window) > 0) & meets[:, None]
+    t_end = np.where(on_c, bisect_leq(f, window, t_in[:, None]), window)
     return line(t_end).reshape(-1, 2, 2), on_c, meets
 
 
@@ -1991,11 +2024,8 @@ def relative_boundary(B: Body2, C: Body2, samples_per_piece: int = 129,
     Returns parameter intervals over B's boundary pieces; endpoints refined
     onto the boundary of C.
     """
-    if check_containment and clip_extra_cuts(B, C) is None:
-        probe = B.boundary_samples(96)
-        big = max(1.0, float(np.abs(probe).max()))
-        if not C.contains_many(probe, 1e-6 * big).all():
-            raise GeometryError("the inner body is not contained in the ambient")
+    if check_containment:
+        _check_inside(B, C)
 
     intervals = []
     for idx, pc in enumerate(B.pieces()):

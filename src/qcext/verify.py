@@ -633,7 +633,7 @@ def check_polygon_operator(rng, n_instances: int):
             B, C = _random_polygon_pair(rng)
         except Exception:
             continue
-        e = ext.extend_body(B, C, resolution=256)
+        e = ext.extend_body(B, C)
         if e.special is not None:
             continue
         n += 1
@@ -650,7 +650,7 @@ def check_polygon_operator(rng, n_instances: int):
                                       collinear_ok=True)
         except Exception:
             continue
-        e1 = ext.extend_body(B1, C, resolution=128)
+        e1 = ext.extend_body(B1, C)
         probe = C.witness + rng.normal(0, 8.0, (32, 2))
         inside1 = e1.contains_many(probe, -1e-9)
         if np.any(inside1 & ~e.contains_many(probe, 1e-7)):
@@ -661,7 +661,7 @@ def check_polygon_operator(rng, n_instances: int):
         th = rng.uniform(0, 2 * math.pi)
         nvec = np.array([math.cos(th), math.sin(th)])
         chord = C.clip([(nvec, float(nvec @ C.witness) + 0.2 * C.clearance)])
-        e_ch = ext.extend_body(chord, C, resolution=128)
+        e_ch = ext.extend_body(chord, C)
         off = probe[e_ch.contains_many(probe, -1e-9) & ~C.contains_many(probe, 1e-9)]
         ys = ls.sample_domain(C, 16, rng)
         ys = ys[~chord.contains_many(ys, 1e-9)]
@@ -706,7 +706,7 @@ def check_downward_exclusion(pts, levels):
     par = Body2.epigraph("parabola", name="parabola")
     excl = np.zeros(len(pts), dtype=bool)
     for k in levels:
-        e = ext.extend_body(par.clip([((0.0, -1.0), -float(k))]), par, resolution=128)
+        e = ext.extend_body(par.clip([((0.0, -1.0), -float(k))]), par)
         excl |= ~e.contains_many(pts, 1e-9)
         if excl.all():
             break

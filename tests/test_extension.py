@@ -3,18 +3,22 @@
 import numpy as np
 import pytest
 
+from qcext import extension
 from qcext.extension import (
     CoveringError,
     ExtensionError,
     ExtensionOperator,
+    _extend_sampled,
     extend_body,
-    extend_chords,
+    extend_bodies,
     extend_function,
     restriction_hausdorff,
     segment_meets_body,
 )
-from qcext.geometry import Body2, HalfPlane, clip_polygon
+from qcext.geometry import Body2, GeometryError, HalfPlane, clip_polygon
 from qcext.levelset import LevelFamily, quasiconvex_check, sample_domain
+from qcext.serialize import body_from_json, body_to_json
+from qcext.verify import _random_polygon_pair
 
 
 @pytest.fixture(scope="module")
@@ -274,7 +278,7 @@ def test_extend_function_usc_forced_violation():
     assert mismatch >= 0.5
 
 
-# -- batched chord families against the per-level operator ---------------------------
+# -- the exact batched operator against the sampled oracle --------------------------
 
 def _chord_cases():
     th = 0.7
@@ -295,6 +299,48 @@ def _chord_family(name):
     return LevelFamily(np.arange(len(offsets), dtype=float), bodies, C)
 
 
+def _multi_cut_family(kind):
+    if kind == "shelves":
+        C = Body2.ball((0.0, 0.0), 1.0)
+        levels = np.arange(5.0)
+        bodies = [C.clip([((0.0, 1.0), -0.6 + 0.35 * k), ((1.0, 0.0), 0.2 + 0.15 * k)])
+                  for k in levels]
+    else:
+        # chord polygons of a 24-gon, built from vertices, not by clipping
+        ang = 2 * np.pi * np.arange(24) / 24
+        verts = np.column_stack([2.0 * np.cos(ang), 1.5 * np.sin(ang)])
+        C = Body2.from_polychain(verts)
+        levels = np.array([-1.2, -0.7, -0.2, 0.3, 0.8, 1.3])
+        bodies = [Body2.from_polychain(clip_polygon(list(verts), HalfPlane(np.array([0.0, 1.0]), t)))
+                  for t in levels]
+    return LevelFamily(levels, bodies, C)
+
+
+def _rows(e):
+    return [(*h.normal, h.offset) for h in e.halfplanes]
+
+
+def _assert_matches_oracle(e, B, C):
+    """e has the sampled oracle's special tag, and every half-plane of either
+    side has a partner on the other within 1e-10 * (1 + |offset|)."""
+    want = _extend_sampled(B, C)
+    assert e.special == want.special
+    for xs, ys in ((e.halfplanes, want.halfplanes), (want.halfplanes, e.halfplanes)):
+        for h in xs:
+            assert min(max(np.abs(h.normal - g.normal).max(), abs(h.offset - g.offset))
+                       for g in ys) <= 1e-10 * (1 + abs(h.offset))
+
+
+def _assert_batch_exact(fam):
+    """Each level matches the sampled oracle, and the batched operator's
+    levels equal one-body extend_body calls bit for bit."""
+    op = ExtensionOperator(fam)
+    for k, B in enumerate(fam.bodies):
+        e = extend_body(B, fam.ambient)
+        assert _rows(op.extended(k)) == _rows(e) and op.extended(k).special == e.special
+        _assert_matches_oracle(e, B, fam.ambient)
+
+
 def _reference_levels(exts, pts, inside):
     """Smallest level whose extended body passes inside, by a linear scan."""
     out = np.full(len(pts), len(exts))
@@ -305,17 +351,7 @@ def _reference_levels(exts, pts, inside):
 
 @pytest.mark.parametrize("name", ["disk", "parabola", "cosh", "square"])
 def test_chord_batch_matches_extend_body(name):
-    fam = _chord_family(name)
-    cuts = [B.cuts[-1] for B in fam.bodies]
-    batched = extend_chords(fam.bodies, cuts, fam.ambient)
-    for B, got in zip(fam.bodies, batched):
-        want = extend_body(B, fam.ambient)
-        assert got.special == want.special
-        # every half-plane of either side has a partner on the other
-        for xs, ys in ((got.halfplanes, want.halfplanes), (want.halfplanes, got.halfplanes)):
-            for h in xs:
-                assert min(max(np.abs(h.normal - g.normal).max(), abs(h.offset - g.offset))
-                           for g in ys) <= 1e-10 * (1 + abs(h.offset))
+    _assert_batch_exact(_chord_family(name))
 
 
 @pytest.mark.parametrize("name", ["disk", "parabola", "cosh", "square"])
@@ -341,7 +377,7 @@ def test_chord_batch_disk_closed_form():
     n = np.array([0.6, 0.8])
     offsets = np.linspace(-1.1, 1.25, 9)
     bodies = [disk.clip([(n, float(o))]) for o in offsets]
-    for o, e in zip(offsets, extend_chords(bodies, [B.cuts[-1] for B in bodies], disk)):
+    for o, e in zip(offsets, extend_bodies(bodies, disk)):
         s = o - n @ disk.base.center
         h = np.sqrt(1.3 ** 2 - s * s)
         ends = disk.base.center + s * n + h * np.array([[-n[1], n[0]], [n[1], -n[0]]])
@@ -354,8 +390,8 @@ def test_chord_batch_disk_closed_form():
 
 
 def test_ball_chord_ends_on_circle():
-    """The cut segment of a clipped ball ends on the circle, so extend_body's
-    tangent half-planes there are the closed form's."""
+    """The cut segment of a clipped ball ends on the circle, so the sampled
+    operator's tangent half-planes there are the closed form's."""
     disk = Body2.ball((0.5, -0.2), 1.3)
     n = np.array([0.6, 0.8])
     for o in np.linspace(-1.1, 1.25, 9):
@@ -367,7 +403,7 @@ def test_ball_chord_ends_on_circle():
         s = o - n @ disk.base.center
         h = np.sqrt(1.3 ** 2 - s * s)
         want = disk.base.center + s * n + h * np.array([[-n[1], n[0]], [n[1], -n[0]]])
-        e = extend_body(B, disk)
+        e = _extend_sampled(B, disk)
         for y in want:
             nw = (y - disk.base.center) / 1.3
             assert min(max(np.abs(hp.normal - nw).max(), abs(hp.offset - nw @ y))
@@ -375,24 +411,13 @@ def test_ball_chord_ends_on_circle():
 
 
 @pytest.mark.parametrize("kind", ["shelves", "polychain"])
-def test_non_clip_families_keep_per_level_operator(kind):
-    """Two-cut shelves and polygon families are built by extend_body per
-    level; their indices and values are the per-level reference scan's."""
-    if kind == "shelves":
-        C = Body2.ball((0.0, 0.0), 1.0)
-        levels = np.arange(5.0)
-        bodies = [C.clip([((0.0, 1.0), -0.6 + 0.35 * k), ((1.0, 0.0), 0.2 + 0.15 * k)])
-                  for k in levels]
-    else:
-        # chord polygons of a 24-gon, built from vertices, not by clipping
-        ang = 2 * np.pi * np.arange(24) / 24
-        verts = np.column_stack([2.0 * np.cos(ang), 1.5 * np.sin(ang)])
-        C = Body2.from_polychain(verts)
-        levels = np.array([-1.2, -0.7, -0.2, 0.3, 0.8, 1.3])
-        bodies = [Body2.from_polychain(clip_polygon(list(verts), HalfPlane(np.array([0.0, 1.0]), t)))
-                  for t in levels]
-    fam = LevelFamily(levels, bodies, C)
-    exts = [extend_body(B, C) for B in bodies]
+def test_multi_cut_families_match_sampled_oracle(kind):
+    """Two-cut shelves and chord polygons of a 24-gon take the exact batch;
+    their indices and values are the per-level reference scan's."""
+    fam = _multi_cut_family(kind)
+    C, levels = fam.ambient, fam.levels
+    _assert_batch_exact(fam)
+    exts = [extend_body(B, C) for B in fam.bodies]
     rng = np.random.default_rng(12)
     pts = rng.uniform(-6.0, 6.0, (2000, 2))
     top = exts[-1].contains_many(pts)
@@ -403,6 +428,69 @@ def test_non_clip_families_keep_per_level_operator(kind):
     k = _reference_levels(exts, off, lambda e, p: e.interior_many(p))
     res = extend_function(fam)
     assert np.array_equal(res.eval_many(off), levels[np.minimum(k, len(fam) - 1)])
-    for j, e in enumerate(exts):
-        assert [(*h.normal, h.offset) for h in op.extended(j).halfplanes] == \
-            [(*h.normal, h.offset) for h in e.halfplanes]
+
+
+def test_polygon_pairs_match_sampled_oracle():
+    """Fifty of criterion 2's random polygon pairs (rng 21), each B a
+    half-plane body inside the polygon C."""
+    rng = np.random.default_rng(21)
+    n = 0
+    while n < 50:
+        try:
+            B, C = _random_polygon_pair(rng)
+        except Exception:
+            continue
+        _assert_matches_oracle(extend_body(B, C), B, C)
+        n += 1
+
+
+@pytest.mark.parametrize("ambient", ["disk", "square"])
+def test_polygon_vertex_on_ambient_boundary(ambient):
+    C = (Body2.ball((0.0, 0.0), 2.0) if ambient == "disk"
+         else Body2.from_polychain([(-2, -2), (2, -2), (2, 2), (-2, 2)]))
+    B = Body2.from_polychain([(2.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
+    e = extend_body(B, C)
+    _assert_matches_oracle(e, B, C)
+    assert len(e.halfplanes) == 4
+
+
+def test_extend_body_rejects_halfplane_body_outside():
+    C = Body2.ball((0.0, 0.0), 1.0)
+    B = Body2.from_polychain([(0.0, 0.0), (2.0, 0.0), (0.0, 2.0)])
+    with pytest.raises(GeometryError):
+        extend_body(B, C)
+
+
+def test_serialized_family_takes_exact_path(monkeypatch):
+    """A chord family rebuilt from JSON, as the CLI loads it, holds the
+    ambient's base by value, not by object, and still takes the batch."""
+    par = Body2.epigraph("parabola")
+    fam = chord_family(par, np.linspace(0.0, 39.0, 40))
+    loaded = LevelFamily(fam.levels, [body_from_json(body_to_json(B)) for B in fam.bodies],
+                         body_from_json(body_to_json(par)))
+    want = ExtensionOperator(fam).level_table()
+
+    def refuse(*args, **kw):
+        raise AssertionError("sampled fallback called")
+
+    monkeypatch.setattr(extension, "_extend_sampled", refuse)
+    got = ExtensionOperator(loaded).level_table()
+    assert got.tobytes() == want.tobytes()
+
+
+def test_far_chord_of_unbounded_ambient():
+    """A chord far beyond B's window box keeps both tangent half-planes."""
+    C = Body2.epigraph("parabola").clip([((1.0, -0.2), 1.5)])
+    cut = HalfPlane.from_any((-0.307, 0.952), 26270.0)
+    e = extend_body(C.clip([cut]), C)
+    assert e.special is None and len(e.halfplanes) == 3
+    # the line n . p = c meets y = x^2 - 1 where n_x x + n_y (x^2 - 1) = c
+    (nx, ny), c = cut.normal, cut.offset
+    xs = np.roots([ny, nx, -ny - c])
+    want = [(cut.normal, c)]
+    for x in xs:
+        nrm = np.array([2 * x, -1.0]) / np.hypot(2 * x, 1.0)
+        want.append((nrm, nrm @ (x, x * x - 1)))
+    for nw, ow in want:
+        assert min(max(np.abs(h.normal - nw).max(), abs(h.offset - ow) / abs(ow))
+                   for h in e.halfplanes) <= 1e-9
