@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qcext.geometry as geo
 from qcext.geometry import (
     Body2,
     CutTable,
     golden_min,
     GeometryError,
+    RADIUS_CAP,
     asymptotic_slope,
     bisect_leq,
     coarse_golden_min,
@@ -515,3 +517,160 @@ def test_distance_many_zero_inside(disk):
     d = distance_many(disk, pts)
     assert d[0] == 0.0 and d[1] == 0.0
     assert d[2] == pytest.approx(1.0, abs=1e-9)
+
+
+# -- witnesses: exact Chebyshev centres, cached probes -------------------------
+
+def _lp_centre(body):
+    """Chebyshev centre and radius by a direct HiGHS LP, the oracle."""
+    from scipy.optimize import linprog
+
+    A, b = body.cut_table.normals, body.cut_table.offsets
+    res = linprog([0.0, 0.0, -1.0], A_ub=np.hstack([A, np.ones((len(b), 1))]), b_ub=b,
+                  bounds=[(None, None), (None, None), (0, 1e3)], method="highs")
+    assert res.success
+    return res.x[:2], res.x[2]
+
+
+def _no_lp(*args, **kwargs):
+    raise AssertionError("the witness LP ran")
+
+
+def _vertex_bodies():
+    """(body, unique centre) for bodies whose constraints have a vertex."""
+    from qcext.extension import extend_body
+    from qcext.verify import _random_polygon_pair
+
+    rng = np.random.default_rng(21)
+    out = []
+    for _ in range(20):
+        B, C = _random_polygon_pair(rng)
+        n = np.array([0.6, 0.8])
+        chord = C.clip([(n, float(n @ C.witness) + 0.2 * C.clearance)])
+        out += [(B, True), (C, True), (chord, True),
+                (Body2.from_halfplanes([(hp.normal, hp.offset)
+                                        for hp in extend_body(B, C).halfplanes]), True)]
+    wedge = Body2.from_halfplanes([((-1.0, 0.2), 0.0), ((0.3, -1.0), 1.0)])
+    square = Body2.from_polychain([(-1, -1), (1, -1), (1, 1), (-1, 1)])
+    cone = supporting_cone(np.array([1.0, 1.0]), square)
+    return out + [(wedge, False), (cone, False)]
+
+
+def test_vertex_bodies_make_no_lp_call(monkeypatch):
+    """Bodies whose half-planes have a vertex never call the LP, and match
+    the LP oracle: r to 1e-12 relative, a unique centre to 1e-9."""
+    monkeypatch.setattr(geo, "linprog", _no_lp)
+    for body, unique in _vertex_bodies():
+        w, r = _lp_centre(body)
+        assert body._clearance0 == pytest.approx(r, rel=1e-12)
+        if unique:
+            assert np.abs(body.witness - w).max() <= 1e-9 * max(1.0, np.abs(w).max())
+        else:  # capped at r = 1e3: the single optimal vertex, every cut 1e3 away
+            slack = body.cut_table.offsets - body.cut_table.normals @ body.witness
+            assert slack == pytest.approx(np.full(len(slack), 1e3), rel=1e-12)
+
+
+@pytest.mark.parametrize("hps", [[((0.0, 1.0), 1.0)],
+                                 [((0.0, 1.0), 1.0), ((0.0, -1.0), 1.0)]],
+                         ids=["halfplane", "strip"])
+def test_bodies_without_vertex_reach_lp(monkeypatch, hps):
+    calls = []
+    lp = geo.linprog
+    monkeypatch.setattr(geo, "linprog", lambda *a, **k: calls.append(1) or lp(*a, **k))
+    body = Body2.from_halfplanes(hps)
+    assert len(calls) == 1
+    assert body._clearance0 == pytest.approx(_lp_centre(body)[1], rel=1e-12)
+
+
+def test_empty_interior_raises_on_both_paths(monkeypatch):
+    # a triangle shrunk to the origin: the vertex path
+    point = [((-1.0, 0.0), 0.0), ((0.0, -1.0), 0.0), ((1.0, 1.0), 0.0)]
+    # two disjoint half-planes: the LP path
+    gap = [((1.0, 0.0), 0.0), ((-1.0, 0.0), -1.0)]
+    with monkeypatch.context() as mp:
+        mp.setattr(geo, "linprog", _no_lp)
+        with pytest.raises(GeometryError):
+            Body2.from_halfplanes(point)
+    for hps in (point, gap):
+        table = CutTable([geo.HalfPlane.from_any(*hp) for hp in hps])
+        with pytest.raises(GeometryError):
+            geo._chebyshev_lp(table.normals, table.offsets)
+    with pytest.raises(GeometryError):
+        Body2.from_halfplanes(gap)
+
+
+def test_rectangle_witness_is_its_centre():
+    """Tie rule: the midpoint of the extreme optimal vertices."""
+    rect = Body2.from_polychain([(0, 0), (2, 0), (2, 1), (0, 1)])
+    assert np.abs(rect.witness - [1.0, 0.5]).max() <= 1e-15
+    assert rect._clearance0 == pytest.approx(0.5, rel=1e-15)
+
+
+def _invariance_polygons():
+    from scipy.spatial import ConvexHull
+
+    rng = np.random.default_rng(8)
+    out = [np.array([(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0)])]
+    for _ in range(30):
+        pts = rng.normal(0.0, 0.4, (int(rng.integers(3, 16)), 2))
+        out.append(pts[ConvexHull(pts).vertices])
+    return out
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("shift", [0.0, 1e3, 1e6])
+def test_witness_follows_translation_and_scale(scale, shift):
+    """The witness maps with the body and the clearance scales, within
+    1e-9 of the coordinate scale: the body's size times scale plus the
+    translation (float64 carries the translated vertices to eps * shift).
+    Every scaled clearance stays below the radius cap, which no scaling
+    can follow."""
+    move = shift * np.array([0.6, -0.8])
+    for verts in _invariance_polygons():
+        base = Body2.from_polychain(verts, collinear_ok=True)
+        assert scale * base._clearance0 < RADIUS_CAP
+        moved = Body2.from_polychain(scale * verts + move, collinear_ok=True)
+        tol = 1e-9 * (scale * np.abs(verts).max() + shift)
+        assert np.abs(moved.witness - (scale * base.witness + move)).max() <= tol
+        assert abs(moved._clearance0 - scale * base._clearance0) <= tol
+
+
+_PROBE_BODIES = {
+    "parabola": lambda: Body2.epigraph("parabola"),
+    "moved_parabola": lambda: Body2.epigraph(
+        "parabola", transform=[[0.0, -2.0, 3.0], [2.0, 0.0, -1.0]]),
+    "cosh": lambda: Body2.epigraph("cosh"),
+    "exp_hypograph": lambda: Body2.epigraph("exp_hypograph"),
+    "ball": lambda: Body2.ball((1.0, -2.0), 1.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROBE_BODIES))
+def test_clip_witness_reuses_base_probe(monkeypatch, name):
+    """C.clip(h) takes the witness and clearance of the same cuts on a fresh
+    equal base, bit for bit, and the base's probe is evaluated once."""
+    C = _PROBE_BODIES[name]()
+    calls = []
+    if name == "ball":
+        margin = type(C.base).margin
+        monkeypatch.setattr(type(C.base), "margin",
+                            lambda self, pts: calls.append(1) or margin(self, pts))
+    else:
+        g = type(C.base.profile).g
+        monkeypatch.setattr(type(C.base.profile), "g",
+                            lambda self, u: calls.append(1) or g(self, u))
+    rng = np.random.default_rng(4)
+    for _ in range(6):
+        th = rng.uniform(0.0, 2.0 * math.pi)
+        n = np.array([math.cos(th), math.sin(th)])
+        hps = [(n, float(n @ C.witness) + rng.uniform(0.05, 1.0))]
+        if rng.uniform() < 0.5:
+            hps.append((-n, float(-n @ C.witness) + rng.uniform(0.05, 1.0)))
+        B = C.clip(hps)
+        fresh = _PROBE_BODIES[name]().clip(hps)
+        assert np.array_equal(B.witness, fresh.witness)
+        assert B._clearance0 == fresh._clearance0
+    # C's base was probed before counting began: the six clips of C add no
+    # probe, each fresh base adds one (one margin call for a ball, two g
+    # calls for an epigraph)
+    assert len(calls) == (1 if name == "ball" else 2) * 6
