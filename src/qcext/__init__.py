@@ -6,7 +6,6 @@ from .counterexamples import (
     ForcingCertificate,
     NoLipCertificate,
     NoUCCertificate,
-    ProjectionMap,
     characterize,
     gen_no_lip,
     gen_no_qc,
@@ -75,7 +74,7 @@ __all__ = [
     "CoveringError", "ExtendedBody", "ExtensionError", "ExtensionOperator",
     "ExtensionResult", "extend_body", "extend_function",
     "Classification", "ConstructionError", "ForcingCertificate",
-    "NoLipCertificate", "NoUCCertificate", "ProjectionMap", "characterize",
+    "NoLipCertificate", "NoUCCertificate", "characterize",
     "gen_no_lip", "gen_no_qc", "gen_no_uc", "gen_non_rotund",
     "gen_usc_counterexample",
     "SuiteReport", "fuzz_bodies", "run_suite",

@@ -11,23 +11,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .geometry import (
-    BallBase,
     Body2,
-    EpigraphBase,
+    Frame,
     HalfPlane,
-    PlaneBase,
     along,
     as_point,
     as_points,
     bisect_leq,
     boundary_crossing,
     cross2,
-    feasible_ends,
     find_asymptotic_direction,
     find_boundary_segment,
     golden_min,
@@ -38,6 +35,7 @@ from .geometry import (
     support,
     support_point,
     supporting_normals,
+    transform_body,
     unit,
     vec,
     walk_to_chord,
@@ -53,29 +51,6 @@ class ConstructionError(ValueError):
 # ---------------------------------------------------------------------------
 # frames
 
-@dataclass(frozen=True)
-class Frame:
-    """Affine map q = lam * R (p - anchor) + shift with R orthogonal."""
-
-    R: np.ndarray
-    anchor: np.ndarray
-    shift: np.ndarray
-    lam: float = 1.0
-
-    def apply(self, pts):
-        return self.lam * ((as_points(pts) - self.anchor) @ self.R.T) + self.shift
-
-    def invert(self, qts):
-        return ((as_points(qts) - self.shift) / self.lam) @ self.R + self.anchor
-
-    def pullback_halfplane(self, hp: HalfPlane) -> HalfPlane:
-        # {n.q <= c} in frame coords -> half-plane in world coords
-        n_world = self.R.T @ hp.normal
-        c_world = (hp.offset - float(hp.normal @ self.shift)) / self.lam \
-            + float(n_world @ self.anchor)
-        return HalfPlane(n_world, c_world)
-
-
 def _rotation_to(d_from, d_to) -> np.ndarray:
     a = unit(np.asarray(d_from, dtype=float))
     b = unit(np.asarray(d_to, dtype=float))
@@ -84,62 +59,17 @@ def _rotation_to(d_from, d_to) -> np.ndarray:
     return np.array([[cos, -sin], [sin, cos]])
 
 
-def transform_body(E: Body2, frame: Frame, name: str = "") -> Body2:
-    """Image of a body under a frame (scaled isometry); the frame maps E's
-    witness onto an interior point of the image, which is passed on."""
-    M = frame.lam * frame.R
-
-    def fwd_hp(hp: HalfPlane) -> HalfPlane:
-        n_new = frame.R @ hp.normal
-        c_new = frame.lam * (hp.offset - float(hp.normal @ frame.anchor)) \
-            + float(n_new @ frame.shift)
-        return HalfPlane(n_new, c_new)
-
-    cuts = [fwd_hp(hp) for hp in E.cuts]
-    witness = frame.apply(E.witness[None, :])[0]
-    if isinstance(E.base, PlaneBase):
-        return Body2(PlaneBase(), cuts, name=name, witness=witness)
-    if isinstance(E.base, BallBase):
-        c_new = frame.apply(E.base.center[None, :])[0]
-        return Body2(BallBase(c_new, frame.lam * E.base.radius), cuts, name=name,
-                     witness=witness)
-    if isinstance(E.base, EpigraphBase):
-        eb = E.base
-        M_new = M @ eb.M
-        shift_new = frame.apply(eb.shift[None, :])[0]
-        return Body2(EpigraphBase(eb.profile, M_new, shift_new), cuts, name=name,
-                     witness=witness)
-    raise ConstructionError("unknown base representation")
-
-
 # ---------------------------------------------------------------------------
 # certificate containers
-
-@dataclass
-class ProjectionMap:
-    """Linear map onto the construction plane with its covering gauge.
-
-    gauge * (unit ball of the target) is contained in the image of the
-    source unit ball; for the planar scaled isometries used here the gauge
-    equals the scale factor.
-    """
-
-    matrix: np.ndarray
-    gauge: float
-
-    def __post_init__(self):
-        self.matrix = np.atleast_2d(np.asarray(self.matrix, dtype=float))
-        if self.gauge <= 0:
-            raise ConstructionError("projection gauge must be positive")
-
 
 @dataclass
 class ForcingCertificate:
     """Evidence that convexity forces unbounded or jumping extension values.
 
-    Each forcing half-plane's boundary line meets the body in an arc of
-    positive length; by convexity any quasiconvex extension is pinned above
-    the recorded level outside it.
+    Built by _wedge_staircase for gen_no_qc and gen_non_rotund.  Each
+    forcing half-plane's boundary line meets the body in an arc of positive
+    length (sampled by _arc_lengths, world units); by convexity any
+    quasiconvex extension is pinned above the recorded level outside it.
     """
 
     kind: str                      # 'no_qc' or 'non_rotund'
@@ -212,15 +142,7 @@ class NoLipCertificate:
     lip_lower_bounds: np.ndarray   # K_k
     products: np.ndarray           # 2^k (2 delta_k + alpha_{k+1})
     frame: Frame = None
-    projection: Optional["ProjectionMap"] = None
     params: dict = field(default_factory=dict)
-
-    def monotone_from(self) -> int:
-        p = self.products
-        k = len(p) - 1
-        while k > 0 and p[k] < p[k - 1] - 1e-15:
-            k -= 1
-        return k
 
     def validate(self):
         if np.any(np.diff(self.lip_lower_bounds[2:]) <= 0):
@@ -229,7 +151,7 @@ class NoLipCertificate:
 
 
 # ---------------------------------------------------------------------------
-# asymptotic directions kill every quasiconvex extension
+# wedge staircases force the values of every extension
 
 def _wedge_halfplane(eps_n: float, b_n: float) -> HalfPlane:
     # frame-coordinates half-plane {s <= 1 + eps_n - (eps_n/b_n) t}
@@ -238,40 +160,90 @@ def _wedge_halfplane(eps_n: float, b_n: float) -> HalfPlane:
     return HalfPlane.from_any(n, float(n @ vec(b_n, 1.0)))
 
 
-def _line_body_arc_length(C: Body2, hp: HalfPlane, t_grid: np.ndarray,
-                          frame: Frame, focus: Optional[np.ndarray] = None) -> float:
-    """Sampled chord length of the half-plane boundary inside the body.
+def _arc_lengths(C: Body2, frame: Frame, lines: Sequence[HalfPlane], spans,
+                 foci) -> np.ndarray:
+    """Sampled chord length of each line's meet with the body, in world
+    units; the lines, spans and foci are in frame coordinates.
 
     Pure membership arithmetic, so it stays valid far outside the working
-    window of the boundary pieces.  The meet of a line with a convex body is
-    one interval around the deepest sample; its ends are bisected from the
-    nearest outside samples on either side.  A geometric grid around the
-    focus point resolves pinched slivers.
+    window of the boundary pieces.  Line k is sampled at 8,193 points over
+    |t| <= spans[k] plus a geometric grid about the foot of foci[k], which
+    resolves pinched slivers; each line's grid is one margin call of its
+    own.  Its meet with the convex body is one interval around the deepest
+    sample.  One golden section serves every line without an inside sample
+    (length 0 where it finds none either), and one bisection moves every
+    end that starts at the nearest outside sample onto the boundary.
     """
-    d = perp(hp.normal)
-    anchor = hp.normal * hp.offset
-    if focus is not None:
-        tau = float((as_point(focus) - anchor) @ d)
-        fine = np.geomspace(1e-12, max(np.abs(t_grid).max(), 1.0), 240)
-        t_grid = np.sort(np.concatenate([t_grid, tau + fine, tau - fine, [tau]]))
+    normals = np.array([hp.normal for hp in lines])
+    anchors = normals * np.array([hp.offset for hp in lines])[:, None]
+    dirs = np.column_stack([-normals[:, 1], normals[:, 0]])
 
-    m = along(C.margin_many, lambda t: frame.invert(anchor + np.multiply.outer(t, d)))
-    vals = m(t_grid)
-    j = int(np.argmin(vals))
-    t_star, m_star = t_grid[j], vals[j]
-    if m_star >= 0:
-        lo = t_grid[max(j - 1, 0)]
-        hi = t_grid[min(j + 1, len(t_grid) - 1)]
-        t_star, m_star = golden_min(m, lo, hi, iters=90)
-        if m_star >= 0:
-            return 0.0
-    # the nearest outside samples on either side of t_star bracket the ends
-    out_lo = t_grid[(t_grid < t_star) & (vals > 0)]
-    out_hi = t_grid[(t_grid > t_star) & (vals > 0)]
-    t_lo = out_lo[-1] if len(out_lo) else (t_grid[0] if t_grid[0] < t_star else t_star - 1.0)
-    t_hi = out_hi[0] if len(out_hi) else (t_grid[-1] if t_grid[-1] > t_star else t_star + 1.0)
-    a, b = feasible_ends(m, (t_lo, t_hi), t_star)
-    return float(max(b - a, 0.0)) / frame.lam
+    def margins(rows):
+        # t shaped like anchors[rows] without its last axis
+        return along(C.margin_many, lambda t: frame.invert(
+            (anchors[rows] + t[..., None] * dirs[rows]).reshape(-1, 2)))
+
+    def outside_neighbours(grid, out, t):
+        lo, hi = grid[(grid < t) & out], grid[(grid > t) & out]
+        return (lo[-1] if len(lo) else (grid[0] if grid[0] < t else t - 1.0),
+                hi[0] if len(hi) else (grid[-1] if grid[-1] > t else t + 1.0))
+
+    n = len(normals)
+    t_star, m_star = np.empty(n), np.empty(n)
+    ends, brackets, pending = np.empty((n, 2)), np.empty((n, 2)), {}
+    for k in range(n):
+        grid = np.linspace(-spans[k], spans[k], 8193)
+        tau = float((as_point(foci[k]) - anchors[k]) @ dirs[k])
+        fine = np.geomspace(1e-12, max(spans[k], 1.0), 240)
+        grid = np.sort(np.concatenate([grid, tau + fine, tau - fine, [tau]]))
+        vals = margins(k)(grid)
+        j = int(np.argmin(vals))
+        t_star[k], m_star[k] = grid[j], vals[j]
+        if m_star[k] < 0:
+            ends[k] = outside_neighbours(grid, vals > 0, t_star[k])
+        else:
+            brackets[k] = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
+            pending[k] = grid, vals > 0
+    if pending:
+        rows = np.array(list(pending))
+        t_star[rows], m_star[rows] = golden_min(margins(rows), *brackets[rows].T, iters=90)
+        for k in rows[m_star[rows] < 0]:
+            ends[k] = outside_neighbours(*pending[k], t_star[k])
+    ok = m_star < 0
+    rows = np.repeat(np.flatnonzero(ok)[:, None], 2, axis=1)
+    inner = ends[ok]
+    cut = margins(rows)(inner) > 0
+    inner[cut] = bisect_leq(margins(rows[cut]), inner[cut], t_star[rows[cut]])
+    out = np.zeros(n)
+    out[ok] = np.maximum(inner[:, 1] - inner[:, 0], 0.0) / frame.lam
+    return out
+
+
+def _wedge_staircase(C: Body2, frame: Frame, bs, spans):
+    """The wedge construction shared by gen_no_qc and gen_non_rotund.
+
+    In frame coordinates wedge n is {s <= 1 + eps_n - (eps_n / b_n) t} with
+    eps_n = 2^-(n+1); its world pullback H_n, computed once, cuts the level
+    body C ∩ H_n.  Gap n is the pinch distance from the corner
+    (b_{n+1}, 1) to the line of wedge n, in world units (the last gap is
+    repeated), and the levels are the running sums of the gaps from 0.
+    The arc lengths are the meets of the lines of H_n with C, all
+    k_max + 1 lines in one _arc_lengths call (grid n over
+    |t| <= spans[n], focus (b_n, 1)).  Returns the staircase function,
+    eps, the levels, the H_n and the arc lengths.
+    """
+    bs = np.asarray(bs, dtype=float)
+    eps = 0.5 ** np.arange(1, len(bs) + 1)
+    wedges = [_wedge_halfplane(e, b) for e, b in zip(eps, bs)]
+    halfplanes = [frame.pullback_halfplane(w) for w in wedges]
+    bodies = [C.clip([hp], name=f"wedge{i}") for i, hp in enumerate(halfplanes)]
+    slope = eps[:-1] / bs[:-1]
+    pinch = eps[:-1] * (bs[1:] / bs[:-1] - 1.0) / np.sqrt(1.0 + slope * slope)
+    gaps = np.append(pinch, pinch[-1]) / frame.lam
+    levels = np.concatenate([[0.0], np.cumsum(gaps[:-1])])
+    f = staircase_qc(C, bodies, levels, gaps, check_gaps=False)
+    arcs = _arc_lengths(C, frame, wedges, spans, np.column_stack([bs, np.ones_like(bs)]))
+    return f, eps, levels, halfplanes, arcs
 
 
 def gen_no_qc(C: Body2, k_max: int = 24):
@@ -303,42 +275,17 @@ def gen_no_qc(C: Body2, k_max: int = 24):
     R = np.vstack([v, n])
     shift = vec(0.0, 1.0 - (s0 - float(n @ C.witness)))
     frame = Frame(R=R, anchor=C.witness.copy(), shift=shift, lam=1.0)
-
-    eps = 0.5 ** np.arange(1, k_max + 2)
-    bs = [1.0]
-    for nn in range(k_max):
-        bs.append(2.0 * bs[-1] * (1.0 + 1.0 / eps[nn]))
-    bs = np.array(bs)
-    wedges = [_wedge_halfplane(eps[i], bs[i]) for i in range(k_max + 1)]
-    bodies = [C.clip([frame.pullback_halfplane(w)], name=f"wedge{i}")
-              for i, w in enumerate(wedges)]
-    # gap lower bound: distance from the corner (b_{n+1}, 1) to the line l_n
-    gaps = []
-    for i in range(k_max):
-        slope = eps[i] / bs[i]
-        gaps.append(eps[i] * (bs[i + 1] / bs[i] - 1.0) / math.sqrt(1.0 + slope * slope))
-    gaps.append(gaps[-1])
-    levels = np.concatenate([[0.0], np.cumsum(gaps[:-1])])
-    f = staircase_qc(C, bodies, levels, gaps, check_gaps=False)
-    arc_lengths = []
-    for i, w in enumerate(wedges):
-        span = 4.0 * bs[i] + 8.0
-        grid = np.linspace(-span, span, 8193)
-        arc_lengths.append(_line_body_arc_length(C, w, grid, frame,
-                                                 focus=vec(bs[i], 1.0)))
+    # b_{n+1} = 2 b_n (1 + 1/eps_n)
+    bs = np.cumprod(np.concatenate([[1.0], 2.0 * (1.0 + 2.0 ** np.arange(1.0, k_max + 1))]))
+    f, eps, levels, halfplanes, arcs = _wedge_staircase(C, frame, bs, 4.0 * bs + 8.0)
     witness = frame.invert(vec(0.0, 1.0 + eps[0])[None, :])[0]
     cert = ForcingCertificate(
-        kind="no_qc", levels=levels,
-        forcing_halfplanes=[frame.pullback_halfplane(w) for w in wedges],
-        arc_lengths=np.array(arc_lengths), witnesses=witness[None, :],
-        frame=frame,
-        params={"eps": eps[: k_max + 1].tolist(), "b": bs.tolist(),
+        kind="no_qc", levels=levels, forcing_halfplanes=halfplanes,
+        arc_lengths=arcs, witnesses=witness[None, :], frame=frame,
+        params={"eps": eps.tolist(), "b": bs.tolist(),
                 "direction": v.tolist(), "x0": np.asarray(x0).tolist()})
     return f, cert
 
-
-# ---------------------------------------------------------------------------
-# a boundary segment kills continuous quasiconvex extensions
 
 def gen_non_rotund(C: Body2, k_max: int = 24, min_segment: float = 1e-6):
     """Lipschitz QC function on a non-rotund body with no continuous QC
@@ -351,36 +298,16 @@ def gen_non_rotund(C: Body2, k_max: int = 24, min_segment: float = 1e-6):
     # frame: segment end d -> (0, 1), start c -> (2, 1), interior below s = 1
     c_pt, d_pt = seg.a, seg.b
     lam = 2.0 / norm(c_pt - d_pt)
-    e_t = unit(c_pt - d_pt)
-    e_s = seg.n
-    R = np.vstack([e_t, e_s])
+    R = np.vstack([unit(c_pt - d_pt), seg.n])
     frame = Frame(R=R, anchor=d_pt.copy(), shift=vec(0.0, 1.0), lam=lam)
-
-    eps = 0.5 ** np.arange(1, k_max + 2)
     bs = 2.0 - 2.0 ** (-np.arange(0.0, k_max + 1))  # 1, 1.5, 1.75, ... -> 2
-    wedges = [_wedge_halfplane(eps[i], bs[i]) for i in range(k_max + 1)]
-    bodies = [C.clip([frame.pullback_halfplane(w)], name=f"wedge{i}")
-              for i, w in enumerate(wedges)]
-    gaps = []
-    for i in range(k_max):
-        slope = eps[i] / bs[i]
-        pinch = eps[i] * (bs[i + 1] / bs[i] - 1.0) / math.sqrt(1.0 + slope * slope)
-        gaps.append(pinch / lam)  # world distances
-    gaps.append(gaps[-1])
-    levels = np.concatenate([[0.0], np.cumsum(gaps[:-1])])
-    f = staircase_qc(C, bodies, levels, gaps, check_gaps=False)
-    arc_lengths = []
-    for i, w in enumerate(wedges):
-        grid = np.linspace(-8.0, 8.0, 8193)
-        arc_lengths.append(_line_body_arc_length(C, w, grid, frame,
-                                                 focus=vec(bs[i], 1.0)))
-    witnesses = frame.invert(np.column_stack([np.zeros(k_max + 1), 1.0 + eps[: k_max + 1]]))
+    f, eps, levels, halfplanes, arcs = _wedge_staircase(C, frame, bs, np.full(k_max + 1, 8.0))
+    witnesses = frame.invert(np.column_stack([np.zeros(k_max + 1), 1.0 + eps]))
     cert = ForcingCertificate(
-        kind="non_rotund", levels=levels,
-        forcing_halfplanes=[frame.pullback_halfplane(w) for w in wedges],
-        arc_lengths=np.array(arc_lengths), witnesses=witnesses,
+        kind="non_rotund", levels=levels, forcing_halfplanes=halfplanes,
+        arc_lengths=arcs, witnesses=witnesses,
         jump=(float(levels[0]), float(levels[-1])), frame=frame,
-        params={"eps": eps[: k_max + 1].tolist(), "b": bs.tolist(),
+        params={"eps": eps.tolist(), "b": bs.tolist(),
                 "segment": [c_pt.tolist(), d_pt.tolist()]})
     return f, cert
 
@@ -612,7 +539,6 @@ def gen_no_lip(E: Body2, k_max: int = 24, scan: int = 64):
         levels=betas, body_cuts=cuts, lines=lines,
         p_points=p_pts, q_points=q_pts,
         lip_lower_bounds=k_bounds, products=products, frame=frame,
-        projection=ProjectionMap(lam * frame.R, lam),
         params={"theta": theta, "k_max": k_max, "g_eps": float(g_at[0])})
     return f, cert
 
@@ -620,15 +546,15 @@ def gen_no_lip(E: Body2, k_max: int = 24, scan: int = 64):
 def _no_lip_frame(E: Body2, d: np.ndarray) -> Optional[Frame]:
     """Frame rotating the supporting direction onto -v, the support point to
     the origin, scaled so (0, 1) is interior; None if the direction is
-    unusable (infinite support or no interior along the inward normal)."""
+    unusable (infinite support or no interior along the inward normal).
+
+    The frame's v axis is the inward normal pt + t R[1], so membership along
+    it is read in E's own coordinates, as in _lower_profile."""
     val, pt = support_point(E, d)
     if pt is None:
         return None
     R = _rotation_to(d, vec(0.0, -1.0))
-    probe = Frame(R=R, anchor=pt.copy(), shift=np.zeros(2), lam=1.0)
-    C0 = transform_body(E, probe)
-
-    mg = along(C0.margin_many, lambda t: np.multiply.outer(t, vec(0.0, 1.0)))
+    mg = along(E.margin_many, lambda t: pt + np.multiply.outer(t, R[1]))
     t_hi = 2.0
     if mg(t_hi) <= 0:
         t0 = 1.0
@@ -690,9 +616,6 @@ class Classification:
     denied: dict     # grade -> generator producing the witness
     granted: list    # grades the extension machinery supports
     evidence: dict = field(default_factory=dict)
-
-    def summary(self) -> str:
-        return self.extendability_class
 
 
 def characterize(C: Body2) -> Classification:

@@ -1214,7 +1214,9 @@ class Body2:
             if area < 0:
                 verts = verts[::-1]
             m = len(verts)
-            scale = max(norm(v) for v in verts) + 1.0
+            # turns are measured against the chain's own extent, so the test
+            # follows translation and scaling
+            scale = max(norm(v - verts[0]) for v in verts)
             for i in range(m):
                 e1 = verts[(i + 1) % m] - verts[i]
                 e2 = verts[(i + 2) % m] - verts[(i + 1) % m]
@@ -1392,19 +1394,16 @@ class Body2:
             for (s, ln) in _intersect_circular(constraints):
                 if ln * base.radius > 1e-12:
                     pieces.append(Arc(base.center, base.radius, s, s + ln))
-        r = base.radius
         for seg in segs:
             if seg.synthetic:
                 continue
             # the chord runs half to either side of the centre's foot on the
             # line, so its ends come out near the circle, not near seg.a
-            rel = base.center - seg.a
-            dist = float(rel @ seg.n)
-            if abs(dist) >= r:
+            t_foot, half, dist = (float(x) for x in
+                                  _circle_chord(base.center, base.radius, seg.a, seg.n, seg.d))
+            if abs(dist) >= base.radius:
                 continue
-            half = math.sqrt((r - dist) * (r + dist))
             foot = base.center - dist * seg.n
-            t_foot = float(rel @ seg.d)
             lo, hi = max(0.0, t_foot - half), min(seg.length, t_foot + half)
             if hi - lo > 1e-12:
                 a = seg.a if lo == 0.0 else foot - half * seg.d
@@ -1464,6 +1463,54 @@ class Body2:
     def __repr__(self):
         tag = self.name or self.base.kind
         return f"Body2({tag}, cuts={len(self.cuts)}, bounded={self.bounded})"
+
+
+# ---------------------------------------------------------------------------
+# scaled isometries
+
+@dataclass(frozen=True)
+class Frame:
+    """Affine map q = lam * R (p - anchor) + shift with R orthogonal."""
+
+    R: np.ndarray
+    anchor: np.ndarray
+    shift: np.ndarray
+    lam: float = 1.0
+
+    def apply(self, pts):
+        return self.lam * ((as_points(pts) - self.anchor) @ self.R.T) + self.shift
+
+    def invert(self, qts):
+        return ((as_points(qts) - self.shift) / self.lam) @ self.R + self.anchor
+
+    def pullback_halfplane(self, hp: HalfPlane) -> HalfPlane:
+        # {n.q <= c} in frame coords -> half-plane in world coords
+        n_world = self.R.T @ hp.normal
+        c_world = (hp.offset - float(hp.normal @ self.shift)) / self.lam \
+            + float(n_world @ self.anchor)
+        return HalfPlane(n_world, c_world)
+
+
+def transform_body(E: Body2, frame: Frame, name: str = "") -> Body2:
+    """Image of a body under a frame (scaled isometry); the frame maps E's
+    witness onto an interior point of the image, which is passed on."""
+    def fwd_hp(hp: HalfPlane) -> HalfPlane:
+        n_new = frame.R @ hp.normal
+        c_new = frame.lam * (hp.offset - float(hp.normal @ frame.anchor)) \
+            + float(n_new @ frame.shift)
+        return HalfPlane(n_new, c_new)
+
+    cuts = [fwd_hp(hp) for hp in E.cuts]
+    witness = frame.apply(E.witness[None, :])[0]
+    if isinstance(E.base, BallBase):
+        base = BallBase(frame.apply(E.base.center[None, :])[0], frame.lam * E.base.radius)
+    elif isinstance(E.base, EpigraphBase):
+        eb = E.base
+        base = EpigraphBase(eb.profile, (frame.lam * frame.R) @ eb.M,
+                            frame.apply(eb.shift[None, :])[0])
+    else:
+        base = PlaneBase()
+    return Body2(base, cuts, name=name, witness=witness)
 
 
 def _graph_feasible(intervals: list, base: EpigraphBase, hp: HalfPlane) -> list:
@@ -2056,6 +2103,18 @@ def cuts_beyond(B: Body2, C: Body2):
     return [h for h, k in zip(B.cuts, mine) if k not in key]
 
 
+def _circle_chord(center, radius: float, p, n, d):
+    """(t_mid, half, dist) of the chord that a circle cuts from each line
+    p + t d with unit normal n: the centre's foot at t_mid, the centre's
+    offset dist along n, and the half-length half = sqrt((r - dist)(r + dist)),
+    which does not cancel like r^2 - dist^2 (0 where the line misses)."""
+    rel = (center - p)[..., None, :]
+    # row-wise dot products with the arithmetic of a 1-D `@`
+    dist = (rel @ n[..., :, None])[..., 0, 0]
+    half = np.sqrt(np.maximum((radius - dist) * (radius + dist), 0.0))
+    return (rel @ d[..., :, None])[..., 0, 0], half, dist
+
+
 #: lines per chord_ends batch; bounds its (batch, 257) search grids
 _LINE_BATCH = 1024
 
@@ -2064,14 +2123,16 @@ def chord_ends(C: Body2, hps: Sequence[HalfPlane], centers, halves):
     """Ends of the chords that the boundary lines of hps cut from C, in
     batches of _LINE_BATCH lines.
 
-    Line k is searched over parameters |t| <= halves[k] from the foot of
-    centers[k] on it: a staged coarse grid and golden section find its
+    Line k runs over parameters |t| <= halves[k] from the foot of
+    centers[k] on it.  On a half-plane or ball body the chord is closed
+    form: each cut bounds t on one side, a ball bounds it to the circle's
+    chord (_circle_chord), and the chord's midpoint is tested.  On an
+    epigraph body a staged coarse grid and golden section find the line's
     lowest C margin, and one bisection over the (K, 2) brackets moves each
-    window end with positive margin onto the boundary of C (on a half-plane
-    body, each cut bounds t in closed form and the chord's midpoint is
-    tested).  Returns the (K, 2, 2) end points, the (K, 2) mask of ends on
-    the boundary of C (the others lie on the window) and the (K,) mask of
-    lines that meet the interior of C (margin below -1e-9).
+    window end with positive margin onto the boundary of C.  Returns the
+    (K, 2, 2) end points, the (K, 2) mask of ends on the boundary of C (the
+    others lie on the window) and the (K,) mask of lines that meet the
+    interior of C (margin below -1e-9).
     """
     if not len(hps):
         return np.zeros((0, 2, 2)), np.zeros((0, 2), dtype=bool), np.zeros(0, dtype=bool)
@@ -2094,14 +2155,19 @@ def chord_ends(C: Body2, hps: Sequence[HalfPlane], centers, halves):
 
     f = along(C.margin_many, line)
     window = np.column_stack([-half, half])
-    if isinstance(C.base, PlaneBase):
-        # along line k each cut j of C keeps a[j, k] + t * b[j, k] <= 0
+    if not isinstance(C.base, EpigraphBase):
+        # along line k each cut j of C keeps a[j, k] + t * b[j, k] <= 0, and
+        # a ball keeps |t - t_mid| <= r_half
+        lo, hi = -np.inf, np.inf
+        if isinstance(C.base, BallBase):
+            t_mid, r_half, _ = _circle_chord(C.base.center, C.base.radius, foot, n, d)
+            lo, hi = t_mid - r_half, t_mid + r_half
         a, b = C.cut_table.values(foot), C.cut_table.normals @ d.T
         with np.errstate(divide="ignore", invalid="ignore"):
             t = -a / b
-        t_end = np.clip(np.column_stack([np.where(b < 0, t, -np.inf).max(axis=0),
-                                         np.where(b > 0, t, np.inf).min(axis=0)]),
-                        window[:, :1], window[:, 1:])
+        lo = np.maximum(lo, np.where(b < 0, t, -np.inf).max(axis=0, initial=-np.inf))
+        hi = np.minimum(hi, np.where(b > 0, t, np.inf).min(axis=0, initial=np.inf))
+        t_end = np.clip(np.column_stack([lo, hi]), window[:, :1], window[:, 1:])
         meets = (t_end[:, 0] < t_end[:, 1]) & (f(t_end.mean(axis=1)) < -1e-9)
         return line(t_end).reshape(-1, 2, 2), (t_end != window) & meets[:, None], meets
     t_in, m_in = coarse_golden_min(f, -half, half)

@@ -16,11 +16,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .geometry import (
-    BallBase,
     Body2,
-    EpigraphBase,
+    Frame,
     HalfPlane,
-    PlaneBase,
     along,
     as_point,
     as_points,
@@ -28,6 +26,7 @@ from .geometry import (
     golden_min,
     norm,
     relative_boundary,
+    transform_body,
     unit,
 )
 
@@ -348,17 +347,10 @@ def _pullback_body(body: Body2, P: np.ndarray) -> Optional[Body2]:
         return None
     if abs(PtP[0, 1]) > 1e-9 * lam2 or abs(PtP[0, 0] - PtP[1, 1]) > 1e-9 * lam2:
         return None
-    Pinv = np.linalg.inv(P)
-    cuts = [HalfPlane.from_any(P.T @ hp.normal, hp.offset) for hp in body.cuts]
-    if isinstance(body.base, PlaneBase):
-        return Body2(PlaneBase(), cuts)
-    if isinstance(body.base, BallBase):
-        lam = math.sqrt(lam2)
-        return Body2(BallBase(Pinv @ body.base.center, body.base.radius / lam), cuts)
-    if isinstance(body.base, EpigraphBase):
-        eb = body.base
-        return Body2(EpigraphBase(eb.profile, Pinv @ eb.M, Pinv @ eb.shift), cuts)
-    return None
+    # the preimage is the image under P^-1 = lam * R with R orthogonal
+    lam, zero = 1.0 / math.sqrt(lam2), np.zeros(2)
+    return transform_body(body, Frame(R=np.linalg.inv(P) / lam, anchor=zero,
+                                      shift=zero, lam=lam))
 
 
 def extend_line_constant(f: Callable[[np.ndarray], np.ndarray], interval):

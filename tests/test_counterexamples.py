@@ -8,17 +8,18 @@ import pytest
 from qcext import counterexamples as cx
 from qcext.counterexamples import (
     ConstructionError,
+    _arc_lengths,
     _lower_profile,
     _no_lip_frame,
+    _wedge_halfplane,
     characterize,
     gen_no_lip,
     gen_no_qc,
     gen_no_uc,
     gen_non_rotund,
     gen_usc_counterexample,
-    transform_body,
 )
-from qcext.geometry import BallProfile, Body2
+from qcext.geometry import BallProfile, Body2, Frame, HalfPlane, transform_body
 from qcext.levelset import quasiconvex_check
 
 
@@ -55,6 +56,53 @@ def test_no_qc_rejects(quartet):
         gen_no_qc(quartet["parabola"])
     with pytest.raises(ConstructionError, match="bounded"):
         gen_no_qc(quartet["disk"])
+
+
+def test_arc_lengths_batched_matches_per_line(quartet, monkeypatch):
+    """One call over all lines gives each line's own solve bit for bit: a
+    chord, a sliver between grid samples (found by the golden section), a
+    line that misses, and the wedge lines of both forcing generators."""
+    golden, golden_min = [], cx.golden_min
+    monkeypatch.setattr(cx, "golden_min",
+                        lambda *a, **k: golden.append(1) or golden_min(*a, **k))
+    square = quartet["square"]
+    ident = Frame(R=np.eye(2), anchor=np.zeros(2), shift=np.zeros(2))
+    lines = [HalfPlane(np.array([0.0, 1.0]), 0.5),
+             HalfPlane(np.array([1.0, 1.0]) / math.sqrt(2.0), (2.0 - 1e-4) / math.sqrt(2.0)),
+             HalfPlane(np.array([0.0, 1.0]), 3.0)]
+    foci = [(0.0, 0.5), (-5.0, 5.0), (0.0, 3.0)]
+    cases = [(square, ident, lines, [8.0] * 3, foci)]
+    for C, gen in ((quartet["hypograph"], gen_no_qc), (square, gen_non_rotund)):
+        _, cert = gen(C, k_max=12)
+        bs = np.array(cert.params["b"])
+        wedges = [_wedge_halfplane(e, b) for e, b in zip(cert.params["eps"], bs)]
+        spans = 4.0 * bs + 8.0 if gen is gen_no_qc else np.full(len(bs), 8.0)
+        foci_w = np.column_stack([bs, np.ones_like(bs)])
+        np.testing.assert_array_equal(_arc_lengths(C, cert.frame, wedges, spans, foci_w),
+                                      cert.arc_lengths)
+        cases.append((C, cert.frame, wedges, spans, foci_w))
+    for C, frame, hps, spans, fs in cases:
+        batched = _arc_lengths(C, frame, hps, spans, fs)
+        single = np.array([_arc_lengths(C, frame, [hp], [sp], [fc])[0]
+                           for hp, sp, fc in zip(hps, spans, fs)])
+        np.testing.assert_array_equal(batched, single)
+    golden.clear()
+    first = _arc_lengths(square, ident, lines, [8.0] * 3, foci)
+    assert first[0] == 2.0 and first[2] == 0.0
+    assert abs(first[1] - math.sqrt(2.0) * 1e-4) <= 1e-12
+    assert len(golden) == 1  # the sliver line took the golden section
+
+
+def test_forcing_margin_call_budget(quartet, monkeypatch):
+    """Each forcing line's grid is one margin call and one bisection serves
+    every end, so gen_non_rotund stays far below one search per line (about
+    80 calls each, 2,050 in all at k_max=24)."""
+    calls = []
+    margin_many = Body2.margin_many
+    monkeypatch.setattr(Body2, "margin_many",
+                        lambda self, pts: calls.append(1) or margin_many(self, pts))
+    gen_non_rotund(quartet["square"], k_max=24)
+    assert len(calls) <= 150
 
 
 # -- no continuous extension (boundary segment) --------------------------------
@@ -266,6 +314,18 @@ def test_no_lip_margin_call_budget(quartet, monkeypatch):
                         lambda self, pts: calls.append(1) or margin_many(self, pts))
     gen_no_lip(quartet["disk"], k_max=8, scan=16)
     assert len(calls) <= 450
+
+
+def test_no_lip_scan_builds_no_probe_body(quartet, monkeypatch):
+    """The direction scan reads membership in the body's own coordinates:
+    the only bodies built are the chosen frame's body and its k_max + 1
+    shelves, not one probe body per scan direction."""
+    calls = []
+    init = Body2.__init__
+    monkeypatch.setattr(Body2, "__init__",
+                        lambda self, *a, **k: calls.append(1) or init(self, *a, **k))
+    gen_no_lip(quartet["disk"], k_max=8, scan=64)
+    assert len(calls) <= 8 + 2
 
 
 # -- the fixed usc counterexample ---------------------------------------------------

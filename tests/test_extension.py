@@ -15,7 +15,7 @@ from qcext.extension import (
     restriction_hausdorff,
     segment_meets_body,
 )
-from qcext.geometry import Body2, GeometryError, HalfPlane, clip_polygon
+from qcext.geometry import Body2, GeometryError, HalfPlane, chord_ends, clip_polygon
 from qcext.levelset import LevelFamily, quasiconvex_check, sample_domain
 from qcext.serialize import body_from_json, body_to_json
 from qcext.verify import _random_polygon_pair
@@ -387,6 +387,42 @@ def test_chord_batch_disk_closed_form():
         for nw, ow in want:
             assert min(max(np.abs(hp.normal - nw).max(), abs(hp.offset - ow))
                        for hp in e.halfplanes) < 1e-12
+
+
+def test_ball_chord_ends_closed_form(monkeypatch):
+    """On a ball ambient chord_ends is closed form: the chords of a cut-disk
+    family match a 50-digit circle-line oracle, clipped by the ambient's own
+    cut, within 1e-15 of the scale, and a one-line extend_body makes a fixed
+    handful of margin calls (the staged search made about 180)."""
+    import mpmath
+
+    c, r, cap = np.array([0.5, -0.2]), 1.3, 0.9
+    C = Body2.ball(c, r).clip([((0.0, 1.0), cap)])
+    n = np.array([0.6, 0.8])
+    offsets = np.linspace(-1.1, 1.25, 9)
+    hps = [HalfPlane(n, float(o)) for o in offsets]
+    ends, on_c, meets = chord_ends(C, hps, np.tile(C.witness, (9, 1)), np.full(9, 10.0))
+    assert meets.all() and on_c.all()
+    with mpmath.workdps(50):
+        nx, ny = mpmath.mpf(n[0]), mpmath.mpf(n[1])
+        for o, got in zip(offsets, ends):
+            s = mpmath.mpf(o) - nx * c[0] - ny * c[1]
+            h = mpmath.sqrt(r * r - s * s)
+            want = []
+            for sign in (-1, 1):
+                x, y = c[0] + s * nx - sign * h * ny, c[1] + s * ny + sign * h * nx
+                if y > cap:  # clipped by the ambient's cut: slide along the line
+                    x, y = x + (y - cap) * ny / nx, mpmath.mpf(cap)
+                want.append((x, y))
+            err = max(abs(float(got[i, j] - want[i][j])) for i in range(2) for j in range(2))
+            assert err <= 1e-15 * r
+    calls = []
+    margin_many = Body2.margin_many
+    monkeypatch.setattr(Body2, "margin_many",
+                        lambda self, pts: calls.append(1) or margin_many(self, pts))
+    disk = Body2.ball(c, r)
+    extend_body(disk.clip([(n, 0.3)]), disk)
+    assert len(calls) <= 4
 
 
 def test_ball_chord_ends_on_circle():

@@ -635,6 +635,20 @@ def test_witness_follows_translation_and_scale(scale, shift):
         assert abs(moved._clearance0 - scale * base._clearance0) <= tol
 
 
+@pytest.mark.parametrize("shift", [0.0, 1e6])
+def test_polychain_convexity_follows_translation(shift):
+    """Convexity and collinearity are judged against the chain's own extent:
+    a 1e-2 square is accepted and a scaled non-convex chain rejected, at the
+    origin and translated to (1e6, 1e6)."""
+    move = np.array([shift, shift])
+    square = 1e-2 * np.array([(0, 0), (1, 0), (1, 1), (0, 1)]) + move
+    B = Body2.from_polychain(square)
+    assert np.abs(B.witness - (move + 5e-3)).max() <= 1e-9 * (1.0 + shift)
+    dent = 1e-2 * np.array([(0, 0), (1, 0), (0.5, 0.1), (1, 1), (0, 1)]) + move
+    with pytest.raises(GeometryError, match="not convex"):
+        Body2.from_polychain(dent, collinear_ok=True)
+
+
 _PROBE_BODIES = {
     "parabola": lambda: Body2.epigraph("parabola"),
     "moved_parabola": lambda: Body2.epigraph(
