@@ -351,12 +351,11 @@ def gen_no_uc(C: Body2, k_max: int = 64):
                                 "the minimal level")
     # first chain point: walk forward from c0 to the h = 0 crossing
     hit = walk_until(C, locate_on_boundary(C, c0), +1.0, max(C.clearance / 8.0, 1e-3),
-                     lambda p: p @ h - h_off >= 0.0, 80)
+                     lambda p, rows: p @ h - h_off >= 0.0, 80)
     if hit is None:
         raise ConstructionError("level crossing not found along the boundary")
     y1 = hit[1]
-    points = [y1]
-    params = [locate_on_boundary(C, y1)]
+    params, points = [hit[0]], [y1]
     for _ in range(2 * k_max + 2):
         res = walk_to_chord(C, params[-1], +1.0, 1.0, points[-1])
         if res is None:
@@ -368,25 +367,23 @@ def gen_no_uc(C: Body2, k_max: int = 64):
     alphas = h_val(points)
     if np.any(np.diff(alphas) <= 0):
         raise ConstructionError("levels along the branch failed to increase")
-    # sampled bi-Lipschitz lower bound on a refined branch net
-    dense = [points[0]]
-    for i in range(len(points) - 1):
-        res = walk_to_chord(C, params[i], +1.0, 0.5, points[i])
-        if res is not None:
-            dense.append(res[1])
-        dense.append(points[i + 1])
-    dense = np.array(dense)
+    # sampled bi-Lipschitz lower bound on a refined branch net: the
+    # half-chord point after each chain point, all in one walk call
+    starts = tuple(np.array(col) for col in zip(*params[:-1]))
+    dense = np.empty((2 * len(points) - 1, 2))
+    dense[0::2] = points
+    dense[1::2] = walk_to_chord(C, starts, +1.0, 0.5, points[:-1])[2]
+    dense = dense[~np.isnan(dense[:, 0])]
     dh = np.abs(h_val(dense)[None, :] - h_val(dense)[:, None])
     dd = np.linalg.norm(dense[None, :, :] - dense[:, None, :], axis=-1)
     mask = dd > 1e-9
     bilip = float(np.min(dh[mask] / dd[mask]))
     # the infimum lives at short chords near the flat start of the branch
-    for chord in 0.5 ** np.arange(1, 10):
-        res = walk_to_chord(C, params[0], +1.0, float(chord), y1)
-        if res is not None:
-            ratio = float(h_val(res[1][None, :])[0]) / float(chord)
-            if 0 < ratio < bilip:
-                bilip = ratio
+    chords = 0.5 ** np.arange(1, 10)
+    ys = walk_to_chord(C, params[0], +1.0, chords, y1)[2]
+    hit = ~np.isnan(ys[:, 0])
+    ratios = h_val(ys[hit]) / chords[hit]
+    bilip = float(min([bilip, *ratios[ratios > 0]]))
     if bilip <= 0:
         raise ConstructionError("bi-Lipschitz estimate degenerated")
     halfplanes = []
@@ -468,12 +465,10 @@ def gen_no_lip(E: Body2, k_max: int = 24, scan: int = 64):
     _lower_profile solve in E's coordinates, and only the chosen frame's
     body is built (transform_body).
     """
-    usable = []
-    for j in range(scan):
-        theta = 2.0 * math.pi * j / scan
-        frame = _no_lip_frame(E, vec(math.cos(theta), math.sin(theta)))
-        if frame is not None:
-            usable.append((theta, frame))
+    thetas = [2.0 * math.pi * j / scan for j in range(scan)]
+    dirs = np.array([[math.cos(theta), math.sin(theta)] for theta in thetas])
+    usable = [(theta, frame) for theta, frame in zip(thetas, _no_lip_frames(E, dirs))
+              if frame is not None]
     if not usable:
         raise ConstructionError("no usable supporting direction found")
     frames = [frame for _, frame in usable]
@@ -543,30 +538,52 @@ def gen_no_lip(E: Body2, k_max: int = 24, scan: int = 64):
     return f, cert
 
 
-def _no_lip_frame(E: Body2, d: np.ndarray) -> Optional[Frame]:
-    """Frame rotating the supporting direction onto -v, the support point to
-    the origin, scaled so (0, 1) is interior; None if the direction is
-    unusable (infinite support or no interior along the inward normal).
+def _no_lip_frames(E: Body2, dirs: np.ndarray) -> list:
+    """For each (N, 2) direction row, the frame rotating it onto -v, its
+    support point to the origin, scaled so (0, 1) is interior; None where
+    the direction is unusable (infinite support or no interior along the
+    inward normal).
 
     The frame's v axis is the inward normal pt + t R[1], so membership along
-    it is read in E's own coordinates, as in _lower_profile."""
-    val, pt = support_point(E, d)
-    if pt is None:
-        return None
-    R = _rotation_to(d, vec(0.0, -1.0))
-    mg = along(E.margin_many, lambda t: pt + np.multiply.outer(t, R[1]))
+    it is read in E's own coordinates, as in _lower_profile.  All rows share
+    one support_point call, one margin call at t = 2, one 64-point
+    geometric scan for the rows whose t = 2 lies outside, and one exit
+    bisection.
+    """
+    _, pts = support_point(E, dirs)
+    rows = np.flatnonzero(~np.isnan(pts[:, 0]))
+    frames = [None] * len(dirs)
+    if not len(rows):
+        return frames
+    rots = [_rotation_to(dirs[i], vec(0.0, -1.0)) for i in rows]
+    base = pts[rows]
+    inward = np.array([R[1] for R in rots])
+
+    def margins(sel):
+        # t shaped (len(sel), K): K points along each selected inward normal
+        return along(E.margin_many, lambda t: (base[sel, None] + t[..., None]
+                                               * inward[sel, None]).reshape(-1, 2))
+
     t_hi = 2.0
-    if mg(t_hi) <= 0:
-        t0 = 1.0
-    else:
+    t0 = np.ones(len(rows))
+    out = np.flatnonzero(~(margins(slice(None))(np.full((len(rows), 1), t_hi))[:, 0] <= 0))
+    if len(out):
         ts = np.geomspace(1e-6, t_hi, 64)
-        inside = ts[mg(ts) < 0]
-        if not len(inside):
-            return None  # corner support: the inward normal leaves at once
-        t_in = inside[len(inside) // 2]
-        t_exit = bisect_leq(mg, t_hi, t_in, 80)
-        t0 = max(min(t_exit / 2.0, 1.0), 1e-6)
-    return Frame(R=R, anchor=pt.copy(), shift=np.zeros(2), lam=1.0 / t0)
+        inside = margins(out)(np.tile(ts, (len(out), 1))) < 0
+        count = inside.sum(axis=1)
+        # corner support where no scan point is inside: the inward normal
+        # leaves at once
+        t0[out[count == 0]] = np.nan
+        scan = out[count > 0]
+        # the middle inside scan point of each row
+        pick = np.argmax(np.cumsum(inside[count > 0], axis=1) > count[count > 0, None] // 2,
+                         axis=1)
+        t_exit = bisect_leq(lambda t: margins(scan)(t[:, None])[:, 0], t_hi, ts[pick], 80)
+        t0[scan] = np.maximum(np.minimum(t_exit / 2.0, 1.0), 1e-6)
+    for i, R, p, t in zip(rows, rots, base, t0):
+        if not np.isnan(t):
+            frames[i] = Frame(R=R, anchor=p.copy(), shift=np.zeros(2), lam=1.0 / t)
+    return frames
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,14 @@ def cross2(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
+def dots(pts, dirs):
+    """Row-wise d . p over broadcast (..., 2) arrays, written out per
+    coordinate so a row's value does not depend on the array's shape (a
+    matmul picks its kernel by shape, and its rows can differ in the last
+    bit)."""
+    return pts[..., 0] * dirs[..., 0] + pts[..., 1] * dirs[..., 1]
+
+
 def angle_of(v) -> float:
     """Angle in [0, 2*pi)."""
     a = math.atan2(v[1], v[0])
@@ -162,15 +170,19 @@ def bisect_leq(f, bad, good, iters: int = 80):
 
     bad and good broadcast to an array of brackets that are bisected
     together, one f call per step; returns the good sides, a scalar for a
-    scalar bracket.
+    scalar bracket.  The loop stops after a fourth step that moved no
+    bracket end: a bracket that did not move never moves again (its
+    midpoint and f there repeat), so the result is the fixed-count loop's.
     """
     bad, good = np.broadcast_arrays(np.asarray(bad, dtype=float),
                                     np.asarray(good, dtype=float))
-    for _ in range(iters):
+    for k in range(iters):
         mid = 0.5 * (bad + good)
         ok = f(mid) <= 0
-        good = np.where(ok, mid, good)
-        bad = np.where(ok, bad, mid)
+        new_good, new_bad = np.where(ok, mid, good), np.where(ok, bad, mid)
+        if k % 4 == 3 and (new_good == good).all() and (new_bad == bad).all():
+            break
+        good, bad = new_good, new_bad
     return good[()]
 
 
@@ -433,6 +445,14 @@ class Profile:
     def dg(self, u):
         raise NotImplementedError
 
+    def slope_point(self, s, lo, hi):
+        """Where g' crosses s on [lo, hi], elementwise over broadcast
+        arrays: the good side of one bisect_leq on the monotone g' (lo where
+        g'(lo) > s, hi where g'(hi) <= s)."""
+        s = np.asarray(s, dtype=float)
+        return bisect_leq(lambda u: self.dg(u) - s, np.broadcast_to(hi, s.shape),
+                          np.broadcast_to(lo, s.shape))
+
     def validate(self, u_lo=-64.0, u_hi=64.0, n=512, tol=1e-7):
         u = np.linspace(u_lo, u_hi, n)
         g = self.g(u)
@@ -455,6 +475,10 @@ class ParabolaProfile(Profile):
 
     def dg(self, u):
         return 2.0 * self.a * np.asarray(u, dtype=float)
+
+    def slope_point(self, s, lo, hi):
+        """Closed form: g'(u) = 2 a u = s at u = s / (2 a), clamped."""
+        return np.clip(np.asarray(s, dtype=float) / (2.0 * self.a), lo, hi)
 
 
 class ExpProfile(Profile):
@@ -652,9 +676,16 @@ class EpigraphBase:
         return _frozen(self.from_profile(uv), m)
 
     def graph_point(self, u) -> np.ndarray:
+        """World points of the graph at u, shaped u.shape + (2,); each is
+        M (u, g(u))^T + shift written out per coordinate, so its value does
+        not depend on the other entries of u."""
         u = np.asarray(u, dtype=float)
-        uv = np.stack([u, self.profile.g(u)], axis=-1)
-        return uv @ self.M.T + self.shift
+        v = self.profile.g(u)
+        (a, b), (c, d) = self.M
+        out = np.empty(u.shape + (2,))
+        out[..., 0] = u * a + v * b + self.shift[0]
+        out[..., 1] = u * c + v * d + self.shift[1]
+        return out
 
     def graph_normal(self, u) -> np.ndarray:
         """Outward unit normal of the epigraph at the graph point of u."""
@@ -727,11 +758,6 @@ class Segment:
         closest = self.a + t[:, None] * self.d
         return np.linalg.norm(pts - closest, axis=-1), t
 
-    def support_max(self, direction):
-        va = float(self.a @ direction)
-        vb = float(self.b @ direction)
-        return (va, 0.0) if va >= vb else (vb, self.length)
-
 
 class Arc:
     """Counterclockwise circular boundary piece, parameterized by arc length."""
@@ -784,14 +810,16 @@ class Arc:
         t_end = np.where(d0 <= d1, 0.0, self.length)
         return np.where(inside, d_arc, d_end), np.where(inside, t_in, t_end)
 
-    def support_max(self, direction):
-        th = angle_of(direction)
-        th_w = self.th0 + (th - self.th0) % TWO_PI
-        cands = [(float(self.point(t) @ direction), t) for t in (0.0, self.length)]
-        if th_w <= self.th1:
-            t = (th_w - self.th0) * self.radius
-            cands.append((float(self.point(t) @ direction), t))
-        return max(cands)
+    def support_max(self, dirs):
+        """Largest d . p over the arc and its parameter per (N, 2) direction
+        row: the ends, and the point of normal d where the arc holds one."""
+        th = np.arctan2(dirs[:, 1], dirs[:, 0])
+        th_w = self.th0 + (np.where(th < 0, th + TWO_PI, th) - self.th0) % TWO_PI
+        ts = np.column_stack([np.zeros(len(dirs)), np.full(len(dirs), self.length),
+                              (th_w - self.th0) * self.radius])
+        vals = dots(self.point(ts), dirs[:, None])
+        vals[:, 2] = np.where(th_w <= self.th1, vals[:, 2], -np.inf)
+        return _lex_max(vals, ts)
 
 
 class GraphPiece:
@@ -863,7 +891,10 @@ class GraphPiece:
 
         The transform is a lam-isometry of the u-axis, so the nearest
         parameter lies within 2 d0 / lam of the query's own profile
-        abscissa, where d0 is the distance to the anchor graph point.
+        abscissa, where d0 is the distance to the anchor graph point.  A
+        scan of that window brackets each point's nearest parameter, and
+        one golden_min over all the brackets refines them (one graph
+        evaluation per step).
         """
         pts = as_points(pts)
         uv = self.base.to_profile(pts)
@@ -879,32 +910,43 @@ class GraphPiece:
         rows = np.arange(len(pts))
         a = cand[rows, np.maximum(j - 1, 0)]
         b = cand[rows, np.minimum(j + 1, samples - 1)]
-        for _ in range(iters):
-            c = b - _INVPHI * (b - a)
-            d = a + _INVPHI * (b - a)
-            fc = ((pts - self.base.graph_point(c)) ** 2).sum(-1)
-            fd = ((pts - self.base.graph_point(d)) ** 2).sum(-1)
-            take = fc < fd
-            b = np.where(take, d, b)
-            a = np.where(take, a, c)
-        u_best = 0.5 * (a + b)
-        dist = np.linalg.norm(pts - self.base.graph_point(u_best), axis=-1)
-        dist = np.minimum(dist, d0)
+        u_best, d2_best = golden_min(
+            lambda u: ((pts - self.base.graph_point(u)) ** 2).sum(-1), a, b, iters=iters)
+        dist = np.minimum(np.sqrt(d2_best), d0)
         u_best = np.where(dist < d0, u_best, u_a)
         t = (self.u0 + self.u1) - u_best if self.flipped else u_best
         return dist, t
 
-    def support_max(self, direction):
-        w = self.base.M.T @ np.asarray(direction, dtype=float)
-        vals = [(float(np.asarray(self.point(t)) @ direction), t)
-                for t in (self.t0, self.t1)]
-        if w[1] < 0:
-            # direction . point(u) is concave in u
-            u, nf = golden_min(lambda u: -(self.base.graph_point(u) @ direction),
-                               self.u0, self.u1, iters=200)
-            t = (self.u0 + self.u1) - u if self.flipped else u
-            vals.append((-nf, t))
-        return max(vals)
+    def support_max(self, dirs):
+        """Largest d . p over the piece and its parameter per (N, 2)
+        direction row.
+
+        With w = M^T d, d . p(u) = w_u u + w_v g(u) + d . shift.  Where
+        w_v < 0 it is concave and peaks where g'(u) = -w_u / w_v, which
+        Profile.slope_point solves for every such row at once; elsewhere it
+        peaks at an end.
+        """
+        M = self.base.M
+        w_u, w_v = dots(M[:, 0], dirs), dots(M[:, 1], dirs)
+        n = len(dirs)
+        ts = np.column_stack([np.full(n, self.t0), np.full(n, self.t1), np.full(n, self.t0)])
+        vals = np.full((n, 3), -np.inf)
+        vals[:, :2] = dots(self.point(ts[:, :2]), dirs[:, None])
+        concave = w_v < 0
+        if concave.any():
+            u = self.base.profile.slope_point(-w_u[concave] / w_v[concave], self.u0, self.u1)
+            ts[concave, 2] = self._u(u)
+            vals[concave, 2] = dots(self.base.graph_point(u), dirs[concave])
+        return _lex_max(vals, ts)
+
+
+def _lex_max(vals, ts):
+    """Row-wise largest (value, parameter) pair of (N, K) arrays: the
+    largest value, ties to the largest parameter."""
+    top = vals.max(axis=1, keepdims=True)
+    j = np.argmax(np.where(vals == top, ts, -np.inf), axis=1)
+    rows = np.arange(len(vals))
+    return vals[rows, j], ts[rows, j]
 
 
 # ---------------------------------------------------------------------------
@@ -1351,6 +1393,16 @@ class Body2:
         self.pieces()
         return self._closed
 
+    @cached_property
+    def _segment_table(self):
+        """Chain indices, starts (S, 2), ends (S, 2) and lengths (S,) of
+        the segment pieces, stacked once for support solves."""
+        chain = self.pieces()
+        seg = [i for i, pc in enumerate(chain) if pc.kind == "segment"]
+        return (seg, np.array([chain[i].a for i in seg]).reshape(-1, 2),
+                np.array([chain[i].b for i in seg]).reshape(-1, 2),
+                np.array([chain[i].length for i in seg]))
+
     def _cut_segments(self) -> list:
         pruned = prune_halfplanes(list(self.cuts), self.witness)
         poly = cut_polyline(pruned, self.witness, self.window_half)
@@ -1628,42 +1680,96 @@ def project(p, C: Body2):
     return best_q, best_d
 
 
-def support(C: Body2, direction, tol: float = TOL) -> float:
-    """Support value sup {d . p : p in C}; +inf along recession growth."""
-    return _support(C, unit(np.asarray(direction, dtype=float)), tol)[0]
+def support(C: Body2, directions, tol: float = TOL):
+    """Support values sup {d . p : p in C}: a float for one direction, an
+    (N,) array for (N, 2) directions; +inf along recession growth."""
+    return support_point(C, directions, tol)[0]
 
 
-def _support(C: Body2, d: np.ndarray, tol: float = TOL):
-    """Support value along the unit direction d and an attaining boundary
-    point (None where the value is +inf), from one pass over the pieces."""
+def support_point(C: Body2, directions, tol: float = TOL):
+    """Support values and attaining boundary points.
+
+    One direction gives (value, point), with point None where the value is
+    +inf; (N, 2) directions give (N,) values and (N, 2) points, NaN rows
+    where the value is +inf.  Directions are normalised.  Every row is
+    computed on its own, so a batch equals its per-direction calls bit for
+    bit.
+    """
+    d = np.asarray(directions, dtype=float)
+    length = np.hypot(d[..., 0], d[..., 1])
+    if np.any(length == 0.0):
+        raise GeometryError("cannot normalize the zero vector")
+    vals, pts = _support(C, np.atleast_2d(d / length[..., None]), tol)
+    if d.ndim > 1:
+        return vals, pts
+    return float(vals[0]), (pts[0] if np.isfinite(vals[0]) else None)
+
+
+def _support(C: Body2, dirs: np.ndarray, tol: float = TOL):
+    """Support values and attaining points for (N, 2) unit directions, from
+    one support_max call per arc or graph piece and one expression for all
+    segments.  A value is +inf along recession growth (the recession test)
+    or where the maximum sits at a window-clipped chain end and the values
+    still climb toward it (the divergence guard); its point is then NaN."""
+    n = len(dirs)
     recc = C.recession_cone()
+    grows = np.zeros(n, dtype=bool)
     for r in recc.directions():
-        if float(d @ r) > 1e-12:
-            return math.inf, None
-    if recc.kind in ("wedge", "halfplane", "plane") and recc.contains_dir(d):
-        return math.inf, None
+        grows |= dots(r, dirs) > 1e-12
+    if recc.kind in ("wedge", "halfplane", "plane"):
+        grows |= [recc.contains_dir(d) for d in dirs]
     chain = C.pieces()
     if not chain:
         raise GeometryError("empty boundary; cannot evaluate support")
-    best, best_pc, best_t = -np.inf, None, None
-    for pc in chain:
-        v, t = pc.support_max(d)
-        if v > best:
-            best, best_pc, best_t = v, pc, t
-    # divergence guard when the max sits at a window-clipped chain end
+    fin = np.flatnonzero(~grows)
+    d = dirs[fin]
+    vals = np.empty((len(chain), len(fin)))
+    ts = np.empty((len(chain), len(fin)))
+    # all segments at once: the larger end value, a tie to the start
+    seg, a, b, length = C._segment_table
+    if seg:
+        va, vb = dots(a[:, None], d), dots(b[:, None], d)
+        start = va >= vb
+        vals[seg] = np.where(start, va, vb)
+        ts[seg] = np.where(start, 0.0, length[:, None])
+    for i, pc in enumerate(chain):
+        if pc.kind != "segment":
+            vals[i], ts[i] = pc.support_max(d)
+    idx = np.argmax(vals, axis=0)  # the first piece with the largest value
+    rows = np.arange(len(fin))
+    best, t = vals[idx, rows], ts[idx, rows]
     if not C.closed_chain:
-        at_end = (best_pc is chain[0] and abs(best_t - best_pc.t0) < 1e-9 * (1 + abs(best_pc.t0))) or \
-                 (best_pc is chain[-1] and abs(best_t - best_pc.t1) < 1e-9 * (1 + abs(best_pc.t1)))
-        if at_end:
-            t_mid = 0.5 * (best_pc.t0 + best_pc.t1)
-            t_q = 0.5 * (t_mid + best_t)
-            v_mid = float(np.asarray(best_pc.point(t_mid)) @ d)
-            v_q = float(np.asarray(best_pc.point(t_q)) @ d)
-            step1 = v_q - v_mid
-            step2 = best - v_q
-            if step2 > max(tol, 1e-9 * abs(best)) and step2 > 0.5 * step1:
-                return math.inf, None
-    return float(best), np.asarray(best_pc.point(best_t))
+        # divergence guard where the max sits at a window-clipped chain end
+        t0, t1 = np.array([(pc.t0, pc.t1) for pc in chain]).T
+        at_end = (((idx == 0) & (np.abs(t - t0[0]) < 1e-9 * (1 + abs(t0[0]))))
+                  | ((idx == len(chain) - 1) & (np.abs(t - t1[-1]) < 1e-9 * (1 + abs(t1[-1])))))
+        e = np.flatnonzero(at_end)
+        if len(e):
+            t_mid = 0.5 * (t0[idx[e]] + t1[idx[e]])
+            t_q = 0.5 * (t_mid + t[e])
+            v_mid = dots(_chain_points(chain, idx[e], t_mid), d[e])
+            v_q = dots(_chain_points(chain, idx[e], t_q), d[e])
+            step1, step2 = v_q - v_mid, best[e] - v_q
+            climbs = (step2 > np.maximum(tol, 1e-9 * np.abs(best[e]))) & (step2 > 0.5 * step1)
+            grows[fin[e[climbs]]] = True
+    out = np.full(n, np.inf)
+    pts = np.full((n, 2), np.nan)
+    out[fin], pts[fin] = best, _chain_points(chain, idx, t)
+    out[grows], pts[grows] = np.inf, np.nan
+    return out, pts
+
+
+def _chain_points(pieces, idx, t) -> np.ndarray:
+    """Points of a boundary chain at (piece index, parameter) arrays of one
+    shape, one point() call per piece present."""
+    first = idx.flat[0] if idx.size else 0
+    if np.all(idx == first):
+        return pieces[first].point(t).reshape(np.shape(t) + (2,))
+    out = np.empty(np.shape(t) + (2,))
+    for i in np.unique(idx):
+        at = idx == i
+        out[at] = pieces[i].point(t[at])
+    return out
 
 
 class NormalFan:
@@ -1687,11 +1793,6 @@ class NormalFan:
         return f"NormalFan({self.lo}, {self.hi})"
 
 
-def support_point(C: Body2, direction):
-    """Support value and an attaining boundary point (value may be +inf)."""
-    return _support(C, unit(np.asarray(direction, dtype=float)))
-
-
 def boundary_crossing(C: Body2, inside_pt, outside_pt, iters: int = 90):
     """Point of the boundary on the segment from an interior to an exterior point."""
     a = as_point(inside_pt)
@@ -1704,48 +1805,116 @@ def boundary_crossing(C: Body2, inside_pt, outside_pt, iters: int = 90):
     return a + t * (b - a)
 
 
-def walk_to_chord(C: Body2, start, direction: float, chord: float, anchor,
-                  iters: int = 70):
-    """Walk the boundary chain from a (piece, param) start until the chord
-    distance from anchor reaches the target; returns ((idx, t), point) or None.
+#: steps in walk_until's first march block (each later block doubles, up
+#: to _WALK_BLOCK_MAX), and the parts a refinement round cuts a bracket into
+_WALK_BLOCK = 8
+_WALK_BLOCK_MAX = 1024
+_WALK_SPLIT = 256
+
+
+def walk_to_chord(C: Body2, start, direction, chord, anchor, iters: int = 70):
+    """Walk the boundary chain from (piece, param) starts until the chord
+    distance from anchor reaches chord, in march steps of chord / 8.
+
+    One walk takes scalars and an anchor point.  W walks take (W,) arrays
+    for any of start's two entries, direction and chord, or (W, 2) anchors;
+    the rest broadcast.  Returns as walk_until.
     """
-    anchor = as_point(anchor)
-    return walk_until(C, start, direction, chord / 8.0,
-                      lambda p: norm(p - anchor) >= chord, iters,
-                      max_walk=1e4 * chord + 100.0 * (1.0 + C.clearance))
+    anchor = np.asarray(anchor, dtype=float)
+    shape = np.broadcast_shapes(np.shape(start[0]), np.shape(start[1]), np.shape(direction),
+                                np.shape(chord), anchor.shape[:-1])
+    idx, t, direction, chord = (np.broadcast_to(x, shape) for x in
+                                (start[0], start[1], direction, np.asarray(chord, dtype=float)))
+    anchors = np.broadcast_to(anchor, shape + (2,)).reshape(-1, 2)
+    chords = chord.reshape(-1)
+    return walk_until(C, (idx, t), direction, chord / 8.0,
+                      lambda p, rows: (np.linalg.norm(p - anchors[rows, None], axis=-1)
+                                       >= chords[rows, None]),
+                      iters, max_walk=1e4 * chord + 100.0 * (1.0 + C.clearance))
 
 
-def walk_until(C: Body2, start, direction: float, step: float, reached,
-               iters: int, max_walk: float = math.inf):
-    """March the boundary chain from a (piece, param) start in steps of
-    step until reached(point) holds, then bisect the last step iters times.
+def walk_until(C: Body2, start, direction, step, reached, iters: int,
+               max_walk=math.inf):
+    """March the boundary chain from (piece, param) starts in steps of step
+    until reached holds, then refine the last step to step / 2**iters.
 
-    Returns ((idx, t), point) of the reached side, or None when the chain
-    ends, 200000 steps pass or the walk exceeds max_walk first.
+    start is a (piece, param) pair of scalars for one walk or of (W,)
+    arrays for W walks; direction (+1 or -1), step and max_walk broadcast
+    to it.  reached(points, rows) maps the (R, K, 2) points of the walks
+    rows (R,) to (R, K) booleans.  The march takes blocks of 8, 16, ...
+    steps (up to _WALK_BLOCK_MAX), each one point() call per piece and one
+    reached call for all walks.  Each refinement round cuts every open
+    bracket into _WALK_SPLIT parts with one such call, and a bracket closes
+    after the rounds that do the work of iters bisection steps or once its
+    ends are adjacent floats of one piece.
+
+    One walk returns ((idx, t), point) of the reached side, or None when
+    the chain ends, 200000 steps pass or the walk exceeds max_walk first.
+    W walks return (idx, t, points) arrays, with idx -1 and NaN for the
+    walks that end so.
     """
     pieces = C.pieces()
     closed = C.closed_chain
-    cur = start
-    walked = 0.0
-    for _ in range(200000):
-        nxt, hit_end = _advance(pieces, cur, direction * step, closed)
-        if reached(np.asarray(pieces[nxt[0]].point(nxt[1]))):
+    bounds = np.array([(pc.t0, pc.t1) for pc in pieces]).T
+    args = np.broadcast_arrays(np.asarray(start[0]), np.asarray(start[1], dtype=float),
+                               np.asarray(direction, dtype=float),
+                               np.asarray(step, dtype=float), np.asarray(max_walk, dtype=float))
+    one = args[0].ndim == 0
+    idx, t, sign, step, max_walk = (np.array(a, ndmin=1).reshape(-1) for a in args)
+    idx = idx.astype(int)
+    n = len(idx)
+    walked, taken = np.zeros(n), np.zeros(n, dtype=int)
+    lo_i, lo_t = np.full(n, -1), np.full(n, np.nan)
+    hi_i, hi_t = np.full(n, -1), np.full(n, np.nan)
+    found = np.zeros(n, dtype=bool)
+    live, block = np.arange(n), _WALK_BLOCK
+    while len(live):
+        k = np.arange(1, block + 1)
+        pi, pt, ends = _advance(bounds, idx[live, None], t[live, None],
+                                (sign * step)[live, None] * k, closed)
+        hit = reached(_chain_points(pieces, pi, pt), live)
+        far = walked[live, None] + step[live, None] * k
+        event = hit | ends | (far > max_walk[live, None]) | (taken[live, None] + k >= 200000)
+        rows, first = np.arange(len(live)), np.argmax(event, axis=1)
+        stop = event[rows, first]
+        win = stop & hit[rows, first]
+        # the bracket is the step to the first event, from the block's start
+        # (column 0) or from the position before it
+        r, j, w = rows[win], first[win], live[win]
+        pi = np.column_stack([idx[live], pi])
+        pt = np.column_stack([t[live], pt])
+        lo_i[w], lo_t[w], hi_i[w], hi_t[w] = pi[r, j], pt[r, j], pi[r, j + 1], pt[r, j + 1]
+        found[w] = True
+        live = live[~stop]
+        idx[live], t[live] = pi[~stop, -1], pt[~stop, -1]
+        walked[live], taken[live] = far[~stop, -1], taken[live] + block
+        block = min(2 * block, _WALK_BLOCK_MAX)
+    gap = step.copy()
+    frac = np.arange(1, _WALK_SPLIT) / _WALK_SPLIT
+    live = np.flatnonzero(found)
+    for _ in range(-(-iters // int(math.log2(_WALK_SPLIT)))):
+        tight = (lo_i[live] == hi_i[live]) & (np.nextafter(lo_t[live], hi_t[live]) == hi_t[live])
+        live = live[~tight]
+        if not len(live):
             break
-        cur = nxt
-        walked += step
-        if hit_end or walked > max_walk:
-            return None
-    else:
-        return None
-    lo, hi, gap = cur, nxt, step
-    for _ in range(iters):
-        gap *= 0.5
-        mid, _ = _advance(pieces, lo, direction * gap, closed)
-        if reached(np.asarray(pieces[mid[0]].point(mid[1]))):
-            hi = mid
-        else:
-            lo = mid
-    return hi, np.asarray(pieces[hi[0]].point(hi[1]))
+        ci, ct, _ = _advance(bounds, lo_i[live, None], lo_t[live, None],
+                             (sign * gap)[live, None] * frac, closed)
+        # columns: lo, the parts, hi; the first column after lo that
+        # reaches (hi at the latest) is the new hi, the one before it the
+        # new lo
+        hit = reached(_chain_points(pieces, ci, ct), live)
+        j = np.argmax(np.column_stack([hit, np.ones(len(live), dtype=bool)]), axis=1)
+        ci = np.column_stack([lo_i[live], ci, hi_i[live]])
+        ct = np.column_stack([lo_t[live], ct, hi_t[live]])
+        rows = np.arange(len(live))
+        lo_i[live], lo_t[live] = ci[rows, j], ct[rows, j]
+        hi_i[live], hi_t[live] = ci[rows, j + 1], ct[rows, j + 1]
+        gap[live] /= _WALK_SPLIT
+    points = np.full((n, 2), np.nan)
+    points[found] = _chain_points(pieces, hi_i[found], hi_t[found])
+    if one:
+        return ((int(hi_i[0]), float(hi_t[0])), points[0]) if found[0] else None
+    return hi_i, hi_t, points
 
 
 def locate_on_boundary(C: Body2, x):
@@ -1850,13 +2019,12 @@ def rotundity_modulus(C: Body2, x, eps: float, refine_iters: int = 60) -> float:
         raise GeometryError("eps outside [0, 2r) for the witness ball radius r")
     if eps == 0:
         return 0.0
-    start = _locate_on_boundary(C, x)
-    hits = [walk_to_chord(C, start, direction, eps, x, refine_iters)
-            for direction in (+1.0, -1.0)]
-    ys = [hit[1] for hit in hits if hit is not None]
-    if not ys:
+    _, _, ys = walk_to_chord(C, _locate_on_boundary(C, x), np.array([1.0, -1.0]), eps, x,
+                             refine_iters)
+    ys = ys[~np.isnan(ys[:, 0])]
+    if not len(ys):
         raise GeometryError("no boundary point at the requested chord distance")
-    mids = np.array([0.5 * (x + y) for y in ys])
+    mids = 0.5 * (x + ys)
     return float(np.min(boundary_distance_many(C, mids)))
 
 
@@ -1871,34 +2039,39 @@ def _locate_on_boundary(C: Body2, x):
     return best[1], best[2]
 
 
-def _advance(pieces, cur, dt, closed):
-    """Move dt (signed) along the chain; returns ((idx, t), hit_open_end)."""
-    idx, t = cur
-    remaining = dt
+def _advance(bounds, idx, t, dt, closed):
+    """Move (piece, param) positions by dt (signed) along a chain whose
+    pieces span the parameters bounds = (t0, t1) arrays, over broadcast
+    arrays; returns (idx, t, hit_open_end) arrays.
+
+    A move fits when |dt| is at most the room left on its piece; else it
+    spends that room and goes on from the neighbouring piece's near end,
+    and a move past an open chain end stops at that end.
+    """
+    t0, t1 = bounds
+    shape = np.broadcast_shapes(np.shape(idx), np.shape(t), np.shape(dt))
+    rem = dt
+    end = np.zeros(shape, dtype=bool)
+    moving = np.ones(shape, dtype=bool)
     while True:
-        pc = pieces[idx]
-        if remaining >= 0:
-            room = pc.t1 - t
-            if remaining <= room:
-                return (idx, t + remaining), False
-            remaining -= room
-            nxt = idx + 1
-            if nxt >= len(pieces):
-                if not closed:
-                    return (idx, pc.t1), True
-                nxt = 0
-            idx, t = nxt, pieces[nxt].t0
+        fwd = rem >= 0
+        room = np.where(fwd, t1[idx] - t, t - t0[idx])
+        fits = moving & (np.abs(rem) <= room)
+        t = np.where(fits, t + rem, t)
+        moving &= ~fits
+        if not moving.any():
+            return np.broadcast_to(idx, shape), t, end
+        rem = np.where(moving, np.where(fwd, rem - room, rem + room), rem)
+        nxt = idx + np.where(fwd, 1, -1)
+        if closed:
+            nxt %= len(t0)
         else:
-            room = t - pc.t0
-            if -remaining <= room:
-                return (idx, t + remaining), False
-            remaining += room
-            nxt = idx - 1
-            if nxt < 0:
-                if not closed:
-                    return (idx, pc.t0), True
-                nxt = len(pieces) - 1
-            idx, t = nxt, pieces[nxt].t1
+            off = moving & ((nxt < 0) | (nxt >= len(t0)))
+            t = np.where(off, np.where(fwd, t1[idx], t0[idx]), t)
+            end |= off
+            moving &= ~off
+        idx = np.where(moving, nxt, idx)
+        t = np.where(moving, np.where(fwd, t0[idx], t1[idx]), t)
 
 
 def cone_from(z, E: Body2, refine_iters: int = 90) -> Cone2:

@@ -10,7 +10,7 @@ from qcext.counterexamples import (
     ConstructionError,
     _arc_lengths,
     _lower_profile,
-    _no_lip_frame,
+    _no_lip_frames,
     _wedge_halfplane,
     characterize,
     gen_no_lip,
@@ -144,6 +144,15 @@ def test_no_uc_parabola(quartet):
     assert np.allclose(steps, 1.0, atol=1e-6)
 
 
+@pytest.mark.parametrize("name", ["parabola", "cosh"])
+def test_no_uc_chain_at_unit_chord(quartet, name):
+    """Each chain point lies at chord 1 from the one before, within 1e-12."""
+    body = quartet["parabola"] if name == "parabola" else Body2.epigraph("cosh")
+    _, cert = gen_no_uc(body, k_max=8)
+    steps = np.linalg.norm(np.diff(cert.points, axis=0), axis=1)
+    assert np.max(np.abs(steps - 1.0)) <= 1e-12
+
+
 def test_no_uc_cosh_decays_faster(quartet):
     _, cert_p = gen_no_uc(quartet["parabola"], k_max=16)
     _, cert_c = gen_no_uc(Body2.epigraph("cosh"), k_max=16)
@@ -198,6 +207,33 @@ def test_no_lip_disk_profile_matches_closed_form(quartet):
     assert float(np.max(rel)) < 0.01
     # small z behaviour delta(z) ~ z^2 / 8
     assert cert.secant_gaps[6] == pytest.approx(zs[6] ** 2 / 8.0, rel=0.02)
+
+
+def test_no_lip_parabola_profile_matches_closed_form(quartet):
+    """The frame sits at the exact support point, and the P_k heights match
+    the lower profile of that frame from a 50-digit closed form (a
+    golden-section support point 7e-9 off made them 1e-5 off)."""
+    import mpmath
+
+    _, cert = gen_no_lip(quartet["parabola"], k_max=8, scan=16)
+    with mpmath.workdps(50):
+        theta = mpmath.mpf(cert.params["theta"])
+        dx, dy = mpmath.cos(theta), mpmath.sin(theta)
+        x0 = -dx / (2 * dy)  # support point of v >= u^2 - 1 along (dx, dy)
+        y0 = x0 ** 2 - 1
+        assert abs(cert.frame.anchor[0] - x0) <= 1e-15
+        assert abs(cert.frame.anchor[1] - y0) <= 1e-15
+        (r00, r01), (r10, r11) = ([mpmath.mpf(float(v)) for v in row] for row in cert.frame.R)
+        lam = mpmath.mpf(float(cert.frame.lam))
+        for z, g in cert.p_points:
+            # smallest v >= 0 with (x0, y0) + (z R[0] + v R[1]) / lam on the
+            # parabola: a root of a quadratic in v
+            ax, ay = x0 + mpmath.mpf(z) * r00 / lam, y0 + mpmath.mpf(z) * r01 / lam
+            bx, by = r10 / lam, r11 / lam
+            qa, qb, qc = -bx ** 2, by - 2 * ax * bx, ay - ax ** 2 + 1
+            disc = mpmath.sqrt(qb * qb - 4 * qa * qc)
+            want = min(r for r in ((-qb + disc) / (2 * qa), (-qb - disc) / (2 * qa)) if r >= 0)
+            assert abs((g - want) / want) <= 1e-9
 
 
 def test_no_lip_disk_trend(quartet):
@@ -275,7 +311,7 @@ def _scan_reference(E, scan):
     best, rows = None, []
     for j in range(scan):
         theta = 2.0 * math.pi * j / scan
-        frame = _no_lip_frame(E, np.array([math.cos(theta), math.sin(theta)]))
+        frame = _no_lip_frames(E, np.array([[math.cos(theta), math.sin(theta)]]))[0]
         if frame is None:
             continue
         C = transform_body(E, frame)

@@ -385,6 +385,199 @@ def test_support_point_matches_support(parabola, square):
                 assert pt is None
 
 
+def _bisect_fixed_count(f, bad, good, iters):
+    """bisect_leq without its early exit: the reference loop."""
+    bad, good = np.broadcast_arrays(np.asarray(bad, dtype=float), np.asarray(good, dtype=float))
+    for _ in range(iters):
+        mid = 0.5 * (bad + good)
+        ok = f(mid) <= 0
+        good, bad = np.where(ok, mid, good), np.where(ok, bad, mid)
+    return good[()]
+
+
+def test_bisect_early_exit_matches_fixed_count():
+    """Stopping once no bracket can move returns the fixed-count result,
+    also where the initial bad end holds f <= 0 or the good end f > 0."""
+    calls = []
+
+    def f(t):
+        calls.append(1)
+        return np.sin(t) - 0.3
+
+    # ordinary brackets, a bad end with f <= 0 (0.2: f = -0.1), a good end
+    # with f > 0, a degenerate bracket and a bracket of adjacent floats
+    bad = np.array([2.0, 0.2, 1.5, 0.25, 0.7, np.nextafter(0.5, 1.0)])
+    good = np.array([-1.0, -1.0, 0.1, 1.0, 0.7, 0.5])
+    want = _bisect_fixed_count(f, bad, good, 400)
+    calls.clear()
+    got = bisect_leq(f, bad, good, 400)
+    assert np.array_equal(got, want)
+    assert len(calls) < 100  # the fixed-count loop makes 400
+    for b, g, w in zip(bad, good, want):
+        assert bisect_leq(f, b, g, 400) == w
+        assert bisect_leq(f, b, g, 7) == _bisect_fixed_count(f, b, g, 7)
+
+
+def test_graph_distance_one_graph_evaluation_per_step(parabola, monkeypatch):
+    """distance_many refines every point's bracket in one golden_min, one
+    graph evaluation per step (evaluating both interior points every step
+    took 123 calls at 60 steps)."""
+    pc = next(pc for pc in parabola.pieces() if pc.kind == "graph")
+    calls = []
+    graph_point = geo.EpigraphBase.graph_point
+    monkeypatch.setattr(geo.EpigraphBase, "graph_point",
+                        lambda self, u: calls.append(1) or graph_point(self, u))
+    pts = np.array([[0.0, -2.0], [1.5, 0.0], [-0.7, -1.3], [3.0, 2.0]])
+    dist, t = pc.distance_many(pts)
+    assert len(calls) <= 66
+    for p, d in zip(pts, dist):
+        # nearest u: a real root of d/du |(u, u^2 - 1) - p|^2 / 2, a cubic
+        us = np.roots([2.0, 0.0, 1.0 - 2.0 * (1.0 + p[1]), -p[0]])
+        us = us[np.abs(us.imag) < 1e-9].real
+        want = np.min(np.hypot(us - p[0], us ** 2 - 1.0 - p[1]))
+        assert d == pytest.approx(want, abs=1e-12)
+    assert np.allclose(np.linalg.norm(pc.point(t) - pts, axis=1), dist, atol=1e-12)
+
+
+def _support_u(body, dirs):
+    """Profile abscissae of the support points of (N, 2) directions."""
+    vals, pts = support_point(body, dirs)
+    assert np.all(np.isfinite(vals))
+    return body.base.to_profile(pts)[:, 0]
+
+
+def test_support_points_match_closed_forms():
+    """Support points solve g'(u) = -w_u / w_v, w = M^T d, within 1e-12 in
+    u: the parabola's closed form and the bisection on cosh and exp."""
+    th = np.linspace(0.05, math.pi - 0.05, 41) + math.pi  # d_v < 0
+    dirs = np.column_stack([np.cos(th), np.sin(th)])
+    para = Body2.epigraph("parabola", params={"a": 2.0, "c": -1.0})
+    u = _support_u(para, dirs)
+    assert np.max(np.abs(u - (-dirs[:, 0] / (2.0 * 2.0 * dirs[:, 1])))) <= 1e-12
+    # a scaled rotation of the same parabola: w = M^T d
+    R = 2.0 * np.array([[0.6, -0.8], [0.8, 0.6]])
+    turned = Body2.epigraph("parabola", params={"a": 2.0, "c": -1.0},
+                            transform=np.column_stack([R, [1.0, -3.0]]))
+    w = dirs @ R
+    keep = w[:, 1] < -0.2
+    u = _support_u(turned, dirs[keep])
+    assert np.max(np.abs(u - (-w[keep, 0] / (4.0 * w[keep, 1])))) <= 1e-12
+    cosh = Body2.epigraph("cosh")
+    s = -dirs[:, 0] / dirs[:, 1]
+    assert np.max(np.abs(_support_u(cosh, dirs) - np.arcsinh(s))) <= 1e-12
+    # exp(-u) has slopes -exp(-u) < 0, met by directions with d_u < 0
+    th = np.linspace(math.pi + 0.05, 1.5 * math.pi - 0.05, 21)
+    dirs = np.column_stack([np.cos(th), np.sin(th)])
+    s = -dirs[:, 0] / dirs[:, 1]
+    exp = Body2.epigraph("exp")
+    assert np.max(np.abs(_support_u(exp, dirs) + np.log(-s))) <= 1e-12
+    # the apex of the standard parabola, exactly
+    val, pt = support_point(Body2.epigraph("parabola"), (0.0, -1.0))
+    assert val == 1.0 and np.array_equal(pt, [0.0, -1.0])
+
+
+def _gallery():
+    t = 2.0 * math.pi * np.arange(24) / 24
+    return {
+        "disk": Body2.ball((0.0, 0.0), 1.0),
+        "parabola": Body2.epigraph("parabola"),
+        "square": Body2.from_polychain([(-1, -1), (1, -1), (1, 1), (-1, 1)]),
+        "hypograph": Body2.epigraph("exp_hypograph"),
+        "cosh": Body2.epigraph("cosh"),
+        "triangle": Body2.from_polychain([(0, 1), (2, 1), (1, -3)]),
+        "ellipse24": Body2.from_polychain(np.column_stack([2.0 * np.cos(t), np.sin(t)])),
+    }
+
+
+#: scan indices j (direction angle 2 pi j / 64) with infinite support,
+#: as the per-direction golden-section support found them
+_INFINITE_SUPPORT = {
+    "parabola": list(range(0, 33)),
+    "cosh": list(range(0, 33)),
+    "hypograph": list(range(0, 16)) + list(range(32, 64)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_gallery()))
+def test_support_batch_matches_per_direction(name):
+    """An (N, 2) call equals its per-direction calls bit for bit and keeps
+    the +inf directions of the 64-direction scan."""
+    body = _gallery()[name]
+    th = 2.0 * math.pi * np.arange(64) / 64
+    dirs = np.column_stack([np.cos(th), np.sin(th)])
+    vals, pts = support_point(body, dirs)
+    assert np.flatnonzero(np.isinf(vals)).tolist() == _INFINITE_SUPPORT.get(name, [])
+    assert np.array_equal(support(body, dirs), vals)
+    for d, v, p in zip(dirs, vals, pts):
+        v1, p1 = support_point(body, d)
+        assert v1 == v and support(body, d) == v
+        assert np.array_equal(p1, p) if p1 is not None else np.isnan(p).all()
+
+
+def test_support_batch_matches_per_direction_transformed():
+    R = 0.5 * np.array([[0.8, 0.6], [-0.6, 0.8]])
+    bodies = [Body2.epigraph("cosh", transform=np.column_stack([R, [2.0, 1.0]])),
+              Body2.epigraph("parabola").clip([((0.3, 1.0), 4.0)])]
+    th = np.linspace(0.0, 2.0 * math.pi, 37)
+    dirs = np.column_stack([np.cos(th), 3.0 * np.sin(th)])  # not unit
+    for body in bodies:
+        vals, pts = support_point(body, dirs)
+        for d, v, p in zip(dirs, vals, pts):
+            v1, p1 = support_point(body, d)
+            assert v1 == v
+            assert np.array_equal(p1, p) if p1 is not None else np.isnan(p).all()
+
+
+def test_walk_to_chord_disk_closed_form():
+    """On a circle of radius r the walk from angle phi lands at angle
+    phi +- 2 asin(c / 2r)."""
+    center, r = np.array([0.3, -0.2]), 1.5
+    disk = Body2.ball(center, r)
+    for phi in (0.1, 2.0, 4.0, 6.2):
+        x = center + r * np.array([math.cos(phi), math.sin(phi)])
+        start = geo.locate_on_boundary(disk, x)
+        for c in (1e-4, 0.3, 1.0, 2.9):
+            for direction in (+1.0, -1.0):
+                (_, _), y = geo.walk_to_chord(disk, start, direction, c, x)
+                ang = phi + direction * 2.0 * math.asin(c / (2.0 * r))
+                want = center + r * np.array([math.cos(ang), math.sin(ang)])
+                assert np.max(np.abs(y - want)) <= 1e-12
+
+
+def test_walks_batched_match_one_at_a_time():
+    """W walks in one call equal the one-at-a-time walks bit for bit,
+    across piece ends of a polygon and a clipped, transformed epigraph."""
+    R = 0.5 * np.array([[0.8, 0.6], [-0.6, 0.8]])
+    t24 = 2.0 * math.pi * np.arange(24) / 24
+    bodies = [Body2.ball((0.3, -0.2), 1.5),
+              Body2.epigraph("parabola"),
+              Body2.epigraph("cosh", transform=np.column_stack([R, [2.0, 1.0]]))
+              .clip([((0.2, 1.0), 6.0)]),
+              Body2.from_polychain(np.column_stack([2.0 * np.cos(t24), np.sin(t24)]))]
+    rng = np.random.default_rng(3)
+    for body in bodies:
+        pieces = body.pieces()
+        real = [i for i, pc in enumerate(pieces) if not pc.synthetic]
+        idx = rng.choice(real, 12)
+        t = np.array([rng.uniform(pieces[i].t0, pieces[i].t1) for i in idx])
+        anchors = geo._chain_points(pieces, idx, t)
+        chords = rng.uniform(0.05, 1.2, 12)
+        dirs = rng.choice([-1.0, 1.0], 12)
+        b_idx, b_t, b_pts = geo.walk_to_chord(body, (idx, t), dirs, chords, anchors)
+        for k in range(12):
+            one = geo.walk_to_chord(body, (int(idx[k]), float(t[k])), dirs[k], chords[k],
+                                    anchors[k])
+            if one is None:
+                assert b_idx[k] == -1 and np.isnan(b_pts[k]).all()
+                continue
+            (i1, t1), p1 = one
+            assert (i1, t1) == (b_idx[k], b_t[k])
+            assert np.array_equal(p1, b_pts[k])
+            # to the resolution of the point's coordinates
+            assert np.linalg.norm(p1 - anchors[k]) == pytest.approx(
+                chords[k], abs=1e-12 * (1.0 + np.abs(p1).max()))
+
+
 # -- cut table ----------------------------------------------------------------
 
 def _polygon(kind: str, shift: float) -> Body2:
