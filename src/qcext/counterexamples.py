@@ -29,12 +29,11 @@ from .geometry import (
     find_boundary_segment,
     golden_min,
     is_rotund,
-    locate_on_boundary,
+    locate_with_normals,
     norm,
     perp,
     support,
     support_point,
-    supporting_normals,
     transform_body,
     unit,
     vec,
@@ -339,7 +338,7 @@ def gen_no_uc(C: Body2, k_max: int = 64):
     # construction's origin sits on the recession ray just above it
     c0 = boundary_crossing(C, C.witness, C.witness - 1e6 * v)
     anchor = c0 + v * min(1.0, 0.5 * norm(C.witness - c0))
-    fan = supporting_normals(C, c0)
+    c0_at, fan = locate_with_normals(C, c0)
     h = -unit(fan.lo + fan.hi)
     h_off = float(h @ anchor)
 
@@ -350,7 +349,7 @@ def gen_no_uc(C: Body2, k_max: int = 64):
         raise ConstructionError("support geometry failed: witness not above "
                                 "the minimal level")
     # first chain point: walk forward from c0 to the h = 0 crossing
-    hit = walk_until(C, locate_on_boundary(C, c0), +1.0, max(C.clearance / 8.0, 1e-3),
+    hit = walk_until(C, c0_at, +1.0, max(C.clearance / 8.0, 1e-3),
                      lambda p, rows: p @ h - h_off >= 0.0, 80)
     if hit is None:
         raise ConstructionError("level crossing not found along the boundary")

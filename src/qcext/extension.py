@@ -28,8 +28,10 @@ from .geometry import (
     chord_ends,
     cuts_beyond,
     distance_many,
+    dots,
     find_asymptotic_direction,
     golden_min,
+    irredundant,
     is_rotund,
     norm,
     prune_halfplanes,
@@ -157,8 +159,11 @@ def extend_bodies(bodies, C: Body2, resolution: int = EXT_RESOLUTION) -> list:
     each clipped by B's other cuts.  e(B) is the cuts with a non-empty part
     plus, at each part end on the boundary of C, the half-planes of C's
     constraints active there (any other cut of B active there has a part or
-    is implied by C's), pruned.  An end on the window adds nothing; no part
-    at all gives the whole plane.  Other bodies go to _extend_sampled."""
+    is implied by C's), pruned.  Every body's half-planes are pruned in one
+    call of geometry.irredundant, with prune_halfplanes' rule (the cuts
+    first, then the ends' half-planes in order, for its ties).  An end on
+    the window adds nothing; no part at all gives the whole plane.  Other
+    bodies go to _extend_sampled."""
     out, rows, lines, centers, halves = [], {}, [], [], []
     for k, B in enumerate(bodies):
         extra = None if B is None else cuts_beyond(B, C)
@@ -171,20 +176,37 @@ def extend_bodies(bodies, C: Body2, resolution: int = EXT_RESOLUTION) -> list:
         lines += extra
         centers += [B.witness] * len(extra)
         halves += [B.window_half] * len(extra)
-    ends, on_c, meets = chord_ends(C, lines, centers, halves)
+    if not rows:
+        return out
+    table = CutTable(lines)
+    ends, on_c, meets = chord_ends(C, table, centers, halves)
     lo, hi = np.zeros(len(lines)), np.ones(len(lines))
+    owner = np.empty(len(lines), dtype=np.intp)
     for k, r in rows.items():
+        owner[r] = k
         if r.stop - r.start > 1:
             lo[r], hi[r] = _chord_parts(ends[r], bodies[k].cut_table)
-    part = meets & (lo <= hi)
-    on_c &= part[:, None] & np.column_stack([lo == 0.0, hi == 1.0])
-    fans = iter(active_normals(C, ends[on_c]))
-    for k, r in rows.items():
-        B = bodies[k]
-        raw = [h for h, ok in zip(lines[r], part[r]) if ok]
-        raw += [HalfPlane(nrm, float(nrm @ y)) for y in ends[r][on_c[r]] for nrm in next(fans)]
-        out[k] = (ExtendedBody(B, C, tuple(prune_halfplanes(raw, B.witness))) if raw
-                  else ExtendedBody(B, C, (), special="plane"))
+    has_part = meets & (lo <= hi)
+    on_c &= has_part[:, None] & np.column_stack([lo == 0.0, hi == 1.0])
+    # the raw rows: the cuts with a part, then each end's active constraints
+    part, (line_of, _) = np.flatnonzero(has_part), np.nonzero(on_c)
+    y = ends[on_c]
+    nrm, act = active_normals(C, y)
+    point, cons = np.nonzero(act.T)
+    fan = nrm[cons, point]
+    normals = np.concatenate([table.normals[part], fan])
+    offsets = np.concatenate([table.offsets[part], dots(fan, y[point])])
+    level = np.concatenate([owner[part], owner[line_of[point]]])
+    rank = np.concatenate([part, len(lines) + np.arange(len(fan))])
+    witnesses = np.zeros((len(bodies), 2))
+    witnesses[list(rows)] = [bodies[k].witness for k in rows]
+    kept = irredundant(normals, offsets, witnesses, level, rank)
+    hps = [lines[part[i]] if i < len(part) else HalfPlane(normals[i], offsets[i]) for i in kept]
+    bounds = np.searchsorted(level[kept], np.arange(len(bodies) + 1))
+    raw = np.bincount(level, minlength=len(bodies))
+    for k in rows:
+        out[k] = (ExtendedBody(bodies[k], C, tuple(hps[bounds[k]:bounds[k + 1]])) if raw[k]
+                  else ExtendedBody(bodies[k], C, (), special="plane"))
     return out
 
 

@@ -453,6 +453,34 @@ class Profile:
         return bisect_leq(lambda u: self.dg(u) - s, np.broadcast_to(hi, s.shape),
                           np.broadcast_to(lo, s.shape))
 
+    def chord(self, pu, pv, qu, qv, half):
+        """(lo, hi) per line (pu, pv) + t (qu, qv) of the profile frame: the
+        line keeps h(t) = g(pu + t qu) - (pv + t qv) <= 0 on [lo, hi] within
+        |t| <= half, and lo > hi where h > 0 on the whole window.
+
+        h is convex.  Its window minimum is where g'(u) = qv / qu
+        (slope_point; the window end toward qv where qu = 0, h being
+        linear), and one bisect_leq over the (K, 2) brackets moves each
+        window end with h > 0 onto the root between it and the minimum.
+        """
+        ends = np.column_stack([-half, half])
+        u_ends = pu[:, None] + ends * qu[:, None]
+        lin = qu == 0
+        q_u = np.where(lin, 1.0, qu)
+        u_min = self.slope_point(np.where(lin, 0.0, qv / q_u), u_ends.min(axis=1),
+                                 u_ends.max(axis=1))
+        t_min = np.clip(np.where(lin, np.copysign(half, qv), (u_min - pu) / q_u), -half, half)
+
+        def h(t, rows=slice(None)):
+            return self.g(pu[rows] + t * qu[rows]) - (pv[rows] + t * qv[rows])
+
+        meets = h(t_min) <= 0
+        out = (h(ends.T).T > 0) & meets[:, None]
+        if out.any():
+            rows = np.nonzero(out)[0]
+            ends[out] = bisect_leq(lambda t: h(t, rows), ends[out], t_min[rows])
+        return np.where(meets, ends[:, 0], np.inf), np.where(meets, ends[:, 1], -np.inf)
+
     def validate(self, u_lo=-64.0, u_hi=64.0, n=512, tol=1e-7):
         u = np.linspace(u_lo, u_hi, n)
         g = self.g(u)
@@ -479,6 +507,24 @@ class ParabolaProfile(Profile):
     def slope_point(self, s, lo, hi):
         """Closed form: g'(u) = 2 a u = s at u = s / (2 a), clamped."""
         return np.clip(np.asarray(s, dtype=float) / (2.0 * self.a), lo, hi)
+
+    def chord(self, pu, pv, qu, qv, half):
+        """Closed form: h(t) = A t^2 + B t + D with A = a qu^2,
+        B = 2 a pu qu - qv and D = g(pu) - pv, by the stable root formula
+        k = -(B + sign(B) sqrt(B^2 - 4 A D)) / 2, roots k / A and D / k.
+        Where qu = 0 h is linear and its root is D / k = -D / B; a negative
+        discriminant misses.  The roots are not clipped to the window."""
+        A = self.a * qu * qu
+        B = 2.0 * self.a * pu * qu - qv
+        D = self.g(pu) - pv
+        disc = B * B - 4.0 * A * D
+        k = -0.5 * (B + np.copysign(np.sqrt(np.maximum(disc, 0.0)), B))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r1 = k / A  # +-inf where qu = 0: the linear h's unbounded side
+            r2 = np.where(k == 0, r1, D / k)
+        miss = disc < 0
+        return (np.where(miss, np.inf, np.minimum(r1, r2)),
+                np.where(miss, -np.inf, np.maximum(r1, r2)))
 
 
 class ExpProfile(Profile):
@@ -674,6 +720,17 @@ class EpigraphBase:
         m = self.scale * (np.asarray(self.profile.g(uv[:, 0]), dtype=float)
                           - uv[:, 1]) / np.hypot(1.0, slope)
         return _frozen(self.from_profile(uv), m)
+
+    def chord(self, foot, d, half):
+        """Profile.chord of the world lines foot + t d, mapped into the profile
+        frame as p + t q with the same t, written out per coordinate so a
+        line's value does not depend on the other lines (a matmul's rows can
+        differ in the last bit)."""
+        (a, b), (c, e) = self.Minv
+        x, y = foot[:, 0] - self.shift[0], foot[:, 1] - self.shift[1]
+        dx, dy = d[:, 0], d[:, 1]
+        return self.profile.chord(x * a + y * b, x * c + y * e, dx * a + dy * b,
+                                  dx * c + dy * e, half)
 
     def graph_point(self, u) -> np.ndarray:
         """World points of the graph at u, shaped u.shape + (2,); each is
@@ -952,35 +1009,109 @@ def _lex_max(vals, ts):
 # ---------------------------------------------------------------------------
 # half-plane pruning and clipping
 
-def prune_halfplanes(halfplanes: Sequence[HalfPlane], witness: np.ndarray) -> list:
-    """Irredundant subset, sorted by normal angle.
+#: most distinct directions of one list that the interval test prunes; longer
+#: lists (the sampled construction's, 256 rows and more) take Qhull's dual
+#: hull, one call each.  On one list (2 CPUs, numpy 2.4.6, scipy 1.17.1; best
+#: of 5 runs, random and circle-tangent rows) the interval test took 0.05 ms
+#: at 3 rows, 0.07 ms at 32, 0.12 ms at 64, 0.26 ms at 128 and 1.2 ms at 256;
+#: the dual hull 0.08, 0.10-0.12, 0.12-0.15, 0.16-0.24 and 0.24-0.41 ms.
+_PRUNE_MAX_ROWS = 64
+#: the interval test keeps a half-plane whose boundary line has a segment
+#: inside the others shrunk toward the witness by this share of their slack
+_PRUNE_RTOL = 1e-12
 
-    Polar duality about an interior witness: a constraint is irredundant
-    iff its dual point is a vertex of conv(duals + origin).
+
+def irredundant(normals: np.ndarray, offsets: np.ndarray, witnesses: np.ndarray,
+                level: np.ndarray, rank: Optional[np.ndarray] = None) -> np.ndarray:
+    """Rows of the irredundant half-planes of many lists at once, ordered by
+    list and then by normal angle.
+
+    Row r is {x : normals[r] . x <= offsets[r]} of list level[r], and
+    witnesses[level[r]] must lie strictly inside it (GeometryError
+    otherwise).  Rows of one list with the same direction (the normal's
+    angle rounded at 1e12) keep the one with the least witness slack
+    s = offset - n . w, computed per coordinate, ties to the lowest rank
+    (default: the row order).  Then row i is kept when its boundary line
+    w + s_i n_i + t perp(n_i) has a segment of positive length inside every
+    other row j shrunk toward the witness by _PRUNE_RTOL of its slack:
+    s_i n_i . n_j - (1 - _PRUNE_RTOL) s_j + t n_i x n_j <= 0.  In exact
+    arithmetic and without the shrink this is the dual-hull rule (n_i / s_i
+    is a vertex of the hull of the duals and the origin).  The shrink drops
+    a line through a vertex of the others, and a near-parallel neighbour
+    whose crossing it moves past that vertex; Qhull resolves such tight
+    rows to its own rounding.  Lists with more than _PRUNE_MAX_ROWS
+    directions take the dual-hull rule from Qhull (every row where Qhull
+    fails).  Every value is a row-wise expression, so a list keeps the same
+    rows in any batch.
     """
+    nx, ny = normals[:, 0], normals[:, 1]
+    slack = offsets - dots(witnesses[level], normals)
+    if len(slack) and slack.min() <= 1e-15:
+        raise GeometryError("witness not strictly interior to a half-plane")
+    # angle_of's arithmetic (math.atan2; numpy's vectorised arctan2 can
+    # differ in the last bit)
+    ang = np.array([math.atan2(y, x) for x, y in normals.tolist()])
+    key = np.rint(np.where(ang < 0, ang + TWO_PI, ang) * 1e12)
+    # lexsort is stable, so equal keys keep the row order
+    order = np.lexsort((slack, key, level) if rank is None else (rank, slack, key, level))
+    lv, key = level[order], key[order]
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = (lv[1:] != lv[:-1]) | (key[1:] != key[:-1])
+    rows, lv = order[head], lv[head]
+    count = np.bincount(lv)
+    big = count > _PRUNE_MAX_ROWS
+    keep = np.ones(len(rows), dtype=bool)
+    for k in np.flatnonzero(big):
+        sel = lv == k
+        keep[sel] = _dual_hull_vertices(normals[rows[sel]], slack[rows[sel]])
+    small = ~big[lv]
+    # a list of one or two directions keeps them all
+    if count[~big].max(initial=0) > 2:
+        r, lvs = rows[small], lv[small]
+        cols = np.array([nx, ny, slack])[:, r]
+        if len(count) == 1:
+            grid, pos = cols[:, None, :], np.arange(len(r))
+        else:
+            # (3, lists, m) padded with zero normals, whose b = 0 bounds nothing
+            pos = np.arange(len(r)) - np.searchsorted(lvs, lvs)
+            grid = np.zeros((3, len(count), int(pos.max()) + 1))
+            grid[:, lvs, pos] = cols
+        xi, yi, si = grid[..., None]
+        xj, yj, sj = grid[:, :, None, :]
+        a = si * (xi * xj + yi * yj) - (1.0 - _PRUNE_RTOL) * sj
+        b = xi * yj - yi * xj
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = a / b  # the bound of row j on line i is t = -q
+        # t >= -q where b < 0 and t <= -q where b > 0
+        ok = (np.maximum.reduce(q, axis=2, where=b > 0, initial=-np.inf)
+              < np.minimum.reduce(q, axis=2, where=b < 0, initial=np.inf))
+        keep[small] = ok[lvs, pos]
+    return rows[keep]
+
+
+def _dual_hull_vertices(normals: np.ndarray, slack: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose duals normals / slack are vertices of the
+    hull of the duals and the origin, by Qhull (all rows when Qhull fails)."""
+    pts = np.vstack([normals / slack[:, None], [[0.0, 0.0]]])
+    keep = np.zeros(len(slack), dtype=bool)
+    try:
+        vert = ConvexHull(pts).vertices
+    except QhullError:
+        return ~keep
+    keep[vert[vert < len(slack)]] = True
+    return keep
+
+
+def prune_halfplanes(halfplanes: Sequence[HalfPlane], witness: np.ndarray) -> list:
+    """Irredundant subset, sorted by normal angle: the one-list call of
+    irredundant (extend_bodies prunes all its bodies in one call)."""
     if not halfplanes:
         return []
-    by_dir: dict = {}
-    for hp in halfplanes:
-        cp = hp.offset - float(hp.normal @ witness)
-        if cp <= 1e-15:
-            raise GeometryError("witness not strictly interior to a half-plane")
-        key = round(angle_of(hp.normal) * 1e12)
-        cur = by_dir.get(key)
-        if cur is None or cp < cur[0]:
-            by_dir[key] = (cp, hp)
-    items = list(by_dir.values())
-    if len(items) <= 2:
-        return sorted((hp for _, hp in items), key=lambda h: angle_of(h.normal))
-    duals = np.array([hp.normal / cp for cp, hp in items])
-    pts = np.vstack([duals, [[0.0, 0.0]]])
-    try:
-        hull = ConvexHull(pts)
-        vert = {int(i) for i in hull.vertices}
-    except QhullError:
-        vert = set(range(len(items)))
-    kept = [items[i][1] for i in range(len(items)) if i in vert]
-    return sorted(kept, key=lambda h: angle_of(h.normal))
+    normals = np.array([hp.normal for hp in halfplanes])
+    offsets = np.array([hp.offset for hp in halfplanes])
+    rows = irredundant(normals, offsets, as_point(witness)[None, :],
+                       np.zeros(len(offsets), dtype=np.intp))
+    return [halfplanes[i] for i in rows]
 
 
 def clip_polygon(poly: list, hp: HalfPlane, tol: float = 1e-12) -> list:
@@ -1922,16 +2053,29 @@ def locate_on_boundary(C: Body2, x):
     return _locate_on_boundary(C, as_point(x))
 
 
+def locate_with_normals(C: Body2, x, tol: float = 1e-7):
+    """(locate_on_boundary(C, x), supporting_normals(C, x, tol)) from one
+    distance_many call per piece, which both would make."""
+    x = as_point(x)
+    near = _nearest_on_pieces(C, x)
+    return _locate_on_boundary(C, x, near), _normal_fan(C, x, tol, near)
+
+
 def supporting_normals(C: Body2, x, tol: float = 1e-7) -> NormalFan:
     """Outward unit normals supporting C at the boundary point x.
 
     Smooth points give a single normal; corners give the arc between the
     two incident piece normals.
     """
-    x = as_point(x)
+    return _normal_fan(C, as_point(x), tol)
+
+
+def _normal_fan(C: Body2, x, tol: float, near=None) -> NormalFan:
+    """supporting_normals, with each piece's distance_many result at x taken
+    from near where it is given."""
     scale = max(1.0, norm(x - C.witness))
     normals = []
-    for pc in C.pieces():
+    for i, pc in enumerate(C.pieces()):
         # piece endpoints are the common case (corners); test them first
         hit_t = None
         for t_end in (pc.t0, pc.t1):
@@ -1939,7 +2083,7 @@ def supporting_normals(C: Body2, x, tol: float = 1e-7) -> NormalFan:
                 hit_t = t_end
                 break
         if hit_t is None:
-            d, t = pc.distance_many(x[None, :])
+            d, t = pc.distance_many(x[None, :]) if near is None else near[i]
             if d[0] <= tol * scale:
                 hit_t = float(t[0])
         if hit_t is not None:
@@ -2028,10 +2172,14 @@ def rotundity_modulus(C: Body2, x, eps: float, refine_iters: int = 60) -> float:
     return float(np.min(boundary_distance_many(C, mids)))
 
 
-def _locate_on_boundary(C: Body2, x):
+def _nearest_on_pieces(C: Body2, x) -> list:
+    """Per piece of C, its distance_many (distance, parameter) at x."""
+    return [pc.distance_many(x[None, :]) for pc in C.pieces()]
+
+
+def _locate_on_boundary(C: Body2, x, near=None):
     best = (np.inf, None, None)
-    for idx, pc in enumerate(C.pieces()):
-        d, t = pc.distance_many(x[None, :])
+    for idx, (d, t) in enumerate(_nearest_on_pieces(C, x) if near is None else near):
         if d[0] < best[0]:
             best = (float(d[0]), idx, float(t[0]))
     if best[1] is None or best[0] > 1e-6 * max(1.0, norm(x)):
@@ -2288,34 +2436,24 @@ def _circle_chord(center, radius: float, p, n, d):
     return (rel @ d[..., :, None])[..., 0, 0], half, dist
 
 
-#: lines per chord_ends batch; bounds its (batch, 257) search grids
-_LINE_BATCH = 1024
-
-
-def chord_ends(C: Body2, hps: Sequence[HalfPlane], centers, halves):
-    """Ends of the chords that the boundary lines of hps cut from C, in
-    batches of _LINE_BATCH lines.
+def chord_ends(C: Body2, hps, centers, halves):
+    """Ends of the chords that the boundary lines of hps (half-planes or their
+    CutTable) cut from C.
 
     Line k runs over parameters |t| <= halves[k] from the foot of
-    centers[k] on it.  On a half-plane or ball body the chord is closed
-    form: each cut bounds t on one side, a ball bounds it to the circle's
-    chord (_circle_chord), and the chord's midpoint is tested.  On an
-    epigraph body a staged coarse grid and golden section find the line's
-    lowest C margin, and one bisection over the (K, 2) brackets moves each
-    window end with positive margin onto the boundary of C.  Returns the
-    (K, 2, 2) end points, the (K, 2) mask of ends on the boundary of C (the
-    others lie on the window) and the (K,) mask of lines that meet the
-    interior of C (margin below -1e-9).
+    centers[k] on it.  The base bounds t first: a ball to the circle's
+    chord (_circle_chord), an epigraph to where the line lies above the
+    graph (EpigraphBase.chord: closed form on a parabola, a slope_point
+    minimum and one bisection elsewhere).  Then each cut of C bounds t on
+    one side, the window clips, and the chord's midpoint is tested.
+    Returns the (K, 2, 2) end points, the (K, 2) mask of ends on the
+    boundary of C (the others lie on the window) and the (K,) mask of lines
+    that meet the interior of C (margin below -1e-9 at the midpoint).
     """
-    if not len(hps):
-        return np.zeros((0, 2, 2)), np.zeros((0, 2), dtype=bool), np.zeros(0, dtype=bool)
-    if len(hps) > _LINE_BATCH:
-        parts = [chord_ends(C, hps[s:s + _LINE_BATCH], centers[s:s + _LINE_BATCH],
-                            halves[s:s + _LINE_BATCH])
-                 for s in range(0, len(hps), _LINE_BATCH)]
-        return tuple(np.concatenate(p) for p in zip(*parts))
-    table = CutTable(hps)
+    table = hps if isinstance(hps, CutTable) else CutTable(hps)
     n, c = table.normals, table.offsets
+    if not len(c):
+        return np.zeros((0, 2, 2)), np.zeros((0, 2), dtype=bool), np.zeros(0, dtype=bool)
     w = as_points(centers)
     half = np.asarray(halves, dtype=float)
     foot = w + (c - np.einsum("ij,ij->i", n, w))[:, None] * n
@@ -2326,50 +2464,43 @@ def chord_ends(C: Body2, hps: Sequence[HalfPlane], centers, halves):
         rows = (slice(None),) + (None,) * (t.ndim - 1)
         return (foot[rows] + t[..., None] * d[rows]).reshape(-1, 2)
 
-    f = along(C.margin_many, line)
+    # along line k each cut j of C keeps a[j, k] + t * b[j, k] <= 0
+    lo, hi = -np.inf, np.inf
+    if isinstance(C.base, BallBase):
+        t_mid, r_half, _ = _circle_chord(C.base.center, C.base.radius, foot, n, d)
+        lo, hi = t_mid - r_half, t_mid + r_half
+    elif isinstance(C.base, EpigraphBase):
+        lo, hi = C.base.chord(foot, d, half)
+    a, b = C.cut_table.values(foot), C.cut_table.normals @ d.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -a / b
+    lo = np.maximum(lo, np.where(b < 0, t, -np.inf).max(axis=0, initial=-np.inf))
+    hi = np.minimum(hi, np.where(b > 0, t, np.inf).min(axis=0, initial=np.inf))
     window = np.column_stack([-half, half])
-    if not isinstance(C.base, EpigraphBase):
-        # along line k each cut j of C keeps a[j, k] + t * b[j, k] <= 0, and
-        # a ball keeps |t - t_mid| <= r_half
-        lo, hi = -np.inf, np.inf
-        if isinstance(C.base, BallBase):
-            t_mid, r_half, _ = _circle_chord(C.base.center, C.base.radius, foot, n, d)
-            lo, hi = t_mid - r_half, t_mid + r_half
-        a, b = C.cut_table.values(foot), C.cut_table.normals @ d.T
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = -a / b
-        lo = np.maximum(lo, np.where(b < 0, t, -np.inf).max(axis=0, initial=-np.inf))
-        hi = np.minimum(hi, np.where(b > 0, t, np.inf).min(axis=0, initial=np.inf))
-        t_end = np.clip(np.column_stack([lo, hi]), window[:, :1], window[:, 1:])
-        meets = (t_end[:, 0] < t_end[:, 1]) & (f(t_end.mean(axis=1)) < -1e-9)
-        return line(t_end).reshape(-1, 2, 2), (t_end != window) & meets[:, None], meets
-    t_in, m_in = coarse_golden_min(f, -half, half)
-    meets = m_in < -1e-9
-    on_c = (f(window) > 0) & meets[:, None]
-    t_end = np.where(on_c, bisect_leq(f, window, t_in[:, None]), window)
-    return line(t_end).reshape(-1, 2, 2), on_c, meets
+    t_end = np.clip(np.column_stack([lo, hi]), window[:, :1], window[:, 1:])
+    meets = (t_end[:, 0] < t_end[:, 1]) & (along(C.margin_many, line)(t_end.mean(axis=1)) < -1e-9)
+    return line(t_end).reshape(-1, 2, 2), (t_end != window) & meets[:, None], meets
 
 
-def active_normals(C: Body2, pts) -> list:
-    """Per point of the boundary of C, the outward unit normals of the
-    constraints active there (the ball or graph base, each cut) within
-    1e-7 * max(1, distance to the witness), the reach of supporting_normals."""
+def active_normals(C: Body2, pts):
+    """The outward unit normals (c, N, 2) of C's c constraints (the ball or
+    graph base, then each cut) at N boundary points, and the (c, N) mask of
+    those active there: within 1e-7 * max(1, distance to the witness), the
+    reach of supporting_normals."""
     pts = as_points(pts)
     near = 1e-7 * np.maximum(1.0, np.linalg.norm(pts - C.witness, axis=-1))
-    normals, active = [], []
-    base = C.base
+    base, table = C.base, C.cut_table
+    normals = np.broadcast_to(table.normals[:, None, :], (len(table.offsets),) + pts.shape)
+    active = np.abs(table.values(pts)) <= near
+    if isinstance(base, PlaneBase):
+        return normals, active
     if isinstance(base, BallBase):
         rel = pts - base.center
-        normals.append(rel / np.linalg.norm(rel, axis=-1, keepdims=True))
-    elif isinstance(base, EpigraphBase):
-        normals.append(base.graph_normal(base.to_profile(pts)[:, 0]))
-    if normals:
-        active.append(np.abs(base.margin(pts)) <= near)
-    table = C.cut_table
-    normals.extend(np.broadcast_to(n, pts.shape) for n in table.normals)
-    active.extend(np.abs(table.values(pts)) <= near)
-    return [[nrm[i] for nrm, act in zip(normals, active) if act[i]]
-            for i in range(len(pts))]
+        own = rel / np.linalg.norm(rel, axis=-1, keepdims=True)
+    else:
+        own = base.graph_normal(base.to_profile(pts)[:, 0])
+    return (np.concatenate([own[None], normals]),
+            np.concatenate([(np.abs(base.margin(pts)) <= near)[None], active]))
 
 
 def relative_boundary(B: Body2, C: Body2, samples_per_piece: int = 129,

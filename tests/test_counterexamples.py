@@ -153,6 +153,30 @@ def test_no_uc_chain_at_unit_chord(quartet, name):
     assert np.max(np.abs(steps - 1.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("name", ["parabola", "cosh"])
+def test_no_uc_locates_c0_once(monkeypatch, name):
+    """c0's supporting normals and its place on the boundary come from one
+    distance_many call per piece: no piece is asked twice about one point,
+    and locate_with_normals equals its two one-purpose calls."""
+    from qcext.geometry import (GraphPiece, locate_on_boundary, locate_with_normals,
+                                supporting_normals)
+
+    body = Body2.epigraph(name)
+    body.pieces()
+    asked = []
+    distance_many = GraphPiece.distance_many
+    monkeypatch.setattr(GraphPiece, "distance_many", lambda self, pts, *a, **kw: asked.append(
+        (id(self), np.asarray(pts).tobytes())) or distance_many(self, pts, *a, **kw))
+    _, cert = gen_no_uc(body, k_max=8)
+    assert asked and len(asked) == len(set(asked))
+    monkeypatch.setattr(GraphPiece, "distance_many", distance_many)
+    c0 = np.array(cert.params["c0"])
+    at, fan = locate_with_normals(body, c0)
+    want = supporting_normals(body, c0)
+    assert at == locate_on_boundary(body, c0)
+    assert np.array_equal(fan.lo, want.lo) and np.array_equal(fan.hi, want.hi)
+
+
 def test_no_uc_cosh_decays_faster(quartet):
     _, cert_p = gen_no_uc(quartet["parabola"], k_max=16)
     _, cert_c = gen_no_uc(Body2.epigraph("cosh"), k_max=16)

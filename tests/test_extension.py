@@ -425,6 +425,122 @@ def test_ball_chord_ends_closed_form(monkeypatch):
     assert len(calls) <= 4
 
 
+def test_parabola_chord_ends_closed_form(monkeypatch):
+    """On a parabola ambient chord_ends is closed form: the chords of a cut,
+    scaled and rotated parabola match a 50-digit line-parabola oracle,
+    clipped by the ambient's own cut, within 1e-14 of the scale, and a
+    one-line extend_body makes a fixed handful of margin calls (the staged
+    search made about 180)."""
+    import mpmath
+
+    lam, th, shift, cap = 1.7, 0.7, np.array([0.3, -1.2]), 6.0
+    rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    M = lam * rot
+    C = Body2.epigraph("parabola", transform=np.column_stack([M, shift])).clip([((0.0, 1.0), cap)])
+    n = np.array([-0.6, 0.8])
+    offsets = np.linspace(-1.0, 7.0, 9)  # the last two chords end on the cut
+    hps = [HalfPlane(n, float(o)) for o in offsets]
+    ends, on_c, meets = chord_ends(C, hps, np.tile(C.witness, (9, 1)), np.full(9, 100.0))
+    assert meets.all() and on_c.all()
+    d = np.array([-n[1], n[0]])
+    with mpmath.workdps(50):
+        Mp = mpmath.matrix(M.tolist())
+        m_u = Mp[0, 0] * n[0] + Mp[1, 0] * n[1]
+        m_v = Mp[0, 1] * n[0] + Mp[1, 1] * n[1]
+        for o, got in zip(offsets, ends):
+            # v = u^2 - 1 on the line m_u u + m_v v = o - n . shift
+            rhs = mpmath.mpf(o) - n[0] * mpmath.mpf(shift[0]) - n[1] * mpmath.mpf(shift[1])
+            disc = mpmath.sqrt(m_u ** 2 + 4 * m_v * (m_v + rhs))
+            want = []
+            for u in ((-m_u - disc) / (2 * m_v), (-m_u + disc) / (2 * m_v)):
+                v = u * u - 1
+                x = Mp[0, 0] * u + Mp[0, 1] * v + shift[0]
+                y = Mp[1, 0] * u + Mp[1, 1] * v + shift[1]
+                if y > cap:  # clipped by the ambient's cut: slide along the line
+                    x, y = x + (y - cap) * n[1] / n[0], mpmath.mpf(cap)
+                want.append((x, y))
+            want.sort(key=lambda p: float(p[0] * d[0] + p[1] * d[1]))
+            err = max(abs(float(got[i, j] - want[i][j])) for i in range(2) for j in range(2))
+            assert err <= 1e-14 * lam
+    calls = []
+    margin_many = Body2.margin_many
+    monkeypatch.setattr(Body2, "margin_many",
+                        lambda self, pts: calls.append(1) or margin_many(self, pts))
+    par = Body2.epigraph("parabola", transform=np.column_stack([M, shift]))
+    extend_body(par.clip([(n, 0.3)]), par)
+    assert len(calls) <= 4
+
+
+def _staged_chord_ends(C, hps, centers, halves):
+    """The staged search that chord_ends once ran on epigraph ambients, as a
+    reference: a coarse grid and golden section find each line's lowest C
+    margin in its window, and one bisection moves each window end with
+    positive margin onto the boundary of C."""
+    from qcext.geometry import CutTable, along, bisect_leq, coarse_golden_min
+
+    table = CutTable(hps)
+    n, c = table.normals, table.offsets
+    w, half = np.asarray(centers, dtype=float), np.asarray(halves, dtype=float)
+    foot = w + (c - np.einsum("ij,ij->i", n, w))[:, None] * n
+    d = np.column_stack([-n[:, 1], n[:, 0]])
+
+    def line(t):
+        t = np.asarray(t)
+        rows = (slice(None),) + (None,) * (t.ndim - 1)
+        return (foot[rows] + t[..., None] * d[rows]).reshape(-1, 2)
+
+    f = along(C.margin_many, line)
+    window = np.column_stack([-half, half])
+    t_in, m_in = coarse_golden_min(f, -half, half)
+    meets = m_in < -1e-9
+    on_c = (f(window) > 0) & meets[:, None]
+    t_end = np.where(on_c, bisect_leq(f, window, t_in[:, None]), window)
+    return line(t_end).reshape(-1, 2, 2), on_c, meets
+
+
+def _random_lines(C, k=200):
+    rng = np.random.default_rng(1)
+    hps = [HalfPlane.from_any(rng.normal(size=2), rng.normal()) for _ in range(k)]
+    return hps, np.tile(C.witness, (k, 1)), np.full(k, C.window_half)
+
+
+def test_exp_hypograph_short_far_chords_found():
+    """Two short chords far from the window centre, which the staged
+    search's 257-point grid (512 apart on a 65,536 half-window) missed."""
+    C = Body2.epigraph("exp_hypograph")
+    hps, centers, halves = _random_lines(C)
+    ends, on_c, meets = chord_ends(C, hps, centers, halves)
+    old = _staged_chord_ends(C, hps, centers, halves)[2]
+    for k, length, margin in ((13, 3.87, -0.128), (178, 7.35, -0.732)):
+        assert meets[k] and on_c[k].all() and not old[k]
+        assert np.linalg.norm(ends[k, 1] - ends[k, 0]) == pytest.approx(length, abs=0.01)
+        assert C.margin_many(ends[k].mean(axis=0)[None, :])[0] == pytest.approx(margin, abs=1e-3)
+
+
+@pytest.mark.parametrize("name", ["cosh", "exp_hypograph", "poly"])
+def test_epigraph_chord_ends_match_staged_search(name):
+    """200 random lines: where both the exact chords and the staged search
+    meet C the ends agree within 1e-12 relative; a line that only the
+    exact chords meet has its midpoint at least 1e-6 inside; the staged
+    search meets no line that the exact chords miss."""
+    from qcext.geometry import PolyProfile
+
+    C = (Body2.epigraph(PolyProfile([0.0, 0.3, 1.0, 0.0, 0.25]),
+                        transform=[[0.8, -0.6, 0.5], [0.6, 0.8, -1.0]])
+         if name == "poly" else Body2.epigraph(name))
+    hps, centers, halves = _random_lines(C)
+    ends, on_c, meets = chord_ends(C, hps, centers, halves)
+    old_ends, old_on_c, old_meets = _staged_chord_ends(C, hps, centers, halves)
+    both = meets & old_meets
+    assert both.sum() > 100 and not (old_meets & ~meets).any()
+    assert np.array_equal(on_c[both], old_on_c[both])
+    err = np.abs(ends[both] - old_ends[both]) / np.maximum(1.0, np.abs(old_ends[both]))
+    assert err.max() <= 1e-12
+    new = meets & ~old_meets
+    if new.any():
+        assert (C.margin_many(ends[new].mean(axis=1)) <= -1e-6).all()
+
+
 def test_ball_chord_ends_on_circle():
     """The cut segment of a clipped ball ends on the circle, so the sampled
     operator's tangent half-planes there are the closed form's."""

@@ -881,3 +881,165 @@ def test_clip_witness_reuses_base_probe(monkeypatch, name):
     # probe, each fresh base adds one (one margin call for a ball, two g
     # calls for an epigraph)
     assert len(calls) == (1 if name == "ball" else 2) * 6
+
+
+# -- half-plane pruning: the interval test against Qhull's dual hull -----------
+
+def _prune_by_qhull(halfplanes, witness):
+    """The dual-hull rule by Qhull, the pruning before the interval test:
+    the tighter of each same-direction pair (ties to the first), then the
+    rows whose duals normal / slack are vertices of the hull of the duals
+    and the origin, sorted by normal angle."""
+    from scipy.spatial import ConvexHull
+
+    by_dir = {}
+    for hp in halfplanes:
+        cp = hp.offset - float(hp.normal @ witness)
+        key = round(geo.angle_of(hp.normal) * 1e12)
+        if key not in by_dir or cp < by_dir[key][0]:
+            by_dir[key] = (cp, hp)
+    items = list(by_dir.values())
+    if len(items) > 2:
+        vert = set(ConvexHull([hp.normal / cp for cp, hp in items] + [[0.0, 0.0]]).vertices.tolist())
+        items = [it for i, it in enumerate(items) if i in vert]
+    return sorted((hp for _, hp in items), key=lambda h: geo.angle_of(h.normal))
+
+
+def _random_halfplane_lists(rng, count):
+    """(half-planes, witness) lists of 1 to 100 rows: random normals and
+    slacks, tangents of a circle with some pushed out, and 8 directions
+    with integer slacks (same-direction rows), about random witnesses."""
+    out = []
+    for i in range(count):
+        m = int(rng.integers(1, 101 if i % 10 == 0 else 30))
+        kind = i % 3
+        if kind == 0:
+            n, s = rng.normal(size=(m, 2)), rng.uniform(0.1, 3.0, m)
+        elif kind == 1:
+            th = rng.uniform(0.0, 2.0 * math.pi, m)
+            n = np.column_stack([np.cos(th), np.sin(th)])
+            s = 1.0 + (rng.uniform(size=m) < 0.3) * rng.uniform(0.0, 0.5, m)
+        else:
+            th = rng.integers(0, 8, m) * math.pi / 4
+            n, s = np.column_stack([np.cos(th), np.sin(th)]), rng.integers(1, 4, m).astype(float)
+        w = rng.normal(size=2)
+        hps = [geo.HalfPlane.from_any(a, 0.0) for a in n]
+        out.append(([geo.HalfPlane(h.normal, float(h.normal @ w) + si) for h, si in zip(hps, s)], w))
+    return out
+
+
+def _same_rows(got, want):
+    return [id(h) for h in got] == [id(h) for h in want]
+
+
+def test_prune_matches_qhull_on_random_lists():
+    """The kept half-planes are Qhull's, object for object and in order,
+    on 600 random lists (every tenth up to 100 rows, beyond
+    _PRUNE_MAX_ROWS = 64 where Qhull itself runs)."""
+    lists = _random_halfplane_lists(np.random.default_rng(5), 600)
+    assert sum(len(h) > geo._PRUNE_MAX_ROWS for h, _ in lists) > 5
+    for hps, w in lists:
+        assert _same_rows(geo.prune_halfplanes(hps, w), _prune_by_qhull(hps, w))
+
+
+def test_batched_prune_equals_one_list():
+    """One irredundant call over 200 lists keeps each list's rows of its own
+    one-list call, in the same order, and a rank reorders ties."""
+    lists = _random_halfplane_lists(np.random.default_rng(6), 200)
+    rows = [hp for hps, _ in lists for hp in hps]
+    level = np.repeat(np.arange(len(lists)), [len(hps) for hps, _ in lists])
+    kept = geo.irredundant(np.array([h.normal for h in rows]), np.array([h.offset for h in rows]),
+                           np.array([w for _, w in lists]), level)
+    assert [rows[i] for i in kept] == [h for hps, w in lists for h in geo.prune_halfplanes(hps, w)]
+    # two copies of one half-plane: the lower rank wins the tie
+    hp = geo.HalfPlane(np.array([0.0, 1.0]), 1.0)
+    args = (np.array([hp.normal, hp.normal]), np.array([1.0, 1.0]), np.zeros((1, 2)), np.zeros(2, int))
+    assert geo.irredundant(*args).tolist() == [0]
+    assert geo.irredundant(*args, rank=np.array([1, 0])).tolist() == [1]
+
+
+def test_prune_matches_qhull_on_criterion_2_pairs(monkeypatch):
+    """Every list pruned for 100 of criterion 2's polygon pairs (rng 21:
+    extended bodies, pieces, monotonicity and chord bodies) keeps Qhull's
+    rows."""
+    import qcext.extension as ext
+    from qcext.verify import check_polygon_operator
+
+    checked = []
+    irredundant = geo.irredundant
+
+    def compare(normals, offsets, witnesses, level, rank=None):
+        kept = irredundant(normals, offsets, witnesses, level, rank)
+        order = np.arange(len(offsets)) if rank is None else np.argsort(rank, kind="stable")
+        for k in np.unique(level):
+            idx = [i for i in order if level[i] == k]
+            hps = [geo.HalfPlane(normals[i], offsets[i]) for i in idx]
+            row = {id(h): i for h, i in zip(hps, idx)}
+            want = {row[id(h)] for h in _prune_by_qhull(hps, witnesses[k])}
+            assert want == set(kept[level[kept] == k].tolist())
+            checked.append(len(idx))
+        return kept
+
+    monkeypatch.setattr(geo, "irredundant", compare)
+    monkeypatch.setattr(ext, "irredundant", compare)
+    failures = check_polygon_operator(np.random.default_rng(21), 100)[1]
+    assert not failures and len(checked) > 500 and max(checked) >= 8
+
+
+def _kept_margins_agree(hps, w, rng):
+    """The bodies of the interval test's and Qhull's kept lists have the
+    same margins, within 1e-12 of the slack scale, at sampled points of
+    either body."""
+    a, b = geo.CutTable(geo.prune_halfplanes(hps, w)), geo.CutTable(_prune_by_qhull(hps, w))
+    scale = max(hp.offset - hp.normal @ w for hp in hps)
+    pts = w + rng.uniform(-3.0, 3.0, (4000, 2)) * scale
+    ma, mb = a.margin(pts), b.margin(pts)
+    near = (ma <= 0) | (mb <= 0)
+    return near.sum() > 100 and np.abs(ma - mb)[near].max() <= 1e-12 * scale
+
+
+def test_prune_tight_cases():
+    """Half-planes through a vertex of the others are dropped, as Qhull
+    drops them, at scales 1e-3 to 1e3; same-direction rows keep the tighter
+    one, ties to the first.  Near-parallel pairs whose crossing is within
+    the interval test's 1e-12 relative shrink of the others may differ
+    from Qhull, which resolves them to its own rounding; there the two
+    kept lists bound the same body up to 1e-12 of the scale."""
+    from scipy.spatial import ConvexHull
+
+    rng = np.random.default_rng(7)
+    for scale in (1e-3, 1.0, 1e3):
+        for _ in range(200):
+            th = np.sort(rng.uniform(0.0, 2.0 * math.pi, int(rng.integers(3, 12))))
+            pts = np.column_stack([np.cos(th), np.sin(th)]) * rng.uniform(0.5, 2.0, (len(th), 1)) * scale
+            V = pts[ConvexHull(pts).vertices]
+            w = V.mean(axis=0)
+            hps = [geo.HalfPlane.from_any(geo.perp(V[i] - V[i - 1]) * -1.0, 0.0) for i in range(len(V))]
+            hps = [geo.HalfPlane(h.normal, float(h.normal @ V[i])) for i, h in enumerate(hps)]
+            k, s = int(rng.integers(len(V))), rng.uniform()
+            n = geo.unit((1.0 - s) * hps[k].normal + s * hps[(k + 1) % len(V)].normal)
+            through = geo.HalfPlane(n, float(n @ V[k]))
+            lst = hps[:]
+            lst.insert(int(rng.integers(len(lst) + 1)), through)
+            kept = geo.prune_halfplanes(lst, w)
+            assert all(h is not through for h in kept) and _same_rows(kept, _prune_by_qhull(lst, w))
+    box = [geo.HalfPlane(np.array(n, dtype=float), 1.0) for n in ((1, 0), (-1, 0), (0, -1))]
+    top = geo.HalfPlane(np.array([0.0, 1.0]), 1.0)
+    for dup in (geo.HalfPlane(top.normal.copy(), 1.0), geo.HalfPlane(top.normal.copy(), 0.9),
+                geo.HalfPlane(top.normal.copy(), 1.1)):
+        kept = geo.prune_halfplanes(box + [top, dup], np.zeros(2))
+        assert _same_rows(kept, _prune_by_qhull(box + [top, dup], np.zeros(2)))
+        assert [h.offset for h in kept if h.normal[1] == 1.0] == [min(1.0, dup.offset)]
+        assert any(h is (dup if dup.offset < 1.0 else top) for h in kept)
+    differ = 0
+    for d in (1e-3, 1e-6, 1e-9, 1e-11, 1e-12):
+        for shift in (0.0, 1e-15, 1e-12, 1e-9, 1e-6, -1e-12, -1e-6):
+            for x0 in (0.0, 0.5, 0.9999, 1.0, 1.5, -3.0):
+                # a second top edge, turned by d and crossing the first at x0
+                n = np.array([math.sin(d), math.cos(d)])
+                lst = box + [top, geo.HalfPlane(n, float(n @ (x0, 1.0)) + shift)]
+                if not _same_rows(geo.prune_halfplanes(lst, np.zeros(2)),
+                                  _prune_by_qhull(lst, np.zeros(2))):
+                    differ += 1
+                    assert _kept_margins_agree(lst, np.zeros(2), rng)
+    assert differ <= 10  # 9 of these 210 pairs at this writing
