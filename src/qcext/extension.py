@@ -197,10 +197,9 @@ def extend_bodies(bodies, C: Body2, resolution: int = EXT_RESOLUTION) -> list:
     normals = np.concatenate([table.normals[part], fan])
     offsets = np.concatenate([table.offsets[part], dots(fan, y[point])])
     level = np.concatenate([owner[part], owner[line_of[point]]])
-    rank = np.concatenate([part, len(lines) + np.arange(len(fan))])
     witnesses = np.zeros((len(bodies), 2))
     witnesses[list(rows)] = [bodies[k].witness for k in rows]
-    kept = irredundant(normals, offsets, witnesses, level, rank)
+    kept = irredundant(normals, offsets, witnesses, level)
     hps = [lines[part[i]] if i < len(part) else HalfPlane(normals[i], offsets[i]) for i in kept]
     bounds = np.searchsorted(level[kept], np.arange(len(bodies) + 1))
     raw = np.bincount(level, minlength=len(bodies))

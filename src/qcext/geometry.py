@@ -1014,15 +1014,22 @@ def _lex_max(vals, ts):
 #: hull, one call each.  On one list (2 CPUs, numpy 2.4.6, scipy 1.17.1; best
 #: of 5 runs, random and circle-tangent rows) the interval test took 0.05 ms
 #: at 3 rows, 0.07 ms at 32, 0.12 ms at 64, 0.26 ms at 128 and 1.2 ms at 256;
-#: the dual hull 0.08, 0.10-0.12, 0.12-0.15, 0.16-0.24 and 0.24-0.41 ms.
+#: the dual hull 0.08, 0.10-0.12, 0.12-0.15, 0.16-0.24 and 0.24-0.41 ms.  The
+#: crossover is measured on single lists only: no benchmark workload prunes a
+#: list beyond it, so it is unmeasured end to end, and lists on either side of
+#: it can resolve tight rows differently (see irredundant).
 _PRUNE_MAX_ROWS = 64
 #: the interval test keeps a half-plane whose boundary line has a segment
 #: inside the others shrunk toward the witness by this share of their slack
 _PRUNE_RTOL = 1e-12
+#: most padded (list, row, row) entries of one interval-test block: lists
+#: are padded to the longest of their block, so one long list in a large
+#: batch does not pad the others (about 2 MB per float temporary)
+_PRUNE_BLOCK = 1 << 18
 
 
 def irredundant(normals: np.ndarray, offsets: np.ndarray, witnesses: np.ndarray,
-                level: np.ndarray, rank: Optional[np.ndarray] = None) -> np.ndarray:
+                level: np.ndarray) -> np.ndarray:
     """Rows of the irredundant half-planes of many lists at once, ordered by
     list and then by normal angle.
 
@@ -1030,10 +1037,10 @@ def irredundant(normals: np.ndarray, offsets: np.ndarray, witnesses: np.ndarray,
     witnesses[level[r]] must lie strictly inside it (GeometryError
     otherwise).  Rows of one list with the same direction (the normal's
     angle rounded at 1e12) keep the one with the least witness slack
-    s = offset - n . w, computed per coordinate, ties to the lowest rank
-    (default: the row order).  Then row i is kept when its boundary line
-    w + s_i n_i + t perp(n_i) has a segment of positive length inside every
-    other row j shrunk toward the witness by _PRUNE_RTOL of its slack:
+    s = offset - n . w, computed per coordinate, ties to the first row.
+    Then row i is kept when its boundary line w + s_i n_i + t perp(n_i) has
+    a segment of positive length inside every other row j shrunk toward the
+    witness by _PRUNE_RTOL of its slack:
     s_i n_i . n_j - (1 - _PRUNE_RTOL) s_j + t n_i x n_j <= 0.  In exact
     arithmetic and without the shrink this is the dual-hull rule (n_i / s_i
     is a vertex of the hull of the duals and the origin).  The shrink drops
@@ -1044,7 +1051,6 @@ def irredundant(normals: np.ndarray, offsets: np.ndarray, witnesses: np.ndarray,
     fails).  Every value is a row-wise expression, so a list keeps the same
     rows in any batch.
     """
-    nx, ny = normals[:, 0], normals[:, 1]
     slack = offsets - dots(witnesses[level], normals)
     if len(slack) and slack.min() <= 1e-15:
         raise GeometryError("witness not strictly interior to a half-plane")
@@ -1053,7 +1059,7 @@ def irredundant(normals: np.ndarray, offsets: np.ndarray, witnesses: np.ndarray,
     ang = np.array([math.atan2(y, x) for x, y in normals.tolist()])
     key = np.rint(np.where(ang < 0, ang + TWO_PI, ang) * 1e12)
     # lexsort is stable, so equal keys keep the row order
-    order = np.lexsort((slack, key, level) if rank is None else (rank, slack, key, level))
+    order = np.lexsort((slack, key, level))
     lv, key = level[order], key[order]
     head = np.ones(len(order), dtype=bool)
     head[1:] = (lv[1:] != lv[:-1]) | (key[1:] != key[:-1])
@@ -1067,26 +1073,60 @@ def irredundant(normals: np.ndarray, offsets: np.ndarray, witnesses: np.ndarray,
     small = ~big[lv]
     # a list of one or two directions keeps them all
     if count[~big].max(initial=0) > 2:
-        r, lvs = rows[small], lv[small]
-        cols = np.array([nx, ny, slack])[:, r]
-        if len(count) == 1:
-            grid, pos = cols[:, None, :], np.arange(len(r))
-        else:
-            # (3, lists, m) padded with zero normals, whose b = 0 bounds nothing
-            pos = np.arange(len(r)) - np.searchsorted(lvs, lvs)
-            grid = np.zeros((3, len(count), int(pos.max()) + 1))
-            grid[:, lvs, pos] = cols
-        xi, yi, si = grid[..., None]
-        xj, yj, sj = grid[:, :, None, :]
-        a = si * (xi * xj + yi * yj) - (1.0 - _PRUNE_RTOL) * sj
-        b = xi * yj - yi * xj
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = a / b  # the bound of row j on line i is t = -q
-        # t >= -q where b < 0 and t <= -q where b > 0
-        ok = (np.maximum.reduce(q, axis=2, where=b > 0, initial=-np.inf)
-              < np.minimum.reduce(q, axis=2, where=b < 0, initial=np.inf))
-        keep[small] = ok[lvs, pos]
+        r = rows[small]
+        keep[small] = _interval_test(np.array([normals[r, 0], normals[r, 1], slack[r]]),
+                                     lv[small], np.where(big, 0, count))
     return rows[keep]
+
+
+def _interval_test(cols: np.ndarray, lv: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Mask of irredundant's interval test over rows (nx, ny, slack) =
+    cols (3, N) of the lists lv (sorted), size[k] rows in list k.  The
+    lists are padded to the longest; when that exceeds _PRUNE_BLOCK
+    entries they go in order of size, in blocks of at most _PRUNE_BLOCK
+    padded entries (one list at least), each padded to its own longest."""
+    pos = np.arange(len(lv)) - np.searchsorted(lv, lv)
+    if len(size) * size.max() ** 2 <= _PRUNE_BLOCK:
+        return _interval_block(cols, lv, pos, len(size), size.max())
+    by_size = np.argsort(size, kind="stable")
+    by_size = by_size[size[by_size] > 0]
+    slot = np.empty(len(size), dtype=np.intp)
+    slot[by_size] = np.arange(len(by_size))
+    size = size[by_size]
+    # rows in the order of their lists' slots, in place within a list
+    rows = np.argsort(slot[lv], kind="stable")
+    ends = np.cumsum(size)
+    out = np.empty(len(lv), dtype=bool)
+    a = 0
+    while a < len(size):
+        # the most lists from a whose padding to the last one's size fits
+        n = np.arange(1, min(len(size) - a, _PRUNE_BLOCK // size[a] ** 2) + 1)
+        b = a + max(1, int(np.count_nonzero(n * size[a:a + len(n)] ** 2 <= _PRUNE_BLOCK)))
+        sel = rows[ends[a] - size[a]:ends[b - 1]]
+        out[sel] = _interval_block(cols[:, sel], slot[lv[sel]] - a, pos[sel], b - a, size[b - 1])
+        a = b
+    return out
+
+
+def _interval_block(cols, li, pos, lists, width):
+    """The interval test on rows cols (3, N) at (list, position) = (li, pos)
+    of lists padded to width rows."""
+    if lists == 1:
+        grid = cols[:, None, :]
+    else:
+        # (3, lists, width) padded with zero normals, whose b = 0 bounds nothing
+        grid = np.zeros((3, lists, width))
+        grid[:, li, pos] = cols
+    xi, yi, si = grid[..., None]
+    xj, yj, sj = grid[:, :, None, :]
+    a = si * (xi * xj + yi * yj) - (1.0 - _PRUNE_RTOL) * sj
+    b = xi * yj - yi * xj
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = a / b  # the bound of row j on line i is t = -q
+    # t >= -q where b < 0 and t <= -q where b > 0
+    ok = (np.maximum.reduce(q, axis=2, where=b > 0, initial=-np.inf)
+          < np.minimum.reduce(q, axis=2, where=b < 0, initial=np.inf))
+    return ok[li, pos]
 
 
 def _dual_hull_vertices(normals: np.ndarray, slack: np.ndarray) -> np.ndarray:
@@ -2436,9 +2476,9 @@ def _circle_chord(center, radius: float, p, n, d):
     return (rel @ d[..., :, None])[..., 0, 0], half, dist
 
 
-def chord_ends(C: Body2, hps, centers, halves):
-    """Ends of the chords that the boundary lines of hps (half-planes or their
-    CutTable) cut from C.
+def chord_ends(C: Body2, table: CutTable, centers, halves):
+    """Ends of the chords that the boundary lines of a CutTable's
+    half-planes cut from C.
 
     Line k runs over parameters |t| <= halves[k] from the foot of
     centers[k] on it.  The base bounds t first: a ball to the circle's
@@ -2450,7 +2490,6 @@ def chord_ends(C: Body2, hps, centers, halves):
     boundary of C (the others lie on the window) and the (K,) mask of lines
     that meet the interior of C (margin below -1e-9 at the midpoint).
     """
-    table = hps if isinstance(hps, CutTable) else CutTable(hps)
     n, c = table.normals, table.offsets
     if not len(c):
         return np.zeros((0, 2, 2)), np.zeros((0, 2), dtype=bool), np.zeros(0, dtype=bool)

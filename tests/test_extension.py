@@ -15,7 +15,7 @@ from qcext.extension import (
     restriction_hausdorff,
     segment_meets_body,
 )
-from qcext.geometry import Body2, GeometryError, HalfPlane, chord_ends, clip_polygon
+from qcext.geometry import Body2, CutTable, GeometryError, HalfPlane, chord_ends, clip_polygon
 from qcext.levelset import LevelFamily, quasiconvex_check, sample_domain
 from qcext.serialize import body_from_json, body_to_json
 from qcext.verify import _random_polygon_pair
@@ -401,7 +401,7 @@ def test_ball_chord_ends_closed_form(monkeypatch):
     n = np.array([0.6, 0.8])
     offsets = np.linspace(-1.1, 1.25, 9)
     hps = [HalfPlane(n, float(o)) for o in offsets]
-    ends, on_c, meets = chord_ends(C, hps, np.tile(C.witness, (9, 1)), np.full(9, 10.0))
+    ends, on_c, meets = chord_ends(C, CutTable(hps), np.tile(C.witness, (9, 1)), np.full(9, 10.0))
     assert meets.all() and on_c.all()
     with mpmath.workdps(50):
         nx, ny = mpmath.mpf(n[0]), mpmath.mpf(n[1])
@@ -440,7 +440,7 @@ def test_parabola_chord_ends_closed_form(monkeypatch):
     n = np.array([-0.6, 0.8])
     offsets = np.linspace(-1.0, 7.0, 9)  # the last two chords end on the cut
     hps = [HalfPlane(n, float(o)) for o in offsets]
-    ends, on_c, meets = chord_ends(C, hps, np.tile(C.witness, (9, 1)), np.full(9, 100.0))
+    ends, on_c, meets = chord_ends(C, CutTable(hps), np.tile(C.witness, (9, 1)), np.full(9, 100.0))
     assert meets.all() and on_c.all()
     d = np.array([-n[1], n[0]])
     with mpmath.workdps(50):
@@ -471,14 +471,13 @@ def test_parabola_chord_ends_closed_form(monkeypatch):
     assert len(calls) <= 4
 
 
-def _staged_chord_ends(C, hps, centers, halves):
+def _staged_chord_ends(C, table, centers, halves):
     """The staged search that chord_ends once ran on epigraph ambients, as a
     reference: a coarse grid and golden section find each line's lowest C
     margin in its window, and one bisection moves each window end with
     positive margin onto the boundary of C."""
-    from qcext.geometry import CutTable, along, bisect_leq, coarse_golden_min
+    from qcext.geometry import along, bisect_leq, coarse_golden_min
 
-    table = CutTable(hps)
     n, c = table.normals, table.offsets
     w, half = np.asarray(centers, dtype=float), np.asarray(halves, dtype=float)
     foot = w + (c - np.einsum("ij,ij->i", n, w))[:, None] * n
@@ -501,16 +500,16 @@ def _staged_chord_ends(C, hps, centers, halves):
 def _random_lines(C, k=200):
     rng = np.random.default_rng(1)
     hps = [HalfPlane.from_any(rng.normal(size=2), rng.normal()) for _ in range(k)]
-    return hps, np.tile(C.witness, (k, 1)), np.full(k, C.window_half)
+    return CutTable(hps), np.tile(C.witness, (k, 1)), np.full(k, C.window_half)
 
 
 def test_exp_hypograph_short_far_chords_found():
     """Two short chords far from the window centre, which the staged
     search's 257-point grid (512 apart on a 65,536 half-window) missed."""
     C = Body2.epigraph("exp_hypograph")
-    hps, centers, halves = _random_lines(C)
-    ends, on_c, meets = chord_ends(C, hps, centers, halves)
-    old = _staged_chord_ends(C, hps, centers, halves)[2]
+    table, centers, halves = _random_lines(C)
+    ends, on_c, meets = chord_ends(C, table, centers, halves)
+    old = _staged_chord_ends(C, table, centers, halves)[2]
     for k, length, margin in ((13, 3.87, -0.128), (178, 7.35, -0.732)):
         assert meets[k] and on_c[k].all() and not old[k]
         assert np.linalg.norm(ends[k, 1] - ends[k, 0]) == pytest.approx(length, abs=0.01)
@@ -528,9 +527,9 @@ def test_epigraph_chord_ends_match_staged_search(name):
     C = (Body2.epigraph(PolyProfile([0.0, 0.3, 1.0, 0.0, 0.25]),
                         transform=[[0.8, -0.6, 0.5], [0.6, 0.8, -1.0]])
          if name == "poly" else Body2.epigraph(name))
-    hps, centers, halves = _random_lines(C)
-    ends, on_c, meets = chord_ends(C, hps, centers, halves)
-    old_ends, old_on_c, old_meets = _staged_chord_ends(C, hps, centers, halves)
+    table, centers, halves = _random_lines(C)
+    ends, on_c, meets = chord_ends(C, table, centers, halves)
+    old_ends, old_on_c, old_meets = _staged_chord_ends(C, table, centers, halves)
     both = meets & old_meets
     assert both.sum() > 100 and not (old_meets & ~meets).any()
     assert np.array_equal(on_c[both], old_on_c[both])

@@ -942,20 +942,37 @@ def test_prune_matches_qhull_on_random_lists():
         assert _same_rows(geo.prune_halfplanes(hps, w), _prune_by_qhull(hps, w))
 
 
-def test_batched_prune_equals_one_list():
-    """One irredundant call over 200 lists keeps each list's rows of its own
-    one-list call, in the same order, and a rank reorders ties."""
-    lists = _random_halfplane_lists(np.random.default_rng(6), 200)
+def _batched_prune(lists):
     rows = [hp for hps, _ in lists for hp in hps]
     level = np.repeat(np.arange(len(lists)), [len(hps) for hps, _ in lists])
     kept = geo.irredundant(np.array([h.normal for h in rows]), np.array([h.offset for h in rows]),
                            np.array([w for _, w in lists]), level)
-    assert [rows[i] for i in kept] == [h for hps, w in lists for h in geo.prune_halfplanes(hps, w)]
-    # two copies of one half-plane: the lower rank wins the tie
+    return [rows[i] for i in kept]
+
+
+def test_batched_prune_equals_one_list():
+    """One irredundant call over 200 lists keeps each list's rows of its own
+    one-list call, in the same order; of two copies the first is kept."""
+    lists = _random_halfplane_lists(np.random.default_rng(6), 200)
+    assert _batched_prune(lists) == [h for hps, w in lists for h in geo.prune_halfplanes(hps, w)]
     hp = geo.HalfPlane(np.array([0.0, 1.0]), 1.0)
     args = (np.array([hp.normal, hp.normal]), np.array([1.0, 1.0]), np.zeros((1, 2)), np.zeros(2, int))
     assert geo.irredundant(*args).tolist() == [0]
-    assert geo.irredundant(*args, rank=np.array([1, 0])).tolist() == [1]
+
+
+def test_blocked_prune_equals_one_block(monkeypatch):
+    """Lists that exceed _PRUNE_BLOCK padded entries together are tested in
+    blocks in order of size, each list padded only to its block's longest,
+    with the rows of one block."""
+    lists = _random_halfplane_lists(np.random.default_rng(8), 300)
+    whole = _batched_prune(lists)
+    blocks = []
+    block = geo._interval_block
+    monkeypatch.setattr(geo, "_interval_block",
+                        lambda cols, li, pos, lists, width: blocks.append(width) or block(cols, li, pos, lists, width))
+    monkeypatch.setattr(geo, "_PRUNE_BLOCK", 5000)
+    assert _batched_prune(lists) == whole
+    assert len(blocks) > 10 and blocks == sorted(blocks) and min(blocks) < 10 < max(blocks)
 
 
 def test_prune_matches_qhull_on_criterion_2_pairs(monkeypatch):
@@ -968,11 +985,10 @@ def test_prune_matches_qhull_on_criterion_2_pairs(monkeypatch):
     checked = []
     irredundant = geo.irredundant
 
-    def compare(normals, offsets, witnesses, level, rank=None):
-        kept = irredundant(normals, offsets, witnesses, level, rank)
-        order = np.arange(len(offsets)) if rank is None else np.argsort(rank, kind="stable")
+    def compare(normals, offsets, witnesses, level):
+        kept = irredundant(normals, offsets, witnesses, level)
         for k in np.unique(level):
-            idx = [i for i in order if level[i] == k]
+            idx = np.flatnonzero(level == k).tolist()
             hps = [geo.HalfPlane(normals[i], offsets[i]) for i in idx]
             row = {id(h): i for h, i in zip(hps, idx)}
             want = {row[id(h)] for h in _prune_by_qhull(hps, witnesses[k])}
