@@ -17,17 +17,18 @@ import numpy as np
 
 from .geometry import (
     Body2,
+    CutTable,
     Frame,
     HalfPlane,
     along,
-    as_point,
     as_points,
     bisect_leq,
     boundary_crossing,
+    chord_ends,
     cross2,
+    dots,
     find_asymptotic_direction,
     find_boundary_segment,
-    golden_min,
     is_rotund,
     locate_with_normals,
     norm,
@@ -67,14 +68,15 @@ class ForcingCertificate:
 
     Built by _wedge_staircase for gen_no_qc and gen_non_rotund.  Each
     forcing half-plane's boundary line meets the body in an arc of positive
-    length (sampled by _arc_lengths, world units); by convexity any
-    quasiconvex extension is pinned above the recorded level outside it.
+    length (its chord within the construction's window, _arc_lengths,
+    world units); by convexity any quasiconvex extension is pinned above
+    the recorded level outside it.
     """
 
     kind: str                      # 'no_qc' or 'non_rotund'
     levels: np.ndarray             # alpha_n, increasing
     forcing_halfplanes: list       # world-coordinate HalfPlane per level
-    arc_lengths: np.ndarray        # sampled chord length of line-body meets
+    arc_lengths: np.ndarray        # chord length of line-body meets
     witnesses: np.ndarray          # points where the extension is pinned
     jump: Optional[tuple] = None   # (alpha_1, alpha_last) for the jump pair
     frame: Optional[Frame] = None
@@ -159,63 +161,19 @@ def _wedge_halfplane(eps_n: float, b_n: float) -> HalfPlane:
     return HalfPlane.from_any(n, float(n @ vec(b_n, 1.0)))
 
 
-def _arc_lengths(C: Body2, frame: Frame, lines: Sequence[HalfPlane], spans,
-                 foci) -> np.ndarray:
-    """Sampled chord length of each line's meet with the body, in world
-    units; the lines, spans and foci are in frame coordinates.
+def _arc_lengths(C: Body2, frame: Frame, lines: Sequence[HalfPlane], spans) -> np.ndarray:
+    """Length of each line's meet with the body within |t| <= spans[k] of
+    the foot of the frame origin on it, in world units; the lines and spans
+    are in frame coordinates.
 
-    Pure membership arithmetic, so it stays valid far outside the working
-    window of the boundary pieces.  Line k is sampled at 8,193 points over
-    |t| <= spans[k] plus a geometric grid about the foot of foci[k], which
-    resolves pinched slivers; each line's grid is one margin call of its
-    own.  Its meet with the convex body is one interval around the deepest
-    sample.  One golden section serves every line without an inside sample
-    (length 0 where it finds none either), and one bisection moves every
-    end that starts at the nearest outside sample onto the boundary.
+    The meet of a line with a convex body is its chord: one chord_ends call
+    on the pulled-back lines, read as hi - lo (0 where the line misses), so
+    a pinched sliver keeps its length however thin it is.
     """
-    normals = np.array([hp.normal for hp in lines])
-    anchors = normals * np.array([hp.offset for hp in lines])[:, None]
-    dirs = np.column_stack([-normals[:, 1], normals[:, 0]])
-
-    def margins(rows):
-        # t shaped like anchors[rows] without its last axis
-        return along(C.margin_many, lambda t: frame.invert(
-            (anchors[rows] + t[..., None] * dirs[rows]).reshape(-1, 2)))
-
-    def outside_neighbours(grid, out, t):
-        lo, hi = grid[(grid < t) & out], grid[(grid > t) & out]
-        return (lo[-1] if len(lo) else (grid[0] if grid[0] < t else t - 1.0),
-                hi[0] if len(hi) else (grid[-1] if grid[-1] > t else t + 1.0))
-
-    n = len(normals)
-    t_star, m_star = np.empty(n), np.empty(n)
-    ends, brackets, pending = np.empty((n, 2)), np.empty((n, 2)), {}
-    for k in range(n):
-        grid = np.linspace(-spans[k], spans[k], 8193)
-        tau = float((as_point(foci[k]) - anchors[k]) @ dirs[k])
-        fine = np.geomspace(1e-12, max(spans[k], 1.0), 240)
-        grid = np.sort(np.concatenate([grid, tau + fine, tau - fine, [tau]]))
-        vals = margins(k)(grid)
-        j = int(np.argmin(vals))
-        t_star[k], m_star[k] = grid[j], vals[j]
-        if m_star[k] < 0:
-            ends[k] = outside_neighbours(grid, vals > 0, t_star[k])
-        else:
-            brackets[k] = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
-            pending[k] = grid, vals > 0
-    if pending:
-        rows = np.array(list(pending))
-        t_star[rows], m_star[rows] = golden_min(margins(rows), *brackets[rows].T, iters=90)
-        for k in rows[m_star[rows] < 0]:
-            ends[k] = outside_neighbours(*pending[k], t_star[k])
-    ok = m_star < 0
-    rows = np.repeat(np.flatnonzero(ok)[:, None], 2, axis=1)
-    inner = ends[ok]
-    cut = margins(rows)(inner) > 0
-    inner[cut] = bisect_leq(margins(rows[cut]), inner[cut], t_star[rows[cut]])
-    out = np.zeros(n)
-    out[ok] = np.maximum(inner[:, 1] - inner[:, 0], 0.0) / frame.lam
-    return out
+    table = CutTable([frame.pullback_halfplane(hp) for hp in lines])
+    feet = frame.invert(np.array([hp.normal * hp.offset for hp in lines]))
+    span = chord_ends(C, table, feet, np.asarray(spans, dtype=float) / frame.lam)[3]
+    return np.maximum(span[:, 1] - span[:, 0], 0.0)
 
 
 def _wedge_staircase(C: Body2, frame: Frame, bs, spans):
@@ -226,10 +184,10 @@ def _wedge_staircase(C: Body2, frame: Frame, bs, spans):
     body C ∩ H_n.  Gap n is the pinch distance from the corner
     (b_{n+1}, 1) to the line of wedge n, in world units (the last gap is
     repeated), and the levels are the running sums of the gaps from 0.
-    The arc lengths are the meets of the lines of H_n with C, all
-    k_max + 1 lines in one _arc_lengths call (grid n over
-    |t| <= spans[n], focus (b_n, 1)).  Returns the staircase function,
-    eps, the levels, the H_n and the arc lengths.
+    The arc lengths are the chords of C on the lines of H_n within
+    |t| <= spans[n], all k_max + 1 lines in one _arc_lengths call.
+    Returns the staircase function, eps, the levels, the H_n and the arc
+    lengths.
     """
     bs = np.asarray(bs, dtype=float)
     eps = 0.5 ** np.arange(1, len(bs) + 1)
@@ -241,7 +199,7 @@ def _wedge_staircase(C: Body2, frame: Frame, bs, spans):
     gaps = np.append(pinch, pinch[-1]) / frame.lam
     levels = np.concatenate([[0.0], np.cumsum(gaps[:-1])])
     f = staircase_qc(C, bodies, levels, gaps, check_gaps=False)
-    arcs = _arc_lengths(C, frame, wedges, spans, np.column_stack([bs, np.ones_like(bs)]))
+    arcs = _arc_lengths(C, frame, wedges, spans)
     return f, eps, levels, halfplanes, arcs
 
 
@@ -408,23 +366,16 @@ def gen_no_uc(C: Body2, k_max: int = 64):
 # ---------------------------------------------------------------------------
 # no body admits Lipschitz quasiconvex extensions
 
-#: vertical lines per batch of the lower-profile seed grid; bounds the
-#: (batch, 257) grid of margins
-_Z_BATCH = 16
-
-
-def _lower_profile(E: Body2, zs, frames=None, v_max: float = 4.0,
-                   iters: int = 100) -> np.ndarray:
-    """Smallest v with (z, v) in the framed body for each z, NaN where no
-    body point lies above z below v_max.
+def _lower_profile(E: Body2, zs, frames=None, v_max: float = 4.0) -> np.ndarray:
+    """Smallest v in [0, v_max] with (z, v) in the framed body for each z,
+    NaN where the vertical line at z misses the body there.
 
     zs is (n,) in E's own coordinates (frames None), or (J, n) with row j
     in the coordinates of frames[j].  Membership is frame-invariant,
-    (z, v) in frame(E) iff frame.invert((z, v)) in E, and the bisection
-    reads only the sign of the margin, so every vertical line is solved in
-    E's coordinates as o + v e.  A 257-point grid in v seeds each line,
-    _Z_BATCH lines per margin call (the batch bounds only this grid); one
-    bisection then runs over every line whose grid found a body point.
+    (z, v) in frame(E) iff frame.invert((z, v)) in E, so the vertical line
+    at z is o + (v / lam) R[1] in E's coordinates, and all of them are one
+    chord_ends call on E over |v| <= v_max.  The lower end of each chord,
+    raised to 0, is the profile height.
 
     Assumes the framed body sits in {v >= 0}; only profile heights below
     v_max are of interest (the construction needs g <= 1).
@@ -432,24 +383,16 @@ def _lower_profile(E: Body2, zs, frames=None, v_max: float = 4.0,
     zs = np.asarray(zs, dtype=float)
     if frames is None:
         o = np.column_stack([zs, np.zeros_like(zs)])
-        e = np.broadcast_to(vec(0.0, 1.0), o.shape)
+        up, lam = np.tile(vec(0.0, 1.0), (len(o), 1)), np.ones(len(o))
     else:
         o = np.concatenate([f.invert(np.column_stack([z, np.zeros_like(z)]))
                             for f, z in zip(frames, zs)])
-        e = np.repeat([f.R[1] / f.lam for f in frames], zs.shape[1], axis=0)
-    vs = np.linspace(0.0, v_max, 257)
-    good = np.full(len(o), np.nan)
-    for s in range(0, len(o), _Z_BATCH):
-        line = slice(s, s + _Z_BATCH)
-        grid = o[line, None] + vs[:, None] * e[line, None]
-        m = E.margin_many(grid.reshape(-1, 2)).reshape(-1, len(vs))
-        good[line] = np.where(m.min(axis=1) < 0, vs[np.argmin(m, axis=1)], np.nan)
-    ok = ~np.isnan(good)
-    if ok.any():
-        o_in, e_in = o[ok], e[ok]
-        f = along(E.margin_many, lambda v: o_in + v[:, None] * e_in)
-        good[ok] = bisect_leq(f, -0.5, good[ok], iters)
-    return good.reshape(zs.shape)
+        up = np.repeat([f.R[1] for f in frames], zs.shape[1], axis=0)
+        lam = np.repeat([f.lam for f in frames], zs.shape[1])
+    n = np.column_stack([up[:, 1], -up[:, 0]])  # the lines run along up
+    span = chord_ends(E, CutTable(normals=n, offsets=dots(o, n)), o, v_max / lam)[3]
+    lo = np.maximum(span[:, 0], 0.0)
+    return np.where(lo <= span[:, 1], lam * lo, np.nan).reshape(zs.shape)
 
 
 def gen_no_lip(E: Body2, k_max: int = 24, scan: int = 64):
@@ -461,7 +404,7 @@ def gen_no_lip(E: Body2, k_max: int = 24, scan: int = 64):
     support point is the origin, the body sits in {v >= 0} and (0, 1) is
     interior.  The usable frames of the scan's directions come first; the
     lower profiles at (z0, z0/2) of all of them are then one
-    _lower_profile solve in E's coordinates, and only the chosen frame's
+    _lower_profile call in E's coordinates, and only the chosen frame's
     body is built (transform_body).
     """
     thetas = [2.0 * math.pi * j / scan for j in range(scan)]

@@ -21,8 +21,8 @@ from .geometry import (
     GeometryError,
     HalfPlane,
     Segment,
+    TOL,
     active_normals,
-    along,
     as_point,
     as_points,
     chord_ends,
@@ -30,7 +30,6 @@ from .geometry import (
     distance_many,
     dots,
     find_asymptotic_direction,
-    golden_min,
     irredundant,
     is_rotund,
     norm,
@@ -179,7 +178,7 @@ def extend_bodies(bodies, C: Body2, resolution: int = EXT_RESOLUTION) -> list:
     if not rows:
         return out
     table = CutTable(lines)
-    ends, on_c, meets = chord_ends(C, table, centers, halves)
+    ends, on_c, meets, _ = chord_ends(C, table, centers, halves)
     lo, hi = np.zeros(len(lines)), np.ones(len(lines))
     owner = np.empty(len(lines), dtype=np.intp)
     for k, r in rows.items():
@@ -375,15 +374,19 @@ def restriction_hausdorff(ext: ExtendedBody, n: int = 256) -> float:
     return max(d1, d2)
 
 
-def segment_meets_body(x, y, B: Body2, samples: int = 512) -> bool:
-    """Whether the closed segment [x, y] intersects B (sampled + refined)."""
+def segment_meets_body(x, y, B: Body2) -> bool:
+    """Whether the closed segment [x, y] meets B: the chord of B on its line
+    within the segment (chord_ends, centred at the midpoint) is non-empty,
+    or it is empty by rounding (a line through a vertex, a tangent line)
+    and the segment's point at the middle of its clipped ends lies within
+    TOL of B.  A point segment has no line; it meets B where its point lies
+    within TOL of B."""
     x, y = as_point(x), as_point(y)
-    f = along(B.margin_many, lambda t: x + np.multiply.outer(t, y - x))
-    ts = np.linspace(0.0, 1.0, samples)
-    m = f(ts)
-    if (m <= 1e-9).any():
-        return True
-    j = int(np.argmin(m))
-    lo, hi = max(j - 1, 0), min(j + 1, samples - 1)
-    _, v = golden_min(f, ts[lo], ts[hi], iters=60)
-    return bool(v <= 1e-9)
+    length = norm(y - x)
+    if length == 0:
+        return bool(B.margin_many(x[None, :])[0] <= TOL)
+    d = (y - x) / length
+    n = np.array([[d[1], -d[0]]])
+    ends, _, _, span = chord_ends(B, CutTable(normals=n, offsets=n @ x), [0.5 * (x + y)],
+                                  [0.5 * length])
+    return bool(span[0, 0] <= span[0, 1] or B.margin_many(ends[0].mean(axis=0)[None, :])[0] <= TOL)

@@ -6,11 +6,16 @@ convex profile under a scaled isometry) intersected with a list of
 half-planes.  All predicates are tolerance-based; evaluation paths accept
 (N, 2) point arrays.
 
+Where a line meets a body is one primitive, `chord_ends`: closed form on
+half-planes, a ball or a parabola, and one `Profile.slope_point` minimum
+plus one bisection per end on other epigraph profiles.  Epigraph boundary
+pieces, the no-Lipschitz lower profile, the forcing arc lengths and the
+segment test of the extension all read chords.
+
 The root finders (`bisect_leq`, `golden_min`, `coarse_golden_min`) take
 numpy-broadcasting closures: `f(t)` returns an array shaped like `t`
 (`along` builds one from a point path).  Each solves an array of brackets
-in one loop with the same step rule as for a single bracket;
-`coarse_golden_min` evaluates each stage's grids in one call.
+in one loop with the same step rule as for a single bracket.
 """
 
 from __future__ import annotations
@@ -135,6 +140,10 @@ def coarse_golden_min(f, a, b, samples: int = 257, iters: int = 90,
                       stages: int = 6):
     """Golden-section minimum seeded by staged coarse-grid argmins.
 
+    No caller in qcext is left; it stays because perfbench/tracing.py
+    counts it by name (ROOT_FINDERS) and a test oracle of chord_ends
+    (_staged_chord_ends) runs it.
+
     Re-grids a bracket while its samples show a flat plateau, so narrow
     basins inside wide clipped-profile plateaus are not lost.  a and b
     broadcast to an array of brackets: each stage's grids, shaped
@@ -192,16 +201,6 @@ def along(fn, path):
     return lambda t: fn(as_points(path(t))).reshape(np.shape(t))
 
 
-def feasible_ends(f, ends, inner):
-    """The ends where f > 0 moved onto the f <= 0 crossing toward inner, all
-    in one bisection; ends where f <= 0 stay."""
-    ends = np.array(ends, dtype=float)
-    out = f(ends) > 0
-    if out.any():
-        ends[out] = bisect_leq(f, ends[out], inner)
-    return ends
-
-
 # ---------------------------------------------------------------------------
 # half-planes
 
@@ -252,9 +251,13 @@ class CutTable:
     so a point's value does not depend on the other points of the call.
     """
 
-    def __init__(self, halfplanes: Sequence[HalfPlane]):
-        self.normals = np.array([hp.normal for hp in halfplanes], dtype=float).reshape(-1, 2)
-        self.offsets = np.array([hp.offset for hp in halfplanes], dtype=float)
+    def __init__(self, halfplanes: Sequence[HalfPlane] = (), normals=None, offsets=None):
+        """From half-planes, or from unit normals (m, 2) and offsets (m,)."""
+        if normals is None:
+            normals = [hp.normal for hp in halfplanes]
+            offsets = [hp.offset for hp in halfplanes]
+        self.normals = np.array(normals, dtype=float).reshape(-1, 2)
+        self.offsets = np.array(offsets, dtype=float).reshape(-1)
         # (m, 1) columns that broadcast against a row of N coordinates
         self._columns = (self.normals[:, :1], self.normals[:, 1:], self.offsets[:, None])
 
@@ -721,16 +724,20 @@ class EpigraphBase:
                           - uv[:, 1]) / np.hypot(1.0, slope)
         return _frozen(self.from_profile(uv), m)
 
-    def chord(self, foot, d, half):
-        """Profile.chord of the world lines foot + t d, mapped into the profile
-        frame as p + t q with the same t, written out per coordinate so a
+    def profile_line(self, foot, d):
+        """(pu, pv, qu, qv): the world lines foot + t d as p + t q in the
+        profile frame with the same t, written out per coordinate so a
         line's value does not depend on the other lines (a matmul's rows can
         differ in the last bit)."""
         (a, b), (c, e) = self.Minv
         x, y = foot[:, 0] - self.shift[0], foot[:, 1] - self.shift[1]
         dx, dy = d[:, 0], d[:, 1]
-        return self.profile.chord(x * a + y * b, x * c + y * e, dx * a + dy * b,
-                                  dx * c + dy * e, half)
+        return x * a + y * b, x * c + y * e, dx * a + dy * b, dx * c + dy * e
+
+    def chord(self, foot, d, half):
+        """Profile.chord of the world lines foot + t d (profile_line), t in
+        world arc length."""
+        return self.profile.chord(*self.profile_line(foot, d), half)
 
     def graph_point(self, u) -> np.ndarray:
         """World points of the graph at u, shaped u.shape + (2,); each is
@@ -1635,33 +1642,60 @@ class Body2:
         return _chain_pieces(pieces, self.witness)
 
     def _epigraph_pieces(self, segs):
-        base = self.base
-        ucv = base.to_profile(self.witness[None, :])[0]
-        uc = ucv[0]
+        """Graph pieces and clipped cut edges, all read from chords.
+
+        The graph stretch is the chord of the profile line v = bound, four
+        window halves above the witness, within the window's u-range, so
+        steep profiles (exp, cosh) never overflow downstream arithmetic.
+        The other chords are one EpigraphBase.chord call, in world arc
+        length from the foot of the witness, where the body's chords lie,
+        so a far window centre costs no digits: each cut line out to the
+        farthest corner of the stretch's box, and each cut edge out to its
+        ends.  A cut line crosses the graph at its chord's ends; the
+        crossings split the stretch, and the runs of parts whose midpoints
+        every cut keeps are the graph pieces.  Each cut edge is clipped to
+        its own chord.
+        """
+        base, prof, w = self.base, self.base.profile, self.witness
+        uc, vc = base.to_profile(w[None, :])[0]
         uw = self.window_half / base.scale
-        intervals = [(uc - uw, uc + uw)]
-        # trim to where the graph stays inside an inflated window, so steep
-        # profiles (exp, cosh) never overflow downstream arithmetic
-        bound = float(ucv[1]) + 4.0 * uw
-
-        def over(u):
-            return base.profile.g(u) - bound
-
-        u_min, g_min = coarse_golden_min(over, *intervals[0])
-        if g_min <= 0:
-            intervals = [tuple(feasible_ends(over, intervals[0], u_min))]
-        for hp in self.cuts:
-            intervals = _graph_feasible(intervals, base, hp)
-            if not intervals:
-                break
-        pieces = [GraphPiece(base, a, b) for (a, b) in intervals if b - a > 1e-12]
-        for seg in segs:
-            if seg.synthetic:
-                continue
-            sub = _segment_in_epigraph(seg, base)
-            if sub is not None:
-                pieces.append(sub)
-        return _chain_pieces(pieces, self.witness)
+        bound = vc + 4.0 * uw
+        lo, hi = prof.chord(np.array([uc]), np.array([bound]), np.ones(1), np.zeros(1), uw)
+        stretch = np.array([uc + max(lo[0], -uw), uc + min(hi[0], uw)])
+        m = len(self.cuts)
+        if not m:
+            return _chain_pieces([GraphPiece(base, *stretch)], w)
+        # each line as points on it: the box corners projected onto each cut
+        # line, then each edge's ends (twice, to fill the row)
+        edges = [seg for seg in segs if not seg.synthetic]
+        n, c = self.cut_table.normals, self.cut_table.offsets
+        v_lo = float(prof.g(prof.slope_point(0.0, *stretch)))
+        box = base.from_profile(np.array([[stretch[0], v_lo], [stretch[1], v_lo],
+                                          [stretch[0], bound], [stretch[1], bound]]))
+        reach = box - (dots(box[None], n[:, None]) - c[:, None])[..., None] * n[:, None]
+        if edges:
+            ab = np.array([[seg.a, seg.b] for seg in edges])
+            n = np.concatenate([n, [seg.n for seg in edges]])
+            reach = np.concatenate([reach, np.concatenate([ab, ab], axis=1)])
+        foot = w + dots(reach[:, 0] - w, n)[:, None] * n
+        d = np.column_stack([-n[:, 1], n[:, 0]])
+        half = np.linalg.norm(reach - foot[:, None], axis=-1).max(axis=1)
+        lo, hi = base.chord(foot, d, half)
+        pu, _, qu, _ = base.profile_line(foot[:m], d[:m])
+        t = np.stack([lo[:m], hi[:m]])
+        hit = np.abs(t) < half[:m]  # a graph crossing, not a window end or a miss
+        cross = (pu + np.where(hit, t, 0.0) * qu)[hit]
+        us = np.unique(np.concatenate([stretch, cross[(cross > stretch[0]) & (cross < stretch[1])]]))
+        keep = self.cut_table.margin(base.graph_point(0.5 * (us[:-1] + us[1:]))) <= 0
+        pieces = [GraphPiece(base, us[a], us[b + 1]) for a, b in _mask_runs(keep)
+                  if us[b + 1] - us[a] > 1e-12]
+        t_ab = dots(reach[m:, :2] - foot[m:, None], d[m:, None])
+        for seg, p, e, a, b, (ta, tb) in zip(edges, foot[m:], d[m:], lo[m:], hi[m:], t_ab):
+            a, b = max(a, ta), min(b, tb)
+            if b - a > 1e-12:
+                pieces.append(Segment(seg.a if a == ta else p + a * e,
+                                      seg.b if b == tb else p + b * e))
+        return _chain_pieces(pieces, w)
 
     # -- membership -----------------------------------------------------------
 
@@ -1734,72 +1768,6 @@ def transform_body(E: Body2, frame: Frame, name: str = "") -> Body2:
     else:
         base = PlaneBase()
     return Body2(base, cuts, name=name, witness=witness)
-
-
-def _graph_feasible(intervals: list, base: EpigraphBase, hp: HalfPlane) -> list:
-    """Feasible u-set of the graph under one cut, intersected with intervals.
-
-    phi(u) = hp margin of the graph point: linear + (coef) * g(u), so it is
-    convex, concave, or linear depending on the sign of coef.
-    """
-    w = base.M.T @ hp.normal
-    const = float(hp.normal @ base.shift) - hp.offset
-
-    def phi1(u):
-        return w[0] * u + w[1] * base.profile.g(u) + const
-
-    coef = w[1]
-    out = []
-    for (a, b) in intervals:
-        fa, fb = phi1(a), phi1(b)
-        if abs(coef) <= 1e-14:
-            # linear in u
-            if fa <= 0 and fb <= 0:
-                out.append((a, b))
-            elif fa <= 0 < fb:
-                out.append((a, bisect_leq(phi1, b, a)))
-            elif fb <= 0 < fa:
-                out.append((bisect_leq(phi1, a, b), b))
-            continue
-        if coef > 0:
-            # convex: feasible set is one interval around the minimum
-            u_min, f_min = coarse_golden_min(phi1, a, b)
-            if f_min > 0:
-                continue
-            out.append(tuple(feasible_ends(phi1, (a, b), u_min)))
-        else:
-            # concave: infeasible set is one interval around the maximum
-            u_max, neg = coarse_golden_min(lambda u: -phi1(u), a, b)
-            f_max = -neg
-            if f_max <= 0:
-                out.append((a, b))
-                continue
-            # each feasible end keeps the stretch up to its crossing
-            ends = np.array([a, b])[np.array([fa, fb]) <= 0]
-            if len(ends):
-                cross = bisect_leq(phi1, u_max, ends)
-                out.extend((min(e, c), max(e, c)) for e, c in zip(ends, cross))
-    return [(lo, hi) for (lo, hi) in out if hi - lo > 1e-12]
-
-
-def _segment_in_epigraph(seg: Segment, base: EpigraphBase):
-    """Clip a straight cut edge to the epigraph; v - g(u) is concave along it."""
-    a_uv = base.to_profile(seg.a[None, :])[0]
-    b_uv = base.to_profile(seg.b[None, :])[0]
-
-    def over(t):
-        frac = t / seg.length
-        u = a_uv[0] + frac * (b_uv[0] - a_uv[0])
-        v = a_uv[1] + frac * (b_uv[1] - a_uv[1])
-        return base.profile.g(u) - v
-
-    t_max, f_min = coarse_golden_min(over, 0.0, seg.length)
-    if f_min > 0:
-        return None
-    lo, hi = feasible_ends(over, (0.0, seg.length), t_max)
-    if hi - lo <= 1e-12:
-        return None
-    return Segment(seg.point(lo), seg.point(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -2468,12 +2436,14 @@ def _circle_chord(center, radius: float, p, n, d):
     """(t_mid, half, dist) of the chord that a circle cuts from each line
     p + t d with unit normal n: the centre's foot at t_mid, the centre's
     offset dist along n, and the half-length half = sqrt((r - dist)(r + dist)),
-    which does not cancel like r^2 - dist^2 (0 where the line misses)."""
+    which does not cancel like r^2 - dist^2.  Where the line misses, half is
+    -sqrt((dist - r)(dist + r)), so t_mid -+ half is an empty interval about
+    the line's point nearest the circle."""
     rel = (center - p)[..., None, :]
     # row-wise dot products with the arithmetic of a 1-D `@`
     dist = (rel @ n[..., :, None])[..., 0, 0]
-    half = np.sqrt(np.maximum((radius - dist) * (radius + dist), 0.0))
-    return (rel @ d[..., :, None])[..., 0, 0], half, dist
+    h2 = (radius - dist) * (radius + dist)
+    return (rel @ d[..., :, None])[..., 0, 0], np.copysign(np.sqrt(np.abs(h2)), h2), dist
 
 
 def chord_ends(C: Body2, table: CutTable, centers, halves):
@@ -2487,12 +2457,16 @@ def chord_ends(C: Body2, table: CutTable, centers, halves):
     minimum and one bisection elsewhere).  Then each cut of C bounds t on
     one side, the window clips, and the chord's midpoint is tested.
     Returns the (K, 2, 2) end points, the (K, 2) mask of ends on the
-    boundary of C (the others lie on the window) and the (K,) mask of lines
-    that meet the interior of C (margin below -1e-9 at the midpoint).
+    boundary of C (the others lie on the window), the (K,) mask of lines
+    that meet the interior of C (margin below -1e-9 at the midpoint) and
+    the (K, 2) clipped parameter intervals (lo, hi), lo > hi where the line
+    misses C within its window.  The interval reads no margin: a tangent
+    line or a sliver chord keeps lo <= hi where the interior test fails.
     """
     n, c = table.normals, table.offsets
     if not len(c):
-        return np.zeros((0, 2, 2)), np.zeros((0, 2), dtype=bool), np.zeros(0, dtype=bool)
+        return (np.zeros((0, 2, 2)), np.zeros((0, 2), dtype=bool), np.zeros(0, dtype=bool),
+                np.zeros((0, 2)))
     w = as_points(centers)
     half = np.asarray(halves, dtype=float)
     foot = w + (c - np.einsum("ij,ij->i", n, w))[:, None] * n
@@ -2513,12 +2487,14 @@ def chord_ends(C: Body2, table: CutTable, centers, halves):
     a, b = C.cut_table.values(foot), C.cut_table.normals @ d.T
     with np.errstate(divide="ignore", invalid="ignore"):
         t = -a / b
-    lo = np.maximum(lo, np.where(b < 0, t, -np.inf).max(axis=0, initial=-np.inf))
-    hi = np.minimum(hi, np.where(b > 0, t, np.inf).min(axis=0, initial=np.inf))
-    window = np.column_stack([-half, half])
-    t_end = np.clip(np.column_stack([lo, hi]), window[:, :1], window[:, 1:])
-    meets = (t_end[:, 0] < t_end[:, 1]) & (along(C.margin_many, line)(t_end.mean(axis=1)) < -1e-9)
-    return line(t_end).reshape(-1, 2, 2), (t_end != window) & meets[:, None], meets
+    lo = np.maximum(np.maximum(lo, -half), np.where(b < 0, t, -np.inf).max(axis=0, initial=-np.inf))
+    hi = np.minimum(np.minimum(hi, half), np.where(b > 0, t, np.inf).min(axis=0, initial=np.inf))
+    if (b == 0).any():  # a line parallel to a cut and outside it misses
+        lo[((b == 0) & (a > 0)).any(axis=0)] = np.inf
+    t_end = np.column_stack([np.minimum(lo, half), np.maximum(hi, -half)])
+    meets = (lo < hi) & (C.margin_many(line(0.5 * (t_end[:, 0] + t_end[:, 1]))) < -1e-9)
+    on_c = np.column_stack([lo != -half, hi != half]) & meets[:, None]
+    return line(t_end).reshape(-1, 2, 2), on_c, meets, np.column_stack([lo, hi])
 
 
 def active_normals(C: Body2, pts):

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from qcext import counterexamples as cx
 from qcext.counterexamples import (
     ConstructionError,
     _arc_lengths,
@@ -58,51 +57,98 @@ def test_no_qc_rejects(quartet):
         gen_no_qc(quartet["disk"])
 
 
-def test_arc_lengths_batched_matches_per_line(quartet, monkeypatch):
-    """One call over all lines gives each line's own solve bit for bit: a
-    chord, a sliver between grid samples (found by the golden section), a
-    line that misses, and the wedge lines of both forcing generators."""
-    golden, golden_min = [], cx.golden_min
-    monkeypatch.setattr(cx, "golden_min",
-                        lambda *a, **k: golden.append(1) or golden_min(*a, **k))
+def test_arc_lengths_batched_matches_per_line(quartet):
+    """One call over all lines gives each line's own chord bit for bit: a
+    chord, a corner sliver, a line that misses, and the wedge lines of both
+    forcing generators."""
     square = quartet["square"]
     ident = Frame(R=np.eye(2), anchor=np.zeros(2), shift=np.zeros(2))
     lines = [HalfPlane(np.array([0.0, 1.0]), 0.5),
              HalfPlane(np.array([1.0, 1.0]) / math.sqrt(2.0), (2.0 - 1e-4) / math.sqrt(2.0)),
              HalfPlane(np.array([0.0, 1.0]), 3.0)]
-    foci = [(0.0, 0.5), (-5.0, 5.0), (0.0, 3.0)]
-    cases = [(square, ident, lines, [8.0] * 3, foci)]
+    cases = [(square, ident, lines, [8.0] * 3)]
     for C, gen in ((quartet["hypograph"], gen_no_qc), (square, gen_non_rotund)):
         _, cert = gen(C, k_max=12)
         bs = np.array(cert.params["b"])
         wedges = [_wedge_halfplane(e, b) for e, b in zip(cert.params["eps"], bs)]
         spans = 4.0 * bs + 8.0 if gen is gen_no_qc else np.full(len(bs), 8.0)
-        foci_w = np.column_stack([bs, np.ones_like(bs)])
-        np.testing.assert_array_equal(_arc_lengths(C, cert.frame, wedges, spans, foci_w),
+        np.testing.assert_array_equal(_arc_lengths(C, cert.frame, wedges, spans),
                                       cert.arc_lengths)
-        cases.append((C, cert.frame, wedges, spans, foci_w))
-    for C, frame, hps, spans, fs in cases:
-        batched = _arc_lengths(C, frame, hps, spans, fs)
-        single = np.array([_arc_lengths(C, frame, [hp], [sp], [fc])[0]
-                           for hp, sp, fc in zip(hps, spans, fs)])
+        cases.append((C, cert.frame, wedges, spans))
+    for C, frame, hps, spans in cases:
+        batched = _arc_lengths(C, frame, hps, spans)
+        single = np.array([_arc_lengths(C, frame, [hp], [sp])[0] for hp, sp in zip(hps, spans)])
         np.testing.assert_array_equal(batched, single)
-    golden.clear()
-    first = _arc_lengths(square, ident, lines, [8.0] * 3, foci)
+    first = _arc_lengths(square, ident, lines, [8.0] * 3)
     assert first[0] == 2.0 and first[2] == 0.0
     assert abs(first[1] - math.sqrt(2.0) * 1e-4) <= 1e-12
-    assert len(golden) == 1  # the sliver line took the golden section
+
+
+def test_hypograph_arcs_match_dense_scan(quartet):
+    """gen_no_qc's arcs on the hypograph are the meets of its forcing lines
+    with the body within |t| <= spans[k] of the foot of the frame origin: a
+    200,001-point membership scan of each window brackets every arc within
+    two scan steps."""
+    C = quartet["hypograph"]
+    _, cert = gen_no_qc(C, k_max=6)
+    bs = np.array(cert.params["b"])
+    spans = 4.0 * bs + 8.0
+    for hp, span, arc in zip((_wedge_halfplane(e, b) for e, b in zip(cert.params["eps"], bs)),
+                             spans, cert.arc_lengths):
+        ts = np.linspace(-span, span, 200_001)
+        d = np.array([-hp.normal[1], hp.normal[0]])
+        pts = cert.frame.invert(hp.normal * hp.offset + ts[:, None] * d)
+        inside = ts[C.margin_many(pts) <= 0]
+        step = (ts[1] - ts[0]) / cert.frame.lam
+        scan = (inside[-1] - inside[0]) / cert.frame.lam
+        assert scan - 1e-12 * span <= arc <= scan + 2.0 * step
+
+
+@pytest.mark.parametrize("name", ["square", "triangle"])
+def test_pinched_wedge_arcs_stay_positive(quartet, name):
+    """At k_max 24 the last forcing lines pinch to slivers of about 2^-24
+    of the segment, and each keeps a positive arc.  Each arc is the chord
+    of its stored world line, clipped by the polygon's edges in exact
+    rational arithmetic, within 4e-15 (1 + b_k / eps_k): the line meets the
+    segment at a slope of eps_k / b_k, so a rounding of its offset moves its
+    entry by that factor."""
+    from fractions import Fraction
+
+    verts = ([(-1, -1), (1, -1), (1, 1), (-1, 1)] if name == "square"
+             else [(0, 1), (2, 1), (1, -3)])
+    C = Body2.from_polychain(verts, name=name)
+    _, cert = gen_non_rotund(C, k_max=24)
+    assert np.all(cert.arc_lengths > 0)
+    V = [(Fraction(x), Fraction(y)) for x, y in verts]
+    if (V[1][0] - V[0][0]) * (V[2][1] - V[0][1]) < (V[1][1] - V[0][1]) * (V[2][0] - V[0][0]):
+        V.reverse()  # counterclockwise
+    cond = 1.0 + np.array(cert.params["b"]) / np.array(cert.params["eps"])
+    for hp, arc, k in zip(cert.forcing_halfplanes, cert.arc_lengths, cond):
+        (nx, ny), c = (Fraction(float(v)) for v in hp.normal), Fraction(hp.offset)
+        p, d = (nx * c, ny * c), (-ny, nx)
+        lo, hi = -math.inf, math.inf
+        for (ax, ay), (bx, by) in zip(V, V[1:] + V[:1]):
+            # the edge keeps (b - a) x (q - a) >= 0 on q = p + t d
+            a0 = (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax)
+            a1 = (bx - ax) * d[1] - (by - ay) * d[0]
+            if a1 > 0:
+                lo = max(lo, -a0 / a1)
+            elif a1 < 0:
+                hi = min(hi, -a0 / a1)
+        want = float(hi - lo) * math.hypot(float(nx), float(ny))
+        assert abs(arc - want) <= 4e-15 * k
 
 
 def test_forcing_margin_call_budget(quartet, monkeypatch):
-    """Each forcing line's grid is one margin call and one bisection serves
-    every end, so gen_non_rotund stays far below one search per line (about
-    80 calls each, 2,050 in all at k_max=24)."""
+    """All forcing lines' arcs are one chord_ends call, so gen_non_rotund
+    stays far below one search per line (about 80 margin calls each, 2,050
+    in all at k_max=24; 1 at this writing)."""
     calls = []
     margin_many = Body2.margin_many
     monkeypatch.setattr(Body2, "margin_many",
                         lambda self, pts: calls.append(1) or margin_many(self, pts))
     gen_non_rotund(quartet["square"], k_max=24)
-    assert len(calls) <= 150
+    assert len(calls) <= 10
 
 
 # -- no continuous extension (boundary segment) --------------------------------
@@ -314,19 +360,30 @@ def _ellipse24():
                                 name="ellipse24")
 
 
-def test_lower_profile_batched_matches_per_z(monkeypatch):
-    """One bisection over every z gives each z's own solve, whatever the
-    grid batch; z beyond the profile's reach stays NaN."""
+def test_lower_profile_batched_matches_per_z(quartet):
+    """The lower profile is the lower end of each vertical line's chord:
+    the disk's and the parabola's closed forms hold within 1e-15, one call
+    gives each z's own value, z beyond the profile's reach stays NaN (also
+    on a vertical line parallel to a polygon's edge), and the square's flat
+    bottom reads exactly 0."""
     C = Body2.ball((0.0, 1.0), 1.0)
     zs = np.concatenate([np.geomspace(1e-4, 0.999, 37), [1.5]])
     batched = _lower_profile(C, zs)
     assert np.isnan(batched[-1]) and not np.isnan(batched[:-1]).any()
-    np.testing.assert_allclose(batched[:-1], 1.0 - np.sqrt(1.0 - zs[:-1] ** 2), atol=1e-12)
+    np.testing.assert_allclose(batched[:-1], 1.0 - np.sqrt(1.0 - zs[:-1] ** 2), rtol=0, atol=1e-15)
     single = np.array([_lower_profile(C, [z])[0] for z in zs])
     np.testing.assert_array_equal(batched, single)
-    for batch in (1, 5, 1000):
-        monkeypatch.setattr(cx, "_Z_BATCH", batch)
-        np.testing.assert_array_equal(_lower_profile(C, zs), batched)
+    # the parabola v = 2 u^2 about the origin, up to v_max = 4
+    P = Body2.epigraph("parabola", {"a": 2.0, "c": 0.0})
+    zs = np.concatenate([np.geomspace(1e-6, 1.4, 25), -np.geomspace(1e-6, 1.4, 25), [1.5]])
+    g = _lower_profile(P, zs)
+    assert np.isnan(g[-1])
+    np.testing.assert_allclose(g[:-1], 2.0 * zs[:-1] ** 2, rtol=0, atol=1e-15)
+    box = Body2.from_polychain([(0, 0), (2, 0), (2, 2), (0, 2)])
+    g = _lower_profile(box, [1e-3, 1.0, 2.0 + 1e-9, 2.5])
+    assert g[0] == g[1] == 0.0 and np.isnan(g[2:]).all()
+    _, cert = gen_no_lip(quartet["square"], k_max=8, scan=16)
+    assert cert.params["g_eps"] == 0.0
 
 
 def _scan_reference(E, scan):
@@ -365,15 +422,15 @@ def test_no_lip_scan_matches_per_direction(quartet, name):
 
 
 def test_no_lip_margin_call_budget(quartet, monkeypatch):
-    """The scan's lower profiles are one solve for all directions, so the
-    membership calls stay far below one 100-step bisection per direction
-    (1,600 calls at scan=16)."""
+    """The scan's lower profiles are one chord_ends call for all directions,
+    so the membership calls stay far below one 100-step bisection per
+    direction (1,600 calls at scan=16; 5 at this writing)."""
     calls = []
     margin_many = Body2.margin_many
     monkeypatch.setattr(Body2, "margin_many",
                         lambda self, pts: calls.append(1) or margin_many(self, pts))
     gen_no_lip(quartet["disk"], k_max=8, scan=16)
-    assert len(calls) <= 450
+    assert len(calls) <= 20
 
 
 def test_no_lip_scan_builds_no_probe_body(quartet, monkeypatch):

@@ -158,6 +158,49 @@ def test_segment_meets_source_body():
     assert hits > 20
 
 
+def test_segment_meets_body_edge_cases():
+    """The segment test is a chord on the segment's line: a segment tangent
+    to the disk or through a polygon vertex meets, one that misses either
+    by 1e-6 does not, a point segment is a membership test, and a segment
+    crossing an epigraph far from the body's window meets."""
+    from scipy.spatial import ConvexHull
+
+    disk = Body2.ball((0.0, 0.0), 1.0)
+    assert segment_meets_body((-1.0, 1.0), (1.0, 1.0), disk)
+    assert not segment_meets_body((-1.0, 1.0 + 1e-6), (1.0, 1.0 + 1e-6), disk)
+    for th in np.linspace(0.0, 2.0 * np.pi, 37):
+        n = np.array([np.cos(th), np.sin(th)])
+        t = np.array([-n[1], n[0]])
+        assert segment_meets_body(n - 2.0 * t, n + 0.7 * t, disk)
+        assert not segment_meets_body((1 + 1e-6) * n - 2.0 * t, (1 + 1e-6) * n + 0.7 * t, disk)
+    square = Body2.from_polychain([(-1, -1), (1, -1), (1, 1), (-1, 1)])
+    assert segment_meets_body((0.0, 2.0), (2.0, 0.0), square)
+    assert not segment_meets_body((0.0, 2.0 + 1e-6), (2.0, 1e-6), square)
+    # supporting lines through the vertices of random polygons, and the same
+    # lines moved 1e-6 outward
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        pts = rng.normal(0.0, 3.0, (10, 2))
+        V = pts[ConvexHull(pts).vertices]
+        P = Body2.from_polychain(V, collinear_ok=True)
+        for k in range(len(V)):
+            e1, e2 = V[k] - V[k - 1], V[(k + 1) % len(V)] - V[k]
+            d = e1 / np.linalg.norm(e1) + e2 / np.linalg.norm(e2)
+            d /= np.linalg.norm(d)
+            out = np.array([d[1], -d[0]])
+            x, y = V[k] - 1.3 * d, V[k] + 0.8 * d
+            assert segment_meets_body(x, y, P)
+            assert not segment_meets_body(x + 1e-6 * out, y + 1e-6 * out, P)
+    for body in (disk, square):
+        assert segment_meets_body((0.2, 0.3), (0.2, 0.3), body)
+        assert not segment_meets_body((3.0, 0.3), (3.0, 0.3), body)
+    par = Body2.epigraph("parabola")
+    assert 1e6 > 10.0 * par.window_half
+    assert segment_meets_body((1e6, 0.0), (1e6, 2e12), par)
+    assert segment_meets_body((-3e6, 4e12), (-1e6, 4e12), par)
+    assert not segment_meets_body((1e6, 0.0), (1e6, 0.9e12), par)
+
+
 # -- full function extension ----------------------------------------------------------
 
 def test_extend_function_constant_family():
@@ -401,7 +444,7 @@ def test_ball_chord_ends_closed_form(monkeypatch):
     n = np.array([0.6, 0.8])
     offsets = np.linspace(-1.1, 1.25, 9)
     hps = [HalfPlane(n, float(o)) for o in offsets]
-    ends, on_c, meets = chord_ends(C, CutTable(hps), np.tile(C.witness, (9, 1)), np.full(9, 10.0))
+    ends, on_c, meets, _ = chord_ends(C, CutTable(hps), np.tile(C.witness, (9, 1)), np.full(9, 10.0))
     assert meets.all() and on_c.all()
     with mpmath.workdps(50):
         nx, ny = mpmath.mpf(n[0]), mpmath.mpf(n[1])
@@ -440,7 +483,7 @@ def test_parabola_chord_ends_closed_form(monkeypatch):
     n = np.array([-0.6, 0.8])
     offsets = np.linspace(-1.0, 7.0, 9)  # the last two chords end on the cut
     hps = [HalfPlane(n, float(o)) for o in offsets]
-    ends, on_c, meets = chord_ends(C, CutTable(hps), np.tile(C.witness, (9, 1)), np.full(9, 100.0))
+    ends, on_c, meets, _ = chord_ends(C, CutTable(hps), np.tile(C.witness, (9, 1)), np.full(9, 100.0))
     assert meets.all() and on_c.all()
     d = np.array([-n[1], n[0]])
     with mpmath.workdps(50):
@@ -508,7 +551,7 @@ def test_exp_hypograph_short_far_chords_found():
     search's 257-point grid (512 apart on a 65,536 half-window) missed."""
     C = Body2.epigraph("exp_hypograph")
     table, centers, halves = _random_lines(C)
-    ends, on_c, meets = chord_ends(C, table, centers, halves)
+    ends, on_c, meets, _ = chord_ends(C, table, centers, halves)
     old = _staged_chord_ends(C, table, centers, halves)[2]
     for k, length, margin in ((13, 3.87, -0.128), (178, 7.35, -0.732)):
         assert meets[k] and on_c[k].all() and not old[k]
@@ -528,7 +571,7 @@ def test_epigraph_chord_ends_match_staged_search(name):
                         transform=[[0.8, -0.6, 0.5], [0.6, 0.8, -1.0]])
          if name == "poly" else Body2.epigraph(name))
     table, centers, halves = _random_lines(C)
-    ends, on_c, meets = chord_ends(C, table, centers, halves)
+    ends, on_c, meets, _ = chord_ends(C, table, centers, halves)
     old_ends, old_on_c, old_meets = _staged_chord_ends(C, table, centers, halves)
     both = meets & old_meets
     assert both.sum() > 100 and not (old_meets & ~meets).any()

@@ -1059,3 +1059,68 @@ def test_prune_tight_cases():
                     differ += 1
                     assert _kept_margins_agree(lst, np.zeros(2), rng)
     assert differ <= 10  # 9 of these 210 pairs at this writing
+
+
+# -- epigraph pieces from chords ------------------------------------------------
+
+def _graph_pieces(B):
+    return [pc for pc in B.pieces() if pc.kind == "graph"]
+
+
+def test_parabola_clip_graph_ends_match_quadratic_roots():
+    """A cut y <= a + s x keeps the parabola y = x^2 - 1 between the roots
+    of x^2 - s x - (1 + a) = 0: the graph piece's ends match them within
+    1e-12 relative, and the cut edge joins the two graph points."""
+    import mpmath
+
+    for a, s in ((2.0, 0.5), (0.3, -1.7), (40.0, 3.0), (-0.5, 0.01), (1e3, -20.0)):
+        n = np.array([-s, 1.0])
+        B = Body2.epigraph("parabola").clip([(n, a)])
+        (graph,) = _graph_pieces(B)
+        with mpmath.workdps(40):
+            disc = mpmath.sqrt(mpmath.mpf(s) ** 2 + 4 * (1 + mpmath.mpf(a)))
+            roots = sorted(float(r) for r in ((s - disc) / 2, (s + disc) / 2))
+        got = sorted([graph.u0, graph.u1])
+        for g, r in zip(got, roots):
+            assert abs(g - r) <= 1e-12 * abs(r)
+        (edge,) = [pc for pc in B.pieces() if pc.kind == "segment"]
+        ends = sorted([edge.a, edge.b], key=lambda p: p[0])
+        want = [np.array([r, r * r - 1.0]) for r in roots]
+        for e, w in zip(ends, want):
+            assert np.abs(e - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
+
+
+def test_steep_cosh_cut_crossing_beyond_two_window_halves():
+    """A cut x <= a on the cosh epigraph whose line crosses the graph more
+    than 2 window halves above the witness (but below the stretch's top) still
+    ends the graph piece at u = a: each cut line's window reaches the whole
+    graph stretch.  The cut edge lies above the window box, so the graph
+    piece is the whole chain."""
+    C = Body2.epigraph("cosh")
+    a = 10.0
+    for _ in range(4):  # the witness, so the window, moves with a
+        B = C.clip([((1.0, 0.0), a)])
+        a = float(np.arccosh(2.0 + B.witness[1] + 3.0 * B.window_half))
+    B = C.clip([((1.0, 0.0), a)])
+    assert np.cosh(a) - 2.0 - B.witness[1] > 2.0 * B.window_half
+    (graph,) = B.pieces()
+    assert graph.kind == "graph" and graph.u0 < -a
+    assert graph.u1 == pytest.approx(a, rel=1e-12)
+
+
+def test_concave_hypograph_cut_splits_graph():
+    """On the hypograph y <= 1 - e^-x the cut y <= 0.5 + 0.1 x is concave
+    along the graph, so it keeps two graph pieces, ending at the two roots
+    of 1 - e^-u = 0.5 + 0.1 u, joined by the cut edge."""
+    import mpmath
+
+    B = Body2.epigraph("exp_hypograph").clip([((-0.1, 1.0), 0.5)])
+    pieces = B.pieces()
+    graphs = _graph_pieces(B)
+    assert [pc.kind for pc in pieces].count("segment") == 1 and len(graphs) == 2
+    f = lambda u: 1 - mpmath.exp(-u) - mpmath.mpf(0.5) - mpmath.mpf(0.1) * u  # noqa: E731
+    with mpmath.workdps(40):
+        roots = [float(mpmath.findroot(f, x0)) for x0 in (0.8, 4.0)]
+    left, right = sorted(graphs, key=lambda g: g.u0)
+    for g, r in zip((left.u1, right.u0), roots):
+        assert abs(g - r) <= 1e-12 * abs(r)
