@@ -20,9 +20,7 @@ from .geometry import (
     CutTable,
     Frame,
     HalfPlane,
-    along,
     as_points,
-    bisect_leq,
     boundary_crossing,
     chord_ends,
     cross2,
@@ -486,11 +484,12 @@ def _no_lip_frames(E: Body2, dirs: np.ndarray) -> list:
     the direction is unusable (infinite support or no interior along the
     inward normal).
 
-    The frame's v axis is the inward normal pt + t R[1], so membership along
-    it is read in E's own coordinates, as in _lower_profile.  All rows share
-    one support_point call, one margin call at t = 2, one 64-point
-    geometric scan for the rows whose t = 2 lies outside, and one exit
-    bisection.
+    The frame's v axis is the inward normal pt + t R[1].  All rows share
+    one support_point call and one margin call at t = 2; a row whose t = 2
+    lies outside reads its exit as the upper end of the inward normal's
+    chord over |t| <= 2 (one chord_ends call for all such rows) and halves
+    it, within [1e-6, 1]; a chord that misses the interior (a corner where
+    the inward normal leaves at once) makes the row unusable.
     """
     _, pts = support_point(E, dirs)
     rows = np.flatnonzero(~np.isnan(pts[:, 0]))
@@ -500,28 +499,14 @@ def _no_lip_frames(E: Body2, dirs: np.ndarray) -> list:
     rots = [_rotation_to(dirs[i], vec(0.0, -1.0)) for i in rows]
     base = pts[rows]
     inward = np.array([R[1] for R in rots])
-
-    def margins(sel):
-        # t shaped (len(sel), K): K points along each selected inward normal
-        return along(E.margin_many, lambda t: (base[sel, None] + t[..., None]
-                                               * inward[sel, None]).reshape(-1, 2))
-
     t_hi = 2.0
     t0 = np.ones(len(rows))
-    out = np.flatnonzero(~(margins(slice(None))(np.full((len(rows), 1), t_hi))[:, 0] <= 0))
+    out = np.flatnonzero(~(E.margin_many(base + t_hi * inward) <= 0))
     if len(out):
-        ts = np.geomspace(1e-6, t_hi, 64)
-        inside = margins(out)(np.tile(ts, (len(out), 1))) < 0
-        count = inside.sum(axis=1)
-        # corner support where no scan point is inside: the inward normal
-        # leaves at once
-        t0[out[count == 0]] = np.nan
-        scan = out[count > 0]
-        # the middle inside scan point of each row
-        pick = np.argmax(np.cumsum(inside[count > 0], axis=1) > count[count > 0, None] // 2,
-                         axis=1)
-        t_exit = bisect_leq(lambda t: margins(scan)(t[:, None])[:, 0], t_hi, ts[pick], 80)
-        t0[scan] = np.maximum(np.minimum(t_exit / 2.0, 1.0), 1e-6)
+        n = np.column_stack([inward[out, 1], -inward[out, 0]])  # the lines run along inward
+        _, _, meets, span = chord_ends(E, CutTable(normals=n, offsets=dots(base[out], n)),
+                                       base[out], np.full(len(out), t_hi))
+        t0[out] = np.where(meets, np.clip(span[:, 1] / 2.0, 1e-6, 1.0), np.nan)
     for i, R, p, t in zip(rows, rots, base, t0):
         if not np.isnan(t):
             frames[i] = Frame(R=R, anchor=p.copy(), shift=np.zeros(2), lam=1.0 / t)

@@ -20,6 +20,7 @@ from .geometry import (
     CutTable,
     GeometryError,
     HalfPlane,
+    PlaneBase,
     Segment,
     TOL,
     active_normals,
@@ -30,9 +31,11 @@ from .geometry import (
     distance_many,
     dots,
     find_asymptotic_direction,
+    halfplane_chain,
     irredundant,
     is_rotund,
     norm,
+    polygon_distance,
     prune_halfplanes,
     relative_boundary,
     supporting_normals,
@@ -361,11 +364,34 @@ def extend_function(fam: LevelFamily, validate: bool = True,
 # ---------------------------------------------------------------------------
 # diagnostics used by the operator contracts
 
+def _closed_polygon(B: Body2) -> bool:
+    """Whether B is a half-plane body whose chain has no window edge: a
+    bounded polygon inside its window box."""
+    return isinstance(B.base, PlaneBase) and not B.chain[1].any()
+
+
 def restriction_hausdorff(ext: ExtendedBody, n: int = 256) -> float:
-    """Hausdorff distance between e(B) intersected with the ambient and B."""
+    """Hausdorff distance between e(B) intersected with the ambient C and B.
+
+    Exact when B and C are bounded polygons inside their window boxes
+    (_closed_polygon), which makes the meet one too: the meet's vertices
+    are one halfplane_chain of C's cuts and e(B)'s half-planes about B's
+    witness, in a box holding C's window box, and the distance is the
+    largest distance from either polygon's vertices to the other polygon
+    (for convex polygons the farthest point lies at a vertex; Atallah, IPL
+    17, 1983).  Otherwise the meet is a Body2 and each side takes n
+    boundary samples, so the value can fall short of the distance by up
+    to the sample spacing.
+    """
     if ext.special is not None:
         raise ExtensionError("special extensions have no restriction")
     B, C = ext.source, ext.ambient
+    if _closed_polygon(B) and _closed_polygon(C):
+        rows = CutTable(C.cuts + tuple(ext.halfplanes))
+        half = C.window_half + float(np.abs(C.witness - B.witness).max())
+        meet, _ = halfplane_chain(rows.normals, rows.offsets, B.witness, half)
+        poly = B.chain[0]
+        return float(max(polygon_distance(poly, meet).max(), polygon_distance(meet, poly).max()))
     meet = Body2(C.base, C.cuts + tuple(ext.halfplanes), name="e_cap_C")
     a = meet.boundary_samples(n)
     d1 = float(np.max(distance_many(B, a))) if len(a) else 0.0

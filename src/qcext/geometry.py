@@ -6,6 +6,12 @@ convex profile under a scaled isometry) intersected with a list of
 half-planes.  All predicates are tolerance-based; evaluation paths accept
 (N, 2) point arrays.
 
+A body's cuts keep one vertex chain (`halfplane_chain`, cached as
+`Body2.chain`): the meets of consecutive irredundant cuts within the
+body's window box.  A half-plane body's boundary pieces, its containment
+test in another body and the polygon Hausdorff distance of the extension
+read it; ball and epigraph bodies clip its cut edges to their base.
+
 Where a line meets a body is one primitive, `chord_ends`: closed form on
 half-planes, a ball or a parabola, and one `Profile.slope_point` minimum
 plus one bisection per end on other epigraph profiles.  Epigraph boundary
@@ -1014,7 +1020,7 @@ def _lex_max(vals, ts):
 
 
 # ---------------------------------------------------------------------------
-# half-plane pruning and clipping
+# half-plane pruning and vertex chains
 
 #: most distinct directions of one list that the interval test prunes; longer
 #: lists (the sampled construction's, 256 rows and more) take Qhull's dual
@@ -1161,53 +1167,50 @@ def prune_halfplanes(halfplanes: Sequence[HalfPlane], witness: np.ndarray) -> li
     return [halfplanes[i] for i in rows]
 
 
-def clip_polygon(poly: list, hp: HalfPlane, tol: float = 1e-12) -> list:
-    """Sutherland-Hodgman clip of a convex polygon by one half-plane."""
-    if not poly:
-        return []
-    out = []
-    prev = poly[-1]
-    prev_v = float(hp.normal @ prev) - hp.offset
-    for cur in poly:
-        cur_v = float(hp.normal @ cur) - hp.offset
-        if cur_v <= tol:
-            if prev_v > tol:
-                t = prev_v / (prev_v - cur_v)
-                out.append(prev + t * (cur - prev))
-            out.append(cur)
-        elif prev_v <= tol:
-            t = prev_v / (prev_v - cur_v)
-            out.append(prev + t * (cur - prev))
-        prev, prev_v = cur, cur_v
-    cleaned = []
-    for p in out:
-        if not cleaned or norm(p - cleaned[-1]) > 1e-12:
-            cleaned.append(p)
-    if len(cleaned) >= 2 and norm(cleaned[0] - cleaned[-1]) <= 1e-12:
-        cleaned.pop()
-    return cleaned
+#: outward normals of the window box's four sides, in angle order
+_BOX_NORMALS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+_BOX_NORMALS.flags.writeable = False
 
 
-def window_polygon(center: np.ndarray, half: float) -> list:
-    c, h = center, half
-    return [c + vec(-h, -h), c + vec(h, -h), c + vec(h, h), c + vec(-h, h)]
+def halfplane_chain(normals: np.ndarray, offsets: np.ndarray, center, half: float):
+    """Vertex chain of {x : normals @ x <= offsets} within the window box
+    |x - center|_inf <= half: the CCW vertices (k, 2) and the (k,) mask of
+    the edges that lie on the box, edge i running from vertex i to vertex
+    i + 1 (cyclically).
 
-
-def cut_polyline(halfplanes: Sequence[HalfPlane], window_center, window_half):
-    """Clip the window box by the half-planes; CCW polygon vertices.
-
-    Edges on the window boundary mark unbounded directions.
+    center must lie strictly inside every half-plane.  The rows and the
+    box's four go through one irredundant call, whose kept rows come in
+    normal-angle order, and consecutive kept rows meet at the vertices (de
+    Berg et al., Computational Geometry, 4.2): vertex i is the meet of the
+    rows of edges i - 1 and i, by Cramer's rule on those two rows alone, so
+    it does not depend on the other rows.  The chain starts at the edge of
+    least normal angle in [0, 2 pi).  An edge no longer than 1e-12 times
+    max(1, the largest |coordinate|) is dropped with its start vertex.
     """
-    poly = window_polygon(as_point(window_center), float(window_half))
-    for hp in halfplanes:
-        poly = clip_polygon(poly, hp)
-        if not poly:
-            return []
-    return poly
+    center = as_point(center)
+    n = np.concatenate([np.reshape(normals, (-1, 2)), _BOX_NORMALS])
+    c = np.concatenate([np.reshape(offsets, -1), dots(_BOX_NORMALS, center) + half])
+    rows = irredundant(n, c, center[None, :], np.zeros(len(c), dtype=np.intp))
+    prev = np.roll(rows, 1)
+    a, b, ca, cb = n[prev], n[rows], c[prev], c[rows]
+    det = cross2(a, b)
+    verts = np.column_stack([(ca * b[:, 1] - cb * a[:, 1]) / det,
+                             (a[:, 0] * cb - b[:, 0] * ca) / det])
+    length = np.linalg.norm(np.roll(verts, -1, axis=0) - verts, axis=1)
+    keep = length > 1e-12 * max(1.0, float(np.abs(verts).max()))
+    return verts[keep], rows[keep] >= len(c) - 4
 
 
-def _on_window(p, center, half, tol_frac=1e-9):
-    return bool(np.max(np.abs(p - center)) >= half * (1.0 - tol_frac) - 1e-9)
+def polygon_distance(pts, verts: np.ndarray) -> np.ndarray:
+    """Distance from each point to the convex polygon with CCW vertices
+    verts (k, 2): 0 where the point lies on the inner side of every edge
+    line, else the least distance to an edge."""
+    pts = as_points(pts)
+    e = np.roll(verts, -1, axis=0) - verts
+    rel = pts[:, None, :] - verts[None]
+    t = np.clip(dots(rel, e) / dots(e, e), 0.0, 1.0)
+    d = np.linalg.norm(rel - t[..., None] * e, axis=-1).min(axis=1)
+    return np.where((cross2(e, rel) >= 0).all(axis=1), 0.0, d)
 
 
 # ---------------------------------------------------------------------------
@@ -1562,6 +1565,18 @@ class Body2:
     # -- boundary structure ---------------------------------------------------
 
     def pieces(self) -> list:
+        """The boundary pieces within the window box, in CCW chain order,
+        each with the body on its left.
+
+        A half-plane body reads its segments from its vertex chain
+        (`chain`), without the edges on the window box; a chain with such
+        an edge starts at the first body edge after one, so an unbounded
+        body's pieces run from one window end to the other.  The vertices
+        are the meets of consecutive irredundant cuts, exact up to rounding
+        wherever the body's vertices lie inside the window box.  Ball and
+        epigraph bodies add their arcs or graph pieces to the chain's cut
+        edges and order them by matching ends (_chain_pieces).
+        """
         if self._pieces is None:
             self._pieces, self._closed = self._build_pieces()
         return self._pieces
@@ -1572,35 +1587,45 @@ class Body2:
         return self._closed
 
     @cached_property
+    def chain(self):
+        """(vertices, window): halfplane_chain of the cuts within the
+        window box, half-size window_half about the witness, built once;
+        empty arrays for a body without cuts."""
+        if not self.cuts:
+            return np.zeros((0, 2)), np.zeros(0, dtype=bool)
+        return halfplane_chain(self.cut_table.normals, self.cut_table.offsets,
+                               self.witness, self.window_half)
+
+    @cached_property
     def _segment_table(self):
-        """Chain indices, starts (S, 2), ends (S, 2) and lengths (S,) of
-        the segment pieces, stacked once for support solves."""
+        """Chain indices, starts (S, 2), ends (S, 2), lengths (S,) and
+        outward normals (S, 2) of the segment pieces, stacked once for
+        support solves."""
         chain = self.pieces()
         seg = [i for i, pc in enumerate(chain) if pc.kind == "segment"]
         return (seg, np.array([chain[i].a for i in seg]).reshape(-1, 2),
                 np.array([chain[i].b for i in seg]).reshape(-1, 2),
-                np.array([chain[i].length for i in seg]))
+                np.array([chain[i].length for i in seg]),
+                np.array([chain[i].n for i in seg]).reshape(-1, 2))
 
     def _cut_segments(self) -> list:
-        pruned = prune_halfplanes(list(self.cuts), self.witness)
-        poly = cut_polyline(pruned, self.witness, self.window_half)
-        if not poly:
-            return []
-        segs = []
-        wc, wh = self.witness, self.window_half
-        m = len(poly)
-        for i in range(m):
-            a, b = poly[i], poly[(i + 1) % m]
-            if norm(b - a) < 1e-12:
-                continue
-            mid = 0.5 * (a + b)
-            segs.append(Segment(a, b, synthetic=_on_window(mid, wc, wh)))
-        return segs
+        """The chain's edges as segments in chain order, those on the
+        window box marked synthetic."""
+        verts, window = self.chain
+        return [Segment(a, b, synthetic=w)
+                for a, b, w in zip(verts, np.roll(verts, -1, axis=0), window)]
 
     def _build_pieces(self):
         segs = self._cut_segments()
         if isinstance(self.base, PlaneBase):
-            return _chain_pieces([s for s in segs if not s.synthetic], self.witness)
+            window = self.chain[1]
+            if not window.any():
+                return segs, True
+            # from the first body edge after a window edge (none: no body
+            # edge reaches the window)
+            after = np.flatnonzero(window & ~np.roll(window, -1)) + 1
+            k = int(after[0]) if len(after) else 0
+            return [s for s in segs[k:] + segs[:k] if not s.synthetic], False
         if isinstance(self.base, BallBase):
             return self._ball_pieces(segs)
         return self._epigraph_pieces(segs)
@@ -1849,7 +1874,13 @@ def _support(C: Body2, dirs: np.ndarray, tol: float = TOL):
     one support_max call per arc or graph piece and one expression for all
     segments.  A value is +inf along recession growth (the recession test)
     or where the maximum sits at a window-clipped chain end and the values
-    still climb toward it (the divergence guard); its point is then NaN."""
+    still climb toward it (the divergence guard); its point is then NaN.
+
+    Ties do not depend on where the chain starts: a segment whose outward
+    normal is the direction (within 1e-12 in sine) is a flat face, and its
+    start, the face's CCW-first end, is the point; otherwise, among the
+    pieces with the largest value, a piece's start beats a piece's end (the
+    same vertex), and then the first in chain order wins."""
     n = len(dirs)
     recc = C.recession_cone()
     grows = np.zeros(n, dtype=bool)
@@ -1864,22 +1895,25 @@ def _support(C: Body2, dirs: np.ndarray, tol: float = TOL):
     d = dirs[fin]
     vals = np.empty((len(chain), len(fin)))
     ts = np.empty((len(chain), len(fin)))
-    # all segments at once: the larger end value, a tie to the start
-    seg, a, b, length = C._segment_table
+    # all segments at once: the larger end value, a tie or a face to the start
+    seg, a, b, length, normal = C._segment_table
+    face = np.zeros(vals.shape, dtype=bool)
     if seg:
         va, vb = dots(a[:, None], d), dots(b[:, None], d)
-        start = va >= vb
+        face[seg] = (dots(normal[:, None], d) > 0) & (np.abs(cross2(normal[:, None], d)) <= 1e-12)
+        start = (va >= vb) | face[seg]
         vals[seg] = np.where(start, va, vb)
         ts[seg] = np.where(start, 0.0, length[:, None])
     for i, pc in enumerate(chain):
         if pc.kind != "segment":
             vals[i], ts[i] = pc.support_max(d)
-    idx = np.argmax(vals, axis=0)  # the first piece with the largest value
+    t0, t1 = np.array([(pc.t0, pc.t1) for pc in chain]).T
+    top = vals == vals.max(axis=0)
+    idx = np.argmax(4 * face + top + (top & (ts == t0[:, None])), axis=0)
     rows = np.arange(len(fin))
     best, t = vals[idx, rows], ts[idx, rows]
     if not C.closed_chain:
         # divergence guard where the max sits at a window-clipped chain end
-        t0, t1 = np.array([(pc.t0, pc.t1) for pc in chain]).T
         at_end = (((idx == 0) & (np.abs(t - t0[0]) < 1e-9 * (1 + abs(t0[0]))))
                   | ((idx == len(chain) - 1) & (np.abs(t - t1[-1]) < 1e-9 * (1 + abs(t1[-1])))))
         e = np.flatnonzero(at_end)
@@ -2411,8 +2445,27 @@ def _same_base(a, b) -> bool:
 
 
 def _check_inside(B: Body2, C: Body2):
-    """GeometryError unless 96 boundary samples of B lie in C, up to 1e-6."""
-    probe = B.boundary_samples(96)
+    """GeometryError unless B lies in C, up to a slack of 1e-6 times
+    max(1, the largest |coordinate| tested).
+
+    A half-plane body is tested without samples: the vertices of its chain
+    lie in C, and its recession cone lies in C's (every extreme direction,
+    and a half-plane cone's middle one, by Cone2.contains_dir).  That
+    decides B in C whenever B's vertices lie inside its window box, since
+    B is then its box part plus its recession cone; a body reaching past
+    its box is tested on its box part and its cone.  Other bodies test 96
+    boundary samples."""
+    if isinstance(B.base, PlaneBase):
+        probe = B.chain[0]
+        cone = B.recession_cone()
+        dirs = cone.directions()
+        if cone.kind == "halfplane":
+            dirs.append(dir_of(angle_of(cone.d1) + 0.5 * math.pi))
+        ambient = C.recession_cone()
+        if not all(ambient.contains_dir(v) for v in dirs):
+            raise GeometryError("the inner body's recession cone leaves the ambient's")
+    else:
+        probe = B.boundary_samples(96)
     big = max(1.0, float(np.abs(probe).max()))
     if not C.contains_many(probe, 1e-6 * big).all():
         raise GeometryError("the inner body is not contained in the ambient")
@@ -2420,9 +2473,13 @@ def _check_inside(B: Body2, C: Body2):
 
 def cuts_beyond(B: Body2, C: Body2):
     """B's cuts that are not C's (by value) when B is C cut by half-planes,
-    else None.  B is when it has C's base and holds C's cuts, both by value
-    (no probe), or when it is a half-plane body inside C by _check_inside,
-    which raises GeometryError for one outside."""
+    else None.
+
+    B is when it has C's base and holds C's cuts, both by value (no test
+    of points), or when it is a half-plane body inside C: _check_inside
+    tests its chain's vertices and its recession cone, exact up to its
+    slack for a body whose vertices lie in its window box, and raises
+    GeometryError for a body outside C."""
     key = {(*h.normal.tolist(), h.offset) for h in C.cuts}
     mine = [(*h.normal.tolist(), h.offset) for h in B.cuts]
     if not ((B.base is C.base or _same_base(B.base, C.base)) and key.issubset(mine)):
@@ -2550,13 +2607,19 @@ def relative_boundary(B: Body2, C: Body2, samples_per_piece: int = 129,
 # classification predicates
 
 def find_boundary_segment(C: Body2, min_length: float = 1e-6):
-    """Longest straight boundary piece, or None if the boundary has none."""
-    best = None
-    for pc in C.pieces():
-        if isinstance(pc, Segment) and not pc.synthetic and pc.length >= min_length:
-            if best is None or pc.length > best.length:
-                best = pc
-    return best
+    """Longest straight boundary piece, or None if the boundary has none.
+
+    Lengths within 1e-12 (relative) of the longest tie, and a tie goes to
+    the lowest outward-normal angle in [0, 2 pi), so the answer does not
+    depend on where the chain starts.
+    """
+    segs = [pc for pc in C.pieces()
+            if isinstance(pc, Segment) and not pc.synthetic and pc.length >= min_length]
+    if not segs:
+        return None
+    longest = max(pc.length for pc in segs)
+    return min((pc for pc in segs if pc.length >= (1.0 - 1e-12) * longest),
+               key=lambda pc: angle_of(pc.n))
 
 
 def is_rotund(C: Body2) -> bool:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Body2, cut_polyline, as_point
+from .geometry import Body2, CutTable, as_point, halfplane_chain
 from .extension import ExtensionResult
 
 _SVG_SIZE = 720
@@ -94,10 +94,13 @@ def svg_extension(res: ExtensionResult, window) -> str:
         e = res.operator.extended(k)
         if e.special is not None:
             continue
-        poly = cut_polyline(list(e.halfplanes), center, half)
-        if len(poly) >= 3:
-            canvas.polyline(np.array(poly), _COLORS[k % len(_COLORS)],
-                            1.2, closed=True)
+        # the chain about the source's witness, in a box holding the
+        # window's box of half-size half
+        w = e.source.witness
+        table = CutTable(e.halfplanes)
+        poly, _ = halfplane_chain(table.normals, table.offsets, w,
+                                  half + float(np.abs(w - center).max()))
+        canvas.polyline(poly, _COLORS[k % len(_COLORS)], 1.2, closed=True)
     _body_outline(canvas, res.family.ambient, window)
     return canvas.render()
 

@@ -433,6 +433,32 @@ def test_no_lip_margin_call_budget(quartet, monkeypatch):
     assert len(calls) <= 20
 
 
+@pytest.mark.parametrize("verts", [[(0, 1), (2, 1), (1, -3)],
+                                   [(2.0 * math.cos(t), math.sin(t))
+                                    for t in 2.0 * math.pi * np.arange(24) / 24]])
+def test_no_lip_frame_exit_is_the_chord_end(verts):
+    """Where the inward normal leaves the body before t = 2, the frame's
+    scale is half the exit: the upper end of the normal's chord, which an
+    80-step margin bisection along the normal matches within 1e-12."""
+    from qcext.geometry import bisect_leq, support_point
+
+    E = Body2.from_polychain(verts)
+    dirs = np.array([[math.cos(t), math.sin(t)] for t in 2.0 * math.pi * np.arange(16) / 16])
+    _, pts = support_point(E, dirs)
+    exits = 0
+    for p, frame in zip(pts, _no_lip_frames(E, dirs)):
+        if frame is None:
+            continue
+        up = frame.R[1]
+        if E.margin_many((p + 2.0 * up)[None])[0] <= 0:
+            assert frame.lam == 1.0
+            continue
+        exits += 1
+        t = bisect_leq(lambda t: E.margin_many(p + np.multiply.outer(t, up)), 2.0, 1e-3, 80)
+        assert abs(1.0 / frame.lam - t / 2.0) <= 1e-12
+    assert exits >= 1
+
+
 def test_no_lip_scan_builds_no_probe_body(quartet, monkeypatch):
     """The direction scan reads membership in the body's own coordinates:
     the only bodies built are the chosen frame's body and its k_max + 1

@@ -15,7 +15,7 @@ from qcext.extension import (
     restriction_hausdorff,
     segment_meets_body,
 )
-from qcext.geometry import Body2, CutTable, GeometryError, HalfPlane, chord_ends, clip_polygon
+from qcext.geometry import Body2, CutTable, GeometryError, HalfPlane, chord_ends, norm
 from qcext.levelset import LevelFamily, quasiconvex_check, sample_domain
 from qcext.serialize import body_from_json, body_to_json
 from qcext.verify import _random_polygon_pair
@@ -304,6 +304,56 @@ def test_restriction_hausdorff_random_pairs():
         assert restriction_hausdorff(e) <= 5 * step
 
 
+def test_restriction_hausdorff_exact_closed_form(monkeypatch):
+    """The unit square against a hand-made e(B) without its top side,
+    inside the square [-2, 3]^2: the meet is [0, 1] x [0, 3], 2 above B's
+    top.  The polygon path reads vertices only: no meet body, no samples."""
+    B = Body2.from_polychain([(0, 0), (1, 0), (1, 1), (0, 1)])
+    C = Body2.from_polychain([(-2, -2), (3, -2), (3, 3), (-2, 3)])
+    sides = [HalfPlane(np.array(n), o) for n, o in (((0.0, -1.0), 0.0), ((1.0, 0.0), 1.0),
+                                                    ((-1.0, 0.0), 0.0))]
+    e = extension.ExtendedBody(B, C, tuple(sides))
+    monkeypatch.setattr(Body2, "boundary_samples", None)
+    monkeypatch.setattr(extension, "distance_many", None)
+    assert restriction_hausdorff(e) == 2.0
+    full = extension.ExtendedBody(B, C, tuple(sides) + (HalfPlane(np.array([0.0, 1.0]), 1.0),))
+    assert restriction_hausdorff(full) == 0.0
+
+
+def _sampled_hausdorff(e, n=256):
+    """restriction_hausdorff from n boundary samples per side of B and of
+    the meet body."""
+    from qcext.geometry import distance_many
+
+    B, C = e.source, e.ambient
+    meet = Body2(C.base, C.cuts + tuple(e.halfplanes))
+    a, b = meet.boundary_samples(n), B.boundary_samples(n)
+    return max(float(distance_many(B, a).max()), float(distance_many(meet, b).max()))
+
+
+def test_restriction_hausdorff_exact_against_sampled():
+    """On 200 criterion-2 pairs, for e(B) and for e(B) without its first
+    half-plane (a meet that grows to C), the vertex value is never below
+    the sampled one beyond rounding (1e-14 relative; the farthest point of
+    a convex polygon is a vertex, which the samples hold) and within 1e-12
+    of it.  e(B) restricts to B exactly: its value is 0."""
+    rng = np.random.default_rng(21)
+    n = 0
+    while n < 200:
+        try:
+            B, C = _random_polygon_pair(rng)
+        except Exception:
+            continue
+        e = extend_body(B, C)
+        if e.special is not None:
+            continue
+        n += 1
+        assert restriction_hausdorff(e) == 0.0
+        for x in (e, extension.ExtendedBody(B, C, e.halfplanes[1:])):
+            exact, sampled = restriction_hausdorff(x), _sampled_hausdorff(x)
+            assert sampled - 1e-14 * max(1.0, sampled) <= exact <= sampled + 1e-12
+
+
 def test_extend_function_usc_forced_violation():
     # closures of the strict sublevels of the discontinuous counterexample
     # cannot reproduce it: the extension disagrees at the pinched corner
@@ -340,6 +390,35 @@ def _chord_family(name):
     C, normal, offsets = _chord_cases()[name]
     bodies = [C.clip([(normal, float(c))]) for c in offsets]
     return LevelFamily(np.arange(len(offsets), dtype=float), bodies, C)
+
+
+def clip_polygon(poly: list, hp: HalfPlane, tol: float = 1e-12) -> list:
+    """Sutherland-Hodgman clip of a convex polygon by one half-plane: the
+    vertices of the 24-gon's chord polygons, built apart from the library's
+    vertex chains."""
+    if not poly:
+        return []
+    out = []
+    prev = poly[-1]
+    prev_v = float(hp.normal @ prev) - hp.offset
+    for cur in poly:
+        cur_v = float(hp.normal @ cur) - hp.offset
+        if cur_v <= tol:
+            if prev_v > tol:
+                t = prev_v / (prev_v - cur_v)
+                out.append(prev + t * (cur - prev))
+            out.append(cur)
+        elif prev_v <= tol:
+            t = prev_v / (prev_v - cur_v)
+            out.append(prev + t * (cur - prev))
+        prev, prev_v = cur, cur_v
+    cleaned = []
+    for p in out:
+        if not cleaned or norm(p - cleaned[-1]) > 1e-12:
+            cleaned.append(p)
+    if len(cleaned) >= 2 and norm(cleaned[0] - cleaned[-1]) <= 1e-12:
+        cleaned.pop()
+    return cleaned
 
 
 def _multi_cut_family(kind):

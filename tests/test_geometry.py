@@ -1124,3 +1124,150 @@ def test_concave_hypograph_cut_splits_graph():
     left, right = sorted(graphs, key=lambda g: g.u0)
     for g, r in zip((left.u1, right.u0), roots):
         assert abs(g - r) <= 1e-12 * abs(r)
+
+
+# -- vertex chains of half-plane bodies -----------------------------------------
+
+def _random_polygon(rng, count):
+    from scipy.spatial import ConvexHull
+
+    pts = rng.normal(0.0, 1.0, (count, 2))
+    return pts[ConvexHull(pts).vertices]
+
+
+def test_chain_of_polygon_is_its_vertices():
+    """A bounded polygon's chain is its own vertices, CCW, with no window
+    edge, starting at the edge of least normal angle; its pieces are the
+    chain's edges, closed, and take no pieces() rebuild."""
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        verts = _random_polygon(rng, int(rng.integers(3, 16)))
+        B = Body2.from_polychain(verts, collinear_ok=True)
+        chain, window = B.chain
+        assert not window.any() and len(chain) == len(verts)
+        assert geo.cross2(np.roll(chain, -1, axis=0) - chain,
+                          np.roll(chain, -2, axis=0) - chain).min() > 0
+        # the same vertices, up to where the chain starts
+        k = int(np.argmin(np.linalg.norm(verts - chain[0], axis=1)))
+        assert np.abs(np.roll(verts, -k, axis=0) - chain).max() <= 1e-12
+        angles = [geo.angle_of(pc.n) for pc in B.pieces()]
+        assert angles == sorted(angles) and B.closed_chain
+        assert np.array_equal([pc.a for pc in B.pieces()], chain)
+
+
+def test_chain_of_unbounded_body_marks_window_edges():
+    """An unbounded body's chain closes on its window box: the window edges
+    are marked, and the pieces run from one window end to the other."""
+    B = Body2.from_polychain([(0.0, 0.0), (1.0, 0.0)], rays=((-1.0, 1.0), (1.0, 1.0)))
+    chain, window = B.chain
+    assert window.sum() >= 1 and (~window).sum() == 3
+    pieces = B.pieces()
+    assert not B.closed_chain and len(pieces) == 3
+    assert np.array_equal(pieces[1].a, [0.0, 0.0]) and np.array_equal(pieces[1].b, [1.0, 0.0])
+    for p, q in zip(pieces[:-1], pieces[1:]):
+        assert np.array_equal(p.b, q.a)
+    assert np.abs(np.abs(pieces[0].a - B.witness).max() - B.window_half) <= 1e-9 * B.window_half
+    assert np.abs(np.abs(pieces[-1].b - B.witness).max() - B.window_half) <= 1e-9 * B.window_half
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+@pytest.mark.parametrize("shift", [0.0, 1e3, 1e6])
+def test_chain_follows_translation_and_scale(scale, shift):
+    """The chain's vertices map with the body, within 1e-12 of the
+    coordinate scale (the body's size times scale plus the translation),
+    and its start does not move."""
+    rng = np.random.default_rng(12)
+    move = shift * np.array([0.6, -0.8])
+    for _ in range(20):
+        verts = _random_polygon(rng, int(rng.integers(3, 16)))
+        base = Body2.from_polychain(verts, collinear_ok=True).chain[0]
+        moved = Body2.from_polychain(scale * verts + move, collinear_ok=True).chain[0]
+        tol = 1e-12 * (scale * np.abs(verts).max() + shift)
+        assert moved.shape == base.shape
+        assert np.abs(moved - (scale * base + move)).max() <= tol
+
+
+def _restarted(B, k):
+    """A fresh copy of the half-plane body B whose chain of pieces starts at
+    its k-th piece."""
+    fresh = Body2(B.base, B.cuts)
+    pieces = B.pieces()
+    fresh._pieces, fresh._closed = pieces[k:] + pieces[:k], B.closed_chain
+    return fresh
+
+
+def test_support_tie_rules_do_not_depend_on_chain_start():
+    """For every edge of a random polygon, and for the chain started at each
+    edge, the support point in the edge's outward normal is the edge's
+    start (the face's CCW-first end), a vertex's support point is bit for
+    bit the same, and find_boundary_segment picks the same edge."""
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        B = Body2.from_polychain(_random_polygon(rng, 12), collinear_ok=True)
+        pieces = B.pieces()
+        normals = np.array([pc.n for pc in pieces])
+        starts = np.array([pc.a for pc in pieces])
+        # directions strictly inside each vertex's normal cone
+        inner = np.array([geo.unit(a + b) for a, b in zip(np.roll(normals, 1, axis=0), normals)])
+        segment = geo.find_boundary_segment(B)
+        for k in range(len(pieces)):
+            C = _restarted(B, k)
+            assert np.array_equal(support_point(C, normals)[1], starts)
+            assert np.array_equal(support_point(C, inner)[1], starts)
+            got = geo.find_boundary_segment(C)
+            assert np.array_equal(got.a, segment.a) and np.array_equal(got.b, segment.b)
+
+
+def test_boundary_segment_length_ties_take_lowest_normal_angle(square):
+    """Lengths within 1e-12 of each other tie, and a tie goes to the lowest
+    outward-normal angle in [0, 2 pi): the square's right edge, also when
+    its left edge is longer by 2e-14 relative, the triangle's lower-left
+    edge of its two sqrt(17) edges, and of the four longest edges of the
+    24-gon ellipse (equal up to rounding) the one left of the top vertex."""
+    for body in (square, Body2.from_polychain([(-1, -1), (1, -1), (1, 1), (-1, 1 + 4e-14)])):
+        seg = geo.find_boundary_segment(body)
+        assert np.array_equal(seg.a, [1.0, -1.0]) and np.array_equal(seg.b, [1.0, 1.0])
+    tri = Body2.from_polychain([(0, 1), (2, 1), (1, -3)])
+    seg = geo.find_boundary_segment(tri)
+    assert np.abs(seg.a - [0.0, 1.0]).max() <= 1e-15
+    assert np.abs(seg.b - [1.0, -3.0]).max() <= 1e-15
+    t = 2.0 * math.pi * np.arange(24) / 24
+    seg = geo.find_boundary_segment(Body2.from_polychain(np.column_stack([2.0 * np.cos(t), np.sin(t)])))
+    assert np.abs(seg.a - [2.0 * math.cos(t[5]), math.sin(t[5])]).max() <= 1e-14
+    assert np.abs(seg.b - [0.0, 1.0]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_check_inside_at_the_edge_of_its_slack(scale):
+    """A half-plane body B is in C when its chain's vertices are, within
+    1e-6 * max(1, their largest |coordinate|): a vertex touching C, or
+    1e-9 * scale outside it, passes; 1e-4 * scale outside raises.  No
+    boundary sample is drawn."""
+    move = np.array([0.3, -0.2]) * scale
+    C = Body2.from_polychain(scale * np.array([(-1, -1), (1, -1), (1, 1), (-1, 1)]) + move)
+
+    def tri(out):
+        verts = scale * np.array([(-0.5, -0.5), (1.0 + out, 0.0), (0.0, 0.5)]) + move
+        return Body2.from_polychain(verts)
+
+    geo._check_inside(Body2.from_polychain(scale * np.array([(-0.5, -0.5), (1.0, 1.0), (0.0, 0.5)])
+                                           + move), C)
+    geo._check_inside(tri(0.0), C)
+    geo._check_inside(tri(1e-9), C)
+    with pytest.raises(GeometryError, match="not contained"):
+        geo._check_inside(tri(1e-4), C)
+
+
+def test_check_inside_reads_recession_cones(monkeypatch):
+    """An unbounded chain whose vertices all lie in C but whose recession
+    cone leaves C's raises; one whose cone stays in C's passes.  Neither
+    draws boundary samples."""
+    monkeypatch.setattr(Body2, "boundary_samples", None)
+    strip = Body2.from_halfplanes([((0.0, -1.0), -0.5), ((0.0, 1.0), 1.0), ((-1.0, 0.0), 0.0)])
+    capped = Body2.from_halfplanes([((0.0, -1.0), 0.0), ((1.0, 0.0), 1e7)])
+    assert capped.contains_many(strip.chain[0]).all()
+    with pytest.raises(GeometryError, match="recession cone"):
+        geo._check_inside(strip, capped)
+    geo._check_inside(strip, Body2.from_halfplanes([((0.0, -1.0), 0.0)]))
+    with pytest.raises(GeometryError, match="recession cone"):
+        geo._check_inside(strip, Body2.ball((0.0, 0.0), 1e9))
