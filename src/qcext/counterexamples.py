@@ -18,10 +18,11 @@ import numpy as np
 from .geometry import (
     Body2,
     CutTable,
+    EpigraphBase,
     Frame,
+    GraphPiece,
     HalfPlane,
     as_points,
-    boundary_crossing,
     chord_ends,
     cross2,
     dots,
@@ -29,6 +30,7 @@ from .geometry import (
     find_boundary_segment,
     is_rotund,
     locate_with_normals,
+    newton_leq,
     norm,
     perp,
     support,
@@ -36,8 +38,6 @@ from .geometry import (
     transform_body,
     unit,
     vec,
-    walk_to_chord,
-    walk_until,
 )
 from .levelset import QCFunction, ramp_qc, staircase_qc
 
@@ -270,12 +270,56 @@ def gen_non_rotund(C: Body2, k_max: int = 24, min_segment: float = 1e-6):
 # ---------------------------------------------------------------------------
 # unbounded rotund bodies kill uniformly continuous extensions
 
+def _chord_params(base: EpigraphBase, u, ahead: float, u_end: float, chords):
+    """Per row, the graph parameter past u (toward u_end, ahead = +-1) where
+    the chord from graph_point(u) first reaches its length; NaN where it
+    does not before u_end.
+
+    The graph is a lam-isometric image of the profile's, so the chord to
+    the point chords / lam ahead in u is at least chords long.  That point
+    (or u_end) is the good end and u the bad end of
+    f(s) = chords - |graph_point(s) - graph_point(u)|, which is 0 or less
+    from the first crossing on; one newton_leq solves every row that
+    reaches.  At s = u, where the distance has no derivative, f' is its
+    one-sided limit -ahead |graph_tangent(u)|, so the first Newton step is
+    the tangent's estimate chords / |graph_tangent(u)|.
+    """
+    u, chords = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(chords, dtype=float))
+    anchors = base.graph_point(u)
+    far = u + ahead * chords / base.scale
+    far = np.minimum(far, u_end) if ahead > 0 else np.maximum(far, u_end)
+
+    def f(t, rows=...):
+        rel = base.graph_point(t) - anchors[rows]
+        return chords[rows] - np.hypot(rel[..., 0], rel[..., 1])
+
+    def df(t, rows):
+        rel, tangent = base.graph_point(t) - anchors[rows], base.graph_tangent(t)
+        dist = np.hypot(rel[..., 0], rel[..., 1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(dist > 0, -dots(rel, tangent) / dist,
+                            -ahead * np.hypot(tangent[..., 0], tangent[..., 1]))
+
+    out = np.full(u.shape, np.nan)
+    reach = f(far) <= 0
+    if reach.any():
+        out[reach] = newton_leq(lambda t: f(t, reach), lambda t: df(t, reach),
+                                u[reach], far[reach])
+    return out
+
+
 def gen_no_uc(C: Body2, k_max: int = 64):
     """Lipschitz QC function on an unbounded rotund asymptote-free body
     with no uniformly continuous QC extension.
 
     Unit-chord points y_n climb one boundary branch; the certificate shows
     the forced separation gap_k collapsing while level gaps stay >= bilip.
+    The hypotheses leave an epigraph body whose boundary is one graph
+    piece, so every chord is solved on the profile parameter u
+    (_chord_params): the unit-chord links one after another, the half-chord
+    net and the short-chord probes each in one call.  The bottom point c0
+    and the first chain point y1 are line-body meets (chord_ends); the
+    chain, y1 included, is the graph points at the solved parameters.
     """
     if C.bounded:
         raise ConstructionError("hypothesis failed: body is bounded")
@@ -290,11 +334,21 @@ def gen_no_uc(C: Body2, k_max: int = 64):
         v = unit(recc.d1 + recc.d2)
     else:
         raise ConstructionError("hypothesis failed: recession cone contains a line")
-    # bottom boundary point along -v and its supporting functional; the
-    # construction's origin sits on the recession ray just above it
-    c0 = boundary_crossing(C, C.witness, C.witness - 1e6 * v)
-    anchor = c0 + v * min(1.0, 0.5 * norm(C.witness - c0))
-    c0_at, fan = locate_with_normals(C, c0)
+    # bottom boundary point along -v (the lower end of the witness's line
+    # along v) and its supporting functional; the construction's origin
+    # sits on the recession ray just above it
+    w, n_v = C.witness, np.array([v[1], -v[0]])
+    ends, on_c, _, _ = chord_ends(C, CutTable(normals=[n_v], offsets=[n_v @ w]), [w],
+                                  [C.window_half])
+    if not on_c[0, 0]:
+        raise ConstructionError("support geometry failed: no boundary point below "
+                                "the witness")
+    c0 = ends[0, 0]
+    anchor = c0 + v * min(1.0, 0.5 * norm(w - c0))
+    (c0_piece, _), fan = locate_with_normals(C, c0)
+    piece = C.pieces()[c0_piece]
+    if not isinstance(piece, GraphPiece):
+        raise ConstructionError("hypothesis failed: the branch is not a graph piece")
     h = -unit(fan.lo + fan.hi)
     h_off = float(h @ anchor)
 
@@ -304,30 +358,30 @@ def gen_no_uc(C: Body2, k_max: int = 64):
     if h_val(c0[None, :])[0] >= 0:
         raise ConstructionError("support geometry failed: witness not above "
                                 "the minimal level")
-    # first chain point: walk forward from c0 to the h = 0 crossing
-    hit = walk_until(C, c0_at, +1.0, max(C.clearance / 8.0, 1e-3),
-                     lambda p, rows: p @ h - h_off >= 0.0, 80)
-    if hit is None:
+    # first chain point: where the level line h = 0 leaves the body forward
+    # of c0, its lower chord end (the chain runs with the body on its left)
+    ends, on_c, _, _ = chord_ends(C, CutTable(normals=[h], offsets=[h_off]), [anchor],
+                                  [C.window_half])
+    if not on_c[0, 0]:
         raise ConstructionError("level crossing not found along the boundary")
-    y1 = hit[1]
-    params, points = [hit[0]], [y1]
+    base = piece.base
+    ahead, u_end = (-1.0, piece.u0) if piece.flipped else (1.0, piece.u1)
+    us = [float(base.to_profile(ends[0, :1])[0, 0])]
+    # unit-chord links; one that leaves the piece ends the branch in the window
     for _ in range(2 * k_max + 2):
-        res = walk_to_chord(C, params[-1], +1.0, 1.0, points[-1])
-        if res is None:
+        u = float(_chord_params(base, us[-1], ahead, u_end, 1.0))
+        if math.isnan(u):
             raise ConstructionError("boundary branch exhausted inside the window")
-        prm, pt = res
-        params.append(prm)
-        points.append(pt)
-    points = np.array(points)
+        us.append(u)
+    points = base.graph_point(np.array(us))
     alphas = h_val(points)
     if np.any(np.diff(alphas) <= 0):
         raise ConstructionError("levels along the branch failed to increase")
     # sampled bi-Lipschitz lower bound on a refined branch net: the
-    # half-chord point after each chain point, all in one walk call
-    starts = tuple(np.array(col) for col in zip(*params[:-1]))
+    # half-chord point after each chain point
     dense = np.empty((2 * len(points) - 1, 2))
     dense[0::2] = points
-    dense[1::2] = walk_to_chord(C, starts, +1.0, 0.5, points[:-1])[2]
+    dense[1::2] = base.graph_point(_chord_params(base, np.array(us[:-1]), ahead, u_end, 0.5))
     dense = dense[~np.isnan(dense[:, 0])]
     dh = np.abs(h_val(dense)[None, :] - h_val(dense)[:, None])
     dd = np.linalg.norm(dense[None, :, :] - dense[:, None, :], axis=-1)
@@ -335,7 +389,7 @@ def gen_no_uc(C: Body2, k_max: int = 64):
     bilip = float(np.min(dh[mask] / dd[mask]))
     # the infimum lives at short chords near the flat start of the branch
     chords = 0.5 ** np.arange(1, 10)
-    ys = walk_to_chord(C, params[0], +1.0, chords, y1)[2]
+    ys = base.graph_point(_chord_params(base, us[0], ahead, u_end, chords))
     hit = ~np.isnan(ys[:, 0])
     ratios = h_val(ys[hit]) / chords[hit]
     bilip = float(min([bilip, *ratios[ratios > 0]]))

@@ -79,10 +79,15 @@ class ExtendedBody:
     ambient: Optional[Body2]
     halfplanes: tuple = ()
     special: Optional[str] = None
+    #: (m, 3) rows (nx, ny, offset) of the half-planes, a view into the
+    #: arrays extend_bodies kept them in; None elsewhere
+    rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @cached_property
     def _cut_table(self) -> CutTable:
-        return CutTable(self.halfplanes)
+        if self.rows is None:
+            return CutTable(self.halfplanes)
+        return CutTable(normals=self.rows[:, :2], offsets=self.rows[:, 2])
 
     def margin_many(self, pts: np.ndarray) -> np.ndarray:
         pts = as_points(pts)
@@ -205,8 +210,10 @@ def extend_bodies(bodies, C: Body2, resolution: int = EXT_RESOLUTION) -> list:
     hps = [lines[part[i]] if i < len(part) else HalfPlane(normals[i], offsets[i]) for i in kept]
     bounds = np.searchsorted(level[kept], np.arange(len(bodies) + 1))
     raw = np.bincount(level, minlength=len(bodies))
+    kept_rows = np.column_stack([normals[kept], offsets[kept]])
     for k in rows:
-        out[k] = (ExtendedBody(bodies[k], C, tuple(hps[bounds[k]:bounds[k + 1]])) if raw[k]
+        mine = slice(bounds[k], bounds[k + 1])
+        out[k] = (ExtendedBody(bodies[k], C, tuple(hps[mine]), rows=kept_rows[mine]) if raw[k]
                   else ExtendedBody(bodies[k], C, (), special="plane"))
     return out
 
@@ -240,7 +247,9 @@ class ExtensionOperator:
     def level_table(self) -> np.ndarray:
         """(K, m, 3) rows (nx, ny, offset) of every level's half-planes,
         padded with rows no point violates; an empty level holds one row
-        every point violates."""
+        every point violates.  Each level is one slice assignment: of the
+        rows extend_bodies kept for an exact level, of its half-planes'
+        CutTable otherwise."""
         if self._table is None:
             exts = [self.extended(k) for k in range(len(self.family))]
             table = np.zeros((len(exts), max([1] + [len(e.halfplanes) for e in exts]), 3))
@@ -248,8 +257,11 @@ class ExtensionOperator:
             for k, e in enumerate(exts):
                 if e.special == "empty":
                     table[k, 0, 2] = -np.inf
-                for j, hp in enumerate(e.halfplanes):
-                    table[k, j] = (hp.normal[0], hp.normal[1], hp.offset)
+                if e.rows is not None:
+                    table[k, :len(e.rows)] = e.rows
+                elif e.halfplanes:
+                    cut = e._cut_table
+                    table[k, :len(cut.offsets)] = np.column_stack([cut.normals, cut.offsets])
             self._table = table
         return self._table
 

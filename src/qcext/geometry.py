@@ -14,14 +14,17 @@ read it; ball and epigraph bodies clip its cut edges to their base.
 
 Where a line meets a body is one primitive, `chord_ends`: closed form on
 half-planes, a ball or a parabola, and one `Profile.slope_point` minimum
-plus one bisection per end on other epigraph profiles.  Epigraph boundary
-pieces, the no-Lipschitz lower profile, the forcing arc lengths and the
-segment test of the extension all read chords.
+plus one `newton_leq` solve per end on other epigraph profiles.  Epigraph
+boundary pieces, the no-Lipschitz lower profile, the forcing arc lengths
+and the segment test of the extension all read chords.
 
-The root finders (`bisect_leq`, `golden_min`, `coarse_golden_min`) take
-numpy-broadcasting closures: `f(t)` returns an array shaped like `t`
-(`along` builds one from a point path).  Each solves an array of brackets
-in one loop with the same step rule as for a single bracket.
+The root finders (`bisect_leq`, `newton_leq`, `golden_min`,
+`coarse_golden_min`) take numpy-broadcasting closures: `f(t)` returns an
+array shaped like `t` (`along` builds one from a point path).  Each solves
+an array of brackets in one loop with the same step rule as for a single
+bracket.  Slope points are closed form on the parabola and start from
+closed-form guesses on the cosh, exp and ball profiles
+(`Profile.slope_guess`), which leave a bisection a few floats wide.
 """
 
 from __future__ import annotations
@@ -201,6 +204,88 @@ def bisect_leq(f, bad, good, iters: int = 80):
     return good[()]
 
 
+#: newton_leq's rounds at most; each cuts a finite bracket to a sixteenth or
+#: less, so 20 reach bisect_leq's resolution
+_NEWTON_ROUNDS = 40
+#: newton_leq's probes each round, as fractions of the bracket: its
+#: sixteenths from the good end, and the guards about the Newton point
+_NEWTON_GRID = np.arange(1, 16) / 16.0
+_NEWTON_GUARDS = np.concatenate([-(256.0 ** -np.arange(1, 7)), 256.0 ** -np.arange(1, 7)])
+#: and in float spacings about the Newton point
+_NEWTON_ULPS = np.array([-4.0, -1.0, 0.0, 1.0, 4.0])
+
+
+def _narrow(f, probes, bad, good, f_bad=np.nan, f_good=np.nan):
+    """Brackets narrowed by one f call at probes, shaped (k,) + the brackets'
+    shape: the new bad end is the probe with f > 0 nearest to good, the new
+    good end the probe with f <= 0 nearest to it on good's side; an end
+    stays where no probe strictly inside its bracket qualifies.  A probe
+    outside its bracket or not finite is taken at the bracket's midpoint
+    instead.  Returns (bad, good, f(bad), f(good)), with the given f_bad
+    and f_good for the ends that stay."""
+    lo, hi = np.minimum(bad, good), np.maximum(bad, good)
+    probes = np.where((probes > lo) & (probes < hi), probes, 0.5 * (bad + good))
+    inside = (probes > lo) & (probes < hi)  # an adjacent pair's midpoint is an end
+    f_probe = f(probes)
+    ok = f_probe <= 0
+    sign = np.sign(bad - good)
+    key = probes * sign  # grows from good toward bad, exactly
+    key_bad = np.where(inside & ~ok, key, np.inf).min(axis=0)
+    key_good = np.where(inside & ok & (key < key_bad), key, -np.inf).max(axis=0)
+    with np.errstate(invalid="ignore"):  # inf * 0 where a bracket is one point
+        bad = np.where(key_bad < np.inf, key_bad * sign, bad)
+        good = np.where(key_good > -np.inf, key_good * sign, good)
+    f_bad = np.where(key_bad < np.inf, np.where(probes == bad, f_probe, -np.inf).max(axis=0), f_bad)
+    f_good = np.where(key_good > -np.inf,
+                      np.where(probes == good, f_probe, -np.inf).max(axis=0), f_good)
+    return bad, good, f_bad, f_good
+
+
+def newton_leq(f, df, bad, good):
+    """Crossing points between f(bad) > 0 and f(good) <= 0, as bisect_leq,
+    by safeguarded Newton steps; df is f's derivative.
+
+    bad and good broadcast to an array of brackets narrowed together, each
+    round by one f call at every bracket's probes (_narrow) and one df
+    call at the new bad ends.  The probes are the Newton point x from the
+    bad end, x plus and minus 1 and 4 float spacings and 256^-j of the
+    bracket (j = 1..6), the false-position point of the ends and the
+    bracket's sixteenths.  A Newton or false-position point that leaves the
+    bracket or is not finite falls back to the midpoint.  Where x is good
+    to within e, one guard pair brackets the root within 256 e of x, so the
+    bracket follows Newton's quadratic convergence; the sixteenths bound
+    the rounds where Newton crawls (on a clipped exponential tail) or f is
+    rounding noise.  On a convex f, Newton from the bad end stays on that
+    side, as in Profile.chord.
+
+    A bracket is done once its ends are adjacent floats, where bisect_leq
+    returns the good end, or it is no wider than 2^-79 of its first width,
+    which bisect_leq's 80 halvings reach; the good ends are returned.  So
+    where the sign of f is monotone and bisect_leq converges to adjacent
+    floats, the result is its switching float, bit for bit.
+    """
+    bad, good = (np.array(a, dtype=float) for a in np.broadcast_arrays(
+        np.asarray(bad, dtype=float), np.asarray(good, dtype=float)))
+    f_bad, f_good = f(np.stack([bad, good]))
+    df_bad = df(bad)
+    resolution = np.abs(bad - good) * 2.0 ** -79
+    shape = (-1,) + (1,) * bad.ndim
+    grid, guards, ulps = (a.reshape(shape) for a in (_NEWTON_GRID, _NEWTON_GUARDS, _NEWTON_ULPS))
+    for _ in range(_NEWTON_ROUNDS):
+        width = bad - good
+        with np.errstate(all="ignore"):
+            false_pos = bad - f_bad * width / (f_bad - f_good)
+            x = bad - f_bad / df_bad
+        x = np.where(np.isfinite(x), x, false_pos)
+        probes = np.concatenate([good + grid * width, false_pos[None], x + guards * width,
+                                 x + ulps * np.spacing(np.abs(x))])
+        bad, good, f_bad, f_good = _narrow(f, probes, bad, good, f_bad, f_good)
+        if ((np.nextafter(good, bad) == bad) | (np.abs(bad - good) <= resolution)).all():
+            break
+        df_bad = df(bad)
+    return good[()]
+
+
 def along(fn, path):
     """Broadcasting closure t -> fn(path(t)) shaped like t, for an fn that
     maps (N, 2) points to N values (a margin, an offset)."""
@@ -304,21 +389,23 @@ class CutTable:
         return out
 
 
-def halfplane_through(a, b) -> HalfPlane:
-    """Half-plane whose boundary passes a -> b with the interior on the left."""
-    a = as_point(a)
-    b = as_point(b)
-    d = unit(b - a)
-    n = -perp(d)
-    return HalfPlane(n, float(n @ a))
-
-
-def halfplane_ray(anchor, direction) -> HalfPlane:
-    """Half-plane bounded by the line through anchor with the given direction,
-    interior on the left of the direction."""
-    d = unit(np.asarray(direction, dtype=float))
-    n = -perp(d)
-    return HalfPlane(n, float(n @ as_point(anchor)))
+def _line_halfplanes(anchors, directions, skip_below: float = 0.0) -> list:
+    """Per row of two (m, 2) arrays, the half-plane bounded by the line
+    through anchors[i] along directions[i], interior on the left, skipping
+    rows whose direction is skip_below long or shorter (with 0, a zero
+    direction is an error).  Each is what the per-line recipe gives, bit for
+    bit: d = unit(direction) by math.hypot, normal -perp(d), offset the 1-D
+    `@` product normal @ anchor (a stacked matmul of (1, 2) by (2, 1) runs
+    the same dot)."""
+    length = np.fromiter(map(math.hypot, directions[:, 0].tolist(), directions[:, 1].tolist()),
+                         float, len(directions))
+    if skip_below == 0.0 and not length.all():
+        raise GeometryError("cannot normalize the zero vector")
+    keep = length > skip_below
+    d = directions[keep] / length[keep, None]
+    normals = np.column_stack([d[:, 1], -d[:, 0]])
+    offsets = (normals[:, None, :] @ anchors[keep, :, None])[:, 0, 0]
+    return [HalfPlane(n, o) for n, o in zip(normals, offsets.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +541,38 @@ class Profile:
     def dg(self, u):
         raise NotImplementedError
 
+    def slope_guess(self, s):
+        """A closed-form u with g'(u) = s, or None without one."""
+        return None
+
     def slope_point(self, s, lo, hi):
         """Where g' crosses s on [lo, hi], elementwise over broadcast
-        arrays: the good side of one bisect_leq on the monotone g' (lo where
-        g'(lo) > s, hi where g'(hi) <= s)."""
+        arrays: the good side of one bisect_leq on the monotone g' - s from
+        bad = hi to good = lo (lo where g'(lo) > s; where g'(hi) <= s, hi or
+        the float below it, as the last halving rounds).
+
+        With a slope_guess, one g' call at the guess plus and minus four
+        float spacings, moved strictly inside [lo, hi], narrows each bracket
+        first (_narrow), so the bisection starts a few floats wide.  Where
+        the guess is off, the bracket narrows only to one probe, and a NaN
+        guess probes the midpoint.  The result is the one the whole
+        bracket's bisection converges to wherever the sign of g' - s is
+        monotone.
+        """
         s = np.asarray(s, dtype=float)
-        return bisect_leq(lambda u: self.dg(u) - s, np.broadcast_to(hi, s.shape),
-                          np.broadcast_to(lo, s.shape))
+        bad, good = np.broadcast_to(hi, s.shape), np.broadcast_to(lo, s.shape)
+
+        def f(u):
+            return self.dg(u) - s
+
+        guess = self.slope_guess(s)
+        if guess is not None:
+            inner = np.nextafter(good, bad), np.nextafter(bad, good)
+            guess = np.clip(guess, *inner)
+            spread = np.array([-4.0, 4.0]).reshape((2,) + (1,) * s.ndim)
+            probes = np.clip(guess + spread * np.spacing(np.abs(guess)), *inner)
+            bad, good = _narrow(f, probes, bad, good)[:2]
+        return bisect_leq(f, bad, good)
 
     def chord(self, pu, pv, qu, qv, half):
         """(lo, hi) per line (pu, pv) + t (qu, qv) of the profile frame: the
@@ -469,8 +581,9 @@ class Profile:
 
         h is convex.  Its window minimum is where g'(u) = qv / qu
         (slope_point; the window end toward qv where qu = 0, h being
-        linear), and one bisect_leq over the (K, 2) brackets moves each
-        window end with h > 0 onto the root between it and the minimum.
+        linear), and one newton_leq over the (K, 2) brackets, with
+        h'(t) = g'(pu + t qu) qu - qv, moves each window end with h > 0 onto
+        the root between it and the minimum.
         """
         ends = np.column_stack([-half, half])
         u_ends = pu[:, None] + ends * qu[:, None]
@@ -487,7 +600,10 @@ class Profile:
         out = (h(ends.T).T > 0) & meets[:, None]
         if out.any():
             rows = np.nonzero(out)[0]
-            ends[out] = bisect_leq(lambda t: h(t, rows), ends[out], t_min[rows])
+            ends[out] = newton_leq(
+                lambda t: h(t, rows),
+                lambda t: self.dg(pu[rows] + t * qu[rows]) * qu[rows] - qv[rows],
+                ends[out], t_min[rows])
         return np.where(meets, ends[:, 0], np.inf), np.where(meets, ends[:, 1], -np.inf)
 
     def validate(self, u_lo=-64.0, u_hi=64.0, n=512, tol=1e-7):
@@ -536,6 +652,11 @@ class ParabolaProfile(Profile):
                 np.where(miss, -np.inf, np.maximum(r1, r2)))
 
 
+def _past_clip(u):
+    """u, with values beyond the profiles' +-700 clip sent to +-inf."""
+    return np.where(np.abs(u) > 700.0, np.copysign(np.inf, u), u)
+
+
 class ExpProfile(Profile):
     """g(u) = exp(-u); flat toward +inf, steep toward -inf."""
 
@@ -552,6 +673,13 @@ class ExpProfile(Profile):
     def dg(self, u):
         return -np.exp(-np.clip(np.asarray(u, dtype=float), -700, 700))
 
+    def slope_guess(self, s):
+        """-log(-s); past the +-700 clip g' is constant, so a guess beyond
+        it is the infinity on its side (+inf also for s >= 0, which g' never
+        reaches)."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _past_clip(-np.log(np.maximum(-s, 0.0)))
+
 
 class CoshProfile(Profile):
     name = "cosh"
@@ -565,6 +693,10 @@ class CoshProfile(Profile):
 
     def dg(self, u):
         return np.sinh(np.clip(np.asarray(u, dtype=float), -700, 700))
+
+    def slope_guess(self, s):
+        """asinh(s), an infinity past the +-700 clip (as on ExpProfile)."""
+        return _past_clip(np.arcsinh(s))
 
 
 class PolyProfile(Profile):
@@ -619,6 +751,12 @@ class BallProfile(Profile):
         u = np.asarray(u, dtype=float)
         s = np.sqrt(np.maximum(self.r ** 2 - u ** 2, 1e-300))
         return u / s
+
+    def slope_guess(self, s):
+        """r s / sqrt(1 + s^2), with hypot so large |s| cannot overflow
+        (NaN for infinite s, which the bisection then takes alone)."""
+        with np.errstate(invalid="ignore"):
+            return self.r * (s / np.hypot(1.0, s))
 
 
 PROFILES = {
@@ -756,6 +894,12 @@ class EpigraphBase:
         out[..., 0] = u * a + v * b + self.shift[0]
         out[..., 1] = u * c + v * d + self.shift[1]
         return out
+
+    def graph_tangent(self, u) -> np.ndarray:
+        """d graph_point / du = M (1, g'(u))^T, shaped u.shape + (2,)."""
+        slope = self.profile.dg(np.asarray(u, dtype=float))
+        (a, b), (c, d) = self.M
+        return np.stack([a + slope * b, c + slope * d], axis=-1)
 
     def graph_normal(self, u) -> np.ndarray:
         """Outward unit normal of the epigraph at the graph point of u."""
@@ -1426,43 +1570,34 @@ class Body2:
         first and last vertex of an unbounded chain.  Three collinear
         vertices are rejected unless collinear_ok flags a polyhedral chain.
         """
-        verts = [as_point(v) for v in vertices]
-        hps = []
+        verts = np.array([as_point(v) for v in vertices]).reshape(-1, 2)
         if rays is None:
             if len(verts) < 3:
                 raise GeometryError("a bounded polychain needs at least 3 vertices")
             # about the first vertex, so translation cannot flip the sign
-            area = sum(cross2(verts[i] - verts[0], verts[(i + 1) % len(verts)] - verts[0])
-                       for i in range(len(verts)))
-            if area < 0:
+            rel = verts - verts[0]
+            if sum(cross2(rel, np.roll(rel, -1, axis=0)).tolist()) < 0:
                 verts = verts[::-1]
-            m = len(verts)
+                rel = verts - verts[0]
             # turns are measured against the chain's own extent, so the test
             # follows translation and scaling
-            scale = max(norm(v - verts[0]) for v in verts)
-            for i in range(m):
-                e1 = verts[(i + 1) % m] - verts[i]
-                e2 = verts[(i + 2) % m] - verts[(i + 1) % m]
-                turn = cross2(e1, e2)
-                if turn < -1e-9 * scale * scale:
-                    raise GeometryError("vertex chain is not convex")
-                if abs(turn) <= 1e-9 * scale * scale and not collinear_ok:
-                    raise GeometryError(
-                        "three collinear vertices (pass collinear_ok for a "
-                        "polyhedral chain)")
-            for i in range(m):
-                a, b = verts[i], verts[(i + 1) % m]
-                if norm(b - a) > 1e-14:
-                    hps.append(halfplane_through(a, b))
+            scale = max(map(math.hypot, rel[:, 0].tolist(), rel[:, 1].tolist()))
+            edges = np.roll(verts, -1, axis=0) - verts
+            turn = cross2(edges, np.roll(edges, -1, axis=0))
+            bent = turn < -1e-9 * scale * scale
+            flat = (np.abs(turn) <= 1e-9 * scale * scale) & (not collinear_ok)
+            if (bent | flat).any():
+                raise GeometryError(
+                    "vertex chain is not convex" if bent[np.argmax(bent | flat)] else
+                    "three collinear vertices (pass collinear_ok for a polyhedral chain)")
+            hps = _line_halfplanes(verts, edges, skip_below=1e-14)
         else:
-            if not verts:
+            if not len(verts):
                 raise GeometryError("an unbounded polychain needs vertices")
             r_in, r_out = (unit(np.asarray(r, dtype=float)) for r in rays)
             # boundary comes in from infinity along -r_in to verts[0]
-            hps.append(halfplane_ray(verts[0], -r_in))
-            for i in range(len(verts) - 1):
-                hps.append(halfplane_through(verts[i], verts[i + 1]))
-            hps.append(halfplane_ray(verts[-1], r_out))
+            hps = _line_halfplanes(np.vstack([verts[:1], verts]),
+                                   np.vstack([-r_in, np.diff(verts, axis=0), r_out]))
         return Body2(PlaneBase(), hps, name=name, **kw)
 
     @staticmethod
@@ -1964,18 +2099,6 @@ class NormalFan:
 
     def __repr__(self):
         return f"NormalFan({self.lo}, {self.hi})"
-
-
-def boundary_crossing(C: Body2, inside_pt, outside_pt, iters: int = 90):
-    """Point of the boundary on the segment from an interior to an exterior point."""
-    a = as_point(inside_pt)
-    b = as_point(outside_pt)
-    f = along(C.margin_many, lambda t: a + np.multiply.outer(t, b - a))
-    if f(0.0) >= 0 or f(1.0) <= 0:
-        raise GeometryError("crossing needs one interior and one exterior endpoint")
-    t = bisect_leq(lambda t: -f(t), 0.0, 1.0, iters)
-    # -f <= 0 means margin >= 0: lands on the outside edge of the boundary
-    return a + t * (b - a)
 
 
 #: steps in walk_until's first march block (each later block doubles, up
@@ -2511,7 +2634,7 @@ def chord_ends(C: Body2, table: CutTable, centers, halves):
     centers[k] on it.  The base bounds t first: a ball to the circle's
     chord (_circle_chord), an epigraph to where the line lies above the
     graph (EpigraphBase.chord: closed form on a parabola, a slope_point
-    minimum and one bisection elsewhere).  Then each cut of C bounds t on
+    minimum and one newton_leq elsewhere).  Then each cut of C bounds t on
     one side, the window clips, and the chord's midpoint is tested.
     Returns the (K, 2, 2) end points, the (K, 2) mask of ends on the
     boundary of C (the others lie on the window), the (K,) mask of lines

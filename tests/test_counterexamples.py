@@ -223,6 +223,70 @@ def test_no_uc_locates_c0_once(monkeypatch, name):
     assert np.array_equal(fan.lo, want.lo) and np.array_equal(fan.hi, want.hi)
 
 
+@pytest.mark.parametrize("name", ["parabola", "cosh"])
+def test_no_uc_links_match_boundary_walk(monkeypatch, name):
+    """gen_no_uc solves its chords on the graph parameter u with newton_leq
+    and walks no boundary: no walk_until or walk_to_chord call, and every
+    bisection it runs starts at most 16 floats wide (slope points).  Its
+    unit-chord links and short chords match walk_to_chord, the walk they
+    replace, within 1e-12."""
+    import qcext.geometry as geo
+    from qcext.counterexamples import _chord_params
+
+    body = Body2.epigraph(name)
+    body.pieces()
+    walk_until, walk_to_chord, bisect_leq = geo.walk_until, geo.walk_to_chord, geo.bisect_leq
+
+    def no_walk(*args, **kw):
+        raise AssertionError("gen_no_uc walked the boundary")
+
+    def tight_bisect(f, bad, good, *args):
+        bad, good = np.broadcast_arrays(bad, good)
+        assert np.all(np.abs(bad - good) <= 16 * np.spacing(np.maximum(abs(bad), abs(good))))
+        return bisect_leq(f, bad, good, *args)
+
+    monkeypatch.setattr(geo, "walk_until", no_walk)
+    monkeypatch.setattr(geo, "walk_to_chord", no_walk)
+    monkeypatch.setattr(geo, "bisect_leq", tight_bisect)
+    _, cert = gen_no_uc(body, k_max=8)
+    monkeypatch.undo()
+    assert not hasattr(geo, "boundary_crossing")
+    pts = cert.points
+    starts = [geo.locate_on_boundary(body, p) for p in pts[:-1]]
+    for start, p, q in zip(starts, pts[:-1], pts[1:]):
+        assert np.linalg.norm(walk_to_chord(body, start, 1.0, 1.0, p)[1] - q) <= 1e-12
+    piece = body.pieces()[starts[0][0]]
+    chords = 0.5 ** np.arange(1, 10)
+    u = _chord_params(piece.base, float(piece._u(starts[0][1])), -1.0 if piece.flipped else 1.0,
+                      piece.u0 if piece.flipped else piece.u1, chords)
+    want = walk_to_chord(body, starts[0], 1.0, chords, pts[0])[2]
+    assert np.max(np.linalg.norm(piece.base.graph_point(u) - want, axis=1)) <= 1e-12
+
+
+def test_no_uc_link_leaving_the_piece_ends_the_branch(monkeypatch):
+    """A chord that does not reach its length before the piece's end is
+    NaN, and a link that leaves the piece so raises the exhausted walk's
+    ConstructionError."""
+    import qcext.counterexamples as cx
+
+    body = Body2.epigraph("parabola")
+    piece = body.pieces()[0]
+    u = cx._chord_params(piece.base, np.array([piece.u1 - 1e-4, piece.u1 - 0.5, 0.0]), 1.0,
+                         piece.u1, np.array([1.0, 0.1, 1.0]))
+    assert np.isnan(u[0]) and np.isfinite(u[1:]).all()
+    calls = []
+    chord_params = cx._chord_params
+
+    def leaves_at_the_fifth_link(base, u, ahead, u_end, chords):
+        calls.append(1)
+        return chord_params(base, u, ahead, u if len(calls) == 5 else u_end, chords)
+
+    monkeypatch.setattr(cx, "_chord_params", leaves_at_the_fifth_link)
+    with pytest.raises(ConstructionError, match="exhausted"):
+        gen_no_uc(body, k_max=8)
+    assert len(calls) == 5
+
+
 def test_no_uc_cosh_decays_faster(quartet):
     _, cert_p = gen_no_uc(quartet["parabola"], k_max=16)
     _, cert_c = gen_no_uc(Body2.epigraph("cosh"), k_max=16)
@@ -568,3 +632,66 @@ def test_generators_on_transformed_bodies():
     sq = Body2.from_polychain(verts)
     _, c3 = gen_non_rotund(sq, k_max=14)
     assert np.all(c3.arc_lengths > 0) and c3.jump[1] > c3.jump[0]
+
+
+# -- certificate parity ---------------------------------------------------------
+
+def _gallery():
+    t = 2.0 * math.pi * np.arange(24) / 24
+    return {
+        "disk": Body2.ball((0.0, 0.0), 1.0, name="disk"),
+        "parabola": Body2.epigraph("parabola", name="parabola"),
+        "square": Body2.from_polychain([(-1, -1), (1, -1), (1, 1), (-1, 1)], name="square"),
+        "hypograph": Body2.epigraph("exp_hypograph", name="hypograph"),
+        "cosh": Body2.epigraph("cosh", name="cosh"),
+        "triangle": Body2.from_polychain([(0, 1), (2, 1), (1, -3)], name="triangle"),
+        "ellipse24": Body2.from_polychain(np.column_stack([2.0 * np.cos(t), np.sin(t)]),
+                                          name="ellipse24"),
+    }
+
+
+def _assert_close(got, want, bound, path=""):
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for k in want:
+            _assert_close(got[k], want[k], bound, f"{path}/{k}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, bound, f"{path}[{i}]")
+    elif isinstance(want, float) and not isinstance(got, bool):
+        assert abs(got - want) <= bound or got == want, (path, got, want)
+    else:
+        assert got == want, (path, got, want)
+
+
+def test_gallery_certificates_match_stored():
+    """Every certificate of the seven-body gallery (characterize, then each
+    denied generator at k_max 8, gen_no_lip at scan 16) equals the stored
+    JSON within 1e-10 per number.  The file holds them as the bisection
+    solvers and gen_no_uc's boundary walk built them.  Moving the chords to
+    newton_leq and gen_no_uc's c0 and y1 to chord_ends moved numbers by
+    rounding only: cosh's no-uc chain points by at most 4.4e-16 and its
+    bilip by 2.3e-13, the no-lip certificates of cosh and the hypograph by
+    at most 6e-24.  The NoLipCertificate tail at k_max 24 is not stored:
+    its last secant gaps are about 1e-16, the size of the profile
+    heights' own rounding, so its bounds and products hang on the last
+    bits of any solver."""
+    import json
+    import os
+
+    from qcext.serialize import certificate_to_json
+
+    with open(os.path.join(os.path.dirname(__file__), "data",
+                           "gallery_certificates_k8.json")) as fh:
+        stored = json.load(fh)
+    generators = {"gen_no_lip": gen_no_lip, "gen_no_qc": gen_no_qc, "gen_no_uc": gen_no_uc,
+                  "gen_non_rotund": gen_non_rotund}
+    for name, body in _gallery().items():
+        cls = characterize(body)
+        assert cls.extendability_class == stored[name]["class"]
+        certs = {}
+        for gen in dict.fromkeys(cls.denied.values()):
+            kw = {"k_max": 8, "scan": 16} if gen == "gen_no_lip" else {"k_max": 8}
+            certs[gen] = certificate_to_json(generators[gen](body, **kw)[1])
+        _assert_close(json.loads(json.dumps(certs)), stored[name]["certificates"], 1e-10, name)

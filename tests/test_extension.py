@@ -751,6 +751,33 @@ def test_serialized_family_takes_exact_path(monkeypatch):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("name", ["parabola", "disk_mixed"])
+def test_level_table_matches_halfplane_rows(name):
+    """level_table fills each level from the rows extend_bodies kept, and
+    equals the per-half-plane table bit for bit: padding rows no point
+    violates, one violated row for an empty level, and the sampled
+    fallback's levels built from their half-planes."""
+    if name == "parabola":
+        fam = chord_family(Body2.epigraph("parabola"), np.linspace(0.0, 30.0, 31))
+    else:  # a disk family with the empty set and a level not cut from C
+        disk = Body2.ball((0.0, 0.0), 1.0)
+        other = Body2.from_polychain([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
+        fam = LevelFamily(np.arange(4.0), [None, disk.clip([((0.0, 1.0), -0.5)]), other,
+                                           disk.clip([((0.0, 1.0), 0.5)])], disk)
+    op = ExtensionOperator(fam)
+    got = op.level_table()
+    exts = [op.extended(k) for k in range(len(fam))]
+    want = np.zeros((len(exts), max([1] + [len(e.halfplanes) for e in exts]), 3))
+    want[..., 2] = np.inf
+    for k, e in enumerate(exts):
+        if e.special == "empty":
+            want[k, 0, 2] = -np.inf
+        for j, hp in enumerate(e.halfplanes):
+            want[k, j] = (hp.normal[0], hp.normal[1], hp.offset)
+    assert got.tobytes() == want.tobytes()
+    assert any(e.rows is not None for e in exts)
+
+
 def test_far_chord_of_unbounded_ambient():
     """A chord far beyond B's window box keeps both tangent half-planes."""
     C = Body2.epigraph("parabola").clip([((1.0, -0.2), 1.5)])

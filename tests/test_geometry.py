@@ -418,6 +418,246 @@ def test_bisect_early_exit_matches_fixed_count():
         assert bisect_leq(f, b, g, 7) == _bisect_fixed_count(f, b, g, 7)
 
 
+def _monotone_brackets(rng, bad_shape, good_shape, rising=True):
+    """f(t) = a t + b t^3 - c on t > 0 (or its negative), with the root r
+    in [0.5, 4]: products and sums of non-negative floats round
+    monotonically, so the sign of f switches exactly once in floats.
+    Returns (f, df, bad, good): bad and good have their own shapes and
+    bracket every root of the broadcast shape."""
+    shape = np.broadcast_shapes(bad_shape, good_shape)
+    a, b = rng.uniform(0.0, 2.0, shape), rng.uniform(0.1, 3.0, shape)
+    r = rng.uniform(0.5, 4.0, shape)
+    c = a * r + b * r * r * r
+    sign = 1.0 if rising else -1.0
+
+    def f(t):
+        return sign * (a * t + b * t * t * t - c)
+
+    def df(t):
+        return sign * (a + 3.0 * b * t * t)
+
+    below = rng.uniform(0.0, 0.45, good_shape if rising else bad_shape)
+    above = 4.0 + rng.uniform(0.01, 6.0, bad_shape if rising else good_shape)
+    return (f, df, above, below) if rising else (f, df, below, above)
+
+
+@pytest.mark.parametrize("bad_shape, good_shape", [
+    ((), ()), ((1,), (1,)), ((9,), (9,)), ((3, 4), (3, 4)), ((5,), ()), ((3, 1), (1, 4))])
+@pytest.mark.parametrize("rising", [True, False])
+def test_newton_leq_matches_bisect_leq(bad_shape, good_shape, rising):
+    """On brackets where the sign of f switches once, newton_leq returns
+    bisect_leq's switching float bit for bit, in the broadcast shape, with
+    at most a quarter of its evaluations (f and df calls against f calls)."""
+    rng = np.random.default_rng(7)
+    f, df, bad, good = _monotone_brackets(rng, bad_shape, good_shape, rising)
+    calls = {"newton": 0, "bisect": 0}
+
+    def counted(key, fn):
+        def wrapped(t):
+            calls[key] += 1
+            return fn(t)
+        return wrapped
+
+    got = geo.newton_leq(counted("newton", f), counted("newton", df), bad, good)
+    want = bisect_leq(counted("bisect", f), bad, good)
+    assert np.shape(got) == np.broadcast_shapes(bad_shape, good_shape)
+    assert np.array_equal(got, want)
+    assert np.all(f(got) <= 0) and np.all(f(np.nextafter(got, np.broadcast_to(bad, np.shape(got)))) > 0)
+    assert calls["newton"] <= calls["bisect"] / 4
+
+
+def test_newton_leq_keeps_to_the_bracket(monkeypatch):
+    """Newton points that are not finite (a zero derivative) or crawl (a
+    clipped exponential, one unit per step from t = 10^4) leave the work to
+    the midpoint and the sixteenths; the result is still the switching
+    float, in no more rounds than the sixteenths alone need (20)."""
+    def f(t):
+        return np.cosh(np.clip(t, -700, 700)) - 3.0
+
+    def df(t):
+        return np.where(t > 2.0, np.sinh(np.clip(t, -700, 700)), 0.0)
+
+    rounds = []
+    narrow = geo._narrow
+    monkeypatch.setattr(geo, "_narrow", lambda *a: rounds.append(1) or narrow(*a))
+    bad, good = np.array([1e4, 2.5, 1.9]), np.array([0.0, 0.0, 0.0])
+    got = geo.newton_leq(f, df, bad, good)
+    assert np.array_equal(got, bisect_leq(f, bad, good, 200))
+    assert len(rounds) <= 20
+
+
+def _bisect_slope_point(prof, s, lo, hi):
+    """Profile.slope_point's bisection run to adjacent floats: the oracle of
+    the closed-form guesses."""
+    s = np.asarray(s, dtype=float)
+    return bisect_leq(lambda u: prof.dg(u) - s, np.broadcast_to(hi, s.shape),
+                      np.broadcast_to(lo, s.shape), 2200)
+
+
+def _bisect_chord(prof, pu, pv, qu, qv, half):
+    """Profile.chord with its roots by bisection to adjacent floats (the
+    solver it ran before newton_leq), the oracle of the Newton chords."""
+    ends = np.column_stack([-half, half])
+    u_ends = pu[:, None] + ends * qu[:, None]
+    lin = qu == 0
+    q_u = np.where(lin, 1.0, qu)
+    u_min = _bisect_slope_point(prof, np.where(lin, 0.0, qv / q_u), u_ends.min(axis=1),
+                                u_ends.max(axis=1))
+    t_min = np.clip(np.where(lin, np.copysign(half, qv), (u_min - pu) / q_u), -half, half)
+
+    def h(t, rows=slice(None)):
+        return prof.g(pu[rows] + t * qu[rows]) - (pv[rows] + t * qv[rows])
+
+    meets = h(t_min) <= 0
+    out = (h(ends.T).T > 0) & meets[:, None]
+    if out.any():
+        rows = np.nonzero(out)[0]
+        ends[out] = bisect_leq(lambda t: h(t, rows), ends[out], t_min[rows], 2200)
+    return np.where(meets, ends[:, 0], np.inf), np.where(meets, ends[:, 1], -np.inf)
+
+
+_PROFILES = {"cosh": geo.CoshProfile(), "exp": geo.ExpProfile(), "ball_lower": geo.BallProfile(1.5),
+             "custom_poly": geo.PolyProfile([0.3, -0.2, 1.0, 0.0, 0.05])}
+
+
+@pytest.mark.parametrize("name", sorted(_PROFILES))
+def test_slope_points_match_bisection(name):
+    """Closed-form slope points equal the bisection's switching floats bit
+    for bit: targets met inside [lo, hi], targets outside it (lo where
+    g'(lo) > s, hi or the float below where g'(hi) <= s), infinite
+    targets, brackets past cosh's and exp's +-700 clip and exp's flat tail,
+    where g' is below any negative s above -exp(-700)."""
+    prof, rng, n = _PROFILES[name], np.random.default_rng(5), 2000
+    if name == "ball_lower":
+        lo = rng.uniform(-1.5, 0.5, n)
+        hi = np.minimum(lo + rng.uniform(0.0, 1.5, n), 1.5)
+        s = np.concatenate([prof.dg(rng.uniform(-1.49, 1.49, n // 2)),
+                            rng.normal(size=n // 4) * 10 ** rng.uniform(-3, 300, n // 4),
+                            [np.inf, -np.inf] * (n // 8)])
+    elif name == "exp":
+        lo = rng.uniform(-720, 600, n)
+        hi = lo + 10 ** rng.uniform(-3, 3, n)
+        s = np.concatenate([-np.exp(-rng.uniform(-710, 720, n // 2)),
+                            -10.0 ** -rng.uniform(300, 320, n // 4), rng.normal(size=n // 4)])
+    else:
+        scale = 1.0 if name == "cosh" else 0.01
+        lo = rng.uniform(-720, 700, n) * scale
+        hi = lo + 10 ** rng.uniform(-3, 3, n) * scale
+        s = np.concatenate([prof.dg(rng.uniform(-710, 710, n // 2) * scale),
+                            rng.normal(size=n // 2) * 10 ** rng.uniform(-300, 305, n // 2)])
+    with np.errstate(over="ignore"):
+        got = prof.slope_point(s, lo, hi)
+    assert np.array_equal(got, _bisect_slope_point(prof, s, lo, hi))
+    assert (got == lo).sum() > n // 10 and (got == hi).sum() > n // 10
+    if prof.slope_guess(np.zeros(1)) is None:
+        return
+    # finite targets: one g' call about the guess, then a bisection that
+    # starts at most 8 floats wide stops within 4 more
+    calls = []
+    dg = prof.dg
+    prof.dg = lambda u: calls.append(1) or dg(u)
+    try:
+        keep = np.isfinite(s)
+        with np.errstate(over="ignore"):
+            prof.slope_point(s[keep], lo[keep], hi[keep])
+    finally:
+        del prof.dg
+    assert len(calls) <= 5
+
+
+def _chord_lines(prof, rng, kind, n=200):
+    """(pu, pv, qu, qv, half) of n lines of one kind in the profile frame."""
+    if kind == "tangent":
+        pu = rng.uniform(-1.0, 1.0, n)
+        ang, pv = np.arctan(prof.dg(pu)), prof.g(pu)
+    elif kind == "clip":  # windows past the +-700 clip, steep lines
+        pu, ang = rng.uniform(-690, 690, n), rng.uniform(-1.57, 1.57, n)
+        pv = prof.g(pu) + rng.uniform(0.0, 5.0, n)
+    elif kind == "tail":  # exp's flat tail: g' between -1e-239 and -1e-305
+        pu, ang = rng.uniform(550, 760, n), -rng.uniform(0.0, 1e-3, n) ** 3
+        pv = prof.g(pu) + rng.uniform(-1e-250, 1e-200, n)
+    else:  # random lines, some of them misses
+        pu, ang = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.5, 1.5, n)
+        pv = prof.g(pu) + rng.uniform(-0.5, 2.0, n)
+    half = {"clip": 2000.0, "tail": 300.0}.get(kind, 3.0)
+    return pu, pv, np.cos(ang), np.sin(ang), np.full(n, half)
+
+
+@pytest.mark.parametrize("name, kind", [
+    (name, kind) for name in sorted(_PROFILES) for kind in ("random", "tangent", "clip", "tail")
+    if (kind != "tail" or name == "exp") and (kind != "clip" or name != "ball_lower")])
+def test_newton_chords_match_bisection(name, kind):
+    """Newton chords meet the same lines as the bisection chords.  Each
+    Newton end inside the window keeps h <= 0 and is a switching float
+    (h > 0 one float outward) or lies within newton_leq's resolution (2^-79
+    of the bracket) of the bisection's end; where the sign of h is
+    monotone, two switching floats are one, so the ends differ only where
+    h is rounding noise, by at most 1e-14 of the window.  A tangent line's
+    double root is conditioned like sqrt(eps): its ends agree within 1e-6,
+    the width of that noise band."""
+    prof = _PROFILES[name]
+    pu, pv, qu, qv, half = _chord_lines(prof, np.random.default_rng(3), kind)
+    with np.errstate(all="ignore"):
+        got = np.column_stack(prof.chord(pu, pv, qu, qv, half))
+        want = np.column_stack(_bisect_chord(prof, pu, pv, qu, qv, half))
+    meets = np.isfinite(want[:, 0])
+    assert np.array_equal(np.isfinite(got[:, 0]), meets) and meets.sum() > 100
+    got, want = got[meets], want[meets]
+    pu, pv, qu, qv, half = (a[meets] for a in (pu, pv, qu, qv, half))
+    err = np.abs(got - want)
+    if kind == "tangent":
+        assert np.all(err <= 1e-6)
+        return
+    assert np.all(err <= 1e-14 * half[:, None])
+
+    def h(t):
+        return prof.g(pu[:, None] + t * qu[:, None]) - (pv[:, None] + t * qv[:, None])
+
+    root = np.abs(got) < half[:, None]  # not a window end
+    outward = np.broadcast_to([-np.inf, np.inf], got.shape)
+    with np.errstate(all="ignore"):
+        switching = (h(got) <= 0) & (h(np.nextafter(got, outward)) > 0)
+        assert np.all((h(got) <= 0)[root])
+    resolved = err <= 2.0 ** -79 * 2.0 * half[:, None]
+    assert np.all((switching | resolved)[root])
+
+
+def test_polychain_halfplanes_match_per_edge_recipe():
+    """from_polychain's half-planes equal the per-edge recipe bit for bit:
+    d = unit(b - a), normal -perp(d), offset normal @ a, on random convex
+    polygons at many scales and offsets, and on unbounded chains."""
+    from scipy.spatial import ConvexHull
+
+    def per_edge(anchors, dirs):
+        out = []
+        for a, v in zip(anchors, dirs):
+            n = -geo.perp(geo.unit(v))
+            out.append((n.tobytes(), float(n @ a)))
+        return out
+
+    rng = np.random.default_rng(0)
+    for k in range(300):
+        pts = (rng.normal(size=(int(rng.integers(3, 30)), 2)) * 10 ** rng.uniform(-3, 4)
+               + rng.normal(size=2) * 10 ** rng.uniform(-2, 6))
+        verts = pts[ConvexHull(pts).vertices][::1 if k % 2 else -1]
+        body = Body2.from_polychain(verts, collinear_ok=True)
+        ccw = verts if k % 2 else verts[::-1]
+        edges = np.roll(ccw, -1, axis=0) - ccw
+        keep = np.hypot(edges[:, 0], edges[:, 1]) > 1e-14
+        assert [(h.normal.tobytes(), h.offset) for h in body.cuts] == per_edge(ccw[keep],
+                                                                               edges[keep])
+        rays = rng.normal(size=(2, 2))
+        chain = verts[:3]
+        try:
+            body = Body2.from_polychain(chain, rays=rays)
+        except GeometryError:
+            continue
+        r_in, r_out = (geo.unit(r) for r in rays)
+        want = per_edge(np.vstack([chain[:1], chain]),
+                        np.vstack([-r_in, np.diff(chain, axis=0), r_out]))
+        assert [(h.normal.tobytes(), h.offset) for h in body.cuts] == want
+
+
 def test_graph_distance_one_graph_evaluation_per_step(parabola, monkeypatch):
     """distance_many refines every point's bracket in one golden_min, one
     graph evaluation per step (evaluating both interior points every step
