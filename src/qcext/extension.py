@@ -27,6 +27,7 @@ from .geometry import (
     as_point,
     as_points,
     chord_ends,
+    chord_parts,
     cuts_beyond,
     distance_many,
     dots,
@@ -145,18 +146,6 @@ def _extend_sampled(B: Body2, C: Body2, resolution: int = EXT_RESOLUTION) -> Ext
     return ExtendedBody(B, C, tuple(prune_halfplanes(raw, B.witness)))
 
 
-def _chord_parts(ends: np.ndarray, table: CutTable):
-    """(lo, hi) in [0, 1] along each chord ends[j, 0] -> ends[j, 1]: the part that
-    every cut keeps (lo > hi: none); a cut keeps an end within 1e-9 * max(1, |end|)."""
-    v = np.stack([table.values(ends[:, 0]), table.values(ends[:, 1])], axis=-1)
-    out = v > 1e-9 * np.maximum(1.0, np.linalg.norm(ends, axis=-1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.clip(v[..., 0] / (v[..., 0] - v[..., 1]), 0.0, 1.0)
-    lo = np.where(out[..., 0], np.where(out[..., 1], np.inf, s), 0.0).max(axis=0)
-    hi = np.where(out[..., 1], np.where(out[..., 0], -np.inf, s), 1.0).min(axis=0)
-    return lo, hi
-
-
 def extend_bodies(bodies, C: Body2, resolution: int = EXT_RESOLUTION) -> list:
     """e(B) for each body of a list (None: the empty set); exact, in one
     batch, for every B = C cut by H_1, ..., H_m (cuts_beyond).
@@ -192,7 +181,7 @@ def extend_bodies(bodies, C: Body2, resolution: int = EXT_RESOLUTION) -> list:
     for k, r in rows.items():
         owner[r] = k
         if r.stop - r.start > 1:
-            lo[r], hi[r] = _chord_parts(ends[r], bodies[k].cut_table)
+            lo[r], hi[r] = chord_parts(ends[r], bodies[k].cut_table)
     has_part = meets & (lo <= hi)
     on_c &= has_part[:, None] & np.column_stack([lo == 0.0, hi == 1.0])
     # the raw rows: the cuts with a part, then each end's active constraints
@@ -364,7 +353,10 @@ def extend_function(fam: LevelFamily, validate: bool = True,
     The off-body rule rounds up to the smallest level whose extended body
     contains the point in its interior; this keeps every sublevel set
     exactly convex for a finite family (the family's own nesting supplies
-    the strict containment the construction needs).
+    the strict containment the construction needs).  validate runs
+    LevelFamily.validate_nesting at tol first: exact up to tol within each
+    level's window for levels cut from the ambient by half-planes,
+    from boundary samples for other levels.
     """
     if validate:
         fam.validate_nesting(tol=tol)

@@ -16,7 +16,9 @@ Where a line meets a body is one primitive, `chord_ends`: closed form on
 half-planes, a ball or a parabola, and one `Profile.slope_point` minimum
 plus one `newton_leq` solve per end on other epigraph profiles.  Epigraph
 boundary pieces, the no-Lipschitz lower profile, the forcing arc lengths
-and the segment test of the extension all read chords.
+and the segment test of the extension all read chords; `chord_parts`
+clips chords by a body's cuts, for the relative boundary in e(B) and the
+nesting check of a level family.
 
 The root finders (`bisect_leq`, `newton_leq`, `golden_min`,
 `coarse_golden_min`) take numpy-broadcasting closures: `f(t)` returns an
@@ -36,7 +38,6 @@ from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 TOL = 1e-9            # absolute tolerance for geometric predicates
@@ -1507,6 +1508,15 @@ def chebyshev_centre(normals: np.ndarray, offsets: np.ndarray):
     return _chebyshev_lp(normals, offsets)
 
 
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call: loading
+    scipy.optimize takes about 0.2 s and 11 MB, and only the witness LP
+    (_chebyshev_lp) solves with it."""
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
+
+
 def _chebyshev_lp(normals: np.ndarray, offsets: np.ndarray):
     """chebyshev_centre by one HiGHS LP."""
     A_ub = np.hstack([normals, np.ones((len(offsets), 1))])
@@ -2675,6 +2685,19 @@ def chord_ends(C: Body2, table: CutTable, centers, halves):
     meets = (lo < hi) & (C.margin_many(line(0.5 * (t_end[:, 0] + t_end[:, 1]))) < -1e-9)
     on_c = np.column_stack([lo != -half, hi != half]) & meets[:, None]
     return line(t_end).reshape(-1, 2, 2), on_c, meets, np.column_stack([lo, hi])
+
+
+def chord_parts(ends: np.ndarray, table: CutTable, rtol: float = 1e-9):
+    """(lo, hi) in [0, 1] along each chord ends[j, 0] -> ends[j, 1]: the part
+    that every cut of the table keeps (lo > hi: none).  A cut keeps an end
+    within rtol * max(1, |end|); rtol = 0 keeps exactly the closed side."""
+    v = np.stack([table.values(ends[:, 0]), table.values(ends[:, 1])], axis=-1)
+    out = v > rtol * np.maximum(1.0, np.linalg.norm(ends, axis=-1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.clip(v[..., 0] / (v[..., 0] - v[..., 1]), 0.0, 1.0)
+    lo = np.where(out[..., 0], np.where(out[..., 1], np.inf, s), 0.0).max(axis=0)
+    hi = np.where(out[..., 1], np.where(out[..., 0], -np.inf, s), 1.0).min(axis=0)
+    return lo, hi
 
 
 def active_normals(C: Body2, pts):

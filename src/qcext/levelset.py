@@ -17,12 +17,18 @@ import numpy as np
 
 from .geometry import (
     Body2,
+    CutTable,
     Frame,
+    GeometryError,
     HalfPlane,
     along,
     as_point,
     as_points,
+    chord_ends,
+    chord_parts,
+    cuts_beyond,
     distance_many,
+    dots,
     golden_min,
     norm,
     relative_boundary,
@@ -55,7 +61,6 @@ class LevelFamily:
     levels: np.ndarray
     bodies: list
     ambient: Body2
-    strict: bool = False
     sentinel: float = SENTINEL
 
     def __post_init__(self):
@@ -69,18 +74,51 @@ class LevelFamily:
         return len(self.bodies)
 
     def validate_nesting(self, n: int = 128, tol: float = 1e-7):
-        """Sampled nestedness check; strict margin when the flag is set."""
-        for k in range(len(self.bodies) - 1):
-            pts = self.bodies[k].boundary_samples(n)
-            inner = self.bodies[k + 1].contains_many(pts, tol)
-            if not inner.all():
-                raise LevelSetError(f"body {k} is not contained in body {k + 1}")
-            if self.strict:
-                margins = self.bodies[k + 1].margin_many(pts)
-                amb = self.ambient.margin_many(pts)
-                interior_needed = amb < -tol  # relative interior in the ambient
-                if np.any(margins[interior_needed] > -1e-12):
-                    raise LevelSetError(f"body {k} not strictly inside body {k + 1}")
+        """True if every B_k lies in B_{k+1} up to tol; LevelSetError names
+        the first pair that does not.
+
+        Where both levels are cut from the ambient C (cuts_beyond), the
+        check is exact up to tol within B_k's window: B_k lies in an extra
+        cut n . x <= c of B_{k+1} widened to c + tol iff B_k's witness does
+        and the chord of C on the line n . x = c + tol, clipped by B_k's
+        extra cuts (chord_parts, no slack), is empty; a convex B_k with an
+        interior point on the kept side crosses the line iff the line meets
+        its interior.  Every such pair's lines are one chord_ends batch,
+        searched B_k.window_half about the foot of B_k's witness as in
+        extend_bodies.  Other pairs test n boundary samples of B_k
+        (_nests_sampled).  A None level (the empty set) nests in any level.
+        """
+        C = self.ambient
+        extra = [_cuts_from(B, C) for B in self.bodies]
+        bad, pair, normals, offsets, centers, halves = [], [], [], [], [], []
+        for k, (inner, outer) in enumerate(zip(self.bodies, self.bodies[1:])):
+            if inner is None:
+                continue
+            if outer is None:
+                bad.append(k)
+            elif extra[k] is None or extra[k + 1] is None:
+                if not _nests_sampled(inner, outer, n, tol):
+                    bad.append(k)
+            else:
+                for h in extra[k + 1]:
+                    pair.append(k)
+                    normals.append(h.normal)
+                    offsets.append(h.offset + tol)
+                    centers.append(inner.witness)
+                    halves.append(inner.window_half)
+        if pair:
+            pair, lines = np.array(pair), CutTable(normals=normals, offsets=offsets)
+            ends, _, crosses, _ = chord_ends(C, lines, centers, halves)
+            for k in np.unique(pair[crosses]):
+                if extra[k]:
+                    rows = pair == k
+                    lo, hi = chord_parts(ends[rows], CutTable(extra[k]), rtol=0.0)
+                    crosses[rows] &= lo <= hi
+            beyond = dots(np.asarray(centers), lines.normals) > lines.offsets
+            bad += pair[crosses | beyond].tolist()
+        if bad:
+            k = min(bad)
+            raise LevelSetError(f"body {k} is not contained in body {k + 1}")
         return True
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
@@ -97,6 +135,22 @@ class LevelFamily:
 
     def max_gap(self) -> float:
         return float(np.max(np.diff(self.levels))) if len(self.levels) > 1 else 0.0
+
+
+def _cuts_from(B: Optional[Body2], C: Body2):
+    """B's cuts beyond C's when B is C cut by half-planes (cuts_beyond),
+    else None; None also for a None level and a half-plane body outside C."""
+    if B is None:
+        return None
+    try:
+        return cuts_beyond(B, C)
+    except GeometryError:
+        return None
+
+
+def _nests_sampled(inner: Body2, outer: Body2, n: int, tol: float) -> bool:
+    """Whether n boundary samples of inner lie in outer up to tol."""
+    return bool(outer.contains_many(inner.boundary_samples(n), tol).all())
 
 
 def eval_levels(fam: LevelFamily, x) -> float:

@@ -16,7 +16,7 @@ from qcext.extension import (
     segment_meets_body,
 )
 from qcext.geometry import Body2, CutTable, GeometryError, HalfPlane, chord_ends, norm
-from qcext.levelset import LevelFamily, quasiconvex_check, sample_domain
+from qcext.levelset import LevelFamily, LevelSetError, quasiconvex_check, sample_domain
 from qcext.serialize import body_from_json, body_to_json
 from qcext.verify import _random_polygon_pair
 
@@ -245,7 +245,7 @@ def test_extend_function_rejects_non_nested(parabola):
     b1 = parabola.clip([((0.0, 1.0), 2.0)])
     b0 = parabola.clip([((0.0, 1.0), 3.0)])  # larger body at the lower level
     fam = LevelFamily(np.array([0.0, 1.0]), [b0, b1], parabola)
-    with pytest.raises(Exception):
+    with pytest.raises(LevelSetError, match="body 0 is not contained in body 1"):
         extend_function(fam)
 
 

@@ -1,6 +1,9 @@
 """Geometry kernel tests: frozen oracle values and sampled invariants."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -1003,16 +1006,58 @@ def test_vertex_bodies_make_no_lp_call(monkeypatch):
             assert slack == pytest.approx(np.full(len(slack), 1e3), rel=1e-12)
 
 
+#: a regular 40-gon: more cuts than _VERTEX_MAX_CUTS
+_MANY_CUTS = [((math.cos(a), math.sin(a)), 1.0)
+              for a in np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)]
+
+
 @pytest.mark.parametrize("hps", [[((0.0, 1.0), 1.0)],
-                                 [((0.0, 1.0), 1.0), ((0.0, -1.0), 1.0)]],
-                         ids=["halfplane", "strip"])
+                                 [((0.0, 1.0), 1.0), ((0.0, -1.0), 1.0)],
+                                 _MANY_CUTS],
+                         ids=["halfplane", "strip", "many_cuts"])
 def test_bodies_without_vertex_reach_lp(monkeypatch, hps):
+    assert len(hps) in (1, 2) or len(hps) > geo._VERTEX_MAX_CUTS
     calls = []
     lp = geo.linprog
     monkeypatch.setattr(geo, "linprog", lambda *a, **k: calls.append(1) or lp(*a, **k))
     body = Body2.from_halfplanes(hps)
     assert len(calls) == 1
     assert body._clearance0 == pytest.approx(_lp_centre(body)[1], rel=1e-12)
+
+
+_IMPORT_THEN_LP = """
+import sys
+import {module}
+assert "scipy.optimize" not in sys.modules, "importing {module} loaded scipy.optimize"
+from qcext import geometry as geo
+calls = []
+solve = geo.linprog
+geo.linprog = lambda *a, **k: calls.append(1) or solve(*a, **k)
+half = geo.Body2.from_halfplanes([((0.0, 1.0), 1.0)])
+many = geo.Body2.from_halfplanes({many})
+assert calls == [1, 1], calls
+assert "scipy.optimize" in sys.modules
+print(half._clearance0, many.witness[0], many.witness[1], many._clearance0)
+"""
+
+
+@pytest.mark.parametrize("module", ["qcext", "qcext.cli"])
+def test_import_leaves_lp_solver_unloaded(module):
+    """Importing qcext or its CLI, in a fresh interpreter, does not load
+    scipy.optimize; a body on the HiGHS path built afterwards (one
+    half-plane, more than _VERTEX_MAX_CUTS cuts) still gets its Chebyshev
+    centre through geometry.linprog."""
+    src = os.path.dirname(os.path.dirname(geo.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = _IMPORT_THEN_LP.format(module=module, many=_MANY_CUTS)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    r_half, x, y, r_many = map(float, out.stdout.split())
+    assert r_half == pytest.approx(1e3, rel=1e-12)
+    assert abs(x) <= 1e-9 and abs(y) <= 1e-9
+    assert r_many == pytest.approx(1.0, rel=1e-9)
 
 
 def test_empty_interior_raises_on_both_paths(monkeypatch):

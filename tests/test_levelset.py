@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from qcext.geometry import Body2, HalfPlane, distance_many
+from qcext.geometry import Body2, Frame, HalfPlane, distance_many, transform_body
 from qcext.levelset import (
     LevelFamily,
     LevelSetError,
     ModulusTable,
     QCFunction,
+    _nests_sampled,
     compose_projection,
     eval_levels,
     extend_line_constant,
@@ -74,6 +75,94 @@ def test_family_validation():
                       [big, Body2.ball((0, 0), 1.0)], big)
     with pytest.raises(LevelSetError):
         bad.validate_nesting()
+
+
+# -- nesting from chords -----------------------------------------------------------
+
+_AMBIENTS = {
+    "parabola": lambda: Body2.epigraph("parabola"),
+    "cosh": lambda: Body2.epigraph("cosh"),
+    "exp_hypograph": lambda: Body2.epigraph("exp_hypograph"),
+    "ball": lambda: Body2.ball((0.5, -0.2), 1.0),
+    "polygon": lambda: Body2.from_polychain([(0, 0), (2, 0), (3, 1), (2, 2), (0, 2), (-1, 1)]),
+}
+
+#: cut directions: axis, oblique, and a second oblique for two-cut levels
+_N1, _N2, _N3 = np.array([0.0, 1.0]), np.array([0.6, 0.8]), np.array([-0.8, 0.6])
+
+#: (inner cuts, outer cuts, nested): cuts are (normal, offset past the
+#: ambient's witness); () is the ambient itself
+_PAIRS = [
+    (((_N1, -0.3),), ((_N1, 0.2),), True),
+    (((_N2, -0.1),), ((_N2, -0.1),), True),  # equal levels
+    (((_N2, 0.3),), ((_N2, 0.0),), False),
+    (((_N2, 0.1), (_N3, 0.1)), ((_N2, 0.2), (_N3, 0.3)), True),
+    (((_N2, 0.1), (_N3, 0.2)), ((_N2, 0.3), (_N3, 0.1)), False),
+    (((_N2, 0.0),), ((_N2, 0.2), (_N3, 0.2)), False),
+    (((_N2, 0.0), (_N3, 0.0)), ((_N2, 0.0),), True),
+    ((), ((_N1, 0.4),), False),
+    (((_N1, 0.0),), (), True),
+]
+
+
+def _level(C, cuts, scale=1.0):
+    """C cut by n . x <= n . w + scale * s for each (n, s), w C's witness."""
+    if not cuts:
+        return C
+    return C.clip([(n, float(n @ C.witness) + scale * s) for n, s in cuts])
+
+
+@pytest.mark.parametrize("name", sorted(_AMBIENTS))
+def test_chord_nesting_matches_sampled(name):
+    """The chord check and 128 boundary samples agree on every pair, nested
+    or not, with oblique, two-cut and equal levels."""
+    C = _AMBIENTS[name]()
+    for inner_cuts, outer_cuts, nested in _PAIRS:
+        inner, outer = _level(C, inner_cuts), _level(C, outer_cuts)
+        assert _nests_sampled(inner, outer, 128, 1e-7) == nested
+        fam = LevelFamily(np.array([0.0, 1.0]), [inner, outer], C)
+        if nested:
+            assert fam.validate_nesting()
+        else:
+            with pytest.raises(LevelSetError, match="body 0 is not contained in body 1"):
+                fam.validate_nesting()
+
+
+_FRAMES = {
+    "identity": Frame(R=np.eye(2), anchor=np.zeros(2), shift=np.zeros(2)),
+    "translated": Frame(R=np.eye(2), anchor=np.zeros(2), shift=np.array([1e6, -1e6])),
+    "small": Frame(R=np.eye(2), anchor=np.zeros(2), shift=np.zeros(2), lam=1e-4),
+    "large": Frame(R=np.eye(2), anchor=np.zeros(2), shift=np.zeros(2), lam=1e4),
+}
+
+
+@pytest.mark.parametrize("frame", sorted(_FRAMES))
+@pytest.mark.parametrize("name", ["parabola", "cosh", "ball", "polygon"])
+def test_chord_nesting_tolerance(name, frame):
+    """A level past the next one's cut by 0.5 tol nests and by 2 tol does
+    not, on an axis cut and on the second cut of two-cut levels; the
+    verdicts hold after translating by 1e6 and scaling by 1e-4 and 1e4
+    (with tol scaled alike), and the error names the failing pair."""
+    fr, tol = _FRAMES[frame], 1e-7
+    C = _AMBIENTS[name]()
+    for n, rest in ((_N1, ()), (_N3, ((_N2, 0.2),))):
+        for excess, nested in ((0.5 * tol, True), (2.0 * tol, False)):
+            cuts = [rest + ((n, -0.3),), rest + ((n, excess),), rest + ((n, 0.0),)]
+            bodies = [transform_body(_level(C, c), fr) for c in cuts]
+            fam = LevelFamily(np.arange(3.0), bodies, transform_body(C, fr))
+            if nested:
+                assert fam.validate_nesting(tol=fr.lam * tol)
+            else:
+                with pytest.raises(LevelSetError, match="body 1 is not contained in body 2"):
+                    fam.validate_nesting(tol=fr.lam * tol)
+
+
+def test_none_level_nests_in_anything():
+    disk = Body2.ball((0, 0), 1.0)
+    cap = disk.clip([((0.0, 1.0), 0.5)])
+    assert LevelFamily(np.arange(2.0), [None, cap], disk).validate_nesting()
+    with pytest.raises(LevelSetError, match="body 0 is not contained in body 1"):
+        LevelFamily(np.arange(2.0), [cap, None], disk).validate_nesting()
 
 
 # -- staircase -------------------------------------------------------------------
