@@ -168,15 +168,3 @@ CRITERIA = {
     8: criterion_8,
 }
 
-
-def run_all(echo=print):
-    """Run every criterion, printing one pass/fail line each."""
-    results = {}
-    for i in sorted(CRITERIA):
-        t0 = time.time()
-        ok, detail = CRITERIA[i]()
-        results[i] = (ok, detail)
-        if echo:
-            echo(f"criterion {i}: {'PASS' if ok else 'FAIL'} "
-                 f"({time.time() - t0:.1f}s)")
-    return results

@@ -38,7 +38,9 @@ from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
+# no geometry code calls Qhull; the name stays because the benchmark's tracer
+# (perfbench/tracing.py) counts Qhull solves by wrapping geometry.ConvexHull
+from scipy.spatial import ConvexHull  # noqa: F401
 
 TOL = 1e-9            # absolute tolerance for geometric predicates
 WINDOW_MULT = 1024.0  # working window half-size = WINDOW_MULT * witness clearance
@@ -1167,16 +1169,6 @@ def _lex_max(vals, ts):
 # ---------------------------------------------------------------------------
 # half-plane pruning and vertex chains
 
-#: most distinct directions of one list that the interval test prunes; longer
-#: lists (the sampled construction's, 256 rows and more) take Qhull's dual
-#: hull, one call each.  On one list (2 CPUs, numpy 2.4.6, scipy 1.17.1; best
-#: of 5 runs, random and circle-tangent rows) the interval test took 0.05 ms
-#: at 3 rows, 0.07 ms at 32, 0.12 ms at 64, 0.26 ms at 128 and 1.2 ms at 256;
-#: the dual hull 0.08, 0.10-0.12, 0.12-0.15, 0.16-0.24 and 0.24-0.41 ms.  The
-#: crossover is measured on single lists only: no benchmark workload prunes a
-#: list beyond it, so it is unmeasured end to end, and lists on either side of
-#: it can resolve tight rows differently (see irredundant).
-_PRUNE_MAX_ROWS = 64
 #: the interval test keeps a half-plane whose boundary line has a segment
 #: inside the others shrunk toward the witness by this share of their slack
 _PRUNE_RTOL = 1e-12
@@ -1204,10 +1196,17 @@ def irredundant(normals: np.ndarray, offsets: np.ndarray, witnesses: np.ndarray,
     is a vertex of the hull of the duals and the origin).  The shrink drops
     a line through a vertex of the others, and a near-parallel neighbour
     whose crossing it moves past that vertex; Qhull resolves such tight
-    rows to its own rounding.  Lists with more than _PRUNE_MAX_ROWS
-    directions take the dual-hull rule from Qhull (every row where Qhull
-    fails).  Every value is a row-wise expression, so a list keeps the same
-    rows in any batch.
+    rows to its own rounding.  Every value is a row-wise expression, so a
+    list keeps the same rows in any batch.
+
+    A list of m directions costs m^2 padded entries, so one long list is
+    slow: on 2 CPUs (numpy 2.4.6; best of 5, circle tangents and random
+    rows) one list took 0.15 ms at 64 rows, 1.6 ms at 256, 7.2 ms at 512,
+    28 ms at 1,024 and 130-160 ms at 2,048, with about 100 MB of
+    temporaries at 2,048 (Qhull's dual hull took 0.5-5.4 ms from 256 to
+    2,048 rows).  Only the sampled construction (extension._extend_sampled,
+    about its resolution plus the fan rows, 512 by default) builds lists
+    past 64 rows.
     """
     slack = offsets - dots(witnesses[level], normals)
     if len(slack) and slack.min() <= 1e-15:
@@ -1223,17 +1222,11 @@ def irredundant(normals: np.ndarray, offsets: np.ndarray, witnesses: np.ndarray,
     head[1:] = (lv[1:] != lv[:-1]) | (key[1:] != key[:-1])
     rows, lv = order[head], lv[head]
     count = np.bincount(lv)
-    big = count > _PRUNE_MAX_ROWS
     keep = np.ones(len(rows), dtype=bool)
-    for k in np.flatnonzero(big):
-        sel = lv == k
-        keep[sel] = _dual_hull_vertices(normals[rows[sel]], slack[rows[sel]])
-    small = ~big[lv]
     # a list of one or two directions keeps them all
-    if count[~big].max(initial=0) > 2:
-        r = rows[small]
-        keep[small] = _interval_test(np.array([normals[r, 0], normals[r, 1], slack[r]]),
-                                     lv[small], np.where(big, 0, count))
+    if count.max(initial=0) > 2:
+        keep = _interval_test(np.array([normals[rows, 0], normals[rows, 1], slack[rows]]),
+                              lv, count)
     return rows[keep]
 
 
@@ -1285,19 +1278,6 @@ def _interval_block(cols, li, pos, lists, width):
     ok = (np.maximum.reduce(q, axis=2, where=b > 0, initial=-np.inf)
           < np.minimum.reduce(q, axis=2, where=b < 0, initial=np.inf))
     return ok[li, pos]
-
-
-def _dual_hull_vertices(normals: np.ndarray, slack: np.ndarray) -> np.ndarray:
-    """Mask of the rows whose duals normals / slack are vertices of the
-    hull of the duals and the origin, by Qhull (all rows when Qhull fails)."""
-    pts = np.vstack([normals / slack[:, None], [[0.0, 0.0]]])
-    keep = np.zeros(len(slack), dtype=bool)
-    try:
-        vert = ConvexHull(pts).vertices
-    except QhullError:
-        return ~keep
-    keep[vert[vert < len(slack)]] = True
-    return keep
 
 
 def prune_halfplanes(halfplanes: Sequence[HalfPlane], witness: np.ndarray) -> list:
@@ -2111,118 +2091,6 @@ class NormalFan:
         return f"NormalFan({self.lo}, {self.hi})"
 
 
-#: steps in walk_until's first march block (each later block doubles, up
-#: to _WALK_BLOCK_MAX), and the parts a refinement round cuts a bracket into
-_WALK_BLOCK = 8
-_WALK_BLOCK_MAX = 1024
-_WALK_SPLIT = 256
-
-
-def walk_to_chord(C: Body2, start, direction, chord, anchor, iters: int = 70):
-    """Walk the boundary chain from (piece, param) starts until the chord
-    distance from anchor reaches chord, in march steps of chord / 8.
-
-    One walk takes scalars and an anchor point.  W walks take (W,) arrays
-    for any of start's two entries, direction and chord, or (W, 2) anchors;
-    the rest broadcast.  Returns as walk_until.
-    """
-    anchor = np.asarray(anchor, dtype=float)
-    shape = np.broadcast_shapes(np.shape(start[0]), np.shape(start[1]), np.shape(direction),
-                                np.shape(chord), anchor.shape[:-1])
-    idx, t, direction, chord = (np.broadcast_to(x, shape) for x in
-                                (start[0], start[1], direction, np.asarray(chord, dtype=float)))
-    anchors = np.broadcast_to(anchor, shape + (2,)).reshape(-1, 2)
-    chords = chord.reshape(-1)
-    return walk_until(C, (idx, t), direction, chord / 8.0,
-                      lambda p, rows: (np.linalg.norm(p - anchors[rows, None], axis=-1)
-                                       >= chords[rows, None]),
-                      iters, max_walk=1e4 * chord + 100.0 * (1.0 + C.clearance))
-
-
-def walk_until(C: Body2, start, direction, step, reached, iters: int,
-               max_walk=math.inf):
-    """March the boundary chain from (piece, param) starts in steps of step
-    until reached holds, then refine the last step to step / 2**iters.
-
-    start is a (piece, param) pair of scalars for one walk or of (W,)
-    arrays for W walks; direction (+1 or -1), step and max_walk broadcast
-    to it.  reached(points, rows) maps the (R, K, 2) points of the walks
-    rows (R,) to (R, K) booleans.  The march takes blocks of 8, 16, ...
-    steps (up to _WALK_BLOCK_MAX), each one point() call per piece and one
-    reached call for all walks.  Each refinement round cuts every open
-    bracket into _WALK_SPLIT parts with one such call, and a bracket closes
-    after the rounds that do the work of iters bisection steps or once its
-    ends are adjacent floats of one piece.
-
-    One walk returns ((idx, t), point) of the reached side, or None when
-    the chain ends, 200000 steps pass or the walk exceeds max_walk first.
-    W walks return (idx, t, points) arrays, with idx -1 and NaN for the
-    walks that end so.
-    """
-    pieces = C.pieces()
-    closed = C.closed_chain
-    bounds = np.array([(pc.t0, pc.t1) for pc in pieces]).T
-    args = np.broadcast_arrays(np.asarray(start[0]), np.asarray(start[1], dtype=float),
-                               np.asarray(direction, dtype=float),
-                               np.asarray(step, dtype=float), np.asarray(max_walk, dtype=float))
-    one = args[0].ndim == 0
-    idx, t, sign, step, max_walk = (np.array(a, ndmin=1).reshape(-1) for a in args)
-    idx = idx.astype(int)
-    n = len(idx)
-    walked, taken = np.zeros(n), np.zeros(n, dtype=int)
-    lo_i, lo_t = np.full(n, -1), np.full(n, np.nan)
-    hi_i, hi_t = np.full(n, -1), np.full(n, np.nan)
-    found = np.zeros(n, dtype=bool)
-    live, block = np.arange(n), _WALK_BLOCK
-    while len(live):
-        k = np.arange(1, block + 1)
-        pi, pt, ends = _advance(bounds, idx[live, None], t[live, None],
-                                (sign * step)[live, None] * k, closed)
-        hit = reached(_chain_points(pieces, pi, pt), live)
-        far = walked[live, None] + step[live, None] * k
-        event = hit | ends | (far > max_walk[live, None]) | (taken[live, None] + k >= 200000)
-        rows, first = np.arange(len(live)), np.argmax(event, axis=1)
-        stop = event[rows, first]
-        win = stop & hit[rows, first]
-        # the bracket is the step to the first event, from the block's start
-        # (column 0) or from the position before it
-        r, j, w = rows[win], first[win], live[win]
-        pi = np.column_stack([idx[live], pi])
-        pt = np.column_stack([t[live], pt])
-        lo_i[w], lo_t[w], hi_i[w], hi_t[w] = pi[r, j], pt[r, j], pi[r, j + 1], pt[r, j + 1]
-        found[w] = True
-        live = live[~stop]
-        idx[live], t[live] = pi[~stop, -1], pt[~stop, -1]
-        walked[live], taken[live] = far[~stop, -1], taken[live] + block
-        block = min(2 * block, _WALK_BLOCK_MAX)
-    gap = step.copy()
-    frac = np.arange(1, _WALK_SPLIT) / _WALK_SPLIT
-    live = np.flatnonzero(found)
-    for _ in range(-(-iters // int(math.log2(_WALK_SPLIT)))):
-        tight = (lo_i[live] == hi_i[live]) & (np.nextafter(lo_t[live], hi_t[live]) == hi_t[live])
-        live = live[~tight]
-        if not len(live):
-            break
-        ci, ct, _ = _advance(bounds, lo_i[live, None], lo_t[live, None],
-                             (sign * gap)[live, None] * frac, closed)
-        # columns: lo, the parts, hi; the first column after lo that
-        # reaches (hi at the latest) is the new hi, the one before it the
-        # new lo
-        hit = reached(_chain_points(pieces, ci, ct), live)
-        j = np.argmax(np.column_stack([hit, np.ones(len(live), dtype=bool)]), axis=1)
-        ci = np.column_stack([lo_i[live], ci, hi_i[live]])
-        ct = np.column_stack([lo_t[live], ct, hi_t[live]])
-        rows = np.arange(len(live))
-        lo_i[live], lo_t[live] = ci[rows, j], ct[rows, j]
-        hi_i[live], hi_t[live] = ci[rows, j + 1], ct[rows, j + 1]
-        gap[live] /= _WALK_SPLIT
-    points = np.full((n, 2), np.nan)
-    points[found] = _chain_points(pieces, hi_i[found], hi_t[found])
-    if one:
-        return ((int(hi_i[0]), float(hi_t[0])), points[0]) if found[0] else None
-    return hi_i, hi_t, points
-
-
 def locate_on_boundary(C: Body2, x):
     """(piece index, parameter) of the boundary point nearest to x."""
     return _locate_on_boundary(C, as_point(x))
@@ -2327,22 +2195,47 @@ def is_asymptotic_direction(C: Body2, v, slope_tol: float = 1e-4):
     return False, None
 
 
-def rotundity_modulus(C: Body2, x, eps: float, refine_iters: int = 60) -> float:
+#: angles rotundity_modulus scans across the inward fan at a boundary point
+_ROTUNDITY_SCAN = 257
+
+
+def rotundity_modulus(C: Body2, x, eps: float) -> float:
     """Local uniform rotundity modulus at a boundary point.
 
     Infimum over boundary points y at chord distance eps of the distance of
-    the chord midpoint from the boundary; always <= eps / 2.
+    the chord midpoint from the boundary; always <= eps / 2.  The y taken
+    are the first boundary points at distance eps from x on either side.
+    Walking the boundary away from x, the direction from x to the walker
+    turns monotonically across the inward fan, from a tangent at x (the
+    perpendicular of the normal fan's hi, or of its lo) toward the other,
+    and the circle point x + eps (cos phi, sin phi) lies in C exactly when
+    the boundary point in direction phi is at least eps from x.  So each y
+    is the circle point at the first phi from its tangent with margin
+    <= 0: one margin_many call at _ROTUNDITY_SCAN angles across the fan
+    finds both sides' first inside angles, and one bisect_leq call closes
+    both brackets.  An inside arc narrower than one scan step (the fan's
+    width / 256) before the first inside angle is missed, and the y taken
+    is then a later boundary point at distance eps.
+
+    Raises GeometryError for eps outside [0, 2 clearance), for an x off the
+    boundary and where no scanned circle point lies in C.
     """
     x = as_point(x)
     if eps < 0 or eps >= 2 * C.clearance:
         raise GeometryError("eps outside [0, 2r) for the witness ball radius r")
     if eps == 0:
         return 0.0
-    _, _, ys = walk_to_chord(C, _locate_on_boundary(C, x), np.array([1.0, -1.0]), eps, x,
-                             refine_iters)
-    ys = ys[~np.isnan(ys[:, 0])]
-    if not len(ys):
+    fan = supporting_normals(C, x)
+    margin = along(C.margin_many, lambda a: x + eps * np.stack([np.cos(a), np.sin(a)], axis=-1))
+    # from the forward tangent perp(hi) counterclockwise to -perp(lo)
+    phi = angle_of(perp(fan.hi)) + (math.pi - fan.span()) * np.linspace(0.0, 1.0, _ROTUNDITY_SCAN)
+    inside = np.flatnonzero(margin(phi) <= 0)
+    if not len(inside):
         raise GeometryError("no boundary point at the requested chord distance")
+    first, last = inside[0], inside[-1]
+    bad = phi[[max(first - 1, 0), min(last + 1, len(phi) - 1)]]
+    phi = bisect_leq(margin, bad, phi[[first, last]])
+    ys = x + eps * np.column_stack([np.cos(phi), np.sin(phi)])
     mids = 0.5 * (x + ys)
     return float(np.min(boundary_distance_many(C, mids)))
 
@@ -2360,41 +2253,6 @@ def _locate_on_boundary(C: Body2, x, near=None):
     if best[1] is None or best[0] > 1e-6 * max(1.0, norm(x)):
         raise GeometryError("point is not on the boundary")
     return best[1], best[2]
-
-
-def _advance(bounds, idx, t, dt, closed):
-    """Move (piece, param) positions by dt (signed) along a chain whose
-    pieces span the parameters bounds = (t0, t1) arrays, over broadcast
-    arrays; returns (idx, t, hit_open_end) arrays.
-
-    A move fits when |dt| is at most the room left on its piece; else it
-    spends that room and goes on from the neighbouring piece's near end,
-    and a move past an open chain end stops at that end.
-    """
-    t0, t1 = bounds
-    shape = np.broadcast_shapes(np.shape(idx), np.shape(t), np.shape(dt))
-    rem = dt
-    end = np.zeros(shape, dtype=bool)
-    moving = np.ones(shape, dtype=bool)
-    while True:
-        fwd = rem >= 0
-        room = np.where(fwd, t1[idx] - t, t - t0[idx])
-        fits = moving & (np.abs(rem) <= room)
-        t = np.where(fits, t + rem, t)
-        moving &= ~fits
-        if not moving.any():
-            return np.broadcast_to(idx, shape), t, end
-        rem = np.where(moving, np.where(fwd, rem - room, rem + room), rem)
-        nxt = idx + np.where(fwd, 1, -1)
-        if closed:
-            nxt %= len(t0)
-        else:
-            off = moving & ((nxt < 0) | (nxt >= len(t0)))
-            t = np.where(off, np.where(fwd, t1[idx], t0[idx]), t)
-            end |= off
-            moving &= ~off
-        idx = np.where(moving, nxt, idx)
-        t = np.where(moving, np.where(fwd, t0[idx], t1[idx]), t)
 
 
 def cone_from(z, E: Body2, refine_iters: int = 90) -> Cone2:

@@ -223,43 +223,69 @@ def test_no_uc_locates_c0_once(monkeypatch, name):
     assert np.array_equal(fan.lo, want.lo) and np.array_equal(fan.hi, want.hi)
 
 
+def _mp_chord_param(g, u, c):
+    """The s in (u, u + c] where the chord from (u, g(u)) to (s, g(s))
+    first reaches length c, at 50 digits: (s - u)^2 + (g(s) - g(u))^2 = c^2
+    by bisection on the bracket, where the left side grows with s when g is
+    increasing from u on (u >= 0 on the profiles used here)."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        u, c = mpmath.mpf(u), mpmath.mpf(c)
+        lo, hi = u, u + c
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if (mid - u) ** 2 + (g(mid) - g(u)) ** 2 < c * c:
+                lo = mid
+            else:
+                hi = mid
+        return hi
+
+
 @pytest.mark.parametrize("name", ["parabola", "cosh"])
-def test_no_uc_links_match_boundary_walk(monkeypatch, name):
+def test_no_uc_links_match_high_precision_chords(monkeypatch, name):
     """gen_no_uc solves its chords on the graph parameter u with newton_leq
-    and walks no boundary: no walk_until or walk_to_chord call, and every
-    bisection it runs starts at most 16 floats wide (slope points).  Its
-    unit-chord links and short chords match walk_to_chord, the walk they
-    replace, within 1e-12."""
+    and walks no boundary (the boundary walk is gone from geometry), and
+    every bisection it runs starts at most 16 floats wide (slope points).
+    Its unit-chord links and its short chords 2^-1 ... 2^-9 from the first
+    chain point match the chords solved at 50 digits on the profile
+    g(u) = u^2 - 1 or cosh u - 2 within 1e-12."""
+    import mpmath
+
     import qcext.geometry as geo
     from qcext.counterexamples import _chord_params
 
     body = Body2.epigraph(name)
     body.pieces()
-    walk_until, walk_to_chord, bisect_leq = geo.walk_until, geo.walk_to_chord, geo.bisect_leq
-
-    def no_walk(*args, **kw):
-        raise AssertionError("gen_no_uc walked the boundary")
+    bisect_leq = geo.bisect_leq
 
     def tight_bisect(f, bad, good, *args):
         bad, good = np.broadcast_arrays(bad, good)
         assert np.all(np.abs(bad - good) <= 16 * np.spacing(np.maximum(abs(bad), abs(good))))
         return bisect_leq(f, bad, good, *args)
 
-    monkeypatch.setattr(geo, "walk_until", no_walk)
-    monkeypatch.setattr(geo, "walk_to_chord", no_walk)
     monkeypatch.setattr(geo, "bisect_leq", tight_bisect)
     _, cert = gen_no_uc(body, k_max=8)
     monkeypatch.undo()
-    assert not hasattr(geo, "boundary_crossing")
+    for gone in ("boundary_crossing", "walk_until", "walk_to_chord"):
+        assert not hasattr(geo, gone)
+    g = (lambda u: u * u - 1) if name == "parabola" else (lambda u: mpmath.cosh(u) - 2)
+
+    def graph(s):
+        return np.array([float(s), float(g(s))])
+
     pts = cert.points
-    starts = [geo.locate_on_boundary(body, p) for p in pts[:-1]]
-    for start, p, q in zip(starts, pts[:-1], pts[1:]):
-        assert np.linalg.norm(walk_to_chord(body, start, 1.0, 1.0, p)[1] - q) <= 1e-12
-    piece = body.pieces()[starts[0][0]]
+    # the chain climbs the right branch of a graph in its own coordinates
+    assert pts[0, 0] > 0 and np.all(np.diff(pts[:, 0]) > 0)
+    assert np.array_equal(body.pieces()[0].base.graph_point(np.array(pts[:, 0])), pts)
+    for p, q in zip(pts[:-1], pts[1:]):
+        assert np.linalg.norm(graph(_mp_chord_param(g, p[0], 1.0)) - q) <= 1e-12
+    start = geo.locate_on_boundary(body, pts[0])
+    piece = body.pieces()[start[0]]
     chords = 0.5 ** np.arange(1, 10)
-    u = _chord_params(piece.base, float(piece._u(starts[0][1])), -1.0 if piece.flipped else 1.0,
+    u = _chord_params(piece.base, float(piece._u(start[1])), -1.0 if piece.flipped else 1.0,
                       piece.u0 if piece.flipped else piece.u1, chords)
-    want = walk_to_chord(body, starts[0], 1.0, chords, pts[0])[2]
+    want = np.array([graph(_mp_chord_param(g, pts[0, 0], c)) for c in chords])
     assert np.max(np.linalg.norm(piece.base.graph_point(u) - want, axis=1)) <= 1e-12
 
 

@@ -771,54 +771,75 @@ def test_support_batch_matches_per_direction_transformed():
             assert np.array_equal(p1, p) if p1 is not None else np.isnan(p).all()
 
 
-def test_walk_to_chord_disk_closed_form():
-    """On a circle of radius r the walk from angle phi lands at angle
-    phi +- 2 asin(c / 2r)."""
+def test_rotundity_off_centre_disk_closed_form():
+    """On a circle of radius r both chords of length eps from x end on the
+    circle, and their midpoints sit r - sqrt((r - eps/2)(r + eps/2)) inside
+    it."""
     center, r = np.array([0.3, -0.2]), 1.5
     disk = Body2.ball(center, r)
     for phi in (0.1, 2.0, 4.0, 6.2):
         x = center + r * np.array([math.cos(phi), math.sin(phi)])
-        start = geo.locate_on_boundary(disk, x)
-        for c in (1e-4, 0.3, 1.0, 2.9):
-            for direction in (+1.0, -1.0):
-                (_, _), y = geo.walk_to_chord(disk, start, direction, c, x)
-                ang = phi + direction * 2.0 * math.asin(c / (2.0 * r))
-                want = center + r * np.array([math.cos(ang), math.sin(ang)])
-                assert np.max(np.abs(y - want)) <= 1e-12
+        for eps in (1e-4, 0.3, 1.0, 2.9):
+            want = r - math.sqrt((r - eps / 2) * (r + eps / 2))
+            assert rotundity_modulus(disk, x, eps) == pytest.approx(want, abs=1e-12)
 
 
-def test_walks_batched_match_one_at_a_time():
-    """W walks in one call equal the one-at-a-time walks bit for bit,
-    across piece ends of a polygon and a clipped, transformed epigraph."""
-    R = 0.5 * np.array([[0.8, 0.6], [-0.6, 0.8]])
-    t24 = 2.0 * math.pi * np.arange(24) / 24
-    bodies = [Body2.ball((0.3, -0.2), 1.5),
-              Body2.epigraph("parabola"),
-              Body2.epigraph("cosh", transform=np.column_stack([R, [2.0, 1.0]]))
-              .clip([((0.2, 1.0), 6.0)]),
-              Body2.from_polychain(np.column_stack([2.0 * np.cos(t24), np.sin(t24)]))]
-    rng = np.random.default_rng(3)
-    for body in bodies:
-        pieces = body.pieces()
-        real = [i for i, pc in enumerate(pieces) if not pc.synthetic]
-        idx = rng.choice(real, 12)
-        t = np.array([rng.uniform(pieces[i].t0, pieces[i].t1) for i in idx])
-        anchors = geo._chain_points(pieces, idx, t)
-        chords = rng.uniform(0.05, 1.2, 12)
-        dirs = rng.choice([-1.0, 1.0], 12)
-        b_idx, b_t, b_pts = geo.walk_to_chord(body, (idx, t), dirs, chords, anchors)
-        for k in range(12):
-            one = geo.walk_to_chord(body, (int(idx[k]), float(t[k])), dirs[k], chords[k],
-                                    anchors[k])
-            if one is None:
-                assert b_idx[k] == -1 and np.isnan(b_pts[k]).all()
-                continue
-            (i1, t1), p1 = one
-            assert (i1, t1) == (b_idx[k], b_t[k])
-            assert np.array_equal(p1, b_pts[k])
-            # to the resolution of the point's coordinates
-            assert np.linalg.norm(p1 - anchors[k]) == pytest.approx(
-                chords[k], abs=1e-12 * (1.0 + np.abs(p1).max()))
+def _segment_distance(m, a, b):
+    """Distance from the point m to the segment [a, b]."""
+    d = b - a
+    t = min(1.0, max(0.0, float((m - a) @ d) / float(d @ d)))
+    return float(np.linalg.norm(m - a - t * d))
+
+
+def _polygon_rotundity(verts, k, s, eps):
+    """rotundity_modulus at x = verts[k] + s (verts[k+1] - verts[k]) of the
+    counterclockwise polygon verts, exactly: walk the vertex chain from x
+    both ways to the first point y at distance eps (on each edge p -> q
+    that starts inside the circle, the positive root t of
+    |p + t (q - p) - x| = eps, by the stable quadratic formula), and take
+    the least boundary distance of the two chord midpoints."""
+    n = len(verts)
+    x = verts[k] + s * (verts[(k + 1) % n] - verts[k])
+    mids = []
+    for step in (1, -1):
+        p, j = x, (k + 1) % n if step == 1 else (k if s > 0 else (k - 1) % n)
+        while True:
+            q = verts[j]
+            d, rel = q - p, p - x
+            a, b, c = float(d @ d), float(rel @ d), float(rel @ rel) - eps * eps
+            root = math.sqrt(b * b - a * c)
+            t = -c / (b + root) if b >= 0 else (root - b) / a
+            if t <= 1.0:
+                mids.append(0.5 * (x + p + t * d))
+                break
+            p, j = q, (j + step) % n
+    dist = [min(_segment_distance(m, verts[i], verts[(i + 1) % n]) for i in range(n))
+            for m in mids]
+    return x, min(dist)
+
+
+def test_rotundity_matches_polygon_oracle():
+    """At the vertices and interior edge points of a regular hexagon, a
+    pentagon, a 2:1 24-gon and a thin 500:1 one, the modulus equals the
+    exact vertex-chain walk for eps up to 1.95 times the clearance."""
+    t6, t24 = 2 * math.pi * np.arange(6) / 6 + 0.2, 2 * math.pi * np.arange(24) / 24
+    polygons = [np.column_stack([np.cos(t6), np.sin(t6)]),
+                np.array([(0.0, 0.0), (2.0, -0.5), (3.0, 1.0), (1.5, 2.5), (-0.5, 1.5)]),
+                np.column_stack([2.0 * np.cos(t24), np.sin(t24)]),
+                np.column_stack([500.0 * np.cos(t24 + 0.01), np.sin(t24 + 0.01)])]
+    for verts in polygons:
+        body = Body2.from_polychain(verts)
+        for k in range(0, len(verts), max(1, len(verts) // 6)):
+            for s in (0.0, 0.3, 0.5):
+                for eps in np.linspace(0.05, 1.95, 7) * body.clearance:
+                    x, want = _polygon_rotundity(verts, k, s, float(eps))
+                    assert rotundity_modulus(body, x, float(eps)) == pytest.approx(want, abs=1e-12)
+
+
+def test_rotundity_off_boundary_raises(disk, square):
+    for body, x in ((disk, (0.5, 0.0)), (disk, (1.5, 0.0)), (square, (0.0, 0.3))):
+        with pytest.raises(GeometryError):
+            rotundity_modulus(body, x, 0.5)
 
 
 # -- cut table ----------------------------------------------------------------
@@ -1213,17 +1234,34 @@ def _random_halfplane_lists(rng, count):
     return out
 
 
+def _long_halfplane_lists(rng):
+    """Lists of 256, 512 and 1,024 rows: tangents of a circle at equal
+    slack, tangents with 30% pushed out, and random rows."""
+    out = []
+    for m in (256, 512, 1024):
+        th = rng.uniform(0.0, 2.0 * math.pi, m)
+        tangents = np.column_stack([np.cos(th), np.sin(th)])
+        pushed = 1.0 + (rng.uniform(size=m) < 0.3) * rng.uniform(0.0, 0.5, m)
+        for n, s in ((tangents, np.ones(m)), (tangents, pushed),
+                     (rng.normal(size=(m, 2)), rng.uniform(0.1, 3.0, m))):
+            w = rng.normal(size=2)
+            hps = [geo.HalfPlane.from_any(a, 0.0) for a in n]
+            out.append(([geo.HalfPlane(h.normal, float(h.normal @ w) + si)
+                         for h, si in zip(hps, s)], w))
+    return out
+
+
 def _same_rows(got, want):
     return [id(h) for h in got] == [id(h) for h in want]
 
 
 def test_prune_matches_qhull_on_random_lists():
     """The kept half-planes are Qhull's, object for object and in order,
-    on 600 random lists (every tenth up to 100 rows, beyond
-    _PRUNE_MAX_ROWS = 64 where Qhull itself runs)."""
+    on 600 random lists (every tenth up to 100 rows) and on lists of 256,
+    512 and 1,024 rows: every list takes the interval test."""
     lists = _random_halfplane_lists(np.random.default_rng(5), 600)
-    assert sum(len(h) > geo._PRUNE_MAX_ROWS for h, _ in lists) > 5
-    for hps, w in lists:
+    assert sum(len(h) > 64 for h, _ in lists) > 5
+    for hps, w in lists + _long_halfplane_lists(np.random.default_rng(7)):
         assert _same_rows(geo.prune_halfplanes(hps, w), _prune_by_qhull(hps, w))
 
 
