@@ -41,7 +41,7 @@ from .geometry import (
     relative_boundary,
     supporting_normals,
 )
-from .levelset import LevelFamily
+from .levelset import LevelFamily, first_row_level, row_table
 
 #: boundary sampling resolution of the sampled fallback
 EXT_RESOLUTION = 512
@@ -220,8 +220,10 @@ class ExtensionOperator:
     """Per-level extension of a nested family.
 
     The first extended(k) builds every level in one extend_bodies call.
-    The searches (covering_index_many, first_level) bisect one padded
-    (K, m, 3) table of the levels' half-planes.
+    The searches (covering_index_many, first_level) run one
+    first_row_level lower bound over the padded (K, m, 3) table of the
+    levels' half-planes, which assumes nested levels (the family's
+    validate_nesting), so that the extended bodies grow with k.
     """
 
     family: LevelFamily
@@ -235,56 +237,36 @@ class ExtensionOperator:
 
     def level_table(self) -> np.ndarray:
         """(K, m, 3) rows (nx, ny, offset) of every level's half-planes,
-        padded with rows no point violates; an empty level holds one row
-        every point violates.  Each level is one slice assignment: of the
-        rows extend_bodies kept for an exact level, of its half-planes'
-        CutTable otherwise."""
+        a row_table: padded with rows no point violates; an empty level
+        holds one row every point violates.  Each level is the rows
+        extend_bodies kept for an exact level, its half-planes' CutTable
+        otherwise."""
         if self._table is None:
-            exts = [self.extended(k) for k in range(len(self.family))]
-            table = np.zeros((len(exts), max([1] + [len(e.halfplanes) for e in exts]), 3))
-            table[..., 2] = np.inf
-            for k, e in enumerate(exts):
+            rows = []
+            for e in map(self.extended, range(len(self.family))):
                 if e.special == "empty":
-                    table[k, 0, 2] = -np.inf
-                if e.rows is not None:
-                    table[k, :len(e.rows)] = e.rows
-                elif e.halfplanes:
+                    rows.append(None)
+                elif e.rows is not None:
+                    rows.append(e.rows)
+                else:
                     cut = e._cut_table
-                    table[k, :len(cut.offsets)] = np.column_stack([cut.normals, cut.offsets])
-            self._table = table
+                    rows.append(np.column_stack([cut.normals, cut.offsets]))
+            self._table = row_table(rows)
         return self._table
 
     def first_level(self, pts: np.ndarray, inside) -> np.ndarray:
         """Per point, the smallest k with inside(margin in e(B_k)) true, or
-        len(family) where no level passes.
-
-        One per-point bisection over level_table(); valid because the
-        extended bodies grow with k, so inside is monotone in k.
-        """
-        pts = as_points(pts)
-        cols = self.level_table().transpose(1, 2, 0).copy()  # (m, 3, K)
-        x, y = pts[:, 0].copy(), pts[:, 1].copy()
-        lo = np.zeros(len(pts), dtype=int)
-        hi = np.full(len(pts), cols.shape[2])
-        act = np.arange(len(pts))
-        while act.size:
-            mid = (lo[act] + hi[act]) // 2
-            xa, ya = x[act], y[act]
-            margin = np.full(act.size, -np.inf)
-            for nx, ny, off in cols:
-                margin = np.maximum(margin, nx.take(mid) * xa + ny.take(mid) * ya - off.take(mid))
-            ok = inside(margin)
-            hi[act] = np.where(ok, mid, hi[act])
-            lo[act] = np.where(ok, lo[act], mid + 1)
-            act = act[lo[act] < hi[act]]
-        return lo
+        len(family) where no level passes: first_row_level over
+        level_table(), right where the extended bodies grow with k (nested
+        levels)."""
+        return first_row_level(self.level_table(), pts, inside)
 
     def covering_index_many(self, pts: np.ndarray) -> np.ndarray:
         """Smallest k with the point in e(B_k) (margin <= CONTAIN_TOL).
 
-        Every level is built up front, then first_level bisects each
-        point's index over the level table.  CoveringError names the first
-        point that no level contains.
+        Every level is built up front, then first_level searches each
+        point's index in the level table (nested levels assumed).
+        CoveringError names the first point that no level contains.
         """
         pts = as_points(pts)
         idx = self.first_level(pts, lambda m: m <= CONTAIN_TOL)
@@ -317,10 +299,12 @@ class ExtensionResult:
     regularity: str
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        """Family value on the ambient; off it, the smallest level whose
-        extended body holds the point with margin < -INT_MARGIN (the top
-        level where none does), from the operator's first_level bisection.
-        The first off-body point builds every level up front."""
+        """Family value on the ambient (LevelFamily.eval_many); off it, the
+        smallest level whose extended body holds the point with margin
+        < -INT_MARGIN (the top level where none does), from the operator's
+        first_level search.  Both searches assume nested levels
+        (validate_nesting).  The first off-body point builds every level
+        up front."""
         pts = as_points(pts)
         out = np.empty(pts.shape[0])
         amb = self.family.ambient

@@ -25,8 +25,9 @@ The root finders (`bisect_leq`, `newton_leq`, `golden_min`,
 array shaped like `t` (`along` builds one from a point path).  Each solves
 an array of brackets in one loop with the same step rule as for a single
 bracket.  Slope points are closed form on the parabola and start from
-closed-form guesses on the cosh, exp and ball profiles
-(`Profile.slope_guess`), which leave a bisection a few floats wide.
+guesses (`Profile.slope_guess`) that leave a bisection a few floats wide:
+closed form on the cosh, exp and ball profiles, a `newton_leq` solve on
+g' with g'' on a polynomial profile.
 """
 
 from __future__ import annotations
@@ -324,13 +325,6 @@ class HalfPlane:
         """Signed margin; <= 0 inside, equals the distance outside."""
         return as_points(pts) @ self.normal - self.offset
 
-    def contains(self, p, tol: float = TOL) -> bool:
-        return bool(self.value(p)[0] <= tol)
-
-    def direction(self) -> np.ndarray:
-        """Boundary direction with the half-plane on its left."""
-        return perp(self.normal)
-
 
 #: values per CutTable.margin temporary: calls up to this many point-cut
 #: values are one (m, N) expression, larger ones run per cut over blocks of
@@ -544,8 +538,9 @@ class Profile:
     def dg(self, u):
         raise NotImplementedError
 
-    def slope_guess(self, s):
-        """A closed-form u with g'(u) = s, or None without one."""
+    def slope_guess(self, s, lo, hi):
+        """A u near where g'(u) = s in [lo, hi] (arrays broadcasting with
+        s), or None without one."""
         return None
 
     def slope_point(self, s, lo, hi):
@@ -568,7 +563,7 @@ class Profile:
         def f(u):
             return self.dg(u) - s
 
-        guess = self.slope_guess(s)
+        guess = self.slope_guess(s, good, bad)
         if guess is not None:
             inner = np.nextafter(good, bad), np.nextafter(bad, good)
             guess = np.clip(guess, *inner)
@@ -676,10 +671,10 @@ class ExpProfile(Profile):
     def dg(self, u):
         return -np.exp(-np.clip(np.asarray(u, dtype=float), -700, 700))
 
-    def slope_guess(self, s):
-        """-log(-s); past the +-700 clip g' is constant, so a guess beyond
-        it is the infinity on its side (+inf also for s >= 0, which g' never
-        reaches)."""
+    def slope_guess(self, s, lo, hi):
+        """-log(-s), closed form; past the +-700 clip g' is constant, so a
+        guess beyond it is the infinity on its side (+inf also for s >= 0,
+        which g' never reaches)."""
         with np.errstate(divide="ignore", invalid="ignore"):
             return _past_clip(-np.log(np.maximum(-s, 0.0)))
 
@@ -697,8 +692,9 @@ class CoshProfile(Profile):
     def dg(self, u):
         return np.sinh(np.clip(np.asarray(u, dtype=float), -700, 700))
 
-    def slope_guess(self, s):
-        """asinh(s), an infinity past the +-700 clip (as on ExpProfile)."""
+    def slope_guess(self, s, lo, hi):
+        """asinh(s), closed form; an infinity past the +-700 clip (as on
+        ExpProfile)."""
         return _past_clip(np.arcsinh(s))
 
 
@@ -711,6 +707,7 @@ class PolyProfile(Profile):
         self.params = {"coeffs": self.coeffs}
         self._p = np.polynomial.polynomial.Polynomial(self.coeffs)
         self._dp = self._p.deriv()
+        self._ddp = self._dp.deriv()
         deg = self._p.degree()
         if deg >= 2:
             self.slope_pos = math.inf
@@ -730,6 +727,19 @@ class PolyProfile(Profile):
 
     def dg(self, u):
         return self._dp(np.asarray(u, dtype=float))
+
+    def slope_guess(self, s, lo, hi):
+        """newton_leq on g' - s with g'' from hi toward lo, evaluating the
+        polynomials g' and g'' themselves (not dg); hi where g'(hi) <= s
+        and lo where g'(lo) > s, without a solve."""
+        s, lo, hi = np.broadcast_arrays(s, lo, hi)
+        d_lo, d_hi = self._dp(np.stack([lo, hi]))
+        out = np.where(d_hi <= s, hi, lo)
+        inner = (d_lo <= s) & (d_hi > s)
+        if inner.any():
+            out[inner] = newton_leq(lambda u: self._dp(u) - s[inner], self._ddp,
+                                    hi[inner], lo[inner])
+        return out
 
 
 class BallProfile(Profile):
@@ -755,9 +765,9 @@ class BallProfile(Profile):
         s = np.sqrt(np.maximum(self.r ** 2 - u ** 2, 1e-300))
         return u / s
 
-    def slope_guess(self, s):
-        """r s / sqrt(1 + s^2), with hypot so large |s| cannot overflow
-        (NaN for infinite s, which the bisection then takes alone)."""
+    def slope_guess(self, s, lo, hi):
+        """r s / sqrt(1 + s^2), closed form, with hypot so large |s| cannot
+        overflow (NaN for infinite s, which the bisection then takes alone)."""
         with np.errstate(invalid="ignore"):
             return self.r * (s / np.hypot(1.0, s))
 

@@ -11,11 +11,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .geometry import (
+    TOL,
     Body2,
     CutTable,
     Frame,
@@ -89,7 +91,7 @@ class LevelFamily:
         (_nests_sampled).  A None level (the empty set) nests in any level.
         """
         C = self.ambient
-        extra = [_cuts_from(B, C) for B in self.bodies]
+        extra = self._extra_cuts
         bad, pair, normals, offsets, centers, halves = [], [], [], [], [], []
         for k, (inner, outer) in enumerate(zip(self.bodies, self.bodies[1:])):
             if inner is None:
@@ -121,20 +123,104 @@ class LevelFamily:
             raise LevelSetError(f"body {k} is not contained in body {k + 1}")
         return True
 
+    @cached_property
+    def _extra_cuts(self) -> list:
+        """Per level, _cuts_from(B_k, ambient)."""
+        return [_cuts_from(B, self.ambient) for B in self.bodies]
+
+    @cached_property
+    def _cut_rows(self) -> Optional[np.ndarray]:
+        """A row_table of the levels' extra cuts, or None where some level
+        is neither None nor cut from the ambient."""
+        extra = self._extra_cuts
+        if any(B is not None and e is None for B, e in zip(self.bodies, extra)):
+            return None
+        return row_table([None if e is None else [(*h.normal, h.offset) for h in e]
+                          for e in extra])
+
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
+        """Per point, the smallest level alpha_k with the point in B_k
+        (contains_many at its default TOL), the sentinel where no level
+        holds it.
+
+        The search assumes nested levels (validate_nesting), so that
+        membership grows with k.  Where every level is None or cut from the
+        ambient C (_cuts_from), one C.contains_many call keeps the points
+        of C, and one first_row_level search with margin <= TOL finds each
+        one's level in a row_table of the levels' extra cuts, built once
+        per family: a None level is a row every point violates, a level
+        equal to C all padding.  Points off C take the sentinel.  Other
+        families scan the levels in order, one contains_many each.
+        """
         pts = as_points(pts)
         out = np.full(pts.shape[0], self.sentinel)
+        if self._cut_rows is not None:
+            on = self.ambient.contains_many(pts)
+            k = first_row_level(self._cut_rows, pts[on], lambda m: m <= TOL)
+            out[on] = np.append(self.levels, self.sentinel)[k]
+            return out
         unset = np.ones(pts.shape[0], dtype=bool)
         for alpha, body in zip(self.levels, self.bodies):
             if not unset.any():
                 break
-            hit = unset & body.contains_many(pts)
-            out[hit] = alpha
-            unset &= ~hit
+            if body is not None:
+                hit = unset & body.contains_many(pts)
+                out[hit] = alpha
+                unset &= ~hit
         return out
 
     def max_gap(self) -> float:
         return float(np.max(np.diff(self.levels))) if len(self.levels) > 1 else 0.0
+
+
+def row_table(rows: Sequence) -> np.ndarray:
+    """(K, m, 3) table of per-level rows (nx, ny, c), as first_row_level
+    reads it: level k's (m_k, 3) rows padded with rows (0, 0, inf), which
+    no point violates, or for None one row (0, 0, -inf), which every point
+    violates.  The table is a view whose (m, 3, K) transpose is
+    C-contiguous, so first_row_level takes from it without a copy."""
+    cols = np.zeros((max([1] + [len(r) for r in rows if r is not None]), 3, len(rows)))
+    cols[:, 2] = np.inf
+    for k, r in enumerate(rows):
+        if r is None:
+            cols[0, 2, k] = -np.inf
+        elif len(r):
+            cols[:len(r), :, k] = r
+    return cols.transpose(2, 0, 1)
+
+
+def first_row_level(table: np.ndarray, pts, inside) -> np.ndarray:
+    """Per point, the smallest k with inside(margin) true, where margin is
+    the largest x nx + y ny - c over the rows (nx, ny, c) of table[k], a
+    (K, m, 3) array; K where no level passes.
+
+    A branchless lower bound (Khuong and Morin, "Array layouts for
+    comparison-based searching", JEA 2017): the answer lies in
+    base .. base + n - 1, and every point takes the same ceil(log2(K + 1))
+    steps, each probing level base + n // 2 - 1.  The answer is the
+    smallest passing level where inside is monotone in k (false, then
+    true), as on nested levels.  Each row's margin is x nx, plus y ny,
+    minus c, as in CutTable, so it equals the cut table's bit for bit.  A
+    table from row_table is read without a copy.
+    """
+    pts = as_points(pts)
+    cols = np.ascontiguousarray(np.asarray(table, dtype=float).transpose(1, 2, 0))
+    x, y = pts[:, 0].copy(), pts[:, 1].copy()
+    margin, t, u = np.empty((3, len(pts)))
+    base = np.zeros(len(pts), dtype=np.intp)
+    n = cols.shape[2] + 1
+    while n > 1:
+        half = n // 2
+        probe = base + (half - 1)
+        margin.fill(-np.inf)
+        for nx, ny, c in cols:
+            np.multiply(nx.take(probe), x, out=t)
+            t += np.multiply(ny.take(probe), y, out=u)
+            t -= c.take(probe)
+            np.maximum(margin, t, out=margin)
+        base += half * ~inside(margin)
+        n -= half
+    return base
 
 
 def _cuts_from(B: Optional[Body2], C: Body2):
@@ -154,7 +240,8 @@ def _nests_sampled(inner: Body2, outer: Body2, n: int, tol: float) -> bool:
 
 
 def eval_levels(fam: LevelFamily, x) -> float:
-    """Smallest listed level whose body contains x; sentinel if none."""
+    """Smallest listed level whose body contains x (LevelFamily.eval_many,
+    which assumes nested levels); sentinel if none."""
     x = as_point(x)
     if not fam.ambient.contains_many(x[None, :])[0]:
         raise LevelSetError("point lies outside the ambient body")
@@ -204,22 +291,32 @@ def sample_domain(domain, n: int, rng, window=None) -> np.ndarray:
     """Uniform samples of a body (rejection in a window) or of a box.
 
     domain: Body2, or (xmin, xmax, ymin, ymax) box. The default body window
-    is the witness ball center +- SAMPLE_RADIUS_MULT * clearance.
+    is the witness ball center +- SAMPLE_RADIUS_MULT * clearance.  A body
+    draws rounds of m uniform candidates, m = max(4 n, 64) doubling each
+    round up to 2,000,000, for at most 60 rounds, and returns the first n
+    candidates it contains.  Every round's draws are made in full, so the
+    output and the rng state after the call are those of testing every
+    candidate; only the prefix returned is tested, in slices sized from
+    the acceptance rate seen so far.
     """
     if isinstance(domain, Body2):
         if window is None:
             c, r = domain.witness, SAMPLE_RADIUS_MULT * domain.clearance
             window = (c[0] - r, c[0] + r, c[1] - r, c[1] + r)
-        out = []
-        got = 0
+        out = [np.empty((0, 2))]
+        got = tested = 0
         m = max(4 * n, 64)
         for _ in range(60):
             cand = np.column_stack([rng.uniform(window[0], window[1], m),
                                     rng.uniform(window[2], window[3], m)])
-            keep = cand[domain.contains_many(cand)]
-            if len(keep):
-                out.append(keep)
-                got += len(keep)
+            start = 0
+            while start < m and got < n:
+                stop = min(m, start + 16 + int(1.25 * (n - got) * (tested + 1) / (got + 1)))
+                part = cand[start:stop]
+                out.append(part[domain.contains_many(part)])
+                got += len(out[-1])
+                tested += stop - start
+                start = stop
             if got >= n:
                 break
             m = min(2 * m, 2_000_000)  # thin bodies need bigger batches

@@ -42,12 +42,6 @@ class _Canvas:
         self.parts.append(
             f'<circle cx="{m[0]:.2f}" cy="{m[1]:.2f}" r="{r}" fill="{color}"/>')
 
-    def label(self, p, text, color="#333"):
-        m = self._map(p)[0]
-        self.parts.append(
-            f'<text x="{m[0]:.1f}" y="{m[1]:.1f}" font-size="12" '
-            f'fill="{color}">{text}</text>')
-
     def render(self) -> str:
         header = (f'<svg xmlns="http://www.w3.org/2000/svg" '
                   f'width="{_SVG_SIZE}" height="{_SVG_SIZE}" '

@@ -552,20 +552,27 @@ def test_slope_points_match_bisection(name):
         got = prof.slope_point(s, lo, hi)
     assert np.array_equal(got, _bisect_slope_point(prof, s, lo, hi))
     assert (got == lo).sum() > n // 10 and (got == hi).sum() > n // 10
-    if prof.slope_guess(np.zeros(1)) is None:
-        return
     # finite targets: one g' call about the guess, then a bisection that
-    # starts at most 8 floats wide stops within 4 more
-    calls = []
+    # starts at most 8 floats wide stops within 4 more.  The polynomial's
+    # guess is a newton_leq solve on its own g' and g'' polynomials, counted
+    # apart: the whole-bracket bisection took 68 g' calls here
+    calls, guess_calls = [], []
     dg = prof.dg
     prof.dg = lambda u: calls.append(1) or dg(u)
+    if name == "custom_poly":
+        dp, ddp = prof._dp, prof._ddp
+        prof._dp = lambda u: guess_calls.append(1) or dp(u)
+        prof._ddp = lambda u: guess_calls.append(1) or ddp(u)
     try:
         keep = np.isfinite(s)
         with np.errstate(over="ignore"):
             prof.slope_point(s[keep], lo[keep], hi[keep])
     finally:
         del prof.dg
+        if name == "custom_poly":
+            prof._dp, prof._ddp = dp, ddp
     assert len(calls) <= 5
+    assert len(guess_calls) - len(calls) <= 16
 
 
 def _chord_lines(prof, rng, kind, n=200):

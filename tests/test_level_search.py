@@ -1,0 +1,209 @@
+"""The smallest-level search (levelset.first_row_level) and the rejection
+sampler against the per-level scan, the lo/hi bisection and the eager
+sampling loop they replace."""
+
+import numpy as np
+import pytest
+
+from qcext.extension import CONTAIN_TOL, INT_MARGIN, ExtensionOperator
+from qcext.geometry import Body2
+from qcext.levelset import LevelFamily, LevelSetError, first_row_level, row_table, sample_domain
+
+RULES = {"contain": lambda m: m <= CONTAIN_TOL, "interior": lambda m: m < -INT_MARGIN}
+
+
+# -- oracles ----------------------------------------------------------------------
+
+def scan_levels(fam, pts):
+    """Per point, the smallest level alpha_k whose body contains it, one
+    contains_many per level in order (a None level holds no point)."""
+    out = np.full(len(pts), fam.sentinel)
+    unset = np.ones(len(pts), dtype=bool)
+    for alpha, body in zip(fam.levels, fam.bodies):
+        if body is not None:
+            hit = unset & body.contains_many(pts)
+            out[hit] = alpha
+            unset &= ~hit
+    return out
+
+
+def bisect_levels(table, pts, inside):
+    """Per point, the smallest k with inside(margin of table[k]) true, by
+    a per-point lo/hi bisection over the points still open."""
+    cols = np.asarray(table).transpose(1, 2, 0).copy()  # (m, 3, K)
+    x, y = pts[:, 0].copy(), pts[:, 1].copy()
+    lo = np.zeros(len(pts), dtype=int)
+    hi = np.full(len(pts), cols.shape[2])
+    act = np.arange(len(pts))
+    while act.size:
+        mid = (lo[act] + hi[act]) // 2
+        xa, ya = x[act], y[act]
+        margin = np.full(act.size, -np.inf)
+        for nx, ny, off in cols:
+            margin = np.maximum(margin, nx.take(mid) * xa + ny.take(mid) * ya - off.take(mid))
+        ok = inside(margin)
+        hi[act] = np.where(ok, mid, hi[act])
+        lo[act] = np.where(ok, lo[act], mid + 1)
+        act = act[lo[act] < hi[act]]
+    return lo
+
+
+def sample_eager(domain, n, rng, window):
+    """Rejection sampling that tests every candidate of every round."""
+    out, got, m = [], 0, max(4 * n, 64)
+    for _ in range(60):
+        cand = np.column_stack([rng.uniform(window[0], window[1], m),
+                                rng.uniform(window[2], window[3], m)])
+        keep = cand[domain.contains_many(cand)]
+        if len(keep):
+            out.append(keep)
+            got += len(keep)
+        if got >= n:
+            break
+        m = min(2 * m, 2_000_000)
+    if got < n:
+        raise LevelSetError("rejection sampling failed; window misses the body")
+    return np.vstack(out)[:n]
+
+
+# -- families ---------------------------------------------------------------------
+
+def random_chord_family(name, K, seed):
+    """K nested chords of the parabola or the cosh body along one random
+    upward normal, at increasing random offsets above the body's lowest
+    value along it."""
+    rng = np.random.default_rng(seed)
+    C = Body2.epigraph(name)
+    n = np.array([rng.uniform(-1.0, 1.0), 1.0])
+    n /= np.linalg.norm(n)
+    u = np.linspace(-8.0, 8.0, 16001)
+    low = float(np.min(n[0] * u + n[1] * C.base.profile.g(u)))
+    offsets = low + 0.1 + np.cumsum(rng.uniform(0.1, 1.0, K) * 8.0 / K)
+    return LevelFamily(np.sort(rng.uniform(0.0, 10.0, K)) + np.arange(K),
+                       [C.clip([(n, float(c))]) for c in offsets], C)
+
+
+def shelves():
+    C = Body2.ball((0.0, 0.0), 1.0)
+    return LevelFamily(np.arange(5.0), [
+        C.clip([((0.0, 1.0), -0.6 + 0.35 * k), ((1.0, 0.0), 0.2 + 0.15 * k)]) for k in range(5)], C)
+
+
+def none_and_ambient():
+    C = Body2.epigraph("parabola")
+    return LevelFamily(np.arange(4.0), [None, C.clip([((0.0, 1.0), 1.0)]),
+                                        C.clip([((0.0, 1.0), 4.0)]), C], C)
+
+
+def squares(r):
+    return Body2.from_polychain([(-r, -r), (r, -r), (r, r), (-r, r)])
+
+
+def polygons():
+    """Nested squares built from vertices, not by clipping the ambient."""
+    return LevelFamily(np.array([0.5, 1.5, 2.5]), [squares(1.0), squares(2.0), squares(3.0)],
+                       squares(4.0))
+
+
+FAMILIES = {
+    **{f"{name}-{K}": (lambda name=name, K=K: random_chord_family(name, K, K))
+       for name in ("parabola", "cosh") for K in (1, 2, 100, 10_000)},
+    "shelves": shelves,
+    "none-and-ambient": none_and_ambient,
+    "polygons": polygons,
+}
+
+
+def query_points(fam, rng, n=4000):
+    """Boundary samples of up to eight levels spread over the family, and
+    uniform points in their bounding box padded by one."""
+    pick = np.unique(np.linspace(0, len(fam) - 1, 8).astype(int))
+    near = np.vstack([fam.bodies[k].boundary_samples(48) for k in pick
+                      if fam.bodies[k] not in (None, fam.ambient)])
+    lo, hi = near.min(axis=0) - 1.0, near.max(axis=0) + 1.0
+    return np.vstack([near, lo + (hi - lo) * rng.random((n, 2))])
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_search_matches_scan_and_bisection(name, monkeypatch):
+    """On-body values equal the per-level scan's with one ambient
+    containment test, and both inside rules of the operator's search give
+    the bisection's indices."""
+    fam = FAMILIES[name]()
+    pts = query_points(fam, np.random.default_rng(3), 4000 if len(fam) <= 100 else 1000)
+    want = scan_levels(fam, pts)
+    fam.eval_many(pts[:1])  # builds the family's table
+    calls = []
+    contains = Body2.contains_many
+    monkeypatch.setattr(Body2, "contains_many",
+                        lambda self, p, tol=1e-9: calls.append(self) or contains(self, p, tol))
+    got = fam.eval_many(pts)
+    monkeypatch.undo()
+    assert calls == [fam.ambient]
+    assert np.array_equal(got, want)
+    assert len(np.unique(want)) >= min(len(fam), 5)
+    table = ExtensionOperator(fam).level_table()
+    for rule in RULES.values():
+        idx = first_row_level(table, pts, rule)
+        assert np.array_equal(idx, bisect_levels(table, pts, rule))
+        assert len(np.unique(idx)) >= min(len(fam), 3)
+
+
+def test_ball_level_takes_the_scan(monkeypatch):
+    """A level that is not cut from the ambient (a disk inside the
+    parabola) keeps the per-level scan."""
+    C = Body2.epigraph("parabola")
+    fam = LevelFamily(np.arange(3.0), [Body2.ball((0.0, 1.0), 0.5), C.clip([((0.0, 1.0), 2.0)]),
+                                       C.clip([((0.0, 1.0), 3.0)])], C)
+    pts = np.random.default_rng(4).uniform(-3.0, 3.0, (2000, 2))
+    calls = []
+    contains = Body2.contains_many
+    monkeypatch.setattr(Body2, "contains_many",
+                        lambda self, p, tol=1e-9: calls.append(self) or contains(self, p, tol))
+    got = fam.eval_many(pts)
+    monkeypatch.undo()
+    assert calls == fam.bodies
+    assert np.array_equal(got, scan_levels(fam, pts))
+
+
+def test_row_table_rows():
+    """A None level is one row every point violates, an empty level all
+    padding, and the kernel reads the table without a copy."""
+    table = row_table([None, np.zeros((0, 3)), [(0.0, 1.0, 2.0), (1.0, 0.0, 5.0)]])
+    assert table.shape == (3, 2, 3)
+    assert np.array_equal(table[0, :, 2], [-np.inf, np.inf])
+    assert np.array_equal(table[1, :, 2], [np.inf, np.inf])
+    assert table.transpose(1, 2, 0).flags.c_contiguous
+    pts = np.array([[0.0, 0.0], [0.0, 3.0], [9.0, 0.0]])
+    assert first_row_level(table, pts, RULES["contain"]).tolist() == [1, 1, 1]
+    assert first_row_level(table[[0, 2]], pts, RULES["contain"]).tolist() == [1, 2, 2]
+
+
+# -- the sampler ------------------------------------------------------------------
+
+def _domains():
+    cosh = Body2.epigraph("cosh")
+    return {
+        "parabola": (Body2.epigraph("parabola"), (-5.0, 5.0, -2.0, 8.0)),
+        "disk": (Body2.ball((0.0, 0.0), 1.0), None),
+        "thin-triangle": (Body2.from_polychain([(0.0, 0.0), (2.0, 0.0), (300.0, 1.5)]),
+                          (0.0, 300.0, 0.0, 1.5)),
+        "clipped-cosh": (cosh.clip([((0.0, 1.0), 2.0)]), None),
+    }
+
+
+@pytest.mark.parametrize("name", ["parabola", "disk", "thin-triangle", "clipped-cosh"])
+@pytest.mark.parametrize("n", [7, 300, 5000])
+def test_sampler_matches_eager_loop(name, n):
+    """The same samples and the same rng stream as testing every candidate
+    of every round, over three seeds."""
+    body, window = _domains()[name]
+    if window is None:
+        c, r = body.witness, 16.0 * body.clearance
+        window = (c[0] - r, c[0] + r, c[1] - r, c[1] + r)
+    for seed in range(3):
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_domain(body, n, rng_a, window=window)
+        want = sample_eager(body, n, rng_b, window)
+        assert got.shape == (n, 2) and np.array_equal(got, want)
+        assert rng_a.random() == rng_b.random()
