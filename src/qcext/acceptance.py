@@ -47,14 +47,14 @@ def criterion_2():
     halfdisk = disk.clip([((1.0, 0.0), 0.0)], name="halfdisk")
     e_half = ext.extend_body(halfdisk, disk)
     want = [((1.0, 0.0), 0.0), ((0.0, 1.0), 1.0), ((0.0, -1.0), 1.0)]
-    detail["halfdisk_error"] = _halfplane_set_distance(e_half.halfplanes, want)
+    detail["halfdisk_error"] = _halfplane_set_distance(e_half.rows, want)
     ok = (not failures and detail["instances"] >= 500
           and detail["segment_probes"] > 100 and detail["halfdisk_error"] <= 1e-6)
     return ok, detail
 
 
-def _halfplane_set_distance(halfplanes, want) -> float:
-    got = [(hp.normal[0], hp.normal[1], hp.offset) for hp in halfplanes]
+def _halfplane_set_distance(got, want) -> float:
+    """Largest L1 gap from a wanted (normal, offset) to its nearest row."""
     if len(got) != len(want):
         return math.inf
     err = 0.0

@@ -2,9 +2,10 @@
 
 extend_bodies realizes e(B), the pruned supporting half-planes along the
 relative boundary of B in the ambient C: exactly, in one batch, for bodies
-cut from C by half-planes, else from sampled boundary points.
+cut from C by half-planes, else from sampled boundary points.  Either way
+an ExtendedBody stores e(B) in one form, (m, 3) rows (nx, ny, offset).
 extend_function turns a nested level family on C into a quasiconvex
-function on the whole plane.
+function on the whole plane; its evaluation tests C once per call.
 """
 
 from __future__ import annotations
@@ -70,25 +71,29 @@ class CoveringError(ExtensionError):
 
 @dataclass
 class ExtendedBody:
-    """Cone-hull extension of B relative to the ambient body.
-
+    """Cone-hull extension of B relative to the ambient body, stored once
+    as the (m, 3) rows (nx, ny, offset) of its half-planes, unit normals in
+    angle order (for an exact e(B), a view into extend_bodies' array).
     special is None for the generic half-plane intersection, 'empty' for
     the empty set and 'plane' for the whole plane (B equal to the ambient).
     """
 
     source: Optional[Body2]
     ambient: Optional[Body2]
-    halfplanes: tuple = ()
+    rows: np.ndarray = field(repr=False)
     special: Optional[str] = None
-    #: (m, 3) rows (nx, ny, offset) of the half-planes, a view into the
-    #: arrays extend_bodies kept them in; None elsewhere
-    rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.rows = np.asarray(self.rows, dtype=float).reshape(-1, 3)
+
+    @cached_property
+    def halfplanes(self) -> tuple:
+        """The rows as HalfPlane objects, built on first use."""
+        return tuple(HalfPlane(r[:2], r[2]) for r in self.rows.copy())
 
     @cached_property
     def _cut_table(self) -> CutTable:
-        if self.rows is None:
-            return CutTable(self.halfplanes)
-        return CutTable(normals=self.rows[:, :2], offsets=self.rows[:, 2])
+        return CutTable.from_rows(self.rows)
 
     def margin_many(self, pts: np.ndarray) -> np.ndarray:
         pts = as_points(pts)
@@ -143,7 +148,7 @@ def _extend_sampled(B: Body2, C: Body2, resolution: int = EXT_RESOLUTION) -> Ext
         nrm = np.atleast_2d(pc.normal(ts))
         offs = np.einsum("ij,ij->i", nrm, np.atleast_2d(pc.point(ts)))
         raw.extend(HalfPlane(n, float(o)) for n, o in zip(nrm, offs))
-    return ExtendedBody(B, C, tuple(prune_halfplanes(raw, B.witness)))
+    return ExtendedBody(B, C, [(*h.normal, h.offset) for h in prune_halfplanes(raw, B.witness)])
 
 
 def extend_bodies(bodies, C: Body2, resolution: int = EXT_RESOLUTION) -> list:
@@ -168,16 +173,16 @@ def extend_bodies(bodies, C: Body2, resolution: int = EXT_RESOLUTION) -> list:
                        else _extend_sampled(B, C, resolution))
             continue
         out.append(None)
-        rows[k] = slice(len(lines), len(lines) + len(extra))
-        lines += extra
+        rows[k] = slice(len(centers), len(centers) + len(extra))
+        lines.append(extra)
         centers += [B.witness] * len(extra)
         halves += [B.window_half] * len(extra)
     if not rows:
         return out
-    table = CutTable(lines)
+    table = CutTable.from_rows(np.concatenate(lines))
     ends, on_c, meets, _ = chord_ends(C, table, centers, halves)
-    lo, hi = np.zeros(len(lines)), np.ones(len(lines))
-    owner = np.empty(len(lines), dtype=np.intp)
+    lo, hi = np.zeros(len(centers)), np.ones(len(centers))
+    owner = np.empty(len(centers), dtype=np.intp)
     for k, r in rows.items():
         owner[r] = k
         if r.stop - r.start > 1:
@@ -196,13 +201,11 @@ def extend_bodies(bodies, C: Body2, resolution: int = EXT_RESOLUTION) -> list:
     witnesses = np.zeros((len(bodies), 2))
     witnesses[list(rows)] = [bodies[k].witness for k in rows]
     kept = irredundant(normals, offsets, witnesses, level)
-    hps = [lines[part[i]] if i < len(part) else HalfPlane(normals[i], offsets[i]) for i in kept]
     bounds = np.searchsorted(level[kept], np.arange(len(bodies) + 1))
     raw = np.bincount(level, minlength=len(bodies))
     kept_rows = np.column_stack([normals[kept], offsets[kept]])
     for k in rows:
-        mine = slice(bounds[k], bounds[k + 1])
-        out[k] = (ExtendedBody(bodies[k], C, tuple(hps[mine]), rows=kept_rows[mine]) if raw[k]
+        out[k] = (ExtendedBody(bodies[k], C, kept_rows[bounds[k]:bounds[k + 1]]) if raw[k]
                   else ExtendedBody(bodies[k], C, (), special="plane"))
     return out
 
@@ -222,44 +225,31 @@ class ExtensionOperator:
     The first extended(k) builds every level in one extend_bodies call.
     The searches (covering_index_many, first_level) run one
     first_row_level lower bound over the padded (K, m, 3) table of the
-    levels' half-planes, which assumes nested levels (the family's
+    levels' rows, which assumes nested levels (the family's
     validate_nesting), so that the extended bodies grow with k.
     """
 
     family: LevelFamily
     _cache: dict = field(default_factory=dict)
-    _table: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def extended(self, k: int) -> ExtendedBody:
         if k not in self._cache:
             self._cache.update(enumerate(extend_bodies(self.family.bodies, self.family.ambient)))
         return self._cache[k]
 
+    @cached_property
     def level_table(self) -> np.ndarray:
-        """(K, m, 3) rows (nx, ny, offset) of every level's half-planes,
-        a row_table: padded with rows no point violates; an empty level
-        holds one row every point violates.  Each level is the rows
-        extend_bodies kept for an exact level, its half-planes' CutTable
-        otherwise."""
-        if self._table is None:
-            rows = []
-            for e in map(self.extended, range(len(self.family))):
-                if e.special == "empty":
-                    rows.append(None)
-                elif e.rows is not None:
-                    rows.append(e.rows)
-                else:
-                    cut = e._cut_table
-                    rows.append(np.column_stack([cut.normals, cut.offsets]))
-            self._table = row_table(rows)
-        return self._table
+        """The row_table of every level's rows, built once: an empty level is
+        one row every point violates."""
+        return row_table([None if e.special == "empty" else e.rows
+                          for e in map(self.extended, range(len(self.family)))])
 
     def first_level(self, pts: np.ndarray, inside) -> np.ndarray:
         """Per point, the smallest k with inside(margin in e(B_k)) true, or
         len(family) where no level passes: first_row_level over
-        level_table(), right where the extended bodies grow with k (nested
+        level_table, right where the extended bodies grow with k (nested
         levels)."""
-        return first_row_level(self.level_table(), pts, inside)
+        return first_row_level(self.level_table, pts, inside)
 
     def covering_index_many(self, pts: np.ndarray) -> np.ndarray:
         """Smallest k with the point in e(B_k) (margin <= CONTAIN_TOL).
@@ -299,18 +289,17 @@ class ExtensionResult:
     regularity: str
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        """Family value on the ambient (LevelFamily.eval_many); off it, the
-        smallest level whose extended body holds the point with margin
-        < -INT_MARGIN (the top level where none does), from the operator's
-        first_level search.  Both searches assume nested levels
-        (validate_nesting).  The first off-body point builds every level
-        up front."""
+        """One ambient contains_many call splits the points.  On the
+        ambient the value is the family's search (LevelFamily.eval_on, so
+        LevelFamily.eval_many's value bit for bit); off it, the smallest
+        level whose extended body holds the point with margin < -INT_MARGIN
+        (the top level where none does), by the operator's first_level.
+        Both assume nested levels; the first off-body point builds them."""
         pts = as_points(pts)
         out = np.empty(pts.shape[0])
-        amb = self.family.ambient
-        inside = amb.contains_many(pts)
+        inside = self.family.ambient.contains_many(pts)
         if inside.any():
-            out[inside] = self.family.eval_many(pts[inside])
+            out[inside] = self.family.eval_on(pts[inside])
         rest = ~inside
         if rest.any():
             k = self.operator.first_level(pts[rest], lambda m: m < -INT_MARGIN)
@@ -361,9 +350,9 @@ def _closed_polygon(B: Body2) -> bool:
 def restriction_hausdorff(ext: ExtendedBody, n: int = 256) -> float:
     """Hausdorff distance between e(B) intersected with the ambient C and B.
 
-    Exact when B and C are bounded polygons inside their window boxes
-    (_closed_polygon), which makes the meet one too: the meet's vertices
-    are one halfplane_chain of C's cuts and e(B)'s half-planes about B's
+    Exact when B and C are bounded polygons (_closed_polygon: a chain
+    without window edges), which makes the meet one too: the meet's vertices
+    are one halfplane_chain of C's cuts and e(B)'s rows about B's
     witness, in a box holding C's window box, and the distance is the
     largest distance from either polygon's vertices to the other polygon
     (for convex polygons the farthest point lies at a vertex; Atallah, IPL
@@ -375,9 +364,10 @@ def restriction_hausdorff(ext: ExtendedBody, n: int = 256) -> float:
         raise ExtensionError("special extensions have no restriction")
     B, C = ext.source, ext.ambient
     if _closed_polygon(B) and _closed_polygon(C):
-        rows = CutTable(C.cuts + tuple(ext.halfplanes))
+        normals = np.concatenate([C.cut_table.normals, ext.rows[:, :2]])
+        offsets = np.concatenate([C.cut_table.offsets, ext.rows[:, 2]])
         half = C.window_half + float(np.abs(C.witness - B.witness).max())
-        meet, _ = halfplane_chain(rows.normals, rows.offsets, B.witness, half)
+        meet, _ = halfplane_chain(normals, offsets, B.witness, half)
         poly = B.chain[0]
         return float(max(polygon_distance(poly, meet).max(), polygon_distance(meet, poly).max()))
     meet = Body2(C.base, C.cuts + tuple(ext.halfplanes), name="e_cap_C")

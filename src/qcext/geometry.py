@@ -7,10 +7,11 @@ half-planes.  All predicates are tolerance-based; evaluation paths accept
 (N, 2) point arrays.
 
 A body's cuts keep one vertex chain (`halfplane_chain`, cached as
-`Body2.chain`): the meets of consecutive irredundant cuts within the
-body's window box.  A half-plane body's boundary pieces, its containment
-test in another body and the polygon Hausdorff distance of the extension
-read it; ball and epigraph bodies clip its cut edges to their base.
+`Body2.chain`): the meets of consecutive irredundant cuts, a bounded
+half-plane body's alone, other bodies' within their window box.  A
+half-plane body's boundary pieces, its containment test in another body
+and the polygon Hausdorff distance of the extension read it; ball and
+epigraph bodies clip its cut edges to their base.
 
 Where a line meets a body is one primitive, `chord_ends`: closed form on
 half-planes, a ball or a parabola, and one `Profile.slope_point` minimum
@@ -348,6 +349,12 @@ class CutTable:
         self.offsets = np.array(offsets, dtype=float).reshape(-1)
         # (m, 1) columns that broadcast against a row of N coordinates
         self._columns = (self.normals[:, :1], self.normals[:, 1:], self.offsets[:, None])
+
+    @staticmethod
+    def from_rows(rows) -> "CutTable":
+        """From (m, 3) rows (nx, ny, offset) with unit normals."""
+        rows = np.asarray(rows, dtype=float).reshape(-1, 3)
+        return CutTable(normals=rows[:, :2], offsets=rows[:, 2])
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         """(m, N) signed margins of every cut at every point of an (N, 2)
@@ -1117,28 +1124,41 @@ class GraphPiece:
         """Distance to the graph stretch, per-point bracketed.
 
         The transform is a lam-isometry of the u-axis, so the nearest
-        parameter lies within 2 d0 / lam of the query's own profile
-        abscissa, where d0 is the distance to the anchor graph point.  A
-        scan of that window brackets each point's nearest parameter, and
-        one golden_min over all the brackets refines them (one graph
-        evaluation per step).
+        parameter lies within 2 d / lam of the query's profile abscissa
+        (clipped to the stretch) for any graph point at distance d: first
+        the anchor graph point there.  A scan of that window brackets the
+        nearest parameter, and is repeated while it finds a point that
+        halves the window (its best sample, or a crossing of the query's
+        profile level v between two samples, as near in u as the farther),
+        so a coarse scan beside a steep arm does not settle on a far arm.
+        One golden_min refines all the last brackets (one graph evaluation
+        per step).
         """
         pts = as_points(pts)
-        uv = self.base.to_profile(pts)
+        base, graph = self.base, self.base.graph_point
+        uv = base.to_profile(pts)
         u_a = np.clip(uv[:, 0], self.u0, self.u1)
-        d0 = np.linalg.norm(pts - self.base.graph_point(u_a), axis=-1)
-        rad = 2.0 * d0 / self.base.scale + 1e-12
-        lo = np.maximum(self.u0, u_a - rad)
-        hi = np.minimum(self.u1, u_a + rad)
+        d0 = np.linalg.norm(pts - graph(u_a), axis=-1)
         frac = np.linspace(0.0, 1.0, samples)
-        cand = lo[:, None] + (hi - lo)[:, None] * frac[None, :]
-        d2 = ((pts[:, None, :] - self.base.graph_point(cand)) ** 2).sum(-1)
-        j = np.argmin(d2, axis=1)
-        rows = np.arange(len(pts))
-        a = cand[rows, np.maximum(j - 1, 0)]
-        b = cand[rows, np.minimum(j + 1, samples - 1)]
-        u_best, d2_best = golden_min(
-            lambda u: ((pts - self.base.graph_point(u)) ** 2).sum(-1), a, b, iters=iters)
+        rad = 2.0 * d0 / base.scale + 1e-12
+        a, b, todo = np.empty(len(pts)), np.empty(len(pts)), np.arange(len(pts))
+        while len(todo):
+            lo = np.maximum(self.u0, u_a[todo] - rad[todo])
+            cand = lo[:, None] + (np.minimum(self.u1, u_a[todo] + rad[todo]) - lo)[:, None] * frac
+            diff = graph(cand) - pts[todo, None, :]
+            d2 = (diff ** 2).sum(-1)
+            j, rows = np.argmin(d2, axis=1), np.arange(len(todo))
+            a[todo] = cand[rows, np.maximum(j - 1, 0)]
+            b[todo] = cand[rows, np.minimum(j + 1, samples - 1)]
+            # g(u) - v has the sign of diff . M (0, 1)
+            cross = np.diff(diff @ base.M[:, 1] > 0, axis=1)
+            reach = np.abs(cand - uv[todo, :1])
+            reach = np.where(cross, np.maximum(reach[:, 1:], reach[:, :-1]), np.inf).min(axis=1)
+            near = 2.0 * np.minimum(np.sqrt(d2[rows, j]) / base.scale, reach) + 1e-12
+            again = near < 0.5 * rad[todo]
+            todo = todo[again]
+            rad[todo] = near[again]
+        u_best, d2_best = golden_min(lambda u: ((pts - graph(u)) ** 2).sum(-1), a, b, iters=iters)
         dist = np.minimum(np.sqrt(d2_best), d0)
         u_best = np.where(dist < d0, u_best, u_a)
         t = (self.u0 + self.u1) - u_best if self.flipped else u_best
@@ -1307,11 +1327,13 @@ _BOX_NORMALS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 _BOX_NORMALS.flags.writeable = False
 
 
-def halfplane_chain(normals: np.ndarray, offsets: np.ndarray, center, half: float):
+def halfplane_chain(normals: np.ndarray, offsets: np.ndarray, center, half=None):
     """Vertex chain of {x : normals @ x <= offsets} within the window box
     |x - center|_inf <= half: the CCW vertices (k, 2) and the (k,) mask of
     the edges that lie on the box, edge i running from vertex i to vertex
-    i + 1 (cyclically).
+    i + 1 (cyclically).  Without half there is no box, and the result is
+    None unless the rows bound a polygon (each kept row turns less than pi
+    from the one before).
 
     center must lie strictly inside every half-plane.  The rows and the
     box's four go through one irredundant call, whose kept rows come in
@@ -1323,17 +1345,22 @@ def halfplane_chain(normals: np.ndarray, offsets: np.ndarray, center, half: floa
     max(1, the largest |coordinate|) is dropped with its start vertex.
     """
     center = as_point(center)
-    n = np.concatenate([np.reshape(normals, (-1, 2)), _BOX_NORMALS])
-    c = np.concatenate([np.reshape(offsets, -1), dots(_BOX_NORMALS, center) + half])
+    n, c = np.reshape(normals, (-1, 2)), np.reshape(offsets, -1)
+    m = len(c)
+    if half is not None:
+        n = np.concatenate([n, _BOX_NORMALS])
+        c = np.concatenate([c, dots(_BOX_NORMALS, center) + half])
     rows = irredundant(n, c, center[None, :], np.zeros(len(c), dtype=np.intp))
     prev = np.roll(rows, 1)
     a, b, ca, cb = n[prev], n[rows], c[prev], c[rows]
     det = cross2(a, b)
+    if half is None and (len(rows) < 3 or (det <= 0).any()):
+        return None
     verts = np.column_stack([(ca * b[:, 1] - cb * a[:, 1]) / det,
                              (a[:, 0] * cb - b[:, 0] * ca) / det])
     length = np.linalg.norm(np.roll(verts, -1, axis=0) - verts, axis=1)
     keep = length > 1e-12 * max(1.0, float(np.abs(verts).max()))
-    return verts[keep], rows[keep] >= len(c) - 4
+    return verts[keep], rows[keep] >= m
 
 
 def polygon_distance(pts, verts: np.ndarray) -> np.ndarray:
@@ -1378,34 +1405,19 @@ def _chain_pieces(pieces: list, interior_point: np.ndarray):
         return pieces, norm(np.asarray(single.start()) - np.asarray(single.end())) < 1e-9
     starts = [np.asarray(pc.start()) for pc in pieces]
     ends = [np.asarray(pc.end()) for pc in pieces]
-    scale = max(1.0, max(norm(p) for p in starts + ends))
-    tol = 1e-6 * scale
+    tol = 1e-6 * max(1.0, max(norm(p) for p in starts + ends))
     n = len(pieces)
-    nxt = [-1] * n
-    has_prev = [False] * n
+    # each piece's successor: the first nearest other start within tol
+    nxt = []
     for i in range(n):
-        best, bd = -1, tol
-        for j in range(n):
-            if i != j:
-                d = norm(ends[i] - starts[j])
-                if d < bd:
-                    best, bd = j, d
-        nxt[i] = best
-        if best >= 0:
-            has_prev[best] = True
-    start_idx = next((i for i in range(n) if not has_prev[i]), 0)
-    order_idx = []
-    seen = set()
-    i = start_idx
-    while i >= 0 and i not in seen:
-        order_idx.append(i)
-        seen.add(i)
+        d = [norm(ends[i] - starts[j]) if j != i else np.inf for j in range(n)]
+        nxt.append(int(np.argmin(d)) if min(d) < tol else -1)
+    i, walk = next((i for i in range(n) if i not in nxt), 0), []
+    while i >= 0 and i not in walk:
+        walk.append(i)
         i = nxt[i]
-    for j in range(n):
-        if j not in seen:
-            order_idx.append(j)
-    order = [pieces[i] for i in order_idx]
-    closed = len(seen) == n and norm(np.asarray(order[-1].end()) - np.asarray(order[0].start())) < tol
+    order = [pieces[i] for i in walk + [j for j in range(n) if j not in walk]]
+    closed = len(walk) == n and norm(np.asarray(order[-1].end()) - np.asarray(order[0].start())) < tol
     return order, bool(closed)
 
 
@@ -1708,7 +1720,7 @@ class Body2:
         an edge starts at the first body edge after one, so an unbounded
         body's pieces run from one window end to the other.  The vertices
         are the meets of consecutive irredundant cuts, exact up to rounding
-        wherever the body's vertices lie inside the window box.  Ball and
+        on a bounded body and wherever they lie inside the box.  Ball and
         epigraph bodies add their arcs or graph pieces to the chain's cut
         edges and order them by matching ends (_chain_pieces).
         """
@@ -1723,13 +1735,15 @@ class Body2:
 
     @cached_property
     def chain(self):
-        """(vertices, window): halfplane_chain of the cuts within the
-        window box, half-size window_half about the witness, built once;
-        empty arrays for a body without cuts."""
+        """(vertices, window): halfplane_chain of the cuts about the witness,
+        built once: a bounded half-plane body's own, without a window edge,
+        else within the window box of half-size window_half; empty arrays
+        for a body without cuts."""
         if not self.cuts:
             return np.zeros((0, 2)), np.zeros(0, dtype=bool)
-        return halfplane_chain(self.cut_table.normals, self.cut_table.offsets,
-                               self.witness, self.window_half)
+        n, c = self.cut_table.normals, self.cut_table.offsets
+        closed = halfplane_chain(n, c, self.witness) if isinstance(self.base, PlaneBase) else None
+        return closed or halfplane_chain(n, c, self.witness, self.window_half)
 
     @cached_property
     def _segment_table(self):
@@ -1944,12 +1958,7 @@ def distance_many(C: Body2, pts) -> np.ndarray:
     out = np.zeros(pts.shape[0])
     outside = ~C.contains_many(pts, 0.0)
     if outside.any():
-        sub = pts[outside]
-        best = np.full(sub.shape[0], np.inf)
-        for pc in C.pieces():
-            d, _ = pc.distance_many(sub)
-            best = np.minimum(best, d)
-        out[outside] = best
+        out[outside] = boundary_distance_many(C, pts[outside])
     return out
 
 
@@ -2452,8 +2461,8 @@ def _check_inside(B: Body2, C: Body2):
     A half-plane body is tested without samples: the vertices of its chain
     lie in C, and its recession cone lies in C's (every extreme direction,
     and a half-plane cone's middle one, by Cone2.contains_dir).  That
-    decides B in C whenever B's vertices lie inside its window box, since
-    B is then its box part plus its recession cone; a body reaching past
+    decides B in C for a bounded B, whose chain is its own, and for an
+    unbounded B whose vertices lie inside its window box; one reaching past
     its box is tested on its box part and its cone.  Other bodies test 96
     boundary samples."""
     if isinstance(B.base, PlaneBase):
@@ -2473,8 +2482,8 @@ def _check_inside(B: Body2, C: Body2):
 
 
 def cuts_beyond(B: Body2, C: Body2):
-    """B's cuts that are not C's (by value) when B is C cut by half-planes,
-    else None.
+    """B's cuts that are not C's (by value), as (m, 3) rows (nx, ny,
+    offset) of B's cut table, when B is C cut by half-planes, else None.
 
     B is when it has C's base and holds C's cuts, both by value (no test
     of points), or when it is a half-plane body inside C: _check_inside
@@ -2487,7 +2496,7 @@ def cuts_beyond(B: Body2, C: Body2):
         if not isinstance(B.base, PlaneBase):
             return None
         _check_inside(B, C)
-    return [h for h, k in zip(B.cuts, mine) if k not in key]
+    return np.column_stack([B.cut_table.normals, B.cut_table.offsets])[[k not in key for k in mine]]
 
 
 def _circle_chord(center, radius: float, p, n, d):

@@ -92,7 +92,7 @@ class LevelFamily:
         """
         C = self.ambient
         extra = self._extra_cuts
-        bad, pair, normals, offsets, centers, halves = [], [], [], [], [], []
+        bad, pair, rows, centers, halves = [], [], [], [], []
         for k, (inner, outer) in enumerate(zip(self.bodies, self.bodies[1:])):
             if inner is None:
                 continue
@@ -102,20 +102,20 @@ class LevelFamily:
                 if not _nests_sampled(inner, outer, n, tol):
                     bad.append(k)
             else:
-                for h in extra[k + 1]:
-                    pair.append(k)
-                    normals.append(h.normal)
-                    offsets.append(h.offset + tol)
-                    centers.append(inner.witness)
-                    halves.append(inner.window_half)
+                cut = extra[k + 1]
+                pair += [k] * len(cut)
+                rows.append(cut)
+                centers += [inner.witness] * len(cut)
+                halves += [inner.window_half] * len(cut)
         if pair:
-            pair, lines = np.array(pair), CutTable(normals=normals, offsets=offsets)
+            pair, rows = np.array(pair), np.concatenate(rows)
+            lines = CutTable(normals=rows[:, :2], offsets=rows[:, 2] + tol)
             ends, _, crosses, _ = chord_ends(C, lines, centers, halves)
             for k in np.unique(pair[crosses]):
-                if extra[k]:
-                    rows = pair == k
-                    lo, hi = chord_parts(ends[rows], CutTable(extra[k]), rtol=0.0)
-                    crosses[rows] &= lo <= hi
+                if len(extra[k]):
+                    mine = pair == k
+                    lo, hi = chord_parts(ends[mine], CutTable.from_rows(extra[k]), rtol=0.0)
+                    crosses[mine] &= lo <= hi
             beyond = dots(np.asarray(centers), lines.normals) > lines.offsets
             bad += pair[crosses | beyond].tolist()
         if bad:
@@ -125,7 +125,7 @@ class LevelFamily:
 
     @cached_property
     def _extra_cuts(self) -> list:
-        """Per level, _cuts_from(B_k, ambient)."""
+        """Per level, _cuts_from(B_k, ambient): (m, 3) rows or None."""
         return [_cuts_from(B, self.ambient) for B in self.bodies]
 
     @cached_property
@@ -135,30 +135,35 @@ class LevelFamily:
         extra = self._extra_cuts
         if any(B is not None and e is None for B, e in zip(self.bodies, extra)):
             return None
-        return row_table([None if e is None else [(*h.normal, h.offset) for h in e]
-                          for e in extra])
+        return row_table(extra)
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         """Per point, the smallest level alpha_k with the point in B_k
         (contains_many at its default TOL), the sentinel where no level
-        holds it.
-
-        The search assumes nested levels (validate_nesting), so that
-        membership grows with k.  Where every level is None or cut from the
-        ambient C (_cuts_from), one C.contains_many call keeps the points
-        of C, and one first_row_level search with margin <= TOL finds each
-        one's level in a row_table of the levels' extra cuts, built once
-        per family: a None level is a row every point violates, a level
-        equal to C all padding.  Points off C take the sentinel.  Other
-        families scan the levels in order, one contains_many each.
-        """
+        holds it: eval_on, after one C.contains_many call that sends points
+        off the ambient C to the sentinel where every level is None or cut
+        from C (_cuts_from)."""
         pts = as_points(pts)
+        if self._cut_rows is None:
+            return self.eval_on(pts)
         out = np.full(pts.shape[0], self.sentinel)
+        on = self.ambient.contains_many(pts)
+        out[on] = self.eval_on(pts[on])
+        return out
+
+    def eval_on(self, pts: np.ndarray) -> np.ndarray:
+        """eval_many on points known to lie on the ambient C, without an
+        ambient test, for nested levels (validate_nesting).  Where every
+        level is None or cut from C, one first_row_level search with margin
+        <= TOL finds each point's level in a row_table of the levels' extra
+        cuts, built once per family (a None level is a row every point
+        violates, a level equal to C all padding); other families scan the
+        levels in order, one contains_many each."""
+        pts = as_points(pts)
         if self._cut_rows is not None:
-            on = self.ambient.contains_many(pts)
-            k = first_row_level(self._cut_rows, pts[on], lambda m: m <= TOL)
-            out[on] = np.append(self.levels, self.sentinel)[k]
-            return out
+            k = first_row_level(self._cut_rows, pts, lambda m: m <= TOL)
+            return np.append(self.levels, self.sentinel)[k]
+        out = np.full(pts.shape[0], self.sentinel)
         unset = np.ones(pts.shape[0], dtype=bool)
         for alpha, body in zip(self.levels, self.bodies):
             if not unset.any():
@@ -224,8 +229,9 @@ def first_row_level(table: np.ndarray, pts, inside) -> np.ndarray:
 
 
 def _cuts_from(B: Optional[Body2], C: Body2):
-    """B's cuts beyond C's when B is C cut by half-planes (cuts_beyond),
-    else None; None also for a None level and a half-plane body outside C."""
+    """B's cuts beyond C's as (m, 3) rows when B is C cut by half-planes
+    (cuts_beyond), else None; None also for a None level and a half-plane
+    body outside C."""
     if B is None:
         return None
     try:
@@ -240,12 +246,12 @@ def _nests_sampled(inner: Body2, outer: Body2, n: int, tol: float) -> bool:
 
 
 def eval_levels(fam: LevelFamily, x) -> float:
-    """Smallest listed level whose body contains x (LevelFamily.eval_many,
+    """Smallest listed level whose body contains x (LevelFamily.eval_on,
     which assumes nested levels); sentinel if none."""
     x = as_point(x)
     if not fam.ambient.contains_many(x[None, :])[0]:
         raise LevelSetError("point lies outside the ambient body")
-    return float(fam.eval_many(x[None, :])[0])
+    return float(fam.eval_on(x[None, :])[0])
 
 
 @dataclass

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Body2, CutTable, as_point, halfplane_chain
+from .geometry import Body2, as_point, halfplane_chain
 from .extension import ExtensionResult
 
 _SVG_SIZE = 720
@@ -91,8 +91,7 @@ def svg_extension(res: ExtensionResult, window) -> str:
         # the chain about the source's witness, in a box holding the
         # window's box of half-size half
         w = e.source.witness
-        table = CutTable(e.halfplanes)
-        poly, _ = halfplane_chain(table.normals, table.offsets, w,
+        poly, _ = halfplane_chain(e.rows[:, :2], e.rows[:, 2], w,
                                   half + float(np.abs(w - center).max()))
         canvas.polyline(poly, _COLORS[k % len(_COLORS)], 1.2, closed=True)
     _body_outline(canvas, res.family.ambient, window)

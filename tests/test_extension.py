@@ -310,13 +310,12 @@ def test_restriction_hausdorff_exact_closed_form(monkeypatch):
     top.  The polygon path reads vertices only: no meet body, no samples."""
     B = Body2.from_polychain([(0, 0), (1, 0), (1, 1), (0, 1)])
     C = Body2.from_polychain([(-2, -2), (3, -2), (3, 3), (-2, 3)])
-    sides = [HalfPlane(np.array(n), o) for n, o in (((0.0, -1.0), 0.0), ((1.0, 0.0), 1.0),
-                                                    ((-1.0, 0.0), 0.0))]
-    e = extension.ExtendedBody(B, C, tuple(sides))
+    sides = [(0.0, -1.0, 0.0), (1.0, 0.0, 1.0), (-1.0, 0.0, 0.0)]
+    e = extension.ExtendedBody(B, C, sides)
     monkeypatch.setattr(Body2, "boundary_samples", None)
     monkeypatch.setattr(extension, "distance_many", None)
     assert restriction_hausdorff(e) == 2.0
-    full = extension.ExtendedBody(B, C, tuple(sides) + (HalfPlane(np.array([0.0, 1.0]), 1.0),))
+    full = extension.ExtendedBody(B, C, sides + [(0.0, 1.0, 1.0)])
     assert restriction_hausdorff(full) == 0.0
 
 
@@ -349,7 +348,7 @@ def test_restriction_hausdorff_exact_against_sampled():
             continue
         n += 1
         assert restriction_hausdorff(e) == 0.0
-        for x in (e, extension.ExtendedBody(B, C, e.halfplanes[1:])):
+        for x in (e, extension.ExtendedBody(B, C, e.rows[1:])):
             exact, sampled = restriction_hausdorff(x), _sampled_hausdorff(x)
             assert sampled - 1e-14 * max(1.0, sampled) <= exact <= sampled + 1e-12
 
@@ -741,31 +740,39 @@ def test_serialized_family_takes_exact_path(monkeypatch):
     fam = chord_family(par, np.linspace(0.0, 39.0, 40))
     loaded = LevelFamily(fam.levels, [body_from_json(body_to_json(B)) for B in fam.bodies],
                          body_from_json(body_to_json(par)))
-    want = ExtensionOperator(fam).level_table()
+    want = ExtensionOperator(fam).level_table
 
     def refuse(*args, **kw):
         raise AssertionError("sampled fallback called")
 
     monkeypatch.setattr(extension, "_extend_sampled", refuse)
-    got = ExtensionOperator(loaded).level_table()
+    got = ExtensionOperator(loaded).level_table
     assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", ["parabola", "disk_mixed"])
-def test_level_table_matches_halfplane_rows(name):
-    """level_table fills each level from the rows extend_bodies kept, and
-    equals the per-half-plane table bit for bit: padding rows no point
-    violates, one violated row for an empty level, and the sampled
-    fallback's levels built from their half-planes."""
+def test_level_table_matches_halfplane_rows(name, monkeypatch):
+    """level_table fills each level from its stored rows, and equals the
+    per-half-plane table bit for bit: padding rows no point violates, one
+    violated row for an empty level.  Every level's rows equal its
+    halfplanes view, the sampled fallback's level (a disk inside the
+    ambient disk, not cut from it) included."""
     if name == "parabola":
         fam = chord_family(Body2.epigraph("parabola"), np.linspace(0.0, 30.0, 31))
-    else:  # a disk family with the empty set and a level not cut from C
+    else:  # a disk family with the empty set, a square inside C and a disk
         disk = Body2.ball((0.0, 0.0), 1.0)
         other = Body2.from_polychain([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
-        fam = LevelFamily(np.arange(4.0), [None, disk.clip([((0.0, 1.0), -0.5)]), other,
+        fam = LevelFamily(np.arange(5.0), [None, disk.clip([((0.0, 1.0), -0.5)]), other,
+                                           Body2.ball((0.0, 0.1), 0.8),
                                            disk.clip([((0.0, 1.0), 0.5)])], disk)
+    sampled, fallback = [], extension._extend_sampled
+    monkeypatch.setattr(extension, "_extend_sampled",
+                        lambda B, C, r: sampled.append(B) or fallback(B, C, r))
     op = ExtensionOperator(fam)
-    got = op.level_table()
+    op.extended(0)
+    monkeypatch.undo()
+    assert sampled == ([] if name == "parabola" else [fam.bodies[3]])
+    got = op.level_table
     exts = [op.extended(k) for k in range(len(fam))]
     want = np.zeros((len(exts), max([1] + [len(e.halfplanes) for e in exts]), 3))
     want[..., 2] = np.inf
@@ -774,8 +781,38 @@ def test_level_table_matches_halfplane_rows(name):
             want[k, 0, 2] = -np.inf
         for j, hp in enumerate(e.halfplanes):
             want[k, j] = (hp.normal[0], hp.normal[1], hp.offset)
+        view = np.array(_rows(e)).reshape(-1, 3)
+        assert e.rows.shape == view.shape and e.rows.tobytes() == view.tobytes()
     assert got.tobytes() == want.tobytes()
-    assert any(e.rows is not None for e in exts)
+
+
+def test_extension_tests_the_ambient_once(monkeypatch):
+    """ExtensionResult.eval_many makes one ambient contains_many call, and
+    on the ambient gives LevelFamily.eval_many's values bit for bit (after
+    a second ambient test, on a family cut from it), on exact and scanned
+    families."""
+    par = Body2.epigraph("parabola")
+    exact = chord_family(par, np.linspace(0.0, 30.0, 31))
+    scanned = LevelFamily(np.arange(3.0), [Body2.ball((0.0, 1.0), 0.5),
+                                           par.clip([((0.0, 1.0), 2.0)]),
+                                           par.clip([((0.0, 1.0), 3.0)])], par)
+    pts = np.random.default_rng(5).uniform(-6.0, 6.0, (3000, 2))
+    for fam in (exact, scanned):
+        res = extend_function(fam)
+        inside = par.contains_many(pts)
+        want = np.empty(len(pts))
+        want[inside] = fam.eval_many(pts[inside])
+        want[~inside] = res.eval_many(pts[~inside])
+        res.eval_many(pts)  # builds the levels and the tables
+        calls = []
+        contains = Body2.contains_many
+        monkeypatch.setattr(Body2, "contains_many",
+                            lambda self, p, tol=1e-9: calls.append(self) or contains(self, p, tol))
+        got = res.eval_many(pts)
+        monkeypatch.undo()
+        assert [c for c in calls if c is par] == [par]
+        assert got.tobytes() == want.tobytes()
+        assert 500 < inside.sum() < len(pts) - 500
 
 
 def test_far_chord_of_unbounded_ambient():

@@ -689,6 +689,110 @@ def test_graph_distance_one_graph_evaluation_per_step(parabola, monkeypatch):
     assert np.allclose(np.linalg.norm(pc.point(t) - pts, axis=1), dist, atol=1e-12)
 
 
+@pytest.mark.parametrize("shift", [0.0, 1e3, 1e6])
+@pytest.mark.parametrize("scale", [1e-4, 1e-2, 1.0, 10.0, 1e2, 1e4])
+def test_thin_triangle_keeps_its_own_chain(scale, shift):
+    """A bounded polygon that reaches far past its window box (the triangle
+    (0, 0), (2, 0), (300, 1.5) has clearance 0.005, so a box of half-size
+    about 5 at scale 1) keeps the chain of its cuts alone: no window edge,
+    its three vertices, and each edge's outward normal at every edge point
+    (0.97 (300, 1.5) was called exterior when the box cut the chain)."""
+    V = np.array([(0.0, 0.0), (2.0, 0.0), (300.0, 1.5)]) * scale + shift
+    B = Body2.from_polychain(V)
+    verts, window = B.chain
+    assert len(verts) == 3 and not window.any()
+    # the (300, 1.5) corner's edges are 3.4e-5 rad apart, so Cramer's rule
+    # loses about 3e4 times the coordinates' rounding there
+    assert np.abs(np.sort(verts, axis=0) - np.sort(V, axis=0)).max() <= 1e-10 * max(
+        scale, shift) * 3e4
+    for i in range(3):
+        a, b = V[i], V[(i + 1) % 3]
+        want = np.array([b[1] - a[1], a[0] - b[0]]) / np.hypot(*(b - a))
+        for f in np.concatenate([np.linspace(0.01, 0.99, 25), [0.03, 0.97]]):
+            x = a + f * (b - a)
+            assert B.contains_many(x[None, :])[0]
+            # near a corner of the 1e-4 triangles the other edge lies within
+            # supporting_normals' tolerance, and the fan holds both normals
+            ends = supporting_normals(B, x).extremes()
+            assert min(np.abs(n - want).max() for n in ends) <= 1e-6
+
+
+def _dense_graph_distance(body, pts, n=100_001):
+    """Distance from each point to the body's graph pieces by brute force:
+    per piece, n graph points at equal chord spacing over the stretch
+    within 3 M of the queries' centre, M the larger of the farthest query
+    and the nearest dense graph point from it (each query's nearest graph
+    point lies there).  Returns the distances and the largest chord
+    spacing h, so the true distance lies within h / 2 below them."""
+    centre = pts.mean(axis=0)
+    best, h = np.full(len(pts), np.inf), 0.0
+    pieces = [pc for pc in body.pieces() if pc.kind == "graph"]
+    for pc in pieces:
+        us = np.linspace(pc.t0, pc.t1, n)
+        far = np.linalg.norm(pc.point(us) - centre, axis=1)
+        reach = 3.0 * max(np.linalg.norm(pts - centre, axis=1).max(), far.min())
+        near = us[far <= reach]
+        us = np.linspace(near.min(), near.max(), n)
+        g = pc.point(us)
+        cum = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(g, axis=0), axis=1))])
+        g = pc.point(np.interp(np.linspace(0.0, cum[-1], n), cum, us))
+        h = max(h, float(np.linalg.norm(np.diff(g, axis=0), axis=1).max()))
+        for i, p in enumerate(pts):
+            best[i] = min(best[i], float(np.sqrt(((g - p) ** 2).sum(axis=1).min())))
+    return best, h
+
+
+def _graph_oracle_case(name):
+    """A body with one graph piece and exterior query points: uniform ones in
+    a box of the profile frame, and the points a 48-sample scan of the
+    vertical anchor's window once sent to a far arm."""
+    rng = np.random.default_rng(1)
+    if name == "parabola":
+        body, box = Body2.epigraph("parabola"), (-15.0, 15.0, -2.0, 200.0)
+        extra = [(9.9382, 10.669)]
+    elif name == "cosh":
+        body, box = Body2.epigraph("cosh"), (-8.0, 8.0, -1.0, 200.0)
+        extra = []
+    elif name == "exp_hypograph":
+        body, box = Body2.epigraph("exp_hypograph"), (-9.0, 6.0, -1.0, 300.0)
+        extra = []
+    else:
+        body = Body2.epigraph("custom_poly", {"coeffs": [0.0, 0.0, 0.5, 0.0, 0.1]})
+        box, extra = (-8.0, 8.0, -1.0, 300.0), [(5.03668217, 57.29688607)]
+    if name == "custom_poly_moved":
+        rot = np.array([[math.cos(0.9), -math.sin(0.9)], [math.sin(0.9), math.cos(0.9)]])
+        body = Body2.epigraph("custom_poly", {"coeffs": [0.0, 0.0, 0.5, 0.0, 0.1]},
+                              np.column_stack([0.7 * rot, [40.0, -25.0]]))
+    uv = np.column_stack([rng.uniform(box[0], box[1], 400), rng.uniform(box[2], box[3], 400)])
+    uv = np.vstack([uv, extra]) if extra else uv
+    pts = body.base.from_profile(uv)
+    return body, pts[~body.contains_many(pts, 0.0)]
+
+
+@pytest.mark.parametrize("name", ["parabola", "cosh", "exp_hypograph", "custom_poly",
+                                  "custom_poly_moved"])
+def test_graph_distance_matches_dense_oracle(name, monkeypatch):
+    """distance_many and project find the nearest graph point of exterior
+    points (not a far arm's local minimum), with one golden_min per
+    distance_many call."""
+    body, pts = _graph_oracle_case(name)
+    assert len(body.pieces()) == 1 and len(pts) > 100
+    want, h = _dense_graph_distance(body, pts)
+    calls = []
+    golden = geo.golden_min
+    monkeypatch.setattr(geo, "golden_min", lambda *a, **k: calls.append(1) or golden(*a, **k))
+    got = distance_many(body, pts)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert np.all(got <= want * (1 + 1e-12) + 1e-12)
+    assert np.all(got >= want - 0.5 * h - 1e-9)
+    assert h < 0.02
+    for p, d in zip(pts[-3:], got[-3:]):
+        q, dq = project(p, body)
+        assert abs(dq - d) <= 1e-12 * max(1.0, d)
+        assert abs(np.linalg.norm(q - p) - d) <= 1e-12 * max(1.0, d)
+
+
 def _support_u(body, dirs):
     """Profile abscissae of the support points of (N, 2) directions."""
     vals, pts = support_point(body, dirs)

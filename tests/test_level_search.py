@@ -142,7 +142,7 @@ def test_search_matches_scan_and_bisection(name, monkeypatch):
     assert calls == [fam.ambient]
     assert np.array_equal(got, want)
     assert len(np.unique(want)) >= min(len(fam), 5)
-    table = ExtensionOperator(fam).level_table()
+    table = ExtensionOperator(fam).level_table
     for rule in RULES.values():
         idx = first_row_level(table, pts, rule)
         assert np.array_equal(idx, bisect_levels(table, pts, rule))
