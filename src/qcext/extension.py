@@ -21,7 +21,6 @@ from .geometry import (
     CutTable,
     GeometryError,
     HalfPlane,
-    PlaneBase,
     Segment,
     TOL,
     active_normals,
@@ -75,16 +74,14 @@ class ExtendedBody:
     as the (m, 3) rows (nx, ny, offset) of its half-planes, unit normals in
     angle order (for an exact e(B), a view into extend_bodies' array).
     special is None for the generic half-plane intersection, 'empty' for
-    the empty set and 'plane' for the whole plane (B equal to the ambient).
+    the empty set and 'plane' for the whole plane (B equal to the ambient),
+    both with no rows.
     """
 
     source: Optional[Body2]
     ambient: Optional[Body2]
     rows: np.ndarray = field(repr=False)
     special: Optional[str] = None
-
-    def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=float).reshape(-1, 3)
 
     @cached_property
     def halfplanes(self) -> tuple:
@@ -93,7 +90,7 @@ class ExtendedBody:
 
     @cached_property
     def _cut_table(self) -> CutTable:
-        return CutTable.from_rows(self.rows)
+        return CutTable(normals=self.rows[:, :2], offsets=self.rows[:, 2])
 
     def margin_many(self, pts: np.ndarray) -> np.ndarray:
         pts = as_points(pts)
@@ -117,7 +114,7 @@ def _extend_sampled(B: Body2, C: Body2, resolution: int = EXT_RESOLUTION) -> Ext
     full normal fan.  A chord that leaves B's window box is cut short there."""
     rel = relative_boundary(B, C)
     if rel.is_empty():
-        return ExtendedBody(B, C, (), special="plane")
+        return ExtendedBody(B, C, np.zeros((0, 3)), special="plane")
     pieces = B.pieces()
     raw = []
 
@@ -148,7 +145,8 @@ def _extend_sampled(B: Body2, C: Body2, resolution: int = EXT_RESOLUTION) -> Ext
         nrm = np.atleast_2d(pc.normal(ts))
         offs = np.einsum("ij,ij->i", nrm, np.atleast_2d(pc.point(ts)))
         raw.extend(HalfPlane(n, float(o)) for n, o in zip(nrm, offs))
-    return ExtendedBody(B, C, [(*h.normal, h.offset) for h in prune_halfplanes(raw, B.witness)])
+    kept = prune_halfplanes(raw, B.witness)
+    return ExtendedBody(B, C, np.array([(*h.normal, h.offset) for h in kept]).reshape(-1, 3))
 
 
 def extend_bodies(bodies, C: Body2, resolution: int = EXT_RESOLUTION) -> list:
@@ -169,7 +167,7 @@ def extend_bodies(bodies, C: Body2, resolution: int = EXT_RESOLUTION) -> list:
     for k, B in enumerate(bodies):
         extra = None if B is None else cuts_beyond(B, C)
         if extra is None:
-            out.append(ExtendedBody(None, C, (), special="empty") if B is None
+            out.append(ExtendedBody(None, C, np.zeros((0, 3)), special="empty") if B is None
                        else _extend_sampled(B, C, resolution))
             continue
         out.append(None)
@@ -179,7 +177,8 @@ def extend_bodies(bodies, C: Body2, resolution: int = EXT_RESOLUTION) -> list:
         halves += [B.window_half] * len(extra)
     if not rows:
         return out
-    table = CutTable.from_rows(np.concatenate(lines))
+    lines = np.concatenate(lines)
+    table = CutTable(normals=lines[:, :2], offsets=lines[:, 2])
     ends, on_c, meets, _ = chord_ends(C, table, centers, halves)
     lo, hi = np.zeros(len(centers)), np.ones(len(centers))
     owner = np.empty(len(centers), dtype=np.intp)
@@ -206,7 +205,7 @@ def extend_bodies(bodies, C: Body2, resolution: int = EXT_RESOLUTION) -> list:
     kept_rows = np.column_stack([normals[kept], offsets[kept]])
     for k in rows:
         out[k] = (ExtendedBody(bodies[k], C, kept_rows[bounds[k]:bounds[k + 1]]) if raw[k]
-                  else ExtendedBody(bodies[k], C, (), special="plane"))
+                  else ExtendedBody(bodies[k], C, np.zeros((0, 3)), special="plane"))
     return out
 
 
@@ -341,19 +340,12 @@ def extend_function(fam: LevelFamily, validate: bool = True,
 # ---------------------------------------------------------------------------
 # diagnostics used by the operator contracts
 
-def _closed_polygon(B: Body2) -> bool:
-    """Whether B is a half-plane body whose chain has no window edge: a
-    bounded polygon inside its window box."""
-    return isinstance(B.base, PlaneBase) and not B.chain[1].any()
-
-
 def restriction_hausdorff(ext: ExtendedBody, n: int = 256) -> float:
     """Hausdorff distance between e(B) intersected with the ambient C and B.
 
-    Exact when B and C are bounded polygons (_closed_polygon: a chain
-    without window edges), which makes the meet one too: the meet's vertices
-    are one halfplane_chain of C's cuts and e(B)'s rows about B's
-    witness, in a box holding C's window box, and the distance is the
+    Exact when B and C are polygons (Body2.is_polygon), which makes the
+    meet one too: the meet's vertices are one box-free halfplane_chain of
+    C's cuts and e(B)'s rows about B's witness, and the distance is the
     largest distance from either polygon's vertices to the other polygon
     (for convex polygons the farthest point lies at a vertex; Atallah, IPL
     17, 1983).  Otherwise the meet is a Body2 and each side takes n
@@ -363,11 +355,10 @@ def restriction_hausdorff(ext: ExtendedBody, n: int = 256) -> float:
     if ext.special is not None:
         raise ExtensionError("special extensions have no restriction")
     B, C = ext.source, ext.ambient
-    if _closed_polygon(B) and _closed_polygon(C):
+    if B.is_polygon and C.is_polygon:
         normals = np.concatenate([C.cut_table.normals, ext.rows[:, :2]])
         offsets = np.concatenate([C.cut_table.offsets, ext.rows[:, 2]])
-        half = C.window_half + float(np.abs(C.witness - B.witness).max())
-        meet, _ = halfplane_chain(normals, offsets, B.witness, half)
+        meet, _ = halfplane_chain(normals, offsets, B.witness)
         poly = B.chain[0]
         return float(max(polygon_distance(poly, meet).max(), polygon_distance(meet, poly).max()))
     meet = Body2(C.base, C.cuts + tuple(ext.halfplanes), name="e_cap_C")

@@ -350,12 +350,6 @@ class CutTable:
         # (m, 1) columns that broadcast against a row of N coordinates
         self._columns = (self.normals[:, :1], self.normals[:, 1:], self.offsets[:, None])
 
-    @staticmethod
-    def from_rows(rows) -> "CutTable":
-        """From (m, 3) rows (nx, ny, offset) with unit normals."""
-        rows = np.asarray(rows, dtype=float).reshape(-1, 3)
-        return CutTable(normals=rows[:, :2], offsets=rows[:, 2])
-
     def values(self, pts: np.ndarray) -> np.ndarray:
         """(m, N) signed margins of every cut at every point of an (N, 2)
         array."""
@@ -1331,9 +1325,8 @@ def halfplane_chain(normals: np.ndarray, offsets: np.ndarray, center, half=None)
     """Vertex chain of {x : normals @ x <= offsets} within the window box
     |x - center|_inf <= half: the CCW vertices (k, 2) and the (k,) mask of
     the edges that lie on the box, edge i running from vertex i to vertex
-    i + 1 (cyclically).  Without half there is no box, and the result is
-    None unless the rows bound a polygon (each kept row turns less than pi
-    from the one before).
+    i + 1 (cyclically).  Without half there is no box, and the rows must
+    bound a polygon.
 
     center must lie strictly inside every half-plane.  The rows and the
     box's four go through one irredundant call, whose kept rows come in
@@ -1354,8 +1347,6 @@ def halfplane_chain(normals: np.ndarray, offsets: np.ndarray, center, half=None)
     prev = np.roll(rows, 1)
     a, b, ca, cb = n[prev], n[rows], c[prev], c[rows]
     det = cross2(a, b)
-    if half is None and (len(rows) < 3 or (det <= 0).any()):
-        return None
     verts = np.column_stack([(ca * b[:, 1] - cb * a[:, 1]) / det,
                              (a[:, 0] * cb - b[:, 0] * ca) / det])
     length = np.linalg.norm(np.roll(verts, -1, axis=0) - verts, axis=1)
@@ -1405,19 +1396,34 @@ def _chain_pieces(pieces: list, interior_point: np.ndarray):
         return pieces, norm(np.asarray(single.start()) - np.asarray(single.end())) < 1e-9
     starts = [np.asarray(pc.start()) for pc in pieces]
     ends = [np.asarray(pc.end()) for pc in pieces]
-    tol = 1e-6 * max(1.0, max(norm(p) for p in starts + ends))
+    scale = max(1.0, max(norm(p) for p in starts + ends))
+    tol = 1e-6 * scale
     n = len(pieces)
-    # each piece's successor: the first nearest other start within tol
-    nxt = []
+    nxt = [-1] * n
+    has_prev = [False] * n
     for i in range(n):
-        d = [norm(ends[i] - starts[j]) if j != i else np.inf for j in range(n)]
-        nxt.append(int(np.argmin(d)) if min(d) < tol else -1)
-    i, walk = next((i for i in range(n) if i not in nxt), 0), []
-    while i >= 0 and i not in walk:
-        walk.append(i)
+        best, bd = -1, tol
+        for j in range(n):
+            if i != j:
+                d = norm(ends[i] - starts[j])
+                if d < bd:
+                    best, bd = j, d
+        nxt[i] = best
+        if best >= 0:
+            has_prev[best] = True
+    start_idx = next((i for i in range(n) if not has_prev[i]), 0)
+    order_idx = []
+    seen = set()
+    i = start_idx
+    while i >= 0 and i not in seen:
+        order_idx.append(i)
+        seen.add(i)
         i = nxt[i]
-    order = [pieces[i] for i in walk + [j for j in range(n) if j not in walk]]
-    closed = len(walk) == n and norm(np.asarray(order[-1].end()) - np.asarray(order[0].start())) < tol
+    for j in range(n):
+        if j not in seen:
+            order_idx.append(j)
+    order = [pieces[i] for i in order_idx]
+    closed = len(seen) == n and norm(np.asarray(order[-1].end()) - np.asarray(order[0].start())) < tol
     return order, bool(closed)
 
 
@@ -1695,6 +1701,11 @@ class Body2:
     def bounded(self) -> bool:
         return self.recession_cone().is_trivial()
 
+    @property
+    def is_polygon(self) -> bool:
+        """A bounded half-plane body, whose chain has no window edge."""
+        return isinstance(self.base, PlaneBase) and self.bounded
+
     def recession_cone(self) -> Cone2:
         if self._recc is None:
             base_cons = self.base.recession_constraints()
@@ -1736,14 +1747,13 @@ class Body2:
     @cached_property
     def chain(self):
         """(vertices, window): halfplane_chain of the cuts about the witness,
-        built once: a bounded half-plane body's own, without a window edge,
+        built once: a polygon's (is_polygon) own, without a window edge,
         else within the window box of half-size window_half; empty arrays
         for a body without cuts."""
         if not self.cuts:
             return np.zeros((0, 2)), np.zeros(0, dtype=bool)
-        n, c = self.cut_table.normals, self.cut_table.offsets
-        closed = halfplane_chain(n, c, self.witness) if isinstance(self.base, PlaneBase) else None
-        return closed or halfplane_chain(n, c, self.witness, self.window_half)
+        return halfplane_chain(self.cut_table.normals, self.cut_table.offsets, self.witness,
+                               None if self.is_polygon else self.window_half)
 
     @cached_property
     def _segment_table(self):

@@ -114,7 +114,8 @@ class LevelFamily:
             for k in np.unique(pair[crosses]):
                 if len(extra[k]):
                     mine = pair == k
-                    lo, hi = chord_parts(ends[mine], CutTable.from_rows(extra[k]), rtol=0.0)
+                    cut = CutTable(normals=extra[k][:, :2], offsets=extra[k][:, 2])
+                    lo, hi = chord_parts(ends[mine], cut, rtol=0.0)
                     crosses[mine] &= lo <= hi
             beyond = dots(np.asarray(centers), lines.normals) > lines.offsets
             bad += pair[crosses | beyond].tolist()

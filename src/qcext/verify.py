@@ -75,17 +75,22 @@ class SuiteReport:
     def passed(self) -> bool:
         return self.failures == 0
 
-    def _payload(self) -> dict:
-        return {"suite": self.suite, "seed": self.seed,
-                "cases": [{"name": c.name, "checked": c.checked,
-                           "failures": c.failures} for c in self.cases]}
-
     def to_json(self) -> dict:
-        return {**self._payload(), "failures": self.failures,
-                "wall_time": self.wall_time, "content_hash": self.content_hash()}
+        return {
+            "suite": self.suite,
+            "seed": self.seed,
+            "cases": [{"name": c.name, "checked": c.checked,
+                       "failures": c.failures} for c in self.cases],
+            "failures": self.failures,
+            "wall_time": self.wall_time,
+            "content_hash": self.content_hash(),
+        }
 
     def content_hash(self) -> str:
-        return content_hash(self._payload())
+        payload = {"suite": self.suite, "seed": self.seed,
+                   "cases": [{"name": c.name, "checked": c.checked,
+                              "failures": c.failures} for c in self.cases]}
+        return content_hash(payload)
 
     def summary(self) -> str:
         lines = [f"suite {self.suite} seed {self.seed}: "

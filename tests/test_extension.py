@@ -310,12 +310,12 @@ def test_restriction_hausdorff_exact_closed_form(monkeypatch):
     top.  The polygon path reads vertices only: no meet body, no samples."""
     B = Body2.from_polychain([(0, 0), (1, 0), (1, 1), (0, 1)])
     C = Body2.from_polychain([(-2, -2), (3, -2), (3, 3), (-2, 3)])
-    sides = [(0.0, -1.0, 0.0), (1.0, 0.0, 1.0), (-1.0, 0.0, 0.0)]
+    sides = np.array([(0.0, -1.0, 0.0), (1.0, 0.0, 1.0), (-1.0, 0.0, 0.0)])
     e = extension.ExtendedBody(B, C, sides)
     monkeypatch.setattr(Body2, "boundary_samples", None)
     monkeypatch.setattr(extension, "distance_many", None)
     assert restriction_hausdorff(e) == 2.0
-    full = extension.ExtendedBody(B, C, sides + [(0.0, 1.0, 1.0)])
+    full = extension.ExtendedBody(B, C, np.vstack([sides, (0.0, 1.0, 1.0)]))
     assert restriction_hausdorff(full) == 0.0
 
 
@@ -351,6 +351,39 @@ def test_restriction_hausdorff_exact_against_sampled():
         for x in (e, extension.ExtendedBody(B, C, e.rows[1:])):
             exact, sampled = restriction_hausdorff(x), _sampled_hausdorff(x)
             assert sampled - 1e-14 * max(1.0, sampled) <= exact <= sampled + 1e-12
+
+
+def _long_rectangles():
+    """A 3000 x 1 rectangle cut from a 4000 x 2 one."""
+    C = Body2.from_polychain([(-2000, -1), (2000, -1), (2000, 1), (-2000, 1)])
+    return C.clip([((1, 0), 1500), ((-1, 0), 1500), ((0, 1), 0.5), ((0, -1), 0.5)]), C
+
+
+def _long_triangles():
+    """The thin triangle (0, 0), (2, 0), (300, 1.5) scaled by 1e3 inside
+    itself scaled by 1.5 about its centroid."""
+    V = np.array([(0.0, 0.0), (2.0, 0.0), (300.0, 1.5)]) * 1e3
+    c = V.mean(axis=0)
+    return Body2.from_polychain(V), Body2.from_polychain(c + 1.5 * (V - c))
+
+
+@pytest.mark.parametrize("pair", [_long_rectangles, _long_triangles])
+def test_restriction_hausdorff_exact_beyond_the_window(pair):
+    """Polygons wider than their window boxes keep their whole meet: e(B) and
+    e(B) without its first half-plane agree with the sampled value up to
+    the rounding of the coordinates (a meet clipped to a box about C's
+    window read 476 for the rectangles' e(B), whose meet is B, and 476
+    again, not 500, without the right side)."""
+    B, C = pair()
+    extent = float(np.ptp(B.chain[0], axis=0).max())
+    assert extent > 2 * C.window_half
+    e = extend_body(B, C)
+    assert restriction_hausdorff(e) == 0.0
+    for x in (e, extension.ExtendedBody(B, C, e.rows[1:])):
+        exact, sampled = restriction_hausdorff(x), _sampled_hausdorff(x)
+        assert abs(exact - sampled) <= 1e-14 * float(np.abs(C.chain[0]).max())
+    if pair is _long_rectangles:
+        assert restriction_hausdorff(extension.ExtendedBody(B, C, e.rows[1:])) == 500.0
 
 
 def test_extend_function_usc_forced_violation():
