@@ -948,7 +948,7 @@ class Segment:
 
     kind = "segment"
 
-    def __init__(self, a, b, synthetic: bool = False):
+    def __init__(self, a, b):
         self.a = as_point(a)
         self.b = as_point(b)
         self.length = norm(self.b - self.a)
@@ -957,7 +957,6 @@ class Segment:
         self.t0, self.t1 = 0.0, self.length
         self.d = (self.b - self.a) / self.length
         self.n = -perp(self.d)
-        self.synthetic = synthetic  # lies on the working window, not on the body
 
     def point(self, t):
         t = np.asarray(t, dtype=float)
@@ -972,9 +971,6 @@ class Segment:
 
     def end(self):
         return self.b
-
-    def reversed(self):
-        return Segment(self.b, self.a, self.synthetic)
 
     def sample_params(self, n: int) -> np.ndarray:
         return np.linspace(self.t0, self.t1, n)
@@ -991,7 +987,6 @@ class Arc:
     """Counterclockwise circular boundary piece, parameterized by arc length."""
 
     kind = "arc"
-    synthetic = False
 
     def __init__(self, center, radius: float, th0: float, th1: float):
         self.center = as_point(center)
@@ -1059,14 +1054,15 @@ class GraphPiece:
     """
 
     kind = "graph"
-    synthetic = False
 
-    def __init__(self, base: EpigraphBase, u0: float, u1: float, flipped: bool = False):
+    def __init__(self, base: EpigraphBase, u0: float, u1: float):
         if u1 <= u0:
             raise GeometryError("empty graph piece")
         self.base = base
         self.u0, self.u1 = float(u0), float(u1)
-        self.flipped = flipped
+        # the epigraph lies left of increasing u unless M reflects, so the
+        # piece then runs from u1 to u0
+        self.flipped = bool(np.linalg.det(base.M) < 0)
         self.t0, self.t1 = self.u0, self.u1
         self._chord_grid = None
 
@@ -1092,9 +1088,6 @@ class GraphPiece:
 
     def end(self):
         return self.point(self.t1)
-
-    def reversed(self):
-        return GraphPiece(self.base, self.u0, self.u1, not self.flipped)
 
     def _chord_us(self, n: int) -> np.ndarray:
         """Ascending u values spread at roughly equal spatial spacing."""
@@ -1370,61 +1363,31 @@ def polygon_distance(pts, verts: np.ndarray) -> np.ndarray:
 # piece chaining
 
 def _chain_pieces(pieces: list, interior_point: np.ndarray):
-    """Orient pieces interior-left and order them along the boundary.
+    """Order pieces, each built with the body on its left, along the
+    boundary: (ordered pieces, closed flag).
 
-    Returns (ordered pieces, closed flag).
+    A convex body's boundary turns monotonically about an interior point,
+    so the pieces go in the order of their midpoints' angles about
+    interior_point, counted from the first piece's.  A gap follows a piece
+    whose end is at least tol from the next piece's start (cyclically), tol
+    being 1e-6 * max(1, the largest |start| or |end|), or 1e-9 for a lone
+    piece.  The chain starts after the last gap in that order, and is closed
+    when it has none.
     """
     if not pieces:
         return [], False
-    fixed = []
-    for pc in pieces:
-        tm = 0.5 * (pc.t0 + pc.t1)
-        nvec = pc.normal(tm)
-        p = pc.point(tm)
-        if float(np.asarray(nvec) @ (interior_point - p)) > 0 and hasattr(pc, "reversed"):
-            pc = pc.reversed()
-        # handedness: walking the piece, the outward normal must be on the right
-        span = pc.t1 - pc.t0
-        eps = 1e-6 * max(1.0, abs(span))
-        tangent = np.asarray(pc.point(min(pc.t1, tm + eps))) - np.asarray(pc.point(max(pc.t0, tm - eps)))
-        if cross2(tangent, pc.normal(tm)) > 0 and hasattr(pc, "reversed"):
-            pc = pc.reversed()
-        fixed.append(pc)
-    pieces = fixed
-    if len(pieces) == 1:
-        single = pieces[0]
-        return pieces, norm(np.asarray(single.start()) - np.asarray(single.end())) < 1e-9
-    starts = [np.asarray(pc.start()) for pc in pieces]
-    ends = [np.asarray(pc.end()) for pc in pieces]
-    scale = max(1.0, max(norm(p) for p in starts + ends))
-    tol = 1e-6 * scale
-    n = len(pieces)
-    nxt = [-1] * n
-    has_prev = [False] * n
-    for i in range(n):
-        best, bd = -1, tol
-        for j in range(n):
-            if i != j:
-                d = norm(ends[i] - starts[j])
-                if d < bd:
-                    best, bd = j, d
-        nxt[i] = best
-        if best >= 0:
-            has_prev[best] = True
-    start_idx = next((i for i in range(n) if not has_prev[i]), 0)
-    order_idx = []
-    seen = set()
-    i = start_idx
-    while i >= 0 and i not in seen:
-        order_idx.append(i)
-        seen.add(i)
-        i = nxt[i]
-    for j in range(n):
-        if j not in seen:
-            order_idx.append(j)
-    order = [pieces[i] for i in order_idx]
-    closed = len(seen) == n and norm(np.asarray(order[-1].end()) - np.asarray(order[0].start())) < tol
-    return order, bool(closed)
+    mid = np.array([pc.point(0.5 * (pc.t0 + pc.t1)) for pc in pieces]) - interior_point
+    ang = np.arctan2(mid[:, 1], mid[:, 0])
+    pieces = [pieces[i] for i in np.argsort((ang - ang[0]) % TWO_PI, kind="stable")]
+    starts = np.array([pc.start() for pc in pieces])
+    ends = np.array([pc.end() for pc in pieces])
+    tol = 1e-9 if len(pieces) == 1 else 1e-6 * max(
+        1.0, float(np.linalg.norm(np.vstack([starts, ends]), axis=1).max()))
+    gap = np.flatnonzero(np.linalg.norm(ends - np.roll(starts, -1, axis=0), axis=1) >= tol)
+    if not len(gap):
+        return pieces, True
+    k = int(gap[-1]) + 1
+    return pieces[k:] + pieces[:k], False
 
 
 # ---------------------------------------------------------------------------
@@ -1726,14 +1689,14 @@ class Body2:
         """The boundary pieces within the window box, in CCW chain order,
         each with the body on its left.
 
-        A half-plane body reads its segments from its vertex chain
-        (`chain`), without the edges on the window box; a chain with such
-        an edge starts at the first body edge after one, so an unbounded
-        body's pieces run from one window end to the other.  The vertices
-        are the meets of consecutive irredundant cuts, exact up to rounding
-        on a bounded body and wherever they lie inside the box.  Ball and
-        epigraph bodies add their arcs or graph pieces to the chain's cut
-        edges and order them by matching ends (_chain_pieces).
+        A half-plane body's pieces are its vertex chain's body edges
+        (_cut_segments), so an unbounded body's pieces run from one window
+        end to the other.  The vertices are the meets of consecutive
+        irredundant cuts, exact up to rounding on a bounded body and
+        wherever they lie inside the box.  Ball and epigraph bodies clip the
+        chain's body edges to the base and add its arcs or graph pieces,
+        each built with the body on its left; _chain_pieces orders them by
+        angle about the witness and starts the chain after its last gap.
         """
         if self._pieces is None:
             self._pieces, self._closed = self._build_pieces()
@@ -1768,23 +1731,21 @@ class Body2:
                 np.array([chain[i].n for i in seg]).reshape(-1, 2))
 
     def _cut_segments(self) -> list:
-        """The chain's edges as segments in chain order, those on the
-        window box marked synthetic."""
+        """The chain's body edges, not those on the window box, as segments
+        in chain order, from the first body edge after a window edge (from
+        the chain's start when there is none, or no body edge reaches the
+        window)."""
         verts, window = self.chain
-        return [Segment(a, b, synthetic=w)
-                for a, b, w in zip(verts, np.roll(verts, -1, axis=0), window)]
+        ends = np.roll(verts, -1, axis=0)
+        after = np.flatnonzero(window & ~np.roll(window, -1)) + 1
+        k = int(after[0]) if len(after) else 0
+        return [Segment(verts[i], ends[i]) for i in np.roll(np.arange(len(verts)), -k)
+                if not window[i]]
 
     def _build_pieces(self):
         segs = self._cut_segments()
         if isinstance(self.base, PlaneBase):
-            window = self.chain[1]
-            if not window.any():
-                return segs, True
-            # from the first body edge after a window edge (none: no body
-            # edge reaches the window)
-            after = np.flatnonzero(window & ~np.roll(window, -1)) + 1
-            k = int(after[0]) if len(after) else 0
-            return [s for s in segs[k:] + segs[:k] if not s.synthetic], False
+            return segs, not self.chain[1].any()
         if isinstance(self.base, BallBase):
             return self._ball_pieces(segs)
         return self._epigraph_pieces(segs)
@@ -1809,8 +1770,6 @@ class Body2:
                 if ln * base.radius > 1e-12:
                     pieces.append(Arc(base.center, base.radius, s, s + ln))
         for seg in segs:
-            if seg.synthetic:
-                continue
             # the chord runs half to either side of the centre's foot on the
             # line, so its ends come out near the circle, not near seg.a
             t_foot, half, dist = (float(x) for x in
@@ -1825,7 +1784,7 @@ class Body2:
                 pieces.append(Segment(a, b))
         return _chain_pieces(pieces, self.witness)
 
-    def _epigraph_pieces(self, segs):
+    def _epigraph_pieces(self, edges):
         """Graph pieces and clipped cut edges, all read from chords.
 
         The graph stretch is the chord of the profile line v = bound, four
@@ -1851,7 +1810,6 @@ class Body2:
             return _chain_pieces([GraphPiece(base, *stretch)], w)
         # each line as points on it: the box corners projected onto each cut
         # line, then each edge's ends (twice, to fill the row)
-        edges = [seg for seg in segs if not seg.synthetic]
         n, c = self.cut_table.normals, self.cut_table.offsets
         v_lo = float(prof.g(prof.slope_point(0.0, *stretch)))
         box = base.from_profile(np.array([[stretch[0], v_lo], [stretch[1], v_lo],
@@ -2647,7 +2605,7 @@ def find_boundary_segment(C: Body2, min_length: float = 1e-6):
     depend on where the chain starts.
     """
     segs = [pc for pc in C.pieces()
-            if isinstance(pc, Segment) and not pc.synthetic and pc.length >= min_length]
+            if isinstance(pc, Segment) and pc.length >= min_length]
     if not segs:
         return None
     longest = max(pc.length for pc in segs)
@@ -2664,7 +2622,7 @@ def is_rotund(C: Body2) -> bool:
     asymptotically flat but strictly convex boundaries).
     """
     for pc in C.pieces():
-        if isinstance(pc, Segment) and not pc.synthetic:
+        if isinstance(pc, Segment):
             return False
         if isinstance(pc, GraphPiece) and not pc.base.profile.strictly_convex:
             return False

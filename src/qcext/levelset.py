@@ -69,6 +69,8 @@ class LevelFamily:
         self.levels = np.asarray(self.levels, dtype=float)
         if len(self.levels) != len(self.bodies) or len(self.bodies) == 0:
             raise LevelSetError("levels and bodies must align and be nonempty")
+        if not np.isfinite(self.levels).all():
+            raise LevelSetError("levels must be finite")
         if np.any(np.diff(self.levels) <= 0):
             raise LevelSetError("levels must be strictly increasing")
 
@@ -345,6 +347,8 @@ def staircase_qc(ambient: Body2, bodies: Sequence[Body2], levels: Sequence[float
     After leaving body k the value ramps with the distance to it for gaps[k],
     then plateaus at levels[k+1]; past the last body the ramp settles on the
     constant levels[-1] + gaps[-1].  Requires d(C \\ D_{k+1}, D_k) >= gaps[k].
+    A point's first body is the level family's search (LevelFamily.eval_many),
+    which assumes the bodies nested.
     """
     bodies = list(bodies)
     levels = np.asarray(levels, dtype=float)
@@ -369,26 +373,18 @@ def staircase_qc(ambient: Body2, bodies: Sequence[Body2], levels: Sequence[float
                     f"gap violation between bodies {k} and {k + 1}: "
                     f"measured {float(np.min(d)):.3g} < required {gaps[k]:.3g}")
 
+    fam = LevelFamily(levels, bodies, ambient)
+
     def evaluate(pts: np.ndarray) -> np.ndarray:
         pts = as_points(pts)
-        out = np.empty(pts.shape[0])
-        unset = np.ones(pts.shape[0], dtype=bool)
-        for k, body in enumerate(bodies):
-            inside = body.contains_many(pts)
-            zone = unset & inside
-            if zone.any():
-                if k == 0:
-                    out[zone] = levels[0]
-                else:
-                    d = distance_many(bodies[k - 1], pts[zone])
-                    out[zone] = levels[k - 1] + np.minimum(d, gaps[k - 1])
-                unset &= ~zone
-        if unset.any():
-            d = distance_many(bodies[-1], pts[unset])
-            out[unset] = levels[-1] + np.minimum(d, gaps[-1])
+        k = np.searchsorted(levels, fam.eval_many(pts))
+        out = np.full(pts.shape[0], levels[0])
+        for j in np.unique(k[k > 0]):
+            zone = k == j
+            out[zone] = levels[j - 1] + np.minimum(distance_many(bodies[j - 1], pts[zone]),
+                                                   gaps[j - 1])
         return out
 
-    fam = LevelFamily(levels, bodies, ambient)
     return QCFunction(domain=ambient, eval_many=evaluate, lipschitz=1.0,
                       meta={"kind": "staircase", "family": fam,
                             "gaps": gaps, "residual": float(levels[-1] + gaps[-1])})

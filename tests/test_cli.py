@@ -111,6 +111,9 @@ def test_bad_family_file_exits_2(tmp_path, capsys, command):
     bad["bodies"].reverse()
     files = {"no_bodies": {"kind": "staircase", "levels": [0.0, 1.0]},
              "wrong_kind": {"kind": "tilde_f"}, "not_nested": bad}
+    # json writes and reads NaN and Infinity
+    for name, level in (("nan_level", np.nan), ("inf_level", np.inf)):
+        files[name] = {**json.loads(open(nested).read()), "levels": [0.0, level]}
     for name, data in files.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(data))

@@ -1,13 +1,15 @@
-"""The smallest-level search (levelset.first_row_level) and the rejection
-sampler against the per-level scan, the lo/hi bisection and the eager
-sampling loop they replace."""
+"""The smallest-level search (levelset.first_row_level), the staircase
+values read from it and the rejection sampler against the per-level scans,
+the lo/hi bisection and the eager sampling loop they replace."""
 
 import numpy as np
 import pytest
 
+from qcext.counterexamples import gen_no_lip, gen_no_qc, gen_non_rotund
 from qcext.extension import CONTAIN_TOL, INT_MARGIN, ExtensionOperator
-from qcext.geometry import Body2
-from qcext.levelset import LevelFamily, LevelSetError, first_row_level, row_table, sample_domain
+from qcext.geometry import Body2, distance_many
+from qcext.levelset import (LevelFamily, LevelSetError, first_row_level, row_table,
+                            sample_domain, staircase_qc)
 
 RULES = {"contain": lambda m: m <= CONTAIN_TOL, "interior": lambda m: m < -INT_MARGIN}
 
@@ -24,6 +26,29 @@ def scan_levels(fam, pts):
             hit = unset & body.contains_many(pts)
             out[hit] = alpha
             unset &= ~hit
+    return out
+
+
+def scan_staircase(f, pts):
+    """staircase_qc's value by one contains_many per body in order: the
+    first body holding the point, else past the last, and the ramp away
+    from the body before it."""
+    fam, gaps = f.meta["family"], f.meta["gaps"]
+    bodies, levels = fam.bodies, fam.levels
+    out = np.empty(len(pts))
+    unset = np.ones(len(pts), dtype=bool)
+    for k, body in enumerate(bodies):
+        zone = unset & body.contains_many(pts)
+        if zone.any():
+            if k == 0:
+                out[zone] = levels[0]
+            else:
+                d = distance_many(bodies[k - 1], pts[zone])
+                out[zone] = levels[k - 1] + np.minimum(d, gaps[k - 1])
+            unset &= ~zone
+    if unset.any():
+        d = distance_many(bodies[-1], pts[unset])
+        out[unset] = levels[-1] + np.minimum(d, gaps[-1])
     return out
 
 
@@ -164,6 +189,42 @@ def test_ball_level_takes_the_scan(monkeypatch):
     monkeypatch.undo()
     assert calls == fam.bodies
     assert np.array_equal(got, scan_levels(fam, pts))
+
+
+def parabola_chords():
+    """The verify suite's parabola chord staircase."""
+    C = Body2.epigraph("parabola")
+    levels = np.array([0.0, 1.0, 2.5, 4.0])
+    return staircase_qc(C, [C.clip([((0.0, 1.0), float(a))]) for a in levels], levels,
+                        np.append(np.diff(levels), 1.0))
+
+
+STAIRCASES = {
+    "no_lip-disk": lambda: gen_no_lip(Body2.ball((0.0, 0.0), 1.0), k_max=8, scan=16)[0]
+    .meta["staircase"],
+    "no_lip-parabola": lambda: gen_no_lip(Body2.epigraph("parabola"), k_max=8, scan=16)[0]
+    .meta["staircase"],
+    "no_qc-hypograph": lambda: gen_no_qc(Body2.epigraph("exp_hypograph"), k_max=8)[0],
+    "non_rotund-square": lambda: gen_non_rotund(squares(1.0), k_max=8)[0],
+    "parabola-chords": parabola_chords,
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAIRCASES))
+def test_staircase_matches_level_scan(name):
+    """A staircase's values equal the per-body scan's bit for bit on every
+    body's boundary samples, those moved by up to twice the largest gap,
+    and uniform points about them."""
+    f = STAIRCASES[name]()
+    rng = np.random.default_rng(11)
+    gaps = f.meta["gaps"]
+    near = np.vstack([body.boundary_samples(48) for body in f.meta["family"].bodies])
+    moved = near + rng.uniform(-2.0, 2.0, near.shape) * gaps.max()
+    lo, hi = near.min(axis=0) - 1.0, near.max(axis=0) + 1.0
+    pts = np.vstack([near, moved, lo + (hi - lo) * rng.random((2000, 2))])
+    want = scan_staircase(f, pts)
+    assert np.array_equal(f.eval_many(pts), want)
+    assert len(np.unique(want)) >= 3
 
 
 def test_row_table_rows():

@@ -66,10 +66,11 @@ def test_eval_levels_outside_ambient():
 
 
 def test_family_validation():
-    with pytest.raises(LevelSetError):
-        LevelFamily(np.array([1.0, 0.0]),
-                    [Body2.ball((0, 0), 1.0), Body2.ball((0, 0), 2.0)],
-                    Body2.ball((0, 0), 2.0))
+    for levels in ([1.0, 0.0], [0.0, np.nan], [0.0, np.inf], [-np.inf, 0.0]):
+        with pytest.raises(LevelSetError):
+            LevelFamily(np.array(levels),
+                        [Body2.ball((0, 0), 1.0), Body2.ball((0, 0), 2.0)],
+                        Body2.ball((0, 0), 2.0))
     big = Body2.ball((0, 0), 2.0)
     bad = LevelFamily(np.array([0.0, 1.0]),
                       [big, Body2.ball((0, 0), 1.0)], big)
