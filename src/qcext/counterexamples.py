@@ -106,7 +106,19 @@ class NoUCCertificate:
     params: dict = field(default_factory=dict)
 
     def validate(self, tol: float = 1e-6):
+        """The chain it states: consecutive points 1 apart and levels
+        h(points) = points . h_normal - h_offset, both within
+        1e-12 max(1, the largest |point|); increasing levels; and level
+        gaps at least bilip (1 - tol) - 1e-12."""
+        pts = np.asarray(self.points, dtype=float)
+        slack = 1e-12 * max(1.0, float(np.linalg.norm(pts, axis=1).max()))
+        if np.any(np.abs(np.linalg.norm(np.diff(pts, axis=0), axis=1) - 1.0) > slack):
+            raise ConstructionError("chain links are not of unit length")
+        if np.any(np.abs(self.levels - (pts @ self.h_normal - self.h_offset)) > slack):
+            raise ConstructionError("levels differ from h at the chain points")
         lg = np.diff(self.levels)
+        if np.any(lg <= 0):
+            raise ConstructionError("levels along the chain do not increase")
         if np.any(lg < self.bilip * (1 - tol) - 1e-12):
             raise ConstructionError("level gaps fell below the bi-Lipschitz bound")
         return True
@@ -273,7 +285,9 @@ def gen_non_rotund(C: Body2, k_max: int = 24, min_segment: float = 1e-6):
 def _chord_params(base: EpigraphBase, u, ahead: float, u_end: float, chords):
     """Per row, the graph parameter past u (toward u_end, ahead = +-1) where
     the chord from graph_point(u) first reaches its length; NaN where it
-    does not before u_end.
+    does not before u_end.  gen_no_uc's half-chord net and short-chord
+    probes are one call each; _unit_chain hands it the unit-chord links
+    that its own solve leaves unsettled, one link per call.
 
     The graph is a lam-isometric image of the profile's, so the chord to
     the point chords / lam ahead in u is at least chords long.  That point
@@ -308,6 +322,101 @@ def _chord_params(base: EpigraphBase, u, ahead: float, u_end: float, chords):
     return out
 
 
+#: _unit_chain's Newton iterations at most; it stops once every step is at
+#: most _CHAIN_STOP_ULPS float spacings of its link
+_CHAIN_NEWTON_ITERS = 16
+_CHAIN_STOP_ULPS = 64
+#: each ulp sweep tests a link this many floats to either side of it
+_CHAIN_SWEEP = 16
+
+
+def _float_steps(s: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The floats k[j] steps above each s (below for k[j] < 0), shaped
+    s.shape + k.shape: s's bits read as an integer ordered like the
+    floats, plus k."""
+    low = np.int64(np.iinfo(np.int64).min)
+    b = s.view(np.int64)
+    o = np.where(b < 0, low - b, b)[..., None] + k
+    return np.where(o < 0, low - o, o).view(np.float64)
+
+
+def _unit_chain(base: EpigraphBase, u0: float, ahead: float, u_end: float, n: int) -> np.ndarray:
+    """The graph parameters s_0 = u0, s_1, ..., s_n of n unit-chord links
+    toward u_end (ahead = +-1): s_i is _chord_params(base, s_{i-1}, ahead,
+    u_end, 1.0) for every i, bit for bit, found in one solve of the chain.
+
+    From the tangent steps s_{i+1} = s_i + ahead / |graph_tangent(s_i)|,
+    Newton runs on all links at once: F_i = |G(s_i) - G(s_{i-1})| - 1
+    with G = graph_point has the lower bidiagonal Jacobian
+    a_i d_i - c_i d_{i-1} = -F_i, a_i = rel.T_i / |rel| and
+    c_i = rel.T_{i-1} / |rel|, one graph_point and one graph_tangent call
+    per iteration and a forward substitution.  It stops once every step is
+    at most _CHAIN_STOP_ULPS float spacings, or after _CHAIN_NEWTON_ITERS
+    iterations; a non-finite step leaves its link and every later one NaN.
+
+    Ulp sweeps then finish the links exactly.  Each sweep is one
+    graph_point call on the _CHAIN_SWEEP floats to either side of every
+    link not yet settled, each against its current anchor, and moves each
+    link to its switching float: the first in the ahead direction with
+    f = 1 - |G(s) - G(s_{i-1})| <= 0, where f's sign in the window is
+    monotone.  That is the float newton_leq returns in _chord_params.  A
+    link fails where its window does not hold one monotone sign change, or
+    its float lies behind its anchor or past _chord_params' far end
+    (s_{i-1} + 1/scale, or u_end before it).  (Near s = 0, where newton_leq
+    may stop at 2^-79 of its bracket short of adjacent floats, a window's
+    float steps move f by about 2^-78, far below f's rounding, so the
+    window does not bracket save by a rare chance.)  The first link that
+    moved or failed in a sweep has a settled anchor: a moved one is
+    settled, a failed one is solved by _chord_params, and the sweeps go on
+    after it, so there are n sweeps at most.  A link that does not reach
+    its chord before u_end raises the exhausted branch's ConstructionError.
+    """
+    s = np.empty(n + 1)
+    s[0] = u = float(u0)
+    for i in range(n):
+        u += ahead / (base.scale * math.hypot(1.0, float(base.profile.dg(u))))
+        s[i + 1] = u
+    step = np.empty(n)
+    with np.errstate(all="ignore"):
+        for _ in range(_CHAIN_NEWTON_ITERS):
+            pts, tangents = base.graph_point(s), base.graph_tangent(s)
+            rel = pts[1:] - pts[:-1]
+            dist = np.hypot(rel[:, 0], rel[:, 1])
+            a, c = dots(rel, tangents[1:]) / dist, dots(rel, tangents[:-1]) / dist
+            d = 0.0
+            for i, (ai, ci, fi) in enumerate(zip(a.tolist(), c.tolist(), (dist - 1.0).tolist())):
+                d = (ci * d - fi) / ai if ai else math.nan
+                step[i] = d
+            s[1:] += step
+            # a NaN step (and every later one) is left to the sweeps
+            if not np.any(np.abs(step) > _CHAIN_STOP_ULPS * np.spacing(np.abs(s[1:]))):
+                break
+        window = int(ahead) * np.arange(-_CHAIN_SWEEP, _CHAIN_SWEEP + 1, dtype=np.int64)
+        lo = 1  # links lo..n are not yet settled
+        while lo <= n:
+            rows = _float_steps(s[lo - 1:], window)
+            pts = base.graph_point(rows)
+            rel = pts[1:] - pts[:-1, _CHAIN_SWEEP, None]
+            ok = 1.0 - np.hypot(rel[..., 0], rel[..., 1]) <= 0
+            new = rows[np.arange(1, len(rows)), ok.argmax(axis=1)]
+            anchor = rows[:-1, _CHAIN_SWEEP]
+            far = anchor + ahead / base.scale
+            far = np.minimum(far, u_end) if ahead > 0 else np.maximum(far, u_end)
+            good = (~ok[:, 0] & (ok[:, 1:] >= ok[:, :-1]).all(axis=1) & ok[:, -1]
+                    & (ahead * (new - anchor) > 0) & (ahead * (far - new) >= 0))
+            event = ~good | (new != s[lo:])
+            s[lo:] = np.where(good, new, s[lo:])
+            if not event.any():
+                break
+            j = lo + int(np.argmax(event))
+            if not good[j - lo]:
+                s[j] = _chord_params(base, s[j - 1], ahead, u_end, 1.0)
+                if math.isnan(s[j]):
+                    raise ConstructionError("boundary branch exhausted inside the window")
+            lo = j + 1
+    return s
+
+
 def gen_no_uc(C: Body2, k_max: int = 64):
     """Lipschitz QC function on an unbounded rotund asymptote-free body
     with no uniformly continuous QC extension.
@@ -315,11 +424,16 @@ def gen_no_uc(C: Body2, k_max: int = 64):
     Unit-chord points y_n climb one boundary branch; the certificate shows
     the forced separation gap_k collapsing while level gaps stay >= bilip.
     The hypotheses leave an epigraph body whose boundary is one graph
-    piece, so every chord is solved on the profile parameter u
-    (_chord_params): the unit-chord links one after another, the half-chord
-    net and the short-chord probes each in one call.  The bottom point c0
-    and the first chain point y1 are line-body meets (chord_ends); the
-    chain, y1 included, is the graph points at the solved parameters.
+    piece, so every chord is solved on the profile parameter u: the
+    2 k_max + 2 unit-chord links in one solve of the whole chain
+    (_unit_chain, equal bit for bit to solving them one after another with
+    _chord_params), the half-chord net and the short-chord probes each in
+    one _chord_params call.  The bottom point c0 and the first chain point
+    y1 are line-body meets (chord_ends); the chain, y1 included, is the
+    graph points at the solved parameters.  The asymptotic-direction test
+    reads the body's cached search (find_asymptotic_direction), so it costs
+    nothing after characterize.  The certificate's validate() checks the
+    unit links and levels it states.
     """
     if C.bounded:
         raise ConstructionError("hypothesis failed: body is bounded")
@@ -366,14 +480,10 @@ def gen_no_uc(C: Body2, k_max: int = 64):
         raise ConstructionError("level crossing not found along the boundary")
     base = piece.base
     ahead, u_end = (-1.0, piece.u0) if piece.flipped else (1.0, piece.u1)
-    us = [float(base.to_profile(ends[0, :1])[0, 0])]
     # unit-chord links; one that leaves the piece ends the branch in the window
-    for _ in range(2 * k_max + 2):
-        u = float(_chord_params(base, us[-1], ahead, u_end, 1.0))
-        if math.isnan(u):
-            raise ConstructionError("boundary branch exhausted inside the window")
-        us.append(u)
-    points = base.graph_point(np.array(us))
+    us = _unit_chain(base, float(base.to_profile(ends[0, :1])[0, 0]), ahead, u_end,
+                     2 * k_max + 2)
+    points = base.graph_point(us)
     alphas = h_val(points)
     if np.any(np.diff(alphas) <= 0):
         raise ConstructionError("levels along the branch failed to increase")
@@ -381,7 +491,7 @@ def gen_no_uc(C: Body2, k_max: int = 64):
     # half-chord point after each chain point
     dense = np.empty((2 * len(points) - 1, 2))
     dense[0::2] = points
-    dense[1::2] = base.graph_point(_chord_params(base, np.array(us[:-1]), ahead, u_end, 0.5))
+    dense[1::2] = base.graph_point(_chord_params(base, us[:-1], ahead, u_end, 0.5))
     dense = dense[~np.isnan(dense[:, 0])]
     dh = np.abs(h_val(dense)[None, :] - h_val(dense)[:, None])
     dd = np.linalg.norm(dense[None, :, :] - dense[:, None, :], axis=-1)

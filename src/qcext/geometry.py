@@ -24,11 +24,16 @@ nesting check of a level family.
 The root finders (`bisect_leq`, `newton_leq`, `golden_min`,
 `coarse_golden_min`) take numpy-broadcasting closures: `f(t)` returns an
 array shaped like `t` (`along` builds one from a point path).  Each solves
-an array of brackets in one loop with the same step rule as for a single
-bracket.  Slope points are closed form on the parabola and start from
-guesses (`Profile.slope_guess`) that leave a bisection a few floats wide:
-closed form on the cosh, exp and ball profiles, a `newton_leq` solve on
-g' with g'' on a polynomial profile.
+an array of independent brackets in one loop with the same step rule as
+for a single bracket.  Slope points are closed form on the parabola and
+start from guesses (`Profile.slope_guess`) that leave a bisection a few
+floats wide: closed form on the cosh, exp and ball profiles, a
+`newton_leq` solve on g' with g'' on a polynomial profile.  Coupled roots
+are not theirs: the unit-chord chain of the no-uniformly-continuous
+certificate, where each link starts at the end of the one before, is
+one Newton solve of the whole chain with exact ulp sweeps
+(`counterexamples._unit_chain`), and `newton_leq` runs one link at a time
+only where that solve leaves a link unsettled.
 """
 
 from __future__ import annotations
@@ -1711,12 +1716,31 @@ class Body2:
     def chain(self):
         """(vertices, window): halfplane_chain of the cuts about the witness,
         built once: a polygon's (is_polygon) own, without a window edge,
-        else within the window box of half-size window_half; empty arrays
-        for a body without cuts."""
+        else within the window box of half-size window_half, widened on a
+        ball body to |witness - center|_inf + 2 radius so that the box holds
+        the ball and no cut edge inside it is clipped; empty arrays for a
+        body without cuts."""
         if not self.cuts:
             return np.zeros((0, 2)), np.zeros(0, dtype=bool)
+        half = None if self.is_polygon else self.window_half
+        if isinstance(self.base, BallBase):
+            half = max(half, float(np.abs(self.witness - self.base.center).max())
+                       + 2.0 * self.base.radius)
         return halfplane_chain(self.cut_table.normals, self.cut_table.offsets, self.witness,
-                               None if self.is_polygon else self.window_half)
+                               half)
+
+    @cached_property
+    def _asymptotic(self):
+        """find_asymptotic_direction's (v, x0) or None, searched once: the
+        first extreme ray of the recession cone that is_asymptotic_direction
+        accepts."""
+        if self.bounded:
+            return None
+        for v in self.recession_cone().directions():
+            ok, x0 = is_asymptotic_direction(self, v)
+            if ok:
+                return unit(v), x0
+        return None
 
     @cached_property
     def _segment_table(self):
@@ -2634,11 +2658,8 @@ def find_asymptotic_direction(C: Body2):
 
     Interior recession directions can never be asymptotic (their orthogonal
     supports are infinite), so the extreme rays exhaust the candidates.
+    The search runs once per body (Body2._asymptotic); each call returns
+    copies of its result.
     """
-    if C.bounded:
-        return None
-    for v in C.recession_cone().directions():
-        ok, x0 = is_asymptotic_direction(C, v)
-        if ok:
-            return unit(v), x0
-    return None
+    found = C._asymptotic
+    return None if found is None else (found[0].copy(), found[1].copy())

@@ -289,10 +289,12 @@ def test_no_uc_links_match_high_precision_chords(monkeypatch, name):
     assert np.max(np.linalg.norm(piece.base.graph_point(u) - want, axis=1)) <= 1e-12
 
 
-def test_no_uc_link_leaving_the_piece_ends_the_branch(monkeypatch):
+def test_no_uc_link_leaving_the_piece_ends_the_branch():
     """A chord that does not reach its length before the piece's end is
-    NaN, and a link that leaves the piece so raises the exhausted walk's
-    ConstructionError."""
+    NaN, and a chain whose fifth link leaves the piece (its u_end lies one
+    float short of that link's end) raises the exhausted walk's
+    ConstructionError, while the same chain with u_end at that end has its
+    five links."""
     import qcext.counterexamples as cx
 
     body = Body2.epigraph("parabola")
@@ -300,17 +302,30 @@ def test_no_uc_link_leaving_the_piece_ends_the_branch(monkeypatch):
     u = cx._chord_params(piece.base, np.array([piece.u1 - 1e-4, piece.u1 - 0.5, 0.0]), 1.0,
                          piece.u1, np.array([1.0, 0.1, 1.0]))
     assert np.isnan(u[0]) and np.isfinite(u[1:]).all()
-    calls = []
-    chord_params = cx._chord_params
-
-    def leaves_at_the_fifth_link(base, u, ahead, u_end, chords):
-        calls.append(1)
-        return chord_params(base, u, ahead, u if len(calls) == 5 else u_end, chords)
-
-    monkeypatch.setattr(cx, "_chord_params", leaves_at_the_fifth_link)
+    chain = cx._unit_chain(piece.base, 0.5, 1.0, piece.u1, 8)
+    assert np.array_equal(cx._unit_chain(piece.base, 0.5, 1.0, chain[5], 5), chain[:6])
     with pytest.raises(ConstructionError, match="exhausted"):
-        gen_no_uc(body, k_max=8)
-    assert len(calls) == 5
+        cx._unit_chain(piece.base, 0.5, 1.0, np.nextafter(chain[5], chain[4]), 8)
+
+
+@pytest.mark.parametrize("mutation,message", [
+    ("point", "unit length"), ("level", "differ from h"), ("reverse", "do not increase")])
+def test_no_uc_validate_checks_the_stated_chain(quartet, mutation, message):
+    """validate() rejects a chain point moved by 1e-9 (a link off unit
+    length), a level moved by 1e-9 off h(point), and the chain read
+    backwards (unit links, levels h(points), but decreasing)."""
+    _, cert = gen_no_uc(quartet["parabola"], k_max=8)
+    assert cert.validate()
+    if mutation == "point":
+        cert.points = cert.points.copy()
+        cert.points[3, 0] += 1e-9
+    elif mutation == "level":
+        cert.levels = cert.levels.copy()
+        cert.levels[3] += 1e-9
+    else:
+        cert.points, cert.levels = cert.points[::-1], cert.levels[::-1]
+    with pytest.raises(ConstructionError, match=message):
+        cert.validate()
 
 
 def test_no_uc_cosh_decays_faster(quartet):
@@ -607,6 +622,31 @@ def test_characterize_denials(quartet):
     cls = characterize(quartet["hypograph"])
     assert cls.denied["qc"] == "gen_no_qc"
     assert cls.granted == []
+
+
+def test_asymptotic_direction_searched_once_per_body(monkeypatch):
+    """characterize and then gen_no_qc on the hypograph test each recession
+    ray once, and writing to a returned direction or witness does not
+    change the next result."""
+    import qcext.geometry as geo
+    from qcext.geometry import find_asymptotic_direction
+
+    body = Body2.epigraph("exp_hypograph")
+    asked = []
+    is_asymptotic = geo.is_asymptotic_direction
+    monkeypatch.setattr(geo, "is_asymptotic_direction",
+                        lambda C, v, *a: asked.append(np.asarray(v).tobytes())
+                        or is_asymptotic(C, v, *a))
+    assert characterize(body).extendability_class == "NOT_QC_EXTENDABLE"
+    gen_no_qc(body, k_max=8)
+    assert asked and len(asked) == len(set(asked))
+    assert len(asked) <= len(body.recession_cone().directions())
+    v, x0 = find_asymptotic_direction(body)
+    want = v.copy(), x0.copy()
+    v[:], x0[:] = 7.0, 7.0
+    again = find_asymptotic_direction(body)
+    assert np.array_equal(again[0], want[0]) and np.array_equal(again[1], want[1])
+    assert len(asked) == len(set(asked))
 
 
 def test_characterize_predicates(quartet):

@@ -32,8 +32,9 @@ def _reflected(th, lam, shift):
 
 
 def _cap():
-    """A cap of height 1e-3 on a ball of radius 1e9: its chord is longer
-    than the window box, so the chain has two gaps."""
+    """A cap of height 1e-3 on a ball of radius 1e9: its chord (about
+    2,800 long) is longer than the window box, and the chain's box holds
+    the ball, so the chord keeps its ends and the chain closes."""
     R, h, n = 1e9, 1e-3, np.array([0.6, 0.8])
     top = R * n
     return Body2(BallBase((0.0, 0.0), R), (HalfPlane(-n, float(-n @ top) + h),),
@@ -92,8 +93,9 @@ def _gaps(rec) -> int:
 
 
 def test_stored_chains_cover_each_case():
-    """Closed chains, open chains with one gap and with two, graph pieces
-    in either direction and a lone piece are all among the stored bodies."""
+    """Closed chains (a cap whose chord outruns the window among them), an
+    open chain with one gap, graph pieces in either direction and a lone
+    piece are all among the stored bodies."""
     stored = json.loads(DATA.read_text())
     assert stored.keys() == BODIES.keys()
     kinds = {pc["kind"] for rec in stored.values() for pc in rec["pieces"]}
@@ -103,8 +105,20 @@ def test_stored_chains_cover_each_case():
     gaps = {name: _gaps(rec) for name, rec in stored.items() if len(rec["pieces"]) > 1}
     assert all(stored[name]["closed"] == (g == 0) for name, g in gaps.items())
     assert gaps["cut_ball"] == gaps["polygon_in_ball"] == 0
-    assert gaps["long_parabola"] == 1 and gaps["cap_1e9"] == 2
+    assert gaps["long_parabola"] == 1 and gaps["cap_1e9"] == 0
     assert len(stored["exp_hypograph"]["pieces"]) == 1
+
+
+def test_ball_caps_close():
+    """Caps of radius 1e6 to 1e9 and height 1e-4 to 1e-2 (seed 0) have
+    chords far longer than the window box; each chain is closed."""
+    rng = np.random.default_rng(0)
+    for _ in range(12):
+        R, h, th = 10.0 ** rng.uniform(6, 9), 10.0 ** rng.uniform(-4, -2), rng.uniform(0, 2 * math.pi)
+        n = np.array([math.cos(th), math.sin(th)])
+        B = Body2(BallBase((0.0, 0.0), R), (HalfPlane(-n, float(-n @ (R * n)) + h),),
+                  witness=(R - 0.5 * h) * n)
+        assert B.closed_chain and [pc.kind for pc in B.pieces()] == ["arc", "segment"]
 
 
 if __name__ == "__main__":
