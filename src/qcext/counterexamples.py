@@ -286,8 +286,8 @@ def _chord_params(base: EpigraphBase, u, ahead: float, u_end: float, chords):
     """Per row, the graph parameter past u (toward u_end, ahead = +-1) where
     the chord from graph_point(u) first reaches its length; NaN where it
     does not before u_end.  gen_no_uc's half-chord net and short-chord
-    probes are one call each; _unit_chain hands it the unit-chord links
-    that its own solve leaves unsettled, one link per call.
+    probes are one call each; _unit_chain hands it, one link per call, the
+    unit-chord links from the first one its Newton solve does not keep.
 
     The graph is a lam-isometric image of the profile's, so the chord to
     the point chords / lam ahead in u is at least chords long.  That point
@@ -322,54 +322,30 @@ def _chord_params(base: EpigraphBase, u, ahead: float, u_end: float, chords):
     return out
 
 
-#: _unit_chain's Newton iterations at most; it stops once every step is at
-#: most _CHAIN_STOP_ULPS float spacings of its link
+#: _unit_chain's Newton iterations at most; a link has converged once its
+#: last step is at most _CHAIN_STOP_ULPS float spacings of the link's ends
 _CHAIN_NEWTON_ITERS = 16
-_CHAIN_STOP_ULPS = 64
-#: each ulp sweep tests a link this many floats to either side of it
-_CHAIN_SWEEP = 16
-
-
-def _float_steps(s: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The floats k[j] steps above each s (below for k[j] < 0), shaped
-    s.shape + k.shape: s's bits read as an integer ordered like the
-    floats, plus k."""
-    low = np.int64(np.iinfo(np.int64).min)
-    b = s.view(np.int64)
-    o = np.where(b < 0, low - b, b)[..., None] + k
-    return np.where(o < 0, low - o, o).view(np.float64)
+_CHAIN_STOP_ULPS = 4
 
 
 def _unit_chain(base: EpigraphBase, u0: float, ahead: float, u_end: float, n: int) -> np.ndarray:
     """The graph parameters s_0 = u0, s_1, ..., s_n of n unit-chord links
-    toward u_end (ahead = +-1): s_i is _chord_params(base, s_{i-1}, ahead,
-    u_end, 1.0) for every i, bit for bit, found in one solve of the chain.
+    toward u_end (ahead = +-1): each link |G(s_i) - G(s_{i-1})|, with
+    G = graph_point, is 1 to rounding, and NoUCCertificate.validate checks
+    it to 1e-12 max(1, |point|).
 
     From the tangent steps s_{i+1} = s_i + ahead / |graph_tangent(s_i)|,
-    Newton runs on all links at once: F_i = |G(s_i) - G(s_{i-1})| - 1
-    with G = graph_point has the lower bidiagonal Jacobian
-    a_i d_i - c_i d_{i-1} = -F_i, a_i = rel.T_i / |rel| and
-    c_i = rel.T_{i-1} / |rel|, one graph_point and one graph_tangent call
-    per iteration and a forward substitution.  It stops once every step is
-    at most _CHAIN_STOP_ULPS float spacings, or after _CHAIN_NEWTON_ITERS
-    iterations; a non-finite step leaves its link and every later one NaN.
-
-    Ulp sweeps then finish the links exactly.  Each sweep is one
-    graph_point call on the _CHAIN_SWEEP floats to either side of every
-    link not yet settled, each against its current anchor, and moves each
-    link to its switching float: the first in the ahead direction with
-    f = 1 - |G(s) - G(s_{i-1})| <= 0, where f's sign in the window is
-    monotone.  That is the float newton_leq returns in _chord_params.  A
-    link fails where its window does not hold one monotone sign change, or
-    its float lies behind its anchor or past _chord_params' far end
-    (s_{i-1} + 1/scale, or u_end before it).  (Near s = 0, where newton_leq
-    may stop at 2^-79 of its bracket short of adjacent floats, a window's
-    float steps move f by about 2^-78, far below f's rounding, so the
-    window does not bracket save by a rare chance.)  The first link that
-    moved or failed in a sweep has a settled anchor: a moved one is
-    settled, a failed one is solved by _chord_params, and the sweeps go on
-    after it, so there are n sweeps at most.  A link that does not reach
-    its chord before u_end raises the exhausted branch's ConstructionError.
+    Newton runs on all links at once: F_i = |G(s_i) - G(s_{i-1})| - 1 has
+    the lower bidiagonal Jacobian a_i d_i - c_i d_{i-1} = -F_i,
+    a_i = rel.T_i / |rel| and c_i = rel.T_{i-1} / |rel|, one graph_point
+    and one graph_tangent call per iteration and a forward substitution.
+    It stops once every step is at most _CHAIN_STOP_ULPS float spacings of
+    its link's ends, or after _CHAIN_NEWTON_ITERS iterations.  The links
+    before the first one whose step did not converge, that is not finite,
+    or that lies behind its anchor or past _chord_params' far end
+    (anchor + 1/scale, or u_end) are kept; from that one on the links are
+    one _chord_params call each, and a link that does not reach its chord
+    before u_end raises the exhausted branch's ConstructionError.
     """
     s = np.empty(n + 1)
     s[0] = u = float(u0)
@@ -388,32 +364,19 @@ def _unit_chain(base: EpigraphBase, u0: float, ahead: float, u_end: float, n: in
                 d = (ci * d - fi) / ai if ai else math.nan
                 step[i] = d
             s[1:] += step
-            # a NaN step (and every later one) is left to the sweeps
-            if not np.any(np.abs(step) > _CHAIN_STOP_ULPS * np.spacing(np.abs(s[1:]))):
+            tol = _CHAIN_STOP_ULPS * np.spacing(np.maximum(np.abs(s[:-1]), np.abs(s[1:])))
+            done = np.abs(step) <= tol
+            # a NaN step (and every later one) goes to _chord_params
+            if np.all(done | np.isnan(step)):
                 break
-        window = int(ahead) * np.arange(-_CHAIN_SWEEP, _CHAIN_SWEEP + 1, dtype=np.int64)
-        lo = 1  # links lo..n are not yet settled
-        while lo <= n:
-            rows = _float_steps(s[lo - 1:], window)
-            pts = base.graph_point(rows)
-            rel = pts[1:] - pts[:-1, _CHAIN_SWEEP, None]
-            ok = 1.0 - np.hypot(rel[..., 0], rel[..., 1]) <= 0
-            new = rows[np.arange(1, len(rows)), ok.argmax(axis=1)]
-            anchor = rows[:-1, _CHAIN_SWEEP]
-            far = anchor + ahead / base.scale
-            far = np.minimum(far, u_end) if ahead > 0 else np.maximum(far, u_end)
-            good = (~ok[:, 0] & (ok[:, 1:] >= ok[:, :-1]).all(axis=1) & ok[:, -1]
-                    & (ahead * (new - anchor) > 0) & (ahead * (far - new) >= 0))
-            event = ~good | (new != s[lo:])
-            s[lo:] = np.where(good, new, s[lo:])
-            if not event.any():
-                break
-            j = lo + int(np.argmax(event))
-            if not good[j - lo]:
-                s[j] = _chord_params(base, s[j - 1], ahead, u_end, 1.0)
-                if math.isnan(s[j]):
-                    raise ConstructionError("boundary branch exhausted inside the window")
-            lo = j + 1
+        far = s[:-1] + ahead / base.scale
+        far = np.minimum(far, u_end) if ahead > 0 else np.maximum(far, u_end)
+        ok = done & (ahead * (s[1:] - s[:-1]) > 0) & (ahead * (far - s[1:]) >= 0)
+    bad = np.flatnonzero(~ok)
+    for i in range(bad[0] + 1 if len(bad) else n + 1, n + 1):
+        s[i] = _chord_params(base, s[i - 1], ahead, u_end, 1.0)
+        if math.isnan(s[i]):
+            raise ConstructionError("boundary branch exhausted inside the window")
     return s
 
 
@@ -425,15 +388,15 @@ def gen_no_uc(C: Body2, k_max: int = 64):
     the forced separation gap_k collapsing while level gaps stay >= bilip.
     The hypotheses leave an epigraph body whose boundary is one graph
     piece, so every chord is solved on the profile parameter u: the
-    2 k_max + 2 unit-chord links in one solve of the whole chain
-    (_unit_chain, equal bit for bit to solving them one after another with
-    _chord_params), the half-chord net and the short-chord probes each in
-    one _chord_params call.  The bottom point c0 and the first chain point
-    y1 are line-body meets (chord_ends); the chain, y1 included, is the
-    graph points at the solved parameters.  The asymptotic-direction test
-    reads the body's cached search (find_asymptotic_direction), so it costs
-    nothing after characterize.  The certificate's validate() checks the
-    unit links and levels it states.
+    2 k_max + 2 unit-chord links in one Newton solve of the whole chain
+    (_unit_chain, each link of unit length to rounding), the half-chord
+    net and the short-chord probes each in one _chord_params call.  The
+    bottom point c0 and the first chain point y1 are line-body meets
+    (chord_ends); the chain, y1 included, is the graph points at the
+    solved parameters.  The asymptotic-direction test reads the body's
+    cached search (find_asymptotic_direction), so it costs nothing after
+    characterize.  The certificate's validate() checks the unit links and
+    levels it states.
     """
     if C.bounded:
         raise ConstructionError("hypothesis failed: body is bounded")
@@ -567,7 +530,9 @@ def gen_no_lip(E: Body2, k_max: int = 24, scan: int = 64):
     interior.  The usable frames of the scan's directions come first; the
     lower profiles at (z0, z0/2) of all of them are then one
     _lower_profile call in E's coordinates, and only the chosen frame's
-    body is built (transform_body).
+    body is built (transform_body).  The certificate's validate() runs
+    before the return, so one whose Lipschitz lower bounds do not increase
+    raises ConstructionError.
     """
     thetas = [2.0 * math.pi * j / scan for j in range(scan)]
     dirs = np.array([[math.cos(theta), math.sin(theta)] for theta in thetas])
@@ -639,6 +604,7 @@ def gen_no_lip(E: Body2, k_max: int = 24, scan: int = 64):
         p_points=p_pts, q_points=q_pts,
         lip_lower_bounds=k_bounds, products=products, frame=frame,
         params={"theta": theta, "k_max": k_max, "g_eps": float(g_at[0])})
+    cert.validate()
     return f, cert
 
 

@@ -31,9 +31,9 @@ floats wide: closed form on the cosh, exp and ball profiles, a
 `newton_leq` solve on g' with g'' on a polynomial profile.  Coupled roots
 are not theirs: the unit-chord chain of the no-uniformly-continuous
 certificate, where each link starts at the end of the one before, is
-one Newton solve of the whole chain with exact ulp sweeps
-(`counterexamples._unit_chain`), and `newton_leq` runs one link at a time
-only where that solve leaves a link unsettled.
+one Newton solve of the whole chain, stopped once every step is a few
+float spacings (`counterexamples._unit_chain`), and `newton_leq` runs one
+link at a time only from the first link that solve does not keep.
 """
 
 from __future__ import annotations

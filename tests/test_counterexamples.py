@@ -526,6 +526,24 @@ def test_no_lip_scan_matches_per_direction(quartet, name):
     assert cert.params["theta"] == theta
 
 
+@pytest.fixture(scope="module")
+def fuzz_313():
+    """A bounded 9-cut body (verify.fuzz_bodies(1, 400)[313])."""
+    from qcext.verify import fuzz_bodies
+
+    return fuzz_bodies(1, 400)[313]
+
+
+@pytest.mark.parametrize("k_max,scan", [(8, 16), (8, 64), (24, 64)])
+def test_no_lip_raises_on_its_own_invalid_certificate(fuzz_313, k_max, scan):
+    """On this body the construction's Lipschitz lower bounds do not
+    increase, so gen_no_lip's own validate() raises instead of returning
+    the certificate."""
+    assert fuzz_313.bounded
+    with pytest.raises(ConstructionError, match="not increasing"):
+        gen_no_lip(fuzz_313, k_max=k_max, scan=scan)
+
+
 def test_no_lip_margin_call_budget(quartet, monkeypatch):
     """The scan's lower profiles are one chord_ends call for all directions,
     so the membership calls stay far below one 100-step bisection per
