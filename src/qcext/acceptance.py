@@ -18,7 +18,7 @@ import numpy as np
 from . import counterexamples as cx
 from . import extension as ext
 from . import levelset as ls
-from .geometry import Body2
+from .geometry import Body2, ConvexHull
 from .verify import (
     check_classifier_consistency,
     check_downward_exclusion,
@@ -116,8 +116,6 @@ def criterion_6():
 
 def criterion_7():
     """Upper-semicontinuous counterexample wiring and hull forcing."""
-    from scipy.spatial import ConvexHull
-
     f, wit = cx.gen_usc_counterexample()
     vals_ok = (wit.value_bottom == 0.0 and wit.value_corner == 1.0
                and f.eval_one((0.5, 0.5)) == 0.5)

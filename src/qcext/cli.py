@@ -16,7 +16,7 @@ from . import plots
 from . import serialize as ser
 from . import verify as vf
 from .geometry import Body2, GeometryError, recession_cone, find_asymptotic_direction, is_rotund
-from .levelset import LevelFamily, LevelSetError
+from .levelset import LevelSetError
 
 GALLERY = {
     "disk": lambda p: Body2.ball(p.get("center", (0.0, 0.0)), p.get("radius", 1.0)),
@@ -31,14 +31,6 @@ GALLERY = {
     "hypograph": lambda p: Body2.epigraph("exp_hypograph"),
     "cosh": lambda p: Body2.epigraph("cosh", p or None),
     "halfplane": lambda p: Body2.from_halfplanes([((0.0, 1.0), 1.0)]),
-}
-
-CERTIFY_KINDS = {
-    "no-qc": lambda body, k: cx.gen_no_qc(body, k_max=k),
-    "non-rotund": lambda body, k: cx.gen_non_rotund(body, k_max=k),
-    "no-uc": lambda body, k: cx.gen_no_uc(body, k_max=k),
-    "no-lip": lambda body, k: cx.gen_no_lip(body, k_max=k),
-    "usc": lambda body, k: cx.gen_usc_counterexample(),
 }
 
 
@@ -59,21 +51,6 @@ def _emit(text: str, out: str = ""):
 
 def _load_body(path: str) -> Body2:
     return ser.body_from_json(_read_json(path))
-
-
-def _load_family(path: str, ambient: Body2) -> LevelFamily:
-    """The staircase level family in a function file, on the --body ambient;
-    LevelSetError if the file holds none."""
-    data = _read_json(path)
-    if data.get("kind") != "staircase":
-        raise LevelSetError(f"{path}: expected a staircase family function, "
-                            f"got kind {data.get('kind')!r}")
-    try:
-        levels, bodies = data["levels"], data["bodies"]
-    except KeyError as e:
-        raise LevelSetError(f"{path}: staircase family without {e}") from None
-    return LevelFamily(levels=np.asarray(levels, dtype=float),
-                       bodies=[ser.body_from_json(b) for b in bodies], ambient=ambient)
 
 
 def _parse_window(text, default=(-8.0, 8.0, -8.0, 8.0)):
@@ -128,7 +105,8 @@ def cmd_body(args, conf) -> int:
 
 
 def cmd_extend(args, conf) -> int:
-    fam = _load_family(args.function, _load_body(args.body))
+    body = _load_body(args.body)
+    fam = ser.family_from_json(_read_json(args.function), body)
     res = ext.extend_function(fam, tol=max(conf.tol, 1e-9))
     meta = {"family": ser.family_hash(fam), "regularity": res.regularity}
     csv = ser.grid_csv(res, args.window_box, conf.grid, meta)
@@ -140,16 +118,14 @@ def cmd_extend(args, conf) -> int:
 
 
 def cmd_certify(args, conf) -> int:
-    if args.kind == "usc":
-        body = None
-    else:
-        body = _load_body(args.body)
+    kind = args.kind.replace("-", "_")
+    body = _load_body(args.body) if args.body else None
     try:
-        _, cert = CERTIFY_KINDS[args.kind](body, conf.kmax)
+        _, cert = cx.CERTIFICATES[kind][1](body, k_max=conf.kmax)
     except (cx.ConstructionError, GeometryError) as e:
         print(f"hypothesis check failed: {e}", file=sys.stderr)
         return 2
-    prefix = conf.out or f"certificate_{args.kind.replace('-', '_')}"
+    prefix = conf.out or f"certificate_{kind}"
     with open(f"{prefix}.json", "w") as fh:
         json.dump(ser.certificate_to_json(cert), fh, indent=2)
     written = [f"{prefix}.json"]
@@ -205,7 +181,7 @@ def cmd_plot(args, conf) -> int:
         return 0
     body = _load_body(args.body)
     if args.function:
-        res = ext.extend_function(_load_family(args.function, body))
+        res = ext.extend_function(ser.family_from_json(_read_json(args.function), body))
         svg = plots.svg_extension(res, args.window_box)
     else:
         svg = plots.svg_body(body, args.window_box)
@@ -240,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("certify", parents=[common],
                         help="emit a non-extendability certificate")
-    pc.add_argument("--kind", required=True, choices=sorted(CERTIFY_KINDS))
+    pc.add_argument("--kind", required=True,
+                    choices=sorted(k.replace("_", "-") for k in cx.CERTIFICATES))
     pc.add_argument("--body", default="")
     pc.add_argument("--svg", default="")
     pc.set_defaults(fn=cmd_certify)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +46,13 @@ class ConstructionError(ValueError):
     """A generator's hypothesis on the body failed; the message names it."""
 
 
+def _given(C: Optional[Body2]) -> Body2:
+    """C; ConstructionError when a generator that needs a body has none."""
+    if C is None:
+        raise ConstructionError("hypothesis failed: no body given")
+    return C
+
+
 # ---------------------------------------------------------------------------
 # frames
 
@@ -58,7 +65,11 @@ def _rotation_to(d_from, d_to) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# certificate containers
+# certificate containers; serialize writes each as its kind and its fields,
+# leaving out the frame (_NOT_WRITTEN) and None values
+
+_NOT_WRITTEN = {"json": False}
+
 
 @dataclass
 class ForcingCertificate:
@@ -77,8 +88,12 @@ class ForcingCertificate:
     arc_lengths: np.ndarray        # chord length of line-body meets
     witnesses: np.ndarray          # points where the extension is pinned
     jump: Optional[tuple] = None   # (alpha_1, alpha_last) for the jump pair
-    frame: Optional[Frame] = None
+    frame: Optional[Frame] = field(default=None, metadata=_NOT_WRITTEN)
     params: dict = field(default_factory=dict)
+    trend: dict = field(init=False)  # divergence_trend() at construction
+
+    def __post_init__(self):
+        self.trend = self.divergence_trend()
 
     def divergence_trend(self) -> dict:
         d = np.diff(self.levels)
@@ -96,6 +111,7 @@ class NoUCCertificate:
     levels stay at least bilip apart.
     """
 
+    kind: ClassVar[str] = "no_uc"
     points: np.ndarray             # y_n along the boundary branch
     levels: np.ndarray             # alpha_n = h(y_n)
     bilip: float                   # sampled bi-Lipschitz lower constant
@@ -140,6 +156,7 @@ class NoLipCertificate:
     left side forces the lower bounds K_k to explode.
     """
 
+    kind: ClassVar[str] = "no_lip"
     eps: float
     gauge: float
     profile_samples: np.ndarray    # (z, g(z)) rows
@@ -152,7 +169,7 @@ class NoLipCertificate:
     q_points: np.ndarray           # Q_k on l_{k+1}
     lip_lower_bounds: np.ndarray   # K_k
     products: np.ndarray           # 2^k (2 delta_k + alpha_{k+1})
-    frame: Frame = None
+    frame: Optional[Frame] = field(default=None, metadata=_NOT_WRITTEN)
     params: dict = field(default_factory=dict)
 
     def validate(self):
@@ -164,11 +181,18 @@ class NoLipCertificate:
 # ---------------------------------------------------------------------------
 # wedge staircases force the values of every extension
 
+def _line_halfplane(n: np.ndarray, offset: float) -> HalfPlane:
+    """{n . p <= offset} with n and offset divided by |n| also where n is
+    unit to within 4 eps, which HalfPlane keeps as given (wedge and shelf)."""
+    s = norm(n)
+    return HalfPlane(n / s, float(offset) / s)
+
+
 def _wedge_halfplane(eps_n: float, b_n: float) -> HalfPlane:
     # frame-coordinates half-plane {s <= 1 + eps_n - (eps_n/b_n) t}
     slope = eps_n / b_n
     n = np.array([slope, 1.0])
-    return HalfPlane.from_any(n, float(n @ vec(b_n, 1.0)))
+    return _line_halfplane(n, float(n @ vec(b_n, 1.0)))
 
 
 def _arc_lengths(C: Body2, frame: Frame, lines: Sequence[HalfPlane], spans) -> np.ndarray:
@@ -221,7 +245,7 @@ def gen_no_qc(C: Body2, k_max: int = 24):
     extension to exceed every level at the fixed witness point while the
     levels diverge.
     """
-    found = find_asymptotic_direction(C)
+    found = find_asymptotic_direction(_given(C))
     if found is None:
         if C.bounded:
             raise ConstructionError("hypothesis failed: body is bounded "
@@ -258,7 +282,7 @@ def gen_non_rotund(C: Body2, k_max: int = 24, min_segment: float = 1e-6):
     """Lipschitz QC function on a non-rotund body with no continuous QC
     extension: the forced limit along the boundary segment jumps.
     """
-    seg = find_boundary_segment(C, min_segment)
+    seg = find_boundary_segment(_given(C), min_segment)
     if seg is None:
         raise ConstructionError("hypothesis failed: body is rotund "
                                 "(no boundary segment found)")
@@ -398,7 +422,7 @@ def gen_no_uc(C: Body2, k_max: int = 64):
     characterize.  The certificate's validate() checks the unit links and
     levels it states.
     """
-    if C.bounded:
+    if _given(C).bounded:
         raise ConstructionError("hypothesis failed: body is bounded")
     if not is_rotund(C):
         raise ConstructionError("hypothesis failed: body is not rotund")
@@ -536,7 +560,7 @@ def gen_no_lip(E: Body2, k_max: int = 24, scan: int = 64):
     """
     thetas = [2.0 * math.pi * j / scan for j in range(scan)]
     dirs = np.array([[math.cos(theta), math.sin(theta)] for theta in thetas])
-    usable = [(theta, frame) for theta, frame in zip(thetas, _no_lip_frames(E, dirs))
+    usable = [(theta, frame) for theta, frame in zip(thetas, _no_lip_frames(_given(E), dirs))
               if frame is not None]
     if not usable:
         raise ConstructionError("no usable supporting direction found")
@@ -577,8 +601,8 @@ def gen_no_lip(E: Body2, k_max: int = 24, scan: int = 64):
     for k in range(k_max + 1):
         zk = zs[k]
         slope = (g_at[k] - alphas[k]) / zk
-        hp_u = HalfPlane.from_any(vec(-1.0, 0.0), -0.75 * zk)
-        hp_line = HalfPlane.from_any(vec(slope, -1.0), -alphas[k])
+        hp_u = HalfPlane(vec(-1.0, 0.0), -0.75 * zk)
+        hp_line = _line_halfplane(vec(slope, -1.0), -alphas[k])
         cuts.append([hp_u, hp_line])
         lines.append((float(slope), float(alphas[k])))
         bodies.append(C.clip([hp_u, hp_line], name=f"shelf{k}"))
@@ -648,6 +672,9 @@ def _no_lip_frames(E: Body2, dirs: np.ndarray) -> list:
 
 @dataclass
 class UscWitness:
+    """The usc counterexample's two pinned values and its forcing data."""
+
+    kind: ClassVar[str] = "usc"
     domain: Body2
     value_bottom: float     # f(0, -1)
     value_corner: float     # f(0, 0)
@@ -655,9 +682,11 @@ class UscWitness:
     forcing_segment: tuple  # ((0, 1/3), (1, 1/3)) with open ends
 
 
-def gen_usc_counterexample():
+def gen_usc_counterexample(C: Optional[Body2] = None, k_max: Optional[int] = None):
     """Upper semicontinuous QC function on [0,1] x [-1,1] with no usc QC
     extension: 0 below the axis, y on the open vertical strip, 1 elsewhere.
+    The counterexample has its own domain and size, so C and k_max, which
+    every generator in CERTIFICATES takes, are ignored.
     """
     domain = Body2.from_polychain([(0.0, -1.0), (1.0, -1.0), (1.0, 1.0), (0.0, 1.0)],
                                   name="usc_rectangle")
@@ -678,6 +707,18 @@ def gen_usc_counterexample():
                      ball_center=vec(0.0, -1.0),
                      forcing_segment=((0.0, 1.0 / 3.0), (1.0, 1.0 / 3.0)))
     return f, wit
+
+
+#: certificate kind -> (certificate class, generator).  A certificate's kind
+#: attribute is its key here and its JSON "kind"; every generator is called
+#: as generator(body, k_max=...) and returns (function, certificate).
+CERTIFICATES = {
+    "no_qc": (ForcingCertificate, gen_no_qc),
+    "non_rotund": (ForcingCertificate, gen_non_rotund),
+    "no_uc": (NoUCCertificate, gen_no_uc),
+    "no_lip": (NoLipCertificate, gen_no_lip),
+    "usc": (UscWitness, gen_usc_counterexample),
+}
 
 
 # ---------------------------------------------------------------------------

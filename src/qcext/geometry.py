@@ -45,9 +45,6 @@ from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-# no geometry code calls Qhull; the name stays because the benchmark's tracer
-# (perfbench/tracing.py) counts Qhull solves by wrapping geometry.ConvexHull
-from scipy.spatial import ConvexHull  # noqa: F401
 
 TOL = 1e-9            # absolute tolerance for geometric predicates
 WINDOW_MULT = 1024.0  # working window half-size = WINDOW_MULT * witness clearance
@@ -305,27 +302,35 @@ def along(fn, path):
 # ---------------------------------------------------------------------------
 # half-planes
 
+#: a normal this close to unit length is kept bit for bit
+_UNIT_SLACK = 4.0 * np.finfo(float).eps
+
+
 @dataclass(frozen=True)
 class HalfPlane:
-    """Closed half-plane {p : normal . p <= offset} with a unit normal."""
+    """Closed half-plane {p : normal . p <= offset}, stored with a unit
+    normal.
+
+    A normal n of length s (math.hypot) is stored as given when
+    |s - 1| <= 4 eps, so a unit normal read back from JSON keeps its bits;
+    otherwise normal and offset are both divided by s, which keeps the
+    half-plane: HalfPlane((0, 2), 2) is {y <= 1}.  A zero normal raises
+    GeometryError.
+    """
 
     normal: np.ndarray
     offset: float
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float)
-        if abs(norm(n) - 1.0) > 1e-7:
-            n = unit(n)
-        object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", float(self.offset))
-
-    @staticmethod
-    def from_any(normal, offset: float) -> "HalfPlane":
-        n = np.asarray(normal, dtype=float)
-        s = norm(n)
+        offset = float(self.offset)
+        s = math.hypot(n[0], n[1])
         if s == 0.0:
             raise GeometryError("half-plane normal must be nonzero")
-        return HalfPlane(n / s, float(offset) / s)
+        if abs(s - 1.0) > _UNIT_SLACK:
+            n, offset = n / s, offset / s
+        object.__setattr__(self, "normal", n)
+        object.__setattr__(self, "offset", offset)
 
     def value(self, pts: np.ndarray) -> np.ndarray:
         """Signed margin; <= 0 inside, equals the distance outside."""
@@ -1484,6 +1489,15 @@ def chebyshev_centre(normals: np.ndarray, offsets: np.ndarray):
     return _chebyshev_lp(normals, offsets)
 
 
+def ConvexHull(*args, **kwargs):
+    """scipy.spatial.ConvexHull, imported on the first call (loading it took
+    about 0.33 s): verify's polygons use it, and the benchmark's tracer
+    (perfbench/tracing.py) counts the calls made through this name."""
+    from scipy.spatial import ConvexHull as hull
+
+    return hull(*args, **kwargs)
+
+
 def linprog(*args, **kwargs):
     """scipy.optimize.linprog, imported on the first call: loading
     scipy.optimize takes about 0.2 s and 11 MB, and only the witness LP
@@ -1543,7 +1557,7 @@ class Body2:
 
     @staticmethod
     def from_halfplanes(halfplanes, name: str = "", **kw) -> "Body2":
-        hps = [hp if isinstance(hp, HalfPlane) else HalfPlane.from_any(*hp)
+        hps = [hp if isinstance(hp, HalfPlane) else HalfPlane(*hp)
                for hp in halfplanes]
         return Body2(PlaneBase(), hps, name=name, **kw)
 
@@ -1608,7 +1622,7 @@ class Body2:
         return Body2(EpigraphBase(prof, M, shift), (), name=name, **kw)
 
     def clip(self, halfplanes, name: str = "", **kw) -> "Body2":
-        hps = [hp if isinstance(hp, HalfPlane) else HalfPlane.from_any(*hp)
+        hps = [hp if isinstance(hp, HalfPlane) else HalfPlane(*hp)
                for hp in halfplanes]
         return Body2(self.base, self.cuts + tuple(hps),
                      name=name or self.name, **kw)

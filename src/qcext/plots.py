@@ -99,9 +99,9 @@ def svg_extension(res: ExtensionResult, window) -> str:
 
 
 def svg_certificate(cert, window=None) -> str:
-    """Construction figures for the counterexample certificates."""
-    name = type(cert).__name__
-    if name == "NoUCCertificate":
+    """Construction figures for the counterexample certificates, by kind;
+    ValueError for a kind without one (usc)."""
+    if cert.kind == "no_uc":
         pts = np.asarray(cert.points)
         if window is None:
             lo, hi = pts.min(0), pts.max(0)
@@ -117,7 +117,7 @@ def svg_certificate(cert, window=None) -> str:
         for i, p in enumerate(pts[:24]):
             canvas.dot(p, "#d62728", 2.5)
         return canvas.render()
-    if name == "NoLipCertificate":
+    if cert.kind == "no_lip":
         if window is None:
             window = (-0.1, max(2.5 * cert.eps, 0.5), -0.1, 1.1)
         canvas = _Canvas(window)
@@ -131,7 +131,7 @@ def svg_certificate(cert, window=None) -> str:
             canvas.dot(cert.p_points[k], "#d62728", 2.5)
             canvas.dot(cert.q_points[k], "#1f77b4", 2.5)
         return canvas.render()
-    if name == "ForcingCertificate":
+    if cert.kind in ("no_qc", "non_rotund"):
         wit = np.asarray(cert.witnesses)
         if window is None:
             c = wit[0]
@@ -145,4 +145,4 @@ def svg_certificate(cert, window=None) -> str:
         for p in wit:
             canvas.dot(p, "#d62728", 3.0)
         return canvas.render()
-    raise ValueError(f"no figure for certificate type {name}")
+    raise ValueError(f"no figure for certificate kind {cert.kind}")

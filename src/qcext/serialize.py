@@ -1,18 +1,28 @@
-"""JSON and CSV interchange for bodies, functions and certificates.
+"""JSON and CSV interchange for bodies, level families, functions and
+certificates; every JSON form reads back to equal JSON.
 
-Body schema kinds: halfplanes | polychain | ball | epigraph; analytic
-kinds carry an optional "cuts" list so clipped bodies round-trip.  CSV
+Body kinds: halfplanes | polychain | ball | epigraph; analytic kinds carry
+an optional "cuts" list so clipped bodies round-trip, and a half-plane's
+unit normal keeps its bits (HalfPlane).  A level family is {"ambient",
+"levels", "bodies"}; a staircase function is that family with "kind":
+"staircase" and "gaps", and family_from_json reads either.  A certificate
+is its kind (counterexamples.CERTIFICATES) and its dataclass fields under
+their own names, with one encoder and one decoder for every kind.  CSV
 floats print with 17 significant digits for bit-stable reparse.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import json
+from dataclasses import MISSING
+from typing import Optional
 
 import numpy as np
 
+from . import counterexamples as cx
 from .geometry import (
     BallBase,
     Body2,
@@ -22,13 +32,6 @@ from .geometry import (
     PlaneBase,
 )
 from .levelset import LevelFamily, QCFunction, compose_projection, ramp_qc, staircase_qc
-
-
-FLOAT_FMT = "%.17g"
-
-
-def fmt(x: float) -> str:
-    return FLOAT_FMT % float(x)
 
 
 def _hp_item(hp: HalfPlane) -> dict:
@@ -44,29 +47,24 @@ def _required(data: dict, key: str, what: str):
 
 
 def _hp_parse(item: dict) -> HalfPlane:
-    return HalfPlane.from_any(_required(item, "normal", "half-plane item"),
-                              _required(item, "offset", "half-plane item"))
+    return HalfPlane(_required(item, "normal", "half-plane item"),
+                     _required(item, "offset", "half-plane item"))
 
 
 def body_to_json(body: Body2) -> dict:
-    cuts = [_hp_item(hp) for hp in body.cuts]
-    if isinstance(body.base, PlaneBase):
+    cuts, eb = [_hp_item(hp) for hp in body.cuts], body.base
+    if isinstance(eb, PlaneBase):
         return {"kind": "halfplanes", "items": cuts}
-    if isinstance(body.base, BallBase):
-        out = {"kind": "ball", "center": body.base.center.tolist(),
-               "radius": float(body.base.radius)}
-        if cuts:
-            out["cuts"] = cuts
-        return out
-    if isinstance(body.base, EpigraphBase):
-        eb = body.base
-        transform = np.column_stack([eb.M, eb.shift]).tolist()
-        out = {"kind": "epigraph", "profile": eb.profile.name,
-               "params": eb.profile.params, "transform": transform}
-        if cuts:
-            out["cuts"] = cuts
-        return out
-    raise GeometryError("unknown body representation")
+    if isinstance(eb, BallBase):
+        out = {"kind": "ball", "center": eb.center.tolist(), "radius": float(eb.radius)}
+    elif isinstance(eb, EpigraphBase):
+        out = {"kind": "epigraph", "profile": eb.profile.name, "params": eb.profile.params,
+               "transform": np.column_stack([eb.M, eb.shift]).tolist()}
+    else:
+        raise GeometryError("unknown body representation")
+    if cuts:
+        out["cuts"] = cuts
+    return out
 
 
 def body_from_json(data: dict) -> Body2:
@@ -95,38 +93,44 @@ def family_to_json(fam: LevelFamily) -> dict:
             "bodies": [body_to_json(b) for b in fam.bodies]}
 
 
+def family_from_json(data: dict, ambient: Optional[Body2] = None) -> LevelFamily:
+    """The level family that family_to_json wrote, or a staircase function's
+    family; ambient, when given, stands for the stored one."""
+    kind = data.get("kind")
+    if kind not in (None, "staircase"):
+        raise GeometryError(f"expected a level family or a staircase function, got kind {kind!r}")
+    what = "level family"
+    if ambient is None:
+        ambient = body_from_json(_required(data, "ambient", what))
+    return LevelFamily(levels=np.asarray(_required(data, "levels", what), dtype=float),
+                       bodies=[body_from_json(b) for b in _required(data, "bodies", what)],
+                       ambient=ambient)
+
+
 def function_to_json(f: QCFunction) -> dict:
     kind = f.meta.get("kind")
     if kind == "staircase":
-        fam = f.meta["family"]
-        return {"kind": "staircase", "ambient": body_to_json(fam.ambient),
-                "bodies": [body_to_json(b) for b in fam.bodies],
-                "levels": [float(a) for a in fam.levels],
+        return {"kind": "staircase", **family_to_json(f.meta["family"]),
                 "gaps": [float(g) for g in f.meta["gaps"]]}
     if kind == "ramp":
-        return {"kind": "tilde_f",
-                "domain": body_to_json(f.domain),
-                "h_normal": f.meta["h"].tolist(),
-                "h_offset": float(f.meta["h_offset"]),
-                "points": np.asarray(f.meta["points"]).tolist(),
-                "alphas": np.asarray(f.meta["alphas"]).tolist(),
-                "halfplanes": [_hp_item(h) for h in f.meta["halfplanes"]],
-                "bilip": float(f.meta["bilip"])}
+        m = f.meta
+        return {"kind": "tilde_f", "domain": body_to_json(f.domain), "h_normal": _encode(m["h"]),
+                "h_offset": float(m["h_offset"]), "bilip": float(m["bilip"]),
+                **{k: _encode(np.asarray(m[k])) for k in ("points", "alphas")},
+                "halfplanes": _encode(m["halfplanes"])}
     if kind == "composed":
-        return {"kind": "composed",
-                "inner": function_to_json(f.meta["inner"]),
-                "proj": np.asarray(f.meta["proj"]).tolist()}
+        return {"kind": "composed", "inner": function_to_json(f.meta["inner"]),
+                "proj": _encode(np.asarray(f.meta["proj"]))}
     raise GeometryError(f"function kind {kind!r} has no JSON form")
 
 
 def function_from_json(data: dict) -> QCFunction:
     kind = data.get("kind")
     if kind == "staircase":
-        ambient = body_from_json(data["ambient"])
-        bodies = [body_from_json(b) for b in data["bodies"]]
-        return staircase_qc(ambient, bodies,
-                            np.asarray(data["levels"], dtype=float),
-                            np.asarray(data["gaps"], dtype=float))
+        fam = family_from_json(data)
+        return staircase_qc(fam.ambient, fam.bodies, fam.levels,
+                            np.asarray(_required(data, "gaps", "staircase function"),
+                                       dtype=float))
     if kind == "tilde_f":
         return ramp_qc(body_from_json(data["domain"]), data["h_normal"],
                        np.asarray(data["points"], dtype=float),
@@ -142,119 +146,85 @@ def function_from_json(data: dict) -> QCFunction:
 # ---------------------------------------------------------------------------
 # certificates
 
-def _arr(x):
-    return np.asarray(x, dtype=float).tolist()
+def _encode(value):
+    """A certificate field's JSON value: half-planes as items, bodies as body
+    JSON, arrays and tuples as lists, numpy scalars as Python numbers."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    if isinstance(value, HalfPlane):
+        return _hp_item(value)
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, Body2):
+        return body_to_json(value)
+    return value
+
+
+def _decode(value, annotation: str):
+    """A certificate field from its JSON value: arrays and bodies by the
+    field's annotation, half-plane items wherever they nest in lists."""
+    if annotation == "np.ndarray":
+        return np.asarray(value, dtype=float)
+    if annotation == "Body2":
+        return body_from_json(value)
+    if isinstance(value, list):
+        return [_decode(v, "") for v in value]
+    if isinstance(value, dict) and "normal" in value:
+        return _hp_parse(value)
+    return value
 
 
 def certificate_to_json(cert) -> dict:
-    name = type(cert).__name__
-    if name == "NoLipCertificate":
-        return {"kind": "no_lip", "eps": cert.eps, "gauge": cert.gauge,
-                "alphas": _arr(cert.alphas), "secant_gaps": _arr(cert.secant_gaps),
-                "levels": _arr(cert.levels),
-                "lines": [[float(a), float(b)] for a, b in cert.lines],
-                "p_points": _arr(cert.p_points), "q_points": _arr(cert.q_points),
-                "lip_lower_bounds": _arr(cert.lip_lower_bounds),
-                "products": _arr(cert.products),
-                "body_cuts": [[_hp_item(h) for h in cl] for cl in cert.body_cuts],
-                "profile_samples": _arr(cert.profile_samples),
-                "params": cert.params}
-    if name == "NoUCCertificate":
-        return {"kind": "no_uc", "bilip": cert.bilip,
-                "points": _arr(cert.points), "levels": _arr(cert.levels),
-                "gaps": _arr(cert.gaps),
-                "halfplanes": [_hp_item(h) for h in cert.halfplanes],
-                "h_normal": _arr(cert.h_normal), "h_offset": cert.h_offset,
-                "params": cert.params}
-    if name == "ForcingCertificate":
-        out = {"kind": cert.kind, "levels": _arr(cert.levels),
-               "forcing_halfplanes": [_hp_item(h) for h in cert.forcing_halfplanes],
-               "arc_lengths": _arr(cert.arc_lengths),
-               "witnesses": _arr(cert.witnesses),
-               "trend": cert.divergence_trend(), "params": cert.params}
-        if cert.jump is not None:
-            out["jump"] = [float(cert.jump[0]), float(cert.jump[1])]
-        return out
-    if name == "UscWitness":
-        return {"kind": "usc", "value_bottom": cert.value_bottom,
-                "value_corner": cert.value_corner,
-                "ball_center": _arr(cert.ball_center),
-                "forcing_segment": [list(cert.forcing_segment[0]),
-                                    list(cert.forcing_segment[1])],
-                "domain": body_to_json(cert.domain)}
-    raise GeometryError(f"unknown certificate type {name}")
+    """The certificate's kind and its dataclass fields under their own names,
+    leaving out None values and fields whose metadata says json False (a
+    frame).  certificate_from_json reads it back to equal JSON."""
+    out = {"kind": cert.kind}
+    for f in dataclasses.fields(cert):
+        value = getattr(cert, f.name)
+        if value is not None and f.metadata.get("json", True):
+            out[f.name] = _encode(value)
+    return out
 
 
 def certificate_from_json(data: dict):
-    """Rebuild a certificate object from its JSON form (for plotting)."""
-    from .counterexamples import (ForcingCertificate, NoLipCertificate,
-                                  NoUCCertificate, UscWitness)
-
+    """The certificate of data's kind (counterexamples.CERTIFICATES), built
+    from its fields; a derived field (init=False) is computed again and a
+    missing required one raises GeometryError."""
     kind = data.get("kind")
-    if kind == "no_lip":
-        return NoLipCertificate(
-            eps=float(data["eps"]), gauge=float(data["gauge"]),
-            profile_samples=np.asarray(data["profile_samples"], dtype=float),
-            secant_gaps=np.asarray(data["secant_gaps"], dtype=float),
-            alphas=np.asarray(data["alphas"], dtype=float),
-            levels=np.asarray(data["levels"], dtype=float),
-            body_cuts=[[_hp_parse(i) for i in cl] for cl in data["body_cuts"]],
-            lines=[tuple(row) for row in data["lines"]],
-            p_points=np.asarray(data["p_points"], dtype=float),
-            q_points=np.asarray(data["q_points"], dtype=float),
-            lip_lower_bounds=np.asarray(data["lip_lower_bounds"], dtype=float),
-            products=np.asarray(data["products"], dtype=float),
-            params=data.get("params", {}))
-    if kind == "no_uc":
-        return NoUCCertificate(
-            points=np.asarray(data["points"], dtype=float),
-            levels=np.asarray(data["levels"], dtype=float),
-            bilip=float(data["bilip"]),
-            halfplanes=[_hp_parse(i) for i in data["halfplanes"]],
-            gaps=np.asarray(data["gaps"], dtype=float),
-            h_normal=np.asarray(data["h_normal"], dtype=float),
-            h_offset=float(data["h_offset"]), params=data.get("params", {}))
-    if kind in ("no_qc", "non_rotund"):
-        return ForcingCertificate(
-            kind=kind, levels=np.asarray(data["levels"], dtype=float),
-            forcing_halfplanes=[_hp_parse(i) for i in data["forcing_halfplanes"]],
-            arc_lengths=np.asarray(data["arc_lengths"], dtype=float),
-            witnesses=np.asarray(data["witnesses"], dtype=float),
-            jump=tuple(data["jump"]) if data.get("jump") else None,
-            params=data.get("params", {}))
-    if kind == "usc":
-        from .counterexamples import gen_usc_counterexample
-
-        return gen_usc_counterexample()[1]
-    raise GeometryError(f"unknown certificate kind {kind!r}")
+    if kind not in cx.CERTIFICATES:
+        raise GeometryError(f"unknown certificate kind {kind!r}")
+    cls, what = cx.CERTIFICATES[kind][0], f"{kind} certificate"
+    fields = {}
+    for f in dataclasses.fields(cls):
+        optional = f.default is not MISSING or f.default_factory is not MISSING
+        if f.init and (f.name in data or not optional):
+            fields[f.name] = _decode(_required(data, f.name, what), f.type)
+    return cls(**fields)
 
 
 def certificate_tables(cert) -> dict:
-    """Per-certificate CSV tables: name -> (header, rows)."""
-    name = type(cert).__name__
-    if name == "NoLipCertificate":
+    """Per-certificate CSV tables, by kind: name -> (header, rows)."""
+    if cert.kind == "no_lip":
         k = np.arange(len(cert.products))
         rows = np.column_stack([k, cert.secant_gaps, cert.alphas[1:len(k) + 1],
                                 cert.products, cert.lip_lower_bounds])
-        return {"blowup": (["k", "secant_gap", "alpha_next", "product", "K_lower"],
-                           rows),
+        return {"blowup": (["k", "secant_gap", "alpha_next", "product", "K_lower"], rows),
                 "profile": (["z", "g"], np.asarray(cert.profile_samples))}
-    if name == "NoUCCertificate":
-        n = np.arange(1, len(cert.points) + 1)
+    if cert.kind == "no_uc":
         pts = np.asarray(cert.points)
-        rows = np.column_stack([n, pts[:, 0], pts[:, 1], cert.levels])
-        k = np.arange(1, len(cert.gaps) + 1)
-        gaps = np.column_stack([k, cert.gaps])
-        return {"chain": (["n", "x", "y", "alpha"], rows),
-                "gaps": (["k", "gap"], gaps)}
-    if name == "ForcingCertificate":
-        m = min(len(cert.levels), len(cert.arc_lengths))
-        rows = np.column_stack([np.arange(m), cert.levels[:m], cert.arc_lengths[:m]])
-        return {"forcing": (["n", "alpha", "arc_length"], rows)}
-    if name == "UscWitness":
-        rows = np.array([[cert.value_bottom, cert.value_corner]])
-        return {"usc": (["f_bottom", "f_corner"], rows)}
-    return {}
+        rows = np.column_stack([np.arange(1, len(pts) + 1), pts[:, 0], pts[:, 1], cert.levels])
+        gaps = np.column_stack([np.arange(1, len(cert.gaps) + 1), cert.gaps])
+        return {"chain": (["n", "x", "y", "alpha"], rows), "gaps": (["k", "gap"], gaps)}
+    if cert.kind == "usc":
+        return {"usc": (["f_bottom", "f_corner"],
+                        np.array([[cert.value_bottom, cert.value_corner]]))}
+    m = min(len(cert.levels), len(cert.arc_lengths))  # no_qc and non_rotund
+    rows = np.column_stack([np.arange(m), cert.levels[:m], cert.arc_lengths[:m]])
+    return {"forcing": (["n", "alpha", "arc_length"], rows)}
 
 
 def write_csv(path, header, rows, meta: dict = None):
@@ -269,16 +239,14 @@ def csv_text(header, rows, meta: dict = None) -> str:
             buf.write(f"# {k}: {meta[k]}\n")
     buf.write(",".join(header) + "\n")
     for row in np.atleast_2d(np.asarray(rows, dtype=float)):
-        buf.write(",".join(fmt(v) for v in row) + "\n")
+        buf.write(",".join("%.17g" % v for v in row) + "\n")
     return buf.getvalue()
 
 
-def canonical_json(data) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
 def content_hash(data) -> str:
-    return hashlib.sha256(canonical_json(data).encode()).hexdigest()
+    """sha256 of data's JSON with sorted keys and no spaces."""
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def family_hash(fam: LevelFamily) -> str:

@@ -16,13 +16,12 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from . import counterexamples as cx
 from . import extension as ext
 from . import geometry as geo
 from . import levelset as ls
-from .geometry import Body2, GeometryError
+from .geometry import Body2, ConvexHull, GeometryError
 from .serialize import content_hash
 
 DEFAULT_BUDGET = {
@@ -381,6 +380,8 @@ def _case_supporting_cone_membership(rng, budget):
 
 
 def _in_hull(p, pts, tol):
+    from scipy.spatial import QhullError
+
     try:
         hull = ConvexHull(pts)
     except QhullError:

@@ -1,13 +1,18 @@
 """Command-line interface flows."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qcext
 from qcext import serialize as ser
 from qcext.cli import main
 from qcext.geometry import Body2
+from qcext.levelset import LevelFamily
 
 
 def run(argv, capsys):
@@ -223,3 +228,71 @@ def test_plot_body_and_certificate(tmp_path, capsys):
                       "--out", str(cert_svg)], capsys)
     assert code == 0
     assert cert_svg.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("kind, body", [
+    ("no-uc", Body2.epigraph("parabola")),
+    ("no-qc", Body2.epigraph("exp_hypograph")),
+    ("non-rotund", Body2.from_polychain([(-1, -1), (1, -1), (1, 1), (-1, 1)]))])
+def test_certify_then_plot_certificate(tmp_path, capsys, kind, body):
+    body_path = write_body(tmp_path, "body", body)
+    prefix = tmp_path / "cert"
+    code, out, _ = run(["certify", "--kind", kind, "--body", body_path, "--kmax", "8",
+                        "--out", str(prefix)], capsys)
+    assert code == 0
+    assert json.loads((tmp_path / "cert.json").read_text())["kind"] == kind.replace("-", "_")
+    svg = tmp_path / "cert.svg"
+    code, _, _ = run(["plot", "--certificate", str(tmp_path / "cert.json"),
+                      "--out", str(svg)], capsys)
+    assert code == 0
+    assert svg.read_text().startswith("<svg")
+
+
+def test_certify_without_body_exits_2(capsys):
+    code, _, err = run(["certify", "--kind", "no-lip"], capsys)
+    assert code == 2
+    assert "no body given" in err
+
+
+def test_extend_reads_family_json(tmp_path, capsys):
+    """extend reads a family written by family_to_json, and its grid equals
+    the one from the same family written as a staircase function."""
+    par = Body2.epigraph("parabola")
+    body_path = write_body(tmp_path, "par", par)
+    levels = np.linspace(0.0, 12.0, 5)
+    fam = LevelFamily(levels, [par.clip([((0.0, 1.0), float(a))]) for a in levels], par)
+    fam_path = tmp_path / "family.json"
+    fam_path.write_text(json.dumps(ser.family_to_json(fam)))
+    grids = []
+    for fn_path in (str(fam_path), write_staircase(tmp_path, par, levels)):
+        out_csv = tmp_path / "grid.csv"
+        code, _, err = run(["extend", "--body", body_path, "--function", fn_path,
+                            "--grid", "8", "--window-box=-4,4,-4,4", "--out", str(out_csv)],
+                           capsys)
+        assert code == 0, err
+        grids.append(out_csv.read_text())
+    assert grids[0] == grids[1]
+    assert f"# family: {ser.family_hash(fam)}" in grids[0]
+
+
+_NO_SCIPY = """
+import sys
+import qcext, qcext.cli
+assert "scipy" not in sys.modules, "importing qcext loaded scipy"
+assert qcext.cli.main(["characterize", "--body", {path!r}]) == 0
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+"""
+
+
+def test_import_and_characterize_leave_scipy_unloaded(tmp_path):
+    """In a fresh interpreter, importing qcext and its CLI and then
+    characterizing the square loads no scipy module."""
+    path = write_body(tmp_path, "square", Body2.from_polychain(
+        [(-1, -1), (1, -1), (1, 1), (-1, 1)]))
+    src = os.path.dirname(os.path.dirname(qcext.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY.format(path=path)], env=env,
+                         capture_output=True, text=True, timeout=120, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[0] == "QC_EXTENDABLE"

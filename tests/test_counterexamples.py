@@ -779,3 +779,43 @@ def test_gallery_certificates_match_stored():
             kw = {"k_max": 8, "scan": 16} if gen == "gen_no_lip" else {"k_max": 8}
             certs[gen] = certificate_to_json(generators[gen](body, **kw)[1])
         _assert_close(json.loads(json.dumps(certs)), stored[name]["certificates"], 1e-10, name)
+
+
+def test_gallery_certificates_roundtrip():
+    """Every certificate of the seven-body gallery (each denied generator at
+    k_max 8, gen_no_lip at scan 16) and the usc witness reads back from its
+    JSON to equal JSON, number for number, with its array fields as equal
+    arrays; the kind table names each certificate's class."""
+    import dataclasses
+    import json
+
+    from qcext.counterexamples import CERTIFICATES
+    from qcext.serialize import certificate_from_json, certificate_to_json
+
+    certs = [gen_usc_counterexample()[1]]
+    for body in _gallery().values():
+        for gen in dict.fromkeys(characterize(body).denied.values()):
+            kw = {"k_max": 8, "scan": 16} if gen == "gen_no_lip" else {"k_max": 8}
+            certs.append(globals()[gen](body, **kw)[1])
+    assert len(certs) == 14
+    for cert in certs:
+        data = json.loads(json.dumps(certificate_to_json(cert)))
+        back = certificate_from_json(data)
+        assert type(back) is type(cert) is CERTIFICATES[cert.kind][0]
+        assert certificate_to_json(back) == data, cert.kind
+        for f in dataclasses.fields(cert):
+            if isinstance(getattr(cert, f.name), np.ndarray):
+                got, want = getattr(back, f.name), getattr(cert, f.name)
+                assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes(), f.name
+
+
+def test_certificate_from_json_names_a_missing_field():
+    from qcext.geometry import GeometryError
+    from qcext.serialize import certificate_from_json, certificate_to_json
+
+    data = certificate_to_json(gen_no_qc(Body2.epigraph("exp_hypograph"), k_max=4)[1])
+    del data["arc_lengths"]
+    with pytest.raises(GeometryError, match="arc_lengths"):
+        certificate_from_json(data)
+    with pytest.raises(GeometryError, match="unknown certificate kind"):
+        certificate_from_json({"kind": "no_such"})

@@ -653,7 +653,7 @@ def _staged_chord_ends(C, table, centers, halves):
 
 def _random_lines(C, k=200):
     rng = np.random.default_rng(1)
-    hps = [HalfPlane.from_any(rng.normal(size=2), rng.normal()) for _ in range(k)]
+    hps = [HalfPlane(rng.normal(size=2), rng.normal()) for _ in range(k)]
     return CutTable(hps), np.tile(C.witness, (k, 1)), np.full(k, C.window_half)
 
 
@@ -851,7 +851,7 @@ def test_extension_tests_the_ambient_once(monkeypatch):
 def test_far_chord_of_unbounded_ambient():
     """A chord far beyond B's window box keeps both tangent half-planes."""
     C = Body2.epigraph("parabola").clip([((1.0, -0.2), 1.5)])
-    cut = HalfPlane.from_any((-0.307, 0.952), 26270.0)
+    cut = HalfPlane((-0.307, 0.952), 26270.0)
     e = extend_body(C.clip([cut]), C)
     assert e.special is None and len(e.halfplanes) == 3
     # the line n . p = c meets y = x^2 - 1 where n_x x + n_y (x^2 - 1) = c

@@ -1202,7 +1202,7 @@ def test_empty_interior_raises_on_both_paths(monkeypatch):
         with pytest.raises(GeometryError):
             Body2.from_halfplanes(point)
     for hps in (point, gap):
-        table = CutTable([geo.HalfPlane.from_any(*hp) for hp in hps])
+        table = CutTable([geo.HalfPlane(*hp) for hp in hps])
         with pytest.raises(GeometryError):
             geo._chebyshev_lp(table.normals, table.offsets)
     with pytest.raises(GeometryError):
@@ -1340,7 +1340,7 @@ def _random_halfplane_lists(rng, count):
             th = rng.integers(0, 8, m) * math.pi / 4
             n, s = np.column_stack([np.cos(th), np.sin(th)]), rng.integers(1, 4, m).astype(float)
         w = rng.normal(size=2)
-        hps = [geo.HalfPlane.from_any(a, 0.0) for a in n]
+        hps = [geo.HalfPlane(a, 0.0) for a in n]
         out.append(([geo.HalfPlane(h.normal, float(h.normal @ w) + si) for h, si in zip(hps, s)], w))
     return out
 
@@ -1356,7 +1356,7 @@ def _long_halfplane_lists(rng):
         for n, s in ((tangents, np.ones(m)), (tangents, pushed),
                      (rng.normal(size=(m, 2)), rng.uniform(0.1, 3.0, m))):
             w = rng.normal(size=2)
-            hps = [geo.HalfPlane.from_any(a, 0.0) for a in n]
+            hps = [geo.HalfPlane(a, 0.0) for a in n]
             out.append(([geo.HalfPlane(h.normal, float(h.normal @ w) + si)
                          for h, si in zip(hps, s)], w))
     return out
@@ -1382,6 +1382,21 @@ def _batched_prune(lists):
     kept = geo.irredundant(np.array([h.normal for h in rows]), np.array([h.offset for h in rows]),
                            np.array([w for _, w in lists]), level)
     return [rows[i] for i in kept]
+
+
+def test_halfplane_keeps_its_set_under_normalisation():
+    """A non-unit normal is divided with its offset, so (0, 2) . p <= 2 is
+    {y <= 1}; a normal unit to within 4 eps keeps its bits; a zero normal
+    raises GeometryError."""
+    hp = geo.HalfPlane(np.array([0.0, 2.0]), 2.0)
+    assert hp.normal.tolist() == [0.0, 1.0] and hp.offset == 1.0
+    assert hp.value(np.array([[0.0, 1.5]]))[0] > 0.0
+    n = np.array([-0.8288355951220819, 0.5594922307401815])
+    assert math.hypot(*n) == 1.0000000000000002
+    assert geo.HalfPlane(n, 0.5).normal.tobytes() == n.tobytes()
+    assert geo.HalfPlane(n, 0.5).offset == 0.5
+    with pytest.raises(GeometryError, match="nonzero"):
+        geo.HalfPlane(np.zeros(2), 1.0)
 
 
 def test_batched_prune_equals_one_list():
@@ -1464,7 +1479,7 @@ def test_prune_tight_cases():
             pts = np.column_stack([np.cos(th), np.sin(th)]) * rng.uniform(0.5, 2.0, (len(th), 1)) * scale
             V = pts[ConvexHull(pts).vertices]
             w = V.mean(axis=0)
-            hps = [geo.HalfPlane.from_any(geo.perp(V[i] - V[i - 1]) * -1.0, 0.0) for i in range(len(V))]
+            hps = [geo.HalfPlane(geo.perp(V[i] - V[i - 1]) * -1.0, 0.0) for i in range(len(V))]
             hps = [geo.HalfPlane(h.normal, float(h.normal @ V[i])) for i, h in enumerate(hps)]
             k, s = int(rng.integers(len(V))), rng.uniform()
             n = geo.unit((1.0 - s) * hps[k].normal + s * hps[(k + 1) % len(V)].normal)

@@ -130,3 +130,38 @@ def test_family_hash_stable():
     bodies = [par.clip([((0.0, 1.0), float(a))]) for a in levels]
     fam = LevelFamily(levels, bodies, par)
     assert ser.family_hash(fam) == ser.family_hash(fam)
+
+
+def test_fuzz_bodies_roundtrip_bit_for_bit():
+    """Each of verify.fuzz_bodies(1, 400) reads back from its JSON with the
+    same cut table, bit for bit: a stored unit normal keeps its bits."""
+    from qcext.verify import fuzz_bodies
+
+    for i, body in enumerate(fuzz_bodies(1, 400)):
+        back = ser.body_from_json(json.loads(json.dumps(ser.body_to_json(body))))
+        assert back.cut_table.normals.tobytes() == body.cut_table.normals.tobytes(), i
+        assert back.cut_table.offsets.tobytes() == body.cut_table.offsets.tobytes(), i
+
+
+def test_family_roundtrip():
+    """family_from_json reads what family_to_json writes: the same levels,
+    the same cut tables and the same hash; a staircase function's JSON
+    gives its family, and another kind raises GeometryError."""
+    from qcext.geometry import GeometryError
+
+    par = Body2.epigraph("parabola")
+    levels = np.linspace(0.0, 6.0, 4)
+    bodies = [par.clip([((0.3, 1.0), float(a))]) for a in levels]
+    fam = LevelFamily(levels, bodies, par)
+    data = json.loads(json.dumps(ser.family_to_json(fam)))
+    back = ser.family_from_json(data)
+    assert back.levels.tobytes() == fam.levels.tobytes()
+    for b, want in zip([back.ambient, *back.bodies], [par, *bodies]):
+        assert b.cut_table.normals.tobytes() == want.cut_table.normals.tobytes()
+        assert b.cut_table.offsets.tobytes() == want.cut_table.offsets.tobytes()
+    assert ser.family_hash(back) == ser.family_hash(fam)
+    f = staircase_qc(par, bodies, levels, np.append(np.diff(levels), 1.0), check_gaps=False)
+    stair = ser.family_from_json(json.loads(json.dumps(ser.function_to_json(f))), par)
+    assert stair.ambient is par and ser.family_hash(stair) == ser.family_hash(fam)
+    with pytest.raises(GeometryError, match="tilde_f"):
+        ser.family_from_json({"kind": "tilde_f"})
