@@ -181,18 +181,11 @@ class NoLipCertificate:
 # ---------------------------------------------------------------------------
 # wedge staircases force the values of every extension
 
-def _line_halfplane(n: np.ndarray, offset: float) -> HalfPlane:
-    """{n . p <= offset} with n and offset divided by |n| also where n is
-    unit to within 4 eps, which HalfPlane keeps as given (wedge and shelf)."""
-    s = norm(n)
-    return HalfPlane(n / s, float(offset) / s)
-
-
 def _wedge_halfplane(eps_n: float, b_n: float) -> HalfPlane:
     # frame-coordinates half-plane {s <= 1 + eps_n - (eps_n/b_n) t}
     slope = eps_n / b_n
     n = np.array([slope, 1.0])
-    return _line_halfplane(n, float(n @ vec(b_n, 1.0)))
+    return HalfPlane(n, float(n @ vec(b_n, 1.0)))
 
 
 def _arc_lengths(C: Body2, frame: Frame, lines: Sequence[HalfPlane], spans) -> np.ndarray:
@@ -602,7 +595,7 @@ def gen_no_lip(E: Body2, k_max: int = 24, scan: int = 64):
         zk = zs[k]
         slope = (g_at[k] - alphas[k]) / zk
         hp_u = HalfPlane(vec(-1.0, 0.0), -0.75 * zk)
-        hp_line = _line_halfplane(vec(slope, -1.0), -alphas[k])
+        hp_line = HalfPlane(vec(slope, -1.0), -alphas[k])
         cuts.append([hp_u, hp_line])
         lines.append((float(slope), float(alphas[k])))
         bodies.append(C.clip([hp_u, hp_line], name=f"shelf{k}"))
@@ -682,11 +675,9 @@ class UscWitness:
     forcing_segment: tuple  # ((0, 1/3), (1, 1/3)) with open ends
 
 
-def gen_usc_counterexample(C: Optional[Body2] = None, k_max: Optional[int] = None):
+def gen_usc_counterexample():
     """Upper semicontinuous QC function on [0,1] x [-1,1] with no usc QC
     extension: 0 below the axis, y on the open vertical strip, 1 elsewhere.
-    The counterexample has its own domain and size, so C and k_max, which
-    every generator in CERTIFICATES takes, are ignored.
     """
     domain = Body2.from_polychain([(0.0, -1.0), (1.0, -1.0), (1.0, 1.0), (0.0, 1.0)],
                                   name="usc_rectangle")
@@ -711,13 +702,14 @@ def gen_usc_counterexample(C: Optional[Body2] = None, k_max: Optional[int] = Non
 
 #: certificate kind -> (certificate class, generator).  A certificate's kind
 #: attribute is its key here and its JSON "kind"; every generator is called
-#: as generator(body, k_max=...) and returns (function, certificate).
+#: as generator(body, k_max=...) and returns (function, certificate); the
+#: usc counterexample has its own domain and size and takes neither.
 CERTIFICATES = {
     "no_qc": (ForcingCertificate, gen_no_qc),
     "non_rotund": (ForcingCertificate, gen_non_rotund),
     "no_uc": (NoUCCertificate, gen_no_uc),
     "no_lip": (NoLipCertificate, gen_no_lip),
-    "usc": (UscWitness, gen_usc_counterexample),
+    "usc": (UscWitness, lambda C, k_max: gen_usc_counterexample()),
 }
 
 

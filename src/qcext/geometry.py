@@ -1491,8 +1491,10 @@ def chebyshev_centre(normals: np.ndarray, offsets: np.ndarray):
 
 def ConvexHull(*args, **kwargs):
     """scipy.spatial.ConvexHull, imported on the first call (loading it took
-    about 0.33 s): verify's polygons use it, and the benchmark's tracer
-    (perfbench/tracing.py) counts the calls made through this name."""
+    about 0.33 s).  No geometry code calls it; the name stays because the
+    benchmark's tracer (perfbench/tracing.py) wraps geometry.ConvexHull.
+    verify and acceptance import it from here only so that importing them
+    loads no scipy, and the tracer does not count their calls."""
     from scipy.spatial import ConvexHull as hull
 
     return hull(*args, **kwargs)

@@ -34,6 +34,13 @@ from .geometry import (
 from .levelset import LevelFamily, QCFunction, compose_projection, ramp_qc, staircase_qc
 
 
+FLOAT_FMT = "%.17g"
+
+
+def fmt(x: float) -> str:
+    return FLOAT_FMT % float(x)
+
+
 def _hp_item(hp: HalfPlane) -> dict:
     return {"normal": [float(hp.normal[0]), float(hp.normal[1])],
             "offset": float(hp.offset)}
@@ -52,14 +59,17 @@ def _hp_parse(item: dict) -> HalfPlane:
 
 
 def body_to_json(body: Body2) -> dict:
-    cuts, eb = [_hp_item(hp) for hp in body.cuts], body.base
-    if isinstance(eb, PlaneBase):
+    cuts = [_hp_item(hp) for hp in body.cuts]
+    if isinstance(body.base, PlaneBase):
         return {"kind": "halfplanes", "items": cuts}
-    if isinstance(eb, BallBase):
-        out = {"kind": "ball", "center": eb.center.tolist(), "radius": float(eb.radius)}
-    elif isinstance(eb, EpigraphBase):
-        out = {"kind": "epigraph", "profile": eb.profile.name, "params": eb.profile.params,
-               "transform": np.column_stack([eb.M, eb.shift]).tolist()}
+    if isinstance(body.base, BallBase):
+        out = {"kind": "ball", "center": body.base.center.tolist(),
+               "radius": float(body.base.radius)}
+    elif isinstance(body.base, EpigraphBase):
+        eb = body.base
+        transform = np.column_stack([eb.M, eb.shift]).tolist()
+        out = {"kind": "epigraph", "profile": eb.profile.name,
+               "params": eb.profile.params, "transform": transform}
     else:
         raise GeometryError("unknown body representation")
     if cuts:
@@ -113,14 +123,18 @@ def function_to_json(f: QCFunction) -> dict:
         return {"kind": "staircase", **family_to_json(f.meta["family"]),
                 "gaps": [float(g) for g in f.meta["gaps"]]}
     if kind == "ramp":
-        m = f.meta
-        return {"kind": "tilde_f", "domain": body_to_json(f.domain), "h_normal": _encode(m["h"]),
-                "h_offset": float(m["h_offset"]), "bilip": float(m["bilip"]),
-                **{k: _encode(np.asarray(m[k])) for k in ("points", "alphas")},
-                "halfplanes": _encode(m["halfplanes"])}
+        return {"kind": "tilde_f",
+                "domain": body_to_json(f.domain),
+                "h_normal": f.meta["h"].tolist(),
+                "h_offset": float(f.meta["h_offset"]),
+                "points": np.asarray(f.meta["points"]).tolist(),
+                "alphas": np.asarray(f.meta["alphas"]).tolist(),
+                "halfplanes": [_hp_item(h) for h in f.meta["halfplanes"]],
+                "bilip": float(f.meta["bilip"])}
     if kind == "composed":
-        return {"kind": "composed", "inner": function_to_json(f.meta["inner"]),
-                "proj": _encode(np.asarray(f.meta["proj"]))}
+        return {"kind": "composed",
+                "inner": function_to_json(f.meta["inner"]),
+                "proj": np.asarray(f.meta["proj"]).tolist()}
     raise GeometryError(f"function kind {kind!r} has no JSON form")
 
 
@@ -212,19 +226,25 @@ def certificate_tables(cert) -> dict:
         k = np.arange(len(cert.products))
         rows = np.column_stack([k, cert.secant_gaps, cert.alphas[1:len(k) + 1],
                                 cert.products, cert.lip_lower_bounds])
-        return {"blowup": (["k", "secant_gap", "alpha_next", "product", "K_lower"], rows),
+        return {"blowup": (["k", "secant_gap", "alpha_next", "product", "K_lower"],
+                           rows),
                 "profile": (["z", "g"], np.asarray(cert.profile_samples))}
     if cert.kind == "no_uc":
+        n = np.arange(1, len(cert.points) + 1)
         pts = np.asarray(cert.points)
-        rows = np.column_stack([np.arange(1, len(pts) + 1), pts[:, 0], pts[:, 1], cert.levels])
-        gaps = np.column_stack([np.arange(1, len(cert.gaps) + 1), cert.gaps])
-        return {"chain": (["n", "x", "y", "alpha"], rows), "gaps": (["k", "gap"], gaps)}
+        rows = np.column_stack([n, pts[:, 0], pts[:, 1], cert.levels])
+        k = np.arange(1, len(cert.gaps) + 1)
+        gaps = np.column_stack([k, cert.gaps])
+        return {"chain": (["n", "x", "y", "alpha"], rows),
+                "gaps": (["k", "gap"], gaps)}
+    if cert.kind in ("no_qc", "non_rotund"):
+        m = min(len(cert.levels), len(cert.arc_lengths))
+        rows = np.column_stack([np.arange(m), cert.levels[:m], cert.arc_lengths[:m]])
+        return {"forcing": (["n", "alpha", "arc_length"], rows)}
     if cert.kind == "usc":
-        return {"usc": (["f_bottom", "f_corner"],
-                        np.array([[cert.value_bottom, cert.value_corner]]))}
-    m = min(len(cert.levels), len(cert.arc_lengths))  # no_qc and non_rotund
-    rows = np.column_stack([np.arange(m), cert.levels[:m], cert.arc_lengths[:m]])
-    return {"forcing": (["n", "alpha", "arc_length"], rows)}
+        rows = np.array([[cert.value_bottom, cert.value_corner]])
+        return {"usc": (["f_bottom", "f_corner"], rows)}
+    return {}
 
 
 def write_csv(path, header, rows, meta: dict = None):
@@ -239,14 +259,16 @@ def csv_text(header, rows, meta: dict = None) -> str:
             buf.write(f"# {k}: {meta[k]}\n")
     buf.write(",".join(header) + "\n")
     for row in np.atleast_2d(np.asarray(rows, dtype=float)):
-        buf.write(",".join("%.17g" % v for v in row) + "\n")
+        buf.write(",".join(fmt(v) for v in row) + "\n")
     return buf.getvalue()
 
 
+def canonical_json(data) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
 def content_hash(data) -> str:
-    """sha256 of data's JSON with sorted keys and no spaces."""
-    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(canonical_json(data).encode()).hexdigest()
 
 
 def family_hash(fam: LevelFamily) -> str:
