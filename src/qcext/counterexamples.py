@@ -39,7 +39,7 @@ from .geometry import (
     unit,
     vec,
 )
-from .levelset import QCFunction, ramp_qc, staircase_qc
+from .levelset import CutLevels, QCFunction, ramp_qc, staircase_qc
 
 
 class ConstructionError(ValueError):
@@ -213,14 +213,17 @@ def _wedge_staircase(C: Body2, frame: Frame, bs, spans):
     repeated), and the levels are the running sums of the gaps from 0.
     The arc lengths are the chords of C on the lines of H_n within
     |t| <= spans[n], all k_max + 1 lines in one _arc_lengths call.
-    Returns the staircase function, eps, the levels, the H_n and the arc
-    lengths.
+    The level bodies are CutLevels of C with one row H_n each, named
+    wedge<n>: none is built here, each on the first evaluation that
+    measures the distance to it, and an empty one raises GeometryError
+    then.  Returns the staircase function, eps, the levels, the H_n and
+    the arc lengths.
     """
     bs = np.asarray(bs, dtype=float)
     eps = 0.5 ** np.arange(1, len(bs) + 1)
     wedges = [_wedge_halfplane(e, b) for e, b in zip(eps, bs)]
     halfplanes = [frame.pullback_halfplane(w) for w in wedges]
-    bodies = [C.clip([hp], name=f"wedge{i}") for i, hp in enumerate(halfplanes)]
+    bodies = CutLevels(C, [[(*hp.normal, hp.offset)] for hp in halfplanes], name="wedge")
     slope = eps[:-1] / bs[:-1]
     pinch = eps[:-1] * (bs[1:] / bs[:-1] - 1.0) / np.sqrt(1.0 + slope * slope)
     gaps = np.append(pinch, pinch[-1]) / frame.lam
@@ -547,9 +550,12 @@ def gen_no_lip(E: Body2, k_max: int = 24, scan: int = 64):
     interior.  The usable frames of the scan's directions come first; the
     lower profiles at (z0, z0/2) of all of them are then one
     _lower_profile call in E's coordinates, and only the chosen frame's
-    body is built (transform_body).  The certificate's validate() runs
-    before the return, so one whose Lipschitz lower bounds do not increase
-    raises ConstructionError.
+    body is built (transform_body).  The shelves C ∩ {u >= 3 z_k / 4} ∩
+    {v >= slope_k u + alpha_k} are CutLevels of that body, named shelf<k>:
+    none is built here, each on the first evaluation of f that measures
+    the distance to it, and an empty one raises GeometryError then.  The
+    certificate's validate() runs before the return, so one whose
+    Lipschitz lower bounds do not increase raises ConstructionError.
     """
     thetas = [2.0 * math.pi * j / scan for j in range(scan)]
     dirs = np.array([[math.cos(theta), math.sin(theta)] for theta in thetas])
@@ -590,7 +596,7 @@ def gen_no_lip(E: Body2, k_max: int = 24, scan: int = 64):
     secant = 0.5 * g_at[:-1] - g_at[1:]          # delta(eps/2^k), k = 0..k_max
     secant = np.maximum(secant, 0.0)             # convexity up to roundoff
     alphas = 4.0 ** -np.arange(0.0, k_max + 2)   # side condition 2^k a_k -> 0
-    cuts, lines, bodies = [], [], []
+    cuts, lines = [], []
     for k in range(k_max + 1):
         zk = zs[k]
         slope = (g_at[k] - alphas[k]) / zk
@@ -598,10 +604,11 @@ def gen_no_lip(E: Body2, k_max: int = 24, scan: int = 64):
         hp_line = HalfPlane(vec(slope, -1.0), -alphas[k])
         cuts.append([hp_u, hp_line])
         lines.append((float(slope), float(alphas[k])))
-        bodies.append(C.clip([hp_u, hp_line], name=f"shelf{k}"))
     betas = (eps / 4.0) * (2.0 - 2.0 ** (1.0 - np.arange(0.0, k_max + 1)))
     gaps = eps / 2.0 ** (np.arange(0.0, k_max + 1) + 2.0)
-    stair = staircase_qc(C, bodies, betas, gaps, check_gaps=False)
+    shelves = CutLevels(C, [[(*hp.normal, hp.offset) for hp in pair] for pair in cuts],
+                        name="shelf")
+    stair = staircase_qc(C, shelves, betas, gaps, check_gaps=False)
 
     def evaluate(pts):
         return stair.eval_many(frame.apply(pts))

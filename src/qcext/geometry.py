@@ -303,7 +303,7 @@ def along(fn, path):
 # half-planes
 
 #: a normal this close to unit length is kept bit for bit
-_UNIT_SLACK = 4.0 * np.finfo(float).eps
+UNIT_SLACK = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -327,7 +327,7 @@ class HalfPlane:
         s = math.hypot(n[0], n[1])
         if s == 0.0:
             raise GeometryError("half-plane normal must be nonzero")
-        if abs(s - 1.0) > _UNIT_SLACK:
+        if abs(s - 1.0) > UNIT_SLACK:
             n, offset = n / s, offset / s
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "offset", offset)
@@ -1416,6 +1416,10 @@ RADIUS_CAP = 1e3
 #: at m = 14, 0.64 ms at m = 22, 1.7 ms at m = 26 and 2.4 ms at m = 28, the
 #: LP 1.9-2.6 ms at every m.
 _VERTEX_MAX_CUTS = 26
+
+#: edges of the polygon inscribed in a ball for a cut ball's witness fallback
+_BALL_CHORDS = 64
+
 #: feasibility and tie tolerance of enumerated vertices, relative to the
 #: size of their coordinates and of the offsets
 _VERTEX_RTOL = 1e-12
@@ -1654,7 +1658,11 @@ class Body2:
         exact vertex enumeration, the LP only without a vertex or above
         _VERTEX_MAX_CUTS cuts).  A ball or epigraph body takes the point of
         its base's probe grid (`probe`, computed once per base object) with
-        the smallest margin once the cut table is applied.
+        the smallest margin once the cut table is applied.  A cut ball with
+        no probe inside (its interior can fall between the grid's points)
+        takes the Chebyshev centre of its cuts and the _BALL_CHORDS edges of
+        a regular polygon inscribed in the ball, with that point's own
+        -margin as its clearance.
         """
         if isinstance(self.base, PlaneBase):
             return chebyshev_centre(self.cut_table.normals, self.cut_table.offsets)
@@ -1662,9 +1670,22 @@ class Body2:
         if self.cuts:
             m = np.maximum(m, self.cut_table.margin(cand))
         i = int(np.argmin(m))
-        if m[i] >= -1e-12:
-            raise GeometryError("body has empty interior (no witness found)")
-        return cand[i].copy(), -float(m[i])
+        if m[i] < -1e-12:
+            return cand[i].copy(), -float(m[i])
+        if isinstance(self.base, BallBase) and self.cuts:
+            th = (np.arange(_BALL_CHORDS) + 0.5) * (2.0 * math.pi / _BALL_CHORDS)
+            n = np.column_stack([np.cos(th), np.sin(th)])
+            c = n @ self.base.center + self.base.radius * math.cos(math.pi / _BALL_CHORDS)
+            try:
+                w, _ = chebyshev_centre(np.vstack([self.cut_table.normals, n]),
+                                        np.concatenate([self.cut_table.offsets, c]))
+            except GeometryError:
+                pass
+            else:
+                c0 = -self._margin_at(w)
+                if c0 > 1e-12:
+                    return w, c0
+        raise GeometryError("body has empty interior (no witness found)")
 
     @property
     def clearance(self) -> float:

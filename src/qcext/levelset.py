@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .geometry import (
     TOL,
+    UNIT_SLACK,
     Body2,
     CutTable,
     Frame,
@@ -52,27 +54,86 @@ class LevelSetError(ValueError):
 # ---------------------------------------------------------------------------
 # core containers
 
+class CutLevels(Sequence):
+    """The levels of a family given as its ambient C cut by per-level rows,
+    each level's Body2 built the first time it is read.
+
+    rows is a padded (K, m, 3) table in row_table's layout: level k is C
+    cut by the half-planes nx x + ny y <= c of rows[k]'s rows with c < inf;
+    the rows (0, 0, inf) are padding.  The normals must be unit within
+    HalfPlane's slack, so a level's HalfPlane objects keep the rows' bits.
+    self[k] is C.clip of those half-planes, named name + str(k) (C's name
+    when name is empty), built on first access and cached; a level with an
+    empty interior raises GeometryError there, not here.  The table is
+    stored as row_table lays it out, so first_row_level reads it without
+    a copy.
+    """
+
+    def __init__(self, ambient: Body2, rows, name: str = ""):
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 3 or rows.shape[2] != 3 or len(rows) == 0:
+            raise LevelSetError("cut rows must be a nonempty (K, m, 3) table")
+        real = rows[..., 2] != np.inf
+        if np.any(np.abs(np.hypot(rows[..., 0], rows[..., 1])[real] - 1.0) > UNIT_SLACK):
+            raise LevelSetError("cut rows must have unit normals")
+        self.ambient, self.name = ambient, name
+        self.table = np.ascontiguousarray(rows.transpose(1, 2, 0)).transpose(2, 0, 1)
+        self._built = {}
+
+    def __len__(self):
+        return len(self.table)
+
+    def cuts(self, k: int) -> np.ndarray:
+        """Level k's (m_k, 3) rows, without the padding."""
+        r = self.table[k]
+        return r[r[:, 2] != np.inf]
+
+    def __getitem__(self, k: int) -> Body2:
+        k = range(len(self))[k]
+        if k not in self._built:
+            hps = [HalfPlane(r[:2], r[2]) for r in self.cuts(k)]
+            self._built[k] = self.ambient.clip(hps, name=f"{self.name}{k}" if self.name else "")
+        return self._built[k]
+
+
 @dataclass
 class LevelFamily:
     """Finite increasing family (alpha_k, B_k) of nested convex bodies.
 
     Represents the sublevel structure of a quasiconvex function on the
-    ambient body: B_k = [f <= alpha_k].
+    ambient body: B_k = [f <= alpha_k].  bodies is a list of Body2 (or
+    None, the empty set), or CutLevels of the ambient (from_cuts), whose
+    levels are built only where something reads bodies[k]: evaluation
+    (eval_many, eval_on) reads the cut table and the ambient and builds
+    none; validate_nesting builds every level but the last, and
+    extend_bodies every level.
     """
 
     levels: np.ndarray
-    bodies: list
+    bodies: Sequence
     ambient: Body2
     sentinel: float = SENTINEL
 
     def __post_init__(self):
-        self.levels = np.asarray(self.levels, dtype=float)
-        if len(self.levels) != len(self.bodies) or len(self.bodies) == 0:
+        try:
+            self.levels = np.asarray(self.levels, dtype=float)
+        except (TypeError, ValueError):
+            raise LevelSetError("levels must be numbers") from None
+        if isinstance(self.bodies, CutLevels) and self.bodies.ambient is not self.ambient:
+            raise LevelSetError("cut levels must be cut from the family's ambient")
+        if self.levels.ndim != 1 or len(self.levels) != len(self.bodies) or len(self.bodies) == 0:
             raise LevelSetError("levels and bodies must align and be nonempty")
         if not np.isfinite(self.levels).all():
             raise LevelSetError("levels must be finite")
         if np.any(np.diff(self.levels) <= 0):
             raise LevelSetError("levels must be strictly increasing")
+
+    @classmethod
+    def from_cuts(cls, levels, ambient: Body2, rows, name: str = "") -> "LevelFamily":
+        """The family whose level k is ambient cut by rows[k], a padded
+        (K, m, 3) table in row_table's layout (CutLevels); no level is
+        built here."""
+        return cls(levels, CutLevels(ambient, rows, name), ambient)
 
     def __len__(self):
         return len(self.bodies)
@@ -91,17 +152,19 @@ class LevelFamily:
         searched B_k.window_half about the foot of B_k's witness as in
         extend_bodies.  Other pairs test n boundary samples of B_k
         (_nests_sampled).  A None level (the empty set) nests in any level.
+        Each level is read as bodies[k], so a cut family (CutLevels) builds
+        its levels but the last, and an empty one raises GeometryError.
         """
         C = self.ambient
         extra = self._extra_cuts
         bad, pair, rows, centers, halves = [], [], [], [], []
-        for k, (inner, outer) in enumerate(zip(self.bodies, self.bodies[1:])):
+        for k in range(len(self) - 1):
+            inner = self.bodies[k]
             if inner is None:
                 continue
-            if outer is None:
-                bad.append(k)
-            elif extra[k] is None or extra[k + 1] is None:
-                if not _nests_sampled(inner, outer, n, tol):
+            if extra[k] is None or extra[k + 1] is None:
+                outer = self.bodies[k + 1]
+                if outer is None or not _nests_sampled(inner, outer, n, tol):
                     bad.append(k)
             else:
                 cut = extra[k + 1]
@@ -128,13 +191,19 @@ class LevelFamily:
 
     @cached_property
     def _extra_cuts(self) -> list:
-        """Per level, _cuts_from(B_k, ambient): (m, 3) rows or None."""
+        """Per level, _cuts_from(B_k, ambient): (m, 3) rows or None; a cut
+        family's own rows, without building a level."""
+        if isinstance(self.bodies, CutLevels):
+            return [self.bodies.cuts(k) for k in range(len(self))]
         return [_cuts_from(B, self.ambient) for B in self.bodies]
 
     @cached_property
     def _cut_rows(self) -> Optional[np.ndarray]:
-        """A row_table of the levels' extra cuts, or None where some level
-        is neither None nor cut from the ambient."""
+        """A row_table of the levels' extra cuts (a cut family's own
+        table), or None where some level is neither None nor cut from the
+        ambient."""
+        if isinstance(self.bodies, CutLevels):
+            return self.bodies.table
         extra = self._extra_cuts
         if any(B is not None and e is None for B, e in zip(self.bodies, extra)):
             return None
@@ -348,9 +417,14 @@ def staircase_qc(ambient: Body2, bodies: Sequence[Body2], levels: Sequence[float
     then plateaus at levels[k+1]; past the last body the ramp settles on the
     constant levels[-1] + gaps[-1].  Requires d(C \\ D_{k+1}, D_k) >= gaps[k].
     A point's first body is the level family's search (LevelFamily.eval_many),
-    which assumes the bodies nested.
+    which assumes the bodies nested.  bodies may be CutLevels of ambient
+    (LevelFamily.from_cuts): then a level is built only where it is read,
+    by check_gaps or by the first evaluation at a point whose ramp
+    measures the distance to it, and an empty level raises GeometryError
+    there.
     """
-    bodies = list(bodies)
+    if not isinstance(bodies, CutLevels):
+        bodies = list(bodies)
     levels = np.asarray(levels, dtype=float)
     gaps = np.asarray(gaps, dtype=float)
     if not (len(bodies) == len(levels) == len(gaps)):

@@ -31,7 +31,7 @@ from .geometry import (
     HalfPlane,
     PlaneBase,
 )
-from .levelset import LevelFamily, QCFunction, compose_projection, ramp_qc, staircase_qc
+from .levelset import CutLevels, LevelFamily, QCFunction, compose_projection, ramp_qc, staircase_qc
 
 
 FLOAT_FMT = "%.17g"
@@ -98,9 +98,26 @@ def body_from_json(data: dict) -> Body2:
 
 
 def family_to_json(fam: LevelFamily) -> dict:
-    return {"ambient": body_to_json(fam.ambient),
-            "levels": [float(a) for a in fam.levels],
-            "bodies": [body_to_json(b) for b in fam.bodies]}
+    """The ambient, the levels and each level's body JSON.  A cut family's
+    (CutLevels) level is the ambient's JSON with its rows appended to the
+    cuts, written without building the level: the JSON of the level
+    body, byte for byte."""
+    ambient = body_to_json(fam.ambient)
+    if isinstance(fam.bodies, CutLevels):
+        bodies = [_with_cuts(ambient, fam.bodies.cuts(k)) for k in range(len(fam))]
+    else:
+        bodies = [body_to_json(b) for b in fam.bodies]
+    return {"ambient": ambient, "levels": [float(a) for a in fam.levels], "bodies": bodies}
+
+
+def _with_cuts(body: dict, rows: np.ndarray) -> dict:
+    """body_to_json of a body clipped by rows (nx, ny, c) of unit normals,
+    from the body's own JSON."""
+    if not len(rows):
+        return body
+    key = "items" if body["kind"] == "halfplanes" else "cuts"
+    items = [{"normal": [nx, ny], "offset": c} for nx, ny, c in rows.tolist()]
+    return {**body, key: body.get(key, []) + items}
 
 
 def family_from_json(data: dict, ambient: Optional[Body2] = None) -> LevelFamily:
@@ -112,7 +129,7 @@ def family_from_json(data: dict, ambient: Optional[Body2] = None) -> LevelFamily
     what = "level family"
     if ambient is None:
         ambient = body_from_json(_required(data, "ambient", what))
-    return LevelFamily(levels=np.asarray(_required(data, "levels", what), dtype=float),
+    return LevelFamily(levels=_required(data, "levels", what),
                        bodies=[body_from_json(b) for b in _required(data, "bodies", what)],
                        ambient=ambient)
 

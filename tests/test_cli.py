@@ -275,6 +275,26 @@ def test_extend_reads_family_json(tmp_path, capsys):
     assert f"# family: {ser.family_hash(fam)}" in grids[0]
 
 
+@pytest.mark.parametrize("kind", ["family", "staircase"])
+def test_extend_rejects_a_non_numeric_level(tmp_path, capsys, kind):
+    """A family or staircase JSON whose levels are not numbers is invalid
+    input (exit 2, LevelSetError), not a traceback."""
+    par = Body2.epigraph("parabola")
+    body_path = write_body(tmp_path, "par", par)
+    fn_path = write_staircase(tmp_path, par, [0.0, 1.0])
+    data = json.loads(open(fn_path).read())
+    if kind == "family":
+        del data["kind"], data["gaps"]
+    data["levels"] = ["a", 1.0]
+    with open(fn_path, "w") as fh:
+        json.dump(data, fh)
+    code, _, err = run(["extend", "--body", body_path, "--function", fn_path,
+                        "--grid", "4", "--window-box=-2,2,-2,2",
+                        "--out", str(tmp_path / "grid.csv")], capsys)
+    assert code == 2
+    assert "levels must be numbers" in err
+
+
 _NO_SCIPY = """
 import sys
 import qcext, qcext.cli

@@ -544,6 +544,27 @@ def test_no_lip_raises_on_its_own_invalid_certificate(fuzz_313, k_max, scan):
         gen_no_lip(fuzz_313, k_max=k_max, scan=scan)
 
 
+@pytest.mark.parametrize("k_max,scan", [(8, 16), (24, 64)])
+def test_no_lip_shelf_with_a_small_disk_builds(k_max, scan):
+    """verify.fuzz_bodies(3, 400)[73] is a cut ball whose shelf 0 holds a
+    disk of radius 0.062, between the ball's probes 0.13 apart.  The
+    certificate validates, every shelf builds with an interior witness
+    (shelf 0 by the cut-ball fallback, clearance about 0.0618) and f
+    evaluates."""
+    from qcext.verify import fuzz_bodies
+
+    E = fuzz_bodies(3, 400)[73]
+    f, cert = gen_no_lip(E, k_max=k_max, scan=scan)
+    assert cert.validate()
+    shelves = f.meta["staircase"].meta["family"].bodies
+    for k in range(len(shelves)):
+        assert shelves[k].margin_many(shelves[k].witness[None, :])[0] < 0.0
+    assert shelves[0]._clearance0 == pytest.approx(0.0618, abs=1e-4)
+    rng = np.random.default_rng(3)
+    vals = f.eval_many(E.witness + rng.normal(0.0, 2.0, (2000, 2)))
+    assert np.isfinite(vals).all() and len(np.unique(vals)) > 2
+
+
 def test_no_lip_margin_call_budget(quartet, monkeypatch):
     """The scan's lower profiles are one chord_ends call for all directions,
     so the membership calls stay far below one 100-step bisection per

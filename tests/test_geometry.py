@@ -1300,6 +1300,21 @@ def test_clip_witness_reuses_base_probe(monkeypatch, name):
     assert len(calls) == (1 if name == "ball" else 2) * 6
 
 
+def test_cut_ball_witness_between_probes():
+    """A cut ball whose interior holds no point of the 41 x 41 probe grid
+    (a strip 0.04 wide between grid columns 0.05 apart) takes its witness
+    from the Chebyshev centre of its cuts and an inscribed polygon: an
+    interior point whose clearance is the strip's half-width.  An empty
+    cut ball still raises."""
+    disk = Body2.ball((0.0, 0.0), 1.0)
+    strip = disk.clip([((1.0, 0.0), 0.05), ((-1.0, 0.0), -0.01)])
+    assert 0.01 < strip.witness[0] < 0.05
+    assert strip._clearance0 == pytest.approx(0.02, rel=1e-9)
+    assert strip.margin_many(strip.witness[None, :])[0] == -strip._clearance0
+    with pytest.raises(GeometryError, match="empty interior"):
+        disk.clip([((1.0, 0.0), -0.5), ((-1.0, 0.0), -0.5)])
+
+
 # -- half-plane pruning: the interval test against Qhull's dual hull -----------
 
 def _prune_by_qhull(halfplanes, witness):
