@@ -28,7 +28,7 @@ from .geometry import (
     as_points,
     chord_ends,
     chord_parts,
-    cuts_beyond,
+    cuts_beyond_all,
     distance_many,
     dots,
     find_asymptotic_direction,
@@ -41,7 +41,7 @@ from .geometry import (
     relative_boundary,
     supporting_normals,
 )
-from .levelset import LevelFamily, first_row_level, row_table
+from .levelset import LevelFamily, first_row_level
 
 #: boundary sampling resolution of the sampled fallback
 EXT_RESOLUTION = 512
@@ -72,7 +72,7 @@ class CoveringError(ExtensionError):
 class ExtendedBody:
     """Cone-hull extension of B relative to the ambient body, stored once
     as the (m, 3) rows (nx, ny, offset) of its half-planes, unit normals in
-    angle order (for an exact e(B), a view into extend_bodies' array).
+    angle order (for an exact e(B), a view into _extend_batch's array).
     special is None for the generic half-plane intersection, 'empty' for
     the empty set and 'plane' for the whole plane (B equal to the ambient),
     both with no rows.
@@ -151,7 +151,17 @@ def _extend_sampled(B: Body2, C: Body2, resolution: int = EXT_RESOLUTION) -> Ext
 
 def extend_bodies(bodies, C: Body2, resolution: int = EXT_RESOLUTION) -> list:
     """e(B) for each body of a list (None: the empty set); exact, in one
-    batch, for every B = C cut by H_1, ..., H_m (cuts_beyond).
+    batch, for every B = C cut by H_1, ..., H_m: the list of _extend_batch
+    on the list's cuts_beyond_all pass."""
+    return _extend_batch(bodies, C, cuts_beyond_all(bodies, C), resolution)[0]
+
+
+def _extend_batch(bodies, C: Body2, extra, resolution: int = EXT_RESOLUTION) -> tuple:
+    """(e(B) per body, the batch's kept rows, their (K + 1,) level bounds)
+    for bodies whose cuts beyond C are given as extra[k]: cuts_beyond's
+    (m, 3) rows, or None for the empty set (B None) and for a body not cut
+    from C.  The kept rows of body k are kept_rows[bounds[k]:bounds[k + 1]],
+    its e(B)'s rows (none for a body built otherwise).
 
     The relative boundary of B in C is the chords of C on the lines of the
     H_j (chord_ends, searched B.window_half about the foot of B's witness),
@@ -162,30 +172,31 @@ def extend_bodies(bodies, C: Body2, resolution: int = EXT_RESOLUTION) -> list:
     call of geometry.irredundant, with prune_halfplanes' rule (the cuts
     first, then the ends' half-planes in order, for its ties).  An end on
     the window adds nothing; no part at all gives the whole plane.  Other
-    bodies go to _extend_sampled."""
-    out, rows, lines, centers, halves = [], {}, [], [], []
-    for k, B in enumerate(bodies):
-        extra = None if B is None else cuts_beyond(B, C)
-        if extra is None:
-            out.append(ExtendedBody(None, C, np.zeros((0, 3)), special="empty") if B is None
-                       else _extend_sampled(B, C, resolution))
-            continue
-        out.append(None)
-        rows[k] = slice(len(centers), len(centers) + len(extra))
-        lines.append(extra)
-        centers += [B.witness] * len(extra)
-        halves += [B.window_half] * len(extra)
+    bodies go to _extend_sampled, whose containment test raises
+    GeometryError for a half-plane body outside C.  One pass over the
+    bodies collects the rows and each row's body, witness and window."""
+    out, rows, lines, owner, centers, halves = [None] * len(bodies), {}, [], [], [], []
+    for k, (B, cut) in enumerate(zip(bodies, extra)):
+        if B is None:
+            out[k] = ExtendedBody(None, C, np.zeros((0, 3)), special="empty")
+        elif cut is None:
+            out[k] = _extend_sampled(B, C, resolution)
+        else:
+            rows[k] = slice(len(owner), len(owner) + len(cut))
+            lines.append(cut)
+            owner += [k] * len(cut)
+            centers += [B.witness] * len(cut)
+            halves += [B.window_half] * len(cut)
     if not rows:
-        return out
+        return out, np.zeros((0, 3)), np.zeros(len(bodies) + 1, dtype=np.intp)
     lines = np.concatenate(lines)
     table = CutTable(normals=lines[:, :2], offsets=lines[:, 2])
     ends, on_c, meets, _ = chord_ends(C, table, centers, halves)
-    lo, hi = np.zeros(len(centers)), np.ones(len(centers))
-    owner = np.empty(len(centers), dtype=np.intp)
+    lo, hi = np.zeros(len(owner)), np.ones(len(owner))
     for k, r in rows.items():
-        owner[r] = k
         if r.stop - r.start > 1:
             lo[r], hi[r] = chord_parts(ends[r], bodies[k].cut_table)
+    owner = np.array(owner, dtype=np.intp)
     has_part = meets & (lo <= hi)
     on_c &= has_part[:, None] & np.column_stack([lo == 0.0, hi == 1.0])
     # the raw rows: the cuts with a part, then each end's active constraints
@@ -206,7 +217,7 @@ def extend_bodies(bodies, C: Body2, resolution: int = EXT_RESOLUTION) -> list:
     for k in rows:
         out[k] = (ExtendedBody(bodies[k], C, kept_rows[bounds[k]:bounds[k + 1]]) if raw[k]
                   else ExtendedBody(bodies[k], C, np.zeros((0, 3)), special="plane"))
-    return out
+    return out, kept_rows, bounds
 
 
 def extend_body(B: Optional[Body2], C: Body2, resolution: int = EXT_RESOLUTION) -> ExtendedBody:
@@ -221,7 +232,10 @@ def extend_body(B: Optional[Body2], C: Body2, resolution: int = EXT_RESOLUTION) 
 class ExtensionOperator:
     """Per-level extension of a nested family.
 
-    The first extended(k) builds every level in one extend_bodies call.
+    The first extended(k) builds every level in one _extend_batch call
+    from the family's own rows beyond the ambient (LevelFamily._extra_cuts,
+    the pass validate_nesting reads too) and keeps the batch's kept rows
+    and level bounds, which level_table scatters.
     The searches (covering_index_many, first_level) run one
     first_row_level lower bound over the padded (K, m, 3) table of the
     levels' rows, which assumes nested levels (the family's
@@ -230,18 +244,38 @@ class ExtensionOperator:
 
     family: LevelFamily
     _cache: dict = field(default_factory=dict)
+    _kept: tuple = field(default=(), repr=False)
 
     def extended(self, k: int) -> ExtendedBody:
         if k not in self._cache:
-            self._cache.update(enumerate(extend_bodies(self.family.bodies, self.family.ambient)))
+            fam = self.family
+            exts, rows, bounds = _extend_batch(fam.bodies, fam.ambient, fam._extra_cuts)
+            self._kept = (rows, bounds)
+            self._cache.update(enumerate(exts))
         return self._cache[k]
 
     @cached_property
     def level_table(self) -> np.ndarray:
-        """The row_table of every level's rows, built once: an empty level is
-        one row every point violates."""
-        return row_table([None if e.special == "empty" else e.rows
-                          for e in map(self.extended, range(len(self.family)))])
+        """The row_table of every level's rows, built once after the batch
+        (_extend_batch): one scatter of its kept rows at their levels and
+        places (level k's rows lie between its bounds), then the levels it
+        did not build from rows one at a time, an empty level as one row
+        every point violates and a sampled level's own rows."""
+        self.extended(0)
+        rows, bounds = self._kept
+        size = np.diff(bounds)
+        other = [k for k, e in enumerate(self.family._extra_cuts) if e is None]
+        cols = np.zeros((max([1, size.max(initial=0)] + [len(self._cache[k].rows) for k in other]),
+                         3, len(size)))
+        cols[:, 2] = np.inf
+        level = np.repeat(np.arange(len(size)), size)
+        cols[np.arange(len(level)) - bounds[level], :, level] = rows
+        for k in other:
+            e = self._cache[k]
+            cols[:len(e.rows), :, k] = e.rows
+            if e.special == "empty":
+                cols[0, 2, k] = -np.inf
+        return cols.transpose(2, 0, 1)
 
     def first_level(self, pts: np.ndarray, inside) -> np.ndarray:
         """Per point, the smallest k with inside(margin in e(B_k)) true, or

@@ -802,8 +802,11 @@ _PROBE_T = np.geomspace(1e-3, 64.0, 25)
 _PROBE_IT, _PROBE_IU = (i.ravel() for i in np.indices((len(_PROBE_T), len(_PROBE_U))))
 
 
-def _frozen(*arrays) -> tuple:
-    """The arrays, made read-only, as a tuple."""
+def _probe_columns(cand: np.ndarray, margin: np.ndarray) -> tuple:
+    """(cand, margin, x, y), read-only: a base's witness candidates (N, 2),
+    their base margins (N,) and the candidates' coordinates as contiguous
+    (N,) columns, which Body2._find_witness reads once per cut."""
+    arrays = (cand, margin, cand[:, 0].copy(), cand[:, 1].copy())
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -834,11 +837,20 @@ class BallBase:
     @cached_property
     def probe(self):
         """Witness candidates (the centre, then a 41 x 41 grid over the
-        bounding box) and their margins, read-only."""
+        bounding box), their margins and the candidates' contiguous x and y
+        columns, read-only (_probe_columns)."""
         g = np.linspace(-self.radius, self.radius, 41)
         gx, gy = np.meshgrid(g, g)
         cand = np.vstack([self.center, self.center + np.stack([gx.ravel(), gy.ravel()], axis=-1)])
-        return _frozen(cand, self.margin(cand))
+        return _probe_columns(cand, self.margin(cand))
+
+    def inscribed(self, table: CutTable):
+        """(normals, offsets) of the _INSCRIBED_EDGES edges of a regular
+        polygon inscribed in the ball, for the witness fallback of a cut
+        ball (Body2._find_witness); the cuts do not enter."""
+        th = (np.arange(_INSCRIBED_EDGES) + 0.5) * (2.0 * math.pi / _INSCRIBED_EDGES)
+        n = np.column_stack([np.cos(th), np.sin(th)])
+        return n, n @ self.center + self.radius * math.cos(math.pi / _INSCRIBED_EDGES)
 
     def recession_constraints(self):
         return None  # trivial cone
@@ -881,7 +893,9 @@ class EpigraphBase:
     @cached_property
     def probe(self):
         """Witness candidates (points at heights _PROBE_T above the graph
-        at _PROBE_U, skipping |g| >= 1e9) and their margins, read-only."""
+        at _PROBE_U, skipping |g| >= 1e9), their margins and the
+        candidates' contiguous x and y columns, read-only
+        (_probe_columns)."""
         gu = np.asarray(self.profile.g(_PROBE_U), dtype=float)
         keep = np.abs(gu) < 1e9  # steep-profile probes are numerically useless
         iu, it = _PROBE_IU[keep[_PROBE_IU]], _PROBE_IT[keep[_PROBE_IU]]
@@ -890,7 +904,7 @@ class EpigraphBase:
         slope = np.asarray(self.profile.dg(uv[:, 0]), dtype=float)
         m = self.scale * (np.asarray(self.profile.g(uv[:, 0]), dtype=float)
                           - uv[:, 1]) / np.hypot(1.0, slope)
-        return _frozen(self.from_profile(uv), m)
+        return _probe_columns(self.from_profile(uv), m)
 
     def profile_line(self, foot, d):
         """(pu, pv, qu, qv): the world lines foot + t d as p + t q in the
@@ -932,6 +946,38 @@ class EpigraphBase:
         n = np.stack([slope, -np.ones_like(slope)], axis=-1)
         n = n / np.linalg.norm(n, axis=-1, keepdims=True)
         return n @ (self.M / self.scale).T
+
+    def inscribed(self, table: CutTable):
+        """(normals, offsets) of a polygon inscribed in the epigraph over the
+        cuts' extent, for the witness fallback of a cut epigraph
+        (Body2._find_witness).
+
+        The extent is the profile abscissae u of the vertices of the cuts
+        and the graph's tangent half-planes at _PROBE_U (a region holding
+        the body), within the window box of its Chebyshev centre.  The
+        polygon is the secants between _INSCRIBED_EDGES + 1 graph points
+        equally spaced in u over the extent (graph_point: mapped through
+        the transform), which lie in the epigraph since g is convex, and
+        the two lines u = const through the end points.  GeometryError
+        where the region has no interior or the extent is a point.
+        """
+        u = _PROBE_U[np.abs(self.profile.g(_PROBE_U)) < 1e9]
+        n = np.vstack([table.normals, self.graph_normal(u)])
+        c = np.concatenate([table.offsets, dots(self.graph_point(u), n[len(table.offsets):])])
+        w, r = chebyshev_centre(n, c)
+        verts, _ = halfplane_chain(n, c, w, min(max(WINDOW_MULT * r, 256.0), 1e7))
+        extent = self.to_profile(verts)[:, 0]
+        lo, hi = extent.min(), extent.max()
+        if not lo < hi:
+            raise GeometryError("the cuts' extent is a point")
+        p = self.graph_point(np.linspace(lo, hi, _INSCRIBED_EDGES + 1))
+        d = np.diff(p, axis=0)
+        # the epigraph lies left of increasing u, right where M reflects
+        side = math.copysign(1.0, np.linalg.det(self.M))
+        edge = side * np.column_stack([d[:, 1], -d[:, 0]]) / np.hypot(d[:, 0], d[:, 1])[:, None]
+        ends = np.stack([-self.M[:, 0], self.M[:, 0]]) / self.scale
+        normals = np.vstack([edge, ends])
+        return normals, dots(np.vstack([p[:-1], p[[0, -1]]]), normals)
 
     def recession_constraints(self):
         sp, sn = self.profile.slope_pos, self.profile.slope_neg
@@ -1417,8 +1463,9 @@ RADIUS_CAP = 1e3
 #: LP 1.9-2.6 ms at every m.
 _VERTEX_MAX_CUTS = 26
 
-#: edges of the polygon inscribed in a ball for a cut ball's witness fallback
-_BALL_CHORDS = 64
+#: edges of the polygon inscribed in a ball or over a cut epigraph's extent,
+#: for the witness fallback of a cut ball or epigraph (`inscribed`)
+_INSCRIBED_EDGES = 64
 
 #: feasibility and tie tolerance of enumerated vertices, relative to the
 #: size of their coordinates and of the offsets
@@ -1658,27 +1705,32 @@ class Body2:
         exact vertex enumeration, the LP only without a vertex or above
         _VERTEX_MAX_CUTS cuts).  A ball or epigraph body takes the point of
         its base's probe grid (`probe`, computed once per base object) with
-        the smallest margin once the cut table is applied.  A cut ball with
-        no probe inside (its interior can fall between the grid's points)
-        takes the Chebyshev centre of its cuts and the _BALL_CHORDS edges of
-        a regular polygon inscribed in the ball, with that point's own
-        -margin as its clearance.
+        the smallest margin max(base margin, x nx + y ny - c over the
+        cuts), in one in-place pass per cut over the probe's contiguous x
+        and y columns: CutTable.margin's values in its order of operations,
+        so the same point as np.maximum(m, cut_table.margin(cand)).  A cut
+        ball or epigraph with no probe inside (its interior can fall
+        between the grid's points) takes the Chebyshev centre of its cuts
+        and a polygon inscribed in its base (`inscribed`), with that
+        point's own -margin as its clearance.
         """
+        table = self.cut_table
         if isinstance(self.base, PlaneBase):
-            return chebyshev_centre(self.cut_table.normals, self.cut_table.offsets)
-        cand, m = self.base.probe
-        if self.cuts:
-            m = np.maximum(m, self.cut_table.margin(cand))
-        i = int(np.argmin(m))
+            return chebyshev_centre(table.normals, table.offsets)
+        cand, m, x, y = self.base.probe
+        for (nx, ny), c in zip(table.normals.tolist(), table.offsets.tolist()):
+            t = x * nx
+            t += y * ny
+            t -= c
+            m = np.maximum(m, t, out=t)
+        i = int(m.argmin())
         if m[i] < -1e-12:
             return cand[i].copy(), -float(m[i])
-        if isinstance(self.base, BallBase) and self.cuts:
-            th = (np.arange(_BALL_CHORDS) + 0.5) * (2.0 * math.pi / _BALL_CHORDS)
-            n = np.column_stack([np.cos(th), np.sin(th)])
-            c = n @ self.base.center + self.base.radius * math.cos(math.pi / _BALL_CHORDS)
+        if self.cuts:
             try:
-                w, _ = chebyshev_centre(np.vstack([self.cut_table.normals, n]),
-                                        np.concatenate([self.cut_table.offsets, c]))
+                n, c = self.base.inscribed(table)
+                w, _ = chebyshev_centre(np.vstack([table.normals, n]),
+                                        np.concatenate([table.offsets, c]))
             except GeometryError:
                 pass
             else:
@@ -2510,22 +2562,80 @@ def _check_inside(B: Body2, C: Body2):
         raise GeometryError("the inner body is not contained in the ambient")
 
 
+def _rows_beyond(bodies: Sequence[Body2], C: Body2) -> tuple:
+    """Per body, the (m, 3) rows (nx, ny, offset) of its cut table that
+    equal no row of C's, in its order, and the (K,) mask of the bodies that
+    have C's base (by value, _same_base) and hold every row of C's.
+
+    Every body's rows are stacked once and compared with C's as arrays:
+    rows are equal when all three entries are (==, so -0.0 equals 0.0 and
+    NaN equals nothing).  One logical_or.reduceat over the bodies' bounds
+    tells which of C's rows each body holds."""
+    if not bodies:
+        return [], np.zeros(0, dtype=bool)
+    tables = [B.cut_table for B in bodies]
+    counts = [len(t.offsets) for t in tables]
+    stop = list(itertools.accumulate(counts))
+    start = [s - c for s, c in zip(stop, counts)]
+    rows = np.concatenate([np.concatenate([t.normals for t in tables]),
+                           np.concatenate([t.offsets for t in tables])[:, None]], axis=1)
+    theirs = C.cut_table
+    # same[i, j]: stacked row i equals C's row j; the last row is padding,
+    # which reduceat reads for a body without rows, so that body is masked
+    same = np.zeros((len(rows) + 1, len(theirs.offsets)), dtype=bool)
+    np.logical_and((rows[:, None, :2] == theirs.normals).all(axis=2),
+                   rows[:, None, 2] == theirs.offsets, out=same[:-1])
+    held = np.logical_or.reduceat(same, start, axis=0)
+    held[[c == 0 for c in counts]] = False
+    held = held.all(axis=1) & [B.base is C.base or _same_base(B.base, C.base) for B in bodies]
+    keep = ~same[:-1].any(axis=1)
+    ends = list(itertools.accumulate(keep.tolist(), initial=0))
+    rows = rows[keep]
+    return [rows[ends[a]:ends[b]] for a, b in zip(start, stop)], held
+
+
+def _beyond(B: Body2, C: Body2, rows: np.ndarray, held: bool):
+    """cuts_beyond(B, C) from B's _rows_beyond entry."""
+    if not held:
+        if not isinstance(B.base, PlaneBase):
+            return None
+        _check_inside(B, C)
+    return rows
+
+
 def cuts_beyond(B: Body2, C: Body2):
     """B's cuts that are not C's (by value), as (m, 3) rows (nx, ny,
-    offset) of B's cut table, when B is C cut by half-planes, else None.
+    offset) of B's cut table in B's order, when B is C cut by half-planes,
+    else None.
 
     B is when it has C's base and holds C's cuts, both by value (no test
     of points), or when it is a half-plane body inside C: _check_inside
     tests its chain's vertices and its recession cone, exact up to its
     slack for a body whose vertices lie in its window box, and raises
-    GeometryError for a body outside C."""
-    key = {(*h.normal.tolist(), h.offset) for h in C.cuts}
-    mine = [(*h.normal.tolist(), h.offset) for h in B.cuts]
-    if not ((B.base is C.base or _same_base(B.base, C.base)) and key.issubset(mine)):
-        if not isinstance(B.base, PlaneBase):
-            return None
-        _check_inside(B, C)
-    return np.column_stack([B.cut_table.normals, B.cut_table.offsets])[[k not in key for k in mine]]
+    GeometryError for a body outside C.  The rows are compared as arrays
+    (_rows_beyond): a row of B is dropped when all three of its entries
+    equal (==) those of some row of C."""
+    (rows,), (held,) = _rows_beyond([B], C)
+    return _beyond(B, C, rows, held)
+
+
+def cuts_beyond_all(bodies: Sequence, C: Body2) -> list:
+    """cuts_beyond(B, C) for each body of a list in one _rows_beyond pass:
+    (m, 3) rows, or None for a None body, for a body not cut from C and
+    for a half-plane body outside C (where cuts_beyond raises)."""
+    real = [B for B in bodies if B is not None]
+    found = iter(zip(real, *_rows_beyond(real, C)))
+    out = []
+    for B in bodies:
+        rows = None
+        if B is not None:
+            B, mine, held = next(found)
+            try:
+                rows = _beyond(B, C, mine, held)
+            except GeometryError:
+                pass
+        out.append(rows)
+    return out
 
 
 def _circle_chord(center, radius: float, p, n, d):

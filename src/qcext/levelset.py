@@ -23,14 +23,13 @@ from .geometry import (
     Body2,
     CutTable,
     Frame,
-    GeometryError,
     HalfPlane,
     along,
     as_point,
     as_points,
     chord_ends,
     chord_parts,
-    cuts_beyond,
+    cuts_beyond_all,
     distance_many,
     dots,
     golden_min,
@@ -105,8 +104,11 @@ class LevelFamily:
     None, the empty set), or CutLevels of the ambient (from_cuts), whose
     levels are built only where something reads bodies[k]: evaluation
     (eval_many, eval_on) reads the cut table and the ambient and builds
-    none; validate_nesting builds every level but the last, and
-    extend_bodies every level.
+    none; validate_nesting builds every level but the last, and the
+    extension operator every level.  Each level's cuts beyond the ambient
+    are read once per family (_extra_cuts: one cuts_beyond_all pass over a
+    body list, a cut family's own rows), and validate_nesting, evaluation
+    and the extension operator's batch all take them from there.
     """
 
     levels: np.ndarray
@@ -142,7 +144,7 @@ class LevelFamily:
         """True if every B_k lies in B_{k+1} up to tol; LevelSetError names
         the first pair that does not.
 
-        Where both levels are cut from the ambient C (cuts_beyond), the
+        Where both levels are cut from the ambient C (_extra_cuts), the
         check is exact up to tol within B_k's window: B_k lies in an extra
         cut n . x <= c of B_{k+1} widened to c + tol iff B_k's witness does
         and the chord of C on the line n . x = c + tol, clipped by B_k's
@@ -191,11 +193,15 @@ class LevelFamily:
 
     @cached_property
     def _extra_cuts(self) -> list:
-        """Per level, _cuts_from(B_k, ambient): (m, 3) rows or None; a cut
-        family's own rows, without building a level."""
+        """Per level, cuts_beyond(B_k, ambient) as (m, 3) rows, or None for
+        a None level, a level not cut from the ambient and a half-plane
+        level outside it: one cuts_beyond_all pass, computed once per
+        family.  A cut family gives its own rows (CutLevels.cuts), without
+        building a level; a row equal to one of the ambient's cuts is kept
+        there, where cuts_beyond would drop it."""
         if isinstance(self.bodies, CutLevels):
             return [self.bodies.cuts(k) for k in range(len(self))]
-        return [_cuts_from(B, self.ambient) for B in self.bodies]
+        return cuts_beyond_all(self.bodies, self.ambient)
 
     @cached_property
     def _cut_rows(self) -> Optional[np.ndarray]:
@@ -214,7 +220,7 @@ class LevelFamily:
         (contains_many at its default TOL), the sentinel where no level
         holds it: eval_on, after one C.contains_many call that sends points
         off the ambient C to the sentinel where every level is None or cut
-        from C (_cuts_from)."""
+        from C (_extra_cuts)."""
         pts = as_points(pts)
         if self._cut_rows is None:
             return self.eval_on(pts)
@@ -298,18 +304,6 @@ def first_row_level(table: np.ndarray, pts, inside) -> np.ndarray:
         base += half * ~inside(margin)
         n -= half
     return base
-
-
-def _cuts_from(B: Optional[Body2], C: Body2):
-    """B's cuts beyond C's as (m, 3) rows when B is C cut by half-planes
-    (cuts_beyond), else None; None also for a None level and a half-plane
-    body outside C."""
-    if B is None:
-        return None
-    try:
-        return cuts_beyond(B, C)
-    except GeometryError:
-        return None
 
 
 def _nests_sampled(inner: Body2, outer: Body2, n: int, tol: float) -> bool:

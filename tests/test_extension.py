@@ -783,6 +783,27 @@ def test_serialized_family_takes_exact_path(monkeypatch):
     assert got.tobytes() == want.tobytes()
 
 
+def test_family_reads_one_rows_pass(monkeypatch):
+    """extend_function's nesting check, the operator's batch, its covering
+    search and the family's evaluation on and off the ambient all read the
+    family's one cuts_beyond_all pass (LevelFamily._extra_cuts); the batch
+    builds the level table with the extended bodies."""
+    from qcext import geometry
+
+    fam = chord_family(Body2.epigraph("parabola"), np.linspace(0.0, 30.0, 31))
+    passes, rows_beyond = [], geometry._rows_beyond
+    monkeypatch.setattr(geometry, "_rows_beyond",
+                        lambda bodies, C: passes.append(len(bodies)) or rows_beyond(bodies, C))
+    res = extend_function(fam)
+    pts = np.random.default_rng(3).uniform(-6.0, 6.0, (400, 2))
+    res.eval_many(pts)
+    fam.eval_many(pts)
+    top = res.operator.extended(len(fam) - 1).contains_many(pts)
+    res.operator.covering_index_many(pts[top])
+    assert passes == [len(fam)]
+    assert len(res.operator._cache) == len(fam)
+
+
 @pytest.mark.parametrize("name", ["parabola", "disk_mixed"])
 def test_level_table_matches_halfplane_rows(name, monkeypatch):
     """level_table fills each level from its stored rows, and equals the

@@ -1315,6 +1315,165 @@ def test_cut_ball_witness_between_probes():
         disk.clip([((1.0, 0.0), -0.5), ((-1.0, 0.0), -0.5)])
 
 
+
+@pytest.mark.parametrize("name", sorted(_PROBE_BODIES))
+def test_clip_witness_is_probe_argmin(monkeypatch, name):
+    """The witness and clearance of a clip with 1, 2 or 5 cuts, and of a
+    clip of that clip, are bit for bit the argmin of
+    np.maximum(m, cut_table.margin(cand)) over the base's probe, and no
+    clip evaluates the probe again."""
+    C = _PROBE_BODIES[name]()
+    cand, m = C.base.probe[:2]
+    calls = []
+    if name == "ball":
+        margin = type(C.base).margin
+        monkeypatch.setattr(type(C.base), "margin",
+                            lambda self, pts: calls.append(1) or margin(self, pts))
+    else:
+        g = type(C.base.profile).g
+        monkeypatch.setattr(type(C.base.profile), "g",
+                            lambda self, u: calls.append(1) or g(self, u))
+    rng = np.random.default_rng(25)
+
+    def cuts(k):
+        th = rng.uniform(0.0, 2.0 * math.pi, k)
+        n = np.column_stack([np.cos(th), np.sin(th)])
+        return [(v, float(v @ C.witness) + rng.uniform(0.05, 1.0)) for v in n]
+
+    for k in (1, 2, 5):
+        for _ in range(4):
+            B = C.clip(cuts(k))
+            for body in (B, B.clip(cuts(k))):
+                want = np.maximum(m, body.cut_table.margin(cand))
+                i = int(np.argmin(want))
+                assert body.witness.tobytes() == cand[i].tobytes()
+                assert body._clearance0 == -float(want[i])
+    assert calls == []
+
+
+_STRIPS = [
+    [((1.0, 0.0), 10.6), ((-1.0, 0.0), -10.5), ((0.0, 1.0), 130.0)],
+    [((1.0, 0.0), 0.31), ((-1.0, 0.0), -0.3)],
+    [((1.0, 0.0), 2.05), ((-1.0, 0.0), -2.0)],
+]
+
+
+@pytest.mark.parametrize("cuts", _STRIPS)
+def test_cut_epigraph_witness_between_probes(cuts):
+    """A thin strip of the parabola's epigraph holds no probe point; its
+    witness is the Chebyshev centre of its cuts and a polygon inscribed in
+    the graph over the cuts' extent: a point of the strip whose clearance,
+    its own -margin, is the strip's half-width."""
+    C = Body2.epigraph("parabola")
+    lo, hi = -cuts[1][1], cuts[0][1]
+    B = C.clip(cuts)
+    cand, m = C.base.probe[:2]
+    assert (np.maximum(m, B.cut_table.margin(cand)) >= -1e-12).all()
+    assert lo < B.witness[0] < hi
+    assert B._clearance0 == pytest.approx(0.5 * (hi - lo), rel=1e-9)
+    assert B.margin_many(B.witness[None, :])[0] == -B._clearance0
+
+
+def test_cut_epigraph_witness_under_transform():
+    """The strip 2 <= u <= 2.05 of a parabola mapped by a reflecting
+    scaled isometry (scale 3) takes a witness in the strip whose clearance
+    is the strip's half-width times 3; a strip below the graph still raises."""
+    T = np.array([[1.8, 2.4, 1.0], [2.4, -1.8, 2.0]])
+    C = Body2.epigraph("parabola", transform=T)
+    M_inv_t = np.linalg.inv(T[:, :2]).T
+
+    def world(n, c):
+        v = M_inv_t @ np.asarray(n, dtype=float)
+        return v, c + float(v @ T[:, 2])
+
+    B = C.clip([world((1.0, 0.0), 2.05), world((-1.0, 0.0), -2.0)])
+    u = B.base.to_profile(B.witness)[0, 0]
+    assert 2.0 < u < 2.05
+    assert B._clearance0 == pytest.approx(3.0 * 0.025, rel=1e-9)
+    with pytest.raises(GeometryError, match="empty interior"):
+        C.clip([world((1.0, 0.0), 0.31), world((-1.0, 0.0), -0.3), world((0.0, 1.0), -0.95)])
+
+
+
+def _beyond_by_value(B, C):
+    """cuts_beyond's documented rule on rows as value tuples: B's rows not
+    among C's, when B has C's base and holds C's rows (a half-plane B
+    otherwise needs _check_inside), else None."""
+    key = {(*h.normal.tolist(), h.offset) for h in C.cuts}
+    mine = [(*h.normal.tolist(), h.offset) for h in B.cuts]
+    if not ((B.base is C.base or geo._same_base(B.base, C.base)) and key.issubset(mine)):
+        if not isinstance(B.base, geo.PlaneBase):
+            return None
+        geo._check_inside(B, C)
+    rows = np.column_stack([B.cut_table.normals, B.cut_table.offsets])
+    return rows[[k not in key for k in mine]].reshape(-1, 3)
+
+
+def _signed_zero_cut(rng, C):
+    """A cut with a zero normal component, whose sign the caller flips."""
+    n = np.array([0.0, 1.0]) if rng.integers(2) else np.array([1.0, 0.0])
+    return geo.HalfPlane(n, float(n @ C.witness) + rng.uniform(0.5, 2.0))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cuts_beyond_matches_by_value_rule(seed):
+    """cuts_beyond (array rule) returns the by-value rule's rows, bit for
+    bit, or its None, or raises as it does, on fuzzed clips: C's cuts
+    permuted inside B, duplicate cuts, -0.0 for 0.0, an equal fresh base,
+    and B missing one of C's cuts (None on a curved base, the containment
+    test on a half-plane base); cuts_beyond_all gives the same per body,
+    None where cuts_beyond raises."""
+    rng = np.random.default_rng(seed)
+    makers = [lambda: Body2.epigraph("parabola"), lambda: Body2.ball((1.0, -2.0), 1.5),
+              lambda: Body2.from_polychain([(-2, -2), (2, -2), (2, 2), (-2, 2)])]
+
+    def cut(body, lo=0.3, hi=1.5):
+        th = rng.uniform(0.0, 2.0 * math.pi)
+        n = np.array([math.cos(th), math.sin(th)])
+        return geo.HalfPlane(n, float(n @ body.witness) + rng.uniform(lo, hi))
+
+    for make in makers:
+        root = make()
+        zero = _signed_zero_cut(rng, root)
+        C = root.clip([cut(root), zero, cut(root)])
+        flipped = geo.HalfPlane(np.where(zero.normal == 0.0, -0.0, zero.normal), zero.offset)
+        assert flipped.normal.tobytes() != zero.normal.tobytes()
+        own = list(C.cuts[len(root.cuts):])
+        extra = [cut(C, 0.1, 0.8) for _ in range(2)]
+        fresh = make()
+        cases = [
+            Body2(C.base, root.cuts + tuple(rng.permutation(np.array(own, dtype=object)))
+                  + tuple(extra)),
+            C.clip(own[:1] + extra[:1] + extra[:1]),
+            Body2(C.base, root.cuts + (own[0], flipped, own[2], extra[0])),
+            Body2(fresh.base, fresh.cuts + C.cuts[len(root.cuts):] + (extra[1],)),
+            Body2(C.base, root.cuts + (own[0], own[2], extra[0])),
+            Body2(C.base, root.cuts + (own[0], own[2], geo.HalfPlane(zero.normal, zero.offset - 0.2))),
+            Body2(C.base, root.cuts + (own[0], own[2], cut(C, 5.0, 6.0))),
+        ]
+        for B in cases:
+            try:
+                want = _beyond_by_value(B, C)
+            except GeometryError as err:
+                with pytest.raises(GeometryError, match=str(err)):
+                    geo.cuts_beyond(B, C)
+                continue
+            got = geo.cuts_beyond(B, C)
+            if want is None:
+                assert got is None
+            else:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        want_all = []
+        for B in cases + [None]:
+            try:
+                want_all.append(None if B is None else _beyond_by_value(B, C))
+            except GeometryError:
+                want_all.append(None)
+        got_all = geo.cuts_beyond_all(cases + [None], C)
+        assert [None if w is None else w.tobytes() for w in want_all] == \
+            [None if g is None else g.tobytes() for g in got_all]
+
+
 # -- half-plane pruning: the interval test against Qhull's dual hull -----------
 
 def _prune_by_qhull(halfplanes, witness):
