@@ -25,7 +25,11 @@ The root finders (`bisect_leq`, `newton_leq`, `golden_min`,
 `coarse_golden_min`) take numpy-broadcasting closures: `f(t)` returns an
 array shaped like `t` (`along` builds one from a point path).  Each solves
 an array of independent brackets in one loop with the same step rule as
-for a single bracket.  Slope points are closed form on the parabola and
+for a single bracket.  The projection onto a graph stretch
+(`GraphPiece.distance_many`) is one `newton_leq` on the normal equation,
+its derivative from the profile's g'' (`Profile.ddg`); `golden_min`
+stays for the minima of `cone_from`, `_ray_boundary_contacts` and the
+staircase check.  Slope points are closed form on the parabola and
 start from guesses (`Profile.slope_guess`) that leave a bisection a few
 floats wide: closed form on the cosh, exp and ball profiles, a
 `newton_leq` solve on g' with g'' on a polynomial profile.  Coupled roots
@@ -531,7 +535,9 @@ def _cone_from_pieces(apex: np.ndarray, pieces: list, tol: float = 1e-9) -> Cone
 # profiles
 
 class Profile:
-    """Convex scalar profile g with derivative and recession slopes."""
+    """Convex scalar profile g with its first and second derivatives (dg,
+    ddg) and recession slopes.  A profile that clips u (exp, cosh at
+    +-700) evaluates g, dg and ddg at the clipped u alike."""
 
     name = "custom"
     params: dict = {}
@@ -547,6 +553,9 @@ class Profile:
         raise NotImplementedError
 
     def dg(self, u):
+        raise NotImplementedError
+
+    def ddg(self, u):
         raise NotImplementedError
 
     def slope_guess(self, s, lo, hi):
@@ -638,6 +647,9 @@ class ParabolaProfile(Profile):
     def dg(self, u):
         return 2.0 * self.a * np.asarray(u, dtype=float)
 
+    def ddg(self, u):
+        return np.full(np.shape(u), 2.0 * self.a)
+
     def slope_point(self, s, lo, hi):
         """Closed form: g'(u) = 2 a u = s at u = s / (2 a), clamped."""
         return np.clip(np.asarray(s, dtype=float) / (2.0 * self.a), lo, hi)
@@ -682,6 +694,9 @@ class ExpProfile(Profile):
     def dg(self, u):
         return -np.exp(-np.clip(np.asarray(u, dtype=float), -700, 700))
 
+    def ddg(self, u):
+        return np.exp(-np.clip(np.asarray(u, dtype=float), -700, 700))
+
     def slope_guess(self, s, lo, hi):
         """-log(-s), closed form; past the +-700 clip g' is constant, so a
         guess beyond it is the infinity on its side (+inf also for s >= 0,
@@ -702,6 +717,9 @@ class CoshProfile(Profile):
 
     def dg(self, u):
         return np.sinh(np.clip(np.asarray(u, dtype=float), -700, 700))
+
+    def ddg(self, u):
+        return np.cosh(np.clip(np.asarray(u, dtype=float), -700, 700))
 
     def slope_guess(self, s, lo, hi):
         """asinh(s), closed form; an infinity past the +-700 clip (as on
@@ -738,6 +756,9 @@ class PolyProfile(Profile):
 
     def dg(self, u):
         return self._dp(np.asarray(u, dtype=float))
+
+    def ddg(self, u):
+        return self._ddp(np.asarray(u, dtype=float))
 
     def slope_guess(self, s, lo, hi):
         """newton_leq on g' - s with g'' from hi toward lo, evaluating the
@@ -1101,6 +1122,12 @@ class Arc:
         return _lex_max(vals, ts)
 
 
+#: GraphPiece.distance_many samples the normal equation at these fractions
+#: of its last bracket (at most two scan spacings), so minima one step
+#: apart are solved apart
+_PROJECTION_STEPS = np.linspace(0.0, 1.0, 17)
+
+
 class GraphPiece:
     """Boundary piece on the analytic graph of an epigraph base.
 
@@ -1163,7 +1190,7 @@ class GraphPiece:
         u = self._chord_us(n)
         return ((self.u0 + self.u1) - u)[::-1] if self.flipped else u
 
-    def distance_many(self, pts, samples: int = 48, iters: int = 60):
+    def distance_many(self, pts, samples: int = 48):
         """Distance to the graph stretch, per-point bracketed.
 
         The transform is a lam-isometry of the u-axis, so the nearest
@@ -1174,11 +1201,18 @@ class GraphPiece:
         halves the window (its best sample, or a crossing of the query's
         profile level v between two samples, as near in u as the farther),
         so a coarse scan beside a steep arm does not settle on a far arm.
-        One golden_min refines all the last brackets (one graph evaluation
-        per step).
+
+        In the last bracket [a, b] the nearest parameter is where
+        phi(u) = (G(u) - p) . G'(u), half the u-derivative of |G(u) - p|^2,
+        crosses zero upward.  Inside the body, near an evolute, [a, b] can
+        hold a local maximum between two minima, so phi is sampled at the
+        _PROJECTION_STEPS of [a, b], and every step where it crosses zero
+        upward is solved, all in one newton_leq (bad = right end, good =
+        left end), with phi' = |G'|^2 + (G - p) . M (0, g'')^T.  Each point
+        takes the nearest of its roots and its phi samples.
         """
         pts = as_points(pts)
-        base, graph = self.base, self.base.graph_point
+        base, graph, tangent = self.base, self.base.graph_point, self.base.graph_tangent
         uv = base.to_profile(pts)
         u_a = np.clip(uv[:, 0], self.u0, self.u1)
         d0 = np.linalg.norm(pts - graph(u_a), axis=-1)
@@ -1201,7 +1235,25 @@ class GraphPiece:
             again = near < 0.5 * rad[todo]
             todo = todo[again]
             rad[todo] = near[again]
-        u_best, d2_best = golden_min(lambda u: ((pts - graph(u)) ** 2).sum(-1), a, b, iters=iters)
+
+        def normal_eq(q):
+            """phi for the query points q, and its derivative."""
+            def dphi(u):
+                rel, tan = graph(u) - q, tangent(u)
+                return dots(tan, tan) + dots(rel, base.M[:, 1]) * base.profile.ddg(u)
+            return (lambda u: dots(graph(u) - q, tangent(u))), dphi
+
+        steps = a + (b - a) * _PROJECTION_STEPS[:, None]
+        phi = normal_eq(pts)[0](steps)
+        up = (phi[:-1] <= 0) & (phi[1:] > 0)
+        roots = steps[:-1].copy()
+        if up.any():
+            q = np.broadcast_to(pts, up.shape + (2,))[up]
+            roots[up] = newton_leq(*normal_eq(q), steps[1:][up], steps[:-1][up])
+        us = np.concatenate([roots, steps])
+        d2 = ((graph(us) - pts) ** 2).sum(-1)
+        k, rows = np.argmin(d2, axis=0), np.arange(len(pts))
+        u_best, d2_best = us[k, rows], d2[k, rows]
         dist = np.minimum(np.sqrt(d2_best), d0)
         u_best = np.where(dist < d0, u_best, u_a)
         t = (self.u0 + self.u1) - u_best if self.flipped else u_best

@@ -669,9 +669,11 @@ def test_polychain_halfplanes_match_per_edge_recipe():
 
 
 def test_graph_distance_one_graph_evaluation_per_step(parabola, monkeypatch):
-    """distance_many refines every point's bracket in one golden_min, one
-    graph evaluation per step (evaluating both interior points every step
-    took 123 calls at 60 steps)."""
+    """distance_many refines every point's bracket in one newton_leq on the
+    normal equation, whose f and f' each evaluate graph_point once per call
+    for all the points, so these 4 points take 12 graph_point calls (one
+    golden-section step per graph evaluation took 66 calls at 60 steps,
+    evaluating both interior points every step 123)."""
     pc = next(pc for pc in parabola.pieces() if pc.kind == "graph")
     calls = []
     graph_point = geo.EpigraphBase.graph_point
@@ -773,16 +775,16 @@ def _graph_oracle_case(name):
                                   "custom_poly_moved"])
 def test_graph_distance_matches_dense_oracle(name, monkeypatch):
     """distance_many and project find the nearest graph point of exterior
-    points (not a far arm's local minimum), with one golden_min per
+    points (not a far arm's local minimum), with at most one newton_leq per
     distance_many call."""
     body, pts = _graph_oracle_case(name)
     assert len(body.pieces()) == 1 and len(pts) > 100
     want, h = _dense_graph_distance(body, pts)
     calls = []
-    golden = geo.golden_min
-    monkeypatch.setattr(geo, "golden_min", lambda *a, **k: calls.append(1) or golden(*a, **k))
+    newton = geo.newton_leq
+    monkeypatch.setattr(geo, "newton_leq", lambda *a, **k: calls.append(1) or newton(*a, **k))
     got = distance_many(body, pts)
-    assert len(calls) == 1
+    assert len(calls) <= 1
     monkeypatch.undo()
     assert np.all(got <= want * (1 + 1e-12) + 1e-12)
     assert np.all(got >= want - 0.5 * h - 1e-9)
@@ -791,6 +793,130 @@ def test_graph_distance_matches_dense_oracle(name, monkeypatch):
         q, dq = project(p, body)
         assert abs(dq - d) <= 1e-12 * max(1.0, d)
         assert abs(np.linalg.norm(q - p) - d) <= 1e-12 * max(1.0, d)
+
+
+def _mp_g(prof):
+    """The profile's g written in mpmath, without the +-700 clip."""
+    import mpmath
+    if isinstance(prof, geo.ParabolaProfile):
+        return lambda u: prof.a * u ** 2 + prof.c
+    if isinstance(prof, geo.ExpProfile):
+        return lambda u: mpmath.exp(-u)
+    if isinstance(prof, geo.CoshProfile):
+        return lambda u: mpmath.cosh(u) + prof.c
+    return lambda u: mpmath.polyval(prof.coeffs[::-1], u)
+
+
+@pytest.mark.parametrize("name", list(geo.PROFILES))
+def test_profile_ddg_matches_50_digit_second_derivative(name):
+    """Profile.ddg is within 1e-13 relative of mpmath.diff(g, u, 2) at 50
+    digits, at fuzzed u; past the +-700 clip of exp and cosh, ddg, like dg,
+    is its value at the clipped u."""
+    import mpmath
+    rng = np.random.default_rng(5)
+    params = {"coeffs": [1.0, -0.5, 0.5, 0.2, 0.1]} if name == "custom_poly" else {}
+    prof = geo.PROFILES[name](**params)
+    u = np.concatenate([rng.uniform(-20.0, 20.0, 30), rng.uniform(-2e3, 2e3, 10),
+                        [-700.0, 700.0, -700.5, 700.5, -1e4, 1e4]])
+    clip = 700.0 if name in ("exp", "exp_hypograph", "cosh") else np.inf
+    uc = np.clip(u, -clip, clip)
+    got = prof.ddg(u)
+    assert got.shape == u.shape
+    assert np.array_equal(got, prof.ddg(uc)) and np.array_equal(prof.dg(u), prof.dg(uc))
+    g = _mp_g(prof)
+    with mpmath.workdps(50):
+        for x, want in zip(got, (mpmath.diff(g, mpmath.mpf(v), 2) for v in uc)):
+            assert abs(x - want) <= 1e-13 * abs(want)
+
+
+def _mp_normal_eq(body, p):
+    """phi(u) = (G(u) - p) . G'(u) and |G(u) - p|^2 of the body's graph in
+    mpmath (call inside workdps)."""
+    import mpmath
+    g = _mp_g(body.base.profile)
+    (a, b), (c, d) = ([mpmath.mpf(float(v)) for v in row] for row in body.base.M)
+    sx, sy = (mpmath.mpf(float(v)) for v in body.base.shift)
+    px, py = (mpmath.mpf(float(v)) for v in p)
+
+    def rel(u):
+        gu = g(u)
+        return u * a + gu * b + sx - px, u * c + gu * d + sy - py
+
+    def phi(u):
+        (x, y), dgu = rel(u), mpmath.diff(g, u)
+        return x * (a + dgu * b) + y * (c + dgu * d)
+
+    return phi, lambda u: sum(v ** 2 for v in rel(u))
+
+
+@pytest.mark.parametrize("name", ["parabola", "cosh", "exp_hypograph", "custom_poly",
+                                  "custom_poly_moved"])
+def test_graph_projection_parameter_matches_50_digit_root(name):
+    """distance_many's parameter t is within 1e-12 relative of the root of
+    the normal equation (G(u) - p) . G'(u) = 0 at 50 digits
+    (mpmath.findroot from the returned u), on the dense-oracle bodies'
+    exterior points and the parabola point (0, 63), where golden section on
+    |G(u) - p|^2 stopped 3.7e-9 from the root.  On a flipped piece,
+    t = (u0 + u1) - u, so the bound is relative to max(|u|, 1) in u, plus
+    the float spacing of t that the subtraction rounds to."""
+    import mpmath
+    body, pts = _graph_oracle_case(name)
+    if name == "parabola":
+        pts = np.vstack([pts, [(0.0, 63.0)]])
+    (pc,) = body.pieces()
+    _, t = pc.distance_many(pts)
+    assert np.all((t > pc.t0) & (t < pc.t1))
+    with mpmath.workdps(50):
+        ends = mpmath.mpf(pc.u0 + pc.u1)
+        for ti, p in zip(t, pts):
+            phi, _ = _mp_normal_eq(body, p)
+            if pc.flipped:
+                root = mpmath.findroot(phi, ends - mpmath.mpf(ti))
+                assert abs(ti - (ends - root)) <= 1e-12 * max(abs(root), 1) + np.spacing(abs(ti))
+            else:
+                root = mpmath.findroot(phi, mpmath.mpf(ti))
+                assert abs(ti - root) <= 1e-12 * abs(root)
+
+
+@pytest.mark.parametrize("name", ["parabola", "cosh", "exp_hypograph", "custom_poly",
+                                  "custom_poly_moved"])
+def test_graph_distance_inside_near_evolute_matches_50_digit_minimum(name):
+    """Interior points near a centre of curvature (those of a flat arc lie
+    outside the body and are dropped), where |G(u) - p|^2 has a
+    local maximum between two close minima (or one flat minimum), get the
+    smallest distance: within 1e-12 of the least |G(u) - p| over every
+    upward root of the normal equation, found from sign changes on a fine
+    grid and refined at 50 digits.  Among them is the parabola point
+    (0, -0.4991) above the evolute's cusp (0, -0.5), whose minimum lies at
+    u = -0.03 off every scan sample."""
+    import mpmath
+    body, _ = _graph_oracle_case(name)
+    base = body.base
+    u = np.array([-2.0, -1.0, -0.3, 0.0, 0.5, 1.5])
+    g2 = base.profile.ddg(u)[:, None] * base.M[:, 1]
+    tan = base.graph_tangent(u)
+    rho = np.linalg.norm(tan, axis=1) ** 3 / np.abs(tan[:, 0] * g2[:, 1] - tan[:, 1] * g2[:, 0])
+    n = np.column_stack([-tan[:, 1], tan[:, 0]]) / np.linalg.norm(tan, axis=1)[:, None]
+    n *= np.sign((n * g2).sum(axis=1))[:, None]
+    fac = 1.0 + np.array([-1e-2, 1e-4, 1e-3, 1e-2, 0.1])
+    pts = (base.graph_point(u)[:, None] + (rho[:, None] * fac)[..., None] * n[:, None]).reshape(-1, 2)
+    win = np.repeat(2.0 * rho * fac.max() / base.scale, len(fac))
+    us = np.repeat(u, len(fac))
+    inside = body.contains_many(pts, 0.0)
+    assert inside.sum() >= 5
+    pts, us, win = pts[inside], us[inside], win[inside]
+    if name == "parabola":
+        pts, us, win = np.vstack([pts, [(0.0, -0.4991)]]), np.append(us, 0.0), np.append(win, 2.0)
+    got = geo.boundary_distance_many(body, pts)
+    with mpmath.workdps(50):
+        for d, p, uc, w in zip(got, pts, us, win):
+            grid = np.linspace(uc - w, uc + w, 20001)
+            rel, tg = base.graph_point(grid) - p, base.graph_tangent(grid)
+            up = np.nonzero(np.diff((rel * tg).sum(axis=1) > 0))[0]
+            phi, d2 = _mp_normal_eq(body, p)
+            roots = [mpmath.findroot(phi, (grid[i], grid[i + 1]), solver="anderson") for i in up]
+            want = float(mpmath.sqrt(min(d2(r) for r in roots)))
+            assert len(roots) and abs(d - want) <= 1e-12 * max(1.0, want)
 
 
 def _support_u(body, dirs):
