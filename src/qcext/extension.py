@@ -302,10 +302,6 @@ class ExtensionOperator:
                 f"{self.family.levels[K - 1]}", last_level=float(self.family.levels[K - 1]))
         return idx
 
-    def covering_index(self, x) -> int:
-        """Smallest level index k with x in e(B_k); CoveringError if none."""
-        return int(self.covering_index_many(as_point(x)[None, :])[0])
-
 
 @dataclass
 class ExtensionResult:

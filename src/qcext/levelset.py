@@ -283,24 +283,28 @@ def first_row_level(table: np.ndarray, pts, inside) -> np.ndarray:
     steps, each probing level base + n // 2 - 1.  The answer is the
     smallest passing level where inside is monotone in k (false, then
     true), as on nested levels.  Each row's margin is x nx, plus y ny,
-    minus c, as in CutTable, so it equals the cut table's bit for bit.  A
-    table from row_table is read without a copy.
+    minus c, as in CutTable, so it equals the cut table's bit for bit; the
+    first row's margin is written straight into the running maximum.  A
+    table from row_table is read without a copy.  Each call pays a fixed
+    cost per step and row, so callers search all their points in one call.
     """
     pts = as_points(pts)
     cols = np.ascontiguousarray(np.asarray(table, dtype=float).transpose(1, 2, 0))
     x, y = pts[:, 0].copy(), pts[:, 1].copy()
-    margin, t, u = np.empty((3, len(pts)))
+    margin = np.full(len(pts), -np.inf)  # stays -inf for a table without rows
+    t, u = np.empty((2, len(pts)))
     base = np.zeros(len(pts), dtype=np.intp)
     n = cols.shape[2] + 1
     while n > 1:
         half = n // 2
         probe = base + (half - 1)
-        margin.fill(-np.inf)
-        for nx, ny, c in cols:
-            np.multiply(nx.take(probe), x, out=t)
-            t += np.multiply(ny.take(probe), y, out=u)
-            t -= c.take(probe)
-            np.maximum(margin, t, out=margin)
+        for i, (nx, ny, c) in enumerate(cols):
+            row = margin if i == 0 else t
+            np.multiply(nx.take(probe), x, out=row)
+            row += np.multiply(ny.take(probe), y, out=u)
+            row -= c.take(probe)
+            if i:
+                np.maximum(margin, t, out=margin)
         base += half * ~inside(margin)
         n -= half
     return base
@@ -364,12 +368,14 @@ def sample_domain(domain, n: int, rng, window=None) -> np.ndarray:
 
     domain: Body2, or (xmin, xmax, ymin, ymax) box. The default body window
     is the witness ball center +- SAMPLE_RADIUS_MULT * clearance.  A body
-    draws rounds of m uniform candidates, m = max(4 n, 64) doubling each
-    round up to 2,000,000, for at most 60 rounds, and returns the first n
-    candidates it contains.  Every round's draws are made in full, so the
-    output and the rng state after the call are those of testing every
-    candidate; only the prefix returned is tested, in slices sized from
-    the acceptance rate seen so far.
+    takes rounds of m candidates, m = max(4 n, 64) doubling each round up
+    to 2,000,000, for at most 60 rounds, and returns the first n candidates
+    it contains: a round's x are the next m uniforms over the window's x
+    span and its y the m after.  Only a prefix of a round is tested, in
+    slices sized from the acceptance rate seen so far, and only the tested
+    candidates are drawn where the stream can jump (_Round); the output
+    and the rng state after the call are those of drawing and testing
+    every candidate of every round.
     """
     if isinstance(domain, Body2):
         if window is None:
@@ -379,16 +385,16 @@ def sample_domain(domain, n: int, rng, window=None) -> np.ndarray:
         got = tested = 0
         m = max(4 * n, 64)
         for _ in range(60):
-            cand = np.column_stack([rng.uniform(window[0], window[1], m),
-                                    rng.uniform(window[2], window[3], m)])
+            cand = _Round(rng, window, m)
             start = 0
             while start < m and got < n:
                 stop = min(m, start + 16 + int(1.25 * (n - got) * (tested + 1) / (got + 1)))
-                part = cand[start:stop]
+                part = cand.take(start, stop)
                 out.append(part[domain.contains_many(part)])
                 got += len(out[-1])
                 tested += stop - start
                 start = stop
+            cand.close()
             if got >= n:
                 break
             m = min(2 * m, 2_000_000)  # thin bodies need bigger batches
@@ -397,6 +403,55 @@ def sample_domain(domain, n: int, rng, window=None) -> np.ndarray:
         return np.vstack(out)[:n]
     xmin, xmax, ymin, ymax = domain
     return np.column_stack([rng.uniform(xmin, xmax, n), rng.uniform(ymin, ymax, n)])
+
+
+#: sample_domain draws rounds of at most this many candidates whole
+WHOLE_ROUND = 4096
+
+
+class _Round:
+    """One round of sample_domain: m candidate pairs whose x are rng's
+    next m uniforms over window[0:2] and whose y the m after, over
+    window[2:4].  take(start, stop) gives candidates start .. stop - 1;
+    close() leaves rng where drawing all 2 m uniforms leaves it.
+
+    A round of more than WHOLE_ROUND candidates on a PCG64 or PCG64DXSM
+    stream draws only the slices taken: each jumps from the state saved at
+    the round's start with advance, which skips one double per step on
+    these generators (Philox's advance does not, and MT19937 and SFC64
+    have none), and close() jumps to 2 m, keeping the saved 32-bit buffer
+    that advance clears.  Any other round is drawn whole: a small round
+    costs less to draw than to position slice by slice.
+    """
+
+    def __init__(self, rng, window, m: int):
+        self.rng, self.window, self.m = rng, window, m
+        bg = getattr(rng, "bit_generator", None)
+        if m > WHOLE_ROUND and isinstance(bg, (np.random.PCG64, np.random.PCG64DXSM)):
+            self.bg, self.saved = bg, bg.state
+        else:
+            self.bg = None
+            self.cand = np.column_stack([rng.uniform(window[0], window[1], m),
+                                         rng.uniform(window[2], window[3], m)])
+
+    def _seek(self, offset: int):
+        self.bg.state = self.saved
+        self.bg.advance(offset)
+
+    def take(self, start: int, stop: int) -> np.ndarray:
+        if self.bg is None:
+            return self.cand[start:stop]
+        w, size = self.window, stop - start
+        self._seek(start)
+        x = self.rng.uniform(w[0], w[1], size)
+        self._seek(self.m + start)
+        return np.column_stack([x, self.rng.uniform(w[2], w[3], size)])
+
+    def close(self):
+        if self.bg is not None:
+            self._seek(2 * self.m)
+            keep = {k: self.saved[k] for k in ("has_uint32", "uinteger")}
+            self.bg.state = {**self.bg.state, **keep}
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +719,8 @@ def quasiconvex_check(eval_many, domain, n_triples: int, tol: float = 1e-9,
 
     Flags f(lam x + (1-lam) y) > max(f(x), f(y)) + tol; reports worst
     violation and its witness.  Sentinel values compare like any float.
+    The x, y and midpoints go to eval_many in one call, which assumes f
+    is evaluated pointwise.
     """
     if n_triples < 1:
         raise LevelSetError("need at least one triple")
@@ -672,9 +729,7 @@ def quasiconvex_check(eval_many, domain, n_triples: int, tol: float = 1e-9,
     ys = sample_domain(domain, n_triples, rng, window)
     lam = rng.uniform(0.0, 1.0, n_triples)
     mids = lam[:, None] * xs + (1 - lam[:, None]) * ys
-    fx = np.asarray(eval_many(xs), dtype=float)
-    fy = np.asarray(eval_many(ys), dtype=float)
-    fm = np.asarray(eval_many(mids), dtype=float)
+    fx, fy, fm = np.split(np.asarray(eval_many(np.vstack([xs, ys, mids])), dtype=float), 3)
     gap = fm - np.maximum(fx, fy)
     bad = gap > tol
     worst = float(np.max(gap)) if len(gap) else -math.inf
@@ -687,6 +742,8 @@ def quasiconvex_check(eval_many, domain, n_triples: int, tol: float = 1e-9,
 
 
 def _sample_pairs(eval_many, domain, pair_samples, rng, window, local_scale=1e-3):
+    """Distances and value gaps of pairs (x, y) and (x, z), z a local step
+    from x; one eval_many call over x, y and z (f evaluated pointwise)."""
     xs = sample_domain(domain, pair_samples, rng, window)
     ys = sample_domain(domain, pair_samples, rng, window)
     # local pairs catch the short-range slope; project back into the domain
@@ -696,10 +753,9 @@ def _sample_pairs(eval_many, domain, pair_samples, rng, window, local_scale=1e-3
     if isinstance(domain, Body2):
         keep = domain.contains_many(zs)
         zs[~keep] = xs[~keep]
-    a = np.vstack([xs, xs])
-    b = np.vstack([ys, zs])
-    d = np.linalg.norm(a - b, axis=-1)
-    df = np.abs(np.asarray(eval_many(a)) - np.asarray(eval_many(b)))
+    d = np.linalg.norm(np.vstack([xs, xs]) - np.vstack([ys, zs]), axis=-1)
+    fx, fy, fz = np.split(np.asarray(eval_many(np.vstack([xs, ys, zs]))), 3)
+    df = np.abs(np.concatenate([fx, fx]) - np.concatenate([fy, fz]))
     good = d > 1e-12
     return d[good], df[good]
 

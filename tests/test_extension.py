@@ -253,13 +253,13 @@ def test_extend_function_rejects_non_nested(parabola):
 
 def test_covering_index_base(parabola):
     fam = chord_family(parabola, np.arange(0.0, 8.0))
-    assert ExtensionOperator(fam).covering_index((0.0, 0.0)) == 0
+    assert ExtensionOperator(fam).covering_index_many([(0.0, 0.0)]).tolist() == [0]
 
 
 def test_covering_index_below_apex(parabola):
     fam = chord_family(parabola, np.arange(0.0, 12.0))
     op = ExtensionOperator(fam)
-    k = op.covering_index((0.0, -5.0))
+    k = int(op.covering_index_many([(0.0, -5.0)])[0])
     assert 0 < k < 12
     assert op.extended(k).contains_many(np.array([[0.0, -5.0]]))[0]
     assert not op.extended(k - 1).contains_many(np.array([[0.0, -5.0]]))[0]
@@ -271,7 +271,7 @@ def test_covering_error_above_asymptote():
     bodies = [hyp.clip([((1.0, 0.0), float(k))]) for k in ks]
     fam = LevelFamily(ks, bodies, hyp)
     with pytest.raises(CoveringError) as exc:
-        ExtensionOperator(fam).covering_index((5.0, 2.0))
+        ExtensionOperator(fam).covering_index_many([(5.0, 2.0)])
     assert exc.value.last_level == pytest.approx(19.0)
 
 
@@ -283,7 +283,7 @@ def test_covering_many_matches_scalar(parabola):
     pts = rng.uniform(-6, 6, (50, 2))
     idx = op.covering_index_many(pts)
     for p, k in zip(pts[:10], idx[:10]):
-        assert op.covering_index(p) == k
+        assert op.covering_index_many(p[None, :])[0] == k
 
 
 def test_restriction_hausdorff_random_pairs():

@@ -1,15 +1,18 @@
 """The smallest-level search (levelset.first_row_level), the staircase
 values read from it and the rejection sampler against the per-level scans,
-the lo/hi bisection and the eager sampling loop they replace."""
+the lo/hi bisection and the eager sampling loop they replace; the sampled
+checks' one evaluation per call against evaluating each array apart."""
 
 import numpy as np
 import pytest
 
-from qcext.counterexamples import gen_no_lip, gen_no_qc, gen_non_rotund
-from qcext.extension import CONTAIN_TOL, INT_MARGIN, ExtensionOperator
+import qcext.levelset as ls
+from qcext.counterexamples import gen_no_lip, gen_no_qc, gen_no_uc, gen_non_rotund
+from qcext.extension import CONTAIN_TOL, INT_MARGIN, ExtensionOperator, extend_function
 from qcext.geometry import Body2, distance_many
-from qcext.levelset import (LevelFamily, LevelSetError, first_row_level, row_table,
-                            sample_domain, staircase_qc)
+from qcext.levelset import (LevelFamily, LevelSetError, first_row_level, lipschitz_estimate,
+                            modulus_estimate, quasiconvex_check, row_table, sample_domain,
+                            staircase_qc)
 
 RULES = {"contain": lambda m: m <= CONTAIN_TOL, "interior": lambda m: m < -INT_MARGIN}
 
@@ -253,18 +256,158 @@ def _domains():
     }
 
 
+#: the bit generators the sampler must follow: two that jump with advance
+#: and two that it draws whole rounds from
+BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox)
+
+
 @pytest.mark.parametrize("name", ["parabola", "disk", "thin-triangle", "clipped-cosh"])
 @pytest.mark.parametrize("n", [7, 300, 5000])
 def test_sampler_matches_eager_loop(name, n):
     """The same samples and the same rng stream as testing every candidate
-    of every round, over three seeds."""
+    of every round, over three seeds of each bit generator."""
     body, window = _domains()[name]
     if window is None:
         c, r = body.witness, 16.0 * body.clearance
         window = (c[0] - r, c[0] + r, c[1] - r, c[1] + r)
-    for seed in range(3):
-        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sample_domain(body, n, rng_a, window=window)
-        want = sample_eager(body, n, rng_b, window)
-        assert got.shape == (n, 2) and np.array_equal(got, want)
-        assert rng_a.random() == rng_b.random()
+    for bit_generator in BIT_GENERATORS:
+        for seed in range(3):
+            rng_a = np.random.Generator(bit_generator(seed))
+            rng_b = np.random.Generator(bit_generator(seed))
+            got = sample_domain(body, n, rng_a, window=window)
+            want = sample_eager(body, n, rng_b, window)
+            assert got.shape == (n, 2) and np.array_equal(got, want)
+            assert rng_a.random() == rng_b.random()
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM])
+def test_sampler_keeps_the_32_bit_buffer(bit_generator):
+    """A round that jumps with advance leaves the half-used 32-bit draw
+    where the eager loop leaves it."""
+    body, window = _domains()["parabola"]
+    rng_a, rng_b = np.random.Generator(bit_generator(5)), np.random.Generator(bit_generator(5))
+    for rng in (rng_a, rng_b):
+        rng.integers(0, 1000, dtype=np.uint32)
+    assert rng_a.bit_generator.state["has_uint32"] == 1
+    assert np.array_equal(sample_domain(body, 5000, rng_a, window=window),
+                          sample_eager(body, 5000, rng_b, window))
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    assert rng_a.integers(0, 1 << 30, 4, dtype=np.uint32).tolist() == \
+        rng_b.integers(0, 1 << 30, 4, dtype=np.uint32).tolist()
+
+
+# -- one evaluation per sampled check ---------------------------------------------
+
+def _extension():
+    res = extend_function(random_chord_family("parabola", 100, 100))
+    return res.eval_many, res.family.ambient
+
+
+def _certified(gen, body, **kw):
+    f = gen(body, **kw)[0]
+    return f.eval_many, f.domain
+
+
+#: name: (f and its domain, a window about where f varies, whether a
+#: one-point call gives the batch's bits); the ramp and the staircases
+#: whose levels have straight edges take `@` products (ramp_qc's h and
+#: HalfPlane.value, Segment.distance_many), which BLAS rounds differently
+#: for one row than for several
+POINTWISE = {
+    "extension-100": (_extension, (-2.0, 2.0, -1.0, 3.0), True),
+    "no_lip-cosh": (lambda: _certified(gen_no_lip, Body2.epigraph("cosh"), k_max=8, scan=16),
+                    (-4.0, 4.0, 0.0, 8.0), True),
+    "no_uc-parabola": (lambda: _certified(gen_no_uc, Body2.epigraph("parabola"), k_max=8),
+                       (-1.0, 6.0, -2.0, 20.0), False),
+    "no_qc-hypograph": (lambda: _certified(gen_no_qc, Body2.epigraph("exp_hypograph"), k_max=8),
+                        (-3.0, 10.0, -5.0, 1.5), False),
+    "non_rotund-triangle": (lambda: _certified(
+        gen_non_rotund, Body2.from_polychain([(0, 1), (2, 1), (1, -3)]), k_max=8),
+        (-0.5, 2.5, -4.0, 2.0), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINTWISE))
+def test_evaluation_is_pointwise(name):
+    """One eval_many call on 3,000 points, on and off the domain, equals
+    three 1,000-point calls bit for bit, the precondition of the checks'
+    single evaluation, and 200 one-point calls: bit for bit, or to
+    rounding where a one-point call takes BLAS's one-row path."""
+    make, window, one_point_exact = POINTWISE[name]
+    f, body = make()
+    rng = np.random.default_rng(21)
+    pts = np.vstack([sample_domain(body, 1500, rng, window=window),
+                     sample_domain(window, 1500, rng)])[rng.permutation(3000)]
+    whole = f(pts)
+    assert np.array_equal(whole, np.concatenate([f(part) for part in np.split(pts, 3)]))
+    pick = rng.choice(3000, 200, replace=False)
+    one = np.concatenate([f(pts[i:i + 1]) for i in pick])
+    if one_point_exact:
+        assert np.array_equal(one, whole[pick])
+    else:
+        assert np.all(np.abs(one - whole[pick]) <= 1e-15 * np.maximum(1.0, np.abs(whole[pick])))
+    assert len(np.unique(whole)) >= 50
+
+
+def qc_check_apart(eval_many, domain, n_triples, tol, seed, window):
+    """quasiconvex_check with x, y and the midpoints evaluated apart."""
+    rng = np.random.default_rng(seed)
+    xs = sample_domain(domain, n_triples, rng, window)
+    ys = sample_domain(domain, n_triples, rng, window)
+    lam = rng.uniform(0.0, 1.0, n_triples)
+    mids = lam[:, None] * xs + (1 - lam[:, None]) * ys
+    fx, fy, fm = (np.asarray(eval_many(p), dtype=float) for p in (xs, ys, mids))
+    gap = fm - np.maximum(fx, fy)
+    i = int(np.argmax(gap))
+    witness = (xs[i], ys[i], float(lam[i]), float(fx[i]), float(fy[i]), float(fm[i]))
+    return int((gap > tol).sum()), float(np.max(gap)), witness if gap[i] > tol else None
+
+
+def sample_pairs_apart(eval_many, domain, pair_samples, rng, window, local_scale=1e-3):
+    """levelset._sample_pairs with both ends of every pair evaluated apart."""
+    xs = sample_domain(domain, pair_samples, rng, window)
+    ys = sample_domain(domain, pair_samples, rng, window)
+    span = float(np.max(np.abs(ys - xs))) or 1.0
+    zs = xs + rng.normal(0.0, local_scale * span, xs.shape)
+    if isinstance(domain, Body2):
+        keep = domain.contains_many(zs)
+        zs[~keep] = xs[~keep]
+    a, b = np.vstack([xs, xs]), np.vstack([ys, zs])
+    d = np.linalg.norm(a - b, axis=-1)
+    df = np.abs(np.asarray(eval_many(a)) - np.asarray(eval_many(b)))
+    return d[d > 1e-12], df[d > 1e-12]
+
+
+def _xy_square():
+    return (lambda pts: np.abs(pts[:, 0] * pts[:, 1])), squares(1.0)
+
+
+@pytest.mark.parametrize("name", ["extension-100", "no_lip-cosh", "no_uc-parabola",
+                                  "non_rotund-triangle", "xy-square"])
+def test_checks_match_separate_evaluations(name, monkeypatch):
+    """quasiconvex_check, modulus_estimate and lipschitz_estimate report
+    what evaluating each sampled array apart reports, on the domain within
+    a window and on the window box; |x y| on the square has violations to
+    report."""
+    if name == "xy-square":
+        (f, body), window = _xy_square(), (-1.0, 1.0, -1.0, 1.0)
+    else:
+        make, window, _ = POINTWISE[name]
+        f, body = make()
+    for domain in (body, window):
+        rep = quasiconvex_check(f, domain, 2000, tol=1e-9, seed=7, window=window)
+        violations, worst, witness = qc_check_apart(f, domain, 2000, 1e-9, 7, window)
+        assert (rep.checked, rep.violations, rep.worst) == (2000, violations, worst)
+        assert (rep.witness is None) == (witness is None)
+        if witness is not None:
+            assert all(np.array_equal(a, b) for a, b in zip(rep.witness, witness))
+        got = (modulus_estimate(f, domain, 1500, seed=8, window=window),
+               lipschitz_estimate(f, domain, 1500, seed=9, window=window))
+        monkeypatch.setattr(ls, "_sample_pairs", sample_pairs_apart)
+        want = (modulus_estimate(f, domain, 1500, seed=8, window=window),
+                lipschitz_estimate(f, domain, 1500, seed=9, window=window))
+        monkeypatch.undo()
+        assert np.array_equal(got[0].ts, want[0].ts)
+        assert np.array_equal(got[0].omegas, want[0].omegas)
+        assert got[1] == want[1]
+        assert name != "xy-square" or rep.violations > 0
