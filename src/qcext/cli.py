@@ -15,7 +15,7 @@ from . import extension as ext
 from . import plots
 from . import serialize as ser
 from . import verify as vf
-from .geometry import Body2, GeometryError, recession_cone, find_asymptotic_direction, is_rotund
+from .geometry import Body2, GeometryError, recession_cone
 from .levelset import LevelSetError
 
 GALLERY = {
@@ -53,27 +53,27 @@ def _load_body(path: str) -> Body2:
     return ser.body_from_json(_read_json(path))
 
 
-def _parse_window(text, default=(-8.0, 8.0, -8.0, 8.0)):
-    if not text:
-        return default
-    parts = [float(x) for x in str(text).split(",")]
-    if len(parts) != 4:
-        raise ValueError("window must be xmin,xmax,ymin,ymax")
-    return tuple(parts)
+def _parse_window(text):
+    """xmin,xmax,ymin,ymax, finite, with xmin < xmax and ymin < ymax."""
+    box = tuple(float(x) for x in text.split(","))
+    if len(box) != 4 or not (np.isfinite(box).all() and box[0] < box[1] and box[2] < box[3]):
+        raise argparse.ArgumentTypeError("window must be finite xmin,xmax,ymin,ymax "
+                                         "with xmin < xmax and ymin < ymax")
+    return box
 
 
 def _body_info(body: Body2) -> dict:
     cone = recession_cone(body)
-    asym = find_asymptotic_direction(body)
+    cls = cx.characterize(body)
     return {
-        "bounded": body.bounded,
-        "rotund": is_rotund(body),
+        "bounded": cls.predicates["bounded"],
+        "rotund": cls.predicates["rotund"],
         "recession_cone": {"kind": cone.kind,
                            "directions": [np.asarray(d).tolist()
                                           for d in cone.directions()]},
-        "asymptotic_direction": None if asym is None else
-        {"direction": np.asarray(asym[0]).tolist(),
-         "witness": np.asarray(asym[1]).tolist()},
+        "asymptotic_direction": {"direction": cls.evidence["asymptotic_direction"],
+                                 "witness": cls.evidence["asymptotic_witness"]}
+        if cls.predicates["has_asymptotic_direction"] else None,
         "witness": body.witness.tolist(),
         "clearance": body.clearance,
     }
@@ -85,7 +85,10 @@ def cmd_body(args, conf) -> int:
             print(f"unknown body name {args.name!r}; "
                   f"choose from {sorted(GALLERY)}", file=sys.stderr)
             return 2
-        params = json.loads(args.params) if args.params else {}
+        params = json.loads(args.params or "{}")
+        if not isinstance(params, dict):
+            print("--params must be a JSON object", file=sys.stderr)
+            return 2
         body = GALLERY[args.name](params)
         _emit(json.dumps(ser.body_to_json(body), indent=2), conf.out)
         return 0
@@ -196,6 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--kmax", type=int, default=None)
     common.add_argument("--grid", type=int, default=None)
     common.add_argument("--out", default="")
+    boxed = argparse.ArgumentParser(add_help=False)
+    boxed.add_argument("--window-box", type=_parse_window, default=(-8.0, 8.0, -8.0, 8.0))
 
     p = argparse.ArgumentParser(prog="qcext",
                                 description="planar quasiconvex extension toolkit")
@@ -207,10 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--params", default="")
     pb.set_defaults(fn=cmd_body)
 
-    pe = sub.add_parser("extend", parents=[common], help="extend a level family")
+    pe = sub.add_parser("extend", parents=[common, boxed], help="extend a level family")
     pe.add_argument("--body", required=True)
     pe.add_argument("--function", required=True)
-    pe.add_argument("--window-box", type=_parse_window, default="")
     pe.add_argument("--svg", default="")
     pe.set_defaults(fn=cmd_extend)
 
@@ -233,11 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--plant-failure", action="store_true")
     pv.set_defaults(fn=cmd_verify)
 
-    pp = sub.add_parser("plot", parents=[common], help="emit an SVG figure")
+    pp = sub.add_parser("plot", parents=[common, boxed], help="emit an SVG figure")
     pp.add_argument("--body", default="")
     pp.add_argument("--function", default="")
     pp.add_argument("--certificate", default="")
-    pp.add_argument("--window-box", type=_parse_window, default="")
     pp.set_defaults(fn=cmd_plot)
     return p
 
@@ -245,7 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    conf = cfg.from_flags(args)
+    try:
+        conf = cfg.from_flags(args)
+    except ValueError as e:
+        print(f"invalid setting: {e}", file=sys.stderr)
+        return 2
     # body takes its file from the positional argument
     if args.command == "body":
         if args.action == "make":
@@ -257,7 +264,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(str(e), file=sys.stderr)
         return 2
-    except (LevelSetError, ext.ExtensionError, GeometryError) as e:
+    except (LevelSetError, ext.ExtensionError, GeometryError, json.JSONDecodeError) as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return 2
 

@@ -46,8 +46,10 @@ class ConstructionError(ValueError):
     """A generator's hypothesis on the body failed; the message names it."""
 
 
-def _given(C: Optional[Body2]) -> Body2:
-    """C; ConstructionError when a generator that needs a body has none."""
+def _given(C: Optional[Body2], k_max: int) -> Body2:
+    """C; ConstructionError when a generator has no body or a k_max below 1."""
+    if k_max < 1:
+        raise ConstructionError("k_max must be at least 1")
     if C is None:
         raise ConstructionError("hypothesis failed: no body given")
     return C
@@ -121,11 +123,11 @@ class NoUCCertificate:
     h_offset: float
     params: dict = field(default_factory=dict)
 
-    def validate(self, tol: float = 1e-6):
+    def validate(self):
         """The chain it states: consecutive points 1 apart and levels
         h(points) = points . h_normal - h_offset, both within
         1e-12 max(1, the largest |point|); increasing levels; and level
-        gaps at least bilip (1 - tol) - 1e-12."""
+        gaps at least bilip (1 - 1e-6) - 1e-12."""
         pts = np.asarray(self.points, dtype=float)
         slack = 1e-12 * max(1.0, float(np.linalg.norm(pts, axis=1).max()))
         if np.any(np.abs(np.linalg.norm(np.diff(pts, axis=0), axis=1) - 1.0) > slack):
@@ -135,7 +137,7 @@ class NoUCCertificate:
         lg = np.diff(self.levels)
         if np.any(lg <= 0):
             raise ConstructionError("levels along the chain do not increase")
-        if np.any(lg < self.bilip * (1 - tol) - 1e-12):
+        if np.any(lg < self.bilip * (1 - 1e-6) - 1e-12):
             raise ConstructionError("level gaps fell below the bi-Lipschitz bound")
         return True
 
@@ -241,7 +243,7 @@ def gen_no_qc(C: Body2, k_max: int = 24):
     extension to exceed every level at the fixed witness point while the
     levels diverge.
     """
-    found = find_asymptotic_direction(_given(C))
+    found = find_asymptotic_direction(_given(C, k_max))
     if found is None:
         if C.bounded:
             raise ConstructionError("hypothesis failed: body is bounded "
@@ -274,11 +276,11 @@ def gen_no_qc(C: Body2, k_max: int = 24):
     return f, cert
 
 
-def gen_non_rotund(C: Body2, k_max: int = 24, min_segment: float = 1e-6):
+def gen_non_rotund(C: Body2, k_max: int = 24):
     """Lipschitz QC function on a non-rotund body with no continuous QC
     extension: the forced limit along the boundary segment jumps.
     """
-    seg = find_boundary_segment(_given(C), min_segment)
+    seg = find_boundary_segment(_given(C, k_max))
     if seg is None:
         raise ConstructionError("hypothesis failed: body is rotund "
                                 "(no boundary segment found)")
@@ -418,7 +420,7 @@ def gen_no_uc(C: Body2, k_max: int = 64):
     characterize.  The certificate's validate() checks the unit links and
     levels it states.
     """
-    if _given(C).bounded:
+    if _given(C, k_max).bounded:
         raise ConstructionError("hypothesis failed: body is bounded")
     if not is_rotund(C):
         raise ConstructionError("hypothesis failed: body is not rotund")
@@ -511,19 +513,19 @@ def gen_no_uc(C: Body2, k_max: int = 64):
 # ---------------------------------------------------------------------------
 # no body admits Lipschitz quasiconvex extensions
 
-def _lower_profile(E: Body2, zs, frames=None, v_max: float = 4.0) -> np.ndarray:
-    """Smallest v in [0, v_max] with (z, v) in the framed body for each z,
+def _lower_profile(E: Body2, zs, frames=None) -> np.ndarray:
+    """Smallest v in [0, 4] with (z, v) in the framed body for each z,
     NaN where the vertical line at z misses the body there.
 
     zs is (n,) in E's own coordinates (frames None), or (J, n) with row j
     in the coordinates of frames[j].  Membership is frame-invariant,
     (z, v) in frame(E) iff frame.invert((z, v)) in E, so the vertical line
     at z is o + (v / lam) R[1] in E's coordinates, and all of them are one
-    chord_ends call on E over |v| <= v_max.  The lower end of each chord,
+    chord_ends call on E over |v| <= 4.  The lower end of each chord,
     raised to 0, is the profile height.
 
     Assumes the framed body sits in {v >= 0}; only profile heights below
-    v_max are of interest (the construction needs g <= 1).
+    4 are of interest (the construction needs g <= 1).
     """
     zs = np.asarray(zs, dtype=float)
     if frames is None:
@@ -535,7 +537,7 @@ def _lower_profile(E: Body2, zs, frames=None, v_max: float = 4.0) -> np.ndarray:
         up = np.repeat([f.R[1] for f in frames], zs.shape[1], axis=0)
         lam = np.repeat([f.lam for f in frames], zs.shape[1])
     n = np.column_stack([up[:, 1], -up[:, 0]])  # the lines run along up
-    span = chord_ends(E, CutTable(normals=n, offsets=dots(o, n)), o, v_max / lam)[3]
+    span = chord_ends(E, CutTable(normals=n, offsets=dots(o, n)), o, 4.0 / lam)[3]
     lo = np.maximum(span[:, 0], 0.0)
     return np.where(lo <= span[:, 1], lam * lo, np.nan).reshape(zs.shape)
 
@@ -559,8 +561,8 @@ def gen_no_lip(E: Body2, k_max: int = 24, scan: int = 64):
     """
     thetas = [2.0 * math.pi * j / scan for j in range(scan)]
     dirs = np.array([[math.cos(theta), math.sin(theta)] for theta in thetas])
-    usable = [(theta, frame) for theta, frame in zip(thetas, _no_lip_frames(_given(E), dirs))
-              if frame is not None]
+    usable = [(theta, frame) for theta, frame
+              in zip(thetas, _no_lip_frames(_given(E, k_max), dirs)) if frame is not None]
     if not usable:
         raise ConstructionError("no usable supporting direction found")
     frames = [frame for _, frame in usable]

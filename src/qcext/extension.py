@@ -31,16 +31,15 @@ from .geometry import (
     cuts_beyond_all,
     distance_many,
     dots,
-    find_asymptotic_direction,
     halfplane_chain,
     irredundant,
-    is_rotund,
     norm,
     polygon_distance,
     prune_halfplanes,
     relative_boundary,
     supporting_normals,
 )
+from .counterexamples import characterize
 from .levelset import LevelFamily, first_row_level
 
 #: boundary sampling resolution of the sampled fallback
@@ -336,16 +335,17 @@ class ExtensionResult:
         return out
 
 
-def ambient_regularity(C: Body2) -> str:
-    """Extension grade the ambient body supports.
+_REGULARITY = {"UC_EXTENDABLE": "continuous", "C_EXTENDABLE": "continuous",
+               "QC_EXTENDABLE": "usc-only", "NOT_QC_EXTENDABLE": "unsupported"}
 
-    'continuous' for rotund bodies without asymptotic directions,
+
+def ambient_regularity(C: Body2) -> str:
+    """Extension grade the ambient body supports, read from characterize's
+    class: 'continuous' for rotund bodies without asymptotic directions,
     'usc-only' without rotundity, 'unsupported' with an asymptotic
     direction (no quasiconvex extension is guaranteed at all).
     """
-    if find_asymptotic_direction(C) is not None:
-        return "unsupported"
-    return "continuous" if is_rotund(C) else "usc-only"
+    return _REGULARITY[characterize(C).extendability_class]
 
 
 def extend_function(fam: LevelFamily, validate: bool = True,
@@ -370,7 +370,7 @@ def extend_function(fam: LevelFamily, validate: bool = True,
 # ---------------------------------------------------------------------------
 # diagnostics used by the operator contracts
 
-def restriction_hausdorff(ext: ExtendedBody, n: int = 256) -> float:
+def restriction_hausdorff(ext: ExtendedBody) -> float:
     """Hausdorff distance between e(B) intersected with the ambient C and B.
 
     Exact when B and C are polygons (Body2.is_polygon), which makes the
@@ -378,7 +378,7 @@ def restriction_hausdorff(ext: ExtendedBody, n: int = 256) -> float:
     C's cuts and e(B)'s rows about B's witness, and the distance is the
     largest distance from either polygon's vertices to the other polygon
     (for convex polygons the farthest point lies at a vertex; Atallah, IPL
-    17, 1983).  Otherwise the meet is a Body2 and each side takes n
+    17, 1983).  Otherwise the meet is a Body2 and each side takes 256
     boundary samples, so the value can fall short of the distance by up
     to the sample spacing.
     """
@@ -392,9 +392,9 @@ def restriction_hausdorff(ext: ExtendedBody, n: int = 256) -> float:
         poly = B.chain[0]
         return float(max(polygon_distance(poly, meet).max(), polygon_distance(meet, poly).max()))
     meet = Body2(C.base, C.cuts + tuple(ext.halfplanes), name="e_cap_C")
-    a = meet.boundary_samples(n)
+    a = meet.boundary_samples(256)
     d1 = float(np.max(distance_many(B, a))) if len(a) else 0.0
-    b = B.boundary_samples(n)
+    b = B.boundary_samples(256)
     d2 = float(np.max(distance_many(meet, b))) if len(b) else 0.0
     return max(d1, d2)
 

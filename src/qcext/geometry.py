@@ -52,6 +52,8 @@ import numpy as np
 
 TOL = 1e-9            # absolute tolerance for geometric predicates
 WINDOW_MULT = 1024.0  # working window half-size = WINDOW_MULT * witness clearance
+NORMAL_REACH = 1e-7   # supporting_normals' and active_normals' reach, per max(1, |x - witness|)
+MIN_SEGMENT = 1e-6    # shortest straight boundary piece find_boundary_segment reports
 
 TWO_PI = 2.0 * math.pi
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -156,23 +158,23 @@ def golden_min(f, a, b, iters: int = 80):
     return t, f(t)
 
 
-def coarse_golden_min(f, a, b, samples: int = 257, iters: int = 90,
-                      stages: int = 6):
+def coarse_golden_min(f, a, b):
     """Golden-section minimum seeded by staged coarse-grid argmins.
 
     No caller in qcext is left; it stays because perfbench/tracing.py
     counts it by name (ROOT_FINDERS) and a test oracle of chord_ends
     (_staged_chord_ends) runs it.
 
-    Re-grids a bracket while its samples show a flat plateau, so narrow
-    basins inside wide clipped-profile plateaus are not lost.  a and b
-    broadcast to an array of brackets: each stage's grids, shaped
-    a.shape + (samples,), are one f call, and only brackets still on a
-    plateau take the next stage's grid.
+    Re-grids a bracket (at most six times) while its samples show a flat
+    plateau, so narrow basins inside wide clipped-profile plateaus are not
+    lost.  a and b broadcast to an array of brackets: each stage's grids,
+    shaped a.shape + (samples,), are one f call, and only brackets still on
+    a plateau take the next stage's grid.
     """
+    samples = 257
     lo, hi = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     regrid = np.ones(lo.shape, dtype=bool)
-    for _ in range(stages):
+    for _ in range(6):
         us = np.linspace(lo, hi, samples, axis=-1)
         vals = f(us)
         j = np.argmin(vals, axis=-1)
@@ -191,7 +193,7 @@ def coarse_golden_min(f, a, b, samples: int = 257, iters: int = 90,
             break
     if lo.ndim == 0:
         lo, hi = float(lo), float(hi)
-    return golden_min(f, lo, hi, iters=iters)
+    return golden_min(f, lo, hi, iters=90)
 
 
 def bisect_leq(f, bad, good, iters: int = 80):
@@ -508,15 +510,15 @@ def _intersect_circular(constraints: list) -> list:
     return merged
 
 
-def _cone_from_pieces(apex: np.ndarray, pieces: list, tol: float = 1e-9) -> Cone2:
-    pieces = [p for p in pieces if p[1] > tol] or pieces
+def _cone_from_pieces(apex: np.ndarray, pieces: list) -> Cone2:
+    pieces = [p for p in pieces if p[1] > 1e-9] or pieces
     if not pieces:
         return Cone2(apex, "point")
     if len(pieces) == 1:
         s, ln = pieces[0]
         if ln >= TWO_PI - 1e-9:
             return Cone2(apex, "plane")
-        if ln <= tol:
+        if ln <= 1e-9:
             d = dir_of(s)
             return Cone2(apex, "ray", d, d)
         if abs(ln - math.pi) <= 1e-9:
@@ -526,7 +528,7 @@ def _cone_from_pieces(apex: np.ndarray, pieces: list, tol: float = 1e-9) -> Cone
         return Cone2(apex, "wedge", dir_of(s), dir_of(s + ln))
     pieces = sorted(pieces, key=lambda p: -p[1])[:2]
     (s1, l1), (s2, l2) = pieces
-    if l1 <= tol and l2 <= tol and abs(ccw_span(s1, s2) - math.pi) < 1e-6:
+    if l1 <= 1e-9 and l2 <= 1e-9 and abs(ccw_span(s1, s2) - math.pi) < 1e-6:
         return Cone2(apex, "line", dir_of(s1), dir_of(s2))
     raise GeometryError("disconnected direction set; the body is not convex")
 
@@ -624,11 +626,11 @@ class Profile:
                 ends[out], t_min[rows])
         return np.where(meets, ends[:, 0], np.inf), np.where(meets, ends[:, 1], -np.inf)
 
-    def validate(self, u_lo=-64.0, u_hi=64.0, n=512, tol=1e-7):
-        u = np.linspace(u_lo, u_hi, n)
+    def validate(self):
+        u = np.linspace(-64.0, 64.0, 512)
         g = self.g(u)
         d2 = g[:-2] - 2 * g[1:-1] + g[2:]
-        if np.min(d2) < -tol * max(1.0, float(np.max(np.abs(g)))):
+        if np.min(d2) < -1e-7 * max(1.0, float(np.max(np.abs(g)))):
             raise GeometryError(f"profile {self.name!r} is not convex on samples")
 
 
@@ -2121,43 +2123,35 @@ def project(p, C: Body2):
     return best_q, best_d
 
 
-def support(C: Body2, directions, tol: float = TOL):
+def support(C: Body2, directions):
     """Support values sup {d . p : p in C}: a float for one direction, an
     (N,) array for (N, 2) directions; +inf along recession growth."""
-    return support_point(C, directions, tol)[0]
+    return support_point(C, directions)[0]
 
 
-def support_point(C: Body2, directions, tol: float = TOL):
+def support_point(C: Body2, directions):
     """Support values and attaining boundary points.
 
     One direction gives (value, point), with point None where the value is
     +inf; (N, 2) directions give (N,) values and (N, 2) points, NaN rows
     where the value is +inf.  Directions are normalised.  Every row is
     computed on its own, so a batch equals its per-direction calls bit for
-    bit.
-    """
-    d = np.asarray(directions, dtype=float)
-    length = np.hypot(d[..., 0], d[..., 1])
-    if np.any(length == 0.0):
-        raise GeometryError("cannot normalize the zero vector")
-    vals, pts = _support(C, np.atleast_2d(d / length[..., None]), tol)
-    if d.ndim > 1:
-        return vals, pts
-    return float(vals[0]), (pts[0] if np.isfinite(vals[0]) else None)
-
-
-def _support(C: Body2, dirs: np.ndarray, tol: float = TOL):
-    """Support values and attaining points for (N, 2) unit directions, from
-    one support_max call per arc or graph piece and one expression for all
-    segments.  A value is +inf along recession growth (the recession test)
-    or where the maximum sits at a window-clipped chain end and the values
-    still climb toward it (the divergence guard); its point is then NaN.
+    bit; a batch takes one support_max call per arc or graph piece and one
+    expression for all segments.  A value is +inf along recession growth
+    (the recession test) or where the maximum sits at a window-clipped
+    chain end and the values still climb toward it (the divergence guard).
 
     Ties do not depend on where the chain starts: a segment whose outward
     normal is the direction (within 1e-12 in sine) is a flat face, and its
     start, the face's CCW-first end, is the point; otherwise, among the
     pieces with the largest value, a piece's start beats a piece's end (the
-    same vertex), and then the first in chain order wins."""
+    same vertex), and then the first in chain order wins.
+    """
+    given = np.asarray(directions, dtype=float)
+    size = np.hypot(given[..., 0], given[..., 1])
+    if np.any(size == 0.0):
+        raise GeometryError("cannot normalize the zero vector")
+    dirs = np.atleast_2d(given / size[..., None])
     n = len(dirs)
     recc = C.recession_cone()
     grows = np.zeros(n, dtype=bool)
@@ -2200,13 +2194,15 @@ def _support(C: Body2, dirs: np.ndarray, tol: float = TOL):
             v_mid = dots(_chain_points(chain, idx[e], t_mid), d[e])
             v_q = dots(_chain_points(chain, idx[e], t_q), d[e])
             step1, step2 = v_q - v_mid, best[e] - v_q
-            climbs = (step2 > np.maximum(tol, 1e-9 * np.abs(best[e]))) & (step2 > 0.5 * step1)
+            climbs = (step2 > np.maximum(TOL, 1e-9 * np.abs(best[e]))) & (step2 > 0.5 * step1)
             grows[fin[e[climbs]]] = True
     out = np.full(n, np.inf)
     pts = np.full((n, 2), np.nan)
     out[fin], pts[fin] = best, _chain_points(chain, idx, t)
     out[grows], pts[grows] = np.inf, np.nan
-    return out, pts
+    if given.ndim > 1:
+        return out, pts
+    return float(out[0]), (pts[0] if np.isfinite(out[0]) else None)
 
 
 def _chain_points(pieces, idx, t) -> np.ndarray:
@@ -2248,38 +2244,38 @@ def locate_on_boundary(C: Body2, x):
     return _locate_on_boundary(C, as_point(x))
 
 
-def locate_with_normals(C: Body2, x, tol: float = 1e-7):
-    """(locate_on_boundary(C, x), supporting_normals(C, x, tol)) from one
+def locate_with_normals(C: Body2, x):
+    """(locate_on_boundary(C, x), supporting_normals(C, x)) from one
     distance_many call per piece, which both would make."""
     x = as_point(x)
     near = _nearest_on_pieces(C, x)
-    return _locate_on_boundary(C, x, near), _normal_fan(C, x, tol, near)
+    return _locate_on_boundary(C, x, near), _normal_fan(C, x, near)
 
 
-def supporting_normals(C: Body2, x, tol: float = 1e-7) -> NormalFan:
+def supporting_normals(C: Body2, x) -> NormalFan:
     """Outward unit normals supporting C at the boundary point x.
 
     Smooth points give a single normal; corners give the arc between the
     two incident piece normals.
     """
-    return _normal_fan(C, as_point(x), tol)
+    return _normal_fan(C, as_point(x))
 
 
-def _normal_fan(C: Body2, x, tol: float, near=None) -> NormalFan:
+def _normal_fan(C: Body2, x, near=None) -> NormalFan:
     """supporting_normals, with each piece's distance_many result at x taken
     from near where it is given."""
-    scale = max(1.0, norm(x - C.witness))
+    reach = NORMAL_REACH * max(1.0, norm(x - C.witness))
     normals = []
     for i, pc in enumerate(C.pieces()):
         # piece endpoints are the common case (corners); test them first
         hit_t = None
         for t_end in (pc.t0, pc.t1):
-            if norm(np.asarray(pc.point(t_end)) - x) <= tol * scale:
+            if norm(np.asarray(pc.point(t_end)) - x) <= reach:
                 hit_t = t_end
                 break
         if hit_t is None:
             d, t = pc.distance_many(x[None, :]) if near is None else near[i]
-            if d[0] <= tol * scale:
+            if d[0] <= reach:
                 hit_t = float(t[0])
         if hit_t is not None:
             normals.append(np.asarray(pc.normal(hit_t), dtype=float))
@@ -2300,33 +2296,34 @@ def recession_cone(C: Body2) -> Cone2:
     return C.recession_cone()
 
 
-def asymptotic_slope(x0, v, C: Body2, rel_tol: float = 1e-6, t_max_pow: int = 20):
+def asymptotic_slope(x0, v, C: Body2):
     """Limit slope of t -> d(x0 + t v, C) / t along a ray missing int C.
 
-    Doubles t from 1 to 2**t_max_pow until successive secant slopes agree
-    to rel_tol; returns (value, (previous slope, last slope)).
+    Doubles t from 1 to 2**20 until successive secant slopes agree to
+    1e-6 (relative); returns (value, (previous slope, last slope)).
     """
     x0 = as_point(x0)
     v = unit(np.asarray(v, dtype=float))
     probe = x0 + np.outer(np.linspace(0.5, 8, 7), v)
     if C.interior_many(probe, 1e-12).any():
         raise GeometryError("ray meets the interior of the body")
-    ts = 2.0 ** np.arange(0, t_max_pow + 2)
+    ts = 2.0 ** np.arange(0, 22)
     phi = distance_many(C, x0 + np.outer(ts, v))
     slopes = (phi[1:] - phi[:-1]) / ts[:-1]
     prev = last = float(slopes[0])
     for k in range(1, len(slopes)):
         prev, last = last, float(slopes[k])
-        if abs(last - prev) < rel_tol * max(1.0, abs(last)):
+        if abs(last - prev) < 1e-6 * max(1.0, abs(last)):
             break
     return last, (prev, last)
 
 
-def is_asymptotic_direction(C: Body2, v, slope_tol: float = 1e-4):
+def is_asymptotic_direction(C: Body2, v):
     """Detect an asymptotic direction; returns (flag, witness x0 or None).
 
-    Any witness must sit on a supporting line whose normal is orthogonal to
-    the direction, so only those two normals are scanned.
+    The distance slope along an asymptotic direction (asymptotic_slope)
+    is below 1e-4.  Any witness must sit on a supporting line whose normal
+    is orthogonal to the direction, so only those two normals are scanned.
     """
     v = unit(np.asarray(v, dtype=float))
     if C.bounded:
@@ -2342,7 +2339,7 @@ def is_asymptotic_direction(C: Body2, v, slope_tol: float = 1e-4):
             slope, _ = asymptotic_slope(x0, v, C)
         except GeometryError:
             continue
-        if slope < slope_tol:
+        if slope < 1e-4:
             return True, x0
     return False, None
 
@@ -2407,7 +2404,7 @@ def _locate_on_boundary(C: Body2, x, near=None):
     return best[1], best[2]
 
 
-def cone_from(z, E: Body2, refine_iters: int = 90) -> Cone2:
+def cone_from(z, E: Body2) -> Cone2:
     """Closure of the cone with vertex z generated by the body E.
 
     At a boundary vertex this degenerates to the supporting half-plane or
@@ -2439,7 +2436,7 @@ def cone_from(z, E: Body2, refine_iters: int = 90) -> Cone2:
             t_hi = ts[min(j + 1, len(ts) - 1)]
             sign = -1.0 if maximize else 1.0
             t_best, f_best = golden_min(along(lambda p: sign * offsets_of(p), pc.point),
-                                        t_lo, t_hi, iters=refine_iters)
+                                        t_lo, t_hi, iters=90)
             val = sign * f_best
             lo_val = min(lo_val, val)
             hi_val = max(hi_val, val)
@@ -2529,12 +2526,13 @@ def tangency_set(z, C: Body2) -> BoundaryArc:
     return arc
 
 
-def _ray_boundary_contacts(C: Body2, z, d, tol: float = 1e-6):
+def _ray_boundary_contacts(C: Body2, z, d):
     """Parameter intervals where the tangent ray z + R+ d touches the boundary.
 
     The ray's line supports the body, so the cross-offset has constant sign
     along the boundary and vanishes exactly on the contact set.
     """
+    tol = 1e-6
     out = []
     for idx, pc in enumerate(C.pieces()):
         if isinstance(pc, Segment):
@@ -2771,10 +2769,10 @@ def chord_parts(ends: np.ndarray, table: CutTable, rtol: float = 1e-9):
 def active_normals(C: Body2, pts):
     """The outward unit normals (c, N, 2) of C's c constraints (the ball or
     graph base, then each cut) at N boundary points, and the (c, N) mask of
-    those active there: within 1e-7 * max(1, distance to the witness), the
-    reach of supporting_normals."""
+    those active there: within NORMAL_REACH * max(1, distance to the
+    witness), the reach of supporting_normals."""
     pts = as_points(pts)
-    near = 1e-7 * np.maximum(1.0, np.linalg.norm(pts - C.witness, axis=-1))
+    near = NORMAL_REACH * np.maximum(1.0, np.linalg.norm(pts - C.witness, axis=-1))
     base, table = C.base, C.cut_table
     normals = np.broadcast_to(table.normals[:, None, :], (len(table.offsets),) + pts.shape)
     active = np.abs(table.values(pts)) <= near
@@ -2789,20 +2787,19 @@ def active_normals(C: Body2, pts):
             np.concatenate([(np.abs(base.margin(pts)) <= near)[None], active]))
 
 
-def relative_boundary(B: Body2, C: Body2, samples_per_piece: int = 129,
-                      tol: float = 1e-9, check_containment: bool = True) -> BoundaryArc:
+def relative_boundary(B: Body2, C: Body2, check_containment: bool = True) -> BoundaryArc:
     """Closure of the part of the boundary of B lying in the interior of C.
 
-    Returns parameter intervals over B's boundary pieces; endpoints refined
-    onto the boundary of C.
+    Returns parameter intervals over B's boundary pieces (129 samples
+    each); endpoints refined onto the boundary of C.
     """
     if check_containment:
         _check_inside(B, C)
 
     intervals = []
     for idx, pc in enumerate(B.pieces()):
-        ts = pc.sample_params(samples_per_piece)
-        runs = _mask_runs(C.margin_many(pc.point(ts)) < -tol)
+        ts = pc.sample_params(129)
+        runs = _mask_runs(C.margin_many(pc.point(ts)) < -TOL)
         if not len(runs):
             continue
         # closure endpoints: each run end strictly inside the piece moves
@@ -2820,15 +2817,15 @@ def relative_boundary(B: Body2, C: Body2, samples_per_piece: int = 129,
 # ---------------------------------------------------------------------------
 # classification predicates
 
-def find_boundary_segment(C: Body2, min_length: float = 1e-6):
-    """Longest straight boundary piece, or None if the boundary has none.
+def find_boundary_segment(C: Body2):
+    """Longest straight boundary piece (MIN_SEGMENT or longer), or None.
 
     Lengths within 1e-12 (relative) of the longest tie, and a tie goes to
     the lowest outward-normal angle in [0, 2 pi), so the answer does not
     depend on where the chain starts.
     """
     segs = [pc for pc in C.pieces()
-            if isinstance(pc, Segment) and pc.length >= min_length]
+            if isinstance(pc, Segment) and pc.length >= MIN_SEGMENT]
     if not segs:
         return None
     longest = max(pc.length for pc in segs)

@@ -140,7 +140,7 @@ class LevelFamily:
     def __len__(self):
         return len(self.bodies)
 
-    def validate_nesting(self, n: int = 128, tol: float = 1e-7):
+    def validate_nesting(self, tol: float = 1e-7):
         """True if every B_k lies in B_{k+1} up to tol; LevelSetError names
         the first pair that does not.
 
@@ -152,7 +152,7 @@ class LevelFamily:
         interior point on the kept side crosses the line iff the line meets
         its interior.  Every such pair's lines are one chord_ends batch,
         searched B_k.window_half about the foot of B_k's witness as in
-        extend_bodies.  Other pairs test n boundary samples of B_k
+        extend_bodies.  Other pairs test 128 boundary samples of B_k
         (_nests_sampled).  A None level (the empty set) nests in any level.
         Each level is read as bodies[k], so a cut family (CutLevels) builds
         its levels but the last, and an empty one raises GeometryError.
@@ -166,7 +166,7 @@ class LevelFamily:
                 continue
             if extra[k] is None or extra[k + 1] is None:
                 outer = self.bodies[k + 1]
-                if outer is None or not _nests_sampled(inner, outer, n, tol):
+                if outer is None or not _nests_sampled(inner, outer, 128, tol):
                     bad.append(k)
             else:
                 cut = extra[k + 1]
@@ -458,13 +458,13 @@ class _Round:
 # constructors
 
 def staircase_qc(ambient: Body2, bodies: Sequence[Body2], levels: Sequence[float],
-                 gaps: Sequence[float], check_gaps: bool = True,
-                 gap_samples: int = 96) -> QCFunction:
+                 gaps: Sequence[float], check_gaps: bool = True) -> QCFunction:
     """1-Lipschitz quasiconvex staircase with [f <= levels[k]] = bodies[k].
 
     After leaving body k the value ramps with the distance to it for gaps[k],
     then plateaus at levels[k+1]; past the last body the ramp settles on the
-    constant levels[-1] + gaps[-1].  Requires d(C \\ D_{k+1}, D_k) >= gaps[k].
+    constant levels[-1] + gaps[-1].  Requires d(C \\ D_{k+1}, D_k) >= gaps[k],
+    which check_gaps tests at 96 samples of each relative boundary.
     A point's first body is the level family's search (LevelFamily.eval_many),
     which assumes the bodies nested.  bodies may be CutLevels of ambient
     (LevelFamily.from_cuts): then a level is built only where it is read,
@@ -487,7 +487,7 @@ def staircase_qc(ambient: Body2, bodies: Sequence[Body2], levels: Sequence[float
             # d(C \ D_{k+1}, D_k) is approached on the relative boundary
             arc = relative_boundary(bodies[k + 1], ambient,
                                     check_containment=False)
-            pts = arc.sample(gap_samples)
+            pts = arc.sample(96)
             if len(pts) == 0:
                 continue
             d = distance_many(bodies[k], pts)
@@ -646,23 +646,21 @@ def extend_line_constant(f: Callable[[np.ndarray], np.ndarray], interval):
     return evaluate
 
 
-def mcshane_extend(f: QCFunction, L: Optional[float] = None,
-                   boundary_samples: int = 512, grid: int = 24,
-                   refine_iters: int = 60) -> Callable[[np.ndarray], np.ndarray]:
+def mcshane_extend(f: QCFunction) -> Callable[[np.ndarray], np.ndarray]:
     """Largest L-Lipschitz extension of a convex f: inf over C of f(u) + L|x-u|.
 
-    Evaluated by minimizing over boundary and interior grid samples of the
-    domain with golden-section refinement along the boundary.
+    Evaluated by minimizing over 512 boundary and 24 x 24 interior grid
+    samples of the domain with 60 golden-section steps along the boundary.
     """
     if f.domain is None:
         raise LevelSetError("mcshane_extend needs a function with a body domain")
-    L = float(L if L is not None else f.lipschitz)
+    L = float(f.lipschitz)
     C = f.domain
     pieces = C.pieces()
-    bpts = C.boundary_samples(boundary_samples)
+    bpts = C.boundary_samples(512)
     c, r = C.witness, max(C.clearance * SAMPLE_RADIUS_MULT, 1.0)
-    gx = np.linspace(c[0] - r, c[0] + r, grid)
-    gy = np.linspace(c[1] - r, c[1] + r, grid)
+    gx = np.linspace(c[0] - r, c[0] + r, 24)
+    gy = np.linspace(c[1] - r, c[1] + r, 24)
     gg = np.stack(np.meshgrid(gx, gy), axis=-1).reshape(-1, 2)
     interior = gg[C.contains_many(gg)]
     anchors = np.vstack([bpts, interior]) if len(interior) else bpts
@@ -689,7 +687,7 @@ def mcshane_extend(f: QCFunction, L: Optional[float] = None,
                     vals_t = cost(ts)
                     j = int(np.argmin(vals_t))
                     lo, hi = ts[max(j - 1, 0)], ts[min(j + 1, len(ts) - 1)]
-                    _, v = golden_min(cost, lo, hi, iters=refine_iters)
+                    _, v = golden_min(cost, lo, hi, iters=60)
                     if v < best[i]:
                         best[i] = v
             out[rest] = best
@@ -714,7 +712,7 @@ class QCReport:
 
 
 def quasiconvex_check(eval_many, domain, n_triples: int, tol: float = 1e-9,
-                      seed: int = 0, window=None, rng=None) -> QCReport:
+                      seed: int = 0, window=None) -> QCReport:
     """Sampled quasiconvexity test on segment triples.
 
     Flags f(lam x + (1-lam) y) > max(f(x), f(y)) + tol; reports worst
@@ -724,7 +722,7 @@ def quasiconvex_check(eval_many, domain, n_triples: int, tol: float = 1e-9,
     """
     if n_triples < 1:
         raise LevelSetError("need at least one triple")
-    rng = np.random.default_rng(seed) if rng is None else rng
+    rng = np.random.default_rng(seed)
     xs = sample_domain(domain, n_triples, rng, window)
     ys = sample_domain(domain, n_triples, rng, window)
     lam = rng.uniform(0.0, 1.0, n_triples)
@@ -741,14 +739,14 @@ def quasiconvex_check(eval_many, domain, n_triples: int, tol: float = 1e-9,
                     worst=worst, witness=witness)
 
 
-def _sample_pairs(eval_many, domain, pair_samples, rng, window, local_scale=1e-3):
+def _sample_pairs(eval_many, domain, pair_samples, rng, window):
     """Distances and value gaps of pairs (x, y) and (x, z), z a local step
     from x; one eval_many call over x, y and z (f evaluated pointwise)."""
     xs = sample_domain(domain, pair_samples, rng, window)
     ys = sample_domain(domain, pair_samples, rng, window)
     # local pairs catch the short-range slope; project back into the domain
     span = float(np.max(np.abs(ys - xs))) or 1.0
-    disp = rng.normal(0.0, local_scale * span, xs.shape)
+    disp = rng.normal(0.0, 1e-3 * span, xs.shape)
     zs = xs + disp
     if isinstance(domain, Body2):
         keep = domain.contains_many(zs)
@@ -761,10 +759,10 @@ def _sample_pairs(eval_many, domain, pair_samples, rng, window, local_scale=1e-3
 
 
 def modulus_estimate(eval_many, domain, pair_samples: int, seed: int = 0,
-                     window=None, bins: int = 32, rng=None) -> ModulusTable:
-    """Empirical lower envelope of the minimal modulus of continuity."""
-    rng = np.random.default_rng(seed) if rng is None else rng
-    d, df = _sample_pairs(eval_many, domain, pair_samples, rng, window)
+                     window=None) -> ModulusTable:
+    """Empirical lower envelope of the minimal modulus of continuity (32 bins)."""
+    bins = 32
+    d, df = _sample_pairs(eval_many, domain, pair_samples, np.random.default_rng(seed), window)
     t_hi = float(np.max(d))
     edges = np.linspace(0.0, t_hi, bins + 1)
     omega = np.zeros(bins + 1)
@@ -777,8 +775,7 @@ def modulus_estimate(eval_many, domain, pair_samples: int, seed: int = 0,
 
 
 def lipschitz_estimate(eval_many, domain, pair_samples: int, seed: int = 0,
-                       window=None, rng=None) -> float:
+                       window=None) -> float:
     """Max sampled difference quotient (a lower bound on the true constant)."""
-    rng = np.random.default_rng(seed) if rng is None else rng
-    d, df = _sample_pairs(eval_many, domain, pair_samples, rng, window)
+    d, df = _sample_pairs(eval_many, domain, pair_samples, np.random.default_rng(seed), window)
     return float(np.max(df / d)) if len(d) else 0.0

@@ -57,7 +57,7 @@ def _clip_window(pts, window, pad=0.0):
     return pts[keep]
 
 
-def _body_outline(canvas, body: Body2, window, color="#000000", width=2.0):
+def _body_outline(canvas, body: Body2, window):
     pts = body.boundary_samples(512)
     pts = _clip_window(pts, window, pad=0.05 * (window[1] - window[0]))
     # split into contiguous strokes so window clipping does not join ends
@@ -68,7 +68,7 @@ def _body_outline(canvas, body: Body2, window, color="#000000", width=2.0):
     start = 0
     for c in list(cut) + [len(pts) - 1]:
         if c + 1 - start >= 2:
-            canvas.polyline(pts[start:c + 1], color, width)
+            canvas.polyline(pts[start:c + 1], "#000000", 2.0)
         start = c + 1
 
 
@@ -98,15 +98,14 @@ def svg_extension(res: ExtensionResult, window) -> str:
     return canvas.render()
 
 
-def svg_certificate(cert, window=None) -> str:
+def svg_certificate(cert) -> str:
     """Construction figures for the counterexample certificates, by kind;
     ValueError for a kind without one (usc)."""
     if cert.kind == "no_uc":
         pts = np.asarray(cert.points)
-        if window is None:
-            lo, hi = pts.min(0), pts.max(0)
-            pad = 0.2 * float(np.max(hi - lo) + 1)
-            window = (lo[0] - pad, hi[0] + pad, lo[1] - pad, hi[1] + pad)
+        lo, hi = pts.min(0), pts.max(0)
+        pad = 0.2 * float(np.max(hi - lo) + 1)
+        window = (lo[0] - pad, hi[0] + pad, lo[1] - pad, hi[1] + pad)
         canvas = _Canvas(window)
         for j, hp in enumerate(cert.halfplanes[:8]):
             d = np.array([-hp.normal[1], hp.normal[0]])
@@ -118,8 +117,7 @@ def svg_certificate(cert, window=None) -> str:
             canvas.dot(p, "#d62728", 2.5)
         return canvas.render()
     if cert.kind == "no_lip":
-        if window is None:
-            window = (-0.1, max(2.5 * cert.eps, 0.5), -0.1, 1.1)
+        window = (-0.1, max(2.5 * cert.eps, 0.5), -0.1, 1.1)
         canvas = _Canvas(window)
         prof = np.asarray(cert.profile_samples)
         canvas.polyline(prof, "#000000", 2.0)
@@ -133,9 +131,8 @@ def svg_certificate(cert, window=None) -> str:
         return canvas.render()
     if cert.kind in ("no_qc", "non_rotund"):
         wit = np.asarray(cert.witnesses)
-        if window is None:
-            c = wit[0]
-            window = (c[0] - 8, c[0] + 8, c[1] - 8, c[1] + 8)
+        c = wit[0]
+        window = (c[0] - 8, c[0] + 8, c[1] - 8, c[1] + 8)
         canvas = _Canvas(window)
         for j, hp in enumerate(cert.forcing_halfplanes[:8]):
             d = np.array([-hp.normal[1], hp.normal[0]])

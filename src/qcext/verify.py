@@ -74,22 +74,17 @@ class SuiteReport:
     def passed(self) -> bool:
         return self.failures == 0
 
+    def _payload(self) -> dict:
+        return {"suite": self.suite, "seed": self.seed,
+                "cases": [{"name": c.name, "checked": c.checked,
+                           "failures": c.failures} for c in self.cases]}
+
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "cases": [{"name": c.name, "checked": c.checked,
-                       "failures": c.failures} for c in self.cases],
-            "failures": self.failures,
-            "wall_time": self.wall_time,
-            "content_hash": self.content_hash(),
-        }
+        return {**self._payload(), "failures": self.failures,
+                "wall_time": self.wall_time, "content_hash": self.content_hash()}
 
     def content_hash(self) -> str:
-        payload = {"suite": self.suite, "seed": self.seed,
-                   "cases": [{"name": c.name, "checked": c.checked,
-                              "failures": c.failures} for c in self.cases]}
-        return content_hash(payload)
+        return content_hash(self._payload())
 
     def summary(self) -> str:
         lines = [f"suite {self.suite} seed {self.seed}: "
@@ -182,13 +177,13 @@ def _fuzz_ball(rng) -> Body2:
     return body
 
 
-def _sample_near(body: Body2, n: int, rng, spread: float = 4.0) -> np.ndarray:
+def _sample_near(body: Body2, n: int, rng) -> np.ndarray:
     c, r = body.witness, max(body.clearance, 0.5)
-    return c + rng.normal(0.0, spread * r, (n, 2))
+    return c + rng.normal(0.0, 4.0 * r, (n, 2))
 
 
-def minimize_qc_witness(eval_many, witness, steps: int = 40):
-    """Shrink a violating segment triple while it keeps violating."""
+def minimize_qc_witness(eval_many, witness):
+    """Shrink a violating segment triple (at most 40 halvings) while it keeps violating."""
     x, y, lam, fx, fy, fm = witness
     x, y = np.asarray(x, float), np.asarray(y, float)
 
@@ -197,7 +192,7 @@ def minimize_qc_witness(eval_many, witness, steps: int = 40):
         vals = eval_many(np.vstack([a, b, m]))
         return vals[2] > max(vals[0], vals[1]) + 1e-12
 
-    for _ in range(steps):
+    for _ in range(40):
         shrunk = False
         for (a2, b2) in (((x + y) / 2, y), (x, (x + y) / 2)):
             if violated(a2, b2):
@@ -728,18 +723,18 @@ def _max_grid_jump(res, window, n) -> float:
     return float(max(dx, dy))
 
 
-def _acceptance_levels(n_levels: int = 12, window_top: float = 20.0,
-                       grid_n: int = 1024, margin: float = 1.5) -> np.ndarray:
-    """Chord levels on the parabola body spaced so consecutive extended
+def _acceptance_levels(grid_n: int = 1024) -> np.ndarray:
+    """Twelve chord levels on the parabola body spaced so consecutive extended
     boundaries stay farther apart than a grid cell near the corners.
 
     The pinch between consecutive tangent lines at chord corners is
     (ds)^2 / sqrt(1 + 4 s^2) for corner abscissa s = sqrt(level + 1); the
-    spacing solves that against the grid step with a safety margin.
+    spacing solves that against the grid step with a safety margin of 1.5.
     """
-    h = 40.0 / grid_n * margin
+    n_levels = 12
+    h = 40.0 / grid_n * 1.5
     s = [1.0]
-    while s[-1] ** 2 - 1.0 < window_top + 2.0 or len(s) < n_levels:
+    while s[-1] ** 2 - 1.0 < 22.0 or len(s) < n_levels:
         cur = s[-1]
         ds = math.sqrt(h)
         for _ in range(40):
@@ -747,7 +742,7 @@ def _acceptance_levels(n_levels: int = 12, window_top: float = 20.0,
         s.append(cur + ds)
         if len(s) > 64:
             break
-    s = np.array(s[:max(n_levels, len(s))])
+    s = np.array(s)
     if len(s) > n_levels:
         # keep exactly n_levels, preserving the top coverage
         idx = np.unique(np.linspace(0, len(s) - 1, n_levels).round().astype(int))

@@ -213,6 +213,44 @@ def test_bad_window_box_exits_2(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("box", ["1,1,0,1", "0,1,2,2", "2,1,0,1", "0,1,1,0",
+                                 "0,nan,0,1", "-inf,1,0,1", "0,1,0,inf"])
+@pytest.mark.parametrize("command", ["plot", "extend"])
+def test_empty_reversed_or_infinite_window_box_exits_2(tmp_path, capsys, box, command):
+    """--window-box takes only a finite box with xmin < xmax and ymin < ymax."""
+    disk = Body2.ball((0, 0), 1.0)
+    disk_path = write_body(tmp_path, "disk", disk)
+    argv = ["plot", "--body", disk_path]
+    if command == "extend":
+        fn_path = write_staircase(tmp_path, disk, np.array([-0.5, 0.0, 0.5]))
+        argv = ["extend", "--body", disk_path, "--function", fn_path, "--grid", "4",
+                "--out", str(tmp_path / "grid.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"--window-box={box}", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "xmin < xmax" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["body", "make", "disk", "--params", "[1]"], "--params must be a JSON object"),
+    (["body", "make", "disk", "--params", "x"], "invalid input"),
+    (["body", "make", "disk", "--grid", "0"], "must be positive"),
+    (["body", "make", "disk", "--tol", "-1"], "must be positive")])
+def test_malformed_settings_exit_2_with_one_line(capsys, argv, message):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and message in err
+
+
+def test_certify_kmax_below_one_exits_2(tmp_path, capsys):
+    hyp_path = write_body(tmp_path, "hyp", Body2.epigraph("exp_hypograph"))
+    code, _, err = run(["certify", "--kind", "no-qc", "--body", hyp_path, "--kmax", "0",
+                        "--out", str(tmp_path / "cert")], capsys)
+    assert code == 2
+    assert "k_max must be at least 1" in err
+    assert not (tmp_path / "cert.json").exists()
+
+
 def test_plot_body_and_certificate(tmp_path, capsys):
     disk_path = write_body(tmp_path, "disk", Body2.ball((0, 0), 1.0))
     out_svg = tmp_path / "disk.svg"

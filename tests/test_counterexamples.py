@@ -739,6 +739,18 @@ def test_generators_on_transformed_bodies():
     assert np.all(c3.arc_lengths > 0) and c3.jump[1] > c3.jump[0]
 
 
+# -- chain length -----------------------------------------------------------------
+
+@pytest.mark.parametrize("generator, body", [
+    (gen_no_qc, "hypograph"), (gen_non_rotund, "square"),
+    (gen_no_uc, "parabola"), (gen_no_lip, "disk")])
+@pytest.mark.parametrize("k_max", [0, -3])
+def test_generators_reject_k_max_below_one(quartet, generator, body, k_max):
+    """Each generator names a k_max below 1, before it reads the body."""
+    with pytest.raises(ConstructionError, match="k_max must be at least 1"):
+        generator(quartet[body], k_max=k_max)
+
+
 # -- certificate parity ---------------------------------------------------------
 
 def _gallery():
