@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -18,20 +19,43 @@ from . import verify as vf
 from .geometry import Body2, GeometryError, recession_cone
 from .levelset import LevelSetError
 
+_BALL = (("center", "radius"),
+         lambda p: Body2.ball(p.get("center", (0.0, 0.0)), p.get("radius", 1.0)))
+
+#: gallery bodies: name -> (the --params keys it takes, constructor)
 GALLERY = {
-    "disk": lambda p: Body2.ball(p.get("center", (0.0, 0.0)), p.get("radius", 1.0)),
-    "ball": lambda p: Body2.ball(p.get("center", (0.0, 0.0)), p.get("radius", 1.0)),
-    "square": lambda p: Body2.from_polychain(
-        [(-1, -1), (1, -1), (1, 1), (-1, 1)]),
-    "rectangle": lambda p: Body2.from_polychain(
-        [(0, -1), (1, -1), (1, 1), (0, 1)]),
-    "triangle": lambda p: Body2.from_polychain([(0, 1), (2, 1), (1, -3)]),
-    "parabola": lambda p: Body2.epigraph("parabola", p or None),
-    "exp_hypograph": lambda p: Body2.epigraph("exp_hypograph"),
-    "hypograph": lambda p: Body2.epigraph("exp_hypograph"),
-    "cosh": lambda p: Body2.epigraph("cosh", p or None),
-    "halfplane": lambda p: Body2.from_halfplanes([((0.0, 1.0), 1.0)]),
+    "disk": _BALL,
+    "ball": _BALL,
+    "square": ((), lambda p: Body2.from_polychain([(-1, -1), (1, -1), (1, 1), (-1, 1)])),
+    "rectangle": ((), lambda p: Body2.from_polychain([(0, -1), (1, -1), (1, 1), (0, 1)])),
+    "triangle": ((), lambda p: Body2.from_polychain([(0, 1), (2, 1), (1, -3)])),
+    "parabola": (("a", "c"), lambda p: Body2.epigraph("parabola", p or None)),
+    "exp_hypograph": ((), lambda p: Body2.epigraph("exp_hypograph")),
+    "hypograph": ((), lambda p: Body2.epigraph("exp_hypograph")),
+    "cosh": (("c",), lambda p: Body2.epigraph("cosh", p or None)),
+    "halfplane": ((), lambda p: Body2.from_halfplanes([((0.0, 1.0), 1.0)])),
 }
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _check_params(name: str, params: dict):
+    """ValueError unless every key of params is one the gallery body takes,
+    with a finite number as its value (a pair of them for center)."""
+    keys = GALLERY[name][0]
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        takes = f"takes --params keys {list(keys)}" if keys else "takes no --params"
+        raise ValueError(f"body {name!r} {takes}, not {unknown}")
+    for key, value in params.items():
+        pair = key == "center"
+        ok = (isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+              if pair else _is_number(value))
+        if not ok:
+            want = "a pair of finite numbers" if pair else "a finite number"
+            raise ValueError(f"--params {key!r} must be {want}, not {json.dumps(value)}")
 
 
 def _read_json(path: str) -> dict:
@@ -89,7 +113,12 @@ def cmd_body(args, conf) -> int:
         if not isinstance(params, dict):
             print("--params must be a JSON object", file=sys.stderr)
             return 2
-        body = GALLERY[args.name](params)
+        try:
+            _check_params(args.name, params)
+        except ValueError as e:
+            print(str(e), file=sys.stderr)
+            return 2
+        body = GALLERY[args.name][1](params)
         _emit(json.dumps(ser.body_to_json(body), indent=2), conf.out)
         return 0
     data = _read_json(args.file)

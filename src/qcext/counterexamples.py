@@ -29,12 +29,12 @@ from .geometry import (
     find_asymptotic_direction,
     find_boundary_segment,
     is_rotund,
-    locate_with_normals,
     newton_leq,
     norm,
     perp,
     support,
     support_point,
+    supporting_normals,
     transform_body,
     unit,
     vec,
@@ -444,10 +444,11 @@ def gen_no_uc(C: Body2, k_max: int = 64):
                                 "the witness")
     c0 = ends[0, 0]
     anchor = c0 + v * min(1.0, 0.5 * norm(w - c0))
-    (c0_piece, _), fan = locate_with_normals(C, c0)
-    piece = C.pieces()[c0_piece]
-    if not isinstance(piece, GraphPiece):
+    # a rotund unbounded body's chain is one graph piece
+    chain = C.pieces()
+    if len(chain) != 1 or not isinstance(chain[0], GraphPiece):
         raise ConstructionError("hypothesis failed: the branch is not a graph piece")
+    piece, fan = chain[0], supporting_normals(C, c0)
     h = -unit(fan.lo + fan.hi)
     h_off = float(h @ anchor)
 

@@ -26,12 +26,13 @@ The root finders (`bisect_leq`, `newton_leq`, `golden_min`,
 array shaped like `t` (`along` builds one from a point path).  Each solves
 an array of independent brackets in one loop with the same step rule as
 for a single bracket.  The projection onto a graph stretch
-(`GraphPiece.distance_many`) is one `newton_leq` on the normal equation,
-its derivative from the profile's g'' (`Profile.ddg`); `golden_min`
+(`GraphPiece.distance_many`) is one `newton_leq` on the normal equation
+at every upward crossing of its samples, its derivative from the
+profile's g'' (`Profile.ddg`); `golden_min`
 stays for the minima of `cone_from`, `_ray_boundary_contacts` and the
 staircase check.  Slope points are closed form on the parabola and
 start from guesses (`Profile.slope_guess`) that leave a bisection a few
-floats wide: closed form on the cosh, exp and ball profiles, a
+floats wide: closed form on the cosh and exp profiles, a
 `newton_leq` solve on g' with g'' on a polynomial profile.  Coupled roots
 are not theirs: the unit-chord chain of the no-uniformly-continuous
 certificate, where each link starts at the end of the one before, is
@@ -776,36 +777,6 @@ class PolyProfile(Profile):
         return out
 
 
-class BallProfile(Profile):
-    """Lower quarter of a circle of radius r tangent to the origin from above.
-
-    g(u) = r - sqrt(r^2 - u^2), valid for |u| < r, written without
-    cancellation so secant gaps stay accurate down to u ~ 1e-8.
-    """
-
-    name = "ball_lower"
-
-    def __init__(self, r: float):
-        self.r = float(r)
-        self.params = {"r": self.r}
-
-    def g(self, u):
-        u = np.asarray(u, dtype=float)
-        s = np.sqrt(np.maximum(self.r ** 2 - u ** 2, 0.0))
-        return u ** 2 / (self.r + s)
-
-    def dg(self, u):
-        u = np.asarray(u, dtype=float)
-        s = np.sqrt(np.maximum(self.r ** 2 - u ** 2, 1e-300))
-        return u / s
-
-    def slope_guess(self, s, lo, hi):
-        """r s / sqrt(1 + s^2), closed form, with hypot so large |s| cannot
-        overflow (NaN for infinite s, which the bisection then takes alone)."""
-        with np.errstate(invalid="ignore"):
-            return self.r * (s / np.hypot(1.0, s))
-
-
 PROFILES = {
     "parabola": ParabolaProfile,
     "exp_hypograph": ExpProfile,  # canonical transform flips it into {s <= 1 - e^-t}
@@ -1124,9 +1095,11 @@ class Arc:
         return _lex_max(vals, ts)
 
 
-#: GraphPiece.distance_many samples the normal equation at these fractions
-#: of its last bracket (at most two scan spacings), so minima one step
-#: apart are solved apart
+#: GraphPiece.distance_many scans each window of the graph at this many
+#: equally spaced u
+_PROJECTION_SCAN = 48
+#: and samples the normal equation at these fractions of its last bracket
+#: (at most two scan spacings), so minima one step apart are solved apart
 _PROJECTION_STEPS = np.linspace(0.0, 1.0, 17)
 
 
@@ -1192,24 +1165,28 @@ class GraphPiece:
         u = self._chord_us(n)
         return ((self.u0 + self.u1) - u)[::-1] if self.flipped else u
 
-    def distance_many(self, pts, samples: int = 48):
+    def distance_many(self, pts):
         """Distance to the graph stretch, per-point bracketed.
 
         The transform is a lam-isometry of the u-axis, so the nearest
         parameter lies within 2 d / lam of the query's profile abscissa
         (clipped to the stretch) for any graph point at distance d: first
-        the anchor graph point there.  A scan of that window brackets the
-        nearest parameter, and is repeated while it finds a point that
-        halves the window (its best sample, or a crossing of the query's
-        profile level v between two samples, as near in u as the farther),
-        so a coarse scan beside a steep arm does not settle on a far arm.
+        the anchor graph point there.  A scan of _PROJECTION_SCAN samples
+        of that window brackets the nearest parameter, and is repeated
+        while it finds a point that halves the window (its best sample, or
+        a crossing of the query's profile level v between two samples, as
+        near in u as the farther), so a coarse scan beside a steep arm does
+        not settle on a far arm.
 
-        In the last bracket [a, b] the nearest parameter is where
-        phi(u) = (G(u) - p) . G'(u), half the u-derivative of |G(u) - p|^2,
-        crosses zero upward.  Inside the body, near an evolute, [a, b] can
-        hold a local maximum between two minima, so phi is sampled at the
-        _PROJECTION_STEPS of [a, b], and every step where it crosses zero
-        upward is solved, all in one newton_leq (bad = right end, good =
+        The nearest parameter is where phi(u) = (G(u) - p) . G'(u), half
+        the u-derivative of |G(u) - p|^2, crosses zero upward.  phi is
+        sampled at the _PROJECTION_STEPS of the last scan's bracket [a, b]
+        about its nearest sample (inside the body, near an evolute, [a, b]
+        can hold a local maximum between two minima) and at the last
+        scan's samples outside [a, b]: on a steep arm the nearest sample
+        can sit in the basin of a farther minimum, and the nearer one is
+        then an upward crossing between two other samples.  Every upward
+        crossing is solved, all in one newton_leq (bad = right end, good =
         left end), with phi' = |G'|^2 + (G - p) . M (0, g'')^T.  Each point
         takes the nearest of its roots and its phi samples.
         """
@@ -1218,17 +1195,21 @@ class GraphPiece:
         uv = base.to_profile(pts)
         u_a = np.clip(uv[:, 0], self.u0, self.u1)
         d0 = np.linalg.norm(pts - graph(u_a), axis=-1)
-        frac = np.linspace(0.0, 1.0, samples)
+        frac = np.linspace(0.0, 1.0, _PROJECTION_SCAN)
         rad = 2.0 * d0 / base.scale + 1e-12
         a, b, todo = np.empty(len(pts)), np.empty(len(pts)), np.arange(len(pts))
+        # each point's last scan: its u samples and their graph points - p
+        scan = np.empty((_PROJECTION_SCAN, len(pts)))
+        scan_rel = np.empty((_PROJECTION_SCAN, len(pts), 2))
         while len(todo):
             lo = np.maximum(self.u0, u_a[todo] - rad[todo])
             cand = lo[:, None] + (np.minimum(self.u1, u_a[todo] + rad[todo]) - lo)[:, None] * frac
             diff = graph(cand) - pts[todo, None, :]
+            scan[:, todo], scan_rel[:, todo] = cand.T, diff.transpose(1, 0, 2)
             d2 = (diff ** 2).sum(-1)
             j, rows = np.argmin(d2, axis=1), np.arange(len(todo))
             a[todo] = cand[rows, np.maximum(j - 1, 0)]
-            b[todo] = cand[rows, np.minimum(j + 1, samples - 1)]
+            b[todo] = cand[rows, np.minimum(j + 1, _PROJECTION_SCAN - 1)]
             # g(u) - v has the sign of diff . M (0, 1)
             cross = np.diff(diff @ base.M[:, 1] > 0, axis=1)
             reach = np.abs(cand - uv[todo, :1])
@@ -1246,14 +1227,20 @@ class GraphPiece:
             return (lambda u: dots(graph(u) - q, tangent(u))), dphi
 
         steps = a + (b - a) * _PROJECTION_STEPS[:, None]
-        phi = normal_eq(pts)[0](steps)
+        grid = np.concatenate([steps, scan])
+        rel = np.concatenate([graph(steps) - pts, scan_rel])
+        phi, d2 = dots(rel, tangent(grid)), dots(rel, rel)
         up = (phi[:-1] <= 0) & (phi[1:] > 0)
-        roots = steps[:-1].copy()
+        # two runs of samples; the scan's steps inside [a, b] are refined
+        up[len(steps) - 1] = False
+        up[len(steps):] &= (scan[:-1] < a) | (scan[1:] > b)
+        roots, d2_roots = np.zeros(up.shape), np.full(up.shape, np.inf)
         if up.any():
             q = np.broadcast_to(pts, up.shape + (2,))[up]
-            roots[up] = newton_leq(*normal_eq(q), steps[1:][up], steps[:-1][up])
-        us = np.concatenate([roots, steps])
-        d2 = ((graph(us) - pts) ** 2).sum(-1)
+            roots[up] = newton_leq(*normal_eq(q), grid[1:][up], grid[:-1][up])
+            rel = graph(roots[up]) - q
+            d2_roots[up] = dots(rel, rel)
+        us, d2 = np.concatenate([roots, grid]), np.concatenate([d2_roots, d2])
         k, rows = np.argmin(d2, axis=0), np.arange(len(pts))
         u_best, d2_best = us[k, rows], d2[k, rows]
         dist = np.minimum(np.sqrt(d2_best), d0)
@@ -2097,14 +2084,23 @@ def distance_many(C: Body2, pts) -> np.ndarray:
     return out
 
 
+def _nearest(C: Body2, pts):
+    """The boundary point of C nearest to each point, as (distance, piece
+    index, parameter) arrays: one distance_many call per piece for all the
+    points, ties to the first piece in chain order (index -1, distance inf
+    and parameter NaN where C has no pieces)."""
+    pts = as_points(pts)
+    best, idx, par = np.full(len(pts), np.inf), np.full(len(pts), -1), np.full(len(pts), np.nan)
+    for i, pc in enumerate(C.pieces()):
+        d, t = pc.distance_many(pts)
+        closer = d < best
+        best[closer], idx[closer], par[closer] = d[closer], i, t[closer]
+    return best, idx, par
+
+
 def boundary_distance_many(C: Body2, pts) -> np.ndarray:
     """Distance to the boundary chain (points may be inside the body)."""
-    pts = as_points(pts)
-    best = np.full(pts.shape[0], np.inf)
-    for pc in C.pieces():
-        d, _ = pc.distance_many(pts)
-        best = np.minimum(best, d)
-    return best
+    return _nearest(C, pts)[0]
 
 
 def project(p, C: Body2):
@@ -2112,15 +2108,10 @@ def project(p, C: Body2):
     p = as_point(p)
     if contains(C, p, 0.0):
         return p.copy(), 0.0
-    best_d, best_q = np.inf, None
-    for pc in C.pieces():
-        d, t = pc.distance_many(p[None, :])
-        if d[0] < best_d:
-            best_d = float(d[0])
-            best_q = np.asarray(pc.point(float(t[0])))
-    if best_q is None:
+    d, idx, t = _nearest(C, p[None, :])
+    if idx[0] < 0:
         raise GeometryError("body has no boundary pieces inside the window")
-    return best_q, best_d
+    return np.asarray(C.pieces()[idx[0]].point(float(t[0]))), float(d[0])
 
 
 def support(C: Body2, directions):
@@ -2239,34 +2230,17 @@ class NormalFan:
         return f"NormalFan({self.lo}, {self.hi})"
 
 
-def locate_on_boundary(C: Body2, x):
-    """(piece index, parameter) of the boundary point nearest to x."""
-    return _locate_on_boundary(C, as_point(x))
-
-
-def locate_with_normals(C: Body2, x):
-    """(locate_on_boundary(C, x), supporting_normals(C, x)) from one
-    distance_many call per piece, which both would make."""
-    x = as_point(x)
-    near = _nearest_on_pieces(C, x)
-    return _locate_on_boundary(C, x, near), _normal_fan(C, x, near)
-
-
 def supporting_normals(C: Body2, x) -> NormalFan:
     """Outward unit normals supporting C at the boundary point x.
 
     Smooth points give a single normal; corners give the arc between the
-    two incident piece normals.
+    two incident piece normals: those of the pieces that pass within
+    NORMAL_REACH * max(1, |x - witness|) of x.
     """
-    return _normal_fan(C, as_point(x))
-
-
-def _normal_fan(C: Body2, x, near=None) -> NormalFan:
-    """supporting_normals, with each piece's distance_many result at x taken
-    from near where it is given."""
+    x = as_point(x)
     reach = NORMAL_REACH * max(1.0, norm(x - C.witness))
     normals = []
-    for i, pc in enumerate(C.pieces()):
+    for pc in C.pieces():
         # piece endpoints are the common case (corners); test them first
         hit_t = None
         for t_end in (pc.t0, pc.t1):
@@ -2274,7 +2248,7 @@ def _normal_fan(C: Body2, x, near=None) -> NormalFan:
                 hit_t = t_end
                 break
         if hit_t is None:
-            d, t = pc.distance_many(x[None, :]) if near is None else near[i]
+            d, t = pc.distance_many(x[None, :])
             if d[0] <= reach:
                 hit_t = float(t[0])
         if hit_t is not None:
@@ -2387,21 +2361,6 @@ def rotundity_modulus(C: Body2, x, eps: float) -> float:
     ys = x + eps * np.column_stack([np.cos(phi), np.sin(phi)])
     mids = 0.5 * (x + ys)
     return float(np.min(boundary_distance_many(C, mids)))
-
-
-def _nearest_on_pieces(C: Body2, x) -> list:
-    """Per piece of C, its distance_many (distance, parameter) at x."""
-    return [pc.distance_many(x[None, :]) for pc in C.pieces()]
-
-
-def _locate_on_boundary(C: Body2, x, near=None):
-    best = (np.inf, None, None)
-    for idx, (d, t) in enumerate(_nearest_on_pieces(C, x) if near is None else near):
-        if d[0] < best[0]:
-            best = (float(d[0]), idx, float(t[0]))
-    if best[1] is None or best[0] > 1e-6 * max(1.0, norm(x)):
-        raise GeometryError("point is not on the boundary")
-    return best[1], best[2]
 
 
 def cone_from(z, E: Body2) -> Cone2:

@@ -242,6 +242,31 @@ def test_malformed_settings_exit_2_with_one_line(capsys, argv, message):
     assert len(err.splitlines()) == 1 and message in err
 
 
+@pytest.mark.parametrize("name, params, message", [
+    ("disk", '{"radius": "x"}', "'radius' must be a finite number"),
+    ("cosh", '{"c": "y"}', "'c' must be a finite number"),
+    ("disk", '{"radius": NaN}', "'radius' must be a finite number"),
+    ("disk", '{"center": [1]}', "'center' must be a pair of finite numbers"),
+    ("parabola", '{"q": 1}', "takes --params keys ['a', 'c'], not ['q']"),
+    ("disk", '{"a": -1}', "takes --params keys ['center', 'radius'], not ['a']"),
+    ("square", '{"radius": 2}', "'square' takes no --params")])
+def test_body_make_bad_params_exit_2_with_one_line(capsys, name, params, message):
+    code, out, err = run(["body", "make", name, "--params", params], capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and message in err
+
+
+def test_body_make_params_reach_the_body(capsys):
+    code, out, _ = run(["body", "make", "disk", "--params",
+                        '{"center": [1, 2], "radius": 3}'], capsys)
+    assert code == 0
+    body = ser.body_from_json(json.loads(out))
+    assert np.allclose(body.base.center, [1.0, 2.0]) and body.base.radius == 3.0
+    code, out, _ = run(["body", "make", "parabola", "--params", '{"a": 2, "c": 0}'], capsys)
+    assert code == 0
+    assert ser.body_from_json(json.loads(out)).base.profile.params == {"a": 2.0, "c": 0.0}
+
+
 def test_certify_kmax_below_one_exits_2(tmp_path, capsys):
     hyp_path = write_body(tmp_path, "hyp", Body2.epigraph("exp_hypograph"))
     code, _, err = run(["certify", "--kind", "no-qc", "--body", hyp_path, "--kmax", "0",

@@ -18,7 +18,7 @@ from qcext.counterexamples import (
     gen_non_rotund,
     gen_usc_counterexample,
 )
-from qcext.geometry import BallProfile, Body2, Frame, HalfPlane, transform_body
+from qcext.geometry import Body2, Frame, HalfPlane, transform_body
 from qcext.levelset import quasiconvex_check
 
 
@@ -201,11 +201,9 @@ def test_no_uc_chain_at_unit_chord(quartet, name):
 
 @pytest.mark.parametrize("name", ["parabola", "cosh"])
 def test_no_uc_locates_c0_once(monkeypatch, name):
-    """c0's supporting normals and its place on the boundary come from one
-    distance_many call per piece: no piece is asked twice about one point,
-    and locate_with_normals equals its two one-purpose calls."""
-    from qcext.geometry import (GraphPiece, locate_on_boundary, locate_with_normals,
-                                supporting_normals)
+    """c0's supporting normals come from one distance_many call per piece:
+    no piece is asked twice about one point."""
+    from qcext.geometry import GraphPiece
 
     body = Body2.epigraph(name)
     body.pieces()
@@ -215,12 +213,6 @@ def test_no_uc_locates_c0_once(monkeypatch, name):
         (id(self), np.asarray(pts).tobytes())) or distance_many(self, pts, *a, **kw))
     _, cert = gen_no_uc(body, k_max=8)
     assert asked and len(asked) == len(set(asked))
-    monkeypatch.setattr(GraphPiece, "distance_many", distance_many)
-    c0 = np.array(cert.params["c0"])
-    at, fan = locate_with_normals(body, c0)
-    want = supporting_normals(body, c0)
-    assert at == locate_on_boundary(body, c0)
-    assert np.array_equal(fan.lo, want.lo) and np.array_equal(fan.hi, want.hi)
 
 
 def _mp_chord_param(g, u, c):
@@ -280,10 +272,10 @@ def test_no_uc_links_match_high_precision_chords(monkeypatch, name):
     assert np.array_equal(body.pieces()[0].base.graph_point(np.array(pts[:, 0])), pts)
     for p, q in zip(pts[:-1], pts[1:]):
         assert np.linalg.norm(graph(_mp_chord_param(g, p[0], 1.0)) - q) <= 1e-12
-    start = geo.locate_on_boundary(body, pts[0])
-    piece = body.pieces()[start[0]]
+    _, idx, t = geo._nearest(body, pts[:1])
+    piece = body.pieces()[idx[0]]
     chords = 0.5 ** np.arange(1, 10)
-    u = _chord_params(piece.base, float(piece._u(start[1])), -1.0 if piece.flipped else 1.0,
+    u = _chord_params(piece.base, float(piece._u(t[0])), -1.0 if piece.flipped else 1.0,
                       piece.u0 if piece.flipped else piece.u1, chords)
     want = np.array([graph(_mp_chord_param(g, pts[0, 0], c)) for c in chords])
     assert np.max(np.linalg.norm(piece.base.graph_point(u) - want, axis=1)) <= 1e-12
@@ -375,9 +367,11 @@ def test_no_uc_rejects(quartet):
 def test_no_lip_disk_profile_matches_closed_form(quartet):
     _, cert = gen_no_lip(quartet["disk"], k_max=20)
     # stable closed form for the circle profile
-    bp = BallProfile(1.0)
+    def g(z):
+        return z ** 2 / (1.0 + np.sqrt(1.0 - z ** 2))
+
     zs = cert.eps / 2.0 ** np.arange(0, 21)
-    exact = bp.g(zs) / 2.0 - bp.g(zs / 2.0)
+    exact = g(zs) / 2.0 - g(zs / 2.0)
     rel = np.abs(cert.secant_gaps - exact) / exact
     assert float(np.max(rel)) < 0.01
     # small z behaviour delta(z) ~ z^2 / 8
