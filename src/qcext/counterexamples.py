@@ -29,9 +29,11 @@ from .geometry import (
     find_asymptotic_direction,
     find_boundary_segment,
     is_rotund,
+    lengths,
     newton_leq,
     norm,
     perp,
+    rounding_target,
     support,
     support_point,
     supporting_normals,
@@ -325,22 +327,24 @@ def _chord_params(base: EpigraphBase, u, ahead: float, u_end: float, chords):
     far = u + ahead * chords / base.scale
     far = np.minimum(far, u_end) if ahead > 0 else np.maximum(far, u_end)
 
-    def f(t, rows=...):
-        rel = base.graph_point(t) - anchors[rows]
-        return chords[rows] - np.hypot(rel[..., 0], rel[..., 1])
+    def f(t, anchors, chords):
+        return chords - lengths(base.graph_point(t) - anchors)
 
-    def df(t, rows):
-        rel, tangent = base.graph_point(t) - anchors[rows], base.graph_tangent(t)
-        dist = np.hypot(rel[..., 0], rel[..., 1])
+    def df(t, anchors):
+        rel, tangent = base.graph_point(t) - anchors, base.graph_tangent(t)
+        dist = lengths(rel)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(dist > 0, -dots(rel, tangent) / dist,
-                            -ahead * np.hypot(tangent[..., 0], tangent[..., 1]))
+            return np.where(dist > 0, -dots(rel, tangent) / dist, -ahead * lengths(tangent))
 
     out = np.full(u.shape, np.nan)
-    reach = f(far) <= 0
+    reach = f(far, anchors, chords) <= 0
     if reach.any():
-        out[reach] = newton_leq(lambda t: f(t, reach), lambda t: df(t, reach),
-                                u[reach], far[reach])
+        a, c = anchors[reach], chords[reach]
+        # f's terms: the chord, and graph_point's terms |G - shift| + |shift|
+        # at t and at the anchor, with |G(t) - anchor| = chord - f
+        terms = 2.0 * (c + lengths(a - base.shift) + norm(base.shift))
+        out[reach] = newton_leq(lambda t: f(t, a, c), lambda t: df(t, a), u[reach], far[reach],
+                                lambda t, f_t, df_t: rounding_target(terms - f_t, df_t))
     return out
 
 
@@ -533,10 +537,15 @@ def _lower_profile(E: Body2, zs, frames=None) -> np.ndarray:
         o = np.column_stack([zs, np.zeros_like(zs)])
         up, lam = np.tile(vec(0.0, 1.0), (len(o), 1)), np.ones(len(o))
     else:
-        o = np.concatenate([f.invert(np.column_stack([z, np.zeros_like(z)]))
-                            for f, z in zip(frames, zs)])
-        up = np.repeat([f.R[1] for f in frames], zs.shape[1], axis=0)
-        lam = np.repeat([f.lam for f in frames], zs.shape[1])
+        # Frame.invert of every (z, 0) in one pass, per coordinate
+        R = np.array([f.R for f in frames])
+        lam = np.array([f.lam for f in frames])
+        shift = np.array([f.shift for f in frames])[:, None]
+        rel = (np.stack([zs, np.zeros_like(zs)], axis=-1) - shift) / lam[:, None, None]
+        o = (np.stack([dots(rel, R[:, None, :, 0]), dots(rel, R[:, None, :, 1])], axis=-1)
+             + np.array([f.anchor for f in frames])[:, None]).reshape(-1, 2)
+        up = np.repeat(R[:, 1], zs.shape[1], axis=0)
+        lam = np.repeat(lam, zs.shape[1])
     n = np.column_stack([up[:, 1], -up[:, 0]])  # the lines run along up
     span = chord_ends(E, CutTable(normals=n, offsets=dots(o, n)), o, 4.0 / lam)[3]
     lo = np.maximum(span[:, 0], 0.0)

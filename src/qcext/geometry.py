@@ -25,15 +25,23 @@ The root finders (`bisect_leq`, `newton_leq`, `golden_min`,
 `coarse_golden_min`) take numpy-broadcasting closures: `f(t)` returns an
 array shaped like `t` (`along` builds one from a point path).  Each solves
 an array of independent brackets in one loop with the same step rule as
-for a single bracket.  The projection onto a graph stretch
-(`GraphPiece.distance_many`) is one `newton_leq` on the normal equation
-at every upward crossing of its samples, its derivative from the
-profile's g'' (`Profile.ddg`); `golden_min`
-stays for the minima of `cone_from`, `_ray_boundary_contacts` and the
-staircase check.  Slope points are closed form on the parabola and
-start from guesses (`Profile.slope_guess`) that leave a bisection a few
-floats wide: closed form on the cosh and exp profiles, a
-`newton_leq` solve on g' with g'' on a polynomial profile.  Coupled roots
+for a single bracket.  `newton_leq` stops each bracket at an absolute
+target that its caller derives from the rounding scale of its own f
+(`rounding_target`: a few eps times the magnitudes of f's terms at the
+bracket, over |f'|), or at adjacent floats, and freezes it there, so a
+batched call returns its per-bracket calls' results bit for bit: the
+chords of `Profile.chord` (`Profile.chord_target`), the normal equation
+of a projection and the chords of the no-uniformly-continuous
+certificate take such targets, and a zero target means adjacent floats.
+The projection onto a graph stretch (`GraphPiece.distance_many`) is one
+`newton_leq` on the normal equation at every upward crossing of its
+samples, its derivative from the profile's g'' (`Profile.ddg`);
+`golden_min` stays for the minima of `cone_from`,
+`_ray_boundary_contacts` and the staircase check.  Slope points are
+closed form on the parabola and start from guesses
+(`Profile.slope_guess`) that leave a bisection a few floats wide: closed
+form on the cosh and exp profiles, a `newton_leq` solve on g' with g''
+to adjacent floats (target 0) on a polynomial profile.  Coupled roots
 are not theirs: the unit-chord chain of the no-uniformly-continuous
 certificate, where each link starts at the end of the one before, is
 one Newton solve of the whole chain, stopped once every step is a few
@@ -116,6 +124,26 @@ def dots(pts, dirs):
     matmul picks its kernel by shape, and its rows can differ in the last
     bit)."""
     return pts[..., 0] * dirs[..., 0] + pts[..., 1] * dirs[..., 1]
+
+
+def lengths(v):
+    """Row-wise |v| over a (..., 2) array (math.hypot per row)."""
+    return np.hypot(v[..., 0], v[..., 1])
+
+
+def linear2(M, x, y, shift=None):
+    """M (x, y)^T (+ shift) over arrays x and y of one shape, shaped
+    x.shape + (2,) and written out per coordinate, as dots.  M is 2 x 2
+    (nested lists of floats are the fastest to unpack)."""
+    (a, b), (c, d) = M
+    out = np.empty(np.shape(x) + (2,))
+    if shift is None:
+        out[..., 0] = x * a + y * b
+        out[..., 1] = x * c + y * d
+    else:
+        out[..., 0] = x * a + y * b + shift[0]
+        out[..., 1] = x * c + y * d + shift[1]
+    return out
 
 
 def angle_of(v) -> float:
@@ -219,14 +247,25 @@ def bisect_leq(f, bad, good, iters: int = 80):
 
 
 #: newton_leq's rounds at most; each cuts a finite bracket to a sixteenth or
-#: less, so 20 reach bisect_leq's resolution
+#: less, so 20 cut it to 2^-80 of its first width, as bisect_leq's halvings
 _NEWTON_ROUNDS = 40
 #: newton_leq's probes each round, as fractions of the bracket: its
 #: sixteenths from the good end, and the guards about the Newton point
 _NEWTON_GRID = np.arange(1, 16) / 16.0
 _NEWTON_GUARDS = np.concatenate([-(256.0 ** -np.arange(1, 7)), 256.0 ** -np.arange(1, 7)])
-#: and in float spacings about the Newton point
+#: and in float spacings about the Newton point, so that a zero target ends
+#: a round after Newton is good to a float
 _NEWTON_ULPS = np.array([-4.0, -1.0, 0.0, 1.0, 4.0])
+
+
+def rounding_target(terms, slope):
+    """A root's absolute target from its function's rounding scale: 4 eps
+    (eps = 2^-52) times the summed magnitudes of f's terms where it is
+    evaluated, over |f'| there (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3).  Past it the sign of f is rounding noise.  A zero
+    slope gives an infinite target."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 4.0 * np.finfo(float).eps * terms / np.abs(slope)
 
 
 def _narrow(f, probes, bad, good, f_bad=np.nan, f_good=np.nan):
@@ -255,13 +294,13 @@ def _narrow(f, probes, bad, good, f_bad=np.nan, f_good=np.nan):
     return bad, good, f_bad, f_good
 
 
-def newton_leq(f, df, bad, good):
-    """Crossing points between f(bad) > 0 and f(good) <= 0, as bisect_leq,
-    by safeguarded Newton steps; df is f's derivative.
+def newton_leq(f, df, bad, good, target):
+    """Crossing points between f(bad) > 0 and f(good) <= 0, by safeguarded
+    Newton steps; df is f's derivative.
 
     bad and good broadcast to an array of brackets narrowed together, each
-    round by one f call at every bracket's probes (_narrow) and one df
-    call at the new bad ends.  The probes are the Newton point x from the
+    round by one df call at the bad ends and one f call at every bracket's
+    probes (_narrow).  The probes are the Newton point x from the
     bad end, x plus and minus 1 and 4 float spacings and 256^-j of the
     bracket (j = 1..6), the false-position point of the ends and the
     bracket's sixteenths.  A Newton or false-position point that leaves the
@@ -272,20 +311,36 @@ def newton_leq(f, df, bad, good):
     rounding noise.  On a convex f, Newton from the bad end stays on that
     side, as in Profile.chord.
 
-    A bracket is done once its ends are adjacent floats, where bisect_leq
-    returns the good end, or it is no wider than 2^-79 of its first width,
-    which bisect_leq's 80 halvings reach; the good ends are returned.  So
-    where the sign of f is monotone and bisect_leq converges to adjacent
-    floats, the result is its switching float, bit for bit.
+    target is each bracket's absolute target: a number or an array that
+    broadcasts with the brackets, or a callable target(t, f(t), df(t))
+    that gives it at the brackets' bad ends t (the caller's
+    rounding_target there), read at the start of each round.  A bracket is
+    done once its ends are adjacent floats or its width is at most its
+    target; a done bracket is frozen, its ends and f values never change
+    again, and the call ends when every bracket is done (a round that
+    finds every bracket at adjacent floats calls neither df nor target) or
+    after _NEWTON_ROUNDS rounds.  Returns the good ends.  So with a pointwise f,
+    df and target a batched call returns its per-bracket calls' results bit
+    for bit, and with target 0 the result is bisect_leq's switching float
+    wherever the sign of f is monotone and bisect_leq converges to adjacent
+    floats.
     """
     bad, good = (np.array(a, dtype=float) for a in np.broadcast_arrays(
         np.asarray(bad, dtype=float), np.asarray(good, dtype=float)))
+    goal = target if callable(target) else (lambda *_: target)
     f_bad, f_good = f(np.stack([bad, good]))
-    df_bad = df(bad)
-    resolution = np.abs(bad - good) * 2.0 ** -79
     shape = (-1,) + (1,) * bad.ndim
     grid, guards, ulps = (a.reshape(shape) for a in (_NEWTON_GRID, _NEWTON_GUARDS, _NEWTON_ULPS))
+    done = np.zeros(bad.shape, dtype=bool)
     for _ in range(_NEWTON_ROUNDS):
+        # adjacent floats first: where every bracket is, df is not needed
+        done |= np.nextafter(good, bad) == bad
+        if done.all():
+            break
+        df_bad = df(bad)
+        done |= np.abs(bad - good) <= goal(bad, f_bad, df_bad)
+        if done.all():
+            break
         width = bad - good
         with np.errstate(all="ignore"):
             false_pos = bad - f_bad * width / (f_bad - f_good)
@@ -293,10 +348,11 @@ def newton_leq(f, df, bad, good):
         x = np.where(np.isfinite(x), x, false_pos)
         probes = np.concatenate([good + grid * width, false_pos[None], x + guards * width,
                                  x + ulps * np.spacing(np.abs(x))])
-        bad, good, f_bad, f_good = _narrow(f, probes, bad, good, f_bad, f_good)
-        if ((np.nextafter(good, bad) == bad) | (np.abs(bad - good) <= resolution)).all():
-            break
-        df_bad = df(bad)
+        new = _narrow(f, probes, bad, good, f_bad, f_good)
+        if done.any():  # frozen
+            new = (np.where(done, old, moved)
+                   for old, moved in zip((bad, good, f_bad, f_good), new))
+        bad, good, f_bad, f_good = new
     return good[()]
 
 
@@ -340,8 +396,9 @@ class HalfPlane:
         object.__setattr__(self, "offset", offset)
 
     def value(self, pts: np.ndarray) -> np.ndarray:
-        """Signed margin; <= 0 inside, equals the distance outside."""
-        return as_points(pts) @ self.normal - self.offset
+        """Signed margin; <= 0 inside, equals the distance outside (as
+        CutTable.values, x n_x + y n_y - offset per point)."""
+        return dots(as_points(pts), self.normal) - self.offset
 
 
 #: values per CutTable.margin temporary: calls up to this many point-cut
@@ -604,7 +661,11 @@ class Profile:
         (slope_point; the window end toward qv where qu = 0, h being
         linear), and one newton_leq over the (K, 2) brackets, with
         h'(t) = g'(pu + t qu) qu - qv, moves each window end with h > 0 onto
-        the root between it and the minimum.
+        the root between it and the minimum.  Each end stops at adjacent
+        floats or within its chord_target, h's rounding scale over |h'| at
+        the bracket's outer end: past it the sign of h is rounding noise.
+        An end is within that target of the root of the same float line's
+        h at 50 digits, where the root is simple (not a tangent line's).
         """
         ends = np.column_stack([-half, half])
         u_ends = pu[:, None] + ends * qu[:, None]
@@ -614,18 +675,33 @@ class Profile:
                                  u_ends.max(axis=1))
         t_min = np.clip(np.where(lin, np.copysign(half, qv), (u_min - pu) / q_u), -half, half)
 
-        def h(t, rows=slice(None)):
-            return self.g(pu[rows] + t * qu[rows]) - (pv[rows] + t * qv[rows])
+        def h(t, pu, pv, qu, qv):
+            return self.g(pu + t * qu) - (pv + t * qv)
 
-        meets = h(t_min) <= 0
-        out = (h(ends.T).T > 0) & meets[:, None]
+        meets = h(t_min, pu, pv, qu, qv) <= 0
+        out = (h(ends.T, pu, pv, qu, qv).T > 0) & meets[:, None]
         if out.any():
             rows = np.nonzero(out)[0]
+            lines = pu[rows], pv[rows], qu[rows], qv[rows]
+            p_u, _, q_u, q_v = lines
             ends[out] = newton_leq(
-                lambda t: h(t, rows),
-                lambda t: self.dg(pu[rows] + t * qu[rows]) * qu[rows] - qv[rows],
-                ends[out], t_min[rows])
+                lambda t: h(t, *lines), lambda t: self.dg(p_u + t * q_u) * q_u - q_v,
+                ends[out], t_min[rows], lambda *at: self.chord_target(*lines, *at))
         return np.where(meets, ends[:, 0], np.inf), np.where(meets, ends[:, 1], -np.inf)
+
+    def chord_target(self, pu, pv, qu, qv, t, h, dh):
+        """rounding_target of h(t) = g(pu + t qu) - (pv + t qv) at t, from
+        h(t) and h'(t): h's terms are g(u), at most |h| + |pv| + |t qv|,
+        pv and t qv, and g'(u) = (h' + qv) / qu times u's terms pu and
+        t qu (none where qu = 0, as u = pu then), over |h'(t)|.  Terms and
+        slope are divided by max(1, |h'|) first, so a g past a clip cannot
+        overflow."""
+        s = np.maximum(1.0, np.abs(dh))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u_terms = np.where(qu == 0, 0.0, np.abs(pu / qu) + np.abs(t))
+            terms = ((np.abs(h) + 2.0 * (np.abs(pv) + np.abs(t * qv))) / s
+                     + np.abs((dh + qv) / s) * u_terms)
+        return rounding_target(terms, dh / s)
 
     def validate(self):
         u = np.linspace(-64.0, 64.0, 512)
@@ -676,6 +752,13 @@ class ParabolaProfile(Profile):
                 np.where(miss, -np.inf, np.maximum(r1, r2)))
 
 
+def _clip(u):
+    """u clipped to the exp and cosh profiles' [-700, 700], as np.clip
+    does, by two ufunc calls (np.clip's Python wrappers cost more than the
+    clip on the few hundred values of a root-finding round)."""
+    return np.minimum(np.maximum(np.asarray(u, dtype=float), -700.0), 700.0)
+
+
 def _past_clip(u):
     """u, with values beyond the profiles' +-700 clip sent to +-inf."""
     return np.where(np.abs(u) > 700.0, np.copysign(np.inf, u), u)
@@ -692,13 +775,13 @@ class ExpProfile(Profile):
         self.params = {}
 
     def g(self, u):
-        return np.exp(-np.clip(np.asarray(u, dtype=float), -700, 700))
+        return np.exp(-_clip(u))
 
     def dg(self, u):
-        return -np.exp(-np.clip(np.asarray(u, dtype=float), -700, 700))
+        return -np.exp(-_clip(u))
 
     def ddg(self, u):
-        return np.exp(-np.clip(np.asarray(u, dtype=float), -700, 700))
+        return np.exp(-_clip(u))
 
     def slope_guess(self, s, lo, hi):
         """-log(-s), closed form; past the +-700 clip g' is constant, so a
@@ -716,13 +799,13 @@ class CoshProfile(Profile):
         self.params = {"c": self.c}
 
     def g(self, u):
-        return np.cosh(np.clip(np.asarray(u, dtype=float), -700, 700)) + self.c
+        return np.cosh(_clip(u)) + self.c
 
     def dg(self, u):
-        return np.sinh(np.clip(np.asarray(u, dtype=float), -700, 700))
+        return np.sinh(_clip(u))
 
     def ddg(self, u):
-        return np.cosh(np.clip(np.asarray(u, dtype=float), -700, 700))
+        return np.cosh(_clip(u))
 
     def slope_guess(self, s, lo, hi):
         """asinh(s), closed form; an infinity past the +-700 clip (as on
@@ -773,7 +856,7 @@ class PolyProfile(Profile):
         inner = (d_lo <= s) & (d_hi > s)
         if inner.any():
             out[inner] = newton_leq(lambda u: self._dp(u) - s[inner], self._ddp,
-                                    hi[inner], lo[inner])
+                                    hi[inner], lo[inner], 0.0)
         return out
 
 
@@ -869,17 +952,30 @@ class EpigraphBase:
             raise GeometryError("epigraph transform must be a scaled isometry")
         self.scale = math.sqrt(lam2)
         self.Minv = np.linalg.inv(self.M)
+        # M, Minv and shift as floats, for the per-coordinate maps
+        self._m, self._minv, self._shift = self.M.tolist(), self.Minv.tolist(), self.shift.tolist()
+
+    def _uv(self, pts):
+        """(u, v) of world points as two arrays: Minv (p - shift) written
+        out per coordinate, so a point's value does not depend on the other
+        points (a matmul's rows can differ in the last bit)."""
+        pts = as_points(pts)
+        (a, b), (c, e), (sx, sy) = *self._minv, self._shift
+        x, y = pts[..., 0] - sx, pts[..., 1] - sy
+        return x * a + y * b, x * c + y * e
 
     def to_profile(self, pts: np.ndarray) -> np.ndarray:
-        return (as_points(pts) - self.shift) @ self.Minv.T
+        """(u, v) of world points, shaped like pts (_uv)."""
+        return np.stack(self._uv(pts), axis=-1)
 
     def from_profile(self, uv: np.ndarray) -> np.ndarray:
-        return as_points(uv) @ self.M.T + self.shift
+        """World points M (u, v)^T + shift, per coordinate."""
+        uv = as_points(uv)
+        return linear2(self._m, uv[..., 0], uv[..., 1], self._shift)
 
     def margin(self, pts: np.ndarray) -> np.ndarray:
         """First-order signed distance (negative inside); exact near the graph."""
-        uv = self.to_profile(pts)
-        u, v = uv[..., 0], uv[..., 1]
+        u, v = self._uv(pts)
         gap = self.profile.g(u) - v
         slope = self.profile.dg(u)
         return self.scale * gap / np.hypot(1.0, slope)
@@ -902,13 +998,9 @@ class EpigraphBase:
 
     def profile_line(self, foot, d):
         """(pu, pv, qu, qv): the world lines foot + t d as p + t q in the
-        profile frame with the same t, written out per coordinate so a
-        line's value does not depend on the other lines (a matmul's rows can
-        differ in the last bit)."""
-        (a, b), (c, e) = self.Minv
-        x, y = foot[:, 0] - self.shift[0], foot[:, 1] - self.shift[1]
-        dx, dy = d[:, 0], d[:, 1]
-        return x * a + y * b, x * c + y * e, dx * a + dy * b, dx * c + dy * e
+        profile frame with the same t, per coordinate (_uv)."""
+        q = linear2(self._minv, d[:, 0], d[:, 1])
+        return (*self._uv(foot), q[:, 0], q[:, 1])
 
     def chord(self, foot, d, half):
         """Profile.chord of the world lines foot + t d (profile_line), t in
@@ -916,30 +1008,23 @@ class EpigraphBase:
         return self.profile.chord(*self.profile_line(foot, d), half)
 
     def graph_point(self, u) -> np.ndarray:
-        """World points of the graph at u, shaped u.shape + (2,); each is
-        M (u, g(u))^T + shift written out per coordinate, so its value does
-        not depend on the other entries of u."""
+        """World points of the graph at u, shaped u.shape + (2,): M (u,
+        g(u))^T + shift per coordinate, as from_profile."""
         u = np.asarray(u, dtype=float)
-        v = self.profile.g(u)
-        (a, b), (c, d) = self.M
-        out = np.empty(u.shape + (2,))
-        out[..., 0] = u * a + v * b + self.shift[0]
-        out[..., 1] = u * c + v * d + self.shift[1]
-        return out
+        return linear2(self._m, u, self.profile.g(u), self._shift)
 
     def graph_tangent(self, u) -> np.ndarray:
         """d graph_point / du = M (1, g'(u))^T, shaped u.shape + (2,)."""
         slope = self.profile.dg(np.asarray(u, dtype=float))
-        (a, b), (c, d) = self.M
+        (a, b), (c, d) = self._m
         return np.stack([a + slope * b, c + slope * d], axis=-1)
 
     def graph_normal(self, u) -> np.ndarray:
         """Outward unit normal of the epigraph at the graph point of u."""
-        u = np.asarray(u, dtype=float)
-        slope = self.profile.dg(u)
+        slope = self.profile.dg(np.asarray(u, dtype=float))
         n = np.stack([slope, -np.ones_like(slope)], axis=-1)
         n = n / np.linalg.norm(n, axis=-1, keepdims=True)
-        return n @ (self.M / self.scale).T
+        return linear2(self.M / self.scale, n[..., 0], n[..., 1])
 
     def inscribed(self, table: CutTable):
         """(normals, offsets) of a polygon inscribed in the epigraph over the
@@ -1028,7 +1113,7 @@ class Segment:
     def distance_many(self, pts):
         pts = as_points(pts)
         rel = pts - self.a
-        t = np.clip(rel @ self.d, 0.0, self.length)
+        t = np.clip(dots(rel, self.d), 0.0, self.length)
         closest = self.a + t[:, None] * self.d
         return np.linalg.norm(pts - closest, axis=-1), t
 
@@ -1106,9 +1191,10 @@ _PROJECTION_STEPS = np.linspace(0.0, 1.0, 17)
 class GraphPiece:
     """Boundary piece on the analytic graph of an epigraph base.
 
-    Parameterized by the profile coordinate u, not by arc length; coarse
-    scans use an equal-chord reparameterization so steep stretches of the
-    graph are sampled as densely in space as flat ones.
+    Parameterized by the profile coordinate u, not by arc length: t = u,
+    or t = -u on a flipped piece (t0 = -u1, t1 = -u0), so t and u convert
+    exactly.  Coarse scans use an equal-chord reparameterization so steep
+    stretches of the graph are sampled as densely in space as flat ones.
     """
 
     kind = "graph"
@@ -1119,14 +1205,14 @@ class GraphPiece:
         self.base = base
         self.u0, self.u1 = float(u0), float(u1)
         # the epigraph lies left of increasing u unless M reflects, so the
-        # piece then runs from u1 to u0
+        # piece then runs from u1 to u0, on t = -u (exact both ways)
         self.flipped = bool(np.linalg.det(base.M) < 0)
-        self.t0, self.t1 = self.u0, self.u1
+        self.t0, self.t1 = (-self.u1, -self.u0) if self.flipped else (self.u0, self.u1)
         self._chord_grid = None
 
     def _u(self, t):
         t = np.asarray(t, dtype=float)
-        return (self.u0 + self.u1) - t if self.flipped else t
+        return -t if self.flipped else t
 
     def point(self, t):
         return self.base.graph_point(self._u(t))
@@ -1163,7 +1249,7 @@ class GraphPiece:
     def sample_params(self, n: int) -> np.ndarray:
         """Ascending params at roughly equal spatial (chord) spacing."""
         u = self._chord_us(n)
-        return ((self.u0 + self.u1) - u)[::-1] if self.flipped else u
+        return (-u)[::-1] if self.flipped else u
 
     def distance_many(self, pts):
         """Distance to the graph stretch, per-point bracketed.
@@ -1211,7 +1297,7 @@ class GraphPiece:
             a[todo] = cand[rows, np.maximum(j - 1, 0)]
             b[todo] = cand[rows, np.minimum(j + 1, _PROJECTION_SCAN - 1)]
             # g(u) - v has the sign of diff . M (0, 1)
-            cross = np.diff(diff @ base.M[:, 1] > 0, axis=1)
+            cross = np.diff(dots(diff, base.M[:, 1]) > 0, axis=1)
             reach = np.abs(cand - uv[todo, :1])
             reach = np.where(cross, np.maximum(reach[:, 1:], reach[:, :-1]), np.inf).min(axis=1)
             near = 2.0 * np.minimum(np.sqrt(d2[rows, j]) / base.scale, reach) + 1e-12
@@ -1228,8 +1314,8 @@ class GraphPiece:
 
         steps = a + (b - a) * _PROJECTION_STEPS[:, None]
         grid = np.concatenate([steps, scan])
-        rel = np.concatenate([graph(steps) - pts, scan_rel])
-        phi, d2 = dots(rel, tangent(grid)), dots(rel, rel)
+        rel, tan = np.concatenate([graph(steps) - pts, scan_rel]), tangent(grid)
+        phi, d2 = dots(rel, tan), dots(rel, rel)
         up = (phi[:-1] <= 0) & (phi[1:] > 0)
         # two runs of samples; the scan's steps inside [a, b] are refined
         up[len(steps) - 1] = False
@@ -1237,7 +1323,12 @@ class GraphPiece:
         roots, d2_roots = np.zeros(up.shape), np.full(up.shape, np.inf)
         if up.any():
             q = np.broadcast_to(pts, up.shape + (2,))[up]
-            roots[up] = newton_leq(*normal_eq(q), grid[1:][up], grid[:-1][up])
+            # phi's terms at each bracket's left sample: |G(u) - shift|,
+            # |shift| and |q|, times |G'(u)|
+            terms = (lengths(rel[:-1][up] + q - base.shift) + norm(base.shift)
+                     + lengths(q)) * lengths(tan[:-1][up])
+            roots[up] = newton_leq(*normal_eq(q), grid[1:][up], grid[:-1][up],
+                                   lambda u, phi_u, dphi_u: rounding_target(terms, dphi_u))
             rel = graph(roots[up]) - q
             d2_roots[up] = dots(rel, rel)
         us, d2 = np.concatenate([roots, grid]), np.concatenate([d2_roots, d2])
@@ -1245,8 +1336,7 @@ class GraphPiece:
         u_best, d2_best = us[k, rows], d2[k, rows]
         dist = np.minimum(np.sqrt(d2_best), d0)
         u_best = np.where(dist < d0, u_best, u_a)
-        t = (self.u0 + self.u1) - u_best if self.flipped else u_best
-        return dist, t
+        return dist, self._u(u_best)
 
     def support_max(self, dirs):
         """Largest d . p over the piece and its parameter per (N, 2)
@@ -2031,10 +2121,12 @@ class Frame:
     lam: float = 1.0
 
     def apply(self, pts):
-        return self.lam * ((as_points(pts) - self.anchor) @ self.R.T) + self.shift
+        rel = as_points(pts) - self.anchor
+        return self.lam * linear2(self.R, rel[..., 0], rel[..., 1]) + self.shift
 
     def invert(self, qts):
-        return ((as_points(qts) - self.shift) / self.lam) @ self.R + self.anchor
+        rel = (as_points(qts) - self.shift) / self.lam
+        return linear2(self.R.T, rel[..., 0], rel[..., 1], self.anchor)
 
     def pullback_halfplane(self, hp: HalfPlane) -> HalfPlane:
         # {n.q <= c} in frame coords -> half-plane in world coords

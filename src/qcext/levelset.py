@@ -539,7 +539,7 @@ def ramp_qc(domain: Body2, h_normal, points: np.ndarray, alphas: np.ndarray,
 
     def evaluate(pts: np.ndarray) -> np.ndarray:
         pts = as_points(pts)
-        hv = pts @ h - h_offset
+        hv = dots(pts, h) - h_offset
         out = np.zeros(pts.shape[0])
         pos = hv >= 0
         if not pos.any():

@@ -784,7 +784,15 @@ def test_gallery_certificates_match_stored():
     newton_leq and gen_no_uc's c0 and y1 to chord_ends moved numbers by
     rounding only: cosh's no-uc chain points by at most 4.4e-16 and its
     bilip by 2.3e-13, the no-lip certificates of cosh and the hypograph by
-    at most 6e-24.  The NoLipCertificate tail at k_max 24 is not stored:
+    at most 6e-24.  Stopping chords at their rounding targets, giving
+    flipped graph pieces t = -u and writing the profile-frame maps per
+    coordinate moved six numbers past 1e-10, and only those were
+    re-recorded: cosh's lip_lower_bounds[6..8] and the hypograph's [7, 8]
+    (they divide by secant gaps of 1e-6 or less, so 1e-17 in a profile
+    height moves them by about 1e-9; each stays within 2.3e-9 of its
+    50-digit value on the same float frame) and the hypograph's
+    arc_lengths[7] (2.4e11) by one float spacing, to the nearer float of
+    its 50-digit value.  The NoLipCertificate tail at k_max 24 is not stored:
     its last secant gaps are about 1e-16, the size of the profile
     heights' own rounding, so its bounds and products hang on the last
     bits of any solver."""

@@ -448,9 +448,10 @@ def _monotone_brackets(rng, bad_shape, good_shape, rising=True):
     ((), ()), ((1,), (1,)), ((9,), (9,)), ((3, 4), (3, 4)), ((5,), ()), ((3, 1), (1, 4))])
 @pytest.mark.parametrize("rising", [True, False])
 def test_newton_leq_matches_bisect_leq(bad_shape, good_shape, rising):
-    """On brackets where the sign of f switches once, newton_leq returns
-    bisect_leq's switching float bit for bit, in the broadcast shape, with
-    at most a quarter of its evaluations (f and df calls against f calls)."""
+    """On brackets where the sign of f switches once, newton_leq with target
+    0 (adjacent floats) returns bisect_leq's switching float bit for bit,
+    in the broadcast shape, with at most a quarter of its evaluations (f
+    and df calls against f calls)."""
     rng = np.random.default_rng(7)
     f, df, bad, good = _monotone_brackets(rng, bad_shape, good_shape, rising)
     calls = {"newton": 0, "bisect": 0}
@@ -461,7 +462,7 @@ def test_newton_leq_matches_bisect_leq(bad_shape, good_shape, rising):
             return fn(t)
         return wrapped
 
-    got = geo.newton_leq(counted("newton", f), counted("newton", df), bad, good)
+    got = geo.newton_leq(counted("newton", f), counted("newton", df), bad, good, 0.0)
     want = bisect_leq(counted("bisect", f), bad, good)
     assert np.shape(got) == np.broadcast_shapes(bad_shape, good_shape)
     assert np.array_equal(got, want)
@@ -472,8 +473,9 @@ def test_newton_leq_matches_bisect_leq(bad_shape, good_shape, rising):
 def test_newton_leq_keeps_to_the_bracket(monkeypatch):
     """Newton points that are not finite (a zero derivative) or crawl (a
     clipped exponential, one unit per step from t = 10^4) leave the work to
-    the midpoint and the sixteenths; the result is still the switching
-    float, in no more rounds than the sixteenths alone need (20)."""
+    the midpoint and the sixteenths; with target 0 the result is still the
+    switching float, in no more rounds than the sixteenths alone need
+    (20)."""
     def f(t):
         return np.cosh(np.clip(t, -700, 700)) - 3.0
 
@@ -484,9 +486,91 @@ def test_newton_leq_keeps_to_the_bracket(monkeypatch):
     narrow = geo._narrow
     monkeypatch.setattr(geo, "_narrow", lambda *a: rounds.append(1) or narrow(*a))
     bad, good = np.array([1e4, 2.5, 1.9]), np.array([0.0, 0.0, 0.0])
-    got = geo.newton_leq(f, df, bad, good)
+    got = geo.newton_leq(f, df, bad, good, 0.0)
     assert np.array_equal(got, bisect_leq(f, bad, good, 200))
     assert len(rounds) <= 20
+
+
+def _chord_solves(prof, pu, pv, qu, qv, half):
+    """Profile.chord's newton_leq solves on the lines (pu, pv) + t (qu, qv):
+    each bracket's line index, its ends (bad = a window end with h > 0,
+    good = the window minimum), and h, h' and the chord target of given
+    line indices."""
+    ends = np.column_stack([-half, half])
+    u_ends = pu[:, None] + ends * qu[:, None]
+    lin = qu == 0
+    q_u = np.where(lin, 1.0, qu)
+    u_min = prof.slope_point(np.where(lin, 0.0, qv / q_u), u_ends.min(axis=1), u_ends.max(axis=1))
+    t_min = np.clip(np.where(lin, np.copysign(half, qv), (u_min - pu) / q_u), -half, half)
+
+    def h(t, r):
+        return prof.g(pu[r] + t * qu[r]) - (pv[r] + t * qv[r])
+
+    def dh(t, r):
+        return prof.dg(pu[r] + t * qu[r]) * qu[r] - qv[r]
+
+    def target(r):
+        return lambda *at: prof.chord_target(pu[r], pv[r], qu[r], qv[r], *at)
+
+    out = (h(ends.T, slice(None)).T > 0) & (h(t_min, slice(None)) <= 0)[:, None]
+    rows = np.nonzero(out)[0]
+    return rows, ends[out], t_min[rows], h, dh, target
+
+
+def _no_lip_lower_lines():
+    """The profile-frame lines of the cosh body's no-Lipschitz lower profile
+    (gen_no_lip at k_max 8, scan 16: its framed body, the 257 vertical lines
+    of the z scan over |v| <= 4), whose roots near z = 0 sit in h's
+    rounding-noise band."""
+    from qcext.counterexamples import gen_no_lip
+    from qcext.geometry import transform_body
+
+    frame = gen_no_lip(Body2.epigraph("cosh"), k_max=8, scan=16)[1].frame
+    C = transform_body(Body2.epigraph("cosh"), frame)
+    z = np.geomspace(1e-4, 8.0, 257)
+    foot = np.column_stack([z, np.zeros_like(z)])
+    d = np.tile([0.0, 1.0], (len(z), 1))
+    return C.base.profile, (*C.base.profile_line(foot, d), np.full(len(z), 4.0))
+
+
+def test_newton_leq_batch_equals_per_bracket_calls():
+    """One batched newton_leq call returns what one call per bracket returns,
+    bit for bit: frozen brackets keep their ends.  On the cosh no-Lipschitz
+    lower profile's chords (among them rows that stop inside the noise
+    band, at their target and not at adjacent floats) and on fuzzed cubic
+    brackets with per-bracket targets from 0 to 1e-3 of their width."""
+    prof, lines = _no_lip_lower_lines()
+    rows, bad, good, h, dh, target = _chord_solves(prof, *lines)
+    batch = geo.newton_leq(lambda t: h(t, rows), lambda t: dh(t, rows), bad, good, target(rows))
+    one = [geo.newton_leq(lambda t: h(t, r), lambda t: dh(t, r), b, g, target(r))
+           for r, b, g in zip(rows, bad, good)]
+    assert np.array_equal(batch, one)
+    adjacent = np.nextafter(batch, bad) == bad
+    with np.errstate(all="ignore"):
+        switching = (h(batch, rows) <= 0) & (h(np.nextafter(batch, bad), rows) > 0)
+    assert len(rows) > 200 and (~adjacent & ~switching).sum() > 150
+
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n = int(rng.integers(1, 40))
+        a, b = rng.uniform(0.0, 2.0, n), rng.uniform(0.1, 3.0, n)
+        c = rng.uniform(0.5, 4.0, n)
+        c = a * c + b * c ** 3
+        bad, good = 4.0 + rng.uniform(0.01, 6.0, n), rng.uniform(0.0, 0.45, n)
+        goal = np.where(rng.random(n) < 0.3, 0.0, (bad - good) * 10.0 ** rng.uniform(-16, -3, n))
+
+        def f(t, i):
+            return a[i] * t + b[i] * t ** 3 - c[i]
+
+        def df(t, i):
+            return a[i] + 3.0 * b[i] * t * t
+
+        i = np.arange(n)
+        batch = geo.newton_leq(lambda t: f(t, i), lambda t: df(t, i), bad, good, goal)
+        one = [geo.newton_leq(lambda t: f(t, k), lambda t: df(t, k), bad[k], good[k], goal[k])
+               for k in i]
+        assert np.array_equal(batch, one)
+        assert np.all(np.abs(batch - bisect_leq(lambda t: f(t, i), bad, good)) <= goal + 1e-15)
 
 
 def _bisect_slope_point(prof, s, lo, hi):
@@ -591,14 +675,17 @@ def _chord_lines(prof, rng, kind, n=200):
     (name, kind) for name in sorted(_PROFILES) for kind in ("random", "tangent", "clip", "tail")
     if kind != "tail" or name == "exp"])
 def test_newton_chords_match_bisection(name, kind):
-    """Newton chords meet the same lines as the bisection chords.  Each
+    """Newton chords meet the same lines as the bisection chords.  newton_leq
+    is done with a chord end once its bracket is at adjacent floats or
+    within the target Profile.chord derives from h (Profile.chord_target:
+    4 eps times h's terms over |h'|), and keeps it frozen there.  So each
     Newton end inside the window keeps h <= 0 and is a switching float
-    (h > 0 one float outward) or lies within newton_leq's resolution (2^-79
-    of the bracket) of the bisection's end; where the sign of h is
-    monotone, two switching floats are one, so the ends differ only where
-    h is rounding noise, by at most 1e-14 of the window.  A tangent line's
-    double root is conditioned like sqrt(eps): its ends agree within 1e-6,
-    the width of that noise band."""
+    (h > 0 one float outward) or lies within its stated target
+    (chord_target at the end) of the bisection's end; where the sign of h
+    is monotone, two switching floats are one, so the ends differ only
+    where h is rounding noise, by at most 1e-14 of the window.  A tangent
+    line's double root is conditioned like sqrt(eps): its ends agree
+    within 1e-6, the width of that noise band."""
     prof = _PROFILES[name]
     pu, pv, qu, qv, half = _chord_lines(prof, np.random.default_rng(3), kind)
     with np.errstate(all="ignore"):
@@ -622,8 +709,61 @@ def test_newton_chords_match_bisection(name, kind):
     with np.errstate(all="ignore"):
         switching = (h(got) <= 0) & (h(np.nextafter(got, outward)) > 0)
         assert np.all((h(got) <= 0)[root])
-    resolved = err <= 2.0 ** -79 * 2.0 * half[:, None]
+        dh = prof.dg(pu[:, None] + got * qu[:, None]) * qu[:, None] - qv[:, None]
+        target = prof.chord_target(pu[:, None], pv[:, None], qu[:, None], qv[:, None], got,
+                                   h(got), dh)
+    resolved = err <= target
     assert np.all((switching | resolved)[root])
+
+
+@pytest.mark.parametrize("name, kind", [
+    (name, kind) for name in sorted(_PROFILES) for kind in ("random", "clip", "tail")
+    if kind != "tail" or name == "exp"])
+def test_chord_ends_within_target_of_50_digit_root(name, kind):
+    """Every Profile.chord end inside its window is within its stated
+    target (Profile.chord_target at the end) of the true root: h evaluated
+    at 50 digits on the same float line parameters, with g clipped at
+    +-700 as the profile clips it, changes sign between end - target and
+    end + target, and mpmath.findroot's root there is that close.  Tangent
+    lines are left out: their double roots are conditioned like sqrt(eps),
+    and a float h can meet the graph where the 50-digit one misses it."""
+    import mpmath
+    prof = _PROFILES[name]
+
+    def g(u):
+        if name == "custom_poly":
+            return mpmath.polyval(prof.coeffs[::-1], u)
+        u = min(max(u, -700), 700)
+        return mpmath.cosh(u) + prof.c if name == "cosh" else mpmath.exp(-u)
+    pu, pv, qu, qv, half = _chord_lines(prof, np.random.default_rng(3), kind)
+    with np.errstate(all="ignore"):
+        lo, hi = prof.chord(pu, pv, qu, qv, half)
+    checked = 0
+    with mpmath.workdps(50):
+        for k, (end, outward) in enumerate(zip(np.r_[lo, hi], np.r_[np.full(len(lo), -1.0),
+                                                                    np.full(len(hi), 1.0)])):
+            k %= len(lo)
+            if not (np.isfinite(end) and abs(end) < half[k]) or lo[k] > hi[k]:
+                continue
+            p_u, p_v, q_u, q_v = (mpmath.mpf(float(x[k])) for x in (pu, pv, qu, qv))
+
+            def h(t):
+                return g(p_u + t * q_u) - (p_v + t * q_v)
+            with np.errstate(all="ignore"):
+                u = pu[k] + end * qu[k]
+                target = prof.chord_target(pu[k], pv[k], qu[k], qv[k], end,
+                                           prof.g(u) - (pv[k] + end * qv[k]),
+                                           prof.dg(u) * qu[k] - qv[k])
+            if not np.isfinite(target):
+                continue
+            out, inner = (mpmath.mpf(float(end)) + s * mpmath.mpf(float(target))
+                          for s in (outward, -outward))
+            assert h(out) > 0 >= h(inner), (k, end, target)
+            root = mpmath.findroot(h, (min(out, inner), max(out, inner)), solver="illinois",
+                                   verify=False)
+            assert abs(root - mpmath.mpf(float(end))) <= target
+            checked += 1
+    assert checked > 100
 
 
 def test_polychain_halfplanes_match_per_edge_recipe():
@@ -881,9 +1021,8 @@ def test_graph_projection_parameter_matches_50_digit_root(name):
     the normal equation (G(u) - p) . G'(u) = 0 at 50 digits
     (mpmath.findroot from the returned u), on the dense-oracle bodies'
     exterior points and the parabola point (0, 63), where golden section on
-    |G(u) - p|^2 stopped 3.7e-9 from the root.  On a flipped piece,
-    t = (u0 + u1) - u, so the bound is relative to max(|u|, 1) in u, plus
-    the float spacing of t that the subtraction rounds to."""
+    |G(u) - p|^2 stopped 3.7e-9 from the root.  On a flipped piece t = -u,
+    which converts exactly, so the bound is the same."""
     import mpmath
     body, pts = _graph_oracle_case(name)
     if name == "parabola":
@@ -891,16 +1030,33 @@ def test_graph_projection_parameter_matches_50_digit_root(name):
     (pc,) = body.pieces()
     _, t = pc.distance_many(pts)
     assert np.all((t > pc.t0) & (t < pc.t1))
+    sign = -1.0 if pc.flipped else 1.0
     with mpmath.workdps(50):
-        ends = mpmath.mpf(pc.u0 + pc.u1)
         for ti, p in zip(t, pts):
             phi, _ = _mp_normal_eq(body, p)
-            if pc.flipped:
-                root = mpmath.findroot(phi, ends - mpmath.mpf(ti))
-                assert abs(ti - (ends - root)) <= 1e-12 * max(abs(root), 1) + np.spacing(abs(ti))
-            else:
-                root = mpmath.findroot(phi, mpmath.mpf(ti))
-                assert abs(ti - root) <= 1e-12 * abs(root)
+            root = mpmath.findroot(phi, mpmath.mpf(sign * ti))
+            assert abs(sign * ti - root) <= 1e-12 * abs(root)
+
+
+def test_flipped_piece_foot_matches_50_digit_foot():
+    """On the exp hypograph's graph piece (flipped, u from -12.5 to 65,561)
+    project's foot of (-0.8503, -0.9232) is within 4 float spacings of the
+    50-digit foot: t = -u converts exactly (t = (u0 + u1) - u put it
+    1.5e-11 away)."""
+    import mpmath
+    body = Body2.epigraph("exp_hypograph")
+    (pc,) = body.pieces()
+    assert pc.flipped
+    p = np.array([-0.8503, -0.9232])
+    foot, _ = project(p, body)
+    with mpmath.workdps(50):
+        phi, _ = _mp_normal_eq(body, p)
+        u = mpmath.findroot(phi, mpmath.mpf(float(body.base.to_profile(foot)[0, 0])))
+        gu = _mp_g(body.base.profile)(u)
+        (a, b), (c, d) = ([mpmath.mpf(float(v)) for v in row] for row in body.base.M)
+        want = (u * a + gu * b + float(body.base.shift[0]), u * c + gu * d + float(body.base.shift[1]))
+        err = [abs(mpmath.mpf(float(x)) - w) for x, w in zip(foot, want)]
+    assert np.all(np.array(err, dtype=float) <= 4.0 * np.spacing(np.abs(foot)))
 
 
 @pytest.mark.parametrize("name", ["parabola", "cosh", "exp_hypograph", "custom_poly",

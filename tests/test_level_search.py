@@ -308,32 +308,28 @@ def _certified(gen, body, **kw):
     return f.eval_many, f.domain
 
 
-#: name: (f and its domain, a window about where f varies, whether a
-#: one-point call gives the batch's bits); the ramp and the staircases
-#: whose levels have straight edges take `@` products (ramp_qc's h and
-#: HalfPlane.value, Segment.distance_many), which BLAS rounds differently
-#: for one row than for several
+#: name: (f and its domain, a window about where f varies)
 POINTWISE = {
-    "extension-100": (_extension, (-2.0, 2.0, -1.0, 3.0), True),
+    "extension-100": (_extension, (-2.0, 2.0, -1.0, 3.0)),
     "no_lip-cosh": (lambda: _certified(gen_no_lip, Body2.epigraph("cosh"), k_max=8, scan=16),
-                    (-4.0, 4.0, 0.0, 8.0), True),
+                    (-4.0, 4.0, 0.0, 8.0)),
     "no_uc-parabola": (lambda: _certified(gen_no_uc, Body2.epigraph("parabola"), k_max=8),
-                       (-1.0, 6.0, -2.0, 20.0), False),
+                       (-1.0, 6.0, -2.0, 20.0)),
     "no_qc-hypograph": (lambda: _certified(gen_no_qc, Body2.epigraph("exp_hypograph"), k_max=8),
-                        (-3.0, 10.0, -5.0, 1.5), False),
+                        (-3.0, 10.0, -5.0, 1.5)),
     "non_rotund-triangle": (lambda: _certified(
         gen_non_rotund, Body2.from_polychain([(0, 1), (2, 1), (1, -3)]), k_max=8),
-        (-0.5, 2.5, -4.0, 2.0), False),
+        (-0.5, 2.5, -4.0, 2.0)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(POINTWISE))
 def test_evaluation_is_pointwise(name):
     """One eval_many call on 3,000 points, on and off the domain, equals
-    three 1,000-point calls bit for bit, the precondition of the checks'
-    single evaluation, and 200 one-point calls: bit for bit, or to
-    rounding where a one-point call takes BLAS's one-row path."""
-    make, window, one_point_exact = POINTWISE[name]
+    three 1,000-point calls and 200 one-point calls bit for bit, the
+    precondition of the checks' single evaluation: no value goes through
+    a matmul, whose one-row kernel rounds differently."""
+    make, window = POINTWISE[name]
     f, body = make()
     rng = np.random.default_rng(21)
     pts = np.vstack([sample_domain(body, 1500, rng, window=window),
@@ -342,10 +338,7 @@ def test_evaluation_is_pointwise(name):
     assert np.array_equal(whole, np.concatenate([f(part) for part in np.split(pts, 3)]))
     pick = rng.choice(3000, 200, replace=False)
     one = np.concatenate([f(pts[i:i + 1]) for i in pick])
-    if one_point_exact:
-        assert np.array_equal(one, whole[pick])
-    else:
-        assert np.all(np.abs(one - whole[pick]) <= 1e-15 * np.maximum(1.0, np.abs(whole[pick])))
+    assert np.array_equal(one, whole[pick])
     assert len(np.unique(whole)) >= 50
 
 
@@ -392,7 +385,7 @@ def test_checks_match_separate_evaluations(name, monkeypatch):
     if name == "xy-square":
         (f, body), window = _xy_square(), (-1.0, 1.0, -1.0, 1.0)
     else:
-        make, window, _ = POINTWISE[name]
+        make, window = POINTWISE[name]
         f, body = make()
     for domain in (body, window):
         rep = quasiconvex_check(f, domain, 2000, tol=1e-9, seed=7, window=window)

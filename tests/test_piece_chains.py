@@ -10,7 +10,11 @@ numpy 2.4.6 on x86-64 Linux.  Regenerate with
 
     PYTHONPATH=src python tests/test_piece_chains.py > tests/data/piece_chains.json
 
-only where a change means to move them.
+only where a change means to move them.  Giving flipped graph pieces the
+parameter t = -u (in place of (u0 + u1) - u, which lost up to 1.4e-6 on
+the exp hypograph's samples) and stopping chords at their rounding targets
+moved 135 numbers of five records; each new value is within 1.3e-11 of the
+50-digit point it stands for.
 """
 
 import json

@@ -134,9 +134,9 @@ BODIES = {"parabola": lambda: Body2.epigraph("parabola"),
 @pytest.mark.parametrize("name", sorted(BODIES))
 def test_chain_matches_links_one_by_one(monkeypatch, name, k_max):
     """Against the 50-digit chain the certificate's points keep the stated
-    bounds; the link-by-link loop, whose links each round to their own
-    switching float, drifts further (up to 4e-12 on these chains) but
-    stays within the link slack."""
+    bounds; the link-by-link loop, whose links each stop within their
+    newton_leq target of their own root, drifts further (up to 4.7e-12 on
+    these chains) but stays within the link slack."""
     args, chain, _, cert = _chain_of(monkeypatch, BODIES[name](), k_max)
     base, u0, ahead, _, n = args
     assert n == 2 * k_max + 2
