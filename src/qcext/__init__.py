@@ -50,8 +50,6 @@ from .levelset import (
     ModulusTable,
     QCFunction,
     compose_projection,
-    eval_levels,
-    extend_line_constant,
     lipschitz_estimate,
     mcshane_extend,
     modulus_estimate,
@@ -68,8 +66,7 @@ __all__ = [
     "is_rotund", "supporting_cone", "project", "recession_cone", "relative_boundary",
     "support", "supporting_normals",
     "LevelFamily", "LevelSetError", "ModulusTable", "QCFunction",
-    "compose_projection", "eval_levels", "extend_line_constant",
-    "lipschitz_estimate", "mcshane_extend", "modulus_estimate",
+    "compose_projection", "lipschitz_estimate", "mcshane_extend", "modulus_estimate",
     "quasiconvex_check", "ramp_qc", "staircase_qc",
     "CoveringError", "ExtendedBody", "ExtensionError", "ExtensionOperator",
     "ExtensionResult", "extend_body", "extend_function",

@@ -18,7 +18,7 @@ import numpy as np
 from . import counterexamples as cx
 from . import extension as ext
 from . import levelset as ls
-from .geometry import Body2, ConvexHull
+from .geometry import Body2, ConvexHull, as_rows
 from .verify import (
     check_classifier_consistency,
     check_downward_exclusion,
@@ -57,12 +57,7 @@ def _halfplane_set_distance(got, want) -> float:
     """Largest L1 gap from a wanted (normal, offset) to its nearest row."""
     if len(got) != len(want):
         return math.inf
-    err = 0.0
-    for (nw, ow) in want:
-        best = min(abs(g[0] - nw[0]) + abs(g[1] - nw[1]) + abs(g[2] - ow)
-                   for g in got)
-        err = max(err, best)
-    return err
+    return float(np.abs(got - as_rows(want)[:, None]).sum(axis=2).min(axis=1).max())
 
 
 def criterion_3():

@@ -136,11 +136,16 @@ def cmd_body(args, conf) -> int:
     return 0
 
 
+def _extension(path: str, body: Body2, conf) -> ext.ExtensionResult:
+    """The extension of the family JSON at path on body, nested to within
+    max(--tol, 1e-9): the one build of extend and plot --function."""
+    fam = ser.family_from_json(_read_json(path), body)
+    return ext.extend_function(fam, tol=max(conf.tol, 1e-9))
+
+
 def cmd_extend(args, conf) -> int:
-    body = _load_body(args.body)
-    fam = ser.family_from_json(_read_json(args.function), body)
-    res = ext.extend_function(fam, tol=max(conf.tol, 1e-9))
-    meta = {"family": ser.family_hash(fam), "regularity": res.regularity}
+    res = _extension(args.function, _load_body(args.body), conf)
+    meta = {"family": ser.family_hash(res.family), "regularity": res.regularity}
     csv = ser.grid_csv(res, args.window_box, conf.grid, meta)
     _emit(csv, conf.out or "extension.csv")
     if args.svg:
@@ -213,8 +218,7 @@ def cmd_plot(args, conf) -> int:
         return 0
     body = _load_body(args.body)
     if args.function:
-        res = ext.extend_function(ser.family_from_json(_read_json(args.function), body))
-        svg = plots.svg_extension(res, args.window_box)
+        svg = plots.svg_extension(_extension(args.function, body, conf), args.window_box)
     else:
         svg = plots.svg_body(body, args.window_box)
     _emit(svg, conf.out or "plot.svg")

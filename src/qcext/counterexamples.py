@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional, Sequence
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -23,11 +23,13 @@ from .geometry import (
     GraphPiece,
     HalfPlane,
     as_points,
+    as_rows,
     chord_ends,
     cross2,
     dots,
     find_asymptotic_direction,
     find_boundary_segment,
+    halfplanes_of,
     is_rotund,
     lengths,
     newton_leq,
@@ -185,25 +187,26 @@ class NoLipCertificate:
 # ---------------------------------------------------------------------------
 # wedge staircases force the values of every extension
 
-def _wedge_halfplane(eps_n: float, b_n: float) -> HalfPlane:
-    # frame-coordinates half-plane {s <= 1 + eps_n - (eps_n/b_n) t}
-    slope = eps_n / b_n
-    n = np.array([slope, 1.0])
-    return HalfPlane(n, float(n @ vec(b_n, 1.0)))
+def _wedge_rows(eps, bs) -> np.ndarray:
+    """Rows of the frame-coordinate wedges {s <= 1 + eps_n - (eps_n / b_n) t}:
+    normal (eps_n / b_n, 1), offset its 1-D `@` product with (b_n, 1)."""
+    n = np.column_stack([eps / bs, np.ones(len(bs))])
+    at = np.column_stack([bs, np.ones(len(bs))])
+    return as_rows(np.column_stack([n, (n[:, None, :] @ at[:, :, None])[:, 0, 0]]))
 
 
-def _arc_lengths(C: Body2, frame: Frame, lines: Sequence[HalfPlane], spans) -> np.ndarray:
+def _arc_lengths(C: Body2, frame: Frame, lines: np.ndarray, spans) -> np.ndarray:
     """Length of each line's meet with the body within |t| <= spans[k] of
-    the foot of the frame origin on it, in world units; the lines and spans
-    are in frame coordinates.
+    the foot of the frame origin on it, in world units; the lines, as rows,
+    and the spans are in frame coordinates.
 
     The meet of a line with a convex body is its chord: one chord_ends call
     on the pulled-back lines, read as hi - lo (0 where the line misses), so
     a pinched sliver keeps its length however thin it is.
     """
-    table = CutTable([frame.pullback_halfplane(hp) for hp in lines])
-    feet = frame.invert(np.array([hp.normal * hp.offset for hp in lines]))
-    span = chord_ends(C, table, feet, np.asarray(spans, dtype=float) / frame.lam)[3]
+    feet = frame.invert(lines[:, :2] * lines[:, 2:])
+    span = chord_ends(C, CutTable(frame.pullback_rows(lines)), feet,
+                      np.asarray(spans, dtype=float) / frame.lam)[3]
     return np.maximum(span[:, 1] - span[:, 0], 0.0)
 
 
@@ -225,16 +228,16 @@ def _wedge_staircase(C: Body2, frame: Frame, bs, spans):
     """
     bs = np.asarray(bs, dtype=float)
     eps = 0.5 ** np.arange(1, len(bs) + 1)
-    wedges = [_wedge_halfplane(e, b) for e, b in zip(eps, bs)]
-    halfplanes = [frame.pullback_halfplane(w) for w in wedges]
-    bodies = CutLevels(C, [[(*hp.normal, hp.offset)] for hp in halfplanes], name="wedge")
+    wedges = _wedge_rows(eps, bs)
+    rows = frame.pullback_rows(wedges)
+    bodies = CutLevels(C, rows[:, None], name="wedge")
     slope = eps[:-1] / bs[:-1]
     pinch = eps[:-1] * (bs[1:] / bs[:-1] - 1.0) / np.sqrt(1.0 + slope * slope)
     gaps = np.append(pinch, pinch[-1]) / frame.lam
     levels = np.concatenate([[0.0], np.cumsum(gaps[:-1])])
     f = staircase_qc(C, bodies, levels, gaps, check_gaps=False)
     arcs = _arc_lengths(C, frame, wedges, spans)
-    return f, eps, levels, halfplanes, arcs
+    return f, eps, levels, list(halfplanes_of(rows)), arcs
 
 
 def gen_no_qc(C: Body2, k_max: int = 24):
@@ -441,8 +444,7 @@ def gen_no_uc(C: Body2, k_max: int = 64):
     # along v) and its supporting functional; the construction's origin
     # sits on the recession ray just above it
     w, n_v = C.witness, np.array([v[1], -v[0]])
-    ends, on_c, _, _ = chord_ends(C, CutTable(normals=[n_v], offsets=[n_v @ w]), [w],
-                                  [C.window_half])
+    ends, on_c, _, _ = chord_ends(C, CutTable([*n_v, n_v @ w]), [w], [C.window_half])
     if not on_c[0, 0]:
         raise ConstructionError("support geometry failed: no boundary point below "
                                 "the witness")
@@ -464,8 +466,7 @@ def gen_no_uc(C: Body2, k_max: int = 64):
                                 "the minimal level")
     # first chain point: where the level line h = 0 leaves the body forward
     # of c0, its lower chord end (the chain runs with the body on its left)
-    ends, on_c, _, _ = chord_ends(C, CutTable(normals=[h], offsets=[h_off]), [anchor],
-                                  [C.window_half])
+    ends, on_c, _, _ = chord_ends(C, CutTable([*h, h_off]), [anchor], [C.window_half])
     if not on_c[0, 0]:
         raise ConstructionError("level crossing not found along the boundary")
     base = piece.base
@@ -547,7 +548,7 @@ def _lower_profile(E: Body2, zs, frames=None) -> np.ndarray:
         up = np.repeat(R[:, 1], zs.shape[1], axis=0)
         lam = np.repeat(lam, zs.shape[1])
     n = np.column_stack([up[:, 1], -up[:, 0]])  # the lines run along up
-    span = chord_ends(E, CutTable(normals=n, offsets=dots(o, n)), o, 4.0 / lam)[3]
+    span = chord_ends(E, CutTable(np.column_stack([n, dots(o, n)])), o, 4.0 / lam)[3]
     lo = np.maximum(span[:, 0], 0.0)
     return np.where(lo <= span[:, 1], lam * lo, np.nan).reshape(zs.shape)
 
@@ -608,18 +609,15 @@ def gen_no_lip(E: Body2, k_max: int = 24, scan: int = 64):
     secant = 0.5 * g_at[:-1] - g_at[1:]          # delta(eps/2^k), k = 0..k_max
     secant = np.maximum(secant, 0.0)             # convexity up to roundoff
     alphas = 4.0 ** -np.arange(0.0, k_max + 2)   # side condition 2^k a_k -> 0
-    cuts, lines = [], []
-    for k in range(k_max + 1):
-        zk = zs[k]
-        slope = (g_at[k] - alphas[k]) / zk
-        hp_u = HalfPlane(vec(-1.0, 0.0), -0.75 * zk)
-        hp_line = HalfPlane(vec(slope, -1.0), -alphas[k])
-        cuts.append([hp_u, hp_line])
-        lines.append((float(slope), float(alphas[k])))
+    # per shelf the rows of {u >= 3 z_k / 4} and {v >= slope_k u + alpha_k}
+    z, a = zs[:k_max + 1], alphas[:k_max + 1]
+    slope = (g_at[:k_max + 1] - a) / z
+    one, zero = np.ones_like(z), np.zeros_like(z)
+    rows = as_rows(np.column_stack([-one, zero, -0.75 * z, slope, -one, -a]).reshape(-1, 3))
+    rows = rows.reshape(-1, 2, 3)
     betas = (eps / 4.0) * (2.0 - 2.0 ** (1.0 - np.arange(0.0, k_max + 1)))
     gaps = eps / 2.0 ** (np.arange(0.0, k_max + 1) + 2.0)
-    shelves = CutLevels(C, [[(*hp.normal, hp.offset) for hp in pair] for pair in cuts],
-                        name="shelf")
+    shelves = CutLevels(C, rows, name="shelf")
     stair = staircase_qc(C, shelves, betas, gaps, check_gaps=False)
 
     def evaluate(pts):
@@ -636,7 +634,8 @@ def gen_no_lip(E: Body2, k_max: int = 24, scan: int = 64):
     cert = NoLipCertificate(
         eps=eps, gauge=lam,
         profile_samples=z_ok, secant_gaps=secant, alphas=alphas,
-        levels=betas, body_cuts=cuts, lines=lines,
+        levels=betas, body_cuts=[list(halfplanes_of(r)) for r in rows],
+        lines=list(zip(slope.tolist(), a.tolist())),
         p_points=p_pts, q_points=q_pts,
         lip_lower_bounds=k_bounds, products=products, frame=frame,
         params={"theta": theta, "k_max": k_max, "g_eps": float(g_at[0])})
@@ -670,7 +669,7 @@ def _no_lip_frames(E: Body2, dirs: np.ndarray) -> list:
     out = np.flatnonzero(~(E.margin_many(base + t_hi * inward) <= 0))
     if len(out):
         n = np.column_stack([inward[out, 1], -inward[out, 0]])  # the lines run along inward
-        _, _, meets, span = chord_ends(E, CutTable(normals=n, offsets=dots(base[out], n)),
+        _, _, meets, span = chord_ends(E, CutTable(np.column_stack([n, dots(base[out], n)])),
                                        base[out], np.full(len(out), t_hi))
         t0[out] = np.where(meets, np.clip(span[:, 1] / 2.0, 1e-6, 1.0), np.nan)
     for i, R, p, t in zip(rows, rots, base, t0):

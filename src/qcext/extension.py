@@ -20,27 +20,27 @@ from .geometry import (
     Body2,
     CutTable,
     GeometryError,
-    HalfPlane,
     Segment,
     TOL,
     active_normals,
     as_point,
     as_points,
+    as_rows,
     chord_ends,
     chord_parts,
     cuts_beyond_all,
     distance_many,
     dots,
     halfplane_chain,
+    halfplanes_of,
     irredundant,
     norm,
     polygon_distance,
-    prune_halfplanes,
     relative_boundary,
     supporting_normals,
 )
 from .counterexamples import characterize
-from .levelset import LevelFamily, first_row_level
+from .levelset import LevelFamily, first_row_level, row_table, stack_levels
 
 #: boundary sampling resolution of the sampled fallback
 EXT_RESOLUTION = 512
@@ -85,11 +85,11 @@ class ExtendedBody:
     @cached_property
     def halfplanes(self) -> tuple:
         """The rows as HalfPlane objects, built on first use."""
-        return tuple(HalfPlane(r[:2], r[2]) for r in self.rows.copy())
+        return halfplanes_of(self.rows)
 
     @cached_property
     def _cut_table(self) -> CutTable:
-        return CutTable(normals=self.rows[:, :2], offsets=self.rows[:, 2])
+        return CutTable(self.rows)
 
     def margin_many(self, pts: np.ndarray) -> np.ndarray:
         pts = as_points(pts)
@@ -110,7 +110,8 @@ def _extend_sampled(B: Body2, C: Body2, resolution: int = EXT_RESOLUTION) -> Ext
     relative boundary in C: the fallback for a body not cut from C, and the
     exact construction's test oracle.  Straight stretches give one
     half-plane; interval ends (on the boundary of C, and corners) give their
-    full normal fan.  A chord that leaves B's window box is cut short there."""
+    full normal fan.  A chord that leaves B's window box is cut short there.
+    The rows are pruned by one geometry.irredundant call about B.witness."""
     rel = relative_boundary(B, C)
     if rel.is_empty():
         return ExtendedBody(B, C, np.zeros((0, 3)), special="plane")
@@ -118,7 +119,7 @@ def _extend_sampled(B: Body2, C: Body2, resolution: int = EXT_RESOLUTION) -> Ext
     raw = []
 
     def add(normal: np.ndarray, y: np.ndarray):
-        raw.append(HalfPlane(normal, float(np.asarray(normal) @ y)))
+        raw.append((normal, float(np.asarray(normal) @ y)))
 
     lengths = [0.0 if t1 - t0 <= 1e-12 else
                max(norm(np.asarray(pieces[i].point(t1)) - np.asarray(pieces[i].point(t0))), 1e-12)
@@ -143,24 +144,25 @@ def _extend_sampled(B: Body2, C: Body2, resolution: int = EXT_RESOLUTION) -> Ext
         ts = np.linspace(t0, t1, k + 2)[1:-1]
         nrm = np.atleast_2d(pc.normal(ts))
         offs = np.einsum("ij,ij->i", nrm, np.atleast_2d(pc.point(ts)))
-        raw.extend(HalfPlane(n, float(o)) for n, o in zip(nrm, offs))
-    kept = prune_halfplanes(raw, B.witness)
-    return ExtendedBody(B, C, np.array([(*h.normal, h.offset) for h in kept]).reshape(-1, 3))
+        raw.extend(zip(nrm, offs))
+    rows = as_rows(raw)
+    kept = irredundant(rows[:, :2], rows[:, 2], B.witness[None, :],
+                       np.zeros(len(rows), dtype=np.intp))
+    return ExtendedBody(B, C, rows[kept])
 
 
 def extend_bodies(bodies, C: Body2, resolution: int = EXT_RESOLUTION) -> list:
     """e(B) for each body of a list (None: the empty set); exact, in one
     batch, for every B = C cut by H_1, ..., H_m: the list of _extend_batch
     on the list's cuts_beyond_all pass."""
-    return _extend_batch(bodies, C, cuts_beyond_all(bodies, C), resolution)[0]
+    return _extend_batch(bodies, C, cuts_beyond_all(bodies, C), resolution)
 
 
-def _extend_batch(bodies, C: Body2, extra, resolution: int = EXT_RESOLUTION) -> tuple:
-    """(e(B) per body, the batch's kept rows, their (K + 1,) level bounds)
-    for bodies whose cuts beyond C are given as extra[k]: cuts_beyond's
-    (m, 3) rows, or None for the empty set (B None) and for a body not cut
-    from C.  The kept rows of body k are kept_rows[bounds[k]:bounds[k + 1]],
-    its e(B)'s rows (none for a body built otherwise).
+def _extend_batch(bodies, C: Body2, extra, resolution: int = EXT_RESOLUTION) -> list:
+    """e(B) per body, for bodies whose cuts beyond C are given as extra[k]:
+    cuts_beyond's (m, 3) rows, or None for the empty set (B None) and for a
+    body not cut from C.  The e(B) of the bodies with rows are views into
+    one array of the batch's kept rows.
 
     The relative boundary of B in C is the chords of C on the lines of the
     H_j (chord_ends, searched B.window_half about the foot of B's witness),
@@ -168,8 +170,8 @@ def _extend_batch(bodies, C: Body2, extra, resolution: int = EXT_RESOLUTION) -> 
     plus, at each part end on the boundary of C, the half-planes of C's
     constraints active there (any other cut of B active there has a part or
     is implied by C's), pruned.  Every body's half-planes are pruned in one
-    call of geometry.irredundant, with prune_halfplanes' rule (the cuts
-    first, then the ends' half-planes in order, for its ties).  An end on
+    call of geometry.irredundant (the cuts first, then the ends'
+    half-planes in order, for its ties).  An end on
     the window adds nothing; no part at all gives the whole plane.  Other
     bodies go to _extend_sampled, whose containment test raises
     GeometryError for a half-plane body outside C.  One pass over the
@@ -187,9 +189,8 @@ def _extend_batch(bodies, C: Body2, extra, resolution: int = EXT_RESOLUTION) -> 
             centers += [B.witness] * len(cut)
             halves += [B.window_half] * len(cut)
     if not rows:
-        return out, np.zeros((0, 3)), np.zeros(len(bodies) + 1, dtype=np.intp)
-    lines = np.concatenate(lines)
-    table = CutTable(normals=lines[:, :2], offsets=lines[:, 2])
+        return out
+    table = CutTable(np.concatenate(lines))
     ends, on_c, meets, _ = chord_ends(C, table, centers, halves)
     lo, hi = np.zeros(len(owner)), np.ones(len(owner))
     for k, r in rows.items():
@@ -216,7 +217,7 @@ def _extend_batch(bodies, C: Body2, extra, resolution: int = EXT_RESOLUTION) -> 
     for k in rows:
         out[k] = (ExtendedBody(bodies[k], C, kept_rows[bounds[k]:bounds[k + 1]]) if raw[k]
                   else ExtendedBody(bodies[k], C, np.zeros((0, 3)), special="plane"))
-    return out, kept_rows, bounds
+    return out
 
 
 def extend_body(B: Optional[Body2], C: Body2, resolution: int = EXT_RESOLUTION) -> ExtendedBody:
@@ -233,8 +234,7 @@ class ExtensionOperator:
 
     The first extended(k) builds every level in one _extend_batch call
     from the family's own rows beyond the ambient (LevelFamily._extra_cuts,
-    the pass validate_nesting reads too) and keeps the batch's kept rows
-    and level bounds, which level_table scatters.
+    the pass validate_nesting reads too).
     The searches (covering_index_many, first_level) run one
     first_row_level lower bound over the padded (K, m, 3) table of the
     levels' rows, which assumes nested levels (the family's
@@ -243,38 +243,19 @@ class ExtensionOperator:
 
     family: LevelFamily
     _cache: dict = field(default_factory=dict)
-    _kept: tuple = field(default=(), repr=False)
 
     def extended(self, k: int) -> ExtendedBody:
         if k not in self._cache:
             fam = self.family
-            exts, rows, bounds = _extend_batch(fam.bodies, fam.ambient, fam._extra_cuts)
-            self._kept = (rows, bounds)
-            self._cache.update(enumerate(exts))
+            self._cache.update(enumerate(_extend_batch(fam.bodies, fam.ambient, fam._extra_cuts)))
         return self._cache[k]
 
     @cached_property
     def level_table(self) -> np.ndarray:
-        """The row_table of every level's rows, built once after the batch
-        (_extend_batch): one scatter of its kept rows at their levels and
-        places (level k's rows lie between its bounds), then the levels it
-        did not build from rows one at a time, an empty level as one row
-        every point violates and a sampled level's own rows."""
-        self.extended(0)
-        rows, bounds = self._kept
-        size = np.diff(bounds)
-        other = [k for k, e in enumerate(self.family._extra_cuts) if e is None]
-        cols = np.zeros((max([1, size.max(initial=0)] + [len(self._cache[k].rows) for k in other]),
-                         3, len(size)))
-        cols[:, 2] = np.inf
-        level = np.repeat(np.arange(len(size)), size)
-        cols[np.arange(len(level)) - bounds[level], :, level] = rows
-        for k in other:
-            e = self._cache[k]
-            cols[:len(e.rows), :, k] = e.rows
-            if e.special == "empty":
-                cols[0, 2, k] = -np.inf
-        return cols.transpose(2, 0, 1)
+        """The row_table of every level's rows of e(B_k), built once after
+        the batch (_extend_batch), an empty level as the empty set's row."""
+        exts = [self.extended(k) for k in range(len(self.family))]
+        return row_table(*stack_levels([None if e.special == "empty" else e.rows for e in exts]))
 
     def first_level(self, pts: np.ndarray, inside) -> np.ndarray:
         """Per point, the smallest k with inside(margin in e(B_k)) true, or
@@ -385,13 +366,12 @@ def restriction_hausdorff(ext: ExtendedBody) -> float:
     if ext.special is not None:
         raise ExtensionError("special extensions have no restriction")
     B, C = ext.source, ext.ambient
+    rows = np.concatenate([C.rows, ext.rows])
     if B.is_polygon and C.is_polygon:
-        normals = np.concatenate([C.cut_table.normals, ext.rows[:, :2]])
-        offsets = np.concatenate([C.cut_table.offsets, ext.rows[:, 2]])
-        meet, _ = halfplane_chain(normals, offsets, B.witness)
+        meet, _ = halfplane_chain(rows[:, :2], rows[:, 2], B.witness)
         poly = B.chain[0]
         return float(max(polygon_distance(poly, meet).max(), polygon_distance(meet, poly).max()))
-    meet = Body2(C.base, C.cuts + tuple(ext.halfplanes), name="e_cap_C")
+    meet = Body2(C.base, rows, name="e_cap_C")
     a = meet.boundary_samples(256)
     d1 = float(np.max(distance_many(B, a))) if len(a) else 0.0
     b = B.boundary_samples(256)
@@ -412,6 +392,6 @@ def segment_meets_body(x, y, B: Body2) -> bool:
         return bool(B.margin_many(x[None, :])[0] <= TOL)
     d = (y - x) / length
     n = np.array([[d[1], -d[0]]])
-    ends, _, _, span = chord_ends(B, CutTable(normals=n, offsets=n @ x), [0.5 * (x + y)],
+    ends, _, _, span = chord_ends(B, CutTable(np.column_stack([n, n @ x])), [0.5 * (x + y)],
                                   [0.5 * length])
     return bool(span[0, 0] <= span[0, 1] or B.margin_many(ends[0].mean(axis=0)[None, :])[0] <= TOL)

@@ -2,9 +2,9 @@
 
 Bodies are closed convex proper subsets of the plane with nonempty
 interior, stored as an analytic base (none, ball, or the epigraph of a
-convex profile under a scaled isometry) intersected with a list of
-half-planes.  All predicates are tolerance-based; evaluation paths accept
-(N, 2) point arrays.
+convex profile under a scaled isometry) cut by half-planes, stored as the
+unit rows (nx, ny, c) of one normaliser, `as_rows`.  All predicates are
+tolerance-based; evaluation paths accept (N, 2) point arrays.
 
 A body's cuts keep one vertex chain (`halfplane_chain`, cached as
 `Body2.chain`): the meets of consecutive irredundant cuts, a bounded
@@ -369,36 +369,67 @@ def along(fn, path):
 UNIT_SLACK = 4.0 * np.finfo(float).eps
 
 
+def as_rows(halfplanes) -> np.ndarray:
+    """The one stored form of a half-plane set: a new (m, 3) array of rows
+    (nx, ny, c), {p : nx p_x + ny p_y <= c} with unit normals, from rows or
+    a sequence of HalfPlane objects, (normal, offset) pairs and rows.  The
+    one unit rule: a normal of length s (math.hypot) within UNIT_SLACK of 1
+    keeps its bits (so does a unit normal read back from JSON), any other is
+    divided with its offset by s: ((0, 2), 2) is {y <= 1}.  A non-finite
+    normal or offset, a zero normal and an item of another form raise
+    GeometryError naming the value.  It runs per row on floats, cheaper
+    than array calls for a clip's few rows."""
+    if isinstance(halfplanes, np.ndarray):
+        halfplanes = halfplanes.tolist()
+    rows = []
+    for hp in halfplanes:
+        try:
+            if isinstance(hp, HalfPlane):
+                (nx, ny), c = hp.normal.tolist(), hp.offset
+            elif len(hp) == 2:
+                normal, c = hp
+                (nx, ny), c = np.asarray(normal, dtype=float).tolist(), float(c)
+            else:
+                nx, ny, c = map(float, hp)
+        except (TypeError, ValueError):
+            raise GeometryError("a half-plane must be a HalfPlane, a (normal, offset) "
+                                f"pair or a row (nx, ny, c), got {hp!r}") from None
+        s = math.hypot(nx, ny)
+        if not math.isfinite(s):
+            raise GeometryError(f"half-plane normal must be finite, got {(nx, ny)}")
+        if not math.isfinite(c):
+            raise GeometryError(f"half-plane offset must be finite, got {c}")
+        if s == 0.0:
+            raise GeometryError("half-plane normal must be nonzero")
+        if abs(s - 1.0) > UNIT_SLACK:
+            nx, ny, c = nx / s, ny / s, c / s
+        rows.append((nx, ny, c))
+    return np.array(rows, dtype=float) if rows else np.zeros((0, 3))
+
+
 @dataclass(frozen=True)
 class HalfPlane:
-    """Closed half-plane {p : normal . p <= offset}, stored with a unit
-    normal.
-
-    A normal n of length s (math.hypot) is stored as given when
-    |s - 1| <= 4 eps, so a unit normal read back from JSON keeps its bits;
-    otherwise normal and offset are both divided by s, which keeps the
-    half-plane: HalfPlane((0, 2), 2) is {y <= 1}.  A zero normal raises
-    GeometryError.
-    """
+    """Closed half-plane {p : normal . p <= offset}: one row of as_rows,
+    whose unit rule normalises it (HalfPlane((0, 2), 2) is {y <= 1}), as a
+    unit normal array and a float offset."""
 
     normal: np.ndarray
     offset: float
 
     def __post_init__(self):
-        n = np.asarray(self.normal, dtype=float)
-        offset = float(self.offset)
-        s = math.hypot(n[0], n[1])
-        if s == 0.0:
-            raise GeometryError("half-plane normal must be nonzero")
-        if abs(s - 1.0) > UNIT_SLACK:
-            n, offset = n / s, offset / s
-        object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", offset)
+        row = as_rows([(self.normal, self.offset)])[0]
+        object.__setattr__(self, "normal", row[:2])
+        object.__setattr__(self, "offset", float(row[2]))
 
     def value(self, pts: np.ndarray) -> np.ndarray:
         """Signed margin; <= 0 inside, equals the distance outside (as
         CutTable.values, x n_x + y n_y - offset per point)."""
         return dots(as_points(pts), self.normal) - self.offset
+
+
+def halfplanes_of(rows: np.ndarray) -> tuple:
+    """The rows (m, 3) as HalfPlane objects, each with its row's bits."""
+    return tuple(HalfPlane(r[:2], r[2]) for r in rows.copy())
 
 
 #: values per CutTable.margin temporary: calls up to this many point-cut
@@ -408,19 +439,18 @@ _CUT_BLOCK = 16384
 
 
 class CutTable:
-    """Half-planes stacked once as unit normals (m, 2) and offsets (m,).
+    """Margins of the half-planes of (m, 3) rows (nx, ny, c) with unit
+    normals, as stored by as_rows: the table keeps its own contiguous
+    copies of the normals (m, 2) and offsets (m,), and checks nothing.
 
     Every margin is x * n_x + y * n_y - offset in that order of operations,
     so a point's value does not depend on the other points of the call.
     """
 
-    def __init__(self, halfplanes: Sequence[HalfPlane] = (), normals=None, offsets=None):
-        """From half-planes, or from unit normals (m, 2) and offsets (m,)."""
-        if normals is None:
-            normals = [hp.normal for hp in halfplanes]
-            offsets = [hp.offset for hp in halfplanes]
-        self.normals = np.array(normals, dtype=float).reshape(-1, 2)
-        self.offsets = np.array(offsets, dtype=float).reshape(-1)
+    def __init__(self, rows):
+        rows = np.asarray(rows, dtype=float).reshape(-1, 3)
+        self.normals = rows[:, :2].copy()
+        self.offsets = rows[:, 2].copy()
         # (m, 1) columns that broadcast against a row of N coordinates
         self._columns = (self.normals[:, :1], self.normals[:, 1:], self.offsets[:, None])
 
@@ -461,14 +491,14 @@ class CutTable:
         return out
 
 
-def _line_halfplanes(anchors, directions, skip_below: float = 0.0) -> list:
-    """Per row of two (m, 2) arrays, the half-plane bounded by the line
-    through anchors[i] along directions[i], interior on the left, skipping
-    rows whose direction is skip_below long or shorter (with 0, a zero
-    direction is an error).  Each is what the per-line recipe gives, bit for
-    bit: d = unit(direction) by math.hypot, normal -perp(d), offset the 1-D
-    `@` product normal @ anchor (a stacked matmul of (1, 2) by (2, 1) runs
-    the same dot)."""
+def _line_rows(anchors, directions, skip_below: float = 0.0) -> np.ndarray:
+    """Per row of two (m, 2) arrays, the row (nx, ny, c) of the half-plane
+    bounded by the line through anchors[i] along directions[i], interior on
+    the left, skipping rows whose direction is skip_below long or shorter
+    (with 0, a zero direction is an error).  Each is what the per-line
+    recipe gives, bit for bit: d = unit(direction) by math.hypot, normal
+    -perp(d), offset the 1-D `@` product normal @ anchor (a stacked matmul
+    of (1, 2) by (2, 1) runs the same dot)."""
     length = np.fromiter(map(math.hypot, directions[:, 0].tolist(), directions[:, 1].tolist()),
                          float, len(directions))
     if skip_below == 0.0 and not length.all():
@@ -477,7 +507,7 @@ def _line_halfplanes(anchors, directions, skip_below: float = 0.0) -> list:
     d = directions[keep] / length[keep, None]
     normals = np.column_stack([d[:, 1], -d[:, 0]])
     offsets = (normals[:, None, :] @ anchors[keep, :, None])[:, 0, 0]
-    return [HalfPlane(n, o) for n, o in zip(normals, offsets.tolist())]
+    return np.column_stack([normals, offsets])
 
 
 # ---------------------------------------------------------------------------
@@ -1485,15 +1515,12 @@ def _interval_block(cols, li, pos, lists, width):
 
 
 def prune_halfplanes(halfplanes: Sequence[HalfPlane], witness: np.ndarray) -> list:
-    """Irredundant subset, sorted by normal angle: the one-list call of
-    irredundant (extend_bodies prunes all its bodies in one call)."""
-    if not halfplanes:
-        return []
-    normals = np.array([hp.normal for hp in halfplanes])
-    offsets = np.array([hp.offset for hp in halfplanes])
-    rows = irredundant(normals, offsets, as_point(witness)[None, :],
-                       np.zeros(len(offsets), dtype=np.intp))
-    return [halfplanes[i] for i in rows]
+    """Irredundant subset of a HalfPlane sequence, sorted by normal angle:
+    the one-list call of irredundant on its rows."""
+    rows = as_rows(halfplanes)
+    keep = irredundant(rows[:, :2], rows[:, 2], as_point(witness)[None, :],
+                       np.zeros(len(rows), dtype=np.intp))
+    return [halfplanes[i] for i in keep]
 
 
 #: outward normals of the window box's four sides, in angle order
@@ -1703,7 +1730,11 @@ def _chebyshev_lp(normals: np.ndarray, offsets: np.ndarray):
 
 
 class Body2:
-    """Closed convex proper subset of the plane with nonempty interior.
+    """Closed convex proper subset of the plane with nonempty interior: a
+    base (PlaneBase, BallBase or EpigraphBase) cut by half-planes, stored
+    once as rows (as_rows of the cuts given, in any form it reads); the
+    cut_table (built with the body) and cuts (a HalfPlane tuple, built on
+    first read) are derived from them.
 
     Construction proves the interior nonempty by an interior witness with a
     clearance (the radius of a disk about it inside the body), supplied or
@@ -1716,13 +1747,12 @@ class Body2:
     the best point of its base's cached probe grid.
     """
 
-    def __init__(self, base, cuts: Sequence[HalfPlane] = (), name: str = "",
-                 witness=None):
+    def __init__(self, base, cuts=(), name: str = "", witness=None):
         self.base = base
-        self.cuts = tuple(cuts)
-        self.cut_table = CutTable(self.cuts)
+        self.rows = as_rows(cuts)
+        self.cut_table = CutTable(self.rows)
         self.name = name
-        if isinstance(base, PlaneBase) and not self.cuts:
+        if isinstance(base, PlaneBase) and not len(self.rows):
             raise GeometryError("a body must be a proper subset of the plane")
         if witness is not None:
             w = as_point(witness)
@@ -1737,13 +1767,16 @@ class Body2:
         self._pieces = None
         self._closed = False
 
+    @cached_property
+    def cuts(self) -> tuple:
+        """The rows as HalfPlane objects, built on first read."""
+        return halfplanes_of(self.rows)
+
     # -- construction -------------------------------------------------------
 
     @staticmethod
     def from_halfplanes(halfplanes, name: str = "", **kw) -> "Body2":
-        hps = [hp if isinstance(hp, HalfPlane) else HalfPlane(*hp)
-               for hp in halfplanes]
-        return Body2(PlaneBase(), hps, name=name, **kw)
+        return Body2(PlaneBase(), halfplanes, name=name, **kw)
 
     @staticmethod
     def from_polychain(vertices, rays=None, name: str = "",
@@ -1774,15 +1807,15 @@ class Body2:
                 raise GeometryError(
                     "vertex chain is not convex" if bent[np.argmax(bent | flat)] else
                     "three collinear vertices (pass collinear_ok for a polyhedral chain)")
-            hps = _line_halfplanes(verts, edges, skip_below=1e-14)
+            rows = _line_rows(verts, edges, skip_below=1e-14)
         else:
             if not len(verts):
                 raise GeometryError("an unbounded polychain needs vertices")
             r_in, r_out = (unit(np.asarray(r, dtype=float)) for r in rays)
             # boundary comes in from infinity along -r_in to verts[0]
-            hps = _line_halfplanes(np.vstack([verts[:1], verts]),
-                                   np.vstack([-r_in, np.diff(verts, axis=0), r_out]))
-        return Body2(PlaneBase(), hps, name=name, **kw)
+            rows = _line_rows(np.vstack([verts[:1], verts]),
+                              np.vstack([-r_in, np.diff(verts, axis=0), r_out]))
+        return Body2(PlaneBase(), rows, name=name, **kw)
 
     @staticmethod
     def ball(center, radius: float, name: str = "", **kw) -> "Body2":
@@ -1806,10 +1839,8 @@ class Body2:
         return Body2(EpigraphBase(prof, M, shift), (), name=name, **kw)
 
     def clip(self, halfplanes, name: str = "", **kw) -> "Body2":
-        hps = [hp if isinstance(hp, HalfPlane) else HalfPlane(*hp)
-               for hp in halfplanes]
-        return Body2(self.base, self.cuts + tuple(hps),
-                     name=name or self.name, **kw)
+        """This body cut by more half-planes, of any form as_rows reads."""
+        return Body2(self.base, [*self.rows.tolist(), *halfplanes], name=name or self.name, **kw)
 
     # -- witness ------------------------------------------------------------
 
@@ -1827,7 +1858,7 @@ class Body2:
         if isinstance(self.base, PlaneBase):
             return self.cut_table.margin(pts)
         m = self.base.margin(pts)
-        return np.maximum(m, self.cut_table.margin(pts)) if self.cuts else m
+        return np.maximum(m, self.cut_table.margin(pts)) if len(self.rows) else m
 
     def _find_witness(self):
         """(witness, clearance) from the base and the cuts.
@@ -1857,7 +1888,7 @@ class Body2:
         i = int(m.argmin())
         if m[i] < -1e-12:
             return cand[i].copy(), -float(m[i])
-        if self.cuts:
+        if len(self.rows):
             try:
                 n, c = self.base.inscribed(table)
                 w, _ = chebyshev_centre(np.vstack([table.normals, n]),
@@ -1901,8 +1932,8 @@ class Body2:
                 self._recc = Cone2(np.zeros(2), "point")
                 return self._recc
             cons = list(base_cons)
-            for hp in self.cuts:
-                a = angle_of(hp.normal)
+            for n in self.cut_table.normals:
+                a = angle_of(n)
                 cons.append(((a + math.pi / 2) % TWO_PI, math.pi))
             merged = _intersect_circular(cons)
             self._recc = _cone_from_pieces(np.zeros(2), merged)
@@ -1940,7 +1971,7 @@ class Body2:
         ball body to |witness - center|_inf + 2 radius so that the box holds
         the ball and no cut edge inside it is clipped; empty arrays for a
         body without cuts."""
-        if not self.cuts:
+        if not len(self.rows):
             return np.zeros((0, 2)), np.zeros(0, dtype=bool)
         half = None if self.is_polygon else self.window_half
         if isinstance(self.base, BallBase):
@@ -1998,15 +2029,15 @@ class Body2:
         base = self.base
         constraints = []
         empty = False
-        for hp in self.cuts:
-            q = (hp.offset - float(hp.normal @ base.center)) / base.radius
+        for n, c in zip(self.cut_table.normals, self.cut_table.offsets.tolist()):
+            q = (c - float(n @ base.center)) / base.radius
             if q >= 1.0:
                 continue
             if q <= -1.0:
                 empty = True
                 break
             a = math.acos(max(-1.0, min(1.0, q)))
-            phi = angle_of(hp.normal)
+            phi = angle_of(n)
             constraints.append(((phi + a) % TWO_PI, TWO_PI - 2 * a))
         pieces = []
         if not empty:
@@ -2049,7 +2080,7 @@ class Body2:
         bound = vc + 4.0 * uw
         lo, hi = prof.chord(np.array([uc]), np.array([bound]), np.ones(1), np.zeros(1), uw)
         stretch = np.array([uc + max(lo[0], -uw), uc + min(hi[0], uw)])
-        m = len(self.cuts)
+        m = len(self.rows)
         if not m:
             return _chain_pieces([GraphPiece(base, *stretch)], w)
         # each line as points on it: the box corners projected onto each cut
@@ -2105,7 +2136,7 @@ class Body2:
 
     def __repr__(self):
         tag = self.name or self.base.kind
-        return f"Body2({tag}, cuts={len(self.cuts)}, bounded={self.bounded})"
+        return f"Body2({tag}, cuts={len(self.rows)}, bounded={self.bounded})"
 
 
 # ---------------------------------------------------------------------------
@@ -2128,24 +2159,34 @@ class Frame:
         rel = (as_points(qts) - self.shift) / self.lam
         return linear2(self.R.T, rel[..., 0], rel[..., 1], self.anchor)
 
-    def pullback_halfplane(self, hp: HalfPlane) -> HalfPlane:
-        # {n.q <= c} in frame coords -> half-plane in world coords
-        n_world = self.R.T @ hp.normal
-        c_world = (hp.offset - float(hp.normal @ self.shift)) / self.lam \
-            + float(n_world @ self.anchor)
-        return HalfPlane(n_world, c_world)
+    def pullback_rows(self, rows) -> np.ndarray:
+        """The world rows (as_rows) of half-planes {n . q <= c} given as
+        rows in frame coordinates: normal R^T n, offset (c - n . shift) /
+        lam + R^T n . anchor."""
+        n0, c0 = np.ascontiguousarray(rows[:, :2]), rows[:, 2]
+        n = _mat_rows(self.R.T, n0)
+        c = (c0 - _dot_rows(n0, self.shift)) / self.lam + _dot_rows(n, self.anchor)
+        return as_rows(np.column_stack([n, c]))
+
+
+def _mat_rows(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per row of v (m, 2), M @ v[i] as the 2-D by 1-D `@` product (a
+    stacked matmul of (2, 2) by (2, 1) runs the same product)."""
+    return (M @ v[:, :, None])[:, :, 0]
+
+
+def _dot_rows(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per row of v (m, 2), v[i] @ w as the 1-D `@` product."""
+    return (v[:, None, :] @ np.asarray(w, dtype=float)[:, None])[:, 0, 0]
 
 
 def transform_body(E: Body2, frame: Frame, name: str = "") -> Body2:
     """Image of a body under a frame (scaled isometry); the frame maps E's
-    witness onto an interior point of the image, which is passed on."""
-    def fwd_hp(hp: HalfPlane) -> HalfPlane:
-        n_new = frame.R @ hp.normal
-        c_new = frame.lam * (hp.offset - float(hp.normal @ frame.anchor)) \
-            + float(n_new @ frame.shift)
-        return HalfPlane(n_new, c_new)
-
-    cuts = [fwd_hp(hp) for hp in E.cuts]
+    witness onto an interior point of the image, which is passed on.  A
+    row's image is (R n, lam (c - n . anchor) + R n . shift)."""
+    n, c = E.cut_table.normals, E.cut_table.offsets
+    n_new = _mat_rows(frame.R, n)
+    c_new = frame.lam * (c - _dot_rows(n, frame.anchor)) + _dot_rows(n_new, frame.shift)
     witness = frame.apply(E.witness[None, :])[0]
     if isinstance(E.base, BallBase):
         base = BallBase(frame.apply(E.base.center[None, :])[0], frame.lam * E.base.radius)
@@ -2155,7 +2196,7 @@ def transform_body(E: Body2, frame: Frame, name: str = "") -> Body2:
                             frame.apply(eb.shift[None, :])[0])
     else:
         base = PlaneBase()
-    return Body2(base, cuts, name=name, witness=witness)
+    return Body2(base, np.column_stack([n_new, c_new]), name=name, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -2616,8 +2657,8 @@ def supporting_cone(x, C: Body2) -> Body2:
     """
     x = as_point(x)
     fan = supporting_normals(C, x)
-    hps = [HalfPlane(n, float(n @ x)) for n in fan.extremes()]
-    return Body2(PlaneBase(), hps, name="supporting_cone", witness=None)
+    return Body2(PlaneBase(), [(n, float(n @ x)) for n in fan.extremes()],
+                 name="supporting_cone")
 
 
 def _mask_runs(mask: np.ndarray) -> np.ndarray:
@@ -2664,7 +2705,7 @@ def _check_inside(B: Body2, C: Body2):
 
 
 def _rows_beyond(bodies: Sequence[Body2], C: Body2) -> tuple:
-    """Per body, the (m, 3) rows (nx, ny, offset) of its cut table that
+    """Per body, the rows (nx, ny, offset) of its own (Body2.rows) that
     equal no row of C's, in its order, and the (K,) mask of the bodies that
     have C's base (by value, _same_base) and hold every row of C's.
 
@@ -2674,18 +2715,14 @@ def _rows_beyond(bodies: Sequence[Body2], C: Body2) -> tuple:
     tells which of C's rows each body holds."""
     if not bodies:
         return [], np.zeros(0, dtype=bool)
-    tables = [B.cut_table for B in bodies]
-    counts = [len(t.offsets) for t in tables]
+    counts = [len(B.rows) for B in bodies]
     stop = list(itertools.accumulate(counts))
     start = [s - c for s, c in zip(stop, counts)]
-    rows = np.concatenate([np.concatenate([t.normals for t in tables]),
-                           np.concatenate([t.offsets for t in tables])[:, None]], axis=1)
-    theirs = C.cut_table
+    rows = np.concatenate([B.rows for B in bodies])
     # same[i, j]: stacked row i equals C's row j; the last row is padding,
     # which reduceat reads for a body without rows, so that body is masked
-    same = np.zeros((len(rows) + 1, len(theirs.offsets)), dtype=bool)
-    np.logical_and((rows[:, None, :2] == theirs.normals).all(axis=2),
-                   rows[:, None, 2] == theirs.offsets, out=same[:-1])
+    same = np.zeros((len(rows) + 1, len(C.rows)), dtype=bool)
+    (rows[:, None] == C.rows).all(axis=2, out=same[:-1])
     held = np.logical_or.reduceat(same, start, axis=0)
     held[[c == 0 for c in counts]] = False
     held = held.all(axis=1) & [B.base is C.base or _same_base(B.base, C.base) for B in bodies]

@@ -57,24 +57,26 @@ class CutLevels(Sequence):
     """The levels of a family given as its ambient C cut by per-level rows,
     each level's Body2 built the first time it is read.
 
-    rows is a padded (K, m, 3) table in row_table's layout: level k is C
-    cut by the half-planes nx x + ny y <= c of rows[k]'s rows with c < inf;
-    the rows (0, 0, inf) are padding.  The normals must be unit within
-    HalfPlane's slack, so a level's HalfPlane objects keep the rows' bits.
-    self[k] is C.clip of those half-planes, named name + str(k) (C's name
-    when name is empty), built on first access and cached; a level with an
-    empty interior raises GeometryError there, not here.  The table is
-    stored as row_table lays it out, so first_row_level reads it without
-    a copy.
+    Stored: table, the padded (K, m, 3) rows in row_table's layout, which
+    first_row_level reads without a copy.  Level k is C cut by the rows
+    (nx, ny, c) of table[k] with c < inf; (0, 0, inf) is padding.  The
+    normals must be finite and unit within UNIT_SLACK (a NaN normal or
+    offset, or c = -inf, raises LevelSetError), so a level's Body2.rows keep
+    the table's bits.  Derived: cuts(k), level k's rows without padding,
+    and self[k], C.clip of them, named name + str(k) (C's name when name
+    is empty), built on first access and cached; a level with an empty
+    interior raises GeometryError there, not here.
     """
 
     def __init__(self, ambient: Body2, rows, name: str = ""):
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 3 or rows.shape[2] != 3 or len(rows) == 0:
             raise LevelSetError("cut rows must be a nonempty (K, m, 3) table")
-        real = rows[..., 2] != np.inf
-        if np.any(np.abs(np.hypot(rows[..., 0], rows[..., 1])[real] - 1.0) > UNIT_SLACK):
-            raise LevelSetError("cut rows must have unit normals")
+        unit = np.abs(np.hypot(rows[..., 0], rows[..., 1]) - 1.0) <= UNIT_SLACK
+        bad = (rows[..., 2] != np.inf) & ~(unit & np.isfinite(rows).all(axis=-1))
+        if bad.any():
+            raise LevelSetError("cut rows must be finite with unit normals, "
+                                f"got {tuple(rows[bad][0].tolist())}")
         self.ambient, self.name = ambient, name
         self.table = np.ascontiguousarray(rows.transpose(1, 2, 0)).transpose(2, 0, 1)
         self._built = {}
@@ -90,8 +92,8 @@ class CutLevels(Sequence):
     def __getitem__(self, k: int) -> Body2:
         k = range(len(self))[k]
         if k not in self._built:
-            hps = [HalfPlane(r[:2], r[2]) for r in self.cuts(k)]
-            self._built[k] = self.ambient.clip(hps, name=f"{self.name}{k}" if self.name else "")
+            self._built[k] = self.ambient.clip(self.cuts(k),
+                                               name=f"{self.name}{k}" if self.name else "")
         return self._built[k]
 
 
@@ -176,13 +178,12 @@ class LevelFamily:
                 halves += [inner.window_half] * len(cut)
         if pair:
             pair, rows = np.array(pair), np.concatenate(rows)
-            lines = CutTable(normals=rows[:, :2], offsets=rows[:, 2] + tol)
+            lines = CutTable(np.column_stack([rows[:, :2], rows[:, 2] + tol]))
             ends, _, crosses, _ = chord_ends(C, lines, centers, halves)
             for k in np.unique(pair[crosses]):
                 if len(extra[k]):
                     mine = pair == k
-                    cut = CutTable(normals=extra[k][:, :2], offsets=extra[k][:, 2])
-                    lo, hi = chord_parts(ends[mine], cut, rtol=0.0)
+                    lo, hi = chord_parts(ends[mine], CutTable(extra[k]), rtol=0.0)
                     crosses[mine] &= lo <= hi
             beyond = dots(np.asarray(centers), lines.normals) > lines.offsets
             bad += pair[crosses | beyond].tolist()
@@ -213,7 +214,7 @@ class LevelFamily:
         extra = self._extra_cuts
         if any(B is not None and e is None for B, e in zip(self.bodies, extra)):
             return None
-        return row_table(extra)
+        return row_table(*stack_levels(extra))
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         """Per point, the smallest level alpha_k with the point in B_k
@@ -256,19 +257,26 @@ class LevelFamily:
         return float(np.max(np.diff(self.levels))) if len(self.levels) > 1 else 0.0
 
 
-def row_table(rows: Sequence) -> np.ndarray:
+def stack_levels(levels: Sequence) -> tuple:
+    """(rows, bounds) of per-level (m_k, 3) rows, None for the empty set
+    (one row (0, 0, -inf), which every point violates): their stack and its
+    (K + 1,) bounds, level k's rows being rows[bounds[k]:bounds[k + 1]]."""
+    levels = [np.array([[0.0, 0.0, -np.inf]]) if r is None else r for r in levels]
+    return (np.concatenate([np.zeros((0, 3)), *levels]),
+            np.cumsum([0] + [len(r) for r in levels]))
+
+
+def row_table(rows: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """(K, m, 3) table of per-level rows (nx, ny, c), as first_row_level
-    reads it: level k's (m_k, 3) rows padded with rows (0, 0, inf), which
-    no point violates, or for None one row (0, 0, -inf), which every point
-    violates.  The table is a view whose (m, 3, K) transpose is
+    reads it: level k's rows rows[bounds[k]:bounds[k + 1]] of a stack
+    (stack_levels), padded with rows (0, 0, inf), which no point violates,
+    all placed by one scatter.  The table is a view whose (m, 3, K) transpose is
     C-contiguous, so first_row_level takes from it without a copy."""
-    cols = np.zeros((max([1] + [len(r) for r in rows if r is not None]), 3, len(rows)))
+    size = np.diff(bounds)
+    cols = np.zeros((max(1, size.max(initial=0)), 3, len(size)))
     cols[:, 2] = np.inf
-    for k, r in enumerate(rows):
-        if r is None:
-            cols[0, 2, k] = -np.inf
-        elif len(r):
-            cols[:len(r), :, k] = r
+    level = np.repeat(np.arange(len(size)), size)
+    cols[np.arange(len(level)) - bounds[level], :, level] = rows
     return cols.transpose(2, 0, 1)
 
 
@@ -313,15 +321,6 @@ def first_row_level(table: np.ndarray, pts, inside) -> np.ndarray:
 def _nests_sampled(inner: Body2, outer: Body2, n: int, tol: float) -> bool:
     """Whether n boundary samples of inner lie in outer up to tol."""
     return bool(outer.contains_many(inner.boundary_samples(n), tol).all())
-
-
-def eval_levels(fam: LevelFamily, x) -> float:
-    """Smallest listed level whose body contains x (LevelFamily.eval_on,
-    which assumes nested levels); sentinel if none."""
-    x = as_point(x)
-    if not fam.ambient.contains_many(x[None, :])[0]:
-        raise LevelSetError("point lies outside the ambient body")
-    return float(fam.eval_on(x[None, :])[0])
 
 
 @dataclass
@@ -628,22 +627,6 @@ def _pullback_body(body: Body2, P: np.ndarray) -> Optional[Body2]:
     lam, zero = 1.0 / math.sqrt(lam2), np.zeros(2)
     return transform_body(body, Frame(R=np.linalg.inv(P) / lam, anchor=zero,
                                       shift=zero, lam=lam))
-
-
-def extend_line_constant(f: Callable[[np.ndarray], np.ndarray], interval):
-    """Extend a scalar function on [a, b] to the line, constant on each side."""
-    a, b = float(interval[0]), float(interval[1])
-    if b < a:
-        raise LevelSetError("empty interval")
-    fa = float(np.asarray(f(np.array([a])))[0])
-    fb = float(np.asarray(f(np.array([b])))[0])
-
-    def evaluate(t):
-        t = np.asarray(t, dtype=float)
-        inner = np.asarray(f(np.clip(t, a, b)), dtype=float)
-        return np.where(t < a, fa, np.where(t > b, fb, inner))
-
-    return evaluate
 
 
 def mcshane_extend(f: QCFunction) -> Callable[[np.ndarray], np.ndarray]:

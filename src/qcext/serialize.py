@@ -2,10 +2,11 @@
 certificates; every JSON form reads back to equal JSON.
 
 Body kinds: halfplanes | polychain | ball | epigraph; analytic kinds carry
-an optional "cuts" list so clipped bodies round-trip, and a half-plane's
-unit normal keeps its bits (HalfPlane).  A level family is {"ambient",
-"levels", "bodies"}; a staircase function is that family with "kind":
-"staircase" and "gaps", and family_from_json reads either.  A certificate
+an optional "cuts" list so clipped bodies round-trip.  Cut items are
+written from the body's rows, and a unit normal keeps its bits (as_rows).
+A level family is {"ambient", "levels", "bodies"}; a staircase function
+is that family with "kind": "staircase" and "gaps", and family_from_json
+reads either.  A certificate
 is its kind (counterexamples.CERTIFICATES) and its dataclass fields under
 their own names, with one encoder and one decoder for every kind.  CSV
 floats print with 17 significant digits for bit-stable reparse.
@@ -30,6 +31,7 @@ from .geometry import (
     GeometryError,
     HalfPlane,
     PlaneBase,
+    as_rows,
 )
 from .levelset import CutLevels, LevelFamily, QCFunction, compose_projection, ramp_qc, staircase_qc
 
@@ -41,11 +43,6 @@ def fmt(x: float) -> str:
     return FLOAT_FMT % float(x)
 
 
-def _hp_item(hp: HalfPlane) -> dict:
-    return {"normal": [float(hp.normal[0]), float(hp.normal[1])],
-            "offset": float(hp.offset)}
-
-
 def _required(data: dict, key: str, what: str):
     """data[key]; GeometryError naming the key when it is missing."""
     if key not in data:
@@ -53,13 +50,18 @@ def _required(data: dict, key: str, what: str):
     return data[key]
 
 
-def _hp_parse(item: dict) -> HalfPlane:
-    return HalfPlane(_required(item, "normal", "half-plane item"),
-                     _required(item, "offset", "half-plane item"))
+def _hp_pair(item: dict) -> tuple:
+    """(normal, offset) of a half-plane item, as as_rows reads it."""
+    return tuple(_required(item, key, "half-plane item") for key in ("normal", "offset"))
+
+
+def _row_items(rows: np.ndarray) -> list:
+    """Half-plane items of rows (nx, ny, c)."""
+    return [{"normal": [nx, ny], "offset": c} for nx, ny, c in rows.tolist()]
 
 
 def body_to_json(body: Body2) -> dict:
-    cuts = [_hp_item(hp) for hp in body.cuts]
+    cuts = _row_items(body.rows)
     if isinstance(body.base, PlaneBase):
         return {"kind": "halfplanes", "items": cuts}
     if isinstance(body.base, BallBase):
@@ -81,7 +83,7 @@ def body_from_json(data: dict) -> Body2:
     kind = data.get("kind")
     what = f"{kind} body"
     if kind == "halfplanes":
-        return Body2.from_halfplanes([_hp_parse(i) for i in _required(data, "items", what)])
+        return Body2.from_halfplanes([_hp_pair(i) for i in _required(data, "items", what)])
     if kind == "polychain":
         return Body2.from_polychain(_required(data, "vertices", what), data.get("rays"))
     if kind == "ball":
@@ -93,7 +95,7 @@ def body_from_json(data: dict) -> Body2:
         raise GeometryError(f"unknown body kind {kind!r}")
     cuts = data.get("cuts")
     if cuts:
-        body = body.clip([_hp_parse(i) for i in cuts])
+        body = body.clip([_hp_pair(i) for i in cuts])
     return body
 
 
@@ -116,8 +118,7 @@ def _with_cuts(body: dict, rows: np.ndarray) -> dict:
     if not len(rows):
         return body
     key = "items" if body["kind"] == "halfplanes" else "cuts"
-    items = [{"normal": [nx, ny], "offset": c} for nx, ny, c in rows.tolist()]
-    return {**body, key: body.get(key, []) + items}
+    return {**body, key: body.get(key, []) + _row_items(rows)}
 
 
 def family_from_json(data: dict, ambient: Optional[Body2] = None) -> LevelFamily:
@@ -146,7 +147,7 @@ def function_to_json(f: QCFunction) -> dict:
                 "h_offset": float(f.meta["h_offset"]),
                 "points": np.asarray(f.meta["points"]).tolist(),
                 "alphas": np.asarray(f.meta["alphas"]).tolist(),
-                "halfplanes": [_hp_item(h) for h in f.meta["halfplanes"]],
+                "halfplanes": _row_items(as_rows(f.meta["halfplanes"])),
                 "bilip": float(f.meta["bilip"])}
     if kind == "composed":
         return {"kind": "composed",
@@ -166,7 +167,7 @@ def function_from_json(data: dict) -> QCFunction:
         return ramp_qc(body_from_json(data["domain"]), data["h_normal"],
                        np.asarray(data["points"], dtype=float),
                        np.asarray(data["alphas"], dtype=float),
-                       [_hp_parse(i) for i in data["halfplanes"]],
+                       [HalfPlane(*_hp_pair(i)) for i in data["halfplanes"]],
                        float(data["bilip"]), h_offset=float(data.get("h_offset", 0.0)))
     if kind == "composed":
         inner = function_from_json(data["inner"])
@@ -185,7 +186,7 @@ def _encode(value):
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
     if isinstance(value, HalfPlane):
-        return _hp_item(value)
+        return _row_items(as_rows([value]))[0]
     if isinstance(value, dict):
         return {k: _encode(v) for k, v in value.items()}
     if isinstance(value, np.generic):
@@ -205,7 +206,7 @@ def _decode(value, annotation: str):
     if isinstance(value, list):
         return [_decode(v, "") for v in value]
     if isinstance(value, dict) and "normal" in value:
-        return _hp_parse(value)
+        return HalfPlane(*_hp_pair(value))
     return value
 
 

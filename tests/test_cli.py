@@ -317,6 +317,23 @@ def test_certify_without_body_exits_2(capsys):
     assert "no body given" in err
 
 
+def test_extend_and_plot_check_nesting_at_one_tolerance(tmp_path, capsys):
+    """A family whose level 0 leaves level 1 by 5e-9 (nested only to within
+    1e-8) fails extend and plot --function alike at the default tolerance
+    (1e-9), and passes both at --tol 1e-7."""
+    par = Body2.epigraph("parabola")
+    body_path = write_body(tmp_path, "par", par)
+    fam = LevelFamily([0.0, 1.0], [par.clip([((0.0, 1.0), 1.0 + 5e-9)]),
+                                   par.clip([((0.0, 1.0), 1.0)])], par)
+    fam_path = tmp_path / "family.json"
+    fam_path.write_text(json.dumps(ser.family_to_json(fam)))
+    for tol, want in (([], 2), (["--tol", "1e-7"], 0)):
+        for command in ("extend", "plot"):
+            code, _, err = run([command, "--body", body_path, "--function", str(fam_path),
+                                "--grid", "4", "--out", str(tmp_path / "out"), *tol], capsys)
+            assert code == want, (command, tol, err)
+
+
 def test_extend_reads_family_json(tmp_path, capsys):
     """extend reads a family written by family_to_json, and its grid equals
     the one from the same family written as a staircase function."""

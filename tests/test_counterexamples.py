@@ -10,7 +10,7 @@ from qcext.counterexamples import (
     _arc_lengths,
     _lower_profile,
     _no_lip_frames,
-    _wedge_halfplane,
+    _wedge_rows,
     characterize,
     gen_no_lip,
     gen_no_qc,
@@ -18,7 +18,7 @@ from qcext.counterexamples import (
     gen_non_rotund,
     gen_usc_counterexample,
 )
-from qcext.geometry import Body2, Frame, HalfPlane, transform_body
+from qcext.geometry import Body2, Frame, as_rows, transform_body
 from qcext.levelset import quasiconvex_check
 
 
@@ -63,21 +63,22 @@ def test_arc_lengths_batched_matches_per_line(quartet):
     forcing generators."""
     square = quartet["square"]
     ident = Frame(R=np.eye(2), anchor=np.zeros(2), shift=np.zeros(2))
-    lines = [HalfPlane(np.array([0.0, 1.0]), 0.5),
-             HalfPlane(np.array([1.0, 1.0]) / math.sqrt(2.0), (2.0 - 1e-4) / math.sqrt(2.0)),
-             HalfPlane(np.array([0.0, 1.0]), 3.0)]
+    lines = as_rows([((0.0, 1.0), 0.5),
+                     (np.array([1.0, 1.0]) / math.sqrt(2.0), (2.0 - 1e-4) / math.sqrt(2.0)),
+                     ((0.0, 1.0), 3.0)])
     cases = [(square, ident, lines, [8.0] * 3)]
     for C, gen in ((quartet["hypograph"], gen_no_qc), (square, gen_non_rotund)):
         _, cert = gen(C, k_max=12)
         bs = np.array(cert.params["b"])
-        wedges = [_wedge_halfplane(e, b) for e, b in zip(cert.params["eps"], bs)]
+        wedges = _wedge_rows(np.array(cert.params["eps"]), bs)
         spans = 4.0 * bs + 8.0 if gen is gen_no_qc else np.full(len(bs), 8.0)
         np.testing.assert_array_equal(_arc_lengths(C, cert.frame, wedges, spans),
                                       cert.arc_lengths)
         cases.append((C, cert.frame, wedges, spans))
     for C, frame, hps, spans in cases:
         batched = _arc_lengths(C, frame, hps, spans)
-        single = np.array([_arc_lengths(C, frame, [hp], [sp])[0] for hp, sp in zip(hps, spans)])
+        single = np.array([_arc_lengths(C, frame, hps[k:k + 1], [sp])[0]
+                           for k, sp in enumerate(spans)])
         np.testing.assert_array_equal(batched, single)
     first = _arc_lengths(square, ident, lines, [8.0] * 3)
     assert first[0] == 2.0 and first[2] == 0.0
@@ -93,11 +94,10 @@ def test_hypograph_arcs_match_dense_scan(quartet):
     _, cert = gen_no_qc(C, k_max=6)
     bs = np.array(cert.params["b"])
     spans = 4.0 * bs + 8.0
-    for hp, span, arc in zip((_wedge_halfplane(e, b) for e, b in zip(cert.params["eps"], bs)),
-                             spans, cert.arc_lengths):
+    for (nx, ny, c), span, arc in zip(_wedge_rows(np.array(cert.params["eps"]), bs),
+                                      spans, cert.arc_lengths):
         ts = np.linspace(-span, span, 200_001)
-        d = np.array([-hp.normal[1], hp.normal[0]])
-        pts = cert.frame.invert(hp.normal * hp.offset + ts[:, None] * d)
+        pts = cert.frame.invert(np.array([nx * c, ny * c]) + ts[:, None] * np.array([-ny, nx]))
         inside = ts[C.margin_many(pts) <= 0]
         step = (ts[1] - ts[0]) / cert.frame.lam
         scan = (inside[-1] - inside[0]) / cert.frame.lam

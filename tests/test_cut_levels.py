@@ -4,6 +4,7 @@ level's Body2 is built only where something reads it."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from qcext import counterexamples as cx
 from qcext import serialize as ser
 from qcext.extension import extend_function
 from qcext.geometry import Body2, GeometryError, HalfPlane
-from qcext.levelset import CutLevels, LevelFamily, LevelSetError, row_table, staircase_qc
+from qcext.levelset import (CutLevels, LevelFamily, LevelSetError, row_table, stack_levels,
+                            staircase_qc)
 
 
 def _gallery():
@@ -124,6 +126,10 @@ def _parabola_cut_family():
     return par, levels, rows
 
 
+def _table(rows):
+    return row_table(*stack_levels([np.asarray(r, float) for r in rows]))
+
+
 def _body_list(C, levels, rows):
     return LevelFamily(levels, [C.clip([HalfPlane(r[:2], r[2]) for r in level])
                                 for level in rows], C)
@@ -142,7 +148,7 @@ def test_cut_family_nesting_and_extension_equal_body_list(make):
     equal those of the same levels built as bodies, and a cut family
     evaluates like one."""
     C, levels, rows = make()
-    cut = LevelFamily.from_cuts(levels, C, row_table([np.asarray(r, float) for r in rows]))
+    cut = LevelFamily.from_cuts(levels, C, _table(rows))
     listed = _body_list(C, levels, rows)
     assert cut.validate_nesting() and listed.validate_nesting()
     got = extend_function(cut).operator.level_table
@@ -156,7 +162,7 @@ def test_cut_family_nesting_and_extension_equal_body_list(make):
 def test_cut_family_nesting_names_the_same_pair():
     par, levels, rows = _parabola_cut_family()
     rows[3], rows[4] = rows[4], rows[3]
-    table = row_table([np.asarray(r, float) for r in rows])
+    table = _table(rows)
     for fam in (LevelFamily.from_cuts(levels, par, table), _body_list(par, levels, rows)):
         with pytest.raises(LevelSetError, match="body 3 is not contained in body 4"):
             fam.validate_nesting()
@@ -168,8 +174,7 @@ def test_cut_family_json_equals_body_list_and_round_trips(level_builds):
     cut table."""
     for C, levels, rows in (_parabola_cut_family(), _disk_shelf_family()):
         listed = _body_list(C, levels, rows)
-        cut = LevelFamily.from_cuts(levels, C, row_table([np.asarray(r, float) for r in rows]),
-                                    name="cut")
+        cut = LevelFamily.from_cuts(levels, C, _table(rows), name="cut")
         del level_builds[:]
         text = json.dumps(ser.family_to_json(cut))
         assert level_builds == []
@@ -185,7 +190,7 @@ def test_cut_family_with_an_empty_level_raises_on_first_use():
     evaluates from its table; reading the level, validating the nesting or
     a staircase ramp that measures the distance to it raises GeometryError."""
     disk = Body2.ball((0.0, 0.0), 1.0)
-    table = row_table([np.array([(0.0, 1.0, -2.0)]), np.array([(0.0, 1.0, 0.5)])])
+    table = _table([[(0.0, 1.0, -2.0)], [(0.0, 1.0, 0.5)]])
     fam = LevelFamily.from_cuts([0.0, 1.0], disk, table)
     pts = np.array([[0.0, 0.0], [0.0, 0.9]])
     assert fam.eval_many(pts).tolist() == [1.0, fam.sentinel]
@@ -203,6 +208,10 @@ def test_cut_levels_reject_bad_rows():
     disk = Body2.ball((0.0, 0.0), 1.0)
     with pytest.raises(LevelSetError, match="unit normals"):
         CutLevels(disk, [[(0.0, 2.0, 1.0)]])
+    # a NaN normal or offset, or an offset of -inf, is no padding row
+    for row in ((math.nan, 1.0, 0.0), (0.0, 1.0, math.nan), (0.0, 1.0, -math.inf)):
+        with pytest.raises(LevelSetError, match=re.escape(f"finite with unit normals, got {row}")):
+            CutLevels(disk, [[row], [(0.0, 1.0, 1.0)]])
     with pytest.raises(LevelSetError, match="table"):
         CutLevels(disk, [(0.0, 1.0, 1.0)])
     with pytest.raises(LevelSetError, match="ambient"):

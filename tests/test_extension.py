@@ -15,7 +15,7 @@ from qcext.extension import (
     restriction_hausdorff,
     segment_meets_body,
 )
-from qcext.geometry import Body2, CutTable, GeometryError, HalfPlane, chord_ends, norm
+from qcext.geometry import Body2, CutTable, GeometryError, HalfPlane, as_rows, chord_ends, norm
 from qcext.levelset import LevelFamily, LevelSetError, quasiconvex_check, sample_domain
 from qcext.serialize import body_from_json, body_to_json
 from qcext.verify import _random_polygon_pair
@@ -555,7 +555,7 @@ def test_ball_chord_ends_closed_form(monkeypatch):
     n = np.array([0.6, 0.8])
     offsets = np.linspace(-1.1, 1.25, 9)
     hps = [HalfPlane(n, float(o)) for o in offsets]
-    ends, on_c, meets, _ = chord_ends(C, CutTable(hps), np.tile(C.witness, (9, 1)), np.full(9, 10.0))
+    ends, on_c, meets, _ = chord_ends(C, CutTable(as_rows(hps)), np.tile(C.witness, (9, 1)), np.full(9, 10.0))
     assert meets.all() and on_c.all()
     with mpmath.workdps(50):
         nx, ny = mpmath.mpf(n[0]), mpmath.mpf(n[1])
@@ -594,7 +594,7 @@ def test_parabola_chord_ends_closed_form(monkeypatch):
     n = np.array([-0.6, 0.8])
     offsets = np.linspace(-1.0, 7.0, 9)  # the last two chords end on the cut
     hps = [HalfPlane(n, float(o)) for o in offsets]
-    ends, on_c, meets, _ = chord_ends(C, CutTable(hps), np.tile(C.witness, (9, 1)), np.full(9, 100.0))
+    ends, on_c, meets, _ = chord_ends(C, CutTable(as_rows(hps)), np.tile(C.witness, (9, 1)), np.full(9, 100.0))
     assert meets.all() and on_c.all()
     d = np.array([-n[1], n[0]])
     with mpmath.workdps(50):
@@ -654,7 +654,7 @@ def _staged_chord_ends(C, table, centers, halves):
 def _random_lines(C, k=200):
     rng = np.random.default_rng(1)
     hps = [HalfPlane(rng.normal(size=2), rng.normal()) for _ in range(k)]
-    return CutTable(hps), np.tile(C.witness, (k, 1)), np.full(k, C.window_half)
+    return CutTable(as_rows(hps)), np.tile(C.witness, (k, 1)), np.full(k, C.window_half)
 
 
 def test_exp_hypograph_short_far_chords_found():

@@ -1,5 +1,6 @@
 """Geometry kernel tests: frozen oracle values and sampled invariants."""
 
+import json
 import math
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qcext.geometry as geo
+from qcext import serialize as ser
 from qcext.geometry import (
     Body2,
     CutTable,
@@ -1291,7 +1293,7 @@ def test_cut_table_margin_matches_halfplane_max(kind, shift, n_pts):
     largest = np.maximum(np.abs(table.normals[:, None, :] * pts).max(axis=-1),
                          np.abs(table.offsets)[:, None]).max(axis=0)
     assert np.all(np.abs(got - want) <= 4 * np.spacing(largest))
-    alone = np.concatenate([CutTable(body.cuts).margin(p[None]) for p in pts[:64]])
+    alone = np.concatenate([CutTable(body.rows).margin(p[None]) for p in pts[:64]])
     assert np.array_equal(alone, got[:64])
 
 
@@ -1509,7 +1511,7 @@ def test_empty_interior_raises_on_both_paths(monkeypatch):
         with pytest.raises(GeometryError):
             Body2.from_halfplanes(point)
     for hps in (point, gap):
-        table = CutTable([geo.HalfPlane(*hp) for hp in hps])
+        table = CutTable(geo.as_rows(hps))
         with pytest.raises(GeometryError):
             geo._chebyshev_lp(table.normals, table.offsets)
     with pytest.raises(GeometryError):
@@ -1880,6 +1882,70 @@ def test_halfplane_keeps_its_set_under_normalisation():
         geo.HalfPlane(np.zeros(2), 1.0)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Body2.from_halfplanes([((0.0, 1.0), math.inf), ((0.0, -1.0), 1.0)]),
+     "offset must be finite, got inf"),
+    (lambda: Body2.from_halfplanes([((math.nan, 1.0), 1.0), ((0.0, -1.0), 1.0)]),
+     r"normal must be finite, got \(nan, 1.0\)"),
+    (lambda: Body2.epigraph("parabola").clip([((0.0, 1.0), math.nan)]),
+     "offset must be finite, got nan"),
+    (lambda: Body2.ball((0.0, 0.0), 1.0).clip([((0.0, 1.0), math.inf)]),
+     "offset must be finite, got inf"),
+    (lambda: Body2.ball((0.0, 0.0), 1.0).clip(np.array([[0.0, -math.inf, 0.5]])),
+     r"normal must be finite, got \(0.0, -inf\)"),
+    (lambda: geo.HalfPlane((0.0, 1.0), -math.inf), "offset must be finite, got -inf"),
+    (lambda: Body2.from_halfplanes([((0.0, 1.0, 2.0), 1.0)]), "a half-plane must be"),
+    (lambda: Body2.from_halfplanes(np.zeros((2, 2))), "a half-plane must be"),
+])
+def test_non_finite_or_malformed_halfplanes_raise_geometry_error(make, message):
+    """as_rows, the one normaliser every half-plane set goes through,
+    rejects a non-finite normal or offset and a malformed item with a
+    GeometryError that names the argument and the value (tier-1 runs with
+    RuntimeWarning as an error, so no numpy warning comes first)."""
+    with pytest.raises(GeometryError, match=message) as info:
+        make()
+    assert type(info.value) is GeometryError
+
+
+def test_one_stored_form_for_every_input():
+    """A body built from HalfPlane objects, from (normal, offset) pairs and
+    from rows stores the same rows bit for bit; its cuts read back equal
+    HalfPlanes; a JSON round trip keeps the rows; and transform_body then
+    the inverse frame gives the rows back within 4 ulp of the largest
+    term."""
+    rng = np.random.default_rng(31)
+    for scale in (1.0, 1e-3, 7.5):
+        pairs = [(rng.normal(size=2) * scale, float(rng.uniform(0.5, 2.0))) for _ in range(6)]
+        hps = [geo.HalfPlane(n, c) for n, c in pairs]
+        rows = np.array([[*n, c] for n, c in pairs])
+        bodies = [Body2.from_halfplanes(hps), Body2.from_halfplanes(pairs),
+                  Body2.from_halfplanes(rows), Body2.from_halfplanes(list(rows))]
+        want = bodies[0].rows
+        assert want.shape == (6, 3)
+        for B in bodies:
+            assert B.rows.tobytes() == want.tobytes()
+            assert B.cut_table.normals.tobytes() == want[:, :2].copy().tobytes()
+        for hp, row in zip(bodies[1].cuts, want):
+            assert hp.normal.tobytes() == row[:2].tobytes() and hp.offset == row[2]
+            assert hp.normal.tobytes() == geo.HalfPlane(hp.normal, hp.offset).normal.tobytes()
+        back = ser.body_from_json(json.loads(json.dumps(ser.body_to_json(bodies[2]))))
+        assert back.rows.tobytes() == want.tobytes()
+        disk = Body2.ball((0.3, -0.2), 1.0).clip(hps[:2])
+        for B in (bodies[0], disk):
+            th = rng.uniform(0.0, 2.0 * math.pi)
+            R = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+            frame = geo.Frame(R=R, anchor=rng.normal(size=2), shift=rng.normal(size=2),
+                              lam=float(rng.uniform(0.5, 2.0)))
+            image = geo.transform_body(B, frame)
+            inverse = geo.Frame(R=R.T, anchor=frame.shift, shift=frame.anchor, lam=1.0 / frame.lam)
+            again = geo.transform_body(image, inverse)
+            # 4 ulp of the largest term: the rows, the anchor, the shift in the image
+            big = max(np.abs(B.rows).max(), np.abs(frame.anchor).max(),
+                      np.abs(frame.shift).max() / frame.lam)
+            assert again.rows.shape == B.rows.shape
+            assert np.abs(again.rows - B.rows).max() <= 4 * np.spacing(big)
+
+
 def test_batched_prune_equals_one_list():
     """One irredundant call over 200 lists keeps each list's rows of its own
     one-list call, in the same order; of two copies the first is kept."""
@@ -1936,7 +2002,8 @@ def _kept_margins_agree(hps, w, rng):
     """The bodies of the interval test's and Qhull's kept lists have the
     same margins, within 1e-12 of the slack scale, at sampled points of
     either body."""
-    a, b = geo.CutTable(geo.prune_halfplanes(hps, w)), geo.CutTable(_prune_by_qhull(hps, w))
+    a = geo.CutTable(geo.as_rows(geo.prune_halfplanes(hps, w)))
+    b = geo.CutTable(geo.as_rows(_prune_by_qhull(hps, w)))
     scale = max(hp.offset - hp.normal @ w for hp in hps)
     pts = w + rng.uniform(-3.0, 3.0, (4000, 2)) * scale
     ma, mb = a.margin(pts), b.margin(pts)

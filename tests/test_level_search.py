@@ -12,7 +12,7 @@ from qcext.extension import CONTAIN_TOL, INT_MARGIN, ExtensionOperator, extend_f
 from qcext.geometry import Body2, distance_many
 from qcext.levelset import (LevelFamily, LevelSetError, first_row_level, lipschitz_estimate,
                             modulus_estimate, quasiconvex_check, row_table, sample_domain,
-                            staircase_qc)
+                            stack_levels, staircase_qc)
 
 RULES = {"contain": lambda m: m <= CONTAIN_TOL, "interior": lambda m: m < -INT_MARGIN}
 
@@ -233,7 +233,8 @@ def test_staircase_matches_level_scan(name):
 def test_row_table_rows():
     """A None level is one row every point violates, an empty level all
     padding, and the kernel reads the table without a copy."""
-    table = row_table([None, np.zeros((0, 3)), [(0.0, 1.0, 2.0), (1.0, 0.0, 5.0)]])
+    table = row_table(*stack_levels([None, np.zeros((0, 3)),
+                                     [(0.0, 1.0, 2.0), (1.0, 0.0, 5.0)]]))
     assert table.shape == (3, 2, 3)
     assert np.array_equal(table[0, :, 2], [-np.inf, np.inf])
     assert np.array_equal(table[1, :, 2], [np.inf, np.inf])

@@ -13,8 +13,6 @@ from qcext.levelset import (
     QCFunction,
     _nests_sampled,
     compose_projection,
-    eval_levels,
-    extend_line_constant,
     lipschitz_estimate,
     mcshane_extend,
     modulus_estimate,
@@ -35,34 +33,21 @@ def chord_family(body, levels):
     return LevelFamily(np.asarray(levels, dtype=float), bodies, body)
 
 
-# -- eval_levels ----------------------------------------------------------------
+# -- LevelFamily.eval_many ------------------------------------------------------
 
-def test_eval_levels_single_entry():
-    disk = Body2.ball((0, 0), 2.0)
-    fam = LevelFamily(np.array([0.0]), [disk], disk)
-    assert eval_levels(fam, (0.3, 0.1)) == 0.0
-
-
-def test_eval_levels_nested_disks():
-    big = Body2.ball((0, 0), 2.0)
-    small = Body2.ball((0, 0), 1.0)
-    fam = LevelFamily(np.array([0.0, 1.0]), [small, big], big)
-    assert eval_levels(fam, (1.5, 0.0)) == 1.0
-    assert eval_levels(fam, (0.5, 0.0)) == 0.0
-
-
-def test_eval_levels_sentinel():
-    big = Body2.ball((0, 0), 2.0)
-    small = Body2.ball((0, 0), 1.0)
-    fam = LevelFamily(np.array([0.0]), [small], big)
-    assert eval_levels(fam, (1.5, 0.0)) == fam.sentinel
-
-
-def test_eval_levels_outside_ambient():
-    disk = Body2.ball((0, 0), 1.0)
-    fam = LevelFamily(np.array([0.0]), [disk], disk)
-    with pytest.raises(LevelSetError):
-        eval_levels(fam, (5.0, 0.0))
+def test_family_eval_scan_path():
+    """Disk levels are not cut from their ambient, so eval_many scans them
+    in order: the smallest level holding the point, the sentinel where no
+    level does, the sentinel off the ambient too."""
+    big, small = Body2.ball((0, 0), 2.0), Body2.ball((0, 0), 1.0)
+    single = LevelFamily(np.array([0.0]), [big], big)
+    nested = LevelFamily(np.array([0.0, 1.0]), [small, big], big)
+    short = LevelFamily(np.array([0.0]), [small], big)
+    pts = np.array([(0.3, 0.1), (1.5, 0.0), (0.5, 0.0), (5.0, 0.0)])
+    s = single.sentinel
+    np.testing.assert_array_equal(single.eval_many(pts), [0.0, 0.0, 0.0, s])
+    np.testing.assert_array_equal(nested.eval_many(pts), [0.0, 1.0, 0.0, s])
+    np.testing.assert_array_equal(short.eval_many(pts), [0.0, s, 0.0, s])
 
 
 def test_family_validation():
@@ -270,14 +255,6 @@ def test_compose_projection_rotation_preserves_qc(parabola):
     rep = quasiconvex_check(g.eval_many, g.domain, 20_000, seed=4)
     assert rep.passed
     assert g.lipschitz == pytest.approx(1.0, rel=1e-9)
-
-
-def test_extend_line_constant():
-    F = extend_line_constant(lambda t: t, (0.0, 1.0))
-    ts = np.array([-3.0, 0.0, 0.4, 1.0, 9.0])
-    assert np.allclose(F(ts), [0.0, 0.0, 0.4, 1.0, 1.0])
-    G = extend_line_constant(lambda t: np.abs(t), (-1.0, 1.0))
-    assert np.allclose(G(np.array([-5.0, 0.0, 5.0])), [1.0, 0.0, 1.0])
 
 
 # -- McShane ------------------------------------------------------------------------
