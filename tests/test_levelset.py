@@ -35,19 +35,36 @@ def chord_family(body, levels):
 
 # -- LevelFamily.eval_many ------------------------------------------------------
 
-def test_family_eval_scan_path():
-    """Disk levels are not cut from their ambient, so eval_many scans them
-    in order: the smallest level holding the point, the sentinel where no
-    level does, the sentinel off the ambient too."""
-    big, small = Body2.ball((0, 0), 2.0), Body2.ball((0, 0), 1.0)
-    single = LevelFamily(np.array([0.0]), [big], big)
-    nested = LevelFamily(np.array([0.0, 1.0]), [small, big], big)
-    short = LevelFamily(np.array([0.0]), [small], big)
-    pts = np.array([(0.3, 0.1), (1.5, 0.0), (0.5, 0.0), (5.0, 0.0)])
-    s = single.sentinel
-    np.testing.assert_array_equal(single.eval_many(pts), [0.0, 0.0, 0.0, s])
-    np.testing.assert_array_equal(nested.eval_many(pts), [0.0, 1.0, 0.0, s])
-    np.testing.assert_array_equal(short.eval_many(pts), [0.0, s, 0.0, s])
+# Disk levels are not cut from their ambient, so eval_many scans them in order.
+
+def test_eval_levels_single_entry():
+    disk = Body2.ball((0, 0), 2.0)
+    fam = LevelFamily(np.array([0.0]), [disk], disk)
+    np.testing.assert_array_equal(fam.eval_many(np.array([(0.3, 0.1)])), [0.0])
+
+
+def test_eval_levels_nested_disks():
+    big = Body2.ball((0, 0), 2.0)
+    small = Body2.ball((0, 0), 1.0)
+    fam = LevelFamily(np.array([0.0, 1.0]), [small, big], big)
+    np.testing.assert_array_equal(
+        fam.eval_many(np.array([(1.5, 0.0), (0.5, 0.0)])), [1.0, 0.0])
+
+
+def test_eval_levels_sentinel():
+    big = Body2.ball((0, 0), 2.0)
+    small = Body2.ball((0, 0), 1.0)
+    fam = LevelFamily(np.array([0.0]), [small], big)
+    np.testing.assert_array_equal(
+        fam.eval_many(np.array([(1.5, 0.0), (0.5, 0.0)])), [fam.sentinel, 0.0])
+
+
+def test_eval_levels_outside_ambient():
+    """Off the ambient no level holds the point: the sentinel, not an error."""
+    disk = Body2.ball((0, 0), 1.0)
+    fam = LevelFamily(np.array([0.0]), [disk], disk)
+    np.testing.assert_array_equal(
+        fam.eval_many(np.array([(5.0, 0.0), (0.3, 0.1)])), [fam.sentinel, 0.0])
 
 
 def test_family_validation():
