@@ -346,8 +346,9 @@ def _chord_params(base: EpigraphBase, u, ahead: float, u_end: float, chords):
         # f's terms: the chord, and graph_point's terms |G - shift| + |shift|
         # at t and at the anchor, with |G(t) - anchor| = chord - f
         terms = 2.0 * (c + lengths(a - base.shift) + norm(base.shift))
-        out[reach] = newton_leq(lambda t: f(t, a, c), lambda t: df(t, a), u[reach], far[reach],
-                                lambda t, f_t, df_t: rounding_target(terms - f_t, df_t))
+        out[reach] = newton_leq(lambda t, rows: f(t, a[rows], c[rows]),
+                                lambda t, rows: df(t, a[rows]), u[reach], far[reach],
+                                lambda t, f_t, df_t, rows: rounding_target(terms[rows] - f_t, df_t))
     return out
 
 

@@ -21,27 +21,29 @@ and the segment test of the extension all read chords; `chord_parts`
 clips chords by a body's cuts, for the relative boundary in e(B) and the
 nesting check of a level family.
 
-The root finders (`bisect_leq`, `newton_leq`, `golden_min`,
-`coarse_golden_min`) take numpy-broadcasting closures: `f(t)` returns an
-array shaped like `t` (`along` builds one from a point path).  Each solves
-an array of independent brackets in one loop with the same step rule as
-for a single bracket.  `newton_leq` stops each bracket at an absolute
-target that its caller derives from the rounding scale of its own f
+The root finders `bisect_leq`, `golden_min` and `coarse_golden_min`
+take numpy-broadcasting closures: `f(t)` returns an array shaped like
+`t` (`along` builds one from a point path).  Each solves an array of
+independent brackets in one loop with the same step rule as for a single
+bracket.  `newton_leq`'s closures take the live rows of its bracket
+array too (`f(t, rows)`), and it stops each bracket at an absolute target
+that its caller derives from the rounding scale of its own f
 (`rounding_target`: a few eps times the magnitudes of f's terms at the
-bracket, over |f'|), or at adjacent floats, and freezes it there, so a
-batched call returns its per-bracket calls' results bit for bit: the
-chords of `Profile.chord` (`Profile.chord_target`), the normal equation
-of a projection and the chords of the no-uniformly-continuous
-certificate take such targets, and a zero target means adjacent floats.
-The projection onto a graph stretch (`GraphPiece.distance_many`) is one
+bracket, over |f'|), or at adjacent floats, and drops it from the live
+rows there, so a batched call returns its per-bracket calls' results bit
+for bit: the chords of `Profile.chord` (`Profile.chord_target`, started
+where g clears the line, `Profile.level_point`), the normal equation of a
+projection and the chords of the no-uniformly-continuous certificate
+take such targets, and a zero target means adjacent floats.  The
+projection onto a graph stretch (`GraphPiece.distance_many`) is one
 `newton_leq` on the normal equation at every upward crossing of its
 samples, its derivative from the profile's g'' (`Profile.ddg`);
 `golden_min` stays for the minima of `cone_from`,
 `_ray_boundary_contacts` and the staircase check.  Slope points are
 closed form on the parabola and start from guesses
-(`Profile.slope_guess`) that leave a bisection a few floats wide: closed
-form on the cosh and exp profiles, a `newton_leq` solve on g' with g''
-to adjacent floats (target 0) on a polynomial profile.  Coupled roots
+(`Profile.slope_guess`) that mostly leave a bisection at adjacent floats:
+closed form on the cosh and exp profiles, a `newton_leq` solve on g' with
+g'' to adjacent floats (target 0) on a polynomial profile.  Coupled roots
 are not theirs: the unit-chord chain of the no-uniformly-continuous
 certificate, where each link starts at the end of the one before, is
 one Newton solve of the whole chain, stopped once every step is a few
@@ -233,9 +235,14 @@ def bisect_leq(f, bad, good, iters: int = 80):
     scalar bracket.  The loop stops after a fourth step that moved no
     bracket end: a bracket that did not move never moves again (its
     midpoint and f there repeat), so the result is the fixed-count loop's.
+    Where every bracket starts at adjacent floats the loop takes one step:
+    the midpoint is an end, so such a bracket moves at most once, onto one
+    point where an end was on the wrong side of the crossing.
     """
     bad, good = np.broadcast_arrays(np.asarray(bad, dtype=float),
                                     np.asarray(good, dtype=float))
+    if (np.nextafter(good, bad) == bad).all():
+        iters = min(iters, 1)
     for k in range(iters):
         mid = 0.5 * (bad + good)
         ok = f(mid) <= 0
@@ -249,13 +256,13 @@ def bisect_leq(f, bad, good, iters: int = 80):
 #: newton_leq's rounds at most; each cuts a finite bracket to a sixteenth or
 #: less, so 20 cut it to 2^-80 of its first width, as bisect_leq's halvings
 _NEWTON_ROUNDS = 40
-#: newton_leq's probes each round, as fractions of the bracket: its
-#: sixteenths from the good end, and the guards about the Newton point
-_NEWTON_GRID = np.arange(1, 16) / 16.0
-_NEWTON_GUARDS = np.concatenate([-(256.0 ** -np.arange(1, 7)), 256.0 ** -np.arange(1, 7)])
+#: newton_leq's probes each round, as columns of fractions of the bracket:
+#: its sixteenths from the good end, and the guards about the Newton point
+_NEWTON_GRID = np.arange(1, 16)[:, None] / 16.0
+_NEWTON_GUARDS = np.concatenate([-(256.0 ** -np.arange(1, 7)), 256.0 ** -np.arange(1, 7)])[:, None]
 #: and in float spacings about the Newton point, so that a zero target ends
 #: a round after Newton is good to a float
-_NEWTON_ULPS = np.array([-4.0, -1.0, 0.0, 1.0, 4.0])
+_NEWTON_ULPS = np.array([-4.0, -1.0, 0.0, 1.0, 4.0])[:, None]
 
 
 def rounding_target(terms, slope):
@@ -275,85 +282,112 @@ def _narrow(f, probes, bad, good, f_bad=np.nan, f_good=np.nan):
     stays where no probe strictly inside its bracket qualifies.  A probe
     outside its bracket or not finite is taken at the bracket's midpoint
     instead.  Returns (bad, good, f(bad), f(good)), with the given f_bad
-    and f_good for the ends that stay."""
-    lo, hi = np.minimum(bad, good), np.maximum(bad, good)
-    probes = np.where((probes > lo) & (probes < hi), probes, 0.5 * (bad + good))
-    inside = (probes > lo) & (probes < hi)  # an adjacent pair's midpoint is an end
+    and f_good for the ends that stay.  Keys, probe times the sign of
+    bad - good, grow from good toward bad exactly; a new end's f value is
+    read at the probe its key's argmin (argmax) picks."""
+    sign = np.sign(bad - good)
+    key_good, key_bad, mid = good * sign, bad * sign, 0.5 * (bad + good)
+    key_mid = mid * sign
+    key = probes * sign
+    inside = (key > key_good) & (key < key_bad)
+    probes, key = np.where(inside, probes, mid), np.where(inside, key, key_mid)
+    inside |= (key_mid > key_good) & (key_mid < key_bad)  # an adjacent pair's midpoint is an end
     f_probe = f(probes)
     ok = f_probe <= 0
-    sign = np.sign(bad - good)
-    key = probes * sign  # grows from good toward bad, exactly
-    key_bad = np.where(inside & ~ok, key, np.inf).min(axis=0)
-    key_good = np.where(inside & ok & (key < key_bad), key, -np.inf).max(axis=0)
+    # each bracket's pick as a flat index into the (k, n) tables
+    k, n = len(probes), sign.size
+    cols = np.arange(n)
+    masked = np.where(inside > ok, key, np.inf).reshape(k, n)
+    at_bad = masked.argmin(axis=0) * n + cols
+    key_bad = masked.reshape(-1)[at_bad].reshape(sign.shape)
+    masked = np.where(inside & ok & (key < key_bad), key, -np.inf).reshape(k, n)
+    at_good = masked.argmax(axis=0) * n + cols
+    key_good = masked.reshape(-1)[at_good].reshape(sign.shape)
+    moved_bad, moved_good = key_bad < np.inf, key_good > -np.inf
+    f_probe = f_probe.reshape(-1)
     with np.errstate(invalid="ignore"):  # inf * 0 where a bracket is one point
-        bad = np.where(key_bad < np.inf, key_bad * sign, bad)
-        good = np.where(key_good > -np.inf, key_good * sign, good)
-    f_bad = np.where(key_bad < np.inf, np.where(probes == bad, f_probe, -np.inf).max(axis=0), f_bad)
-    f_good = np.where(key_good > -np.inf,
-                      np.where(probes == good, f_probe, -np.inf).max(axis=0), f_good)
-    return bad, good, f_bad, f_good
+        bad = np.where(moved_bad, key_bad * sign, bad)
+        good = np.where(moved_good, key_good * sign, good)
+    return (bad, good, np.where(moved_bad, f_probe[at_bad].reshape(sign.shape), f_bad),
+            np.where(moved_good, f_probe[at_good].reshape(sign.shape), f_good))
 
 
 def newton_leq(f, df, bad, good, target):
     """Crossing points between f(bad) > 0 and f(good) <= 0, by safeguarded
     Newton steps; df is f's derivative.
 
-    bad and good broadcast to an array of brackets narrowed together, each
-    round by one df call at the bad ends and one f call at every bracket's
-    probes (_narrow).  The probes are the Newton point x from the
-    bad end, x plus and minus 1 and 4 float spacings and 256^-j of the
-    bracket (j = 1..6), the false-position point of the ends and the
-    bracket's sixteenths.  A Newton or false-position point that leaves the
-    bracket or is not finite falls back to the midpoint.  Where x is good
-    to within e, one guard pair brackets the root within 256 e of x, so the
-    bracket follows Newton's quadratic convergence; the sixteenths bound
-    the rounds where Newton crawls (on a clipped exponential tail) or f is
-    rounding noise.  On a convex f, Newton from the bad end stays on that
-    side, as in Profile.chord.
+    bad and good broadcast to an array of brackets, narrowed together as
+    one flat array of rows (C order).  f(t, rows) and df(t, rows) give
+    values at points t whose last axis runs over the int array rows, the
+    live rows.  Each round is one df call at the live bad ends and one f
+    call at every live bracket's probes (_narrow).  The probes are the
+    Newton point x from the bad end, x plus and minus 1 and 4 float
+    spacings and 256^-j of the bracket (j = 1..6), the false-position
+    point of the ends and the bracket's sixteenths.  A Newton or
+    false-position point that leaves the bracket or is not finite falls
+    back to the midpoint.  Where x is good to within e, one guard pair
+    brackets the root within 256 e of x, so the bracket follows Newton's
+    quadratic convergence; the sixteenths bound the rounds where Newton
+    crawls (on a clipped exponential tail) or f is rounding noise.  On a
+    convex f, Newton from the bad end stays on that side, as in
+    Profile.chord.
 
     target is each bracket's absolute target: a number or an array that
-    broadcasts with the brackets, or a callable target(t, f(t), df(t))
-    that gives it at the brackets' bad ends t (the caller's
+    broadcasts with the brackets, or a callable target(t, f(t), df(t),
+    rows) that gives it at the live rows' bad ends t (the caller's
     rounding_target there), read at the start of each round.  A bracket is
     done once its ends are adjacent floats or its width is at most its
-    target; a done bracket is frozen, its ends and f values never change
-    again, and the call ends when every bracket is done (a round that
-    finds every bracket at adjacent floats calls neither df nor target) or
-    after _NEWTON_ROUNDS rounds.  Returns the good ends.  So with a pointwise f,
+    target; a done bracket leaves the live rows, so f, df and target never
+    see it again and its ends stay, and the call ends when every bracket
+    is done (a bracket at adjacent floats needs no df or target) or after
+    _NEWTON_ROUNDS rounds.  Returns the good ends.  So with a pointwise f,
     df and target a batched call returns its per-bracket calls' results bit
     for bit, and with target 0 the result is bisect_leq's switching float
     wherever the sign of f is monotone and bisect_leq converges to adjacent
     floats.
     """
-    bad, good = (np.array(a, dtype=float) for a in np.broadcast_arrays(
-        np.asarray(bad, dtype=float), np.asarray(good, dtype=float)))
-    goal = target if callable(target) else (lambda *_: target)
-    f_bad, f_good = f(np.stack([bad, good]))
-    shape = (-1,) + (1,) * bad.ndim
-    grid, guards, ulps = (a.reshape(shape) for a in (_NEWTON_GRID, _NEWTON_GUARDS, _NEWTON_ULPS))
-    done = np.zeros(bad.shape, dtype=bool)
+    bad, good = np.broadcast_arrays(np.asarray(bad, dtype=float), np.asarray(good, dtype=float))
+    shape, bad, good = bad.shape, bad.ravel(), good.ravel()
+    out, rows = good.copy(), np.arange(bad.size)
+    if callable(target):
+        goal = target
+    else:
+        fixed = np.broadcast_to(np.asarray(target, dtype=float), shape).ravel()
+        goal = lambda t, f_t, df_t, rows: fixed[rows]  # noqa: E731
+
+    def keep(live, *arrays):
+        """rows and arrays cut to their live part; the rest's good ends are out."""
+        if live.all():
+            return (rows, *arrays)
+        out[rows[~live]] = good[~live]
+        return [a[live] for a in (rows, *arrays)]
+
+    # adjacent floats first: a bracket there needs no f, df or target
+    rows, bad, good = keep(np.nextafter(good, bad) != bad, bad, good)
+    if rows.size:
+        f_bad, f_good = f(np.stack([bad, good]), rows)
     for _ in range(_NEWTON_ROUNDS):
-        # adjacent floats first: where every bracket is, df is not needed
-        done |= np.nextafter(good, bad) == bad
-        if done.all():
+        if not rows.size:
             break
-        df_bad = df(bad)
-        done |= np.abs(bad - good) <= goal(bad, f_bad, df_bad)
-        if done.all():
-            break
+        df_bad = df(bad, rows)
         width = bad - good
+        rows, bad, good, f_bad, f_good, df_bad, width = keep(
+            ~(np.abs(width) <= goal(bad, f_bad, df_bad, rows)),
+            bad, good, f_bad, f_good, df_bad, width)
+        if not rows.size:
+            break
         with np.errstate(all="ignore"):
             false_pos = bad - f_bad * width / (f_bad - f_good)
             x = bad - f_bad / df_bad
         x = np.where(np.isfinite(x), x, false_pos)
-        probes = np.concatenate([good + grid * width, false_pos[None], x + guards * width,
-                                 x + ulps * np.spacing(np.abs(x))])
-        new = _narrow(f, probes, bad, good, f_bad, f_good)
-        if done.any():  # frozen
-            new = (np.where(done, old, moved)
-                   for old, moved in zip((bad, good, f_bad, f_good), new))
-        bad, good, f_bad, f_good = new
-    return good[()]
+        probes = np.concatenate([good + _NEWTON_GRID * width, false_pos[None],
+                                 x + _NEWTON_GUARDS * width,
+                                 x + _NEWTON_ULPS * np.spacing(np.abs(x))])
+        bad, good, f_bad, f_good = _narrow(lambda t: f(t, rows), probes, bad, good, f_bad, f_good)
+        rows, bad, good, f_bad, f_good = keep(np.nextafter(good, bad) != bad,
+                                              bad, good, f_bad, f_good)
+    out[rows] = good
+    return out.reshape(shape)[()]
 
 
 def along(fn, path):
@@ -428,8 +462,16 @@ class HalfPlane:
 
 
 def halfplanes_of(rows: np.ndarray) -> tuple:
-    """The rows (m, 3) as HalfPlane objects, each with its row's bits."""
-    return tuple(HalfPlane(r[:2], r[2]) for r in rows.copy())
+    """Rows (m, 3) that as_rows stored as HalfPlane objects, each with its
+    row's bits: the rows are unit already, so they skip the unit rule (which
+    would keep their bits) and its per-row list pass."""
+    out = []
+    for row in rows.copy():
+        hp = object.__new__(HalfPlane)
+        object.__setattr__(hp, "normal", row[:2])
+        object.__setattr__(hp, "offset", float(row[2]))
+        out.append(hp)
+    return tuple(out)
 
 
 #: values per CutTable.margin temporary: calls up to this many point-cut
@@ -624,6 +666,11 @@ def _cone_from_pieces(apex: np.ndarray, pieces: list) -> Cone2:
 # ---------------------------------------------------------------------------
 # profiles
 
+#: Profile.slope_point's probes about a slope_guess, in float spacings: a
+#: guess within two spacings of the crossing leaves adjacent floats
+_SLOPE_SPREAD = np.array([-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0])
+
+
 class Profile:
     """Convex scalar profile g with its first and second derivatives (dg,
     ddg) and recession slopes.  A profile that clips u (exp, cosh at
@@ -659,9 +706,10 @@ class Profile:
         bad = hi to good = lo (lo where g'(lo) > s; where g'(hi) <= s, hi or
         the float below it, as the last halving rounds).
 
-        With a slope_guess, one g' call at the guess plus and minus four
-        float spacings, moved strictly inside [lo, hi], narrows each bracket
-        first (_narrow), so the bisection starts a few floats wide.  Where
+        With a slope_guess, one g' call at the guess and 1, 2 and 4 float
+        spacings either side of it (_SLOPE_SPREAD), moved strictly inside
+        [lo, hi], narrows each bracket first (_narrow), so the bisection
+        starts at adjacent floats (one step) or a few floats wide.  Where
         the guess is off, the bracket narrows only to one probe, and a NaN
         guess probes the midpoint.  The result is the one the whole
         bracket's bisection converges to wherever the sign of g' - s is
@@ -677,7 +725,7 @@ class Profile:
         if guess is not None:
             inner = np.nextafter(good, bad), np.nextafter(bad, good)
             guess = np.clip(guess, *inner)
-            spread = np.array([-4.0, 4.0]).reshape((2,) + (1,) * s.ndim)
+            spread = _SLOPE_SPREAD.reshape((-1,) + (1,) * s.ndim)
             probes = np.clip(guess + spread * np.spacing(np.abs(guess)), *inner)
             bad, good = _narrow(f, probes, bad, good)[:2]
         return bisect_leq(f, bad, good)
@@ -691,9 +739,12 @@ class Profile:
         (slope_point; the window end toward qv where qu = 0, h being
         linear), and one newton_leq over the (K, 2) brackets, with
         h'(t) = g'(pu + t qu) qu - qv, moves each window end with h > 0 onto
-        the root between it and the minimum.  Each end stops at adjacent
-        floats or within its chord_target, h's rounding scale over |h'| at
-        the bracket's outer end: past it the sign of h is rounding noise.
+        the root between it and the minimum, starting where g clears the
+        line (_chord_start, on profiles with a level_point; a long window
+        past a clip would otherwise cost a round per sixteenth).  Each end
+        stops at adjacent floats or within its chord_target, h's rounding
+        scale over |h'| at the bracket's outer end: past it the sign of h
+        is rounding noise.
         An end is within that target of the root of the same float line's
         h at 50 digits, where the root is simple (not a tangent line's).
         """
@@ -711,13 +762,47 @@ class Profile:
         meets = h(t_min, pu, pv, qu, qv) <= 0
         out = (h(ends.T, pu, pv, qu, qv).T > 0) & meets[:, None]
         if out.any():
-            rows = np.nonzero(out)[0]
-            lines = pu[rows], pv[rows], qu[rows], qv[rows]
-            p_u, _, q_u, q_v = lines
+            line = np.nonzero(out)[0]
+            lines = pu[line], pv[line], qu[line], qv[line]
+            start = self._chord_start(h, lines, ends[out], t_min[line],
+                                      np.broadcast_to(half, pu.shape)[line])
+
+            def live(rows):
+                return (a[rows] for a in lines)
+
+            def dh(t, rows):
+                p_u, _, q_u, q_v = live(rows)
+                return self.dg(p_u + t * q_u) * q_u - q_v
             ends[out] = newton_leq(
-                lambda t: h(t, *lines), lambda t: self.dg(p_u + t * q_u) * q_u - q_v,
-                ends[out], t_min[rows], lambda *at: self.chord_target(*lines, *at))
+                lambda t, rows: h(t, *live(rows)), dh, start, t_min[line],
+                lambda t, h_t, dh_t, rows: self.chord_target(*live(rows), t, h_t, dh_t))
         return np.where(meets, ends[:, 0], np.inf), np.where(meets, ends[:, 1], -np.inf)
+
+    def level_point(self, y, side):
+        """Where g(u) = y on one side of its minimum (side = +1 right, -1
+        left), elementwise; NaN where g does not pass y on that side.  None
+        without a closed form."""
+        return None
+
+    def _chord_start(self, h, lines, t_end, t_min, half):
+        """Profile.chord's bad ends: each window end t_end (h > 0 there),
+        moved toward t_min to where g passes the line's largest value on the
+        window, top = pv + |qv| half (level_point on the end's side of the
+        minimum, at top raised by 2^-32 |top|, so that g's rounding there
+        cannot fall below the line), where that lies strictly between them
+        and h > 0 there.  Past that point g is above every value of the
+        line, so the root lies on t_min's side of it."""
+        pu, pv, qu, qv = lines
+        side = np.sign((t_end - t_min) * qu)  # of the minimum, in u
+        top = pv + np.abs(qv) * half
+        u_top = self.level_point(top + np.abs(top) * 2.0 ** -32, side)
+        if u_top is None:
+            return t_end
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_top = (u_top - pu) / qu
+        inner = (t_top > np.minimum(t_end, t_min)) & (t_top < np.maximum(t_end, t_min))
+        t_top = np.where(inner, t_top, t_end)
+        return np.where(inner & (h(t_top, *lines) > 0), t_top, t_end)
 
     def chord_target(self, pu, pv, qu, qv, t, h, dh):
         """rounding_target of h(t) = g(pu + t qu) - (pv + t qv) at t, from
@@ -820,6 +905,13 @@ class ExpProfile(Profile):
         with np.errstate(divide="ignore", invalid="ignore"):
             return _past_clip(-np.log(np.maximum(-s, 0.0)))
 
+    def level_point(self, y, side):
+        """-log y on the steep side (side = -1), short of the -700 clip; g
+        falls toward +inf, so NaN on the flat side."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = -np.log(y)
+        return np.where((side < 0) & (u >= -700.0), u, np.nan)
+
 
 class CoshProfile(Profile):
     name = "cosh"
@@ -841,6 +933,12 @@ class CoshProfile(Profile):
         """asinh(s), closed form; an infinity past the +-700 clip (as on
         ExpProfile)."""
         return _past_clip(np.arcsinh(s))
+
+    def level_point(self, y, side):
+        """side acosh(y - c) within the +-700 clip; NaN below the minimum."""
+        with np.errstate(invalid="ignore"):
+            u = side * np.arccosh(y - self.c)
+        return np.where(np.abs(u) <= 700.0, u, np.nan)
 
 
 class PolyProfile(Profile):
@@ -885,8 +983,9 @@ class PolyProfile(Profile):
         out = np.where(d_hi <= s, hi, lo)
         inner = (d_lo <= s) & (d_hi > s)
         if inner.any():
-            out[inner] = newton_leq(lambda u: self._dp(u) - s[inner], self._ddp,
-                                    hi[inner], lo[inner], 0.0)
+            s_in = s[inner]
+            out[inner] = newton_leq(lambda u, rows: self._dp(u) - s_in[rows],
+                                    lambda u, rows: self._ddp(u), hi[inner], lo[inner], 0.0)
         return out
 
 
@@ -1336,11 +1435,11 @@ class GraphPiece:
             rad[todo] = near[again]
 
         def normal_eq(q):
-            """phi for the query points q, and its derivative."""
-            def dphi(u):
-                rel, tan = graph(u) - q, tangent(u)
+            """phi for the query points q, and its derivative, on rows of q."""
+            def dphi(u, rows):
+                rel, tan = graph(u) - q[rows], tangent(u)
                 return dots(tan, tan) + dots(rel, base.M[:, 1]) * base.profile.ddg(u)
-            return (lambda u: dots(graph(u) - q, tangent(u))), dphi
+            return (lambda u, rows: dots(graph(u) - q[rows], tangent(u))), dphi
 
         steps = a + (b - a) * _PROJECTION_STEPS[:, None]
         grid = np.concatenate([steps, scan])
@@ -1358,7 +1457,8 @@ class GraphPiece:
             terms = (lengths(rel[:-1][up] + q - base.shift) + norm(base.shift)
                      + lengths(q)) * lengths(tan[:-1][up])
             roots[up] = newton_leq(*normal_eq(q), grid[1:][up], grid[:-1][up],
-                                   lambda u, phi_u, dphi_u: rounding_target(terms, dphi_u))
+                                   lambda u, phi_u, dphi_u, rows: rounding_target(terms[rows],
+                                                                                  dphi_u))
             rel = graph(roots[up]) - q
             d2_roots[up] = dots(rel, rel)
         us, d2 = np.concatenate([roots, grid]), np.concatenate([d2_roots, d2])

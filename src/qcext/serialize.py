@@ -185,8 +185,8 @@ def _encode(value):
         return value.tolist()
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
-    if isinstance(value, HalfPlane):
-        return _row_items(as_rows([value]))[0]
+    if isinstance(value, HalfPlane):  # its normal and offset are a stored row already
+        return {"normal": value.normal.tolist(), "offset": value.offset}
     if isinstance(value, dict):
         return {k: _encode(v) for k, v in value.items()}
     if isinstance(value, np.generic):

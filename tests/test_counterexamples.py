@@ -1,6 +1,7 @@
 """Counterexample generators, certificates, and the classifier."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -814,6 +815,55 @@ def test_gallery_certificates_match_stored():
             kw = {"k_max": 8, "scan": 16} if gen == "gen_no_lip" else {"k_max": 8}
             certs[gen] = certificate_to_json(generators[gen](body, **kw)[1])
         _assert_close(json.loads(json.dumps(certs)), stored[name]["certificates"], 1e-10, name)
+
+
+def test_gallery_pass_newton_rounds(monkeypatch):
+    """A certify pass over the seven-body gallery (characterize, then every
+    denied generator at k_max 8, gen_no_lip at scan 16) runs at most 64
+    newton_leq rounds (_narrow calls inside newton_leq): 85 when each chord
+    solve started at its window end, 25 of them crawling on the +-65,536
+    windows of cosh and the hypograph past the +-700 clip.  No round
+    evaluates a done bracket: replayed one bracket at a time, every bracket
+    of every solve is in exactly as many f calls as in the pass."""
+    import qcext.counterexamples as cx
+    import qcext.geometry as geo
+
+    newton, narrow = geo.newton_leq, geo._narrow
+    solves, rounds = [], []
+
+    def counted(f, calls):
+        def wrapped(t, rows):
+            calls.append(rows)
+            return f(t, rows)
+        return wrapped
+
+    def traced_newton(f, df, bad, good, target):
+        solves.append((f, df, bad, good, target, []))
+        return newton(counted(f, solves[-1][-1]), df, bad, good, target)
+
+    def traced_narrow(*args):
+        if sys._getframe(1).f_code is newton.__code__:
+            rounds.append(1)
+        return narrow(*args)
+
+    monkeypatch.setattr(geo, "newton_leq", traced_newton)
+    monkeypatch.setattr(cx, "newton_leq", traced_newton)
+    monkeypatch.setattr(geo, "_narrow", traced_narrow)
+    for body in _gallery().values():
+        for gen in dict.fromkeys(characterize(body).denied.values()):
+            kw = {"k_max": 8, "scan": 16} if gen == "gen_no_lip" else {"k_max": 8}
+            globals()[gen](body, **kw)
+    monkeypatch.undo()
+    assert 0 < len(rounds) <= 64
+    for f, df, bad, good, target, calls in solves:
+        bad, good = (a.ravel() for a in np.broadcast_arrays(np.asarray(bad, dtype=float),
+                                                            np.asarray(good, dtype=float)))
+        goal = target if callable(target) else np.broadcast_to(target, bad.shape)
+        for k in range(len(bad)):
+            row, one = np.array([k]), []
+            newton(counted(lambda t, _: f(t, row), one), lambda t, _: df(t, row), bad[k], good[k],
+                   (lambda t, f_t, df_t, _: goal(t, f_t, df_t, row)) if callable(goal) else goal[k])
+            assert sum(k in rows for rows in calls) == len(one)
 
 
 def test_gallery_certificates_roundtrip():

@@ -402,7 +402,9 @@ def _bisect_fixed_count(f, bad, good, iters):
 
 def test_bisect_early_exit_matches_fixed_count():
     """Stopping once no bracket can move returns the fixed-count result,
-    also where the initial bad end holds f <= 0 or the good end f > 0."""
+    also where the initial bad end holds f <= 0 or the good end f > 0, and
+    brackets that all start at adjacent floats take one step: it moves the
+    one whose midpoint rounds onto its bad end, which holds f <= 0."""
     calls = []
 
     def f(t):
@@ -421,6 +423,12 @@ def test_bisect_early_exit_matches_fixed_count():
     for b, g, w in zip(bad, good, want):
         assert bisect_leq(f, b, g, 400) == w
         assert bisect_leq(f, b, g, 7) == _bisect_fixed_count(f, b, g, 7)
+    good = np.array([0.1, 0.1000000000000001, 0.5, 0.30469265401539747])
+    bad = np.nextafter(good, 10.0)
+    calls.clear()
+    got = bisect_leq(f, bad, good, 400)
+    assert len(calls) == 1 and np.array_equal(got, _bisect_fixed_count(f, bad, good, 400))
+    assert got[1] == bad[1]
 
 
 def _monotone_brackets(rng, bad_shape, good_shape, rising=True):
@@ -428,17 +436,24 @@ def _monotone_brackets(rng, bad_shape, good_shape, rising=True):
     in [0.5, 4]: products and sums of non-negative floats round
     monotonically, so the sign of f switches exactly once in floats.
     Returns (f, df, bad, good): bad and good have their own shapes and
-    bracket every root of the broadcast shape."""
+    bracket every root of the broadcast shape.  f(t) and df(t) take t in
+    that shape, f(t, rows) and df(t, rows) the rows of its flat form, as
+    newton_leq calls them."""
     shape = np.broadcast_shapes(bad_shape, good_shape)
     a, b = rng.uniform(0.0, 2.0, shape), rng.uniform(0.1, 3.0, shape)
     r = rng.uniform(0.5, 4.0, shape)
     c = a * r + b * r * r * r
     sign = 1.0 if rising else -1.0
 
-    def f(t):
+    def coefficients(rows):
+        return (a, b, c) if rows is None else (x.reshape(-1)[rows] for x in (a, b, c))
+
+    def f(t, rows=None):
+        a, b, c = coefficients(rows)
         return sign * (a * t + b * t * t * t - c)
 
-    def df(t):
+    def df(t, rows=None):
+        a, b, _ = coefficients(rows)
         return sign * (a + 3.0 * b * t * t)
 
     below = rng.uniform(0.0, 0.45, good_shape if rising else bad_shape)
@@ -459,9 +474,9 @@ def test_newton_leq_matches_bisect_leq(bad_shape, good_shape, rising):
     calls = {"newton": 0, "bisect": 0}
 
     def counted(key, fn):
-        def wrapped(t):
+        def wrapped(*args):
             calls[key] += 1
-            return fn(t)
+            return fn(*args)
         return wrapped
 
     got = geo.newton_leq(counted("newton", f), counted("newton", df), bad, good, 0.0)
@@ -478,10 +493,10 @@ def test_newton_leq_keeps_to_the_bracket(monkeypatch):
     the midpoint and the sixteenths; with target 0 the result is still the
     switching float, in no more rounds than the sixteenths alone need
     (20)."""
-    def f(t):
+    def f(t, rows=None):
         return np.cosh(np.clip(t, -700, 700)) - 3.0
 
-    def df(t):
+    def df(t, rows):
         return np.where(t > 2.0, np.sinh(np.clip(t, -700, 700)), 0.0)
 
     rounds = []
@@ -537,14 +552,20 @@ def _no_lip_lower_lines():
 
 def test_newton_leq_batch_equals_per_bracket_calls():
     """One batched newton_leq call returns what one call per bracket returns,
-    bit for bit: frozen brackets keep their ends.  On the cosh no-Lipschitz
+    bit for bit: done brackets leave the live rows and keep their ends.  The
+    closures take the live row indices (f(t, rows), df(t, rows),
+    target(t, f(t), df(t), rows)); a one-bracket call's row is 0.  On the
+    cosh no-Lipschitz
     lower profile's chords (among them rows that stop inside the noise
     band, at their target and not at adjacent floats) and on fuzzed cubic
     brackets with per-bracket targets from 0 to 1e-3 of their width."""
     prof, lines = _no_lip_lower_lines()
     rows, bad, good, h, dh, target = _chord_solves(prof, *lines)
-    batch = geo.newton_leq(lambda t: h(t, rows), lambda t: dh(t, rows), bad, good, target(rows))
-    one = [geo.newton_leq(lambda t: h(t, r), lambda t: dh(t, r), b, g, target(r))
+    batch = geo.newton_leq(lambda t, live: h(t, rows[live]), lambda t, live: dh(t, rows[live]),
+                           bad, good,
+                           lambda t, h_t, dh_t, live: target(rows[live])(t, h_t, dh_t))
+    one = [geo.newton_leq(lambda t, _: h(t, r), lambda t, _: dh(t, r), b, g,
+                          lambda t, h_t, dh_t, _: target(r)(t, h_t, dh_t))
            for r, b, g in zip(rows, bad, good)]
     assert np.array_equal(batch, one)
     adjacent = np.nextafter(batch, bad) == bad
@@ -568,11 +589,59 @@ def test_newton_leq_batch_equals_per_bracket_calls():
             return a[i] + 3.0 * b[i] * t * t
 
         i = np.arange(n)
-        batch = geo.newton_leq(lambda t: f(t, i), lambda t: df(t, i), bad, good, goal)
-        one = [geo.newton_leq(lambda t: f(t, k), lambda t: df(t, k), bad[k], good[k], goal[k])
+        batch = geo.newton_leq(f, df, bad, good, goal)
+        one = [geo.newton_leq(lambda t, _: f(t, k), lambda t, _: df(t, k), bad[k], good[k],
+                              goal[k])
                for k in i]
         assert np.array_equal(batch, one)
         assert np.all(np.abs(batch - bisect_leq(lambda t: f(t, i), bad, good)) <= goal + 1e-15)
+
+
+def test_newton_leq_evaluates_only_live_rows():
+    """f, df and a callable target see only live rows: in a batched call each
+    bracket is in exactly as many f, df and target calls as in its own
+    one-bracket call, so none of them sees a bracket that is done (at
+    adjacent floats or within its target).  Every call's t has its rows
+    along the last axis, and the rows only ever shrink.  On the cosh
+    no-Lipschitz lower profile's chords, three of them started at adjacent
+    floats (no call at all sees those), and on cubic brackets with per-row
+    targets."""
+    prof, lines = _no_lip_lower_lines()
+    rows, bad, good, h, dh, target = _chord_solves(prof, *lines)
+    rows = np.concatenate([rows, rows[:3]])
+    bad, good = np.concatenate([bad, np.nextafter(good[:3], bad[:3])]), np.r_[good, good[:3]]
+    cubic = np.random.default_rng(4)
+    a, b, r = cubic.uniform(0.0, 2.0, 30), cubic.uniform(0.1, 3.0, 30), cubic.uniform(0.5, 4, 30)
+    cases = [
+        (lambda t, k: h(t, rows[k]), lambda t, k: dh(t, rows[k]),
+         lambda t, h_t, dh_t, k: target(rows[k])(t, h_t, dh_t), bad, good),
+        (lambda t, k: a[k] * t + b[k] * t ** 3 - (a[k] * r[k] + b[k] * r[k] ** 3),
+         lambda t, k: a[k] + 3.0 * b[k] * t * t, lambda t, f_t, df_t, k: 1e-9 * r[k] * (k % 2),
+         np.full(30, 5.0), np.zeros(30))]
+    for f, df, goal, bad, good in cases:
+        calls = {"f": [], "df": [], "target": []}
+
+        def seen(key, fn, count):
+            def wrapped(t, *args):
+                live = args[-1]
+                assert np.shape(t)[-1] == len(live)
+                count[key].append(live)
+                return fn(t, *args)
+            return wrapped
+
+        geo.newton_leq(seen("f", f, calls), seen("df", df, calls), bad, good,
+                       seen("target", goal, calls))
+        for key, live in calls.items():
+            assert all(np.isin(now, before).all() for before, now in zip(live, live[1:])), key
+        for k in range(len(bad)):
+            one = {"f": [], "df": [], "target": []}
+            geo.newton_leq(*(seen(key, lambda t, *args, fn=fn: fn(t, *args[:-1], k), one)
+                             for key, fn in (("f", f), ("df", df))),
+                           bad[k], good[k], seen("target", lambda t, *args: goal(t, *args[:-1], k),
+                                                  one))
+            for key in calls:
+                assert sum(k in live for live in calls[key]) == len(one[key]), (k, key)
+        assert sum(len(live) for live in calls["f"]) < len(calls["f"]) * len(bad)
 
 
 def _bisect_slope_point(prof, s, lo, hi):
@@ -666,21 +735,25 @@ def _chord_lines(prof, rng, kind, n=200):
     elif kind == "tail":  # exp's flat tail: g' between -1e-239 and -1e-305
         pu, ang = rng.uniform(550, 760, n), -rng.uniform(0.0, 1e-3, n) ** 3
         pv = prof.g(pu) + rng.uniform(-1e-250, 1e-200, n)
+    elif kind == "long":  # +-65,536 windows past the +-700 clip, every fourth line level
+        pu, ang = rng.uniform(-5.0, 5.0, n), rng.uniform(-1.5, 1.5, n) * (np.arange(n) % 4 > 0)
+        pv = prof.g(pu) + rng.uniform(0.0, 50.0, n)
     else:  # random lines, some of them misses
         pu, ang = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.5, 1.5, n)
         pv = prof.g(pu) + rng.uniform(-0.5, 2.0, n)
-    half = {"clip": 2000.0, "tail": 300.0}.get(kind, 3.0)
+    half = {"clip": 2000.0, "tail": 300.0, "long": 65536.0}.get(kind, 3.0)
     return pu, pv, np.cos(ang), np.sin(ang), np.full(n, half)
 
 
 @pytest.mark.parametrize("name, kind", [
-    (name, kind) for name in sorted(_PROFILES) for kind in ("random", "tangent", "clip", "tail")
-    if kind != "tail" or name == "exp"])
+    (name, kind) for name in sorted(_PROFILES)
+    for kind in ("random", "tangent", "clip", "tail", "long")
+    if (kind != "tail" or name == "exp") and (kind != "long" or name != "custom_poly")])
 def test_newton_chords_match_bisection(name, kind):
     """Newton chords meet the same lines as the bisection chords.  newton_leq
     is done with a chord end once its bracket is at adjacent floats or
     within the target Profile.chord derives from h (Profile.chord_target:
-    4 eps times h's terms over |h'|), and keeps it frozen there.  So each
+    4 eps times h's terms over |h'|), and leaves it there.  So each
     Newton end inside the window keeps h <= 0 and is a switching float
     (h > 0 one float outward) or lies within its stated target
     (chord_target at the end) of the bisection's end; where the sign of h
@@ -719,8 +792,8 @@ def test_newton_chords_match_bisection(name, kind):
 
 
 @pytest.mark.parametrize("name, kind", [
-    (name, kind) for name in sorted(_PROFILES) for kind in ("random", "clip", "tail")
-    if kind != "tail" or name == "exp"])
+    (name, kind) for name in sorted(_PROFILES) for kind in ("random", "clip", "tail", "long")
+    if (kind != "tail" or name == "exp") and (kind != "long" or name != "custom_poly")])
 def test_chord_ends_within_target_of_50_digit_root(name, kind):
     """Every Profile.chord end inside its window is within its stated
     target (Profile.chord_target at the end) of the true root: h evaluated
@@ -728,7 +801,9 @@ def test_chord_ends_within_target_of_50_digit_root(name, kind):
     +-700 as the profile clips it, changes sign between end - target and
     end + target, and mpmath.findroot's root there is that close.  Tangent
     lines are left out: their double roots are conditioned like sqrt(eps),
-    and a float h can meet the graph where the 50-digit one misses it."""
+    and a float h can meet the graph where the 50-digit one misses it.  The
+    long windows (+-65,536, past the clip) are where the solves start at
+    Profile.level_point, not at the window end."""
     import mpmath
     prof = _PROFILES[name]
 
